@@ -13,12 +13,11 @@ import math
 import sys
 from pathlib import Path
 
-from . import validation
 from .config import parse_config, require
 from .errors import ConfigError, ConvergenceError
 from .experiment import (ScenarioConfig, build_enhancement_report,
                          ultracold_forecast, ultracold_target_species)
-from .gases import load_species_table
+from .gases import DEFAULT_TEMPERATURE, load_species_table
 from .optics import CavityGeometry, MirrorSpec, derive_cavity_params
 from .overlap import (GaussianMode, overlap_eta_analytic, overlap_eta_numeric,
                       purcell_factor, purcell_ratio)
@@ -83,7 +82,8 @@ def cmd_scan(args) -> int:
     geometry = _geometry_from_config(values, args.config)
     wavelength = float(require(values, "pump.wavelength", args.config))
     params = derive_cavity_params(geometry, wavelength)
-    table = load_species_table()
+    table = load_species_table(
+        temperature=float(values.get("gas.temperature", DEFAULT_TEMPERATURE)))
     names = str(require(values, "scan.species", args.config)).split(",")
     weights = []
     for i, name in enumerate(names, start=1):
@@ -229,6 +229,9 @@ def cmd_forecast(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    # the oracle suite imports scipy; keep it off every other subcommand's path
+    from . import validation
+
     results = validation.run_all(seed=args.seed)
     text = validation.format_report(results)
     if args.out:

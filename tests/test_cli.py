@@ -1,0 +1,187 @@
+"""The ``cavray`` command line on the reference scenario.
+
+Golden outputs under ``tests/golden`` were written by
+``cavray <subcommand> --config demos/reference_cavity.cfg --format json``
+(``--format csv`` for scan) while the overlap still ran scipy's adaptive
+``quad``. They pin "same outputs" for every config subcommand; regenerate
+them only for an intended change of output.
+"""
+
+import io
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from cavray import (ScenarioConfig, derive_cavity_params, load_species_table,
+                    scan_spectrum)
+from cavray.cli import main
+from cavray.config import parse_config
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMO = ROOT / "demos" / "reference_cavity.cfg"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+REL = 1e-12
+
+REPORTS = ["cavity", "enhance", "purcell", "forecast", "overlap"]
+
+# Fields that are differences of two nearly equal numbers carry the
+# rounding of those numbers, so they are compared at the scale of the
+# numbers (1 for a relative difference), not at their own: (field, scale
+# field or None).
+RESIDUALS = {
+    "purcell": ("absolute_difference", "interference_power_ratio"),
+    "overlap": ("relative_difference", None),
+}
+
+
+def run_cli(capsys, *argv):
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def assert_close(got, want, where="$"):
+    if isinstance(want, dict):
+        assert got.keys() == want.keys(), where
+        for key in want:
+            assert_close(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_close(g, w, f"{where}[{i}]")
+    elif isinstance(want, float):
+        assert got == pytest.approx(want, rel=REL, abs=0.0), where
+    else:
+        assert got == want, where
+
+
+def write_demo_variant(tmp_path, **replacements):
+    """Copy of the demo config with whole 'key = value' lines swapped."""
+    lines = []
+    for line in DEMO.read_text().splitlines():
+        key = line.split("=")[0].strip()
+        lines.append(f"{key} = {replacements[key]}" if key in replacements else line)
+    path = tmp_path / "variant.cfg"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("command", REPORTS)
+def test_report_matches_golden(capsys, command):
+    code, out, err = run_cli(capsys, command, "--config", str(DEMO), "--format", "json")
+    assert code == 0, err
+    got = json.loads(out)
+    want = json.loads((GOLDEN / f"{command}.json").read_text())
+    if command in RESIDUALS:
+        name, scale_of = RESIDUALS[command]
+        scale = want[scale_of] if scale_of else 1.0
+        assert abs(got.pop(name) - want.pop(name)) <= REL * scale
+    assert_close(got, want)
+
+
+def test_scan_matches_golden(capsys):
+    code, out, err = run_cli(capsys, "scan", "--config", str(DEMO), "--format", "csv")
+    assert code == 0, err
+    got = np.loadtxt(io.StringIO(out), delimiter=",", skiprows=1)
+    want = np.loadtxt(GOLDEN / "scan.csv", delimiter=",", skiprows=1)
+    assert out.splitlines()[0] == (GOLDEN / "scan.csv").read_text().splitlines()[0]
+    np.testing.assert_allclose(got, want, rtol=REL, atol=0.0)
+
+
+def test_validate_passes_every_check(capsys):
+    from cavray import validation
+
+    code, out, err = run_cli(capsys, "validate")
+    n = len(validation.ALL_CHECKS)
+    assert n == 25
+    assert code == 0, out + err
+    assert f"{n}/{n} checks passed" in out
+
+
+def _scan_csv(capsys, path):
+    code, out, err = run_cli(capsys, "scan", "--config", str(path), "--format", "csv")
+    assert code == 0, err
+    return out
+
+
+def test_scan_uses_the_config_temperature(capsys, tmp_path):
+    cold_cfg = write_demo_variant(tmp_path, **{"gas.temperature_K": "150.0"})
+    warm = np.loadtxt(io.StringIO(_scan_csv(capsys, DEMO)), delimiter=",", skiprows=1)
+    cold_text = _scan_csv(capsys, cold_cfg)
+    cold = np.loadtxt(io.StringIO(cold_text), delimiter=",", skiprows=1)
+    # normalized peaks: a colder gas has a narrower Doppler width, so fewer
+    # samples sit above half the peak
+    assert np.count_nonzero(cold[:, 1] > 0.5) < np.count_nonzero(warm[:, 1] > 0.5)
+
+    values = parse_config(cold_cfg)
+    scenario = ScenarioConfig.from_file(cold_cfg)
+    table = load_species_table(temperature=150.0)
+    wavelength = scenario.pump.wavelength
+    expected = scan_spectrum(
+        derive_cavity_params(scenario.cavity, wavelength),
+        [(table[name.strip()], 1.0) for name in values["scan.species"].split(",")],
+        scan_range=values["scan.range"], resolution=values["scan.resolution"],
+        wavelength=wavelength, normalize=True,
+    )
+    buffer = io.StringIO()
+    expected.to_csv(buffer)
+    assert cold_text == buffer.getvalue()
+
+
+def test_forecast_at_zero_pressure_is_a_clean_error(capsys, tmp_path):
+    cfg = write_demo_variant(tmp_path, **{"gas.pressure_mbar": "0"})
+    code, out, err = run_cli(capsys, "forecast", "--config", str(cfg), "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert "gas.pressure" in err
+
+
+def test_non_finite_config_value_is_a_config_error(capsys, tmp_path):
+    cfg = write_demo_variant(tmp_path, **{"cavity.separation_mm": "nan"})
+    code, out, err = run_cli(capsys, "cavity", "--config", str(cfg), "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert "cavity.separation_mm" in err and "variant.cfg:4" in err
+
+
+IMPORT_PROBE = textwrap.dedent("""
+    import contextlib, io, json, sys
+
+    def scipy_modules():
+        return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+    stages = {}
+    import cavray
+    stages["import cavray"] = scipy_modules()
+    import cavray.cli
+    stages["import cavray.cli"] = scipy_modules()
+    config = sys.argv[1]
+    for command in sys.argv[2:]:
+        fmt = "csv" if command == "scan" else "json"
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cavray.cli.main([command, "--config", config, "--format", fmt])
+        assert code == 0, command
+        stages[command] = scipy_modules()
+    print(json.dumps(stages))
+""")
+
+
+def test_report_subcommands_load_no_scipy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    result = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, str(DEMO), *REPORTS, "scan"],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    stages = json.loads(result.stdout)
+    for stage in ["import cavray", "import cavray.cli", *REPORTS]:
+        assert stages[stage] == [], stage
+    assert "scipy.special" in stages["scan"]
+    assert not any(m.startswith("scipy.integrate") for m in stages["scan"])

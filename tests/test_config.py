@@ -122,6 +122,21 @@ class TestConfigParser:
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config(cfg)
 
+    @pytest.mark.parametrize("line", [
+        "cavity.separation_mm = nan",
+        "cavity.separation_mm = inf",
+        "cavity.separation_mm = -inf",
+        "cavity.finesse = NaN",
+        # finite as written, overflows to inf once scaled to Hz
+        "scan.range_GHz = 1e300",
+    ])
+    def test_non_finite_value_rejected(self, tmp_path, line):
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text(f"pump.wavelength_nm = 532\n{line}\n")
+        key = line.split("=")[0].strip()
+        with pytest.raises(ConfigError, match=rf"a\.cfg:2: key '{key}' has non-finite"):
+            parse_config(cfg)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             parse_config(tmp_path / "nope.cfg")

@@ -5,6 +5,7 @@ the CODATA constants; the published measurement triples are used as
 inputs, never as fitted targets.
 """
 
+import dataclasses
 import json
 import math
 
@@ -242,6 +243,13 @@ class TestUltracoldForecast:
         )
         with pytest.raises(ValueError):
             ultracold_forecast(scenario, builtin_species("Xe"), 1e5, 1e5)
+
+    @pytest.mark.parametrize("pressure", [0.0, -1.0])
+    def test_nonpositive_pressure_rejected(self, reference_geometry, pressure):
+        anchor = dataclasses.replace(make_anchor_scenario(reference_geometry),
+                                     pressure=pressure)
+        with pytest.raises(ValueError, match="gas.pressure"):
+            ultracold_forecast(anchor, ultracold_target_species(anchor.gas), 1e5, 1e5)
 
     def test_json_is_versioned(self, reference_geometry):
         anchor = make_anchor_scenario(reference_geometry)
