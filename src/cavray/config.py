@@ -69,11 +69,13 @@ def parse_config(path: str | os.PathLike) -> dict[str, float | str]:
         key, text = key.strip(), text.strip()
         if not key or not text:
             raise ConfigError(path, lineno, "empty key or value")
+        stem, factor = _split_unit(key)
+        if stem in values:
+            raise ConfigError(path, lineno, f"duplicate key {stem!r}")
         try:
             number = float(text)
         except ValueError:
             # unsuffixed keys may carry strings (species names, labels)
-            stem, factor = _split_unit(key)
             if stem != key:
                 raise ConfigError(
                     path, lineno, f"key {key!r} has a unit suffix but value "
@@ -81,9 +83,6 @@ def parse_config(path: str | os.PathLike) -> dict[str, float | str]:
                 )
             values[key] = text
             continue
-        stem, factor = _split_unit(key)
-        if stem in values:
-            raise ConfigError(path, lineno, f"duplicate key {stem!r}")
         value = number * factor
         if not math.isfinite(value):
             raise ConfigError(path, lineno, f"key {key!r} has non-finite value {text!r}")

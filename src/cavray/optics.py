@@ -183,6 +183,10 @@ def number_density(pressure: float, temperature: float) -> float:
 # The closed-form waist and mode-spacing expressions above are verified
 # against the resonator eigenmode obtained from ray-transfer matrices.
 
+# relative distance from d = Rc inside which the round-trip waist is undefined
+CONFOCAL_MARGIN = 1e-9
+
+
 def _propagation(distance: float) -> np.ndarray:
     return np.array([[1.0, distance], [0.0, 1.0]])
 
@@ -196,9 +200,15 @@ def abcd_roundtrip_waist(mirror_separation: float, radius_of_curvature: float,
     """Waist from the self-consistent q-parameter of the round-trip matrix.
 
     The round trip starts at the cavity centre, where the symmetric
-    eigenmode has its waist (q purely imaginary).
+    eigenmode has its waist (q purely imaginary). At the confocal point
+    d = Rc the round trip is -I and every q is an eigenmode; near it the
+    matrix entries that fix q cancel to O(1 - d/Rc), so the relative
+    error grows as ~4e-17 / |1 - d/Rc|. Within 1e-9 of it this raises
+    ``ValueError``.
     """
     d, rc = mirror_separation, radius_of_curvature
+    if abs(1.0 - d / rc) < CONFOCAL_MARGIN:
+        raise ValueError(f"degenerate round trip at the confocal point: d={d}, Rc={rc}")
     m = (_propagation(d / 2.0) @ _curved_mirror(rc) @ _propagation(d)
          @ _curved_mirror(rc) @ _propagation(d / 2.0))
     a, b = m[0, 0], m[0, 1]

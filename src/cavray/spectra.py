@@ -8,14 +8,33 @@ Gaussian with the cavity Lorentzian; the spectral overlap is the value of
 that convolution on resonance and quantifies how much of the scattered
 spectrum the cavity accepts.
 
+The cavity response is a comb of Lorentzians of half width hwhm spaced
+by the free spectral range F: the high-finesse limit of the Airy
+function, kept as the model. By Poisson summation (Ismail et al., Opt.
+Express 24, 16366, 2016) the scan signal over all comb orders is the
+Fourier series
+
+    signal(nu) = sum_j s_j * pi * hwhm / F
+                 * [1 + 2 sum_{k>=1} c_k(sigma_j) cos(2 pi k nu / F)],
+    c_k(sigma) = exp(-2 pi^2 sigma^2 k^2 / F^2 - 2 pi hwhm k / F),
+
+with s_j = weight * polarizability^2 and sigma_j the observed Doppler
+sigma of species j. ``scan_spectrum`` drops the harmonics below 1e-17 of
+the mean level, tabulates one period with an inverse FFT at 16 samples
+per shortest harmonic wavelength and interpolates the grid from it with
+an 8-point periodic Lagrange stencil. It has no truncation window in
+frequency. It agrees with the directly evaluated series to 1e-11 of the
+peak, and with a +-4000-order sum of Voigt profiles to 1e-7 of the peak,
+which is the size of that sum's missing tail (both tested against the
+oracles in ``validation``).
+
 Valid up to roughly 100 mbar: pressure sidebands from scattering on
 density waves appear above that and are not modeled, nor are collisional
 broadening or narrowing.
 
-scipy is imported only inside the two functions that call it,
-``spectral_overlap`` (``scipy.integrate``) and ``scan_spectrum``
-(``scipy.special``), because importing it costs several times the whole
-closed-form report path and ``import cavray`` should load numpy alone.
+scipy is imported only inside ``spectral_overlap`` (``scipy.integrate``),
+because importing it costs several times the whole closed-form report
+path: ``import cavray`` and ``cavray scan`` load numpy alone.
 """
 
 from __future__ import annotations
@@ -38,6 +57,24 @@ OBSERVED_WIDTH_FACTOR = math.sqrt(2.0)
 _FWHM_PER_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 
 TRACE_SCHEMA = "cavray.spectrum-trace/1"
+
+# Largest detuning grid and one-period comb table scan_spectrum builds:
+# 1e7 points hold 160 MB of detunings and signals, 2**24 table entries
+# 128 MB plus the half-size complex spectrum they come from.
+MAX_SCAN_POINTS = 10_000_000
+MAX_COMB_TABLE = 2 ** 24
+
+# harmonics below this fraction of the mean level a_0 are dropped
+_HARMONIC_FLOOR = 1e-17
+# table samples per wavelength of the highest harmonic kept
+_TABLE_OVERSAMPLING = 16
+# the 8 table nodes around each point's cell, as offsets from the cell start
+_STENCIL = np.arange(-3, 5)
+_STENCIL_SCALE = np.array([
+    1.0 / math.prod(float(j - m) for m in _STENCIL if m != j) for j in _STENCIL
+])[:, None]
+# rows per block of the interpolation and of the trace writers
+_BLOCK = 8192
 
 
 def doppler_fwhm(wavelength: float, temperature: float, molar_mass: float) -> float:
@@ -150,6 +187,8 @@ class SpectrumTrace:
         self.signals = np.asarray(self.signals, dtype=float)
         if self.detunings.shape != self.signals.shape:
             raise ValueError("detunings and signals must have equal length")
+        if not (np.all(np.isfinite(self.detunings)) and np.all(np.isfinite(self.signals))):
+            raise ValueError("detunings and signals must be finite")
         if np.any(self.signals < 0.0):
             raise ValueError("signals must be nonnegative")
 
@@ -163,8 +202,12 @@ class SpectrumTrace:
 
     def to_csv(self, stream: io.TextIOBase) -> None:
         stream.write("detuning_Hz,signal_normalized\n")
-        for x, y in zip(self.detunings, self.signals):
-            stream.write(f"{x:.12g},{y:.12g}\n")
+        rows = np.column_stack((self.detunings, self.signals))
+        # one %-format per block: a whole-trace format string costs its
+        # own size again in memory
+        for start in range(0, len(rows), _BLOCK):
+            block = rows[start:start + _BLOCK]
+            stream.write("%.12g,%.12g\n" * len(block) % tuple(block.ravel().tolist()))
 
     @classmethod
     def from_csv(cls, stream: io.TextIOBase, species: str = "",
@@ -182,19 +225,26 @@ class SpectrumTrace:
         return cls(np.array(det), np.array(sig), species, cavity)
 
     def to_json(self) -> str:
-        payload = {
-            "schema": TRACE_SCHEMA,
-            "species": self.species,
-            "detuning_Hz": [float(f"{x:.12g}") for x in self.detunings],
-            "signal_normalized": [float(f"{y:.12g}") for y in self.signals],
-        }
+        """The trace as ``json.dumps(payload, indent=2)`` would write it.
+
+        The two arrays hold each value rounded to 12 significant digits.
+        They are formatted block-wise rather than by the json module,
+        whose indenting encoder runs in Python once per element.
+        """
+        parts = ["{\n",
+                 f'  "schema": {json.dumps(TRACE_SCHEMA)},\n',
+                 f'  "species": {json.dumps(self.species)},\n',
+                 '  "detuning_Hz": ', *_json_array(self.detunings),
+                 ',\n  "signal_normalized": ', *_json_array(self.signals)]
         if self.cavity is not None:
-            payload["cavity"] = {
+            cavity = {
                 "finesse": self.cavity.finesse,
                 "free_spectral_range_Hz": self.cavity.free_spectral_range,
                 "linewidth_Hz": self.cavity.linewidth,
             }
-        return json.dumps(payload, indent=2)
+            parts += [',\n  "cavity": ', json.dumps(cavity, indent=2).replace("\n", "\n  ")]
+        parts.append("\n}")
+        return "".join(parts)
 
     @classmethod
     def from_json(cls, text: str) -> "SpectrumTrace":
@@ -206,10 +256,94 @@ class SpectrumTrace:
                    payload.get("species", ""))
 
 
+def _json_array(values: np.ndarray) -> list[str]:
+    """Pieces of a JSON array nested one level deep, indent 2, each value
+    rounded to 12 significant digits and written as Python's float repr."""
+    if not len(values):
+        return ["[]"]
+    pieces = ["[\n    "]
+    for start in range(0, len(values), _BLOCK):
+        block = values[start:start + _BLOCK].tolist()
+        rounded = map(float, ("%.12g " * len(block) % tuple(block)).split())
+        if start:
+            pieces.append(",\n    ")
+        pieces.append(",\n    ".join(map(repr, rounded)))
+    pieces.append("\n  ]")
+    return pieces
+
+
 def _voigt_fwhm(gaussian_fwhm: float, lorentzian_fwhm: float) -> float:
     # Olivero-Longbothum approximation, accurate to 0.02%
     return (0.5346 * lorentzian_fwhm
             + math.sqrt(0.2166 * lorentzian_fwhm ** 2 + gaussian_fwhm ** 2))
+
+
+def _comb_coefficients(lines: list[tuple[float, float]], fsr: float,
+                       hwhm: float) -> np.ndarray:
+    """Cosine coefficients a_0, a_1, ..., a_K of the scan signal.
+
+    ``lines`` holds (strength, sigma) per species. K is the last harmonic
+    at which 2 c_k of the narrowest line reaches the floor relative to
+    a_0; it solves the quadratic 2 pi^2 (sigma/F)^2 k^2 + 2 pi (hwhm/F) k
+    = log(2 / floor).
+    """
+    sigma = min(s for _, s in lines)
+    quadratic = 2.0 * (math.pi * sigma / fsr) ** 2
+    linear = 2.0 * math.pi * hwhm / fsr
+    log_floor = math.log(2.0 / _HARMONIC_FLOOR)
+    last = math.ceil(2.0 * log_floor / (
+        linear + math.sqrt(linear ** 2 + 4.0 * quadratic * log_floor)))
+    if _TABLE_OVERSAMPLING * (last + 1) > MAX_COMB_TABLE:
+        raise ValueError(
+            f"lines too narrow for the comb table: {last} harmonics of a "
+            f"{fsr:.6g} Hz FSR exceed its {MAX_COMB_TABLE}-entry limit; "
+            "lower the cavity finesse or raise gas.temperature"
+        )
+    k = np.arange(last + 1)
+    coefficients = np.zeros(len(k))
+    for strength, line_sigma in lines:
+        coefficients += strength * np.exp(
+            -2.0 * (math.pi * line_sigma * k / fsr) ** 2 - linear * k)
+    coefficients *= math.pi * hwhm / fsr
+    coefficients[1:] *= 2.0
+    return coefficients
+
+
+def _comb_table(coefficients: np.ndarray) -> np.ndarray:
+    """One period of the series at M equally spaced phases, M a power of two.
+
+    M >= 16 (K + 1), so the highest harmonic has 16 samples per period.
+    """
+    size = 1 << (_TABLE_OVERSAMPLING * len(coefficients) - 1).bit_length()
+    spectrum = np.zeros(size // 2 + 1)
+    spectrum[:len(coefficients)] = coefficients * (size / 2.0)
+    spectrum[0] *= 2.0
+    return np.fft.irfft(spectrum, n=size)
+
+
+def _interpolate_periodic(table: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Periodic 8-point Lagrange interpolation of ``table`` at ``cells``.
+
+    ``table[i]`` is the value at cell coordinate i, and ``cells`` lie in
+    [0, len(table)]. Each point uses the nodes floor(x)-3 .. floor(x)+4.
+    """
+    size = len(table)
+    padded = np.concatenate((table[-3:], table, table[:4]))
+    offsets = (_STENCIL + 3)[:, None]
+    out = np.empty_like(cells)
+    for start in range(0, len(cells), _BLOCK):
+        x = cells[start:start + _BLOCK]
+        floor = np.floor(x)
+        distance = (x - floor) - _STENCIL[:, None]
+        # weight of node j at t = x - floor(x) is prod_{m != j} (t - m) / (j - m);
+        # the products over m < j and m > j are running products along the stencil
+        weights = np.ones_like(distance)
+        weights[1:] = np.cumprod(distance[:-1], axis=0)
+        weights[:-1] *= np.cumprod(distance[:0:-1], axis=0)[::-1]
+        weights *= _STENCIL_SCALE
+        nodes = padded[floor.astype(np.intp) % size + offsets]
+        out[start:start + _BLOCK] = (weights * nodes).sum(axis=0)
+    return out
 
 
 def scan_spectrum(cavity: CavityParams, species_weights: list[tuple[GasSpecies, float]],
@@ -220,14 +354,21 @@ def scan_spectrum(cavity: CavityParams, species_weights: list[tuple[GasSpecies, 
     Each species contributes FSR-periodic peaks shaped by the convolution
     of its observed Doppler Gaussian with the cavity Lorentzian, weighted
     by polarizability^2 times its relative density. Heights are left in
-    those native units unless ``normalize`` scales the peak to 1.
+    those native units unless ``normalize`` scales the peak to 1. The sum
+    over all comb orders is evaluated as its Fourier series (see the
+    module docstring). Raises ``ValueError`` for a grid of more than
+    ``MAX_SCAN_POINTS`` points or lines too narrow for a comb table of
+    ``MAX_COMB_TABLE`` entries.
     """
-    from scipy import special
-
     if not species_weights:
         raise ValueError("at least one species is required")
     if resolution <= 0.0 or scan_range <= 0.0:
         raise ValueError("scan range and resolution must be positive")
+    if scan_range / resolution >= MAX_SCAN_POINTS:
+        raise ValueError(
+            f"scan.range {scan_range:.6g} Hz at scan.resolution {resolution:.6g} Hz "
+            f"asks for more than {MAX_SCAN_POINTS} points"
+        )
     narrowest = min(
         _voigt_fwhm(
             OBSERVED_WIDTH_FACTOR * doppler_fwhm(wavelength, gas.temperature,
@@ -242,25 +383,19 @@ def scan_spectrum(cavity: CavityParams, species_weights: list[tuple[GasSpecies, 
             f"{narrowest:.6g} Hz, need resolution < feature/5"
         )
 
-    detunings = np.arange(0.0, scan_range + resolution / 2.0, resolution)
-    signals = np.zeros_like(detunings)
-    fsr = cavity.free_spectral_range
-    hwhm = cavity.linewidth / 2.0
+    lines = []
     for gas, weight in species_weights:
         if weight < 0.0:
             raise ValueError(f"species weight must be nonnegative, got {weight}")
         profile = SpectralProfile.for_gas(gas, wavelength)
-        sigma = profile.doppler_fwhm_observed / _FWHM_PER_SIGMA
-        wing = 8.0 * sigma + 40.0 * hwhm
-        first = math.floor((detunings[0] - wing) / fsr)
-        last = math.ceil((detunings[-1] + wing) / fsr)
-        strength = weight * gas.polarizability ** 2
-        for order in range(first, last + 1):
-            # pi*hwhm converts the area-normalized Voigt to the convolution
-            # with a peak-normalized Lorentzian
-            signals += strength * math.pi * hwhm * special.voigt_profile(
-                detunings - order * fsr, sigma, hwhm
-            )
+        lines.append((weight * gas.polarizability ** 2,
+                      profile.doppler_fwhm_observed / _FWHM_PER_SIGMA))
+    fsr = cavity.free_spectral_range
+    table = _comb_table(_comb_coefficients(lines, fsr, cavity.linewidth / 2.0))
+    detunings = np.arange(0.0, scan_range + resolution / 2.0, resolution)
+    signals = _interpolate_periodic(table, np.mod(detunings, fsr) * (len(table) / fsr))
+    # the comb is positive; interpolation ripple below zero is pure error
+    np.maximum(signals, 0.0, out=signals)
     label = "+".join(gas.name for gas, _ in species_weights)
     trace = SpectrumTrace(detunings, signals, label, cavity)
     return trace.normalized() if normalize else trace

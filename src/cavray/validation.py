@@ -33,6 +33,15 @@ def _result(name: str, residual: float, tolerance: float) -> CheckResult:
     )
 
 
+def _worst(*residuals: float) -> float:
+    """The largest residual, or NaN if any residual is NaN.
+
+    Builtin ``max`` drops a NaN that does not come first (``max(0.0, nan)``
+    is 0.0), which would pass a check whose oracle returned NaN.
+    """
+    return math.nan if any(r != r for r in residuals) else max(residuals)
+
+
 def check_field_closed_form_vs_roundtrip(rng: np.random.Generator,
                                          n_draws: int = 200) -> CheckResult:
     worst = 0.0
@@ -48,7 +57,7 @@ def check_field_closed_form_vs_roundtrip(rng: np.random.Generator,
         d = rng.uniform(1e-3, 1e-2)
         exact = field.intracavity_field(cfg, r1, r2, d).field
         summed = field.roundtrip_field_sum(cfg, r1, r2, d, 10_000).field
-        worst = max(worst, abs(summed - exact) / abs(exact))
+        worst = _worst(worst, abs(summed - exact) / abs(exact))
     return _result("field closed form vs round-trip summation", worst, 1e-6)
 
 
@@ -67,7 +76,7 @@ def check_field_average_quadrature(rng: np.random.Generator,
         numeric = field.position_averaged_intensity_numeric(
             amplitude, pump_field, wavenumber, r1, r2, d, n_points=10_000
         )
-        worst = max(worst, abs(numeric - closed) / closed)
+        worst = _worst(worst, abs(numeric - closed) / closed)
     return _result("position-averaged intensity vs quadrature", worst, 1e-6)
 
 
@@ -86,7 +95,7 @@ def check_power_budget_identities(rng: np.random.Generator) -> CheckResult:
         for _ in range(50):
             f = rng.uniform(1.0, 1e5)
             budget = field.cavity_power_budget(1e-4, rng.uniform(0.1, 5.0), f, coupling)
-            worst = max(
+            worst = _worst(
                 worst,
                 abs(budget.cavity_power - 2.0 * budget.transmitted_power),
                 abs(budget.free_space_mode_power - 2.0 * budget.free_space_one_way_power),
@@ -102,7 +111,7 @@ def check_power_linearity(rng: np.random.Generator) -> CheckResult:
         f = rng.uniform(10.0, 1e4)
         base = field.transmitted_power(1e-4, pump, 0.003, 0.01, f)
         scaled = field.transmitted_power(1e-4, scale * pump, 0.003, 0.01, f)
-        worst = max(worst, abs(scaled / base - scale) / scale)
+        worst = _worst(worst, abs(scaled / base - scale) / scale)
     return _result("scattered power linear in pump power", worst, 1e-12)
 
 
@@ -122,7 +131,7 @@ def check_finesse_taylor(rng: np.random.Generator) -> CheckResult:
         mirror = optics.MirrorSpec(1.0 - t)
         exact = optics.finesse(mirror, mirror)
         approx = 2.0 * math.pi / (2.0 * t)
-        worst = max(worst, abs(exact - approx) / exact)
+        worst = _worst(worst, abs(exact - approx) / exact)
     return _result("finesse Taylor expansion below T=0.01", worst, 0.02)
 
 
@@ -138,7 +147,7 @@ def check_cavity_params_identities(rng: np.random.Generator) -> CheckResult:
         )
         wavelength = rng.uniform(300e-9, 1600e-9)
         params = optics.derive_cavity_params(geometry, wavelength)
-        worst = max(
+        worst = _worst(
             worst,
             abs(params.linewidth * params.finesse / params.free_spectral_range - 1.0),
             abs(params.q_factor * wavelength
@@ -156,10 +165,13 @@ def check_abcd_waist(rng: np.random.Generator, n_draws: int = 100) -> CheckResul
     for _ in range(n_draws):
         rc = rng.uniform(5e-3, 0.5)
         d = rng.uniform(0.05, 1.95) * rc
+        # the round trip fixes no waist at the confocal point
+        while abs(1.0 - d / rc) < optics.CONFOCAL_MARGIN:
+            d = rng.uniform(0.05, 1.95) * rc
         wavelength = rng.uniform(300e-9, 1600e-9)
         closed = optics.symmetric_waist(d, rc, wavelength)
         oracle = optics.abcd_roundtrip_waist(d, rc, wavelength)
-        worst = max(worst, abs(closed - oracle) / closed)
+        worst = _worst(worst, abs(closed - oracle) / closed)
     return _result("waist vs ABCD round-trip eigenmode", worst, 1e-9)
 
 
@@ -170,7 +182,7 @@ def check_abcd_mode_spacing(rng: np.random.Generator, n_draws: int = 100) -> Che
         d = rng.uniform(0.05, 1.95) * rc
         closed = optics.transverse_mode_spacing(d, rc)
         oracle = optics.abcd_roundtrip_mode_spacing(d, rc)
-        worst = max(worst, abs(closed - oracle) / closed)
+        worst = _worst(worst, abs(closed - oracle) / closed)
     return _result("transverse mode spacing vs ABCD Gouy phase", worst, 1e-9)
 
 
@@ -183,7 +195,7 @@ def check_gaussian_normalization(rng: np.random.Generator) -> CheckResult:
     worst = 0.0
     mode = overlap.GaussianMode(waist=45e-6, wavelength=532e-9)
     for z in (0.0, mode.rayleigh_length, 10.0 * mode.rayleigh_length):
-        worst = max(worst, abs(overlap.gaussian_normalization(45e-6, 532e-9, z) - 1.0))
+        worst = _worst(worst, abs(overlap.gaussian_normalization(45e-6, 532e-9, z) - 1.0))
     return _result("gaussian mode intensity normalization", worst, 1e-6)
 
 
@@ -227,7 +239,7 @@ def check_purcell_equivalence(rng: np.random.Generator,
         v = math.pi * waist ** 2 * d / 4.0
         a = overlap.purcell_factor(q, wavelength, v)
         b = overlap.purcell_ratio(f, wavelength, waist)
-        worst = max(worst, abs(a - b) / b)
+        worst = _worst(worst, abs(a - b) / b)
     return _result("Purcell factor equals interference power ratio", worst, 1e-12)
 
 
@@ -239,7 +251,7 @@ def check_purcell_separation_cancels(rng: np.random.Generator) -> CheckResult:
         q = 2.0 * d * f / wavelength
         v = math.pi * waist ** 2 * d / 4.0
         values.append(overlap.purcell_factor(q, wavelength, v))
-    residual = (max(values) - min(values)) / values[0]
+    residual = (_worst(*values) - min(values)) / values[0]
     return _result("mirror separation cancels in the Purcell factor", residual, 1e-12)
 
 
@@ -259,7 +271,7 @@ def check_spectral_overlap_closed_form(rng: np.random.Generator) -> CheckResult:
         linewidth = 10 ** rng.uniform(5.5, 10.0)
         quadrature = spectra.spectral_overlap(profile, linewidth)
         closed = _overlap_closed_form(profile.doppler_fwhm_observed, linewidth)
-        worst = max(worst, abs(quadrature - closed) / closed)
+        worst = _worst(worst, abs(quadrature - closed) / closed)
     return _result("spectral overlap vs Faddeeva closed form", worst, 1e-6)
 
 
@@ -292,8 +304,66 @@ def check_polarization_sum_rule(rng: np.random.Generator) -> CheckResult:
         theta = rng.uniform(0.0, 2.0 * math.pi)
         total = (spectra.polarization_signal(theta, eps)
                  + spectra.polarization_signal(theta + math.pi / 2.0, eps))
-        worst = max(worst, abs(total - (1.0 + eps)))
+        worst = _worst(worst, abs(total - (1.0 + eps)))
     return _result("polarization quarter-turn sum rule", worst, 1e-12)
+
+
+# --- oracles for the cavity scan ---------------------------------------------
+#
+# Not in ALL_CHECKS: the tests compare spectra.scan_spectrum against them at a
+# few hundred detunings. Both return the unnormalized scan signal.
+
+def _comb_lines(species_weights, wavelength: float) -> list[tuple[float, float]]:
+    fwhm_per_sigma = 2.0 * math.sqrt(2.0 * math.log(2.0))
+    return [(weight * gas.polarizability ** 2,
+             spectra.SpectralProfile.for_gas(gas, wavelength).doppler_fwhm_observed
+             / fwhm_per_sigma)
+            for gas, weight in species_weights]
+
+
+def scan_voigt_sum(detunings: np.ndarray, cavity: optics.CavityParams,
+                   species_weights, wavelength: float,
+                   orders: int = 4000) -> np.ndarray:
+    """Scan signal as an explicit sum of Voigt profiles over comb orders.
+
+    Sums the 2 * orders + 1 orders nearest each detuning. The Lorentzian
+    wings of the orders left out add about 2 hwhm^2 / (F^2 orders) of a
+    line's Lorentzian peak.
+    """
+    fsr = cavity.free_spectral_range
+    hwhm = cavity.linewidth / 2.0
+    nu = np.asarray(detunings, dtype=float)
+    offsets = (nu - np.round(nu / fsr) * fsr)[:, None] - fsr * np.arange(-orders, orders + 1)
+    total = np.zeros(len(nu))
+    for strength, sigma in _comb_lines(species_weights, wavelength):
+        total += strength * math.pi * hwhm * special.voigt_profile(
+            offsets, sigma, hwhm).sum(axis=1)
+    return total
+
+
+def scan_fourier_series(detunings: np.ndarray, cavity: optics.CavityParams,
+                        species_weights, wavelength: float) -> np.ndarray:
+    """Scan signal from the comb's Fourier series, summed term by term.
+
+    pi hwhm / F * [1 + 2 sum_k c_k cos(2 pi k nu / F)] per line, up to the
+    first k at which either factor of c_k alone is below 1e-20; no table
+    and no interpolation.
+    """
+    fsr = cavity.free_spectral_range
+    hwhm = cavity.linewidth / 2.0
+    phase = 2.0 * math.pi * np.mod(np.asarray(detunings, dtype=float), fsr) / fsr
+    log_floor = math.log(1e20)
+    total = np.zeros(len(phase))
+    for strength, sigma in _comb_lines(species_weights, wavelength):
+        last = math.ceil(min(log_floor * fsr / (2.0 * math.pi * hwhm),
+                             math.sqrt(log_floor / 2.0) * fsr / (math.pi * sigma)))
+        k = np.arange(1, last + 1)
+        c = np.exp(-2.0 * (math.pi * sigma * k / fsr) ** 2 - 2.0 * math.pi * hwhm * k / fsr)
+        for start in range(0, len(phase), 32):
+            block = phase[start:start + 32]
+            series = 1.0 + 2.0 * (np.cos(np.outer(block, k)) * c).sum(axis=1)
+            total[start:start + 32] += strength * math.pi * hwhm / fsr * series
+    return total
 
 
 def check_scan_linearity(rng: np.random.Generator) -> CheckResult:
@@ -328,7 +398,7 @@ def check_species_ratio(rng: np.random.Generator) -> CheckResult:
     ratios = spectra.species_ratio([table["Xe"], table["CF3H"], table["N2"]],
                                    params, 532e-9)
     expected = (1.0, 0.36, 0.09)
-    worst = max(abs(r - e) for r, e in zip(ratios, expected))
+    worst = _worst(*(abs(r - e) for r, e in zip(ratios, expected)))
     return _result("species ratio against the expected triple", worst, 0.03)
 
 
@@ -341,7 +411,7 @@ def check_backout_roundtrip(rng: np.random.Generator) -> CheckResult:
         share = rng.uniform(0.1, 1.0)
         measured = free_space * (4.0 * share * f / math.pi) * ovl
         recovered = experiment.free_space_backout(measured, f, ovl, share)
-        worst = max(worst, abs(recovered - free_space) / free_space)
+        worst = _worst(worst, abs(recovered - free_space) / free_space)
     return _result("free-space back-out round trip", worst, 1e-12)
 
 
@@ -358,7 +428,7 @@ def check_forecast_consistency(rng: np.random.Generator) -> CheckResult:
     target = experiment.ultracold_target_species(table["Xe"])
     report = experiment.ultracold_forecast(anchor, target, 1e5, 1e5)
     waist = optics.symmetric_waist(6e-3, 45e-3, 532e-9)
-    residual = max(
+    residual = _worst(
         abs(report.ensemble_rate
             - report.per_molecule_in_cavity_rate * report.n_molecules),
         abs(report.cavity_free_space_ratio
@@ -378,7 +448,7 @@ def check_unit_convention_cancels(rng: np.random.Generator) -> CheckResult:
         dip = overlap.dipole_mode_power(1e-4, unit, wavelength, waist)
         ratio = budget.cavity_power / dip
         expected = overlap.purcell_ratio(f, wavelength, waist)
-        worst = max(worst, abs(ratio - expected) / expected)
+        worst = _worst(worst, abs(ratio - expected) / expected)
     return _result("arbitrary power unit cancels in ratios", worst, 1e-12)
 
 

@@ -122,6 +122,19 @@ class TestConfigParser:
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config(cfg)
 
+    @pytest.mark.parametrize("lines", [
+        "gas.species = Xe\ngas.species = N2\n",
+        "gas.species = Xe\ngas.species = 3\n",
+        "gas.species = 3\ngas.species = Xe\n",
+        "scan.range_GHz = 37.5\nscan.range = wide\n",
+    ])
+    def test_duplicate_string_key_rejected(self, tmp_path, lines):
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text("pump.wavelength_nm = 532\n" + lines)
+        key = lines.split("\n")[1].split("=")[0].strip()
+        with pytest.raises(ConfigError, match=rf"a\.cfg:3: duplicate key '{key}'"):
+            parse_config(cfg)
+
     @pytest.mark.parametrize("line", [
         "cavity.separation_mm = nan",
         "cavity.separation_mm = inf",

@@ -10,13 +10,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cavray import (CavityGeometry, MirrorSpec, abcd_roundtrip_mode_spacing,
                     abcd_roundtrip_waist, derive_cavity_params, finesse,
                     free_spectral_range, number_density, symmetric_waist,
                     transverse_mode_spacing)
+from cavray.optics import CONFOCAL_MARGIN
 
 WAVELENGTH = 532e-9
 
@@ -97,10 +98,16 @@ class TestSymmetricWaist:
             symmetric_waist(90e-3, 45e-3, WAVELENGTH)
 
     @given(st.floats(0.05, 1.95), st.floats(5e-3, 0.5), st.floats(300e-9, 1600e-9))
+    # confocal: the round trip is -I and fixes no waist
+    @example(fraction=1.0, rc=0.5, wavelength=1.3437814641541738e-06)
     @settings(max_examples=200, deadline=None)
     def test_agrees_with_abcd_eigenmode(self, fraction, rc, wavelength):
         d = fraction * rc
         closed = symmetric_waist(d, rc, wavelength)
+        if abs(1.0 - d / rc) < CONFOCAL_MARGIN:
+            with pytest.raises(ValueError, match="confocal"):
+                abcd_roundtrip_waist(d, rc, wavelength)
+            return
         oracle = abcd_roundtrip_waist(d, rc, wavelength)
         assert abs(closed - oracle) / closed < 1e-9
 

@@ -7,6 +7,7 @@ validated by Monte-Carlo sampling of thermal velocities projected on the
 """
 
 import io
+import json
 import math
 
 import numpy as np
@@ -14,11 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavray import (GasSpecies, SpectralProfile, SpectrumTrace, at_rest_power,
-                    builtin_species, doppler_fwhm, doppler_fwhm_monte_carlo,
-                    polarization_signal, scan_spectrum, species_ratio,
-                    spectral_overlap)
-from cavray.spectra import OBSERVED_WIDTH_FACTOR, PolarizationResponse
+from cavray import (CavityGeometry, GasSpecies, MirrorSpec, SpectralProfile,
+                    SpectrumTrace, at_rest_power, builtin_species,
+                    derive_cavity_params, doppler_fwhm, doppler_fwhm_monte_carlo,
+                    load_species_table, polarization_signal, scan_spectrum,
+                    species_ratio, spectral_overlap, validation)
+from cavray.spectra import MAX_SCAN_POINTS, OBSERVED_WIDTH_FACTOR, PolarizationResponse
 
 WAVELENGTH = 532e-9
 
@@ -225,6 +227,75 @@ class TestScanSpectrum:
         with pytest.raises(ValueError):
             scan_spectrum(reference_params, [], 5e9, 5e6, WAVELENGTH)
 
+    def test_rejects_grid_beyond_point_cap(self, reference_params):
+        # 1e9 GHz at 25 MHz would be 4e10 points, 298 GiB of arrays
+        with pytest.raises(ValueError, match="scan.range.*scan.resolution"):
+            scan_spectrum(reference_params, [(builtin_species("Xe"), 1.0)],
+                          1e18, 25e6, WAVELENGTH)
+        points = MAX_SCAN_POINTS * 25e6
+        with pytest.raises(ValueError, match="points"):
+            scan_spectrum(reference_params, [(builtin_species("Xe"), 1.0)],
+                          points, 25e6, WAVELENGTH)
+
+    def test_rejects_lines_beyond_table_cap(self):
+        # 1e-7 K gas in a finesse-3e7 cavity: ~5e6 harmonics before the
+        # terms fade, a table of 2**27 entries
+        cavity = derive_cavity_params(
+            CavityGeometry(6e-3, 45e-3, MirrorSpec(1.0 - 1e-7), MirrorSpec(1.0 - 1e-7)),
+            WAVELENGTH)
+        gas = load_species_table(temperature=1e-7)["Xe"]
+        with pytest.raises(ValueError, match="finesse.*gas.temperature"):
+            scan_spectrum(cavity, [(gas, 1.0)], 1e6, 1e3, WAVELENGTH)
+
+
+def _scan_case(name):
+    """(cavity, species weights, range, resolution) of one oracle comparison."""
+    reflectivity, temperature, resolution = {
+        "demo": (0.997, 295.0, 25e6),
+        "77K": (0.997, 77.0, 25e6),
+        # finesse 1.05e5, ~17k harmonics: the lines are 5 MHz wide
+        "0.01K": (0.99997, 0.01, 0.85e6),
+    }[name]
+    cavity = derive_cavity_params(
+        CavityGeometry(6e-3, 45e-3, MirrorSpec(reflectivity), MirrorSpec(reflectivity)),
+        WAVELENGTH)
+    table = load_species_table(temperature=temperature)
+    weights = [(table[n], w) for n, w in (("Xe", 1.0), ("CF3H", 0.7), ("N2", 1.3))]
+    return cavity, weights, 37.5e9, resolution
+
+
+class TestScanAgainstOracles:
+    """The table-interpolated comb against the term-by-term series and a
+    brute-force +-4000-order Voigt sum, at 200 detunings of each scan:
+    100 anywhere and 100 within three line widths of a comb order."""
+
+    @pytest.fixture(params=["demo", "77K", "0.01K"])
+    def sampled(self, request):
+        cavity, weights, scan_range, resolution = _scan_case(request.param)
+        trace = scan_spectrum(cavity, weights, scan_range, resolution, WAVELENGTH)
+        fsr = cavity.free_spectral_range
+        width = 3.0 * max(OBSERVED_WIDTH_FACTOR * doppler_fwhm(WAVELENGTH, gas.temperature,
+                                                                gas.molar_mass)
+                          for gas, _ in weights)
+        distance = np.abs(trace.detunings - np.round(trace.detunings / fsr) * fsr)
+        rng = np.random.default_rng(3)
+        picks = np.concatenate([
+            rng.choice(len(trace.detunings), 100, replace=False),
+            rng.choice(np.flatnonzero(distance < width), 100, replace=False),
+        ])
+        return (cavity, weights, trace.detunings[picks], trace.signals[picks],
+                trace.signals.max())
+
+    def test_matches_direct_fourier_series(self, sampled):
+        cavity, weights, detunings, signals, peak = sampled
+        series = validation.scan_fourier_series(detunings, cavity, weights, WAVELENGTH)
+        assert np.max(np.abs(signals - series)) <= 1e-11 * peak
+
+    def test_matches_brute_force_voigt_sum(self, sampled):
+        cavity, weights, detunings, signals, peak = sampled
+        brute = validation.scan_voigt_sum(detunings, cavity, weights, WAVELENGTH)
+        assert np.max(np.abs(signals - brute)) <= 1e-7 * peak
+
 
 class TestTraceSerialization:
     @pytest.fixture
@@ -263,6 +334,43 @@ class TestTraceSerialization:
     def test_rejects_negative_signals(self):
         with pytest.raises(ValueError):
             SpectrumTrace(np.arange(3.0), np.array([0.0, -1.0, 0.5]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_values(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            SpectrumTrace(np.arange(3.0), np.array([0.0, bad, 0.5]))
+        with pytest.raises(ValueError, match="finite"):
+            SpectrumTrace(np.array([0.0, bad, 2.0]), np.ones(3))
+
+    @pytest.mark.parametrize("n", [0, 3, 8192 + 5])
+    def test_writers_match_per_point_formatting(self, reference_params, n):
+        # %.12g and repr differ on these: '0' / '0.0', '1e-300', '100000000000'
+        special_values = [0.0, 1e-300, 1e11, 123456789012.5, 5e-324]
+        rng = np.random.default_rng(n)
+        detunings = rng.uniform(0.0, 1e11, n)
+        signals = rng.uniform(0.0, 1.0, n) * 10.0 ** rng.integers(-300, 12, n)
+        detunings[:len(special_values)] = special_values[:n]
+        signals[:len(special_values)] = special_values[::-1][:n]
+        for cavity in (None, reference_params):
+            trace = SpectrumTrace(detunings, signals, 'Xe+"N2"', cavity)
+            buffer = io.StringIO()
+            trace.to_csv(buffer)
+            assert buffer.getvalue() == "".join(
+                ["detuning_Hz,signal_normalized\n"]
+                + [f"{x:.12g},{y:.12g}\n" for x, y in zip(detunings, signals)])
+            payload = {
+                "schema": "cavray.spectrum-trace/1",
+                "species": trace.species,
+                "detuning_Hz": [float(f"{x:.12g}") for x in detunings],
+                "signal_normalized": [float(f"{y:.12g}") for y in signals],
+            }
+            if cavity is not None:
+                payload["cavity"] = {
+                    "finesse": cavity.finesse,
+                    "free_spectral_range_Hz": cavity.free_spectral_range,
+                    "linewidth_Hz": cavity.linewidth,
+                }
+            assert trace.to_json() == json.dumps(payload, indent=2)
 
 
 class TestPolarization:
