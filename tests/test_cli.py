@@ -7,11 +7,17 @@ Golden outputs under ``tests/golden`` were written by
 series of the infinite comb, which moved it by 8.3e-6 of the peak, the
 old fixed-window truncation. They pin "same outputs" for every config
 subcommand; regenerate them only for an intended change of output.
+
+``<subcommand>.<format>`` holds the exact stdout bytes of every
+(subcommand, format) pair the CLI accepts, and ``validate.txt`` that of
+``cavray validate``; ``overlap.json`` was rewritten with them, 3e-15
+relative from the ``quad`` output in two fields.
 """
 
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -96,6 +102,72 @@ def test_scan_matches_golden(capsys):
     np.testing.assert_allclose(got, want, rtol=REL, atol=0.0)
 
 
+# (subcommand, format, file written under --out)
+OUTPUTS = [
+    *((command, fmt, f"{stem}.{suffix}")
+      for command, stem in [("cavity", "cavity_params"), ("overlap", "overlap_report"),
+                            ("purcell", "purcell_report")]
+      for fmt, suffix in [("table", "txt"), ("csv", "csv"), ("json", "json")]),
+    *((command, fmt, f"{stem}.{suffix}")
+      for command, stem in [("enhance", "enhancement_report"),
+                            ("forecast", "forecast_report")]
+      for fmt, suffix in [("table", "txt"), ("json", "json")]),
+    ("scan", "csv", "scan_Xe_CF3H_N2.csv"),
+    ("scan", "json", "scan_Xe_CF3H_N2.json"),
+]
+
+
+@pytest.mark.parametrize("command, fmt, filename", OUTPUTS)
+def test_output_is_byte_identical_to_golden(capsys, command, fmt, filename):
+    code, out, err = run_cli(capsys, command, "--config", str(DEMO), "--format", fmt)
+    assert code == 0, err
+    assert out.encode("utf-8") == (GOLDEN / f"{command}.{fmt}").read_bytes()
+
+
+@pytest.mark.parametrize("command, fmt, filename", OUTPUTS)
+def test_out_dir_gets_the_stdout_bytes(capsys, tmp_path, command, fmt, filename):
+    code, out, err = run_cli(capsys, command, "--config", str(DEMO), "--format", fmt,
+                             "--out", str(tmp_path))
+    assert code == 0, err
+    assert out == f"wrote {tmp_path / filename}\n"
+    assert [p.name for p in tmp_path.iterdir()] == [filename]
+    assert (tmp_path / filename).read_bytes() == (GOLDEN / f"{command}.{fmt}").read_bytes()
+
+
+def _without_residual_figures(text):
+    # oracle residuals are rounding noise of the quadrature and matrix
+    # routes; each check already holds its own to a tolerance
+    return re.sub(r"residual [-+.0-9e]+", "residual *", text)
+
+
+def test_validate_report_matches_golden(capsys, tmp_path):
+    want = _without_residual_figures((GOLDEN / "validate.txt").read_text())
+    code, out, err = run_cli(capsys, "validate")
+    assert code == 0, err
+    assert _without_residual_figures(out) == want
+    code, printed, err = run_cli(capsys, "validate", "--out", str(tmp_path))
+    assert code == 0, err
+    assert printed == f"wrote {tmp_path / 'validation_report.txt'}\n"
+    assert (tmp_path / "validation_report.txt").read_text() == out
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--format", "table"],
+    ["enhance", "--format", "csv"],
+    ["forecast", "--format", "csv"],
+    ["cavity", "--seed", "1"],
+    ["validate", "--format", "json"],
+    ["validate", "--config", str(DEMO)],
+], ids=lambda argv: " ".join(argv[:2]))
+def test_options_a_subcommand_does_not_read_exit_2(capsys, argv):
+    if argv[0] != "validate":
+        argv = [argv[0], "--config", str(DEMO), *argv[1:]]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_validate_passes_every_check(capsys):
     from cavray import validation
 
@@ -142,6 +214,14 @@ def test_forecast_at_zero_pressure_is_a_clean_error(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "gas.pressure" in err
+
+
+def test_nonpositive_pump_waist_names_its_key(capsys, tmp_path):
+    cfg = write_demo_variant(tmp_path, **{"pump.waist_um": "0"})
+    code, out, err = run_cli(capsys, "forecast", "--config", str(cfg), "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert "pump.waist" in err
 
 
 def test_oversized_scan_is_a_clean_error(capsys, tmp_path):
