@@ -17,7 +17,7 @@ from .experiment import (AnchorMeasurement, EnhancementReport, ForecastReport,
                          contributing_particles, finesse_dependence,
                          free_space_backout, interaction_volume, photon_rate,
                          ultracold_forecast, ultracold_target_species)
-from .field import (FieldState, PowerBudget, ScatterConfig, cavity_power_budget,
+from .field import (PowerBudget, ScatterConfig, cavity_power_budget,
                     high_finesse_intensity, intracavity_field,
                     position_averaged_intensity,
                     position_averaged_intensity_numeric, roundtrip_field_sum,
@@ -29,11 +29,11 @@ from .optics import (CavityGeometry, CavityParams, MirrorSpec, PumpBeam,
                      derive_cavity_params, finesse, free_spectral_range,
                      mode_volume, number_density, rayleigh_length,
                      symmetric_waist, transverse_mode_spacing)
-from .overlap import (DipoleMode, GaussianMode, cavity_mode_fraction,
+from .overlap import (GaussianMode, cavity_mode_fraction,
                       dipole_mode_power, dipole_normalization,
                       gaussian_normalization, overlap_eta_analytic,
                       overlap_eta_numeric, purcell_factor, purcell_ratio)
-from .spectra import (PolarizationResponse, SpectralProfile, SpectrumTrace,
+from .spectra import (SpectralProfile, SpectrumTrace,
                       at_rest_power, doppler_fwhm, doppler_fwhm_monte_carlo,
                       polarization_signal, scan_spectrum, species_ratio,
                       spectral_overlap)
@@ -48,7 +48,7 @@ __all__ = [
     "ScenarioConfig", "build_enhancement_report", "contributing_particles",
     "finesse_dependence", "free_space_backout", "interaction_volume",
     "photon_rate", "ultracold_forecast", "ultracold_target_species",
-    "FieldState", "PowerBudget", "ScatterConfig", "cavity_power_budget",
+    "PowerBudget", "ScatterConfig", "cavity_power_budget",
     "high_finesse_intensity", "intracavity_field",
     "position_averaged_intensity", "position_averaged_intensity_numeric",
     "roundtrip_field_sum", "transmitted_power",
@@ -59,10 +59,10 @@ __all__ = [
     "derive_cavity_params", "finesse", "free_spectral_range", "mode_volume",
     "number_density", "rayleigh_length", "symmetric_waist",
     "transverse_mode_spacing",
-    "DipoleMode", "GaussianMode", "cavity_mode_fraction", "dipole_mode_power",
+    "GaussianMode", "cavity_mode_fraction", "dipole_mode_power",
     "dipole_normalization", "gaussian_normalization", "overlap_eta_analytic",
     "overlap_eta_numeric", "purcell_factor", "purcell_ratio",
-    "PolarizationResponse", "SpectralProfile", "SpectrumTrace",
+    "SpectralProfile", "SpectrumTrace",
     "at_rest_power", "doppler_fwhm", "doppler_fwhm_monte_carlo",
     "polarization_signal", "scan_spectrum", "species_ratio",
     "spectral_overlap",

@@ -15,49 +15,49 @@ from pathlib import Path
 
 from .config import parse_config, require
 from .errors import ConfigError, ConvergenceError
-from .experiment import (ScenarioConfig, build_enhancement_report,
+from .experiment import (ScenarioConfig, build_enhancement_report, cavity_geometry,
                          ultracold_forecast, ultracold_target_species)
 from .gases import DEFAULT_TEMPERATURE, load_species_table
-from .optics import CavityGeometry, MirrorSpec, derive_cavity_params
+from .optics import MirrorSpec, derive_cavity_params
 from .overlap import (GaussianMode, overlap_eta_analytic, overlap_eta_numeric,
                       purcell_factor, purcell_ratio)
 from .spectra import scan_spectrum
+
+
+# file suffix under --out of each output format
+SUFFIXES = {"table": "txt", "csv": "csv", "json": "json"}
 
 
 def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
-def _emit(args, stem: str, rows: list[tuple[str, str]], payload: dict) -> None:
-    """Write name/value rows in the requested format, optionally to a file."""
-    if args.format == "table":
-        width = max(len(name) for name, _ in rows)
-        text = "\n".join(f"{name:<{width}}  {value}" for name, value in rows) + "\n"
-    elif args.format == "csv":
-        text = "name,value\n" + "\n".join(f"{n},{v}" for n, v in rows) + "\n"
-    else:
-        text = json.dumps(payload, indent=2) + "\n"
+def _write(args, filename: str, text: str) -> None:
+    """Write ``text`` to ``filename`` in the --out directory, or to stdout."""
     if args.out:
-        suffix = {"table": "txt", "csv": "csv", "json": "json"}[args.format]
-        path = Path(args.out) / f"{stem}.{suffix}"
+        path = Path(args.out) / filename
         path.write_text(text, encoding="utf-8")
         print(f"wrote {path}")
     else:
         sys.stdout.write(text)
 
 
-def _geometry_from_config(values, path) -> CavityGeometry:
-    return CavityGeometry(
-        mirror_separation=float(require(values, "cavity.separation", path)),
-        radius_of_curvature=float(require(values, "cavity.curvature", path)),
-        left_mirror=MirrorSpec(float(require(values, "cavity.left_reflectivity", path))),
-        right_mirror=MirrorSpec(float(require(values, "cavity.right_reflectivity", path))),
-    )
+def _emit(args, stem: str, schema: str, fields: list[tuple[str, float]]) -> None:
+    """Write named values as a table, CSV or a JSON object tagged ``schema``."""
+    rows = [(name, _fmt(value)) for name, value in fields]
+    if args.format == "table":
+        width = max(len(name) for name, _ in rows)
+        text = "\n".join(f"{name:<{width}}  {value}" for name, value in rows) + "\n"
+    elif args.format == "csv":
+        text = "name,value\n" + "\n".join(f"{n},{v}" for n, v in rows) + "\n"
+    else:
+        text = json.dumps({"schema": schema, **dict(fields)}, indent=2) + "\n"
+    _write(args, f"{stem}.{SUFFIXES[args.format]}", text)
 
 
 def cmd_cavity(args) -> int:
     values = parse_config(args.config)
-    geometry = _geometry_from_config(values, args.config)
+    geometry = cavity_geometry(values, args.config)
     wavelength = float(require(values, "pump.wavelength", args.config))
     params = derive_cavity_params(geometry, wavelength)
     fields = [
@@ -70,16 +70,13 @@ def cmd_cavity(args) -> int:
         ("transverse_mode_spacing_Hz", params.transverse_mode_spacing),
         ("mode_volume_m3", params.mode_volume),
     ]
-    rows = [(name, _fmt(value)) for name, value in fields]
-    payload = {"schema": "cavray.cavity-params/1"}
-    payload.update({name: value for name, value in fields})
-    _emit(args, "cavity_params", rows, payload)
+    _emit(args, "cavity_params", "cavray.cavity-params/1", fields)
     return 0
 
 
 def cmd_scan(args) -> int:
     values = parse_config(args.config)
-    geometry = _geometry_from_config(values, args.config)
+    geometry = cavity_geometry(values, args.config)
     wavelength = float(require(values, "pump.wavelength", args.config))
     params = derive_cavity_params(geometry, wavelength)
     table = load_species_table(
@@ -98,21 +95,13 @@ def cmd_scan(args) -> int:
         wavelength=wavelength,
         normalize=bool(values.get("scan.normalize", 1.0)),
     )
-    stem = f"scan_{trace.species.replace('+', '_')}"
     if args.format == "json":
         text = trace.to_json() + "\n"
-        suffix = "json"
     else:
         buffer = io.StringIO()
         trace.to_csv(buffer)
         text = buffer.getvalue()
-        suffix = "csv"
-    if args.out:
-        path = Path(args.out) / f"{stem}.{suffix}"
-        path.write_text(text, encoding="utf-8")
-        print(f"wrote {path}")
-    else:
-        sys.stdout.write(text)
+    _write(args, f"scan_{trace.species.replace('+', '_')}.{args.format}", text)
     return 0
 
 
@@ -122,7 +111,7 @@ def cmd_overlap(args) -> int:
     if "overlap.waist" in values:
         waist = float(values["overlap.waist"])
     else:
-        geometry = _geometry_from_config(values, args.config)
+        geometry = cavity_geometry(values, args.config)
         waist = derive_cavity_params(geometry, wavelength).waist
     plane_factor = float(values.get("overlap.plane_factor", 100.0))
     z = plane_factor * GaussianMode(waist, wavelength).rayleigh_length
@@ -135,10 +124,7 @@ def cmd_overlap(args) -> int:
         ("overlap_numeric", numeric),
         ("relative_difference", abs(numeric - analytic) / analytic),
     ]
-    rows = [(name, _fmt(value)) for name, value in fields]
-    payload = {"schema": "cavray.overlap-report/1"}
-    payload.update({name: value for name, value in fields})
-    _emit(args, "overlap_report", rows, payload)
+    _emit(args, "overlap_report", "cavray.overlap-report/1", fields)
     return 0
 
 
@@ -165,23 +151,14 @@ def cmd_enhance(args) -> int:
         None if free_space is None else float(free_space),
         None if comparison is None else float(comparison),
     )
-    if args.format == "json":
-        text = report.to_json() + "\n"
-    else:
-        text = report.table() + "\n"
-    if args.out:
-        suffix = "json" if args.format == "json" else "txt"
-        path = Path(args.out) / f"enhancement_report.{suffix}"
-        path.write_text(text, encoding="utf-8")
-        print(f"wrote {path}")
-    else:
-        sys.stdout.write(text)
+    text = report.to_json() if args.format == "json" else report.table()
+    _write(args, f"enhancement_report.{SUFFIXES[args.format]}", text + "\n")
     return 0
 
 
 def cmd_purcell(args) -> int:
     values = parse_config(args.config)
-    geometry = _geometry_from_config(values, args.config)
+    geometry = cavity_geometry(values, args.config)
     wavelength = float(require(values, "pump.wavelength", args.config))
     params = derive_cavity_params(geometry, wavelength)
     finesse = float(values.get("purcell.finesse", params.finesse))
@@ -197,16 +174,13 @@ def cmd_purcell(args) -> int:
         ("purcell_factor_q_over_v", from_qv),
         ("absolute_difference", abs(from_ratio - from_qv)),
     ]
-    rows = [(name, _fmt(value)) for name, value in fields]
-    payload = {"schema": "cavray.purcell-report/1"}
-    payload.update({name: value for name, value in fields})
-    _emit(args, "purcell_report", rows, payload)
+    _emit(args, "purcell_report", "cavray.purcell-report/1", fields)
     return 0
 
 
 def cmd_forecast(args) -> int:
-    scenario = ScenarioConfig.from_file(args.config)
     values = parse_config(args.config)
+    scenario = ScenarioConfig.from_values(values, args.config)
     factor = float(values.get("forecast.polarizability_factor", 10.0))
     target = ultracold_target_species(scenario.gas, factor)
     report = ultracold_forecast(
@@ -214,17 +188,8 @@ def cmd_forecast(args) -> int:
         n_molecules=float(require(values, "forecast.n_molecules", args.config)),
         target_finesse=float(require(values, "forecast.target_finesse", args.config)),
     )
-    if args.format == "json":
-        text = report.to_json() + "\n"
-    else:
-        text = report.table() + "\n"
-    if args.out:
-        suffix = "json" if args.format == "json" else "txt"
-        path = Path(args.out) / f"forecast_report.{suffix}"
-        path.write_text(text, encoding="utf-8")
-        print(f"wrote {path}")
-    else:
-        sys.stdout.write(text)
+    text = report.to_json() if args.format == "json" else report.table()
+    _write(args, f"forecast_report.{SUFFIXES[args.format]}", text + "\n")
     return 0
 
 
@@ -233,13 +198,7 @@ def cmd_validate(args) -> int:
     from . import validation
 
     results = validation.run_all(seed=args.seed)
-    text = validation.format_report(results)
-    if args.out:
-        path = Path(args.out) / "validation_report.txt"
-        path.write_text(text, encoding="utf-8")
-        print(f"wrote {path}")
-    else:
-        sys.stdout.write(text)
+    _write(args, "validation_report.txt", validation.format_report(results))
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -249,24 +208,29 @@ def build_parser() -> argparse.ArgumentParser:
         description="Cavity-enhanced Rayleigh scattering model",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the formats each subcommand writes, its default first; validate
+    # reads no config and writes one text report
+    named_values = ("table", "json", "csv")
+    reports = ("table", "json")
     commands = {
-        "cavity": (cmd_cavity, "derive resonator parameters", True),
-        "scan": (cmd_scan, "simulate a cavity scan", True),
-        "overlap": (cmd_overlap, "dipole/cavity mode overlap", True),
-        "enhance": (cmd_enhance, "finesse dependence and free-space back-out", True),
-        "purcell": (cmd_purcell, "compare the two Purcell expressions", True),
-        "forecast": (cmd_forecast, "ultracold-molecule detection forecast", True),
-        "validate": (cmd_validate, "run the oracle validation suite", False),
+        "cavity": (cmd_cavity, "derive resonator parameters", named_values),
+        "scan": (cmd_scan, "simulate a cavity scan", ("csv", "json")),
+        "overlap": (cmd_overlap, "dipole/cavity mode overlap", named_values),
+        "enhance": (cmd_enhance, "finesse dependence and free-space back-out", reports),
+        "purcell": (cmd_purcell, "compare the two Purcell expressions", named_values),
+        "forecast": (cmd_forecast, "ultracold-molecule detection forecast", reports),
+        "validate": (cmd_validate, "run the oracle validation suite", None),
     }
-    for name, (handler, help_text, needs_config) in commands.items():
+    for name, (handler, help_text, formats) in commands.items():
         p = sub.add_parser(name, help=help_text)
-        if needs_config:
+        if formats:
             p.add_argument("--config", required=True, help="scenario config file")
+            p.add_argument("--format", default=formats[0], choices=formats,
+                           help="output format")
+        else:
+            p.add_argument("--seed", type=int, default=0,
+                           help="seed for Monte-Carlo oracles")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--format", default="table",
-                       choices=["table", "json", "csv"], help="output format")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for Monte-Carlo oracles")
         p.set_defaults(handler=handler)
     return parser
 

@@ -13,6 +13,7 @@ import math
 import os
 from pathlib import Path
 
+from .constants import ATOMIC_UNIT_POLARIZABILITY_A3
 from .errors import ConfigError
 
 # suffix -> factor converting to the library's working unit (SI, except
@@ -40,7 +41,7 @@ UNIT_SUFFIXES = {
     "rad": 1.0,
     "deg": math.pi / 180.0,
     "A3": 1.0,
-    "au": 0.148,
+    "au": ATOMIC_UNIT_POLARIZABILITY_A3,
 }
 
 

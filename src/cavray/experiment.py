@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -44,6 +45,17 @@ class AnchorMeasurement:
             )
 
 
+def cavity_geometry(values: Mapping[str, float | str],
+                    path: str | os.PathLike = "<config>") -> CavityGeometry:
+    """The ``cavity.*`` geometry of a parsed config."""
+    return CavityGeometry(
+        mirror_separation=float(require(values, "cavity.separation", path)),
+        radius_of_curvature=float(require(values, "cavity.curvature", path)),
+        left_mirror=MirrorSpec(float(require(values, "cavity.left_reflectivity", path))),
+        right_mirror=MirrorSpec(float(require(values, "cavity.right_reflectivity", path))),
+    )
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """One experimental scenario: cavity, gas, pump and optional anchor.
@@ -68,7 +80,13 @@ class ScenarioConfig:
     @classmethod
     def from_file(cls, path: str | os.PathLike,
                   species_table: dict[str, GasSpecies] | None = None) -> "ScenarioConfig":
-        values = parse_config(path)
+        return cls.from_values(parse_config(path), path, species_table)
+
+    @classmethod
+    def from_values(cls, values: Mapping[str, float | str],
+                    path: str | os.PathLike = "<config>",
+                    species_table: dict[str, GasSpecies] | None = None) -> "ScenarioConfig":
+        """Scenario from the values of a parsed config; ``path`` names it in errors."""
         if species_table is None:
             species_table = load_species_table()
         name = str(require(values, "gas.species", path))
@@ -80,17 +98,9 @@ class ScenarioConfig:
         if temperature is not None:
             gas = GasSpecies(gas.name, gas.molar_mass, gas.polarizability,
                              float(temperature))
-        geometry = CavityGeometry(
-            mirror_separation=float(require(values, "cavity.separation", path)),
-            radius_of_curvature=float(require(values, "cavity.curvature", path)),
-            left_mirror=MirrorSpec(float(require(values, "cavity.left_reflectivity", path))),
-            right_mirror=MirrorSpec(float(require(values, "cavity.right_reflectivity", path))),
-        )
         pump = PumpBeam(
             wavelength=float(require(values, "pump.wavelength", path)),
-            power=float(values.get("pump.power", 1.0)),
             waist=float(require(values, "pump.waist", path)),
-            polarization_angle=float(values.get("pump.polarization_angle", math.pi / 2)),
         )
         anchor = None
         if "anchor.measured_power" in values:
@@ -100,7 +110,7 @@ class ScenarioConfig:
                 spectral_overlap=float(require(values, "anchor.spectral_overlap", path)),
             )
         waist = values.get("cavity.waist")
-        return cls(cavity=geometry, gas=gas,
+        return cls(cavity=cavity_geometry(values, path), gas=gas,
                    pressure=float(require(values, "gas.pressure", path)),
                    pump=pump, anchor=anchor,
                    cavity_waist=None if waist is None else float(waist))
@@ -298,8 +308,7 @@ class ForecastReport:
     per_molecule_in_cavity_rate: float  # Hz
     ensemble_rate: float                # Hz, in-cavity rate of the whole sample
     per_molecule_total_rate: float      # Hz, cavity plus free-space channels
-    purcell_2c: float
-    cavity_free_space_ratio: float
+    cavity_free_space_ratio: float      # the Purcell factor 2C at the target finesse
 
     def to_json(self) -> str:
         payload = {
@@ -309,7 +318,7 @@ class ForecastReport:
             "per_molecule_in_cavity_rate_Hz": self.per_molecule_in_cavity_rate,
             "ensemble_rate_Hz": self.ensemble_rate,
             "per_molecule_total_rate_Hz": self.per_molecule_total_rate,
-            "purcell_2c": self.purcell_2c,
+            "purcell_2c": self.cavity_free_space_ratio,
             "cavity_free_space_ratio": self.cavity_free_space_ratio,
         }
         return json.dumps(payload, indent=2)
@@ -321,7 +330,7 @@ class ForecastReport:
             f"in-cavity rate / molecule:  {self.per_molecule_in_cavity_rate:.4g} Hz",
             f"ensemble rate into cavity:  {self.ensemble_rate:.4g} Hz",
             f"total rate / molecule:      {self.per_molecule_total_rate:.4g} Hz",
-            f"Purcell 2C at target:       {self.purcell_2c:.4g}",
+            f"Purcell 2C at target:       {self.cavity_free_space_ratio:.4g}",
             f"cavity : free space         {self.cavity_free_space_ratio:.4g}",
         ])
 
@@ -375,6 +384,5 @@ def ultracold_forecast(anchor: ScenarioConfig, target: GasSpecies,
         per_molecule_in_cavity_rate=in_cavity,
         ensemble_rate=in_cavity * n_molecules,
         per_molecule_total_rate=in_cavity * (1.0 + 1.0 / ratio),
-        purcell_2c=ratio,
         cavity_free_space_ratio=ratio,
     )

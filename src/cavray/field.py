@@ -32,13 +32,6 @@ class ScatterConfig:
 
 
 @dataclass(frozen=True)
-class FieldState:
-    """Right-traveling intracavity field amplitude (pump-field units)."""
-
-    field: complex
-
-
-@dataclass(frozen=True)
 class PowerBudget:
     """Scattered intensities/powers of the resonant high-finesse chain (W)."""
 
@@ -71,8 +64,8 @@ def _source_and_feedback(cfg: ScatterConfig, r1: float, r2: float,
 
 
 def intracavity_field(cfg: ScatterConfig, r1: float, r2: float,
-                      mirror_separation: float) -> FieldState:
-    """Closed-form right-traveling field at the scatterer.
+                      mirror_separation: float) -> complex:
+    """Closed-form right-traveling field at the scatterer, in pump-field units.
 
     E = a*Ep * (1 + r1*exp(i*k*d)*exp(2i*k*dz)) / (1 - r1*r2*exp(2i*k*d))
 
@@ -81,11 +74,11 @@ def intracavity_field(cfg: ScatterConfig, r1: float, r2: float,
     """
     _check_feedback(r1, r2)
     source, feedback = _source_and_feedback(cfg, r1, r2, mirror_separation)
-    return FieldState(field=source / (1.0 - feedback))
+    return complex(source / (1.0 - feedback))
 
 
 def roundtrip_field_sum(cfg: ScatterConfig, r1: float, r2: float,
-                        mirror_separation: float, n_roundtrips: int) -> FieldState:
+                        mirror_separation: float, n_roundtrips: int) -> complex:
     """Field after explicitly iterating the round-trip recursion n times.
 
     Serves as the summation cross-check for the closed form; the truncation
@@ -97,7 +90,7 @@ def roundtrip_field_sum(cfg: ScatterConfig, r1: float, r2: float,
     field = source
     for _ in range(n_roundtrips):
         field = source + feedback * field
-    return FieldState(field=field)
+    return complex(field)
 
 
 def position_averaged_intensity(amplitude: float, pump_intensity: float,

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from fractions import Fraction
 
 from .constants import BOLTZMANN, SPEED_OF_LIGHT
 
@@ -73,23 +72,20 @@ class CavityParams:
 
 @dataclass(frozen=True)
 class PumpBeam:
-    """Side-pumping beam driving the scatterers."""
+    """Side-pumping beam driving the scatterers.
+
+    Absolute powers are scaled from a measured anchor, so the pump's own
+    power and polarization enter no output.
+    """
 
     wavelength: float             # m
-    power: float                  # W
     waist: float                  # m
-    polarization_angle: float = math.pi / 2  # rad from cavity axis
 
     def __post_init__(self):
         if self.wavelength <= 0.0:
-            raise ValueError(f"wavelength must be positive, got {self.wavelength}")
-        if self.power < 0.0:
-            raise ValueError(f"power must be nonnegative, got {self.power}")
-
-    @property
-    def wavenumber(self) -> float:
-        """k = 2*pi/lambda in rad/m."""
-        return 2.0 * math.pi / self.wavelength
+            raise ValueError(f"pump.wavelength must be positive, got {self.wavelength}")
+        if self.waist <= 0.0:
+            raise ValueError(f"pump.waist must be positive, got {self.waist}")
 
 
 def finesse(left: MirrorSpec, right: MirrorSpec) -> float:
@@ -181,18 +177,30 @@ def number_density(pressure: float, temperature: float) -> float:
 # --- independent ABCD round-trip cross-checks -------------------------------
 #
 # The closed-form waist and mode-spacing expressions above are verified
-# against the resonator eigenmode obtained from ray-transfer matrices.
+# against the resonator eigenmode obtained from ray-transfer matrices. The
+# matrices are multiplied in exact rational arithmetic: near the confocal
+# point d = Rc the round trip tends to -I and the entries that fix the
+# eigenmode cancel, so a floating-point product loses ~1e-16 / |1 - d/Rc|
+# of relative accuracy there.
 
 # relative distance from d = Rc inside which the round-trip waist is undefined
 CONFOCAL_MARGIN = 1e-9
 
 
-def _propagation(distance: float) -> np.ndarray:
-    return np.array([[1.0, distance], [0.0, 1.0]])
+def _propagation(distance: Fraction):
+    return ((1, distance), (0, 1))
 
 
-def _curved_mirror(radius_of_curvature: float) -> np.ndarray:
-    return np.array([[1.0, 0.0], [-2.0 / radius_of_curvature, 1.0]])
+def _curved_mirror(radius_of_curvature: Fraction):
+    return ((1, 0), (-2 / radius_of_curvature, 1))
+
+
+def _roundtrip(*matrices):
+    """Product of 2x2 ((a, b), (c, d)) matrices, leftmost first."""
+    (a, b), (c, d) = matrices[0]
+    for (e, f), (g, h) in matrices[1:]:
+        (a, b), (c, d) = (a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h)
+    return (a, b), (c, d)
 
 
 def abcd_roundtrip_waist(mirror_separation: float, radius_of_curvature: float,
@@ -201,39 +209,39 @@ def abcd_roundtrip_waist(mirror_separation: float, radius_of_curvature: float,
 
     The round trip starts at the cavity centre, where the symmetric
     eigenmode has its waist (q purely imaginary). At the confocal point
-    d = Rc the round trip is -I and every q is an eigenmode; near it the
-    matrix entries that fix q cancel to O(1 - d/Rc), so the relative
-    error grows as ~4e-17 / |1 - d/Rc|. Within 1e-9 of it this raises
-    ``ValueError``.
+    d = Rc the round trip is -I and every q is an eigenmode, so within
+    ``CONFOCAL_MARGIN`` of it this raises ``ValueError``.
     """
-    d, rc = mirror_separation, radius_of_curvature
-    if abs(1.0 - d / rc) < CONFOCAL_MARGIN:
-        raise ValueError(f"degenerate round trip at the confocal point: d={d}, Rc={rc}")
-    m = (_propagation(d / 2.0) @ _curved_mirror(rc) @ _propagation(d)
-         @ _curved_mirror(rc) @ _propagation(d / 2.0))
-    a, b = m[0, 0], m[0, 1]
-    c, dd = m[1, 0], m[1, 1]
-    # q solves c*q^2 + (dd - a)*q - b = 0; stable cavity gives Im(q) > 0
-    disc = complex((dd - a) ** 2 + 4.0 * b * c)
-    q = (-(dd - a) + np.sqrt(disc)) / (2.0 * c)
-    if q.imag <= 0.0:
-        q = (-(dd - a) - np.sqrt(disc)) / (2.0 * c)
-    if q.imag <= 0.0:
-        raise ValueError(f"no stable eigenmode for d={d}, Rc={rc}")
-    return float(np.sqrt(wavelength * q.imag / np.pi))
+    d, rc = Fraction(mirror_separation), Fraction(radius_of_curvature)
+    if abs(1 - d / rc) < CONFOCAL_MARGIN:
+        raise ValueError(f"degenerate round trip at the confocal point: "
+                         f"d={mirror_separation}, Rc={radius_of_curvature}")
+    (a, b), (c, dd) = _roundtrip(_propagation(d / 2), _curved_mirror(rc), _propagation(d),
+                                 _curved_mirror(rc), _propagation(d / 2))
+    # q solves c*q^2 + (dd - a)*q - b = 0; a stable cavity has complex
+    # roots, and Im(q)^2 = -disc / (4 c^2) for the one with Im(q) > 0
+    disc = (dd - a) ** 2 + 4 * b * c
+    if disc >= 0:
+        raise ValueError(f"no stable eigenmode for d={mirror_separation}, "
+                         f"Rc={radius_of_curvature}")
+    q_imag = math.sqrt(-disc / (4 * c * c))
+    return math.sqrt(wavelength * q_imag / math.pi)
 
 
 def abcd_roundtrip_mode_spacing(mirror_separation: float,
                                 radius_of_curvature: float) -> float:
     """Transverse mode spacing from the round-trip Gouy phase.
 
-    The half-trace of the round-trip matrix equals cos(theta_rt); the
-    spacing is FSR * theta_rt / (2 pi).
+    The half-trace h of the round-trip matrix equals cos(theta_rt), so
+    theta_rt = atan2(sqrt(1 - h^2), h), and the spacing is
+    FSR * theta_rt / (2 pi).
     """
-    d, rc = mirror_separation, radius_of_curvature
-    m = _curved_mirror(rc) @ _propagation(d) @ _curved_mirror(rc) @ _propagation(d)
-    half_trace = (m[0, 0] + m[1, 1]) / 2.0
-    if not -1.0 <= half_trace <= 1.0:
-        raise ValueError(f"no stable eigenmode for d={d}, Rc={rc}")
-    theta_rt = math.acos(half_trace)
-    return free_spectral_range(d) * theta_rt / (2.0 * math.pi)
+    d, rc = Fraction(mirror_separation), Fraction(radius_of_curvature)
+    (a, _), (_, dd) = _roundtrip(_curved_mirror(rc), _propagation(d),
+                                 _curved_mirror(rc), _propagation(d))
+    half_trace = (a + dd) / 2
+    if not -1 <= half_trace <= 1:
+        raise ValueError(f"no stable eigenmode for d={mirror_separation}, "
+                         f"Rc={radius_of_curvature}")
+    theta_rt = math.atan2(math.sqrt(1 - half_trace ** 2), half_trace)
+    return free_spectral_range(mirror_separation) * theta_rt / (2.0 * math.pi)

@@ -8,11 +8,12 @@ The resulting overlap fixes the fraction of dipole radiation captured by
 the cavity-defined mode, and combining it with the interference-model
 power budget reproduces the standard Purcell factor.
 
-scipy is imported only inside the oracle integrals that call it (the
-normalization checks and the "exact" double integral), because importing
-``scipy.integrate`` costs several times the whole closed-form report path
-and ``import cavray`` should load numpy alone. The on-axis overlap, which
-``cavray overlap`` runs, uses a numpy Gauss-Legendre rule instead.
+``scipy.integrate`` is imported only inside the oracle integrals that call
+it: ``dipole_normalization`` and ``gaussian_normalization`` (``quad``) and
+the "exact" branch of ``overlap_eta_numeric`` (``dblquad``). Importing it
+costs several times the whole closed-form report path, and ``import
+cavray`` should load numpy alone. The on-axis overlap, which ``cavray
+overlap`` runs, uses a numpy Gauss-Legendre rule instead.
 """
 
 from __future__ import annotations
@@ -54,17 +55,6 @@ def _gauss_legendre_integral(f, lo: float, hi: float, n: int) -> float:
     nodes, weights = _gauss_legendre(n)
     half = 0.5 * (hi - lo)
     return half * float(weights @ f(lo + half * (nodes + 1.0)))
-
-
-@dataclass(frozen=True)
-class DipoleMode:
-    """Scalar far-field dipole mode, prefactor * cos(latitude) / r."""
-
-    prefactor: float = DIPOLE_PREFACTOR
-
-    def field(self, latitude, distance):
-        """Field at angle ``latitude`` from the emission plane, range +-pi/2."""
-        return self.prefactor * np.cos(latitude) / distance
 
 
 @dataclass(frozen=True)

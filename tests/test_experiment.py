@@ -36,7 +36,7 @@ def make_anchor_scenario(reference_geometry):
         cavity=reference_geometry,
         gas=builtin_species("Xe"),
         pressure=1e4,
-        pump=PumpBeam(wavelength=WAVELENGTH, power=1.0, waist=50e-6),
+        pump=PumpBeam(wavelength=WAVELENGTH, waist=50e-6),
         anchor=AnchorMeasurement(measured_power=50e-15, finesse=1000.0,
                                  spectral_overlap=0.042),
         cavity_waist=45e-6,
@@ -219,7 +219,6 @@ class TestUltracoldForecast:
         waist = anchor.effective_cavity_waist(WAVELENGTH)
         assert report.cavity_free_space_ratio == purcell_ratio(2e4, WAVELENGTH,
                                                                waist)
-        assert report.purcell_2c == report.cavity_free_space_ratio
 
     def test_linear_in_molecule_number_and_polarizability_squared(self,
                                                                   reference_geometry):
@@ -236,10 +235,15 @@ class TestUltracoldForecast:
             8.0 * ten_x.ensemble_rate, rel=1e-12
         )
 
+    @pytest.mark.parametrize("waist", [0.0, -50e-6])
+    def test_nonpositive_pump_waist_names_its_key(self, waist):
+        with pytest.raises(ValueError, match="pump.waist"):
+            PumpBeam(wavelength=WAVELENGTH, waist=waist)
+
     def test_missing_anchor_rejected(self, reference_geometry):
         scenario = ScenarioConfig(
             cavity=reference_geometry, gas=builtin_species("Xe"), pressure=1e4,
-            pump=PumpBeam(wavelength=WAVELENGTH, power=1.0, waist=50e-6),
+            pump=PumpBeam(wavelength=WAVELENGTH, waist=50e-6),
         )
         with pytest.raises(ValueError):
             ultracold_forecast(scenario, builtin_species("Xe"), 1e5, 1e5)

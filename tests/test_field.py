@@ -35,19 +35,19 @@ def test_resonant_separation_is_resonant():
 class TestIntracavityField:
     def test_free_space_is_single_scattered_wave(self):
         state = intracavity_field(resonant_config(amplitude=0.01), 0.0, 0.0, 6e-3)
-        assert state.field == pytest.approx(0.01)
+        assert state == pytest.approx(0.01)
 
     def test_resonant_buildup(self):
         # (1 + r) / (1 - r^2) at a constructive position
         state = intracavity_field(resonant_config(), 0.9985, 0.9985, RESONANT_D)
-        assert abs(state.field) == pytest.approx(666.6666666667, rel=1e-6)
+        assert abs(state) == pytest.approx(666.6666666667, rel=1e-6)
 
     def test_destructive_placement(self):
         # a quarter-wave displacement flips the left-mirror contribution
         state = intracavity_field(
             resonant_config(displacement=532e-9 / 4.0), 0.9985, 0.9985, RESONANT_D
         )
-        assert abs(state.field) == pytest.approx(0.5003752815, rel=1e-6)
+        assert abs(state) == pytest.approx(0.5003752815, rel=1e-6)
 
     def test_diverging_feedback_rejected(self):
         with pytest.raises(ValueError):
@@ -61,27 +61,27 @@ class TestRoundtripSum:
         expected = cfg.amplitude * cfg.pump_field * (
             1.0 + 0.9 * np.exp(1j * K * (6e-3 + 2e-7))
         )
-        assert state.field == pytest.approx(expected)
+        assert state == pytest.approx(expected)
 
     def test_high_reflectivity_converges_to_closed_form(self):
         cfg = resonant_config()
-        exact = intracavity_field(cfg, 0.9985, 0.9985, RESONANT_D).field
-        summed = roundtrip_field_sum(cfg, 0.9985, 0.9985, RESONANT_D, 10_000).field
+        exact = intracavity_field(cfg, 0.9985, 0.9985, RESONANT_D)
+        summed = roundtrip_field_sum(cfg, 0.9985, 0.9985, RESONANT_D, 10_000)
         assert abs(summed - exact) / abs(exact) < 1e-6
 
     def test_moderate_feedback_converges_fast(self):
         cfg = resonant_config(displacement=3e-8)
         r = math.sqrt(0.5)
-        exact = intracavity_field(cfg, r, r, 6e-3).field
-        summed = roundtrip_field_sum(cfg, r, r, 6e-3, 50).field
+        exact = intracavity_field(cfg, r, r, 6e-3)
+        summed = roundtrip_field_sum(cfg, r, r, 6e-3, 50)
         assert abs(summed - exact) / abs(exact) < 1e-15
 
     def test_truncation_follows_geometric_tail(self):
         cfg = resonant_config()
         r = 0.9
-        exact = intracavity_field(cfg, r, r, RESONANT_D).field
+        exact = intracavity_field(cfg, r, r, RESONANT_D)
         for n in (10, 20, 40):
-            summed = roundtrip_field_sum(cfg, r, r, RESONANT_D, n).field
+            summed = roundtrip_field_sum(cfg, r, r, RESONANT_D, n)
             assert abs(summed - exact) / abs(exact) == pytest.approx(
                 (r * r) ** (n + 1), rel=1e-6
             )
@@ -97,8 +97,8 @@ class TestRoundtripSum:
     def test_closed_form_is_series_limit(self, r1, r2, k, dz, d):
         cfg = ScatterConfig(amplitude=1e-3, pump_field=2.0, wavenumber=k,
                             displacement=dz)
-        exact = intracavity_field(cfg, r1, r2, d).field
-        summed = roundtrip_field_sum(cfg, r1, r2, d, 4000).field
+        exact = intracavity_field(cfg, r1, r2, d)
+        summed = roundtrip_field_sum(cfg, r1, r2, d, 4000)
         assert abs(summed - exact) <= abs(exact) * 1e-9 + 1e-12
 
 

@@ -100,6 +100,8 @@ class TestSymmetricWaist:
     @given(st.floats(0.05, 1.95), st.floats(5e-3, 0.5), st.floats(300e-9, 1600e-9))
     # confocal: the round trip is -I and fixes no waist
     @example(fraction=1.0, rc=0.5, wavelength=1.3437814641541738e-06)
+    # just outside the margin, where a floating-point round trip lost 7e-9
+    @example(fraction=0.999999998, rc=0.1222, wavelength=532e-9)
     @settings(max_examples=200, deadline=None)
     def test_agrees_with_abcd_eigenmode(self, fraction, rc, wavelength):
         d = fraction * rc
@@ -130,6 +132,8 @@ class TestTransverseModeSpacing:
                 / free_spectral_range(1e-7)) < 1e-3
 
     @given(st.floats(0.05, 1.95), st.floats(5e-3, 0.5))
+    # near the confocal point, where acos of a rounded half-trace lost 2e-9
+    @example(fraction=0.999999997, rc=0.5)
     @settings(max_examples=200, deadline=None)
     def test_agrees_with_abcd_gouy_phase(self, fraction, rc):
         d = fraction * rc

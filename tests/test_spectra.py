@@ -20,7 +20,7 @@ from cavray import (CavityGeometry, GasSpecies, MirrorSpec, SpectralProfile,
                     derive_cavity_params, doppler_fwhm, doppler_fwhm_monte_carlo,
                     load_species_table, polarization_signal, scan_spectrum,
                     species_ratio, spectral_overlap, validation)
-from cavray.spectra import MAX_SCAN_POINTS, OBSERVED_WIDTH_FACTOR, PolarizationResponse
+from cavray.spectra import MAX_SCAN_POINTS, OBSERVED_WIDTH_FACTOR
 
 WAVELENGTH = 532e-9
 
@@ -134,6 +134,18 @@ class TestSpectralOverlap:
         assert naive == pytest.approx(0.429451029365, rel=1e-8)
         exact = spectral_overlap(xe_profile, paper_linewidth(100.0))
         assert naive > 1.25 * exact
+
+    @pytest.mark.parametrize("name, temperature", [("N2", 1000.0), ("CF3H", 295.0)])
+    def test_narrow_line_matches_its_series(self, name, temperature):
+        # a 1 kHz line, 1e-6 of the Doppler width: adaptive quadrature
+        # came out 7.9% low for N2 and did not converge for CF3H
+        profile = SpectralProfile.for_gas(builtin_species(name), WAVELENGTH, temperature)
+        sigma = profile.doppler_fwhm_observed / (2 * math.sqrt(2 * math.log(2)))
+        hwhm = 500.0
+        a = hwhm / (sigma * math.sqrt(2.0))
+        series = (math.sqrt(math.pi / 2.0) * hwhm / sigma
+                  * (1.0 - 2.0 * a / math.sqrt(math.pi) + a * a))
+        assert spectral_overlap(profile, 2.0 * hwhm) == pytest.approx(series, rel=1e-10)
 
     def test_rejects_nonpositive_linewidth(self, xe_profile):
         with pytest.raises(ValueError):
@@ -390,11 +402,6 @@ class TestPolarization:
         total = (polarization_signal(theta, eps)
                  + polarization_signal(theta + math.pi / 2.0, eps))
         assert total == pytest.approx(1.0 + eps, abs=1e-9)
-
-    def test_response_grid(self):
-        response = PolarizationResponse(extinction=0.02)
-        assert response.signals.min() == pytest.approx(0.02)
-        assert response.signals.max() == pytest.approx(1.0)
 
     def test_rejects_bad_extinction(self):
         with pytest.raises(ValueError):
