@@ -33,12 +33,16 @@ from .overlap import (GaussianMode, cavity_mode_fraction,
                       dipole_mode_power, dipole_normalization,
                       gaussian_normalization, overlap_eta_analytic,
                       overlap_eta_numeric, purcell_factor, purcell_ratio)
-from .spectra import (SpectralProfile, SpectrumTrace,
-                      at_rest_power, doppler_fwhm, doppler_fwhm_monte_carlo,
-                      polarization_signal, scan_spectrum, species_ratio,
-                      spectral_overlap)
 
 __version__ = "0.1.0"
+
+# the numpy-backed names resolve on first use (PEP 562), so ``import
+# cavray`` and the closed-form reports load only the standard library
+_SPECTRA_NAMES = (
+    "SpectralProfile", "SpectrumTrace", "at_rest_power", "doppler_fwhm",
+    "doppler_fwhm_monte_carlo", "polarization_signal", "scan_spectrum",
+    "species_ratio", "spectral_overlap",
+)
 
 __all__ = [
     "ATOMIC_UNIT_POLARIZABILITY_A3", "AVOGADRO", "BOLTZMANN", "PLANCK",
@@ -62,8 +66,13 @@ __all__ = [
     "GaussianMode", "cavity_mode_fraction", "dipole_mode_power",
     "dipole_normalization", "gaussian_normalization", "overlap_eta_analytic",
     "overlap_eta_numeric", "purcell_factor", "purcell_ratio",
-    "SpectralProfile", "SpectrumTrace",
-    "at_rest_power", "doppler_fwhm", "doppler_fwhm_monte_carlo",
-    "polarization_signal", "scan_spectrum", "species_ratio",
-    "spectral_overlap",
+    *_SPECTRA_NAMES,
 ]
+
+
+def __getattr__(name: str):
+    if name in _SPECTRA_NAMES:
+        from . import spectra
+
+        return getattr(spectra, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

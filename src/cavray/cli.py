@@ -13,7 +13,7 @@ import math
 import sys
 from pathlib import Path
 
-from .config import parse_config, require
+from .config import numeric, parse_config, require
 from .errors import ConfigError, ConvergenceError
 from .experiment import (ScenarioConfig, build_enhancement_report, cavity_geometry,
                          ultracold_forecast, ultracold_target_species)
@@ -21,15 +21,10 @@ from .gases import DEFAULT_TEMPERATURE, load_species_table
 from .optics import MirrorSpec, derive_cavity_params
 from .overlap import (GaussianMode, overlap_eta_analytic, overlap_eta_numeric,
                       purcell_factor, purcell_ratio)
-from .spectra import scan_spectrum
 
 
 # file suffix under --out of each output format
 SUFFIXES = {"table": "txt", "csv": "csv", "json": "json"}
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.12g}"
 
 
 def _write(args, filename: str, text: str) -> None:
@@ -44,7 +39,7 @@ def _write(args, filename: str, text: str) -> None:
 
 def _emit(args, stem: str, schema: str, fields: list[tuple[str, float]]) -> None:
     """Write named values as a table, CSV or a JSON object tagged ``schema``."""
-    rows = [(name, _fmt(value)) for name, value in fields]
+    rows = [(name, f"{value:.12g}") for name, value in fields]
     if args.format == "table":
         width = max(len(name) for name, _ in rows)
         text = "\n".join(f"{name:<{width}}  {value}" for name, value in rows) + "\n"
@@ -57,9 +52,8 @@ def _emit(args, stem: str, schema: str, fields: list[tuple[str, float]]) -> None
 
 def cmd_cavity(args) -> int:
     values = parse_config(args.config)
-    geometry = cavity_geometry(values, args.config)
-    wavelength = float(require(values, "pump.wavelength", args.config))
-    params = derive_cavity_params(geometry, wavelength)
+    wavelength = numeric(values, "pump.wavelength", args.config)
+    params = derive_cavity_params(cavity_geometry(values, args.config), wavelength)
     fields = [
         ("finesse", params.finesse),
         ("free_spectral_range_Hz", params.free_spectral_range),
@@ -75,25 +69,27 @@ def cmd_cavity(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    # the scan kernel needs numpy; keep it off the report subcommands' path
+    from .spectra import scan_spectrum
+
     values = parse_config(args.config)
-    geometry = cavity_geometry(values, args.config)
-    wavelength = float(require(values, "pump.wavelength", args.config))
-    params = derive_cavity_params(geometry, wavelength)
-    table = load_species_table(
-        temperature=float(values.get("gas.temperature", DEFAULT_TEMPERATURE)))
+    wavelength = numeric(values, "pump.wavelength", args.config)
+    params = derive_cavity_params(cavity_geometry(values, args.config), wavelength)
+    table = load_species_table(temperature=numeric(
+        values, "gas.temperature", args.config, DEFAULT_TEMPERATURE))
     names = str(require(values, "scan.species", args.config)).split(",")
     weights = []
     for i, name in enumerate(names, start=1):
         name = name.strip()
         if name not in table:
             raise ConfigError(args.config, None, f"unknown species {name!r}")
-        weights.append((table[name], float(values.get(f"scan.weight{i}", 1.0))))
+        weights.append((table[name], numeric(values, f"scan.weight{i}", args.config, 1.0)))
     trace = scan_spectrum(
         params, weights,
-        scan_range=float(require(values, "scan.range", args.config)),
-        resolution=float(require(values, "scan.resolution", args.config)),
+        scan_range=numeric(values, "scan.range", args.config),
+        resolution=numeric(values, "scan.resolution", args.config),
         wavelength=wavelength,
-        normalize=bool(values.get("scan.normalize", 1.0)),
+        normalize=bool(numeric(values, "scan.normalize", args.config, 1.0)),
     )
     if args.format == "json":
         text = trace.to_json() + "\n"
@@ -107,22 +103,20 @@ def cmd_scan(args) -> int:
 
 def cmd_overlap(args) -> int:
     values = parse_config(args.config)
-    wavelength = float(require(values, "pump.wavelength", args.config))
-    if "overlap.waist" in values:
-        waist = float(values["overlap.waist"])
-    else:
-        geometry = cavity_geometry(values, args.config)
-        waist = derive_cavity_params(geometry, wavelength).waist
-    plane_factor = float(values.get("overlap.plane_factor", 100.0))
+    wavelength = numeric(values, "pump.wavelength", args.config)
+    waist = numeric(values, "overlap.waist", args.config, None)
+    if waist is None:
+        waist = derive_cavity_params(cavity_geometry(values, args.config), wavelength).waist
+    plane_factor = numeric(values, "overlap.plane_factor", args.config, 100.0)
     z = plane_factor * GaussianMode(waist, wavelength).rayleigh_length
     analytic = overlap_eta_analytic(wavelength, waist)
-    numeric = overlap_eta_numeric(wavelength, waist, z)
+    on_plane = overlap_eta_numeric(wavelength, waist, z)
     fields = [
         ("waist_m", waist),
         ("evaluation_plane_m", z),
         ("overlap_analytic", analytic),
-        ("overlap_numeric", numeric),
-        ("relative_difference", abs(numeric - analytic) / analytic),
+        ("overlap_numeric", on_plane),
+        ("relative_difference", abs(on_plane - analytic) / analytic),
     ]
     _emit(args, "overlap_report", "cavray.overlap-report/1", fields)
     return 0
@@ -130,26 +124,23 @@ def cmd_overlap(args) -> int:
 
 def cmd_enhance(args) -> int:
     values = parse_config(args.config)
-    left = MirrorSpec(float(require(values, "enhance.left_reflectivity", args.config)))
+    left = MirrorSpec(numeric(values, "enhance.left_reflectivity", args.config))
     pairings, measured, overlaps = [], [], []
     index = 1
     while f"enhance.pairing{index}.finesse" in values:
         prefix = f"enhance.pairing{index}"
-        right = MirrorSpec(float(require(values, f"{prefix}.right_reflectivity",
-                                         args.config)))
-        pairings.append((float(values[f"{prefix}.finesse"]), left, right))
-        measured.append(float(require(values, f"{prefix}.measured_power", args.config)))
-        overlaps.append(float(require(values, f"{prefix}.spectral_overlap", args.config)))
+        right = MirrorSpec(numeric(values, f"{prefix}.right_reflectivity", args.config))
+        pairings.append((numeric(values, f"{prefix}.finesse", args.config), left, right))
+        measured.append(numeric(values, f"{prefix}.measured_power", args.config))
+        overlaps.append(numeric(values, f"{prefix}.spectral_overlap", args.config))
         index += 1
     if not pairings:
         raise ConfigError(args.config, None,
                           "no enhance.pairing1.finesse entry found")
-    free_space = values.get("enhance.free_space_power")
-    comparison = values.get("enhance.comparison_power")
     report = build_enhancement_report(
         pairings, measured, overlaps,
-        None if free_space is None else float(free_space),
-        None if comparison is None else float(comparison),
+        numeric(values, "enhance.free_space_power", args.config, None),
+        numeric(values, "enhance.comparison_power", args.config, None),
     )
     text = report.to_json() if args.format == "json" else report.table()
     _write(args, f"enhancement_report.{SUFFIXES[args.format]}", text + "\n")
@@ -159,10 +150,13 @@ def cmd_enhance(args) -> int:
 def cmd_purcell(args) -> int:
     values = parse_config(args.config)
     geometry = cavity_geometry(values, args.config)
-    wavelength = float(require(values, "pump.wavelength", args.config))
+    wavelength = numeric(values, "pump.wavelength", args.config)
     params = derive_cavity_params(geometry, wavelength)
-    finesse = float(values.get("purcell.finesse", params.finesse))
-    waist = float(values.get("purcell.waist", params.waist))
+    finesse = numeric(values, "purcell.finesse", args.config, params.finesse)
+    waist = numeric(values, "purcell.waist", args.config, params.waist)
+    for key, value in (("purcell.finesse", finesse), ("purcell.waist", waist)):
+        if value <= 0.0:
+            raise ConfigError(args.config, None, f"{key} must be positive, got {value}")
     d = geometry.mirror_separation
     from_ratio = purcell_ratio(finesse, wavelength, waist)
     from_qv = purcell_factor(2.0 * d * finesse / wavelength,
@@ -181,12 +175,12 @@ def cmd_purcell(args) -> int:
 def cmd_forecast(args) -> int:
     values = parse_config(args.config)
     scenario = ScenarioConfig.from_values(values, args.config)
-    factor = float(values.get("forecast.polarizability_factor", 10.0))
+    factor = numeric(values, "forecast.polarizability_factor", args.config, 10.0)
     target = ultracold_target_species(scenario.gas, factor)
     report = ultracold_forecast(
         scenario, target,
-        n_molecules=float(require(values, "forecast.n_molecules", args.config)),
-        target_finesse=float(require(values, "forecast.target_finesse", args.config)),
+        n_molecules=numeric(values, "forecast.n_molecules", args.config),
+        target_finesse=numeric(values, "forecast.target_finesse", args.config),
     )
     text = report.to_json() if args.format == "json" else report.table()
     _write(args, f"forecast_report.{SUFFIXES[args.format]}", text + "\n")
@@ -194,7 +188,8 @@ def cmd_forecast(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    # the oracle suite imports scipy; keep it off every other subcommand's path
+    # the oracle suite imports numpy and scipy; keep them off the other
+    # subcommands' path
     from . import validation
 
     results = validation.run_all(seed=args.seed)
@@ -237,11 +232,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.out:
-        out = Path(args.out)
-        if not out.exists():
-            out.mkdir(parents=True)
     try:
+        if args.out:
+            Path(args.out).mkdir(parents=True, exist_ok=True)
         return args.handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

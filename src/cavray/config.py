@@ -98,3 +98,18 @@ def require(values: dict[str, float | str], key: str,
         raise ConfigError(path, None, f"missing required key {key!r} "
                           "(any unit suffix)")
     return values[key]
+
+
+_REQUIRED = object()
+
+
+def numeric(values: dict[str, float | str], key: str,
+            path: str | os.PathLike = "<config>", default=_REQUIRED):
+    """A numeric key as a float; ``default`` when absent, mandatory as with
+    ``require`` without one. A word given for a number names the key."""
+    if key not in values and default is not _REQUIRED:
+        return default
+    value = require(values, key, path)
+    if isinstance(value, str):
+        raise ConfigError(path, None, f"key {key!r} needs a number, got {value!r}")
+    return float(value)

@@ -14,7 +14,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Sequence
 
-from .config import parse_config, require
+from .config import numeric, parse_config, require
 from .constants import PLANCK, SPEED_OF_LIGHT
 from .errors import ConfigError
 from .gases import GasSpecies, load_species_table
@@ -26,6 +26,15 @@ ENHANCEMENT_SCHEMA = "cavray.enhancement-report/1"
 FORECAST_SCHEMA = "cavray.forecast-report/1"
 
 
+def _check_measurement(prefix: str, power: float, overlap: float) -> None:
+    """A measured signal needs power > 0 and overlap in (0, 1]; errors name
+    the config keys ``<prefix>.measured_power`` and ``<prefix>.spectral_overlap``."""
+    if power <= 0.0:
+        raise ValueError(f"{prefix}.measured_power must be positive, got {power}")
+    if not 0.0 < overlap <= 1.0:
+        raise ValueError(f"{prefix}.spectral_overlap must be in (0, 1], got {overlap}")
+
+
 @dataclass(frozen=True)
 class AnchorMeasurement:
     """A measured cavity signal used to scale absolute predictions."""
@@ -35,24 +44,19 @@ class AnchorMeasurement:
     spectral_overlap: float
 
     def __post_init__(self):
-        if self.measured_power <= 0.0:
-            raise ValueError(f"anchor power must be positive, got {self.measured_power}")
+        _check_measurement("anchor", self.measured_power, self.spectral_overlap)
         if self.finesse <= 0.0:
-            raise ValueError(f"anchor finesse must be positive, got {self.finesse}")
-        if not 0.0 < self.spectral_overlap <= 1.0:
-            raise ValueError(
-                f"anchor overlap must be in (0, 1], got {self.spectral_overlap}"
-            )
+            raise ValueError(f"anchor.finesse must be positive, got {self.finesse}")
 
 
 def cavity_geometry(values: Mapping[str, float | str],
                     path: str | os.PathLike = "<config>") -> CavityGeometry:
     """The ``cavity.*`` geometry of a parsed config."""
     return CavityGeometry(
-        mirror_separation=float(require(values, "cavity.separation", path)),
-        radius_of_curvature=float(require(values, "cavity.curvature", path)),
-        left_mirror=MirrorSpec(float(require(values, "cavity.left_reflectivity", path))),
-        right_mirror=MirrorSpec(float(require(values, "cavity.right_reflectivity", path))),
+        mirror_separation=numeric(values, "cavity.separation", path),
+        radius_of_curvature=numeric(values, "cavity.curvature", path),
+        left_mirror=MirrorSpec(numeric(values, "cavity.left_reflectivity", path)),
+        right_mirror=MirrorSpec(numeric(values, "cavity.right_reflectivity", path)),
     )
 
 
@@ -94,26 +98,24 @@ class ScenarioConfig:
             raise ConfigError(path, None, f"unknown species {name!r}; table has: "
                               + ", ".join(sorted(species_table)))
         gas = species_table[name]
-        temperature = values.get("gas.temperature")
+        temperature = numeric(values, "gas.temperature", path, None)
         if temperature is not None:
-            gas = GasSpecies(gas.name, gas.molar_mass, gas.polarizability,
-                             float(temperature))
+            gas = GasSpecies(gas.name, gas.molar_mass, gas.polarizability, temperature)
         pump = PumpBeam(
-            wavelength=float(require(values, "pump.wavelength", path)),
-            waist=float(require(values, "pump.waist", path)),
+            wavelength=numeric(values, "pump.wavelength", path),
+            waist=numeric(values, "pump.waist", path),
         )
         anchor = None
         if "anchor.measured_power" in values:
             anchor = AnchorMeasurement(
-                measured_power=float(values["anchor.measured_power"]),
-                finesse=float(require(values, "anchor.finesse", path)),
-                spectral_overlap=float(require(values, "anchor.spectral_overlap", path)),
+                measured_power=numeric(values, "anchor.measured_power", path),
+                finesse=numeric(values, "anchor.finesse", path),
+                spectral_overlap=numeric(values, "anchor.spectral_overlap", path),
             )
-        waist = values.get("cavity.waist")
         return cls(cavity=cavity_geometry(values, path), gas=gas,
-                   pressure=float(require(values, "gas.pressure", path)),
+                   pressure=numeric(values, "gas.pressure", path),
                    pump=pump, anchor=anchor,
-                   cavity_waist=None if waist is None else float(waist))
+                   cavity_waist=numeric(values, "cavity.waist", path, None))
 
 
 def photon_rate(power: float, wavelength: float) -> float:
@@ -267,16 +269,19 @@ def build_enhancement_report(pairings: Sequence[MirrorPairing],
     """
     if not (len(pairings) == len(measured_powers) == len(spectral_overlaps)):
         raise ValueError("pairings, powers and overlaps must have equal length")
+    for i, (power, overlap) in enumerate(zip(measured_powers, spectral_overlaps), start=1):
+        _check_measurement(f"enhance.pairing{i}", power, overlap)
+    if comparison_power is not None and comparison_power <= 0.0:
+        raise ValueError(f"enhance.comparison_power must be positive, got {comparison_power}")
     at_rest = [p / o for p, o in zip(measured_powers, spectral_overlaps)]
     ref_index = max(range(len(pairings)), key=lambda i: pairings[i][0])
     predicted = finesse_dependence(pairings)
     max_finesse = pairings[ref_index][0]
     entries = []
     for i, ((f, left, right), rel_pred) in enumerate(zip(pairings, predicted)):
-        share = right.transmission / (left.transmission + right.transmission)
         entries.append(FinesseEntry(
             finesse=f,
-            outcoupling_share=share,
+            outcoupling_share=right.transmission / (left.transmission + right.transmission),
             measured_power=measured_powers[i],
             spectral_overlap=spectral_overlaps[i],
             at_rest_power=at_rest[i],
@@ -284,13 +289,11 @@ def build_enhancement_report(pairings: Sequence[MirrorPairing],
             predicted_relative=rel_pred[1],
             predicted_relative_symmetric=f / max_finesse,
         ))
-    ref = pairings[ref_index]
-    share_ref = ref[2].transmission / (ref[1].transmission + ref[2].transmission)
     if comparison_power is None:
         comparison_power = measured_powers[ref_index]
-    backout = free_space_backout(comparison_power, ref[0],
+    backout = free_space_backout(comparison_power, max_finesse,
                                  spectral_overlaps[ref_index],
-                                 outcoupling_fraction=share_ref)
+                                 outcoupling_fraction=entries[ref_index].outcoupling_share)
     factor = None
     if free_space_measured is not None:
         if free_space_measured <= 0.0:

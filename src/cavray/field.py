@@ -10,11 +10,10 @@ between the two cancels in every reported ratio and is set to 1.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Literal
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -57,9 +56,9 @@ def _source_and_feedback(cfg: ScatterConfig, r1: float, r2: float,
     summation so the two routes differ only in how the series is summed."""
     k, d, dz = cfg.wavenumber, mirror_separation, cfg.displacement
     source = cfg.amplitude * cfg.pump_field * (
-        1.0 + r1 * np.exp(1j * k * d) * np.exp(2j * k * dz)
+        1.0 + r1 * cmath.exp(1j * k * d) * cmath.exp(2j * k * dz)
     )
-    feedback = r1 * r2 * np.exp(2j * k * d)
+    feedback = r1 * r2 * cmath.exp(2j * k * d)
     return source, feedback
 
 
@@ -74,7 +73,7 @@ def intracavity_field(cfg: ScatterConfig, r1: float, r2: float,
     """
     _check_feedback(r1, r2)
     source, feedback = _source_and_feedback(cfg, r1, r2, mirror_separation)
-    return complex(source / (1.0 - feedback))
+    return source / (1.0 - feedback)
 
 
 def roundtrip_field_sum(cfg: ScatterConfig, r1: float, r2: float,
@@ -90,7 +89,7 @@ def roundtrip_field_sum(cfg: ScatterConfig, r1: float, r2: float,
     field = source
     for _ in range(n_roundtrips):
         field = source + feedback * field
-    return complex(field)
+    return field
 
 
 def position_averaged_intensity(amplitude: float, pump_intensity: float,
@@ -118,6 +117,8 @@ def position_averaged_intensity_numeric(amplitude: float, pump_field: float,
     cavity on resonance the midpoint rule over full phase periods is exact
     to machine precision for any n_points >= 4.
     """
+    import numpy as np
+
     _check_feedback(r1, r2)
     wavelength = 2.0 * math.pi / wavenumber
     # midpoint samples of dz over [-lambda/2, lambda/2]

@@ -10,20 +10,17 @@ power budget reproduces the standard Purcell factor.
 
 ``scipy.integrate`` is imported only inside the oracle integrals that call
 it: ``dipole_normalization`` and ``gaussian_normalization`` (``quad``) and
-the "exact" branch of ``overlap_eta_numeric`` (``dblquad``). Importing it
-costs several times the whole closed-form report path, and ``import
-cavray`` should load numpy alone. The on-axis overlap, which ``cavray
-overlap`` runs, uses a numpy Gauss-Legendre rule instead.
+the "exact" branch of ``overlap_eta_numeric`` (``dblquad``). The rest of
+the module is scalar ``math``, so ``import cavray`` and the closed-form
+reports load the standard library alone. The on-axis overlap, which
+``cavray overlap`` runs, is the closed form of its integral.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Literal
-
-import numpy as np
 
 from .errors import ConvergenceError
 
@@ -33,28 +30,6 @@ DIPOLE_PREFACTOR = math.sqrt(3.0 / (8.0 * math.pi))
 # transverse truncation radius for Gaussian-mode quadrature; the tail
 # beyond 8 beam widths is below 1e-27 of the integrand peak
 TRUNCATION_WIDTHS = 8.0
-
-# node counts of the on-axis Gauss-Legendre rule and of its error estimate
-GAUSS_LEGENDRE_NODES = 96
-GAUSS_LEGENDRE_CHECK_NODES = 48
-
-
-@functools.cache
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]."""
-    from numpy.polynomial import legendre
-
-    nodes, weights = legendre.leggauss(n)
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
-
-
-def _gauss_legendre_integral(f, lo: float, hi: float, n: int) -> float:
-    """Integral of the vectorized f over [lo, hi] with the n-point rule."""
-    nodes, weights = _gauss_legendre(n)
-    half = 0.5 * (hi - lo)
-    return half * float(weights @ f(lo + half * (nodes + 1.0)))
 
 
 @dataclass(frozen=True)
@@ -68,18 +43,18 @@ class GaussianMode:
     def rayleigh_length(self) -> float:
         return math.pi * self.waist ** 2 / self.wavelength
 
-    def width(self, z):
+    def width(self, z: float) -> float:
         """Beam width w(z) = w0 * sqrt(1 + (z/z0)^2)."""
-        return self.waist * np.sqrt(1.0 + (z / self.rayleigh_length) ** 2)
+        return self.waist * math.sqrt(1.0 + (z / self.rayleigh_length) ** 2)
 
-    def normalization(self, z):
+    def normalization(self, z: float) -> float:
         """N(z) such that the transverse intensity integral equals 1."""
         return self.width(z) * math.sqrt(math.pi / 2.0)
 
-    def field(self, radial, z):
+    def field(self, radial: float, z: float) -> float:
         """Normalized field at transverse radius ``radial`` in the plane z."""
         w = self.width(z)
-        return np.exp(-(radial ** 2) / w ** 2) / self.normalization(z)
+        return math.exp(-(radial ** 2) / w ** 2) / self.normalization(z)
 
 
 def dipole_normalization(prefactor: float = DIPOLE_PREFACTOR,
@@ -138,46 +113,33 @@ def overlap_eta_numeric(wavelength: float, waist: float, z: float,
     at its axial value, which is accurate to a relative (w(z)/z)^2; "exact"
     keeps the full cos(latitude)/r dependence across the plane.
 
-    The on-axis integrand is a Gaussian in r truncated at 8 beam widths,
-    integrated with a 96-node Gauss-Legendre rule on [0, r_max]. Its error
-    is estimated as |I96 - I48|, the difference from the 48-node rule.
-    Both rules resolve the Gaussian to rounding, and the integrand is the
-    same function of r/w(z) on every plane, so the estimate reads about
-    6e-15 relative for every z. "exact" uses ``scipy.integrate.dblquad``
-    and its own error estimate. Either estimate above
-    ``rel_tol * |value|`` raises ConvergenceError.
+    On axis, 2 pi (P/z) exp(-r^2/w^2) r / N(z) over r < 8 w(z), P the dipole
+    prefactor, integrates to P sqrt(2 pi) w(z)/z times 1 - e^-64, which is 1
+    in float64; the ratio to the analytic limit is sqrt(1 + (z0/z)^2).
+    "exact" uses ``scipy.integrate.dblquad`` and raises ConvergenceError if
+    its error estimate exceeds ``rel_tol * |value|``.
     """
     if z <= 0.0:
         raise ValueError(f"evaluation plane must be at z > 0, got {z}")
     mode = GaussianMode(waist, wavelength)
-    r_max = TRUNCATION_WIDTHS * mode.width(z)
 
     if dipole_weighting == "on_axis":
-        axial = DIPOLE_PREFACTOR / z
-
-        def integrand(r):
-            return 2.0 * math.pi * axial * mode.field(r, z) * r
-
-        value = _gauss_legendre_integral(integrand, 0.0, r_max, GAUSS_LEGENDRE_NODES)
-        check = _gauss_legendre_integral(integrand, 0.0, r_max,
-                                         GAUSS_LEGENDRE_CHECK_NODES)
-        abserr = abs(value - check)
-    elif dipole_weighting == "exact":
-        from scipy import integrate
-
-        def integrand(r, phi):
-            dist_sq = r ** 2 + z ** 2
-            # dipole axis lies in the plane transverse to the cavity at phi=0
-            cos_latitude = np.sqrt(1.0 - (r * np.cos(phi)) ** 2 / dist_sq)
-            return (DIPOLE_PREFACTOR * cos_latitude / np.sqrt(dist_sq)
-                    * mode.field(r, z) * r)
-
-        value, abserr = integrate.dblquad(integrand, 0.0, 2.0 * math.pi,
-                                          0.0, r_max,
-                                          epsabs=0.0, epsrel=rel_tol * 1e-1)
-    else:
+        return DIPOLE_PREFACTOR * math.sqrt(2.0 * math.pi) * mode.width(z) / z
+    if dipole_weighting != "exact":
         raise ValueError(f"unknown dipole weighting {dipole_weighting!r}")
 
+    from scipy import integrate
+
+    def integrand(r, phi):
+        dist_sq = r ** 2 + z ** 2
+        # dipole axis lies in the plane transverse to the cavity at phi=0
+        cos_latitude = math.sqrt(1.0 - (r * math.cos(phi)) ** 2 / dist_sq)
+        return (DIPOLE_PREFACTOR * cos_latitude / math.sqrt(dist_sq)
+                * mode.field(r, z) * r)
+
+    value, abserr = integrate.dblquad(integrand, 0.0, 2.0 * math.pi,
+                                      0.0, TRUNCATION_WIDTHS * mode.width(z),
+                                      epsabs=0.0, epsrel=rel_tol * 1e-1)
     if abserr > rel_tol * max(abs(value), 1e-300):
         raise ConvergenceError("dipole/cavity overlap", abserr)
     return value
@@ -209,6 +171,8 @@ def purcell_ratio(finesse: float, wavelength: float, waist: float) -> float:
     """
     if finesse <= 0.0:
         raise ValueError(f"finesse must be positive, got {finesse}")
+    if wavelength <= 0.0 or waist <= 0.0:
+        raise ValueError(f"wavelength and waist must be positive, got {wavelength}, {waist}")
     return 6.0 / math.pi ** 2 * (wavelength / waist) ** 2 * finesse / math.pi
 
 

@@ -35,9 +35,8 @@ broadening or narrowing.
 The spectral overlap is that convolution on resonance, pi * hwhm times a
 Voigt profile at zero detuning, in closed form through the scaled
 complementary error function erfcx. ``spectral_overlap`` imports
-``scipy.special`` for it inside the function, because importing scipy
-costs several times the whole closed-form report path: ``import cavray``
-and ``cavray scan`` load numpy alone.
+``scipy.special`` inside itself, so ``cavray scan`` loads numpy alone;
+``import cavray`` loads this module only when one of its names is used.
 """
 
 from __future__ import annotations

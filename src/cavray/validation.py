@@ -207,10 +207,15 @@ def check_overlap_far_field(rng: np.random.Generator) -> CheckResult:
     far = overlap.overlap_eta_numeric(wavelength, waist, 1e4 * z0)
     residual_near = abs(near - analytic) / analytic
     residual_far = abs(far - analytic) / analytic
-    passed = residual_near <= 1e-3 and residual_far <= 1e-5
-    return CheckResult("overlap quadrature far-field convergence", passed,
-                       f"residual {residual_near:.3e} at 100 z0, "
-                       f"{residual_far:.3e} at 1e4 z0")
+    # the closed form of the on-axis integral against its quadrature
+    quadrature = _worst(*(abs(value - oracle) / oracle for value, oracle in (
+        (near, _on_axis_overlap_quadrature(wavelength, waist, 100.0 * z0)),
+        (far, _on_axis_overlap_quadrature(wavelength, waist, 1e4 * z0)))))
+    passed = residual_near <= 1e-3 and residual_far <= 1e-5 and quadrature <= 1e-12
+    detail = f"residual {residual_near:.3e} at 100 z0, {residual_far:.3e} at 1e4 z0"
+    if not quadrature <= 1e-12:
+        detail += f"; closed form off its quadrature by {quadrature:.3e} (tolerance 1.0e-12)"
+    return CheckResult("overlap quadrature far-field convergence", passed, detail)
 
 
 def check_overlap_monotone(rng: np.random.Generator) -> CheckResult:
@@ -275,6 +280,16 @@ def _overlap_quadrature(observed_fwhm: float, linewidth: float) -> float:
     breakpoints = sorted({-8.0 * sigma, -8.0 * hwhm, 0.0, 8.0 * hwhm, 8.0 * sigma})
     value, _ = integrate.quad(integrand, -window, window, points=breakpoints,
                               limit=400, epsabs=0.0, epsrel=1e-10)
+    return value
+
+
+def _on_axis_overlap_quadrature(wavelength: float, waist: float, z: float) -> float:
+    """The on-axis overlap integral on the plane at z by adaptive quadrature."""
+    mode = overlap.GaussianMode(waist, wavelength)
+    axial = overlap.DIPOLE_PREFACTOR / z
+    value, _ = integrate.quad(lambda r: 2.0 * math.pi * axial * mode.field(r, z) * r,
+                              0.0, overlap.TRUNCATION_WIDTHS * mode.width(z),
+                              epsabs=0.0, epsrel=1e-13)
     return value
 
 

@@ -7,7 +7,7 @@ import pytest
 from cavray import (ConfigError, GasSpecies, ScenarioConfig,
                     atomic_units_to_cubic_angstrom, builtin_species,
                     load_species_table)
-from cavray.config import parse_config, require
+from cavray.config import numeric, parse_config, require
 from cavray.gases import SPECIES_DB_ENV
 
 
@@ -157,6 +157,16 @@ class TestConfigParser:
     def test_require_names_missing_key(self):
         with pytest.raises(ConfigError, match="gas.pressure"):
             require({}, "gas.pressure")
+
+    def test_numeric_reads_a_float_or_its_default(self):
+        values = {"gas.pressure": 1e4, "gas.species": "Xe"}
+        assert numeric(values, "gas.pressure") == 1e4
+        assert numeric(values, "gas.temperature", default=295.0) == 295.0
+        assert numeric(values, "cavity.waist", default=None) is None
+        with pytest.raises(ConfigError, match="missing required key 'scan.range'"):
+            numeric(values, "scan.range")
+        with pytest.raises(ConfigError, match="'gas.species' needs a number, got 'Xe'"):
+            numeric(values, "gas.species", default=1.0)
 
 
 class TestScenarioFromFile:

@@ -13,11 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavray import (ConvergenceError, cavity_mode_fraction, cavity_power_budget, dipole_mode_power,
+from cavray import (cavity_mode_fraction, cavity_power_budget, dipole_mode_power,
                     dipole_normalization, gaussian_normalization,
                     overlap_eta_analytic, overlap_eta_numeric, purcell_factor,
                     purcell_ratio)
-from cavray.overlap import DIPOLE_PREFACTOR, TRUNCATION_WIDTHS, GaussianMode
+from cavray.overlap import DIPOLE_PREFACTOR, GaussianMode
 
 WAVELENGTH = 532e-9
 WAIST = 45e-6
@@ -105,25 +105,19 @@ class TestOverlapNumeric:
         assert abs(exact - on_axis) / on_axis < width_ratio ** 2
 
     def test_gauss_legendre_matches_adaptive_quadrature(self):
-        integrate = pytest.importorskip("scipy.integrate")
+        """The on-axis closed form against ``quad`` of its integrand, at 1e-12.
+
+        The name is that of the Gauss-Legendre rule the closed form replaced.
+        """
+        validation = pytest.importorskip("cavray.validation")
         rng = np.random.default_rng(20090427)
         for _ in range(200):
             wavelength = rng.uniform(500e-9, 560e-9)
             waist = rng.uniform(30e-6, 60e-6)
-            mode = GaussianMode(waist, wavelength)
-            z = rng.uniform(10.0, 1e4) * mode.rayleigh_length
-            axial = DIPOLE_PREFACTOR / z
-            oracle, _ = integrate.quad(
-                lambda r: 2.0 * math.pi * axial * mode.field(r, z) * r,
-                0.0, TRUNCATION_WIDTHS * mode.width(z), epsabs=0.0, epsrel=1e-13)
+            z = rng.uniform(10.0, 1e4) * GaussianMode(waist, wavelength).rayleigh_length
+            oracle = validation._on_axis_overlap_quadrature(wavelength, waist, z)
             value = overlap_eta_numeric(wavelength, waist, z)
             assert abs(value - oracle) <= 1e-12 * oracle
-
-    def test_tolerance_below_rule_estimate_raises(self):
-        z = 100.0 * GaussianMode(WAIST, WAVELENGTH).rayleigh_length
-        overlap_eta_numeric(WAVELENGTH, WAIST, z, rel_tol=1e-13)
-        with pytest.raises(ConvergenceError, match="overlap"):
-            overlap_eta_numeric(WAVELENGTH, WAIST, z, rel_tol=1e-17)
 
     def test_rejects_nonpositive_plane(self):
         with pytest.raises(ValueError):
@@ -183,6 +177,12 @@ class TestPurcell:
     def test_unit_ratio_crossover(self):
         finesse = math.pi ** 3 * WAIST ** 2 / (6.0 * WAVELENGTH ** 2)
         assert purcell_ratio(finesse, WAVELENGTH, WAIST) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("wavelength, waist", [(WAVELENGTH, 0.0), (WAVELENGTH, -5e-6),
+                                                   (0.0, WAIST), (-WAVELENGTH, WAIST)])
+    def test_ratio_rejects_nonpositive_lengths(self, wavelength, waist):
+        with pytest.raises(ValueError, match="wavelength and waist must be positive"):
+            purcell_ratio(1000.0, wavelength, waist)
 
     def test_factor_halves_with_doubled_volume(self):
         base = purcell_factor(1e7, WAVELENGTH, 9e-12)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from cavray import optics, validation
+from cavray import optics, overlap, validation
 
 
 def test_nan_residual_fails_its_check(monkeypatch):
@@ -13,6 +13,16 @@ def test_nan_residual_fails_its_check(monkeypatch):
     result = validation.check_abcd_waist(np.random.default_rng(0), n_draws=5)
     assert not result.passed
     assert "nan" in result.detail
+
+
+def test_overlap_check_holds_the_closed_form_to_its_quadrature(monkeypatch):
+    # 1e-10 off is far inside the far-field bounds, far outside the 1e-12
+    closed_form = overlap.overlap_eta_numeric
+    monkeypatch.setattr(overlap, "overlap_eta_numeric",
+                        lambda *args: closed_form(*args) * (1.0 + 1e-10))
+    result = validation.check_overlap_far_field(np.random.default_rng(0))
+    assert not result.passed
+    assert "off its quadrature by 1.0" in result.detail
 
 
 def test_worst_keeps_nan_in_any_position():
