@@ -108,6 +108,9 @@ def cmd_overlap(args) -> int:
     if waist is None:
         waist = derive_cavity_params(cavity_geometry(values, args.config), wavelength).waist
     plane_factor = numeric(values, "overlap.plane_factor", args.config, 100.0)
+    if plane_factor <= 0.0:
+        raise ConfigError(args.config, None,
+                          f"overlap.plane_factor must be positive, got {plane_factor}")
     z = plane_factor * GaussianMode(waist, wavelength).rayleigh_length
     analytic = overlap_eta_analytic(wavelength, waist)
     on_plane = overlap_eta_numeric(wavelength, waist, z)

@@ -112,10 +112,12 @@ class ScenarioConfig:
                 finesse=numeric(values, "anchor.finesse", path),
                 spectral_overlap=numeric(values, "anchor.spectral_overlap", path),
             )
+        cavity_waist = numeric(values, "cavity.waist", path, None)
+        if cavity_waist is not None and cavity_waist <= 0.0:
+            raise ConfigError(path, None, f"cavity.waist must be positive, got {cavity_waist}")
         return cls(cavity=cavity_geometry(values, path), gas=gas,
                    pressure=numeric(values, "gas.pressure", path),
-                   pump=pump, anchor=anchor,
-                   cavity_waist=numeric(values, "cavity.waist", path, None))
+                   pump=pump, anchor=anchor, cavity_waist=cavity_waist)
 
 
 def photon_rate(power: float, wavelength: float) -> float:

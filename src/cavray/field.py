@@ -11,6 +11,7 @@ between the two cancels in every reported ratio and is set to 1.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Literal
@@ -82,10 +83,23 @@ def roundtrip_field_sum(cfg: ScatterConfig, r1: float, r2: float,
 
     Serves as the summation cross-check for the closed form; the truncation
     error is bounded by |r1*r2|**n / (1 - |r1*r2|) in source-term units.
+    The recursion itself, ``_iterate_roundtrips``, takes numpy arrays of
+    sources and feedbacks as well as complex scalars, so an oracle can sum
+    many scatterers at once with this same code.
     """
     if n_roundtrips < 0:
         raise ValueError(f"n_roundtrips must be >= 0, got {n_roundtrips}")
     source, feedback = _source_and_feedback(cfg, r1, r2, mirror_separation)
+    return _iterate_roundtrips(source, feedback, n_roundtrips)
+
+
+def _iterate_roundtrips(source, feedback, n_roundtrips: int):
+    """field = source + feedback * field, n times from field = source.
+
+    Elementwise on arrays, so each element takes the scalar recursion's
+    steps; numpy may fuse the complex product's multiply-adds, which moves
+    a sum by a few ulp against the one on Python complex numbers.
+    """
     field = source
     for _ in range(n_roundtrips):
         field = source + feedback * field
@@ -116,20 +130,30 @@ def position_averaged_intensity_numeric(amplitude: float, pump_field: float,
     Quadrature cross-check for the closed-form position average; with the
     cavity on resonance the midpoint rule over full phase periods is exact
     to machine precision for any n_points >= 4.
+
+    The midpoints dz_i = ((i + 1/2)/n - 1/2) * lambda span one wavelength,
+    so the displacement phase 2*k*dz_i = 4*pi*(i + 1/2)/n - 2*pi is the
+    same for every k: the samples of exp(2i*k*dz) are one grid on the unit
+    circle per n_points, computed once (``_displacement_phases``).
     """
     import numpy as np
 
     _check_feedback(r1, r2)
-    wavelength = 2.0 * math.pi / wavenumber
-    # midpoint samples of dz over [-lambda/2, lambda/2]
-    dz = (np.arange(n_points) + 0.5) / n_points * wavelength - wavelength / 2.0
-    source = amplitude * pump_field
-    numerator = 1.0 + r1 * np.exp(1j * wavenumber * mirror_separation) * np.exp(
-        2j * wavenumber * dz
-    )
-    denominator = 1.0 - r1 * r2 * np.exp(2j * wavenumber * mirror_separation)
-    field = source * numerator / denominator
-    return float(np.mean(np.abs(field) ** 2))
+    numerator = 1.0 + r1 * cmath.exp(1j * wavenumber * mirror_separation) * (
+        _displacement_phases(n_points))
+    denominator = 1.0 - r1 * r2 * cmath.exp(2j * wavenumber * mirror_separation)
+    field = (amplitude * pump_field / denominator) * numerator
+    return float(np.mean(field.real ** 2 + field.imag ** 2))
+
+
+@functools.lru_cache(maxsize=4)
+def _displacement_phases(n_points: int):
+    """exp(4*pi*i*(j + 1/2)/n) for j < n, as a read-only array."""
+    import numpy as np
+
+    phases = np.exp(4j * math.pi * ((np.arange(n_points) + 0.5) / n_points))
+    phases.flags.writeable = False
+    return phases
 
 
 def high_finesse_intensity(amplitude: float, pump_intensity: float,

@@ -178,6 +178,24 @@ def test_nonpositive_pump_waist_names_its_key(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("waist", ["0", "-5"])
+def test_nonpositive_cavity_waist_names_its_key(capsys, tmp_path, waist):
+    cfg = write_demo_variant(tmp_path, **{"cavity.waist_um": waist})
+    code, out, err = run_cli(capsys, "forecast", "--config", str(cfg), "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert "cavity.waist must be positive" in err
+
+
+@pytest.mark.parametrize("factor", ["0", "-3"])
+def test_nonpositive_overlap_plane_factor_names_its_key(capsys, tmp_path, factor):
+    cfg = write_demo_variant(tmp_path, **{"overlap.plane_factor": factor})
+    code, out, err = run_cli(capsys, "overlap", "--config", str(cfg), "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert "overlap.plane_factor must be positive" in err
+
+
+@pytest.mark.parametrize("waist", ["0", "-5"])
 def test_nonpositive_purcell_waist_names_its_key(capsys, tmp_path, waist):
     cfg = write_demo_variant(tmp_path, **{"purcell.waist_um": waist})
     code, out, err = run_cli(capsys, "purcell", "--config", str(cfg), "--format", "json")

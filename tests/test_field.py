@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavray import (ScatterConfig, cavity_power_budget, high_finesse_intensity,
+from cavray import (ScatterConfig, cavity_power_budget, field, high_finesse_intensity,
                     intracavity_field, position_averaged_intensity,
                     position_averaged_intensity_numeric, roundtrip_field_sum,
                     transmitted_power)
@@ -131,6 +131,17 @@ class TestPositionAveragedIntensity:
                 1e-3, 2.0, K, r1, r2, RESONANT_D, n_points=10_000
             )
             assert abs(numeric - closed) / closed < 1e-6
+
+    def test_phase_grid_is_the_same_for_every_wavenumber(self):
+        # exp(2i k dz) at the midpoints of one wavelength, k by k
+        rng = np.random.default_rng(11)
+        n = 10_000
+        grid = field._displacement_phases(n)
+        assert not grid.flags.writeable
+        for k in rng.uniform(1e6, 2e7, size=20):
+            wavelength = 2.0 * math.pi / k
+            dz = (np.arange(n) + 0.5) / n * wavelength - wavelength / 2.0
+            assert np.max(np.abs(grid - np.exp(2j * k * dz))) <= 1e-14
 
 
 class TestHighFinesseIntensity:

@@ -1,10 +1,87 @@
-"""The oracle suite's own bookkeeping: NaN residuals and degenerate draws."""
+"""The oracle suite: every check passes, its draws are fixed, and its
+bookkeeping handles NaN residuals and degenerate draws."""
 
 import math
+import tracemalloc
 
 import numpy as np
+import pytest
 
-from cavray import optics, overlap, validation
+from cavray import field, optics, overlap, validation
+
+
+@pytest.mark.parametrize("seed", [0, 20260])
+@pytest.mark.parametrize("check", validation.ALL_CHECKS,
+                         ids=[check.__name__ for check in validation.ALL_CHECKS])
+def test_check_passes(check, seed):
+    result = check(np.random.default_rng(seed))
+    assert result.passed, result.detail
+
+
+def roundtrip_draws(rng, n_draws=200):
+    """The draws of the round-trip check, one scalar draw at a time, in order."""
+    draws = []
+    for _ in range(n_draws):
+        r1 = rng.uniform(0.0, 0.999)
+        r2 = rng.uniform(0.0, min(0.997 / max(r1, 1e-12), 0.999))
+        cfg = field.ScatterConfig(
+            amplitude=rng.uniform(1e-6, 1e-3),
+            pump_field=rng.uniform(0.1, 10.0),
+            wavenumber=rng.uniform(1e6, 2e7),
+            displacement=rng.uniform(-1e-7, 1e-7),
+        )
+        draws.append((cfg, r1, r2, rng.uniform(1e-3, 1e-2)))
+    return draws
+
+
+def field_average_draws(rng, n_draws=200):
+    """The draws of the field-average check, one scalar draw at a time, in order."""
+    for _ in range(n_draws):
+        for low, high in [(0.0, 0.999), (0.0, 0.999), (1e-6, 1e-3), (0.1, 10.0),
+                          (1e6, 2e7)]:
+            rng.uniform(low, high)
+        rng.integers(1000, 40000)
+
+
+@pytest.mark.parametrize("check, replay", [
+    (validation.check_field_closed_form_vs_roundtrip, roundtrip_draws),
+    (validation.check_field_average_quadrature, field_average_draws),
+])
+@pytest.mark.parametrize("seed", [0, 20260])
+def test_check_consumes_the_scalar_draw_sequence(check, replay, seed):
+    # the generator stream that every later check of run_all draws from
+    checked, replayed = np.random.default_rng(seed), np.random.default_rng(seed)
+    check(checked)
+    replay(replayed)
+    assert checked.bit_generator.state == replayed.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", [0, 20260])
+def test_array_recursion_matches_the_scalar_sum_per_draw(seed):
+    draws = roundtrip_draws(np.random.default_rng(seed))
+    pairs = [field._source_and_feedback(cfg, r1, r2, d) for cfg, r1, r2, d in draws]
+    sources, feedbacks = (np.array(column) for column in zip(*pairs))
+    summed = field._iterate_roundtrips(sources, feedbacks, 10_000)
+    scalar = np.array([field.roundtrip_field_sum(cfg, r1, r2, d, 10_000)
+                       for cfg, r1, r2, d in draws])
+    assert np.max(np.abs(summed - scalar) / np.abs(scalar)) <= 1e-15
+    # and the check reports the residual of exactly these draws
+    exact = np.array([field.intracavity_field(*draw) for draw in draws])
+    worst = np.max(np.abs(summed - exact) / np.abs(exact))
+    result = validation.check_field_closed_form_vs_roundtrip(np.random.default_rng(seed))
+    assert result.detail.startswith(f"residual {worst:.3e} ")
+
+
+def test_run_all_stays_within_its_memory_budget():
+    # the oracles hold one draw's samples at a time; a draws x samples
+    # array would raise the peak well beyond this
+    tracemalloc.start()
+    try:
+        validation.run_all(0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * 2 ** 20
 
 
 def test_nan_residual_fails_its_check(monkeypatch):
