@@ -13,7 +13,7 @@ import math
 import sys
 from pathlib import Path
 
-from .config import numeric, parse_config, require
+from .config import numeric, parse_config, positive, require
 from .errors import ConfigError, ConvergenceError
 from .experiment import (ScenarioConfig, build_enhancement_report, cavity_geometry,
                          ultracold_forecast, ultracold_target_species)
@@ -52,7 +52,7 @@ def _emit(args, stem: str, schema: str, fields: list[tuple[str, float]]) -> None
 
 def cmd_cavity(args) -> int:
     values = parse_config(args.config)
-    wavelength = numeric(values, "pump.wavelength", args.config)
+    wavelength = positive(values, "pump.wavelength", args.config)
     params = derive_cavity_params(cavity_geometry(values, args.config), wavelength)
     fields = [
         ("finesse", params.finesse),
@@ -73,9 +73,9 @@ def cmd_scan(args) -> int:
     from .spectra import scan_spectrum
 
     values = parse_config(args.config)
-    wavelength = numeric(values, "pump.wavelength", args.config)
+    wavelength = positive(values, "pump.wavelength", args.config)
     params = derive_cavity_params(cavity_geometry(values, args.config), wavelength)
-    table = load_species_table(temperature=numeric(
+    table = load_species_table(temperature=positive(
         values, "gas.temperature", args.config, DEFAULT_TEMPERATURE))
     names = str(require(values, "scan.species", args.config)).split(",")
     weights = []
@@ -86,8 +86,8 @@ def cmd_scan(args) -> int:
         weights.append((table[name], numeric(values, f"scan.weight{i}", args.config, 1.0)))
     trace = scan_spectrum(
         params, weights,
-        scan_range=numeric(values, "scan.range", args.config),
-        resolution=numeric(values, "scan.resolution", args.config),
+        scan_range=positive(values, "scan.range", args.config),
+        resolution=positive(values, "scan.resolution", args.config),
         wavelength=wavelength,
         normalize=bool(numeric(values, "scan.normalize", args.config, 1.0)),
     )
@@ -103,14 +103,11 @@ def cmd_scan(args) -> int:
 
 def cmd_overlap(args) -> int:
     values = parse_config(args.config)
-    wavelength = numeric(values, "pump.wavelength", args.config)
-    waist = numeric(values, "overlap.waist", args.config, None)
+    wavelength = positive(values, "pump.wavelength", args.config)
+    waist = positive(values, "overlap.waist", args.config, None)
     if waist is None:
         waist = derive_cavity_params(cavity_geometry(values, args.config), wavelength).waist
-    plane_factor = numeric(values, "overlap.plane_factor", args.config, 100.0)
-    if plane_factor <= 0.0:
-        raise ConfigError(args.config, None,
-                          f"overlap.plane_factor must be positive, got {plane_factor}")
+    plane_factor = positive(values, "overlap.plane_factor", args.config, 100.0)
     z = plane_factor * GaussianMode(waist, wavelength).rayleigh_length
     analytic = overlap_eta_analytic(wavelength, waist)
     on_plane = overlap_eta_numeric(wavelength, waist, z)
@@ -133,7 +130,7 @@ def cmd_enhance(args) -> int:
     while f"enhance.pairing{index}.finesse" in values:
         prefix = f"enhance.pairing{index}"
         right = MirrorSpec(numeric(values, f"{prefix}.right_reflectivity", args.config))
-        pairings.append((numeric(values, f"{prefix}.finesse", args.config), left, right))
+        pairings.append((positive(values, f"{prefix}.finesse", args.config), left, right))
         measured.append(numeric(values, f"{prefix}.measured_power", args.config))
         overlaps.append(numeric(values, f"{prefix}.spectral_overlap", args.config))
         index += 1
@@ -153,13 +150,10 @@ def cmd_enhance(args) -> int:
 def cmd_purcell(args) -> int:
     values = parse_config(args.config)
     geometry = cavity_geometry(values, args.config)
-    wavelength = numeric(values, "pump.wavelength", args.config)
+    wavelength = positive(values, "pump.wavelength", args.config)
     params = derive_cavity_params(geometry, wavelength)
-    finesse = numeric(values, "purcell.finesse", args.config, params.finesse)
-    waist = numeric(values, "purcell.waist", args.config, params.waist)
-    for key, value in (("purcell.finesse", finesse), ("purcell.waist", waist)):
-        if value <= 0.0:
-            raise ConfigError(args.config, None, f"{key} must be positive, got {value}")
+    finesse = positive(values, "purcell.finesse", args.config, params.finesse)
+    waist = positive(values, "purcell.waist", args.config, params.waist)
     d = geometry.mirror_separation
     from_ratio = purcell_ratio(finesse, wavelength, waist)
     from_qv = purcell_factor(2.0 * d * finesse / wavelength,
@@ -178,7 +172,7 @@ def cmd_purcell(args) -> int:
 def cmd_forecast(args) -> int:
     values = parse_config(args.config)
     scenario = ScenarioConfig.from_values(values, args.config)
-    factor = numeric(values, "forecast.polarizability_factor", args.config, 10.0)
+    factor = positive(values, "forecast.polarizability_factor", args.config, 10.0)
     target = ultracold_target_species(scenario.gas, factor)
     report = ultracold_forecast(
         scenario, target,
@@ -191,8 +185,7 @@ def cmd_forecast(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    # the oracle suite imports numpy and scipy; keep them off the other
-    # subcommands' path
+    # the oracle suite imports numpy; keep it off the report subcommands' path
     from . import validation
 
     results = validation.run_all(seed=args.seed)

@@ -113,3 +113,13 @@ def numeric(values: dict[str, float | str], key: str,
     if isinstance(value, str):
         raise ConfigError(path, None, f"key {key!r} needs a number, got {value!r}")
     return float(value)
+
+
+def positive(values: dict[str, float | str], key: str,
+             path: str | os.PathLike = "<config>", default=_REQUIRED):
+    """A numeric key as with ``numeric`` that must be > 0 when present;
+    a ConfigError names the key otherwise."""
+    value = numeric(values, key, path, default)
+    if key in values and not value > 0.0:
+        raise ConfigError(path, None, f"{key} must be positive, got {value}")
+    return value

@@ -14,7 +14,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Sequence
 
-from .config import numeric, parse_config, require
+from .config import numeric, parse_config, positive, require
 from .constants import PLANCK, SPEED_OF_LIGHT
 from .errors import ConfigError
 from .gases import GasSpecies, load_species_table
@@ -53,8 +53,8 @@ def cavity_geometry(values: Mapping[str, float | str],
                     path: str | os.PathLike = "<config>") -> CavityGeometry:
     """The ``cavity.*`` geometry of a parsed config."""
     return CavityGeometry(
-        mirror_separation=numeric(values, "cavity.separation", path),
-        radius_of_curvature=numeric(values, "cavity.curvature", path),
+        mirror_separation=positive(values, "cavity.separation", path),
+        radius_of_curvature=positive(values, "cavity.curvature", path),
         left_mirror=MirrorSpec(numeric(values, "cavity.left_reflectivity", path)),
         right_mirror=MirrorSpec(numeric(values, "cavity.right_reflectivity", path)),
     )
@@ -98,11 +98,11 @@ class ScenarioConfig:
             raise ConfigError(path, None, f"unknown species {name!r}; table has: "
                               + ", ".join(sorted(species_table)))
         gas = species_table[name]
-        temperature = numeric(values, "gas.temperature", path, None)
+        temperature = positive(values, "gas.temperature", path, None)
         if temperature is not None:
             gas = GasSpecies(gas.name, gas.molar_mass, gas.polarizability, temperature)
         pump = PumpBeam(
-            wavelength=numeric(values, "pump.wavelength", path),
+            wavelength=positive(values, "pump.wavelength", path),
             waist=numeric(values, "pump.waist", path),
         )
         anchor = None
@@ -112,9 +112,7 @@ class ScenarioConfig:
                 finesse=numeric(values, "anchor.finesse", path),
                 spectral_overlap=numeric(values, "anchor.spectral_overlap", path),
             )
-        cavity_waist = numeric(values, "cavity.waist", path, None)
-        if cavity_waist is not None and cavity_waist <= 0.0:
-            raise ConfigError(path, None, f"cavity.waist must be positive, got {cavity_waist}")
+        cavity_waist = positive(values, "cavity.waist", path, None)
         return cls(cavity=cavity_geometry(values, path), gas=gas,
                    pressure=numeric(values, "gas.pressure", path),
                    pump=pump, anchor=anchor, cavity_waist=cavity_waist)
@@ -362,9 +360,9 @@ def ultracold_forecast(anchor: ScenarioConfig, target: GasSpecies,
     if anchor.anchor is None:
         raise ValueError("anchor scenario has no measured power to scale from")
     if n_molecules < 0.0:
-        raise ValueError(f"molecule number must be nonnegative, got {n_molecules}")
+        raise ValueError(f"forecast.n_molecules must be nonnegative, got {n_molecules}")
     if target_finesse <= 0.0:
-        raise ValueError(f"target finesse must be positive, got {target_finesse}")
+        raise ValueError(f"forecast.target_finesse must be positive, got {target_finesse}")
     if anchor.pressure <= 0.0:
         # no particles would carry the anchor signal
         raise ValueError(f"gas.pressure must be positive for a forecast, "

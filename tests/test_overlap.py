@@ -105,10 +105,8 @@ class TestOverlapNumeric:
         assert abs(exact - on_axis) / on_axis < width_ratio ** 2
 
     def test_gauss_legendre_matches_adaptive_quadrature(self):
-        """The on-axis closed form against ``quad`` of its integrand, at 1e-12.
-
-        The name is that of the Gauss-Legendre rule the closed form replaced.
-        """
+        """The on-axis closed form against the Gauss-Legendre quadrature of
+        its integrand, at 1e-12."""
         validation = pytest.importorskip("cavray.validation")
         rng = np.random.default_rng(20090427)
         for _ in range(200):

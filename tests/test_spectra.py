@@ -20,7 +20,7 @@ from cavray import (CavityGeometry, GasSpecies, MirrorSpec, SpectralProfile,
                     derive_cavity_params, doppler_fwhm, doppler_fwhm_monte_carlo,
                     load_species_table, polarization_signal, scan_spectrum,
                     species_ratio, spectral_overlap, validation)
-from cavray.spectra import MAX_SCAN_POINTS, OBSERVED_WIDTH_FACTOR
+from cavray.spectra import MAX_SCAN_POINTS, OBSERVED_WIDTH_FACTOR, _erfcx
 
 WAVELENGTH = 532e-9
 
@@ -150,6 +150,14 @@ class TestSpectralOverlap:
     def test_rejects_nonpositive_linewidth(self, xe_profile):
         with pytest.raises(ValueError):
             spectral_overlap(xe_profile, 0.0)
+
+    def test_erfcx_matches_scipy(self):
+        special = pytest.importorskip("scipy.special")
+        # both branches, the switch at x = 2 and far into the asymptote
+        x = np.concatenate((np.linspace(0.0, 30.0, 30_001), np.linspace(1.99, 2.01, 2001),
+                            np.logspace(-8.0, 8.0, 16_001)))
+        ours = np.array([_erfcx(v) for v in x.tolist()])
+        assert np.max(np.abs(ours - special.erfcx(x)) / special.erfcx(x)) <= 2e-15
 
 
 class TestScanSpectrum:

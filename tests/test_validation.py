@@ -43,9 +43,16 @@ def field_average_draws(rng, n_draws=200):
         rng.integers(1000, 40000)
 
 
+def purcell_draws(rng, n_draws=1000):
+    """The draws of the Purcell check, one scalar draw at a time, in order."""
+    return [(rng.uniform(1.0, 1e6), rng.uniform(200e-9, 2000e-9),
+             rng.uniform(5e-6, 5e-4), rng.uniform(1e-3, 1.0)) for _ in range(n_draws)]
+
+
 @pytest.mark.parametrize("check, replay", [
     (validation.check_field_closed_form_vs_roundtrip, roundtrip_draws),
     (validation.check_field_average_quadrature, field_average_draws),
+    (validation.check_purcell_equivalence, purcell_draws),
 ])
 @pytest.mark.parametrize("seed", [0, 20260])
 def test_check_consumes_the_scalar_draw_sequence(check, replay, seed):
@@ -69,6 +76,22 @@ def test_array_recursion_matches_the_scalar_sum_per_draw(seed):
     exact = np.array([field.intracavity_field(*draw) for draw in draws])
     worst = np.max(np.abs(summed - exact) / np.abs(exact))
     result = validation.check_field_closed_form_vs_roundtrip(np.random.default_rng(seed))
+    assert result.detail.startswith(f"residual {worst:.3e} ")
+
+
+@pytest.mark.parametrize("seed", [0, 20260])
+def test_purcell_check_reports_the_residual_of_the_scalar_draws(seed):
+    # the (n, 4) array holds the scalar draws exactly, row by row
+    rng = np.random.default_rng(seed)
+    rows = rng.uniform((1.0, 200e-9, 5e-6, 1e-3), (1e6, 2000e-9, 5e-4, 1.0), size=(1000, 4))
+    assert [tuple(row) for row in rows.tolist()] == purcell_draws(np.random.default_rng(seed))
+    worst = 0.0
+    for f, wavelength, waist, d in purcell_draws(np.random.default_rng(seed)):
+        a = overlap.purcell_factor(2.0 * d * f / wavelength, wavelength,
+                                   math.pi * waist ** 2 * d / 4.0)
+        b = overlap.purcell_ratio(f, wavelength, waist)
+        worst = max(worst, abs(a - b) / b)
+    result = validation.check_purcell_equivalence(np.random.default_rng(seed))
     assert result.detail.startswith(f"residual {worst:.3e} ")
 
 
