@@ -13,7 +13,7 @@ import math
 import sys
 from pathlib import Path
 
-from .config import numeric, parse_config, positive, require
+from .config import numeric, parse_config, positive, reflectivity, require
 from .errors import ConfigError, ConvergenceError
 from .experiment import (ScenarioConfig, build_enhancement_report, cavity_geometry,
                          ultracold_forecast, ultracold_target_species)
@@ -27,14 +27,16 @@ from .overlap import (GaussianMode, overlap_eta_analytic, overlap_eta_numeric,
 SUFFIXES = {"table": "txt", "csv": "csv", "json": "json"}
 
 
-def _write(args, filename: str, text: str) -> None:
-    """Write ``text`` to ``filename`` in the --out directory, or to stdout."""
+def _write(args, filename: str, *texts: str) -> None:
+    """Write ``texts`` one after another to ``filename`` in the --out
+    directory, or to stdout."""
     if args.out:
         path = Path(args.out) / filename
-        path.write_text(text, encoding="utf-8")
+        with path.open("w", encoding="utf-8") as stream:
+            stream.writelines(texts)
         print(f"wrote {path}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(texts)
 
 
 def _emit(args, stem: str, schema: str, fields: list[tuple[str, float]]) -> None:
@@ -83,7 +85,11 @@ def cmd_scan(args) -> int:
         name = name.strip()
         if name not in table:
             raise ConfigError(args.config, None, f"unknown species {name!r}")
-        weights.append((table[name], numeric(values, f"scan.weight{i}", args.config, 1.0)))
+        key = f"scan.weight{i}"
+        weight = numeric(values, key, args.config, 1.0)
+        if not weight >= 0.0:
+            raise ConfigError(args.config, None, f"{key} must be nonnegative, got {weight}")
+        weights.append((table[name], weight))
     trace = scan_spectrum(
         params, weights,
         scan_range=positive(values, "scan.range", args.config),
@@ -92,12 +98,12 @@ def cmd_scan(args) -> int:
         normalize=bool(numeric(values, "scan.normalize", args.config, 1.0)),
     )
     if args.format == "json":
-        text = trace.to_json() + "\n"
+        texts = (trace.to_json(), "\n")
     else:
         buffer = io.StringIO()
         trace.to_csv(buffer)
-        text = buffer.getvalue()
-    _write(args, f"scan_{trace.species.replace('+', '_')}.{args.format}", text)
+        texts = (buffer.getvalue(),)
+    _write(args, f"scan_{trace.species.replace('+', '_')}.{args.format}", *texts)
     return 0
 
 
@@ -124,12 +130,12 @@ def cmd_overlap(args) -> int:
 
 def cmd_enhance(args) -> int:
     values = parse_config(args.config)
-    left = MirrorSpec(numeric(values, "enhance.left_reflectivity", args.config))
+    left = MirrorSpec(reflectivity(values, "enhance.left_reflectivity", args.config))
     pairings, measured, overlaps = [], [], []
     index = 1
     while f"enhance.pairing{index}.finesse" in values:
         prefix = f"enhance.pairing{index}"
-        right = MirrorSpec(numeric(values, f"{prefix}.right_reflectivity", args.config))
+        right = MirrorSpec(reflectivity(values, f"{prefix}.right_reflectivity", args.config))
         pairings.append((positive(values, f"{prefix}.finesse", args.config), left, right))
         measured.append(numeric(values, f"{prefix}.measured_power", args.config))
         overlaps.append(numeric(values, f"{prefix}.spectral_overlap", args.config))

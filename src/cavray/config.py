@@ -123,3 +123,13 @@ def positive(values: dict[str, float | str], key: str,
     if key in values and not value > 0.0:
         raise ConfigError(path, None, f"{key} must be positive, got {value}")
     return value
+
+
+def reflectivity(values: dict[str, float | str], key: str,
+                 path: str | os.PathLike = "<config>") -> float:
+    """A mandatory intensity reflectivity key as with ``numeric``, which
+    must be in [0, 1); a ConfigError names the key otherwise."""
+    value = numeric(values, key, path)
+    if not 0.0 <= value < 1.0:
+        raise ConfigError(path, None, f"{key} must be in [0, 1), got {value}")
+    return value

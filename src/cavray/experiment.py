@@ -14,7 +14,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Sequence
 
-from .config import numeric, parse_config, positive, require
+from .config import numeric, parse_config, positive, reflectivity, require
 from .constants import PLANCK, SPEED_OF_LIGHT
 from .errors import ConfigError
 from .gases import GasSpecies, load_species_table
@@ -55,8 +55,8 @@ def cavity_geometry(values: Mapping[str, float | str],
     return CavityGeometry(
         mirror_separation=positive(values, "cavity.separation", path),
         radius_of_curvature=positive(values, "cavity.curvature", path),
-        left_mirror=MirrorSpec(numeric(values, "cavity.left_reflectivity", path)),
-        right_mirror=MirrorSpec(numeric(values, "cavity.right_reflectivity", path)),
+        left_mirror=MirrorSpec(reflectivity(values, "cavity.left_reflectivity", path)),
+        right_mirror=MirrorSpec(reflectivity(values, "cavity.right_reflectivity", path)),
     )
 
 

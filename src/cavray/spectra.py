@@ -211,11 +211,11 @@ class SpectrumTrace:
 
     def to_csv(self, stream: io.TextIOBase) -> None:
         stream.write("detuning_Hz,signal_normalized\n")
-        rows = np.column_stack((self.detunings, self.signals))
-        # one %-format per block: a whole-trace format string costs its
-        # own size again in memory
-        for start in range(0, len(rows), _BLOCK):
-            block = rows[start:start + _BLOCK]
+        # one %-format per block: a whole-trace format string or row array
+        # costs its own size again in memory
+        for start in range(0, len(self.detunings), _BLOCK):
+            block = np.column_stack((self.detunings[start:start + _BLOCK],
+                                     self.signals[start:start + _BLOCK]))
             stream.write("%.12g,%.12g\n" * len(block) % tuple(block.ravel().tolist()))
 
     @classmethod
@@ -236,9 +236,12 @@ class SpectrumTrace:
     def to_json(self) -> str:
         """The trace as ``json.dumps(payload, indent=2)`` would write it.
 
-        The two arrays hold each value rounded to 12 significant digits.
-        They are formatted block-wise rather than by the json module,
-        whose indenting encoder runs in Python once per element.
+        The two arrays hold each value rounded to 12 significant digits,
+        as ``repr(float("%.12g" % x))``. ``_json_array`` formats them
+        block-wise with one %.12g pass rather than by the json module,
+        whose indenting encoder runs in Python once per element, and
+        rewrites only the tokens whose repr is laid out otherwise: integers
+        (".0" appended), magnitudes in [1e12, 1e16) and subnormals.
         """
         parts = ["{\n",
                  f'  "schema": {json.dumps(TRACE_SCHEMA)},\n',
@@ -265,18 +268,65 @@ class SpectrumTrace:
                    payload.get("species", ""))
 
 
+# |x| bands of cases (b) and (c) of _json_array; the first edge takes in
+# what rounds up to 1e12
+_EXPONENT_FROM = 9.9999999999e11
+_EXPONENT_TO = 1e16
+_SMALLEST_NORMAL = 2.2250738585072014e-308
+
+
 def _json_array(values: np.ndarray) -> list[str]:
     """Pieces of a JSON array nested one level deep, indent 2, each value
-    rounded to 12 significant digits and written as Python's float repr."""
+    x written as ``repr(float("%.12g" % x))``: rounded to 12 significant
+    digits, then as Python's float repr.
+
+    That repr is the shortest digit string that reads back as the same
+    double. For a normal double it has the digits of ``s = "%.12g" % x``:
+    two different decimals of at most 15 significant digits never round
+    to the same normal double (DBL_DIG = 15), so no shorter string reads
+    back as float(s). Each value is therefore formatted once with %.12g,
+    and repr differs from s in layout only, in three cases:
+
+    (a) s is an integer, written with neither "." nor "e" ("0", "-0",
+        "25000000"), to which repr appends ".0";
+    (b) s is in [1e12, 1e16), which %g writes with an exponent and repr
+        positionally;
+    (c) x is subnormal (or zero), where the DBL_DIG argument fails:
+        "4.94065645841e-324" reads back as the double repr writes "5e-324".
+
+    A mask per block finds a superset of them: the bands of (b) and (c),
+    and for (a) the values within one 12-digit quantum
+    q = 10**(floor(log10|x|) - 11) of an integer (a value that rounds to
+    an integer is within q/2 of one; where log10 rounds across a power of
+    ten, x is a few ulps from that power, which is an integer or rounds to
+    none). Only those tokens are rewritten: as repr(float(s)) in the bands,
+    elsewhere with ".0" appended when s has neither "." nor "e".
+    """
     if not len(values):
         return ["[]"]
+    separator = ",\n    "
     pieces = ["[\n    "]
     for start in range(0, len(values), _BLOCK):
-        block = values[start:start + _BLOCK].tolist()
-        rounded = map(float, ("%.12g " * len(block) % tuple(block)).split())
+        block = values[start:start + _BLOCK]
+        magnitude = np.abs(block)
+        banded = ((magnitude < _SMALLEST_NORMAL)
+                  | ((magnitude >= _EXPONENT_FROM) & (magnitude < _EXPONENT_TO)))
+        with np.errstate(divide="ignore"):
+            quantum = 10.0 ** (np.floor(np.log10(magnitude)) - 11.0)
+        suspects = banded | (np.abs(block - np.rint(block)) <= quantum)
+        args = block.tolist()
+        specs = ["%.12g"] * len(args)
+        for i in np.flatnonzero(suspects).tolist():
+            token = "%.12g" % args[i]
+            if banded[i]:
+                token = repr(float(token))
+            elif "." not in token and "e" not in token:
+                token += ".0"
+            args[i] = token
+            specs[i] = "%s"
         if start:
-            pieces.append(",\n    ")
-        pieces.append(",\n    ".join(map(repr, rounded)))
+            pieces.append(separator)
+        pieces.append(separator.join(specs) % tuple(args))
     pieces.append("\n  ]")
     return pieces
 

@@ -137,6 +137,21 @@ def _scan_csv(capsys, path):
     return out
 
 
+def _expected_scan(path):
+    """``scan_spectrum`` on what ``cavray scan`` reads from the config at
+    ``path``, which gives no ``scan.weight<i>``."""
+    values = parse_config(path)
+    scenario = ScenarioConfig.from_file(path)
+    table = load_species_table(temperature=values["gas.temperature"])
+    wavelength = scenario.pump.wavelength
+    return scan_spectrum(
+        derive_cavity_params(scenario.cavity, wavelength),
+        [(table[name.strip()], 1.0) for name in values["scan.species"].split(",")],
+        scan_range=values["scan.range"], resolution=values["scan.resolution"],
+        wavelength=wavelength, normalize=True,
+    )
+
+
 def test_scan_uses_the_config_temperature(capsys, tmp_path):
     cold_cfg = write_demo_variant(tmp_path, **{"gas.temperature_K": "150.0"})
     warm = np.loadtxt(io.StringIO(_scan_csv(capsys, DEMO)), delimiter=",", skiprows=1)
@@ -146,19 +161,36 @@ def test_scan_uses_the_config_temperature(capsys, tmp_path):
     # samples sit above half the peak
     assert np.count_nonzero(cold[:, 1] > 0.5) < np.count_nonzero(warm[:, 1] > 0.5)
 
-    values = parse_config(cold_cfg)
-    scenario = ScenarioConfig.from_file(cold_cfg)
-    table = load_species_table(temperature=150.0)
-    wavelength = scenario.pump.wavelength
-    expected = scan_spectrum(
-        derive_cavity_params(scenario.cavity, wavelength),
-        [(table[name.strip()], 1.0) for name in values["scan.species"].split(",")],
-        scan_range=values["scan.range"], resolution=values["scan.resolution"],
-        wavelength=wavelength, normalize=True,
-    )
     buffer = io.StringIO()
-    expected.to_csv(buffer)
+    _expected_scan(cold_cfg).to_csv(buffer)
     assert cold_text == buffer.getvalue()
+
+
+def test_scan_on_a_non_integral_grid_matches_per_point_formatting(capsys, tmp_path):
+    # the demo's 25 MHz grid makes every detuning an integer in Hz, the
+    # tokens the JSON writer rewrites; 25.01370137 MHz makes few of them one
+    cfg = write_demo_variant(tmp_path, **{"scan.resolution_MHz": "25.01370137"})
+    trace = _expected_scan(cfg)
+    assert np.count_nonzero(trace.detunings == np.rint(trace.detunings)) < 30
+    pairs = list(zip(trace.detunings.tolist(), trace.signals.tolist()))
+    code, out, err = run_cli(capsys, "scan", "--config", str(cfg), "--format", "csv")
+    assert code == 0, err
+    assert out == "detuning_Hz,signal_normalized\n" + "".join(
+        f"{x:.12g},{y:.12g}\n" for x, y in pairs)
+    code, out, err = run_cli(capsys, "scan", "--config", str(cfg), "--format", "json")
+    assert code == 0, err
+    payload = {
+        "schema": "cavray.spectrum-trace/1",
+        "species": trace.species,
+        "detuning_Hz": [float(f"{x:.12g}") for x, _ in pairs],
+        "signal_normalized": [float(f"{y:.12g}") for _, y in pairs],
+        "cavity": {
+            "finesse": trace.cavity.finesse,
+            "free_spectral_range_Hz": trace.cavity.free_spectral_range,
+            "linewidth_Hz": trace.cavity.linewidth,
+        },
+    }
+    assert out == json.dumps(payload, indent=2) + "\n"
 
 
 def test_forecast_at_zero_pressure_is_a_clean_error(capsys, tmp_path):
@@ -262,6 +294,12 @@ def test_non_numeric_value_names_its_key(capsys, tmp_path, command, key, word):
     ("scan", "scan.range", "-1"),
     ("scan", "scan.resolution", "0"),
     ("enhance", "enhance.pairing2.finesse", "0"),
+    ("cavity", "cavity.left_reflectivity", "1.5"),
+    ("scan", "cavity.right_reflectivity", "-0.1"),
+    ("enhance", "enhance.left_reflectivity", "1"),
+    ("enhance", "enhance.pairing2.right_reflectivity", "1.5"),
+    ("scan", "scan.weight1", "-1"),
+    ("scan", "scan.weight3", "-0.5"),
 ])
 def test_out_of_range_value_names_its_key(capsys, tmp_path, command, key, value):
     code, out, err = run_on_key_variant(capsys, tmp_path, command, key, value)

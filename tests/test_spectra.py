@@ -14,15 +14,28 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cavray import (CavityGeometry, GasSpecies, MirrorSpec, SpectralProfile,
                     SpectrumTrace, at_rest_power, builtin_species,
                     derive_cavity_params, doppler_fwhm, doppler_fwhm_monte_carlo,
                     load_species_table, polarization_signal, scan_spectrum,
                     species_ratio, spectral_overlap, validation)
-from cavray.spectra import MAX_SCAN_POINTS, OBSERVED_WIDTH_FACTOR, _erfcx
+from cavray.spectra import (MAX_SCAN_POINTS, OBSERVED_WIDTH_FACTOR, _erfcx,
+                            _json_array)
 
 WAVELENGTH = 532e-9
+
+
+# values that "%.12g" and repr(float("%.12g" % x)) lay out differently, or
+# nearly do: integral tokens ("0", "-0", "99999999999") that repr ends in
+# ".0", magnitudes that round into [1e12, 1e16), where %g writes an exponent
+# and repr does not, subnormals whose 12 digits repr shortens ("5e-324"),
+# and values just outside those cases
+EDGE_VALUES = [0.0, -0.0, 1e-300, 1e11, 123456789012.5, 5e-324, 2.5e-310,
+               2.2250738585072014e-308, 99999999999.0, 999999999999.0,
+               999999999999.5, 9.99999999999e15, 1e16, 9.999999999995e-5,
+               0.9999999999995, 2.5e-320]
 
 
 def paper_linewidth(finesse):
@@ -362,15 +375,19 @@ class TestTraceSerialization:
         with pytest.raises(ValueError, match="finite"):
             SpectrumTrace(np.array([0.0, bad, 2.0]), np.ones(3))
 
-    @pytest.mark.parametrize("n", [0, 3, 8192 + 5])
+    @pytest.mark.parametrize("n", [0, 3, 8192 + 5, 2 * 8192 + 40])
     def test_writers_match_per_point_formatting(self, reference_params, n):
-        # %.12g and repr differ on these: '0' / '0.0', '1e-300', '100000000000'
-        special_values = [0.0, 1e-300, 1e11, 123456789012.5, 5e-324]
+        edges = np.array(EDGE_VALUES)
         rng = np.random.default_rng(n)
         detunings = rng.uniform(0.0, 1e11, n)
         signals = rng.uniform(0.0, 1.0, n) * 10.0 ** rng.integers(-300, 12, n)
-        detunings[:len(special_values)] = special_values[:n]
-        signals[:len(special_values)] = special_values[::-1][:n]
+        # at the start, and across the edge of the first 8192-value block;
+        # every other detuning negated
+        for at in (0, 8192 - len(edges) // 2):
+            placed = edges[:max(0, min(len(edges), n - at))]
+            detunings[at:at + len(placed)] = np.where(np.arange(len(placed)) % 2,
+                                                      -placed, placed)
+            signals[at:at + len(placed)] = placed[::-1]
         for cavity in (None, reference_params):
             trace = SpectrumTrace(detunings, signals, 'Xe+"N2"', cavity)
             buffer = io.StringIO()
@@ -391,6 +408,16 @@ class TestTraceSerialization:
                     "linewidth_Hz": cavity.linewidth,
                 }
             assert trace.to_json() == json.dumps(payload, indent=2)
+
+    @given(hnp.arrays(np.float64, st.integers(0, 40), elements=st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.integers(-10 ** 16, 10 ** 16).map(float),
+        st.sampled_from(EDGE_VALUES))))
+    @settings(max_examples=300, deadline=None)
+    def test_json_array_is_per_value_repr_of_the_rounding(self, values):
+        expected = ("[\n    " + ",\n    ".join(repr(float(f"{x:.12g}")) for x in values)
+                    + "\n  ]") if len(values) else "[]"
+        assert "".join(_json_array(values)) == expected
 
 
 class TestPolarization:
