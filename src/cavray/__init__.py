@@ -9,70 +9,41 @@ factor exactly, and a Doppler-broadened signal chain connects the model
 to measurable thermal-gas spectra and ultracold-sample forecasts.
 """
 
-from .constants import (ATOMIC_UNIT_POLARIZABILITY_A3, AVOGADRO, BOLTZMANN,
-                        PLANCK, SPEED_OF_LIGHT)
-from .errors import ConfigError, ConvergenceError
-from .experiment import (AnchorMeasurement, EnhancementReport, ForecastReport,
-                         ScenarioConfig, build_enhancement_report,
-                         contributing_particles, finesse_dependence,
-                         free_space_backout, interaction_volume, photon_rate,
-                         ultracold_forecast, ultracold_target_species)
-from .field import (PowerBudget, ScatterConfig, cavity_power_budget,
-                    high_finesse_intensity, intracavity_field,
-                    position_averaged_intensity,
-                    position_averaged_intensity_numeric, roundtrip_field_sum,
-                    transmitted_power)
-from .gases import (GasSpecies, atomic_units_to_cubic_angstrom, builtin_species,
-                    load_species_table)
-from .optics import (CavityGeometry, CavityParams, MirrorSpec, PumpBeam,
-                     abcd_roundtrip_mode_spacing, abcd_roundtrip_waist,
-                     derive_cavity_params, finesse, free_spectral_range,
-                     mode_volume, number_density, rayleigh_length,
-                     symmetric_waist, transverse_mode_spacing)
-from .overlap import (GaussianMode, cavity_mode_fraction,
-                      dipole_mode_power, dipole_normalization,
-                      gaussian_normalization, overlap_eta_analytic,
-                      overlap_eta_numeric, purcell_factor, purcell_ratio)
+import importlib
 
 __version__ = "0.1.0"
 
-# the numpy-backed names resolve on first use (PEP 562), so ``import
-# cavray`` and the closed-form reports load only the standard library
-_SPECTRA_NAMES = (
-    "SpectralProfile", "SpectrumTrace", "at_rest_power", "doppler_fwhm",
-    "doppler_fwhm_monte_carlo", "polarization_signal", "scan_spectrum",
-    "species_ratio", "spectral_overlap",
-)
+# Every public name resolves on first use (PEP 562) from the submodule
+# named here, so ``import cavray`` loads no computing module, a report only
+# the modules it uses, and only the ``spectra`` names load numpy.
+_EXPORTS = {
+    "constants": "ATOMIC_UNIT_POLARIZABILITY_A3 AVOGADRO BOLTZMANN PLANCK SPEED_OF_LIGHT",
+    "errors": "ConfigError ConvergenceError",
+    "experiment": "AnchorMeasurement EnhancementReport ForecastReport ScenarioConfig "
+                  "build_enhancement_report contributing_particles finesse_dependence "
+                  "free_space_backout interaction_volume photon_rate ultracold_forecast "
+                  "ultracold_target_species",
+    "field": "PowerBudget ScatterConfig cavity_power_budget intracavity_field "
+             "position_averaged_intensity position_averaged_intensity_numeric "
+             "roundtrip_field_sum transmitted_power",
+    "gases": "GasSpecies builtin_species load_species_table",
+    "optics": "CavityGeometry CavityParams MirrorSpec PumpBeam abcd_roundtrip_mode_spacing "
+              "abcd_roundtrip_waist derive_cavity_params finesse free_spectral_range "
+              "mode_volume number_density rayleigh_length symmetric_waist "
+              "transverse_mode_spacing",
+    "overlap": "GaussianMode dipole_mode_power dipole_normalization gaussian_normalization "
+               "overlap_eta_analytic overlap_eta_numeric purcell_factor purcell_ratio",
+    "spectra": "SpectralProfile SpectrumTrace doppler_fwhm doppler_fwhm_monte_carlo "
+               "polarization_signal scan_spectrum species_ratio spectral_overlap",
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 
-__all__ = [
-    "ATOMIC_UNIT_POLARIZABILITY_A3", "AVOGADRO", "BOLTZMANN", "PLANCK",
-    "SPEED_OF_LIGHT",
-    "ConfigError", "ConvergenceError",
-    "AnchorMeasurement", "EnhancementReport", "ForecastReport",
-    "ScenarioConfig", "build_enhancement_report", "contributing_particles",
-    "finesse_dependence", "free_space_backout", "interaction_volume",
-    "photon_rate", "ultracold_forecast", "ultracold_target_species",
-    "PowerBudget", "ScatterConfig", "cavity_power_budget",
-    "high_finesse_intensity", "intracavity_field",
-    "position_averaged_intensity", "position_averaged_intensity_numeric",
-    "roundtrip_field_sum", "transmitted_power",
-    "GasSpecies", "atomic_units_to_cubic_angstrom", "builtin_species",
-    "load_species_table",
-    "CavityGeometry", "CavityParams", "MirrorSpec", "PumpBeam",
-    "abcd_roundtrip_mode_spacing", "abcd_roundtrip_waist",
-    "derive_cavity_params", "finesse", "free_spectral_range", "mode_volume",
-    "number_density", "rayleigh_length", "symmetric_waist",
-    "transverse_mode_spacing",
-    "GaussianMode", "cavity_mode_fraction", "dipole_mode_power",
-    "dipole_normalization", "gaussian_normalization", "overlap_eta_analytic",
-    "overlap_eta_numeric", "purcell_factor", "purcell_ratio",
-    *_SPECTRA_NAMES,
-]
+__all__ = list(_MODULE_OF)
 
 
 def __getattr__(name: str):
-    if name in _SPECTRA_NAMES:
-        from . import spectra
-
-        return getattr(spectra, name)
+    if name in _MODULE_OF:
+        return getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

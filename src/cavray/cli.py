@@ -2,12 +2,13 @@
 
 Subcommands: cavity, scan, overlap, enhance, purcell, forecast, validate.
 Config files use the flat dotted-key format of :mod:`cavray.config`.
+Each handler imports what it uses: a process loads its subcommand's modules only.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
+import contextlib
 import json
 import math
 import sys
@@ -15,28 +16,28 @@ from pathlib import Path
 
 from .config import numeric, parse_config, positive, reflectivity, require
 from .errors import ConfigError, ConvergenceError
-from .experiment import (ScenarioConfig, build_enhancement_report, cavity_geometry,
-                         ultracold_forecast, ultracold_target_species)
-from .gases import DEFAULT_TEMPERATURE, load_species_table
-from .optics import MirrorSpec, derive_cavity_params
-from .overlap import (GaussianMode, overlap_eta_analytic, overlap_eta_numeric,
-                      purcell_factor, purcell_ratio)
 
 
 # file suffix under --out of each output format
 SUFFIXES = {"table": "txt", "csv": "csv", "json": "json"}
 
 
-def _write(args, filename: str, *texts: str) -> None:
-    """Write ``texts`` one after another to ``filename`` in the --out
-    directory, or to stdout."""
+@contextlib.contextmanager
+def _output(args, filename: str):
+    """The stream of ``filename`` in the --out directory, or stdout."""
     if args.out:
         path = Path(args.out) / filename
         with path.open("w", encoding="utf-8") as stream:
-            stream.writelines(texts)
+            yield stream
         print(f"wrote {path}")
     else:
-        sys.stdout.writelines(texts)
+        yield sys.stdout
+
+
+def _write(args, filename: str, *texts: str) -> None:
+    """Write ``texts`` one after another to ``filename`` as ``_output`` opens it."""
+    with _output(args, filename) as stream:
+        stream.writelines(texts)
 
 
 def _emit(args, stem: str, schema: str, fields: list[tuple[str, float]]) -> None:
@@ -53,6 +54,8 @@ def _emit(args, stem: str, schema: str, fields: list[tuple[str, float]]) -> None
 
 
 def cmd_cavity(args) -> int:
+    from .optics import cavity_geometry, derive_cavity_params
+
     values = parse_config(args.config)
     wavelength = positive(values, "pump.wavelength", args.config)
     params = derive_cavity_params(cavity_geometry(values, args.config), wavelength)
@@ -71,7 +74,8 @@ def cmd_cavity(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    # the scan kernel needs numpy; keep it off the report subcommands' path
+    from .gases import DEFAULT_TEMPERATURE, load_species_table
+    from .optics import cavity_geometry, derive_cavity_params
     from .spectra import scan_spectrum
 
     values = parse_config(args.config)
@@ -97,17 +101,20 @@ def cmd_scan(args) -> int:
         wavelength=wavelength,
         normalize=bool(numeric(values, "scan.normalize", args.config, 1.0)),
     )
-    if args.format == "json":
-        texts = (trace.to_json(), "\n")
-    else:
-        buffer = io.StringIO()
-        trace.to_csv(buffer)
-        texts = (buffer.getvalue(),)
-    _write(args, f"scan_{trace.species.replace('+', '_')}.{args.format}", *texts)
+    # block by block, so that no whole document is held in memory
+    with _output(args, f"scan_{trace.species.replace('+', '_')}.{args.format}") as stream:
+        if args.format == "json":
+            trace.to_json(stream)
+            stream.write("\n")
+        else:
+            trace.to_csv(stream)
     return 0
 
 
 def cmd_overlap(args) -> int:
+    from .optics import cavity_geometry, derive_cavity_params
+    from .overlap import GaussianMode, overlap_eta_analytic, overlap_eta_numeric
+
     values = parse_config(args.config)
     wavelength = positive(values, "pump.wavelength", args.config)
     waist = positive(values, "overlap.waist", args.config, None)
@@ -129,6 +136,9 @@ def cmd_overlap(args) -> int:
 
 
 def cmd_enhance(args) -> int:
+    from .experiment import build_enhancement_report
+    from .optics import MirrorSpec
+
     values = parse_config(args.config)
     left = MirrorSpec(reflectivity(values, "enhance.left_reflectivity", args.config))
     pairings, measured, overlaps = [], [], []
@@ -154,6 +164,9 @@ def cmd_enhance(args) -> int:
 
 
 def cmd_purcell(args) -> int:
+    from .optics import cavity_geometry, derive_cavity_params
+    from .overlap import purcell_factor, purcell_ratio
+
     values = parse_config(args.config)
     geometry = cavity_geometry(values, args.config)
     wavelength = positive(values, "pump.wavelength", args.config)
@@ -176,6 +189,8 @@ def cmd_purcell(args) -> int:
 
 
 def cmd_forecast(args) -> int:
+    from .experiment import ScenarioConfig, ultracold_forecast, ultracold_target_species
+
     values = parse_config(args.config)
     scenario = ScenarioConfig.from_values(values, args.config)
     factor = positive(values, "forecast.polarizability_factor", args.config, 10.0)
@@ -191,7 +206,6 @@ def cmd_forecast(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    # the oracle suite imports numpy; keep it off the report subcommands' path
     from . import validation
 
     results = validation.run_all(seed=args.seed)

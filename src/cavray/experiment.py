@@ -11,16 +11,16 @@ import json
 import math
 import os
 from collections.abc import Mapping
-from dataclasses import dataclass
 from typing import Sequence
 
-from .config import numeric, parse_config, positive, reflectivity, require
+from .config import numeric, parse_config, positive, require
 from .constants import PLANCK, SPEED_OF_LIGHT
 from .errors import ConfigError
 from .gases import GasSpecies, load_species_table
-from .optics import (CavityGeometry, MirrorSpec, PumpBeam, number_density,
-                     symmetric_waist)
+from .optics import (CavityGeometry, MirrorSpec, PumpBeam, cavity_geometry,
+                     number_density, symmetric_waist)
 from .overlap import purcell_ratio
+from .records import record
 
 ENHANCEMENT_SCHEMA = "cavray.enhancement-report/1"
 FORECAST_SCHEMA = "cavray.forecast-report/1"
@@ -35,7 +35,7 @@ def _check_measurement(prefix: str, power: float, overlap: float) -> None:
         raise ValueError(f"{prefix}.spectral_overlap must be in (0, 1], got {overlap}")
 
 
-@dataclass(frozen=True)
+@record
 class AnchorMeasurement:
     """A measured cavity signal used to scale absolute predictions."""
 
@@ -49,18 +49,7 @@ class AnchorMeasurement:
             raise ValueError(f"anchor.finesse must be positive, got {self.finesse}")
 
 
-def cavity_geometry(values: Mapping[str, float | str],
-                    path: str | os.PathLike = "<config>") -> CavityGeometry:
-    """The ``cavity.*`` geometry of a parsed config."""
-    return CavityGeometry(
-        mirror_separation=positive(values, "cavity.separation", path),
-        radius_of_curvature=positive(values, "cavity.curvature", path),
-        left_mirror=MirrorSpec(reflectivity(values, "cavity.left_reflectivity", path)),
-        right_mirror=MirrorSpec(reflectivity(values, "cavity.right_reflectivity", path)),
-    )
-
-
-@dataclass(frozen=True)
+@record
 class ScenarioConfig:
     """One experimental scenario: cavity, gas, pump and optional anchor.
 
@@ -190,7 +179,7 @@ def finesse_dependence(pairings: Sequence[MirrorPairing]) -> list[tuple[float, f
     return [(f, s / reference) for (f, _, _), s in zip(pairings, signals)]
 
 
-@dataclass(frozen=True)
+@record
 class FinesseEntry:
     """One row of an enhancement report."""
 
@@ -204,7 +193,7 @@ class FinesseEntry:
     predicted_relative_symmetric: float  # plain F/F_max normalization
 
 
-@dataclass(frozen=True)
+@record
 class EnhancementReport:
     """Cavity-vs-free-space comparison across mirror pairings."""
 
@@ -302,7 +291,7 @@ def build_enhancement_report(pairings: Sequence[MirrorPairing],
     return EnhancementReport(tuple(entries), backout, free_space_measured, factor)
 
 
-@dataclass(frozen=True)
+@record
 class ForecastReport:
     """Projected detection rates for a trapped ultracold sample."""
 

@@ -13,11 +13,12 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
 from typing import Literal
 
+from .records import record
 
-@dataclass(frozen=True)
+
+@record
 class ScatterConfig:
     """Scatterer and drive parameters for the interference model.
 
@@ -31,7 +32,7 @@ class ScatterConfig:
     displacement: float = 0.0  # m
 
 
-@dataclass(frozen=True)
+@record
 class PowerBudget:
     """Scattered intensities/powers of the resonant high-finesse chain (W)."""
 
@@ -154,16 +155,6 @@ def _displacement_phases(n_points: int):
     phases = np.exp(4j * math.pi * ((np.arange(n_points) + 0.5) / n_points))
     phases.flags.writeable = False
     return phases
-
-
-def high_finesse_intensity(amplitude: float, pump_intensity: float,
-                           finesse: float) -> float:
-    """High-finesse limit of the averaged intensity, 2*a^2*Ip*(F/pi)^2.
-
-    F/pi plays the role of the number of reflections; the field grows
-    linearly with it and the intensity quadratically.
-    """
-    return 2.0 * amplitude ** 2 * pump_intensity * (finesse / math.pi) ** 2
 
 
 def transmitted_power(amplitude: float, pump_power: float, t1: float, t2: float,

@@ -13,18 +13,18 @@ explicit path.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .constants import ATOMIC_UNIT_POLARIZABILITY_A3, AVOGADRO
+from .constants import AVOGADRO
+from .records import record
 
 SPECIES_DB_ENV = "CAVRAY_SPECIES_DB"
 
 DEFAULT_TEMPERATURE = 295.0  # K, room temperature of the packaged table
 
 
-@dataclass(frozen=True)
+@record
 class GasSpecies:
     """A scattering gas: mass, volume polarizability and temperature."""
 
@@ -47,11 +47,6 @@ class GasSpecies:
     def molecular_mass(self) -> float:
         """Mass of a single particle in kg."""
         return self.molar_mass / AVOGADRO
-
-
-def atomic_units_to_cubic_angstrom(polarizability_au: float) -> float:
-    """Convert an atomic-unit volume polarizability to cubic angstroms."""
-    return polarizability_au * ATOMIC_UNIT_POLARIZABILITY_A3
 
 
 def _builtin_table_path() -> Path:

@@ -8,12 +8,15 @@ documented rather than compensated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import os
+from collections.abc import Mapping
 
+from .config import positive, reflectivity
 from .constants import BOLTZMANN, SPEED_OF_LIGHT
+from .records import record
 
 
-@dataclass(frozen=True)
+@record
 class MirrorSpec:
     """A lossless cavity mirror described by its intensity reflectivity."""
 
@@ -36,7 +39,7 @@ class MirrorSpec:
         return math.sqrt(self.reflectivity)
 
 
-@dataclass(frozen=True)
+@record
 class CavityGeometry:
     """Symmetric two-mirror cavity: separation, common curvature, mirror pair."""
 
@@ -55,7 +58,18 @@ class CavityGeometry:
             )
 
 
-@dataclass(frozen=True)
+def cavity_geometry(values: Mapping[str, float | str],
+                    path: str | os.PathLike = "<config>") -> CavityGeometry:
+    """The ``cavity.*`` geometry of a parsed config."""
+    return CavityGeometry(
+        mirror_separation=positive(values, "cavity.separation", path),
+        radius_of_curvature=positive(values, "cavity.curvature", path),
+        left_mirror=MirrorSpec(reflectivity(values, "cavity.left_reflectivity", path)),
+        right_mirror=MirrorSpec(reflectivity(values, "cavity.right_reflectivity", path)),
+    )
+
+
+@record
 class CavityParams:
     """All derived resonator quantities for one cavity at one wavelength."""
 
@@ -69,7 +83,7 @@ class CavityParams:
     mode_volume: float            # m^3
 
 
-@dataclass(frozen=True)
+@record
 class PumpBeam:
     """Side-pumping beam driving the scatterers.
 

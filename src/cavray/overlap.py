@@ -20,8 +20,9 @@ its integral.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Literal
+
+from .records import record
 
 # intensity normalization over the sphere: integral of cos^3 is 4/3
 DIPOLE_PREFACTOR = math.sqrt(3.0 / (8.0 * math.pi))
@@ -31,7 +32,7 @@ DIPOLE_PREFACTOR = math.sqrt(3.0 / (8.0 * math.pi))
 TRUNCATION_WIDTHS = 8.0
 
 
-@dataclass(frozen=True)
+@record
 class GaussianMode:
     """Fundamental transverse cavity mode (one travel direction)."""
 
@@ -151,15 +152,6 @@ def overlap_eta_numeric(wavelength: float, waist: float, z: float,
     quarter_turns = np.linspace(0.0, 2.0 * math.pi, 5)
     return integrate(integrand, _radial_edges(mode, z), quarter_turns,
                      what="dipole/cavity overlap", rel_tol=rel_tol)
-
-
-def cavity_mode_fraction(wavelength: float, waist: float) -> float:
-    """Fraction of dipole power radiated into the two-direction cavity mode.
-
-    2*eta^2 = 3/(2 pi^2) * (lambda/w0)^2; the two travel directions add
-    in intensity, not field.
-    """
-    return 2.0 * overlap_eta_analytic(wavelength, waist) ** 2
 
 
 def dipole_mode_power(amplitude: float, pump_power: float,

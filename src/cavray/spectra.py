@@ -44,13 +44,13 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .constants import AVOGADRO, BOLTZMANN, SPEED_OF_LIGHT
 from .gases import GasSpecies
 from .optics import CavityParams
+from .records import record
 
 # 90-degree scattering geometry: |k_out - k_in| = sqrt(2) * k
 OBSERVED_WIDTH_FACTOR = math.sqrt(2.0)
@@ -110,7 +110,7 @@ def doppler_fwhm_monte_carlo(wavelength: float, temperature: float,
     return _FWHM_PER_SIGMA * float(np.std(shifts))
 
 
-@dataclass(frozen=True)
+@record
 class SpectralProfile:
     """Doppler line widths of one species at one probe wavelength."""
 
@@ -182,18 +182,15 @@ def spectral_overlap(profile: SpectralProfile, cavity_linewidth: float) -> float
     return math.sqrt(math.pi / 2.0) * hwhm / sigma * _erfcx(hwhm / (sigma * math.sqrt(2.0)))
 
 
-@dataclass
 class SpectrumTrace:
     """Sampled (detuning, signal) data from a simulated cavity scan."""
 
-    detunings: np.ndarray            # Hz
-    signals: np.ndarray              # dimensionless
-    species: str = ""
-    cavity: CavityParams | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        self.detunings = np.asarray(self.detunings, dtype=float)
-        self.signals = np.asarray(self.signals, dtype=float)
+    def __init__(self, detunings, signals, species: str = "",
+                 cavity: CavityParams | None = None):
+        self.detunings = np.asarray(detunings, dtype=float)  # Hz
+        self.signals = np.asarray(signals, dtype=float)      # dimensionless
+        self.species = species
+        self.cavity = cavity
         if self.detunings.shape != self.signals.shape:
             raise ValueError("detunings and signals must have equal length")
         if not (np.all(np.isfinite(self.detunings)) and np.all(np.isfinite(self.signals))):
@@ -233,30 +230,32 @@ class SpectrumTrace:
             sig.append(float(y))
         return cls(np.array(det), np.array(sig), species, cavity)
 
-    def to_json(self) -> str:
-        """The trace as ``json.dumps(payload, indent=2)`` would write it.
+    def to_json(self, stream: io.TextIOBase | None = None) -> str | None:
+        """The trace as ``json.dumps(payload, indent=2)`` would write it,
+        returned, or written to ``stream`` one block of values at a time.
 
         The two arrays hold each value rounded to 12 significant digits,
         as ``repr(float("%.12g" % x))``. ``_json_array`` formats them
-        block-wise with one %.12g pass rather than by the json module,
+        block-wise with one %-format pass rather than by the json module,
         whose indenting encoder runs in Python once per element, and
-        rewrites only the tokens whose repr is laid out otherwise: integers
-        (".0" appended), magnitudes in [1e12, 1e16) and subnormals.
+        rewrites only the tokens whose repr is laid out otherwise: inexact
+        integers (".0" appended), magnitudes in [1e12, 1e16) and subnormals.
         """
-        parts = ["{\n",
-                 f'  "schema": {json.dumps(TRACE_SCHEMA)},\n',
-                 f'  "species": {json.dumps(self.species)},\n',
-                 '  "detuning_Hz": ', *_json_array(self.detunings),
-                 ',\n  "signal_normalized": ', *_json_array(self.signals)]
+        out = io.StringIO() if stream is None else stream
+        out.write(f'{{\n  "schema": {json.dumps(TRACE_SCHEMA)},\n'
+                  f'  "species": {json.dumps(self.species)},\n  "detuning_Hz": ')
+        out.writelines(_json_array(self.detunings))
+        out.write(',\n  "signal_normalized": ')
+        out.writelines(_json_array(self.signals))
         if self.cavity is not None:
             cavity = {
                 "finesse": self.cavity.finesse,
                 "free_spectral_range_Hz": self.cavity.free_spectral_range,
                 "linewidth_Hz": self.cavity.linewidth,
             }
-            parts += [',\n  "cavity": ', json.dumps(cavity, indent=2).replace("\n", "\n  ")]
-        parts.append("\n}")
-        return "".join(parts)
+            out.write(',\n  "cavity": ' + json.dumps(cavity, indent=2).replace("\n", "\n  "))
+        out.write("\n}")
+        return out.getvalue() if stream is None else None
 
     @classmethod
     def from_json(cls, text: str) -> "SpectrumTrace":
@@ -275,10 +274,10 @@ _EXPONENT_TO = 1e16
 _SMALLEST_NORMAL = 2.2250738585072014e-308
 
 
-def _json_array(values: np.ndarray) -> list[str]:
-    """Pieces of a JSON array nested one level deep, indent 2, each value
-    x written as ``repr(float("%.12g" % x))``: rounded to 12 significant
-    digits, then as Python's float repr.
+def _json_array(values: np.ndarray):
+    """Pieces, block by block, of a JSON array nested one level deep,
+    indent 2, each value x written as ``repr(float("%.12g" % x))``:
+    rounded to 12 significant digits, then as Python's float repr.
 
     That repr is the shortest digit string that reads back as the same
     double. For a normal double it has the digits of ``s = "%.12g" % x``:
@@ -294,28 +293,37 @@ def _json_array(values: np.ndarray) -> list[str]:
     (c) x is subnormal (or zero), where the DBL_DIG argument fails:
         "4.94065645841e-324" reads back as the double repr writes "5e-324".
 
-    A mask per block finds a superset of them: the bands of (b) and (c),
-    and for (a) the values within one 12-digit quantum
-    q = 10**(floor(log10|x|) - 11) of an integer (a value that rounds to
-    an integer is within q/2 of one; where log10 rounds across a power of
-    ten, x is a few ulps from that power, which is an integer or rounds to
-    none). Only those tokens are rewritten: as repr(float(s)) in the bands,
-    elsewhere with ".0" appended when s has neither "." nor "e".
+    An exact integer below the band of (b), zero too, has at most 12
+    digits: a "%.1f" slot writes it exactly, ending in ".0" as repr does.
+    For the other values a mask per block finds a superset of the cases:
+    the bands of (b) and (c), and for (a) the values within one 12-digit
+    quantum q = 10**(floor(log10|x|) - 11) of an integer (a value that
+    rounds to an integer is within q/2 of one; where log10 rounds across
+    a power of ten, x is a few ulps from that power, which is an integer
+    or rounds to none). Only those tokens are rewritten: as
+    repr(float(s)) in the bands, elsewhere with ".0" appended when s has
+    neither "." nor "e".
     """
-    if not len(values):
-        return ["[]"]
     separator = ",\n    "
-    pieces = ["[\n    "]
+    # json.dumps writes an empty array as "[]"
+    yield "[\n    " if len(values) else "["
     for start in range(0, len(values), _BLOCK):
         block = values[start:start + _BLOCK]
         magnitude = np.abs(block)
+        nearest = np.rint(block)
+        exact = (block == nearest) & (magnitude < _EXPONENT_FROM)
         banded = ((magnitude < _SMALLEST_NORMAL)
                   | ((magnitude >= _EXPONENT_FROM) & (magnitude < _EXPONENT_TO)))
         with np.errstate(divide="ignore"):
             quantum = 10.0 ** (np.floor(np.log10(magnitude)) - 11.0)
-        suspects = banded | (np.abs(block - np.rint(block)) <= quantum)
+        suspects = (banded | (np.abs(block - nearest) <= quantum)) & ~exact
         args = block.tolist()
-        specs = ["%.12g"] * len(args)
+        if exact.all():
+            specs = ["%.1f"] * len(args)
+        elif exact.any():
+            specs = np.where(exact, "%.1f", "%.12g").tolist()
+        else:
+            specs = ["%.12g"] * len(args)
         for i in np.flatnonzero(suspects).tolist():
             token = "%.12g" % args[i]
             if banded[i]:
@@ -325,10 +333,9 @@ def _json_array(values: np.ndarray) -> list[str]:
             args[i] = token
             specs[i] = "%s"
         if start:
-            pieces.append(separator)
-        pieces.append(separator.join(specs) % tuple(args))
-    pieces.append("\n  ]")
-    return pieces
+            yield separator
+        yield separator.join(specs) % tuple(args)
+    yield "\n  ]" if len(values) else "]"
 
 
 def _voigt_fwhm(gaussian_fwhm: float, lorentzian_fwhm: float) -> float:
@@ -489,10 +496,3 @@ def species_ratio(species: list[GasSpecies], cavity: CavityParams,
                                  cavity.linewidth) for gas in species]
     return [(gas.polarizability / reference.polarizability) ** 2 * value / overlaps[0]
             for gas, value in zip(species, overlaps)]
-
-
-def at_rest_power(measured_power: float, overlap: float) -> float:
-    """Back out the power particles at rest would scatter, measured/overlap."""
-    if not 0.0 < overlap <= 1.0:
-        raise ValueError(f"overlap must be in (0, 1], got {overlap}")
-    return measured_power / overlap

@@ -11,15 +11,15 @@ alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import experiment, field, gases, optics, overlap, quadrature, spectra
+from .records import record
 
 
-@dataclass(frozen=True)
+@record
 class CheckResult:
     name: str
     passed: bool

@@ -4,9 +4,8 @@ import math
 
 import pytest
 
-from cavray import (ConfigError, GasSpecies, ScenarioConfig,
-                    atomic_units_to_cubic_angstrom, builtin_species,
-                    load_species_table)
+from cavray import (ATOMIC_UNIT_POLARIZABILITY_A3, ConfigError, GasSpecies,
+                    ScenarioConfig, builtin_species, load_species_table)
 from cavray.config import numeric, parse_config, require
 from cavray.gases import SPECIES_DB_ENV
 
@@ -26,7 +25,7 @@ class TestSpeciesTable:
 
     def test_xenon_matches_atomic_unit_conversion(self):
         # 27.3 a.u. at 0.148 A^3 per a.u.
-        assert atomic_units_to_cubic_angstrom(27.3) == pytest.approx(
+        assert 27.3 * ATOMIC_UNIT_POLARIZABILITY_A3 == pytest.approx(
             builtin_species("Xe").polarizability, rel=1e-3
         )
 

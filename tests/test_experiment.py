@@ -5,7 +5,6 @@ the CODATA constants; the published measurement triples are used as
 inputs, never as fitted targets.
 """
 
-import dataclasses
 import json
 import math
 
@@ -250,8 +249,7 @@ class TestUltracoldForecast:
 
     @pytest.mark.parametrize("pressure", [0.0, -1.0])
     def test_nonpositive_pressure_rejected(self, reference_geometry, pressure):
-        anchor = dataclasses.replace(make_anchor_scenario(reference_geometry),
-                                     pressure=pressure)
+        anchor = make_anchor_scenario(reference_geometry)._replace(pressure=pressure)
         with pytest.raises(ValueError, match="gas.pressure"):
             ultracold_forecast(anchor, ultracold_target_species(anchor.gas), 1e5, 1e5)
 

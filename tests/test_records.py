@@ -1,0 +1,86 @@
+"""Value records: construction paths, checks, equality and immutability."""
+
+import math
+
+import numpy as np
+import pytest
+
+from cavray import (AnchorMeasurement, CavityGeometry, GasSpecies, MirrorSpec, PumpBeam,
+                    SpectralProfile, SpectrumTrace)
+from cavray.records import record
+
+MIRROR = MirrorSpec(0.997)
+
+# (record, valid fields in field order, a change its check rejects)
+VALIDATING = [
+    (MirrorSpec, {"reflectivity": 0.997}, {"reflectivity": 1.0}),
+    (CavityGeometry, {"mirror_separation": 6e-3, "radius_of_curvature": 45e-3,
+                      "left_mirror": MIRROR, "right_mirror": MIRROR},
+     {"mirror_separation": 0.1}),
+    (PumpBeam, {"wavelength": 532e-9, "waist": 50e-6}, {"waist": 0.0}),
+    (GasSpecies, {"name": "Xe", "molar_mass": 0.13129, "polarizability": 4.04,
+                  "temperature": 295.0}, {"temperature": 0.0}),
+    (AnchorMeasurement, {"measured_power": 50e-15, "finesse": 1000.0,
+                         "spectral_overlap": 0.042}, {"spectral_overlap": 1.5}),
+    (SpectralProfile, {"doppler_fwhm_absorption": 6e8,
+                       "doppler_fwhm_observed": math.sqrt(2.0) * 6e8,
+                       "center_frequency": 5.6e14}, {"doppler_fwhm_observed": 6e8}),
+    (SpectrumTrace, {"detunings": np.arange(3.0), "signals": np.ones(3),
+                     "species": "Xe", "cavity": None}, {"signals": np.array([1.0, -1.0, 1.0])}),
+]
+FROZEN = [case[:2] for case in VALIDATING if case[0] is not SpectrumTrace]
+IDS = [case[0].__name__ for case in VALIDATING]
+
+
+def changed(instance, changes):
+    """A copy of ``instance`` with ``changes``: ``_replace`` on a record, a
+    new instance from the fields of the mutable ``SpectrumTrace``."""
+    if isinstance(instance, SpectrumTrace):
+        return SpectrumTrace(**{**vars(instance), **changes})
+    return instance._replace(**changes)
+
+
+@pytest.mark.parametrize("cls, fields, bad", VALIDATING, ids=IDS)
+def test_every_construction_path_runs_the_check(cls, fields, bad):
+    valid = cls(**fields)
+    assert type(cls(*fields.values())) is cls
+    assert type(changed(valid, {})) is cls
+    invalid = {**fields, **bad}
+    with pytest.raises(ValueError):
+        cls(*invalid.values())
+    with pytest.raises(ValueError):
+        cls(**invalid)
+    with pytest.raises(ValueError):
+        changed(valid, bad)
+    if cls is not SpectrumTrace:
+        with pytest.raises(ValueError):
+            cls._make(invalid.values())
+
+
+@pytest.mark.parametrize("cls, fields", FROZEN, ids=IDS[:-1])
+def test_frozen_records_are_values(cls, fields):
+    one, other = cls(**fields), cls(*fields.values())
+    assert one == other and hash(one) == hash(other)
+    name = next(iter(fields))
+    with pytest.raises(AttributeError):
+        setattr(one, name, fields[name])
+    with pytest.raises(AttributeError):
+        one.unknown = 1.0
+    with pytest.raises(AttributeError):
+        delattr(one, name)
+    assert one == other
+
+
+def test_defaults_and_field_order_are_kept():
+    assert GasSpecies._fields == ("name", "molar_mass", "polarizability", "temperature")
+    assert GasSpecies("Xe", 0.13129, 4.04).temperature == 295.0
+    assert repr(MirrorSpec(0.5)) == "MirrorSpec(reflectivity=0.5)"
+    assert MirrorSpec(0.5).transmission == 0.5
+
+
+def test_a_field_without_a_default_may_not_follow_one():
+    with pytest.raises(TypeError, match="without a default"):
+        @record
+        class Broken:
+            first: float = 1.0
+            second: float

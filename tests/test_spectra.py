@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from cavray import (CavityGeometry, GasSpecies, MirrorSpec, SpectralProfile,
-                    SpectrumTrace, at_rest_power, builtin_species,
+                    SpectrumTrace, builtin_species,
                     derive_cavity_params, doppler_fwhm, doppler_fwhm_monte_carlo,
                     load_species_table, polarization_signal, scan_spectrum,
                     species_ratio, spectral_overlap, validation)
@@ -409,15 +409,37 @@ class TestTraceSerialization:
                 }
             assert trace.to_json() == json.dumps(payload, indent=2)
 
-    @given(hnp.arrays(np.float64, st.integers(0, 40), elements=st.one_of(
-        st.floats(allow_nan=False, allow_infinity=False),
-        st.integers(-10 ** 16, 10 ** 16).map(float),
-        st.sampled_from(EDGE_VALUES))))
+    # the second kind of array is all integral, as a whole-Hz scan grid is
+    @given(st.one_of(
+        hnp.arrays(np.float64, st.integers(0, 40), elements=st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.integers(-10 ** 16, 10 ** 16).map(float),
+            st.sampled_from(EDGE_VALUES))),
+        hnp.arrays(np.float64, st.integers(1, 40),
+                   elements=st.integers(-10 ** 12, 10 ** 12).map(float))))
     @settings(max_examples=300, deadline=None)
     def test_json_array_is_per_value_repr_of_the_rounding(self, values):
-        expected = ("[\n    " + ",\n    ".join(repr(float(f"{x:.12g}")) for x in values)
-                    + "\n  ]") if len(values) else "[]"
-        assert "".join(_json_array(values)) == expected
+        assert "".join(_json_array(values)) == per_value_json_array(values)
+
+    @pytest.mark.parametrize("values", [
+        # the demo's 25 MHz grid: exact integers in whole blocks
+        np.arange(2 * 8192 + 7) * 25e6,
+        # exact integers mixed with halves, signed zeros among them
+        np.concatenate((np.arange(-8192, 8192) * 0.5, [-0.0])),
+        # exact integers on both sides of 1e12
+        np.arange(-20.0, 20.0) + 1e12,
+        # an ulp above exact integers: these merely round to integers
+        np.nextafter(np.arange(1.0, 41.0) * 25e6, np.inf),
+    ], ids=["25MHz", "halves", "near-1e12", "ulp-above"])
+    def test_json_array_on_integral_grids(self, values):
+        assert "".join(_json_array(values)) == per_value_json_array(values)
+
+
+def per_value_json_array(values):
+    """The JSON array ``_json_array`` must write, one repr per value."""
+    if not len(values):
+        return "[]"
+    return "[\n    " + ",\n    ".join(repr(float(f"{x:.12g}")) for x in values) + "\n  ]"
 
 
 class TestPolarization:
@@ -467,17 +489,3 @@ class TestSpeciesRatio:
         with pytest.raises(ValueError):
             species_ratio([], reference_params, WAVELENGTH)
 
-
-class TestAtRestPower:
-    def test_reported_xenon_signal(self):
-        assert at_rest_power(52e-15, 0.042) == pytest.approx(1238.095e-15, rel=1e-4)
-
-    def test_unit_overlap_is_identity(self):
-        assert at_rest_power(77e-15, 1.0) == 77e-15
-
-    def test_low_finesse_entry(self):
-        assert at_rest_power(90e-15, 0.334) == pytest.approx(269.461e-15, rel=1e-4)
-
-    def test_rejects_nonpositive_overlap(self):
-        with pytest.raises(ValueError):
-            at_rest_power(50e-15, 0.0)
