@@ -44,6 +44,4 @@ __all__ = list(_MODULE_OF)
 def __getattr__(name: str):
     if name in _MODULE_OF:
         return getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
-    if name in _EXPORTS:
-        return importlib.import_module(f".{name}", __name__)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -232,30 +232,33 @@ class SpectrumTrace:
 
     def to_json(self, stream: io.TextIOBase | None = None) -> str | None:
         """The trace as ``json.dumps(payload, indent=2)`` would write it,
-        returned, or written to ``stream`` one block of values at a time.
+        returned, or written to ``stream`` one block of values at a time."""
+        pieces = self._json_pieces()
+        return "".join(pieces) if stream is None else stream.writelines(pieces)
+
+    def _json_pieces(self):
+        """Pieces of ``to_json``'s document.
 
         The two arrays hold each value rounded to 12 significant digits,
         as ``repr(float("%.12g" % x))``. ``_json_array`` formats them
-        block-wise with one %-format pass rather than by the json module,
+        block-wise with one %.12g pass rather than by the json module,
         whose indenting encoder runs in Python once per element, and
-        rewrites only the tokens whose repr is laid out otherwise: inexact
-        integers (".0" appended), magnitudes in [1e12, 1e16) and subnormals.
+        rewrites only the tokens whose repr is laid out otherwise: integers
+        (".0" appended), magnitudes in [1e12, 1e16) and subnormals.
         """
-        out = io.StringIO() if stream is None else stream
-        out.write(f'{{\n  "schema": {json.dumps(TRACE_SCHEMA)},\n'
-                  f'  "species": {json.dumps(self.species)},\n  "detuning_Hz": ')
-        out.writelines(_json_array(self.detunings))
-        out.write(',\n  "signal_normalized": ')
-        out.writelines(_json_array(self.signals))
+        yield (f'{{\n  "schema": {json.dumps(TRACE_SCHEMA)},\n'
+               f'  "species": {json.dumps(self.species)},\n  "detuning_Hz": ')
+        yield from _json_array(self.detunings)
+        yield ',\n  "signal_normalized": '
+        yield from _json_array(self.signals)
         if self.cavity is not None:
             cavity = {
                 "finesse": self.cavity.finesse,
                 "free_spectral_range_Hz": self.cavity.free_spectral_range,
                 "linewidth_Hz": self.cavity.linewidth,
             }
-            out.write(',\n  "cavity": ' + json.dumps(cavity, indent=2).replace("\n", "\n  "))
-        out.write("\n}")
-        return out.getvalue() if stream is None else None
+            yield ',\n  "cavity": ' + json.dumps(cavity, indent=2).replace("\n", "\n  ")
+        yield "\n}"
 
     @classmethod
     def from_json(cls, text: str) -> "SpectrumTrace":
@@ -293,16 +296,13 @@ def _json_array(values: np.ndarray):
     (c) x is subnormal (or zero), where the DBL_DIG argument fails:
         "4.94065645841e-324" reads back as the double repr writes "5e-324".
 
-    An exact integer below the band of (b), zero too, has at most 12
-    digits: a "%.1f" slot writes it exactly, ending in ".0" as repr does.
-    For the other values a mask per block finds a superset of the cases:
-    the bands of (b) and (c), and for (a) the values within one 12-digit
-    quantum q = 10**(floor(log10|x|) - 11) of an integer (a value that
-    rounds to an integer is within q/2 of one; where log10 rounds across
-    a power of ten, x is a few ulps from that power, which is an integer
-    or rounds to none). Only those tokens are rewritten: as
-    repr(float(s)) in the bands, elsewhere with ".0" appended when s has
-    neither "." nor "e".
+    A mask per block finds a superset of them: the bands of (b) and (c),
+    and for (a) the values within one 12-digit quantum
+    q = 10**(floor(log10|x|) - 11) of an integer (a value that rounds to
+    an integer is within q/2 of one; where log10 rounds across a power of
+    ten, x is a few ulps from that power, which is an integer or rounds to
+    none). Only those tokens are rewritten: as repr(float(s)) in the bands,
+    elsewhere with ".0" appended when s has neither "." nor "e".
     """
     separator = ",\n    "
     # json.dumps writes an empty array as "[]"
@@ -310,20 +310,13 @@ def _json_array(values: np.ndarray):
     for start in range(0, len(values), _BLOCK):
         block = values[start:start + _BLOCK]
         magnitude = np.abs(block)
-        nearest = np.rint(block)
-        exact = (block == nearest) & (magnitude < _EXPONENT_FROM)
         banded = ((magnitude < _SMALLEST_NORMAL)
                   | ((magnitude >= _EXPONENT_FROM) & (magnitude < _EXPONENT_TO)))
         with np.errstate(divide="ignore"):
             quantum = 10.0 ** (np.floor(np.log10(magnitude)) - 11.0)
-        suspects = (banded | (np.abs(block - nearest) <= quantum)) & ~exact
+        suspects = banded | (np.abs(block - np.rint(block)) <= quantum)
         args = block.tolist()
-        if exact.all():
-            specs = ["%.1f"] * len(args)
-        elif exact.any():
-            specs = np.where(exact, "%.1f", "%.12g").tolist()
-        else:
-            specs = ["%.12g"] * len(args)
+        specs = ["%.12g"] * len(args)
         for i in np.flatnonzero(suspects).tolist():
             token = "%.12g" % args[i]
             if banded[i]:
