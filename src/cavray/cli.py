@@ -14,7 +14,7 @@ import math
 import sys
 from pathlib import Path
 
-from .config import numeric, parse_config, positive, reflectivity, require
+from .config import parse_config
 from .errors import ConfigError, ConvergenceError
 
 
@@ -57,8 +57,7 @@ def cmd_cavity(args) -> int:
     from .optics import cavity_geometry, derive_cavity_params
 
     values = parse_config(args.config)
-    wavelength = positive(values, "pump.wavelength", args.config)
-    params = derive_cavity_params(cavity_geometry(values, args.config), wavelength)
+    params = derive_cavity_params(cavity_geometry(values), values["pump.wavelength"])
     fields = [
         ("finesse", params.finesse),
         ("free_spectral_range_Hz", params.free_spectral_range),
@@ -79,27 +78,21 @@ def cmd_scan(args) -> int:
     from .spectra import scan_spectrum
 
     values = parse_config(args.config)
-    wavelength = positive(values, "pump.wavelength", args.config)
-    params = derive_cavity_params(cavity_geometry(values, args.config), wavelength)
-    table = load_species_table(temperature=positive(
-        values, "gas.temperature", args.config, DEFAULT_TEMPERATURE))
-    names = str(require(values, "scan.species", args.config)).split(",")
+    wavelength = values["pump.wavelength"]
+    params = derive_cavity_params(cavity_geometry(values), wavelength)
+    table = load_species_table(temperature=values.get("gas.temperature", DEFAULT_TEMPERATURE))
     weights = []
-    for i, name in enumerate(names, start=1):
+    for i, name in enumerate(values["scan.species"].split(","), start=1):
         name = name.strip()
         if name not in table:
-            raise ConfigError(args.config, None, f"unknown species {name!r}")
-        key = f"scan.weight{i}"
-        weight = numeric(values, key, args.config, 1.0)
-        if not weight >= 0.0:
-            raise ConfigError(args.config, None, f"{key} must be nonnegative, got {weight}")
-        weights.append((table[name], weight))
+            raise ConfigError(values.path, None, f"scan.species: unknown species {name!r}")
+        weights.append((table[name], values.get(f"scan.weight{i}", 1.0)))
     trace = scan_spectrum(
         params, weights,
-        scan_range=positive(values, "scan.range", args.config),
-        resolution=positive(values, "scan.resolution", args.config),
+        scan_range=values["scan.range"],
+        resolution=values["scan.resolution"],
         wavelength=wavelength,
-        normalize=bool(numeric(values, "scan.normalize", args.config, 1.0)),
+        normalize=bool(values.get("scan.normalize", 1.0)),
     )
     # block by block, so that no whole document is held in memory
     with _output(args, f"scan_{trace.species.replace('+', '_')}.{args.format}") as stream:
@@ -116,12 +109,12 @@ def cmd_overlap(args) -> int:
     from .overlap import GaussianMode, overlap_eta_analytic, overlap_eta_numeric
 
     values = parse_config(args.config)
-    wavelength = positive(values, "pump.wavelength", args.config)
-    waist = positive(values, "overlap.waist", args.config, None)
+    wavelength = values["pump.wavelength"]
+    waist = values.get("overlap.waist")
     if waist is None:
-        waist = derive_cavity_params(cavity_geometry(values, args.config), wavelength).waist
-    plane_factor = positive(values, "overlap.plane_factor", args.config, 100.0)
-    z = plane_factor * GaussianMode(waist, wavelength).rayleigh_length
+        waist = derive_cavity_params(cavity_geometry(values), wavelength).waist
+    z = (values.get("overlap.plane_factor", 100.0)
+         * GaussianMode(waist, wavelength).rayleigh_length)
     analytic = overlap_eta_analytic(wavelength, waist)
     on_plane = overlap_eta_numeric(wavelength, waist, z)
     fields = [
@@ -140,23 +133,20 @@ def cmd_enhance(args) -> int:
     from .optics import MirrorSpec
 
     values = parse_config(args.config)
-    left = MirrorSpec(reflectivity(values, "enhance.left_reflectivity", args.config))
+    left = MirrorSpec(values["enhance.left_reflectivity"])
     pairings, measured, overlaps = [], [], []
-    index = 1
-    while f"enhance.pairing{index}.finesse" in values:
-        prefix = f"enhance.pairing{index}"
-        right = MirrorSpec(reflectivity(values, f"{prefix}.right_reflectivity", args.config))
-        pairings.append((positive(values, f"{prefix}.finesse", args.config), left, right))
-        measured.append(numeric(values, f"{prefix}.measured_power", args.config))
-        overlaps.append(numeric(values, f"{prefix}.spectral_overlap", args.config))
-        index += 1
-    if not pairings:
-        raise ConfigError(args.config, None,
-                          "no enhance.pairing1.finesse entry found")
+    i = 1
+    # pairing 1 is required; later ones are read while they continue
+    while i == 1 or f"enhance.pairing{i}.finesse" in values:
+        pairings.append((values[f"enhance.pairing{i}.finesse"], left,
+                         MirrorSpec(values[f"enhance.pairing{i}.right_reflectivity"])))
+        measured.append(values[f"enhance.pairing{i}.measured_power"])
+        overlaps.append(values[f"enhance.pairing{i}.spectral_overlap"])
+        i += 1
     report = build_enhancement_report(
         pairings, measured, overlaps,
-        numeric(values, "enhance.free_space_power", args.config, None),
-        numeric(values, "enhance.comparison_power", args.config, None),
+        values.get("enhance.free_space_power"),
+        values.get("enhance.comparison_power"),
     )
     text = report.to_json() if args.format == "json" else report.table()
     _write(args, f"enhancement_report.{SUFFIXES[args.format]}", text + "\n")
@@ -168,11 +158,11 @@ def cmd_purcell(args) -> int:
     from .overlap import purcell_factor, purcell_ratio
 
     values = parse_config(args.config)
-    geometry = cavity_geometry(values, args.config)
-    wavelength = positive(values, "pump.wavelength", args.config)
+    geometry = cavity_geometry(values)
+    wavelength = values["pump.wavelength"]
     params = derive_cavity_params(geometry, wavelength)
-    finesse = positive(values, "purcell.finesse", args.config, params.finesse)
-    waist = positive(values, "purcell.waist", args.config, params.waist)
+    finesse = values.get("purcell.finesse", params.finesse)
+    waist = values.get("purcell.waist", params.waist)
     d = geometry.mirror_separation
     from_ratio = purcell_ratio(finesse, wavelength, waist)
     from_qv = purcell_factor(2.0 * d * finesse / wavelength,
@@ -192,14 +182,12 @@ def cmd_forecast(args) -> int:
     from .experiment import ScenarioConfig, ultracold_forecast, ultracold_target_species
 
     values = parse_config(args.config)
-    scenario = ScenarioConfig.from_values(values, args.config)
-    factor = positive(values, "forecast.polarizability_factor", args.config, 10.0)
-    target = ultracold_target_species(scenario.gas, factor)
-    report = ultracold_forecast(
-        scenario, target,
-        n_molecules=numeric(values, "forecast.n_molecules", args.config),
-        target_finesse=numeric(values, "forecast.target_finesse", args.config),
-    )
+    scenario = ScenarioConfig.from_values(values)
+    target = ultracold_target_species(scenario.gas,
+                                      values.get("forecast.polarizability_factor", 10.0))
+    report = ultracold_forecast(scenario, target,
+                                n_molecules=values["forecast.n_molecules"],
+                                target_finesse=values["forecast.target_finesse"])
     text = report.to_json() if args.format == "json" else report.table()
     _write(args, f"forecast_report.{SUFFIXES[args.format]}", text + "\n")
     return 0

@@ -2,60 +2,106 @@
 
 Every physical quantity carries an explicit unit suffix on its key
 (``cavity.separation_mm = 6.0``); the parser strips the suffix and stores
-the SI value under the bare key (``cavity.separation``). Dimensionless
-values (reflectivities, finesse, overlaps) take no suffix. ``#`` starts a
+the SI value under the bare key (``cavity.separation``). A key given
+without its suffix is read in SI units. Dimensionless values
+(reflectivities, finesse, overlaps) take no suffix. ``#`` starts a
 comment; blank lines are ignored.
+
+``KEYS`` is the one list of accepted keys: each with its unit family and
+its range. ``parse_config`` checks every line against it, so an unknown
+key, a unit of the wrong family, a word for a number or a value out of
+range is a ``ConfigError`` that gives the line and names the key.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import re
 from pathlib import Path
 
-from .constants import ATOMIC_UNIT_POLARIZABILITY_A3
 from .errors import ConfigError
 
-# suffix -> factor converting to the library's working unit (SI, except
-# polarizabilities which stay in cubic angstroms)
-UNIT_SUFFIXES = {
-    "m": 1.0,
-    "cm": 1e-2,
-    "mm": 1e-3,
-    "um": 1e-6,
-    "nm": 1e-9,
-    "Hz": 1.0,
-    "kHz": 1e3,
-    "MHz": 1e6,
-    "GHz": 1e9,
-    "Pa": 1.0,
-    "mbar": 1e2,
-    "bar": 1e5,
-    "K": 1.0,
-    "W": 1.0,
-    "mW": 1e-3,
-    "uW": 1e-6,
-    "nW": 1e-9,
-    "pW": 1e-12,
-    "fW": 1e-15,
-    "rad": 1.0,
-    "deg": math.pi / 180.0,
-    "A3": 1.0,
-    "au": ATOMIC_UNIT_POLARIZABILITY_A3,
+# unit family -> {suffix: factor converting to SI}
+UNITS = {
+    "length": {"m": 1.0, "cm": 1e-2, "mm": 1e-3, "um": 1e-6, "nm": 1e-9},
+    "frequency": {"Hz": 1.0, "kHz": 1e3, "MHz": 1e6, "GHz": 1e9},
+    "pressure": {"Pa": 1.0, "mbar": 1e2, "bar": 1e5},
+    "temperature": {"K": 1.0},
+    "power": {"W": 1.0, "mW": 1e-3, "uW": 1e-6, "nW": 1e-9, "pW": 1e-12, "fW": 1e-15},
+    "angle": {"rad": 1.0, "deg": math.pi / 180.0},
+}
+UNIT_SUFFIXES = {suffix: (family, factor) for family, units in UNITS.items()
+                 for suffix, factor in units.items()}
+
+# range -> (test of a value, what a value must be)
+RANGES = {
+    "> 0": (lambda v: v > 0.0, "positive"),
+    ">= 0": (lambda v: v >= 0.0, "nonnegative"),
+    "[0, 1)": (lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
+    "(0, 1]": (lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+    "any": (lambda v: True, ""),
+}
+
+# every accepted key -> (unit family or None, range); <i> stands for an
+# index 1, 2, ... A "word" key keeps its text. pump.power and
+# pump.polarization_angle are read by nothing: documented, ignored keys.
+KEYS = {
+    "cavity.separation": ("length", "> 0"),
+    "cavity.curvature": ("length", "> 0"),
+    "cavity.left_reflectivity": (None, "[0, 1)"),
+    "cavity.right_reflectivity": (None, "[0, 1)"),
+    "cavity.waist": ("length", "> 0"),
+    "pump.wavelength": ("length", "> 0"),
+    "pump.power": ("power", ">= 0"),
+    "pump.waist": ("length", "> 0"),
+    "pump.polarization_angle": ("angle", "any"),
+    "gas.species": (None, "word"),
+    "gas.pressure": ("pressure", ">= 0"),
+    "gas.temperature": ("temperature", "> 0"),
+    "anchor.measured_power": ("power", "> 0"),
+    "anchor.finesse": (None, "> 0"),
+    "anchor.spectral_overlap": (None, "(0, 1]"),
+    "scan.species": (None, "word"),
+    "scan.weight<i>": (None, ">= 0"),
+    "scan.range": ("frequency", "> 0"),
+    "scan.resolution": ("frequency", "> 0"),
+    "scan.normalize": (None, "any"),
+    "overlap.waist": ("length", "> 0"),
+    "overlap.plane_factor": (None, "> 0"),
+    "purcell.finesse": (None, "> 0"),
+    "purcell.waist": ("length", "> 0"),
+    "enhance.left_reflectivity": (None, "[0, 1)"),
+    "enhance.pairing<i>.finesse": (None, "> 0"),
+    "enhance.pairing<i>.right_reflectivity": (None, "[0, 1)"),
+    "enhance.pairing<i>.measured_power": ("power", "> 0"),
+    "enhance.pairing<i>.spectral_overlap": (None, "(0, 1]"),
+    "enhance.free_space_power": ("power", "> 0"),
+    "enhance.comparison_power": ("power", "> 0"),
+    "forecast.n_molecules": (None, ">= 0"),
+    "forecast.target_finesse": (None, "> 0"),
+    "forecast.polarizability_factor": (None, "> 0"),
 }
 
 
-def _split_unit(key: str) -> tuple[str, float]:
-    stem, _, suffix = key.rpartition("_")
-    if stem and suffix in UNIT_SUFFIXES:
-        return stem, UNIT_SUFFIXES[suffix]
-    return key, 1.0
+class Config(dict):
+    """Parsed values by bare key; ``path`` names the file in errors, and a
+    key that is read but absent is a ConfigError that names it."""
+
+    def __init__(self, path: str | os.PathLike):
+        super().__init__()
+        self.path = path
+
+    def __missing__(self, key: str):
+        raise ConfigError(self.path, None, f"missing required key {key!r} "
+                          "(any unit suffix)")
 
 
-def parse_config(path: str | os.PathLike) -> dict[str, float | str]:
-    """Parse a scenario file into {dotted.key: SI value or string}."""
+def parse_config(path: str | os.PathLike) -> Config:
+    """Parse a scenario file into {dotted.key: SI value or word}, checking
+    each line against ``KEYS``."""
     path = Path(path)
-    values: dict[str, float | str] = {}
+    values = Config(path)
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
     except OSError as exc:
@@ -70,66 +116,44 @@ def parse_config(path: str | os.PathLike) -> dict[str, float | str]:
         key, text = key.strip(), text.strip()
         if not key or not text:
             raise ConfigError(path, lineno, "empty key or value")
-        stem, factor = _split_unit(key)
+        stem, _, unit = key.rpartition("_")
+        if not (stem and unit in UNIT_SUFFIXES):
+            stem, unit = key, None
+        declared = re.sub(r"\d+", "<i>", stem)
+        if declared not in KEYS:
+            import difflib  # only this error needs it
+
+            guess = difflib.get_close_matches(declared, KEYS, n=1)
+            raise ConfigError(path, lineno, f"unknown key {stem!r}"
+                              + (f"; did you mean {guess[0]!r}?" if guess else ""))
+        family, limits = KEYS[declared]
+        if unit is not None and UNIT_SUFFIXES[unit][0] != family:
+            wants = f"a {family} unit" if family else "no unit suffix"
+            raise ConfigError(path, lineno, f"key {key!r}: {stem} takes {wants}, "
+                              f"not {unit!r}")
         if stem in values:
             raise ConfigError(path, lineno, f"duplicate key {stem!r}")
+        if limits == "word":
+            values[stem] = text
+            continue
         try:
             number = float(text)
         except ValueError:
-            # unsuffixed keys may carry strings (species names, labels)
-            if stem != key:
-                raise ConfigError(
-                    path, lineno, f"key {key!r} has a unit suffix but value "
-                    f"{text!r} is not numeric"
-                )
-            values[key] = text
-            continue
-        value = number * factor
+            if unit is not None:
+                raise ConfigError(path, lineno, f"key {key!r} has a unit suffix but "
+                                  f"value {text!r} is not numeric") from None
+            raise ConfigError(path, lineno,
+                              f"key {key!r} needs a number, got {text!r}") from None
+        value = number * (UNIT_SUFFIXES[unit][1] if unit else 1.0)
         if not math.isfinite(value):
             raise ConfigError(path, lineno, f"key {key!r} has non-finite value {text!r}")
+        test, wanted = RANGES[limits]
+        if not test(value):
+            raise ConfigError(path, lineno, f"{stem} must be {wanted}, got {value}")
+        # no input of the model comes near these magnitudes; a value beyond
+        # them only overflows the arithmetic downstream
+        if value and not 1e-30 <= abs(value) <= 1e30:
+            raise ConfigError(path, lineno, f"{stem} must be 0 or of magnitude "
+                              f"1e-30 to 1e30 in SI units, got {value}")
         values[stem] = value
     return values
-
-
-def require(values: dict[str, float | str], key: str,
-            path: str | os.PathLike = "<config>") -> float | str:
-    """Fetch a mandatory key, raising a ConfigError that names it."""
-    if key not in values:
-        raise ConfigError(path, None, f"missing required key {key!r} "
-                          "(any unit suffix)")
-    return values[key]
-
-
-_REQUIRED = object()
-
-
-def numeric(values: dict[str, float | str], key: str,
-            path: str | os.PathLike = "<config>", default=_REQUIRED):
-    """A numeric key as a float; ``default`` when absent, mandatory as with
-    ``require`` without one. A word given for a number names the key."""
-    if key not in values and default is not _REQUIRED:
-        return default
-    value = require(values, key, path)
-    if isinstance(value, str):
-        raise ConfigError(path, None, f"key {key!r} needs a number, got {value!r}")
-    return float(value)
-
-
-def positive(values: dict[str, float | str], key: str,
-             path: str | os.PathLike = "<config>", default=_REQUIRED):
-    """A numeric key as with ``numeric`` that must be > 0 when present;
-    a ConfigError names the key otherwise."""
-    value = numeric(values, key, path, default)
-    if key in values and not value > 0.0:
-        raise ConfigError(path, None, f"{key} must be positive, got {value}")
-    return value
-
-
-def reflectivity(values: dict[str, float | str], key: str,
-                 path: str | os.PathLike = "<config>") -> float:
-    """A mandatory intensity reflectivity key as with ``numeric``, which
-    must be in [0, 1); a ConfigError names the key otherwise."""
-    value = numeric(values, key, path)
-    if not 0.0 <= value < 1.0:
-        raise ConfigError(path, None, f"{key} must be in [0, 1), got {value}")
-    return value

@@ -9,11 +9,9 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from collections.abc import Mapping
 from typing import Sequence
 
-from .config import numeric, parse_config, positive, require
+from .config import Config
 from .constants import PLANCK, SPEED_OF_LIGHT
 from .errors import ConfigError
 from .gases import GasSpecies, load_species_table
@@ -71,40 +69,28 @@ class ScenarioConfig:
                                self.cavity.radius_of_curvature, wavelength)
 
     @classmethod
-    def from_file(cls, path: str | os.PathLike,
-                  species_table: dict[str, GasSpecies] | None = None) -> "ScenarioConfig":
-        return cls.from_values(parse_config(path), path, species_table)
-
-    @classmethod
-    def from_values(cls, values: Mapping[str, float | str],
-                    path: str | os.PathLike = "<config>",
+    def from_values(cls, values: Config,
                     species_table: dict[str, GasSpecies] | None = None) -> "ScenarioConfig":
-        """Scenario from the values of a parsed config; ``path`` names it in errors."""
+        """Scenario from the values of a parsed config."""
         if species_table is None:
             species_table = load_species_table()
-        name = str(require(values, "gas.species", path))
+        name = values["gas.species"]
         if name not in species_table:
-            raise ConfigError(path, None, f"unknown species {name!r}; table has: "
-                              + ", ".join(sorted(species_table)))
+            raise ConfigError(values.path, None, f"gas.species: unknown species {name!r}; "
+                              "table has: " + ", ".join(sorted(species_table)))
         gas = species_table[name]
-        temperature = positive(values, "gas.temperature", path, None)
-        if temperature is not None:
-            gas = GasSpecies(gas.name, gas.molar_mass, gas.polarizability, temperature)
-        pump = PumpBeam(
-            wavelength=positive(values, "pump.wavelength", path),
-            waist=numeric(values, "pump.waist", path),
-        )
+        if "gas.temperature" in values:
+            gas = GasSpecies(gas.name, gas.molar_mass, gas.polarizability,
+                             values["gas.temperature"])
         anchor = None
         if "anchor.measured_power" in values:
-            anchor = AnchorMeasurement(
-                measured_power=numeric(values, "anchor.measured_power", path),
-                finesse=numeric(values, "anchor.finesse", path),
-                spectral_overlap=numeric(values, "anchor.spectral_overlap", path),
-            )
-        cavity_waist = positive(values, "cavity.waist", path, None)
-        return cls(cavity=cavity_geometry(values, path), gas=gas,
-                   pressure=numeric(values, "gas.pressure", path),
-                   pump=pump, anchor=anchor, cavity_waist=cavity_waist)
+            anchor = AnchorMeasurement(values["anchor.measured_power"],
+                                       values["anchor.finesse"],
+                                       values["anchor.spectral_overlap"])
+        return cls(cavity=cavity_geometry(values), gas=gas,
+                   pressure=values["gas.pressure"],
+                   pump=PumpBeam(values["pump.wavelength"], values["pump.waist"]),
+                   anchor=anchor, cavity_waist=values.get("cavity.waist"))
 
 
 def photon_rate(power: float, wavelength: float) -> float:
@@ -347,7 +333,8 @@ def ultracold_forecast(anchor: ScenarioConfig, target: GasSpecies,
     adds the free-space channel through the Purcell power ratio.
     """
     if anchor.anchor is None:
-        raise ValueError("anchor scenario has no measured power to scale from")
+        raise ValueError("a forecast scales from anchor.measured_power, "
+                         "which the anchor scenario lacks")
     if n_molecules < 0.0:
         raise ValueError(f"forecast.n_molecules must be nonnegative, got {n_molecules}")
     if target_finesse <= 0.0:

@@ -8,10 +8,8 @@ documented rather than compensated.
 from __future__ import annotations
 
 import math
-import os
 from collections.abc import Mapping
 
-from .config import positive, reflectivity
 from .constants import BOLTZMANN, SPEED_OF_LIGHT
 from .records import record
 
@@ -54,18 +52,18 @@ class CavityGeometry:
             raise ValueError(f"mirror separation must be positive, got {d}")
         if rc <= 0.0 or d >= 2.0 * rc:
             raise ValueError(
-                f"unstable geometry: need 0 < d < 2*Rc, got d={d}, Rc={rc}"
+                f"unstable geometry: cavity.separation must be below "
+                f"2 * cavity.curvature, got d={d}, Rc={rc}"
             )
 
 
-def cavity_geometry(values: Mapping[str, float | str],
-                    path: str | os.PathLike = "<config>") -> CavityGeometry:
+def cavity_geometry(values: Mapping[str, float | str]) -> CavityGeometry:
     """The ``cavity.*`` geometry of a parsed config."""
     return CavityGeometry(
-        mirror_separation=positive(values, "cavity.separation", path),
-        radius_of_curvature=positive(values, "cavity.curvature", path),
-        left_mirror=MirrorSpec(reflectivity(values, "cavity.left_reflectivity", path)),
-        right_mirror=MirrorSpec(reflectivity(values, "cavity.right_reflectivity", path)),
+        mirror_separation=values["cavity.separation"],
+        radius_of_curvature=values["cavity.curvature"],
+        left_mirror=MirrorSpec(values["cavity.left_reflectivity"]),
+        right_mirror=MirrorSpec(values["cavity.right_reflectivity"]),
     )
 
 
@@ -162,7 +160,8 @@ def derive_cavity_params(geometry: CavityGeometry, wavelength: float) -> CavityP
     """
     f = finesse(geometry.left_mirror, geometry.right_mirror)
     if f <= 0.0:
-        raise ValueError("finesse is zero: mirrors provide no resonant buildup")
+        raise ValueError("finesse is zero: cavity.left_reflectivity or "
+                         "cavity.right_reflectivity is 0, so nothing builds up")
     d = geometry.mirror_separation
     fsr = free_spectral_range(d)
     w0 = symmetric_waist(d, geometry.radius_of_curvature, wavelength)

@@ -438,8 +438,8 @@ def scan_spectrum(cavity: CavityParams, species_weights: list[tuple[GasSpecies, 
     )
     if resolution >= narrowest / 5.0:
         raise ValueError(
-            f"resolution {resolution} too coarse: narrowest feature is "
-            f"{narrowest:.6g} Hz, need resolution < feature/5"
+            f"scan.resolution must be below feature/5, got {resolution:.6g} Hz: "
+            f"too coarse for the narrowest feature, {narrowest:.6g} Hz"
         )
 
     lines = []

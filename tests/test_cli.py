@@ -14,22 +14,26 @@ exact sqrt(1 + (z0/z)^2) - 1 (the Gauss-Legendre rule it replaced was
 6.8e-11 from it).
 """
 
+import contextlib
 import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavray import (ScenarioConfig, derive_cavity_params, load_species_table,
                     scan_spectrum)
 from cavray.cli import main
-from cavray.config import parse_config
+from cavray.config import KEYS, parse_config
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMO = ROOT / "demos" / "reference_cavity.cfg"
@@ -141,7 +145,7 @@ def _expected_scan(path):
     """``scan_spectrum`` on what ``cavray scan`` reads from the config at
     ``path``, which gives no ``scan.weight<i>``."""
     values = parse_config(path)
-    scenario = ScenarioConfig.from_file(path)
+    scenario = ScenarioConfig.from_values(values)
     table = load_species_table(temperature=values["gas.temperature"])
     wavelength = scenario.pump.wavelength
     return scan_spectrum(
@@ -201,55 +205,6 @@ def test_forecast_at_zero_pressure_is_a_clean_error(capsys, tmp_path):
     assert "gas.pressure" in err
 
 
-def test_nonpositive_pump_waist_names_its_key(capsys, tmp_path):
-    cfg = write_demo_variant(tmp_path, **{"pump.waist_um": "0"})
-    code, out, err = run_cli(capsys, "forecast", "--config", str(cfg), "--format", "json")
-    assert code == 2
-    assert out == ""
-    assert "pump.waist" in err
-
-
-@pytest.mark.parametrize("waist", ["0", "-5"])
-def test_nonpositive_cavity_waist_names_its_key(capsys, tmp_path, waist):
-    cfg = write_demo_variant(tmp_path, **{"cavity.waist_um": waist})
-    code, out, err = run_cli(capsys, "forecast", "--config", str(cfg), "--format", "json")
-    assert code == 2
-    assert out == ""
-    assert "cavity.waist must be positive" in err
-
-
-@pytest.mark.parametrize("factor", ["0", "-3"])
-def test_nonpositive_overlap_plane_factor_names_its_key(capsys, tmp_path, factor):
-    cfg = write_demo_variant(tmp_path, **{"overlap.plane_factor": factor})
-    code, out, err = run_cli(capsys, "overlap", "--config", str(cfg), "--format", "json")
-    assert code == 2
-    assert out == ""
-    assert "overlap.plane_factor must be positive" in err
-
-
-@pytest.mark.parametrize("waist", ["0", "-5"])
-def test_nonpositive_purcell_waist_names_its_key(capsys, tmp_path, waist):
-    cfg = write_demo_variant(tmp_path, **{"purcell.waist_um": waist})
-    code, out, err = run_cli(capsys, "purcell", "--config", str(cfg), "--format", "json")
-    assert code == 2
-    assert out == ""
-    assert "purcell.waist" in err
-
-
-@pytest.mark.parametrize("key, value", [
-    ("enhance.pairing1.measured_power_fW", "0"),
-    ("enhance.pairing2.spectral_overlap", "0"),
-    ("enhance.pairing3.spectral_overlap", "1.5"),
-    ("enhance.comparison_power_fW", "0"),
-])
-def test_bad_enhance_power_or_overlap_names_its_key(capsys, tmp_path, key, value):
-    cfg = write_demo_variant(tmp_path, **{key: value})
-    code, out, err = run_cli(capsys, "enhance", "--config", str(cfg), "--format", "json")
-    assert code == 2
-    assert out == ""
-    assert key.removesuffix("_fW") in err
-
-
 def run_on_key_variant(capsys, tmp_path, command, key, value):
     """``command`` on the demo config with the line of ``key``, unit suffix
     and all, made 'key = value' (so a number is in SI units); a key the
@@ -300,12 +255,44 @@ def test_non_numeric_value_names_its_key(capsys, tmp_path, command, key, word):
     ("enhance", "enhance.pairing2.right_reflectivity", "1.5"),
     ("scan", "scan.weight1", "-1"),
     ("scan", "scan.weight3", "-0.5"),
+    ("forecast", "pump.waist", "0"),
+    ("forecast", "cavity.waist", "0"),
+    ("forecast", "cavity.waist", "-5e-6"),
+    ("overlap", "overlap.plane_factor", "0"),
+    ("overlap", "overlap.plane_factor", "-3"),
+    ("purcell", "purcell.waist", "0"),
+    ("purcell", "purcell.waist", "-5e-6"),
+    ("enhance", "enhance.pairing1.measured_power", "0"),
+    ("enhance", "enhance.pairing2.spectral_overlap", "0"),
+    ("enhance", "enhance.pairing3.spectral_overlap", "1.5"),
+    ("enhance", "enhance.comparison_power", "0"),
+    # two keys in one condition: d < 2 Rc, and a grid finer than the lines
+    ("cavity", "cavity.separation", "0.1"),
+    ("scan", "scan.resolution", "1e9"),
 ])
 def test_out_of_range_value_names_its_key(capsys, tmp_path, command, key, value):
     code, out, err = run_on_key_variant(capsys, tmp_path, command, key, value)
     assert code == 2
     assert out == ""
     assert f"{key} must be" in err
+
+
+@pytest.mark.parametrize("command, old, new", [
+    ("forecast", "gas.temperature_K = 295.0", "gas.temperature_mbar = 295"),
+    ("purcell", "purcell.finesse = 1000.0", "purcell.finese = 1000"),
+    ("cavity", "cavity.separation_mm = 6.0", "cavity.separation_GHz = 6"),
+])
+def test_undeclared_key_or_unit_is_a_line_anchored_error(capsys, tmp_path, command,
+                                                         old, new):
+    text = DEMO.read_text()
+    lineno = text[:text.index(old)].count("\n") + 1
+    cfg = tmp_path / "variant.cfg"
+    cfg.write_text(text.replace(old, new))
+    code, out, err = run_cli(capsys, command, "--config", str(cfg), "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"config error: {cfg}:{lineno}: ")
+    assert repr(new.split(" = ")[0]) in err
 
 
 def test_out_dir_that_cannot_be_made_is_a_clean_error(capsys, tmp_path):
@@ -367,7 +354,7 @@ IMPORT_PROBE = textwrap.dedent("""
 
     def watched_modules():
         return sorted(m for m in sys.modules if m.startswith(("numpy", "scipy", "cavray"))
-                      or m in ("dataclasses", "inspect"))
+                      or m in ("dataclasses", "inspect", "difflib"))
 
     stages = {}
     import cavray
@@ -394,7 +381,8 @@ def test_report_subcommands_load_no_scipy():
     five reports, run in turn in one process, load no numpy, scipy,
     ``dataclasses`` or ``inspect`` module, and ``cavity``, run first, loads
     neither ``experiment`` nor ``field``. ``scan`` and then ``validate``,
-    run after them, load numpy and still no scipy."""
+    run after them, load numpy and still no scipy. No stage loads
+    ``difflib``, which only an unknown config key needs."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
@@ -411,6 +399,7 @@ def test_report_subcommands_load_no_scipy():
     for stage in ["scan", "validate"]:
         assert "numpy" in stages[stage], stage
         assert not any(m.startswith("scipy") for m in stages[stage]), stage
+    assert not [stage for stage, modules in stages.items() if "difflib" in modules]
 
 
 def test_package_namespace_resolves_every_exported_name():
@@ -422,3 +411,56 @@ def test_package_namespace_resolves_every_exported_name():
     assert cavray.scan_spectrum is cavray.spectra.scan_spectrum
     with pytest.raises(AttributeError, match="no_such_name"):
         cavray.no_such_name
+
+
+DEMO_LINES = [line.split("#", 1)[0].strip() for line in DEMO.read_text().splitlines()]
+DEMO_KEYS = [line.split("=")[0].strip() for line in DEMO_LINES if line]
+# "" drops a demo line, any other text replaces its value
+PERTURBATIONS = ["", "0", "-1", "1e300", "nan", "word"]
+NAMES_A_KEY = re.compile("|".join(re.escape(key).replace("<i>", r"\d+") for key in KEYS))
+
+
+def _finite_numbers(command, text):
+    if command == "scan":
+        return np.isfinite(np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1)).all()
+    non_finite = []  # the NaN and Infinity tokens json.dumps writes
+    json.loads(text, parse_constant=non_finite.append)
+    return not non_finite
+
+
+@settings(max_examples=60, deadline=None)
+@given(change=st.dictionaries(st.sampled_from(DEMO_KEYS), st.sampled_from(PERTURBATIONS),
+                              max_size=4),
+       extra=st.tuples(st.sampled_from(sorted(KEYS)), st.integers(1, 5),
+                       st.sampled_from(["", "_mm", "_GHz", "_K", "_fW", "x"]),
+                       st.sampled_from(["0", "-1", "0.5", "2", "1e300", "nan", "word"])))
+def test_perturbed_demo_gives_finite_output_or_names_a_key(change, extra):
+    """Every subcommand on a copy of the demo with a few keys dropped or
+    given a bad value, and one key added, exits 0 with finite numbers or
+    exits 2 with an error that names a config key. The scan grid stays at
+    most the demo's 1,501 points: no perturbation lowers
+    ``scan.resolution`` and keeps it positive."""
+    lines = []
+    for line in DEMO_LINES:
+        key = line.split("=")[0].strip()
+        if key not in change:
+            lines.append(line)
+        elif change[key]:
+            lines.append(f"{key} = {change[key]}")
+    pattern, index, suffix, value = extra
+    extra_key = pattern.replace("<i>", str(index)) + suffix
+    lines.append(f"{extra_key} = {value}")
+    with tempfile.TemporaryDirectory() as directory:
+        cfg = Path(directory) / "fuzz.cfg"
+        cfg.write_text("\n".join(lines) + "\n")
+        for command in [*REPORTS, "scan"]:
+            fmt = "csv" if command == "scan" else "json"
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command, "--config", str(cfg), "--format", fmt])
+            if code == 0:
+                assert _finite_numbers(command, out.getvalue()), (command, out.getvalue())
+            else:
+                assert code == 2, (command, err.getvalue())
+                assert NAMES_A_KEY.search(err.getvalue()) or extra_key in err.getvalue(), (
+                    command, err.getvalue())

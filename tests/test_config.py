@@ -1,12 +1,15 @@
 """Species database loading and the flat key-value config format."""
 
+import ast
 import math
+from pathlib import Path
 
 import pytest
 
+import cavray
 from cavray import (ATOMIC_UNIT_POLARIZABILITY_A3, ConfigError, GasSpecies,
                     ScenarioConfig, builtin_species, load_species_table)
-from cavray.config import numeric, parse_config, require
+from cavray.config import KEYS, parse_config
 from cavray.gases import SPECIES_DB_ENV
 
 
@@ -138,7 +141,7 @@ class TestConfigParser:
         "cavity.separation_mm = nan",
         "cavity.separation_mm = inf",
         "cavity.separation_mm = -inf",
-        "cavity.finesse = NaN",
+        "anchor.finesse = NaN",
         # finite as written, overflows to inf once scaled to Hz
         "scan.range_GHz = 1e300",
     ])
@@ -153,19 +156,107 @@ class TestConfigParser:
         with pytest.raises(ConfigError, match="cannot read"):
             parse_config(tmp_path / "nope.cfg")
 
-    def test_require_names_missing_key(self):
-        with pytest.raises(ConfigError, match="gas.pressure"):
-            require({}, "gas.pressure")
+    def test_missing_key_is_named_when_read(self, tmp_path):
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text("gas.pressure_mbar = 100\ngas.species = Xe\n")
+        values = parse_config(cfg)
+        assert values["gas.pressure"] == 1e4
+        assert values.get("gas.temperature", 295.0) == 295.0
+        assert values.get("cavity.waist") is None
+        assert "scan.range" not in values
+        with pytest.raises(ConfigError,
+                           match=r"a\.cfg: missing required key 'scan\.range'"):
+            values["scan.range"]
 
-    def test_numeric_reads_a_float_or_its_default(self):
-        values = {"gas.pressure": 1e4, "gas.species": "Xe"}
-        assert numeric(values, "gas.pressure") == 1e4
-        assert numeric(values, "gas.temperature", default=295.0) == 295.0
-        assert numeric(values, "cavity.waist", default=None) is None
-        with pytest.raises(ConfigError, match="missing required key 'scan.range'"):
-            numeric(values, "scan.range")
-        with pytest.raises(ConfigError, match="'gas.species' needs a number, got 'Xe'"):
-            numeric(values, "gas.species", default=1.0)
+    def test_word_for_a_number_names_its_key(self, tmp_path):
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text("gas.species = Xe\ngas.temperature = hot\n")
+        with pytest.raises(ConfigError,
+                           match=r"a\.cfg:2: key 'gas\.temperature' needs a number, got 'hot'"):
+            parse_config(cfg)
+
+    def test_word_key_keeps_its_text(self, tmp_path):
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text("gas.species = 3\nscan.species = Xe,N2\n")
+        assert parse_config(cfg) == {"gas.species": "3", "scan.species": "Xe,N2"}
+
+    @pytest.mark.parametrize("line, guess", [
+        ("purcell.finese = 1000", "purcell.finesse"),
+        ("overlap.plane_factr = 3", "overlap.plane_factor"),
+        ("cavity.finesse = 1000", "cavity."),
+        ("scan.weigth2 = 1", "scan.weight<i>"),
+        ("gas.temp_K = 295", "gas.temperature"),
+    ])
+    def test_unknown_key_gets_a_did_you_mean(self, tmp_path, line, guess):
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text(f"pump.wavelength_nm = 532\n{line}\n")
+        stem = line.split("=")[0].strip().removesuffix("_K")
+        with pytest.raises(ConfigError, match=rf"a\.cfg:2: unknown key '{stem}'; "
+                           rf"did you mean '{guess}"):
+            parse_config(cfg)
+
+    @pytest.mark.parametrize("line, stem, wants", [
+        ("gas.temperature_mbar = 295", "gas.temperature", "a temperature unit"),
+        ("cavity.separation_GHz = 6", "cavity.separation", "a length unit"),
+        ("anchor.measured_power_K = 50", "anchor.measured_power", "a power unit"),
+        ("purcell.finesse_Hz = 1000", "purcell.finesse", "no unit suffix"),
+    ])
+    def test_unit_from_another_family_rejected(self, tmp_path, line, stem, wants):
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text(f"pump.wavelength_nm = 532\n{line}\n")
+        key, unit = line.split("=")[0].strip(), line.split("_")[-1].split(" ")[0]
+        with pytest.raises(ConfigError, match=rf"a\.cfg:2: key '{key}': {stem} takes "
+                           rf"{wants}, not '{unit}'"):
+            parse_config(cfg)
+
+    @pytest.mark.parametrize("line, message", [
+        ("cavity.left_reflectivity = 1.5", r"cavity\.left_reflectivity must be in \[0, 1\)"),
+        ("anchor.spectral_overlap = 0", r"anchor\.spectral_overlap must be in \(0, 1\]"),
+        ("gas.pressure_mbar = -1", r"gas\.pressure must be nonnegative, got -100\.0"),
+        ("purcell.waist_um = 0", r"purcell\.waist must be positive, got 0\.0"),
+        ("enhance.pairing12.finesse = -3", r"enhance\.pairing12\.finesse must be positive"),
+        # overflowed purcell_ratio and interaction_volume downstream
+        ("cavity.waist_um = 1e300", r"cavity\.waist must be 0 or of magnitude "
+         r"1e-30 to 1e30 in SI units, got 1e\+294"),
+        ("purcell.waist = 1e-31", r"purcell\.waist must be 0 or of magnitude"),
+    ])
+    def test_out_of_range_value_is_line_anchored(self, tmp_path, line, message):
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text(f"pump.wavelength_nm = 532\n{line}\n")
+        with pytest.raises(ConfigError, match=rf"a\.cfg:2: {message}"):
+            parse_config(cfg)
+
+
+def _key_read(node):
+    """The key text of ``values[...]`` or ``values.get(...)``, with ``<i>`` for
+    each f-string field; None for other nodes, "?" for a computed key."""
+    if isinstance(node, ast.Subscript):
+        owner, key = node.value, node.slice
+    elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+          and node.func.attr == "get"):
+        owner, key = node.func.value, node.args[0]
+    else:
+        return None
+    if not (isinstance(owner, ast.Name) and owner.id == "values"):
+        return None
+    if isinstance(key, ast.Constant) and isinstance(key.value, str):
+        return key.value
+    if isinstance(key, ast.JoinedStr):
+        return "".join(part.value if isinstance(part, ast.Constant) else "<i>"
+                       for part in key.values)
+    return "?"
+
+
+def test_declared_keys_are_the_keys_the_handlers_read():
+    source = Path(cavray.__file__).parent
+    read = set()
+    for module in ("cli", "experiment", "optics"):
+        tree = ast.parse((source / f"{module}.py").read_text(encoding="utf-8"))
+        read |= {_key_read(node) for node in ast.walk(tree)} - {None}
+    assert "?" not in read, "every key a handler reads is written out"
+    assert read <= set(KEYS), read - set(KEYS)
+    # read by nothing, accepted so that configs that give them still parse
+    assert set(KEYS) - read == {"pump.power", "pump.polarization_angle"}
 
 
 class TestScenarioFromFile:
@@ -187,7 +278,7 @@ class TestScenarioFromFile:
             "anchor.finesse = 1000\n"
             "anchor.spectral_overlap = 0.042\n"
         )
-        scenario = ScenarioConfig.from_file(cfg)
+        scenario = ScenarioConfig.from_values(parse_config(cfg))
         assert scenario.gas.name == "Xe"
         assert scenario.gas.temperature == 300.0
         assert scenario.pressure == pytest.approx(1e4)
@@ -208,7 +299,7 @@ class TestScenarioFromFile:
             "gas.species = Xe\n"
             "gas.pressure_mbar = 100.0\n"
         )
-        scenario = ScenarioConfig.from_file(cfg)
+        scenario = ScenarioConfig.from_values(parse_config(cfg))
         assert scenario.anchor is None
         assert scenario.effective_cavity_waist(532e-9) == pytest.approx(
             4.3598698e-5, rel=1e-6
@@ -227,4 +318,4 @@ class TestScenarioFromFile:
             "gas.pressure_mbar = 100.0\n"
         )
         with pytest.raises(ConfigError, match="Kr"):
-            ScenarioConfig.from_file(cfg)
+            ScenarioConfig.from_values(parse_config(cfg))
