@@ -53,6 +53,15 @@ def _emit(args, stem: str, schema: str, fields: list[tuple[str, float]]) -> None
     _write(args, f"{stem}.{SUFFIXES[args.format]}", text)
 
 
+def _reject_unread_indices(values, prefix: str, count: int, why: str) -> None:
+    """A ConfigError naming the first ``<prefix><i>...`` key whose index i
+    is not one of the 1..count its handler read: declared, but ignored."""
+    read = {str(i) for i in range(1, count + 1)}
+    for key in values:
+        if key.startswith(prefix) and key[len(prefix):].split(".")[0] not in read:
+            raise ConfigError(values.path, None, f"{key} is never read: {why}")
+
+
 def cmd_cavity(args) -> int:
     from .optics import cavity_geometry, derive_cavity_params
 
@@ -87,6 +96,12 @@ def cmd_scan(args) -> int:
         if name not in table:
             raise ConfigError(values.path, None, f"scan.species: unknown species {name!r}")
         weights.append((table[name], values.get(f"scan.weight{i}", 1.0)))
+    _reject_unread_indices(values, "scan.weight", len(weights),
+                           f"scan.species lists {len(weights)} species")
+    if not any(weight > 0.0 for _, weight in weights):
+        keys = ", ".join(f"scan.weight{i}" for i in range(1, len(weights) + 1))
+        raise ConfigError(values.path, None, f"no scan.weight<i> is positive ({keys} "
+                          "are 0): the scan would have no signal")
     trace = scan_spectrum(
         params, weights,
         scan_range=values["scan.range"],
@@ -143,6 +158,9 @@ def cmd_enhance(args) -> int:
         measured.append(values[f"enhance.pairing{i}.measured_power"])
         overlaps.append(values[f"enhance.pairing{i}.spectral_overlap"])
         i += 1
+    _reject_unread_indices(values, "enhance.pairing", i - 1,
+                           "pairings are read from 1 up to the first missing "
+                           f"enhance.pairing<i>.finesse, enhance.pairing{i}.finesse")
     report = build_enhancement_report(
         pairings, measured, overlaps,
         values.get("enhance.free_space_power"),

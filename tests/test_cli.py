@@ -205,6 +205,61 @@ def test_forecast_at_zero_pressure_is_a_clean_error(capsys, tmp_path):
     assert "gas.pressure" in err
 
 
+def test_forecast_whose_rates_overflow_names_the_keys(capsys, tmp_path):
+    # each input (in SI units) inside the parse window; the rates' product
+    # is beyond the largest double
+    text = DEMO.read_text()
+    for key, value in [("gas.pressure", "1e-30"), ("anchor.measured_power", "1e30"),
+                       ("anchor.finesse", "1e-30"), ("anchor.spectral_overlap", "1e-30"),
+                       ("pump.waist", "1e-30"), ("cavity.waist", "1e-30"),
+                       ("forecast.target_finesse", "1e30"),
+                       ("forecast.polarizability_factor", "1e30")]:
+        text = re.sub(rf"^{re.escape(key)}(_\w+)? = .*$", f"{key} = {value}", text,
+                      flags=re.MULTILINE)
+    cfg = tmp_path / "variant.cfg"
+    cfg.write_text(text)
+    code, out, err = run_cli(capsys, "forecast", "--config", str(cfg), "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert "forecast rates are not finite" in err
+    assert "anchor.measured_power" in err and "forecast.target_finesse" in err
+
+
+def test_scan_with_every_weight_zero_names_the_weights(capsys, tmp_path):
+    cfg = tmp_path / "variant.cfg"
+    cfg.write_text(DEMO.read_text() + "scan.weight1 = 0\nscan.weight2 = 0\nscan.weight3 = 0\n")
+    code, out, err = run_cli(capsys, "scan", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert "no scan.weight<i> is positive (scan.weight1, scan.weight2, scan.weight3" in err
+
+
+PAIRING5 = "".join(f"enhance.pairing5.{line}\n" for line in [
+    "finesse = 50", "right_reflectivity = 0.9", "measured_power_fW = 80",
+    "spectral_overlap = 0.5"])
+
+
+@pytest.mark.parametrize("command, replacements, added, key", [
+    ("scan", {"scan.species": "Xe"}, "scan.weight7 = 2\n", "scan.weight7"),
+    ("scan", {}, "scan.weight4 = 1\n", "scan.weight4"),
+    ("scan", {}, "scan.weight0 = 1\n", "scan.weight0"),
+    # pairing 5 after a gap: the handler stops at the missing pairing 4
+    ("enhance", {}, PAIRING5, "enhance.pairing5.finesse"),
+    ("enhance", {}, "enhance.pairing4.measured_power_fW = 80\n",
+     "enhance.pairing4.measured_power"),
+])
+def test_indexed_key_no_handler_reads_is_named(capsys, tmp_path, command,
+                                               replacements, added, key):
+    """A declared ``scan.weight<i>`` or ``enhance.pairing<i>.*`` key whose
+    index the handler never reaches is an error, not silently ignored."""
+    cfg = write_demo_variant(tmp_path, **replacements)
+    cfg.write_text(cfg.read_text() + added)
+    code, out, err = run_cli(capsys, command, "--config", str(cfg), "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"config error: {cfg}: {key} is never read: ")
+
+
 def run_on_key_variant(capsys, tmp_path, command, key, value):
     """``command`` on the demo config with the line of ``key``, unit suffix
     and all, made 'key = value' (so a number is in SI units); a key the

@@ -9,6 +9,7 @@ validated by Monte-Carlo sampling of thermal velocities projected on the
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,8 +22,9 @@ from cavray import (CavityGeometry, GasSpecies, MirrorSpec, SpectralProfile,
                     derive_cavity_params, doppler_fwhm, doppler_fwhm_monte_carlo,
                     load_species_table, polarization_signal, scan_spectrum,
                     species_ratio, spectral_overlap, validation)
-from cavray.spectra import (MAX_SCAN_POINTS, OBSERVED_WIDTH_FACTOR, _erfcx,
-                            _json_array)
+from cavray.constants import AVOGADRO, BOLTZMANN
+from cavray.spectra import (_FWHM_PER_SIGMA, MAX_SCAN_POINTS, OBSERVED_WIDTH_FACTOR,
+                            _erfcx, _json_array)
 
 WAVELENGTH = 532e-9
 
@@ -78,6 +80,33 @@ class TestDopplerMonteCarlo:
         first = doppler_fwhm_monte_carlo(WAVELENGTH, 295.0, 131.29e-3, 10_000, 7)
         second = doppler_fwhm_monte_carlo(WAVELENGTH, 295.0, 131.29e-3, 10_000, 7)
         assert first == second
+
+    @pytest.mark.parametrize("n_samples", [65_535, 3 * 65_536 + 7, 1_000_000])
+    def test_streamed_width_equals_the_whole_array_std(self, n_samples):
+        # the blocks draw the stream one (n_samples, 2) draw gives, so only
+        # the merge of the block variances may differ, in the last ulps
+        sigma_v = math.sqrt(BOLTZMANN * 295.0 / (131.29e-3 / AVOGADRO))
+        velocities = np.random.default_rng(3).normal(0.0, sigma_v, (n_samples, 2))
+        whole = _FWHM_PER_SIGMA * float(
+            np.std((velocities[:, 0] - velocities[:, 1]) / WAVELENGTH))
+        streamed = doppler_fwhm_monte_carlo(WAVELENGTH, 295.0, 131.29e-3,
+                                            n_samples, 3)
+        assert abs(streamed - whole) <= 1e-14 * whole
+
+    @pytest.mark.parametrize("n_samples", [1_000_000, 4_000_000])
+    def test_memory_does_not_grow_with_the_sample_count(self, n_samples):
+        tracemalloc.start()
+        try:
+            doppler_fwhm_monte_carlo(WAVELENGTH, 295.0, 131.29e-3, n_samples, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2 ** 20
+
+    @pytest.mark.parametrize("n_samples", [1, 0, -5])
+    def test_fewer_than_two_samples_rejected(self, n_samples):
+        with pytest.raises(ValueError, match="n_samples"):
+            doppler_fwhm_monte_carlo(WAVELENGTH, 295.0, 131.29e-3, n_samples, 0)
 
 
 class TestSpectralProfile:

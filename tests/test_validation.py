@@ -96,15 +96,16 @@ def test_purcell_check_reports_the_residual_of_the_scalar_draws(seed):
 
 
 def test_run_all_stays_within_its_memory_budget():
-    # the oracles hold one draw's samples at a time; a draws x samples
-    # array would raise the peak well beyond this
+    # the oracles hold one draw's samples and the Monte-Carlo width one
+    # block of its velocity pairs at a time; a draws x samples array or
+    # the 1e6 pairs at once would raise the peak well beyond this
     tracemalloc.start()
     try:
         validation.run_all(0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 40 * 2 ** 20
+    assert peak <= 8 * 2 ** 20
 
 
 def test_nan_residual_fails_its_check(monkeypatch):
