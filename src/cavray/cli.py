@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import math
 import sys
 from pathlib import Path
@@ -49,6 +48,8 @@ def _emit(args, stem: str, schema: str, fields: list[tuple[str, float]]) -> None
     elif args.format == "csv":
         text = "name,value\n" + "\n".join(f"{n},{v}" for n, v in rows) + "\n"
     else:
+        import json
+
         text = json.dumps({"schema": schema, **dict(fields)}, indent=2) + "\n"
     _write(args, f"{stem}.{SUFFIXES[args.format]}", text)
 
@@ -219,6 +220,13 @@ def cmd_validate(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+def _seed(text: str) -> int:
+    """A --seed value: numpy's generators take non-negative integers only."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cavray",
@@ -245,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--format", default=formats[0], choices=formats,
                            help="output format")
         else:
-            p.add_argument("--seed", type=int, default=0,
+            p.add_argument("--seed", type=_seed, default=0,
                            help="seed for Monte-Carlo oracles")
         p.add_argument("--out", default=None, help="output directory")
         p.set_defaults(handler=handler)

@@ -42,7 +42,6 @@ it only when one of its names is used.
 from __future__ import annotations
 
 import io
-import json
 import math
 
 import numpy as np
@@ -76,6 +75,11 @@ _STENCIL_SCALE = np.array([
 ])[:, None]
 # rows per block of the interpolation and of the trace writers
 _BLOCK = 8192
+# bytes format specs of one full block of CSV rows and of JSON array values
+_CSV_ROW = b"%.12g,%.12g\n"
+_CSV_BLOCK = _CSV_ROW * _BLOCK
+_JSON_SEPARATOR = b",\n    "
+_JSON_BLOCK = _JSON_SEPARATOR.join([b"%.12g"] * _BLOCK)
 # velocity pairs per block of doppler_fwhm_monte_carlo: 1 MiB of draws
 _SAMPLE_BLOCK = 65_536
 
@@ -236,12 +240,18 @@ class SpectrumTrace:
 
     def to_csv(self, stream: io.TextIOBase) -> None:
         stream.write("detuning_Hz,signal_normalized\n")
-        # one %-format per block: a whole-trace format string or row array
-        # costs its own size again in memory
+        # one bytes %-format per block of rows, gathered into one reused
+        # buffer: a whole-trace format string or row array costs its own
+        # size again in memory, and bytes % writes the same digits as str %
+        # (both call PyOS_double_to_string) with less overhead per value
+        rows = np.empty((min(len(self.detunings), _BLOCK), 2))
         for start in range(0, len(self.detunings), _BLOCK):
-            block = np.column_stack((self.detunings[start:start + _BLOCK],
-                                     self.signals[start:start + _BLOCK]))
-            stream.write("%.12g,%.12g\n" * len(block) % tuple(block.ravel().tolist()))
+            detunings = self.detunings[start:start + _BLOCK]
+            block = rows[:len(detunings)]
+            block[:, 0] = detunings
+            block[:, 1] = self.signals[start:start + _BLOCK]
+            spec = _CSV_BLOCK if len(block) == _BLOCK else _CSV_ROW * len(block)
+            stream.write((spec % tuple(block.ravel().tolist())).decode("ascii"))
 
     @classmethod
     def from_csv(cls, stream: io.TextIOBase, species: str = "",
@@ -274,6 +284,8 @@ class SpectrumTrace:
         rewrites only the tokens whose repr is laid out otherwise: integers
         (".0" appended), magnitudes in [1e12, 1e16) and subnormals.
         """
+        import json
+
         yield (f'{{\n  "schema": {json.dumps(TRACE_SCHEMA)},\n'
                f'  "species": {json.dumps(self.species)},\n  "detuning_Hz": ')
         yield from _json_array(self.detunings)
@@ -290,6 +302,8 @@ class SpectrumTrace:
 
     @classmethod
     def from_json(cls, text: str) -> "SpectrumTrace":
+        import json
+
         payload = json.loads(text)
         if payload.get("schema") != TRACE_SCHEMA:
             raise ValueError(f"unexpected trace schema: {payload.get('schema')!r}")
@@ -330,7 +344,9 @@ def _json_array(values: np.ndarray):
     an integer is within q/2 of one; where log10 rounds across a power of
     ten, x is a few ulps from that power, which is an integer or rounds to
     none). Only those tokens are rewritten: as repr(float(s)) in the bands,
-    elsewhere with ".0" appended when s has neither "." nor "e".
+    elsewhere with ".0" appended when s has neither "." nor "e". A block
+    without one is formatted by one bytes % of a cached spec, as in
+    ``SpectrumTrace.to_csv``.
     """
     separator = ",\n    "
     # json.dumps writes an empty array as "[]"
@@ -344,6 +360,13 @@ def _json_array(values: np.ndarray):
             quantum = 10.0 ** (np.floor(np.log10(magnitude)) - 11.0)
         suspects = banded | (np.abs(block - np.rint(block)) <= quantum)
         args = block.tolist()
+        if start:
+            yield separator
+        if not suspects.any():
+            spec = (_JSON_BLOCK if len(args) == _BLOCK
+                    else _JSON_SEPARATOR.join([b"%.12g"] * len(args)))
+            yield (spec % tuple(args)).decode("ascii")
+            continue
         specs = ["%.12g"] * len(args)
         for i in np.flatnonzero(suspects).tolist():
             token = "%.12g" % args[i]
@@ -353,8 +376,6 @@ def _json_array(values: np.ndarray):
                 token += ".0"
             args[i] = token
             specs[i] = "%s"
-        if start:
-            yield separator
         yield separator.join(specs) % tuple(args)
     yield "\n  ]" if len(values) else "]"
 
@@ -413,23 +434,42 @@ def _interpolate_periodic(table: np.ndarray, cells: np.ndarray) -> np.ndarray:
 
     ``table[i]`` is the value at cell coordinate i, and ``cells`` lie in
     [0, len(table)]. Each point uses the nodes floor(x)-3 .. floor(x)+4.
+
+    The weight of node j at t = x - floor(x) is prod_{m != j} (t - m) / (j - m),
+    formed as (left_j * right_j) * scale_j from the running products
+    left_j = (t - m_0) ... (t - m_{j-1}) and right_j = (t - m_7) ... (t - m_{j+1}),
+    each multiplied one node at a time, and the 8 terms weight * node are
+    summed by numpy's axis-0 sum, which adds them in node order except in a
+    one-point block, where it adds them pairwise. Each multiply takes whole
+    rows of a block, into buffers reused across blocks; ``np.cumprod`` along
+    the stencil axis would run a loop of 7 per point.
     """
     size = len(table)
-    padded = np.concatenate((table[-3:], table, table[:4]))
-    offsets = (_STENCIL + 3)[:, None]
     out = np.empty_like(cells)
+    rows = min(len(cells), _BLOCK)
+    distances = np.empty((len(_STENCIL), rows))
+    weights = np.empty((len(_STENCIL), rows))
+    indices = np.empty((len(_STENCIL), rows), dtype=np.intp)
     for start in range(0, len(cells), _BLOCK):
         x = cells[start:start + _BLOCK]
+        n = len(x)
+        distance, weight, index = distances[:, :n], weights[:, :n], indices[:, :n]
         floor = np.floor(x)
-        distance = (x - floor) - _STENCIL[:, None]
-        # weight of node j at t = x - floor(x) is prod_{m != j} (t - m) / (j - m);
-        # the products over m < j and m > j are running products along the stencil
-        weights = np.ones_like(distance)
-        weights[1:] = np.cumprod(distance[:-1], axis=0)
-        weights[:-1] *= np.cumprod(distance[:0:-1], axis=0)[::-1]
-        weights *= _STENCIL_SCALE
-        nodes = padded[floor.astype(np.intp) % size + offsets]
-        out[start:start + _BLOCK] = (weights * nodes).sum(axis=0)
+        np.subtract(x - floor, _STENCIL[:, None], out=distance)
+        np.copyto(weight[1], distance[0])
+        for j in range(2, len(_STENCIL)):
+            np.multiply(weight[j - 1], distance[j - 1], out=weight[j])
+        right = distance[-1]
+        for j in range(len(_STENCIL) - 2, 0, -1):
+            weight[j] *= right
+            right *= distance[j]
+        np.copyto(weight[0], right)
+        weight *= _STENCIL_SCALE
+        # node j of the cell at floor(x) is table[(floor(x) + m_j) mod size]
+        np.add(floor.astype(np.intp) % size, _STENCIL[:, None], out=index)
+        nodes = np.take(table, index, mode="wrap", out=distance)
+        weight *= nodes
+        weight.sum(axis=0, out=out[start:start + n])
     return out
 
 

@@ -125,6 +125,16 @@ def test_options_a_subcommand_does_not_read_exit_2(capsys, argv):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("seed", ["-1", "1.5"])
+def test_seed_that_is_no_generator_seed_is_a_usage_error_naming_it(capsys, seed):
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--seed", seed])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--seed" in err and repr(seed) in err
+
+
 def test_validate_passes_every_check(capsys):
     from cavray import validation
 
@@ -405,11 +415,11 @@ def test_non_finite_config_value_is_a_config_error(capsys, tmp_path):
 
 
 IMPORT_PROBE = textwrap.dedent("""
-    import contextlib, io, json, sys
+    import contextlib, io, sys
 
     def watched_modules():
         return sorted(m for m in sys.modules if m.startswith(("numpy", "scipy", "cavray"))
-                      or m in ("dataclasses", "inspect", "difflib"))
+                      or m in ("dataclasses", "inspect", "difflib", "json"))
 
     stages = {}
     import cavray
@@ -419,16 +429,31 @@ IMPORT_PROBE = textwrap.dedent("""
     config = sys.argv[1]
     for command in sys.argv[2:]:
         fmt = "csv" if command == "scan" else "json"
+        argv = [command] if command == "validate" else [command, "--config", config,
+                                                        "--format", fmt]
         with contextlib.redirect_stdout(io.StringIO()):
-            code = cavray.cli.main([command, "--config", config, "--format", fmt])
+            code = cavray.cli.main(argv)
         assert code == 0, command
         stages[command] = watched_modules()
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = cavray.cli.main(["validate"])
-    assert code == 0, "validate"
-    stages["validate"] = watched_modules()
+    import json
     print(json.dumps(stages))
 """)
+
+
+def _src_env():
+    """The environment with ``src`` first on PYTHONPATH, for a child process."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
+def _probe_stages(*commands):
+    result = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, str(DEMO), *commands],
+        capture_output=True, text=True, env=_src_env(), timeout=120, check=True,
+    )
+    return json.loads(result.stdout)
 
 
 def test_report_subcommands_load_no_scipy():
@@ -437,24 +462,34 @@ def test_report_subcommands_load_no_scipy():
     ``dataclasses`` or ``inspect`` module, and ``cavity``, run first, loads
     neither ``experiment`` nor ``field``. ``scan`` and then ``validate``,
     run after them, load numpy and still no scipy. No stage loads
-    ``difflib``, which only an unknown config key needs."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    ``difflib``, which only an unknown config key needs. ``import
+    cavray.cli`` loads no ``json``, and neither does a CSV scan run first
+    in a fresh process."""
     assert REPORTS[0] == "cavity"
-    result = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE, str(DEMO), *REPORTS, "scan"],
-        capture_output=True, text=True, env=env, timeout=120, check=True,
-    )
-    stages = json.loads(result.stdout)
+    stages = _probe_stages(*REPORTS, "scan", "validate")
     assert stages["import cavray"] == ["cavray"]
+    assert "json" not in stages["import cavray.cli"]
     for stage in ["import cavray.cli", *REPORTS]:
-        assert not [m for m in stages[stage] if not m.startswith("cavray")], stage
+        assert not [m for m in stages[stage]
+                    if not m.startswith("cavray") and m != "json"], stage
     assert not {"cavray.experiment", "cavray.field"} & set(stages["cavity"])
     for stage in ["scan", "validate"]:
         assert "numpy" in stages[stage], stage
         assert not any(m.startswith("scipy") for m in stages[stage]), stage
     assert not [stage for stage, modules in stages.items() if "difflib" in modules]
+    assert "json" not in _probe_stages("scan")["scan"]
+
+
+def test_python_m_cavray_is_the_cli():
+    argv = [sys.executable, "-m", "cavray", "cavity", "--config", str(DEMO)]
+    result = subprocess.run([*argv, "--format", "json"], capture_output=True,
+                            env=_src_env(), timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == (GOLDEN / "cavity.json").read_bytes()
+    # and exits with main's code: 2 for a config error
+    argv[-1] = str(ROOT / "no_such.cfg")
+    assert subprocess.run(argv, capture_output=True, env=_src_env(),
+                          timeout=120).returncode == 2
 
 
 def test_package_namespace_resolves_every_exported_name():

@@ -24,7 +24,7 @@ from cavray import (CavityGeometry, GasSpecies, MirrorSpec, SpectralProfile,
                     species_ratio, spectral_overlap, validation)
 from cavray.constants import AVOGADRO, BOLTZMANN
 from cavray.spectra import (_FWHM_PER_SIGMA, MAX_SCAN_POINTS, OBSERVED_WIDTH_FACTOR,
-                            _erfcx, _json_array)
+                            _erfcx, _interpolate_periodic, _json_array)
 
 WAVELENGTH = 532e-9
 
@@ -38,6 +38,10 @@ EDGE_VALUES = [0.0, -0.0, 1e-300, 1e11, 123456789012.5, 5e-324, 2.5e-310,
                2.2250738585072014e-308, 99999999999.0, 999999999999.0,
                999999999999.5, 9.99999999999e15, 1e16, 9.999999999995e-5,
                0.9999999999995, 2.5e-320]
+# any finite double, integral doubles up to 1e16, and the edge values
+FINITE_VALUES = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                          st.integers(-10 ** 16, 10 ** 16).map(float),
+                          st.sampled_from(EDGE_VALUES))
 
 
 def paper_linewidth(finesse):
@@ -359,6 +363,50 @@ class TestScanAgainstOracles:
         assert np.max(np.abs(signals - brute)) <= 1e-7 * peak
 
 
+def _cumprod_kernel(table, cells):
+    """``_interpolate_periodic`` as it was before its rewrite: the running
+    products by ``np.cumprod`` along the stencil axis and the nodes by a
+    fancy-index gather from a padded table. The rewrite must equal it bit
+    for bit."""
+    stencil = np.arange(-3, 5)
+    scale = np.array([1.0 / math.prod(float(j - m) for m in stencil if m != j)
+                      for j in stencil])[:, None]
+    size = len(table)
+    padded = np.concatenate((table[-3:], table, table[:4]))
+    out = np.empty_like(cells)
+    for start in range(0, len(cells), 8192):
+        x = cells[start:start + 8192]
+        floor = np.floor(x)
+        distance = (x - floor) - stencil[:, None]
+        weights = np.ones_like(distance)
+        weights[1:] = np.cumprod(distance[:-1], axis=0)
+        weights[:-1] *= np.cumprod(distance[:0:-1], axis=0)[::-1]
+        weights *= scale
+        nodes = padded[floor.astype(np.intp) % size + (stencil + 3)[:, None]]
+        out[start:start + 8192] = (weights * nodes).sum(axis=0)
+    return out
+
+
+class TestInterpolationKernel:
+    # 8192 + 1 ends on a one-point block, whose axis-0 sum numpy forms pairwise
+    @pytest.mark.parametrize("n", [0, 1, 7, 8191, 8192, 8192 + 1, 3 * 8192 + 1000])
+    def test_equals_the_cumprod_kernel_bit_for_bit(self, n):
+        for seed in range(4):
+            rng = np.random.default_rng([seed, n])
+            size = int(rng.choice([8, 16, 1000, 4096]))
+            table = rng.standard_normal(size) * 10.0 ** rng.uniform(-3.0, 3.0)
+            cells = rng.uniform(0.0, size, n)
+            integral = rng.random(n) < 0.1
+            cells[integral] = rng.integers(0, size + 1, integral.sum())
+            # 0 and len(table) at the start and at the end of the last block
+            ends = [0.0, float(size), float(size - 1), 1.0]
+            for at in (0, max(0, n - len(ends))):
+                placed = ends[:max(0, min(len(ends), n - at))]
+                cells[at:at + len(placed)] = placed
+            expected = _cumprod_kernel(table, cells)
+            assert np.array_equal(_interpolate_periodic(table, cells), expected), (seed, size)
+
+
 class TestTraceSerialization:
     @pytest.fixture
     def trace(self, reference_params):
@@ -404,7 +452,7 @@ class TestTraceSerialization:
         with pytest.raises(ValueError, match="finite"):
             SpectrumTrace(np.array([0.0, bad, 2.0]), np.ones(3))
 
-    @pytest.mark.parametrize("n", [0, 3, 8192 + 5, 2 * 8192 + 40])
+    @pytest.mark.parametrize("n", [0, 3, 8192, 8192 + 5, 2 * 8192, 2 * 8192 + 40])
     def test_writers_match_per_point_formatting(self, reference_params, n):
         edges = np.array(EDGE_VALUES)
         rng = np.random.default_rng(n)
@@ -438,15 +486,33 @@ class TestTraceSerialization:
                 }
             assert trace.to_json() == json.dumps(payload, indent=2)
 
-    @given(hnp.arrays(np.float64, st.integers(0, 40), elements=st.one_of(
-        st.floats(allow_nan=False, allow_infinity=False),
-        st.integers(-10 ** 16, 10 ** 16).map(float),
-        st.sampled_from(EDGE_VALUES))))
+    @given(hnp.arrays(np.float64, st.integers(0, 40), elements=FINITE_VALUES))
     @settings(max_examples=300, deadline=None)
     def test_json_array_is_per_value_repr_of_the_rounding(self, values):
         expected = ("[\n    " + ",\n    ".join(repr(float(f"{x:.12g}")) for x in values)
                     + "\n  ]") if len(values) else "[]"
         assert "".join(_json_array(values)) == expected
+
+    @given(hnp.arrays(np.float64, st.tuples(st.integers(0, 40), st.just(2)),
+                      elements=FINITE_VALUES))
+    @settings(max_examples=300, deadline=None)
+    def test_csv_is_per_row_format(self, rows):
+        # a trace's signals are nonnegative
+        detunings, signals = rows[:, 0], np.abs(rows[:, 1])
+        buffer = io.StringIO()
+        SpectrumTrace(detunings, signals).to_csv(buffer)
+        assert buffer.getvalue() == "detuning_Hz,signal_normalized\n" + "".join(
+            f"{x:.12g},{y:.12g}\n" for x, y in zip(detunings, signals))
+
+    @pytest.mark.parametrize("n", [8192, 2 * 8192, 8192 + 1])
+    def test_json_blocks_without_suspect_tokens(self, n):
+        # no value near an integer or in a band of _json_array, so every
+        # block is formatted through the bytes spec, the full ones cached
+        rng = np.random.default_rng(n)
+        values = (rng.uniform(0.1, 0.9, n) * 10.0 ** rng.integers(-200, 1, n)
+                  * rng.choice([-1.0, 1.0], n))
+        assert "".join(_json_array(values)) == (
+            "[\n    " + ",\n    ".join(repr(float(f"{x:.12g}")) for x in values) + "\n  ]")
 
 
 class TestPolarization:
