@@ -2,7 +2,8 @@
 
 ``tests/golden/<subcommand>.<format>`` holds the exact stdout bytes of
 every (subcommand, format) pair the CLI accepts on
-``demos/reference_cavity.cfg``, and ``validate.txt`` that of ``cavray
+``demos/reference_cavity.cfg``, ``tests/golden/cold_pair/`` those on
+``tests/golden/cold_pair.cfg``, and ``validate.txt`` that of ``cavray
 validate``. They pin "same outputs" for every config subcommand;
 regenerate them only for an intended change of output. ``scan.csv`` was
 rewritten when the scan became the Fourier series of the infinite comb,
@@ -59,36 +60,52 @@ def write_demo_variant(tmp_path, **replacements):
     return path
 
 
-# (subcommand, format, file written under --out)
+# a second scenario that leaves the demo on every path it shares with it:
+# gas temperature, scan weights, asymmetric mirrors, given and derived waists
+COLD = GOLDEN / "cold_pair.cfg"
+
+
+def _outputs(scan_stem):
+    """(subcommand, format, file written under --out) of every pair the CLI accepts."""
+    return [
+        *((command, fmt, f"{stem}.{suffix}")
+          for command, stem in [("cavity", "cavity_params"), ("overlap", "overlap_report"),
+                                ("purcell", "purcell_report")]
+          for fmt, suffix in [("table", "txt"), ("csv", "csv"), ("json", "json")]),
+        *((command, fmt, f"{stem}.{suffix}")
+          for command, stem in [("enhance", "enhancement_report"),
+                                ("forecast", "forecast_report")]
+          for fmt, suffix in [("table", "txt"), ("json", "json")]),
+        ("scan", "csv", f"scan_{scan_stem}.csv"),
+        ("scan", "json", f"scan_{scan_stem}.json"),
+    ]
+
+
+# (config, its golden directory, subcommand, format, file written under --out)
 OUTPUTS = [
-    *((command, fmt, f"{stem}.{suffix}")
-      for command, stem in [("cavity", "cavity_params"), ("overlap", "overlap_report"),
-                            ("purcell", "purcell_report")]
-      for fmt, suffix in [("table", "txt"), ("csv", "csv"), ("json", "json")]),
-    *((command, fmt, f"{stem}.{suffix}")
-      for command, stem in [("enhance", "enhancement_report"),
-                            ("forecast", "forecast_report")]
-      for fmt, suffix in [("table", "txt"), ("json", "json")]),
-    ("scan", "csv", "scan_Xe_CF3H_N2.csv"),
-    ("scan", "json", "scan_Xe_CF3H_N2.json"),
+    *(pytest.param(DEMO, GOLDEN, *row, id="-".join(row)) for row in _outputs("Xe_CF3H_N2")),
+    *(pytest.param(COLD, GOLDEN / "cold_pair", *row, id="-".join(("cold_pair", *row)))
+      for row in _outputs("Xe_N2")),
 ]
 
 
-@pytest.mark.parametrize("command, fmt, filename", OUTPUTS)
-def test_output_is_byte_identical_to_golden(capsys, command, fmt, filename):
-    code, out, err = run_cli(capsys, command, "--config", str(DEMO), "--format", fmt)
+@pytest.mark.parametrize("config, golden, command, fmt, filename", OUTPUTS)
+def test_output_is_byte_identical_to_golden(capsys, config, golden, command, fmt,
+                                            filename):
+    code, out, err = run_cli(capsys, command, "--config", str(config), "--format", fmt)
     assert code == 0, err
-    assert out.encode("utf-8") == (GOLDEN / f"{command}.{fmt}").read_bytes()
+    assert out.encode("utf-8") == (golden / f"{command}.{fmt}").read_bytes()
 
 
-@pytest.mark.parametrize("command, fmt, filename", OUTPUTS)
-def test_out_dir_gets_the_stdout_bytes(capsys, tmp_path, command, fmt, filename):
-    code, out, err = run_cli(capsys, command, "--config", str(DEMO), "--format", fmt,
+@pytest.mark.parametrize("config, golden, command, fmt, filename", OUTPUTS)
+def test_out_dir_gets_the_stdout_bytes(capsys, tmp_path, config, golden, command, fmt,
+                                       filename):
+    code, out, err = run_cli(capsys, command, "--config", str(config), "--format", fmt,
                              "--out", str(tmp_path))
     assert code == 0, err
     assert out == f"wrote {tmp_path / filename}\n"
     assert [p.name for p in tmp_path.iterdir()] == [filename]
-    assert (tmp_path / filename).read_bytes() == (GOLDEN / f"{command}.{fmt}").read_bytes()
+    assert (tmp_path / filename).read_bytes() == (golden / f"{command}.{fmt}").read_bytes()
 
 
 def _without_residual_figures(text):
