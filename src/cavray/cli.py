@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import math
 import sys
 from pathlib import Path
 
@@ -121,16 +120,15 @@ def cmd_scan(args) -> int:
 
 
 def cmd_overlap(args) -> int:
-    from .optics import cavity_geometry, derive_cavity_params
-    from .overlap import GaussianMode, overlap_eta_analytic, overlap_eta_numeric
+    from .optics import cavity_geometry, derive_cavity_params, rayleigh_length
+    from .overlap import overlap_eta_analytic, overlap_eta_numeric
 
     values = parse_config(args.config)
     wavelength = values["pump.wavelength"]
     waist = values.get("overlap.waist")
     if waist is None:
         waist = derive_cavity_params(cavity_geometry(values), wavelength).waist
-    z = (values.get("overlap.plane_factor", 100.0)
-         * GaussianMode(waist, wavelength).rayleigh_length)
+    z = values.get("overlap.plane_factor", 100.0) * rayleigh_length(waist, wavelength)
     analytic = overlap_eta_analytic(wavelength, waist)
     on_plane = overlap_eta_numeric(wavelength, waist, z)
     fields = [
@@ -173,7 +171,7 @@ def cmd_enhance(args) -> int:
 
 
 def cmd_purcell(args) -> int:
-    from .optics import cavity_geometry, derive_cavity_params
+    from .optics import cavity_geometry, derive_cavity_params, mode_volume
     from .overlap import purcell_factor, purcell_ratio
 
     values = parse_config(args.config)
@@ -184,8 +182,8 @@ def cmd_purcell(args) -> int:
     waist = values.get("purcell.waist", params.waist)
     d = geometry.mirror_separation
     from_ratio = purcell_ratio(finesse, wavelength, waist)
-    from_qv = purcell_factor(2.0 * d * finesse / wavelength,
-                             wavelength, math.pi * waist ** 2 * d / 4.0)
+    from_qv = purcell_factor(2.0 * d * finesse / wavelength, wavelength,
+                             mode_volume(waist, d))
     fields = [
         ("finesse", finesse),
         ("waist_m", waist),

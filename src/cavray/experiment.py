@@ -14,6 +14,7 @@ from typing import Sequence
 from .config import Config
 from .constants import PLANCK, SPEED_OF_LIGHT
 from .errors import ConfigError
+from .field import outcoupling_share, transmitted_power
 from .gases import GasSpecies, load_species_table
 from .optics import (CavityGeometry, MirrorSpec, PumpBeam, cavity_geometry,
                      number_density, symmetric_waist)
@@ -69,11 +70,9 @@ class ScenarioConfig:
                                self.cavity.radius_of_curvature, wavelength)
 
     @classmethod
-    def from_values(cls, values: Config,
-                    species_table: dict[str, GasSpecies] | None = None) -> "ScenarioConfig":
+    def from_values(cls, values: Config) -> "ScenarioConfig":
         """Scenario from the values of a parsed config."""
-        if species_table is None:
-            species_table = load_species_table()
+        species_table = load_species_table()
         name = values["gas.species"]
         if name not in species_table:
             raise ConfigError(values.path, None, f"gas.species: unknown species {name!r}; "
@@ -119,31 +118,28 @@ def contributing_particles(density: float, pump_waist: float,
     return density * interaction_volume(cavity_waist, pump_waist) * spectral_overlap
 
 
-def free_space_backout(measured_cavity_power: float, finesse: float,
-                       spectral_overlap: float,
-                       outcoupling_fraction: float = 0.5) -> float:
-    """Free-space power implied by a measured cavity signal.
+MirrorPairing = tuple[float, MirrorSpec, MirrorSpec]
+
+
+def free_space_backout(measured_cavity_power: float, spectral_overlap: float,
+                       pairing: MirrorPairing) -> float:
+    """Free-space power implied by a cavity signal measured on ``pairing``.
 
     Inverts the detectable-power chain: division by the spectral overlap
     (absent without a cavity) and by the single-mirror enhancement
-    4 * fraction * F / pi, where fraction = T2/(T1+T2) is 1/2 for symmetric
-    mirrors.
+    ``field.transmitted_power`` per unit of free-space power,
+    4 * T2/(T1+T2) * F / pi, which is 2F/pi for symmetric mirrors.
     """
+    finesse, left, right = pairing
     if measured_cavity_power < 0.0:
         raise ValueError("measured power must be nonnegative")
     if finesse <= 0.0:
         raise ValueError(f"finesse must be positive, got {finesse}")
     if not 0.0 < spectral_overlap <= 1.0:
         raise ValueError(f"overlap must be in (0, 1], got {spectral_overlap}")
-    if not 0.0 < outcoupling_fraction <= 1.0:
-        raise ValueError(
-            f"outcoupling fraction must be in (0, 1], got {outcoupling_fraction}"
-        )
-    enhancement = 4.0 * outcoupling_fraction * finesse / math.pi
+    enhancement = transmitted_power(1.0, 1.0, left.transmission, right.transmission,
+                                    finesse)
     return measured_cavity_power / (enhancement * spectral_overlap)
-
-
-MirrorPairing = tuple[float, MirrorSpec, MirrorSpec]
 
 
 def finesse_dependence(pairings: Sequence[MirrorPairing]) -> list[tuple[float, float]]:
@@ -153,16 +149,21 @@ def finesse_dependence(pairings: Sequence[MirrorPairing]) -> list[tuple[float, f
     highest-finesse pairing. For identical mirror pairs this reduces to
     plain linearity in the finesse.
     """
+    return _shares_and_relative_signals(pairings)[1]
+
+
+def _shares_and_relative_signals(pairings: Sequence[MirrorPairing]):
+    """Each pairing's outcoupling share T2/(T1+T2), and ``finesse_dependence``."""
     if not pairings:
         raise ValueError("at least one mirror pairing is required")
-    signals = []
+    shares, signals = [], []
     for f, left, right in pairings:
         if f <= 0.0:
             raise ValueError(f"finesse must be positive, got {f}")
-        share = right.transmission / (left.transmission + right.transmission)
-        signals.append(f * share)
+        shares.append(outcoupling_share(left.transmission, right.transmission))
+        signals.append(f * shares[-1])
     reference = signals[max(range(len(pairings)), key=lambda i: pairings[i][0])]
-    return [(f, s / reference) for (f, _, _), s in zip(pairings, signals)]
+    return shares, [(f, s / reference) for (f, _, _), s in zip(pairings, signals)]
 
 
 @record
@@ -250,13 +251,13 @@ def build_enhancement_report(pairings: Sequence[MirrorPairing],
         raise ValueError(f"enhance.comparison_power must be positive, got {comparison_power}")
     at_rest = [p / o for p, o in zip(measured_powers, spectral_overlaps)]
     ref_index = max(range(len(pairings)), key=lambda i: pairings[i][0])
-    predicted = finesse_dependence(pairings)
+    shares, predicted = _shares_and_relative_signals(pairings)
     max_finesse = pairings[ref_index][0]
     entries = []
-    for i, ((f, left, right), rel_pred) in enumerate(zip(pairings, predicted)):
+    for i, ((f, _, _), share, rel_pred) in enumerate(zip(pairings, shares, predicted)):
         entries.append(FinesseEntry(
             finesse=f,
-            outcoupling_share=right.transmission / (left.transmission + right.transmission),
+            outcoupling_share=share,
             measured_power=measured_powers[i],
             spectral_overlap=spectral_overlaps[i],
             at_rest_power=at_rest[i],
@@ -266,9 +267,8 @@ def build_enhancement_report(pairings: Sequence[MirrorPairing],
         ))
     if comparison_power is None:
         comparison_power = measured_powers[ref_index]
-    backout = free_space_backout(comparison_power, max_finesse,
-                                 spectral_overlaps[ref_index],
-                                 outcoupling_fraction=entries[ref_index].outcoupling_share)
+    backout = free_space_backout(comparison_power, spectral_overlaps[ref_index],
+                                 pairings[ref_index])
     factor = None
     if free_space_measured is not None:
         if free_space_measured <= 0.0:
@@ -313,10 +313,10 @@ class ForecastReport:
         ])
 
 
-def ultracold_target_species(reference: GasSpecies, polarizability_factor: float = 10.0,
-                             name: str = "ultracold-dimer") -> GasSpecies:
+def ultracold_target_species(reference: GasSpecies,
+                             polarizability_factor: float = 10.0) -> GasSpecies:
     """Target species with a scaled-up polarizability (default 10x reference)."""
-    return GasSpecies(name=name, molar_mass=reference.molar_mass,
+    return GasSpecies(name="ultracold-dimer", molar_mass=reference.molar_mass,
                       polarizability=polarizability_factor * reference.polarizability,
                       temperature=reference.temperature)
 

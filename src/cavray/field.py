@@ -6,11 +6,14 @@ the right-traveling field at the scatterer follows from summing all
 round trips. Intensities and powers are expressed in units of the pump
 (``amplitude**2 * pump``); the fixed mode-area reference that converts
 between the two cancels in every reported ratio and is set to 1.
+
+The closed forms need ``math`` alone, so the reports that import this
+module load no other; the summation and quadrature oracles import
+``cmath`` (and numpy) inside themselves.
 """
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from typing import Literal
@@ -56,6 +59,8 @@ def _source_and_feedback(cfg: ScatterConfig, r1: float, r2: float,
     """Directly scattered plus once-reflected source term, and the
     round-trip feedback factor; shared by the closed form and the
     summation so the two routes differ only in how the series is summed."""
+    import cmath
+
     k, d, dz = cfg.wavenumber, mirror_separation, cfg.displacement
     source = cfg.amplitude * cfg.pump_field * (
         1.0 + r1 * cmath.exp(1j * k * d) * cmath.exp(2j * k * dz)
@@ -137,6 +142,8 @@ def position_averaged_intensity_numeric(amplitude: float, pump_field: float,
     same for every k: the samples of exp(2i*k*dz) are one grid on the unit
     circle per n_points, computed once (``_displacement_phases``).
     """
+    import cmath
+
     import numpy as np
 
     _check_feedback(r1, r2)
@@ -157,6 +164,14 @@ def _displacement_phases(n_points: int):
     return phases
 
 
+def outcoupling_share(t1: float, t2: float) -> float:
+    """Share T2/(T1+T2) of the cavity's scattered power that leaves through
+    the right mirror, for mirror intensity transmissions T1 and T2."""
+    if t1 + t2 <= 0.0:
+        raise ValueError(f"T1 + T2 must be positive, got {t1 + t2}")
+    return t2 / (t1 + t2)
+
+
 def transmitted_power(amplitude: float, pump_power: float, t1: float, t2: float,
                       finesse: float) -> float:
     """Scattered power leaving through the right mirror (high-finesse limit).
@@ -164,9 +179,7 @@ def transmitted_power(amplitude: float, pump_power: float, t1: float, t2: float,
     P_t = 4 * T2/(T1+T2) * a^2 * Pp * F/pi, which reduces to
     2 * a^2 * Pp * F/pi for a symmetric cavity.
     """
-    if t1 + t2 <= 0.0:
-        raise ValueError(f"T1 + T2 must be positive, got {t1 + t2}")
-    return 4.0 * (t2 / (t1 + t2)) * amplitude ** 2 * pump_power * finesse / math.pi
+    return 4.0 * outcoupling_share(t1, t2) * amplitude ** 2 * pump_power * finesse / math.pi
 
 
 Coupling = Literal["averaged", "antinode"]

@@ -16,7 +16,6 @@ import os
 from importlib import resources
 from pathlib import Path
 
-from .constants import AVOGADRO
 from .records import record
 
 SPECIES_DB_ENV = "CAVRAY_SPECIES_DB"
@@ -42,11 +41,6 @@ class GasSpecies:
             )
         if self.temperature <= 0.0:
             raise ValueError(f"temperature must be positive, got {self.temperature}")
-
-    @property
-    def molecular_mass(self) -> float:
-        """Mass of a single particle in kg."""
-        return self.molar_mass / AVOGADRO
 
 
 def _builtin_table_path() -> Path:

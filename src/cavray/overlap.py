@@ -8,20 +8,22 @@ The resulting overlap fixes the fraction of dipole radiation captured by
 the cavity-defined mode, and combining it with the interference-model
 power budget reproduces the standard Purcell factor.
 
-The oracle integrals, ``dipole_normalization``, ``gaussian_normalization``
-and the "exact" branch of ``overlap_eta_numeric``, run the composite
-Gauss-Legendre rule of ``cavray.quadrature`` and import it, with numpy,
-inside themselves. The rest of the module is scalar ``math``, so ``import
-cavray`` and the closed-form reports load the standard library alone.
-The on-axis overlap, which ``cavray overlap`` runs, is the closed form of
-its integral.
+``overlap_eta_numeric(wavelength, waist, z)``, which ``cavray overlap``
+runs, is the closed form of the overlap integral on the plane at z with
+the dipole field taken at its axial value; its quadrature, and that of
+the full cos(latitude)/r weighting, are oracles in ``validation``. The
+normalization integrals, ``dipole_normalization`` and
+``gaussian_normalization``, run the composite Gauss-Legendre rule of
+``cavray.quadrature`` and import it, with numpy, inside themselves. The
+rest of the module is scalar ``math``, so ``import cavray`` and the
+closed-form reports load the standard library alone.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Literal
 
+from .optics import rayleigh_length
 from .records import record
 
 # intensity normalization over the sphere: integral of cos^3 is 4/3
@@ -41,7 +43,7 @@ class GaussianMode:
 
     @property
     def rayleigh_length(self) -> float:
-        return math.pi * self.waist ** 2 / self.wavelength
+        return rayleigh_length(self.waist, self.wavelength)
 
     def width(self, z: float) -> float:
         """Beam width w(z) = w0 * sqrt(1 + (z/z0)^2)."""
@@ -108,50 +110,22 @@ def overlap_eta_analytic(wavelength: float, waist: float) -> float:
     return math.sqrt(3.0) / (2.0 * math.pi) * wavelength / waist
 
 
-DipoleWeighting = Literal["on_axis", "exact"]
-
-
-def overlap_eta_numeric(wavelength: float, waist: float, z: float,
-                        dipole_weighting: DipoleWeighting = "on_axis",
-                        rel_tol: float = 1e-9) -> float:
+def overlap_eta_numeric(wavelength: float, waist: float, z: float) -> float:
     """Overlap integral evaluated on the transverse plane at distance z.
 
     The plane must be in the far field (z >> z0) for the result to approach
-    the analytic limit. With "on_axis" weighting the dipole field is taken
-    at its axial value, which is accurate to a relative (w(z)/z)^2; "exact"
-    keeps the full cos(latitude)/r dependence across the plane.
+    the analytic limit. The dipole field is taken at its axial value, which
+    is accurate to a relative (w(z)/z)^2 against the full cos(latitude)/r
+    dependence across the plane.
 
-    On axis, 2 pi (P/z) exp(-r^2/w^2) r / N(z) over r < 8 w(z), P the dipole
+    2 pi (P/z) exp(-r^2/w^2) r / N(z) over r < 8 w(z), P the dipole
     prefactor, integrates to P sqrt(2 pi) w(z)/z times 1 - e^-64, which is 1
     in float64; the ratio to the analytic limit is sqrt(1 + (z0/z)^2).
-    "exact" runs the Gauss-Legendre rule over the (r, phi) tensor product
-    and raises ConvergenceError if its error estimate exceeds
-    ``rel_tol * |value|``.
     """
     if z <= 0.0:
         raise ValueError(f"evaluation plane must be at z > 0, got {z}")
-    mode = GaussianMode(waist, wavelength)
-
-    if dipole_weighting == "on_axis":
-        return DIPOLE_PREFACTOR * math.sqrt(2.0 * math.pi) * mode.width(z) / z
-    if dipole_weighting != "exact":
-        raise ValueError(f"unknown dipole weighting {dipole_weighting!r}")
-
-    import numpy as np
-
-    from .quadrature import integrate
-
-    field = _radial_field(mode, z)
-
-    def integrand(r, phi):
-        dist_sq = r ** 2 + z ** 2
-        # dipole axis lies in the plane transverse to the cavity at phi=0
-        cos_latitude = np.sqrt(1.0 - (r * np.cos(phi)) ** 2 / dist_sq)
-        return DIPOLE_PREFACTOR * cos_latitude / np.sqrt(dist_sq) * field(r) * r
-
-    quarter_turns = np.linspace(0.0, 2.0 * math.pi, 5)
-    return integrate(integrand, _radial_edges(mode, z), quarter_turns,
-                     what="dipole/cavity overlap", rel_tol=rel_tol)
+    return (DIPOLE_PREFACTOR * math.sqrt(2.0 * math.pi)
+            * GaussianMode(waist, wavelength).width(z) / z)
 
 
 def dipole_mode_power(amplitude: float, pump_power: float,

@@ -3,7 +3,9 @@
 The 90-degree scattering geometry observes a Doppler width sqrt(2) times
 the absorption-spectroscopy width, because the projection of the thermal
 velocity onto the difference of pump and collection wavevectors carries
-that factor. A cavity scan convolves each species' observed Doppler
+that factor: ``observed_doppler_fwhm(gas, wavelength)`` is that width at
+the gas's own temperature, and the scan, the spectral overlap and the
+species ratio all take it from there. A cavity scan convolves each species' observed Doppler
 Gaussian with the cavity Lorentzian; the spectral overlap is the value of
 that convolution on resonance and quantifies how much of the scattered
 spectrum the cavity accepts.
@@ -32,9 +34,10 @@ Valid up to roughly 100 mbar: pressure sidebands from scattering on
 density waves appear above that and are not modeled, nor are collisional
 broadening or narrowing.
 
-The spectral overlap is that convolution on resonance, pi * hwhm times a
-Voigt profile at zero detuning, in closed form through the scaled
-complementary error function erfcx, which ``_erfcx`` evaluates with the
+The spectral overlap, ``spectral_overlap(observed_fwhm, cavity_linewidth)``,
+is that convolution on resonance, pi * hwhm times a Voigt profile at zero
+detuning, in closed form through the scaled complementary error function
+erfcx, which ``_erfcx`` evaluates with the
 standard library. The module needs numpy alone; ``import cavray`` loads
 it only when one of its names is used.
 """
@@ -46,10 +49,9 @@ import math
 
 import numpy as np
 
-from .constants import AVOGADRO, BOLTZMANN, SPEED_OF_LIGHT
+from .constants import AVOGADRO, BOLTZMANN
 from .gases import GasSpecies
 from .optics import CavityParams
-from .records import record
 
 # 90-degree scattering geometry: |k_out - k_in| = sqrt(2) * k
 OBSERVED_WIDTH_FACTOR = math.sqrt(2.0)
@@ -142,34 +144,10 @@ def doppler_fwhm_monte_carlo(wavelength: float, temperature: float,
     return _FWHM_PER_SIGMA * math.sqrt(squares / count)
 
 
-@record
-class SpectralProfile:
-    """Doppler line widths of one species at one probe wavelength."""
-
-    doppler_fwhm_absorption: float  # Hz
-    doppler_fwhm_observed: float    # Hz, sqrt(2) * absorption width
-    center_frequency: float         # Hz
-
-    def __post_init__(self):
-        if self.doppler_fwhm_absorption <= 0.0 or self.doppler_fwhm_observed <= 0.0:
-            raise ValueError("Doppler widths must be positive")
-        expected = OBSERVED_WIDTH_FACTOR * self.doppler_fwhm_absorption
-        if abs(self.doppler_fwhm_observed - expected) > 1e-9 * expected:
-            raise ValueError(
-                "observed width must be sqrt(2) * absorption width "
-                f"({expected}), got {self.doppler_fwhm_observed}"
-            )
-
-    @classmethod
-    def for_gas(cls, species: GasSpecies, wavelength: float,
-                temperature: float | None = None) -> "SpectralProfile":
-        t = species.temperature if temperature is None else temperature
-        width = doppler_fwhm(wavelength, t, species.molar_mass)
-        return cls(
-            doppler_fwhm_absorption=width,
-            doppler_fwhm_observed=OBSERVED_WIDTH_FACTOR * width,
-            center_frequency=SPEED_OF_LIGHT / wavelength,
-        )
+def observed_doppler_fwhm(gas: GasSpecies, wavelength: float) -> float:
+    """Doppler FWHM of ``gas`` at its temperature as the 90-degree geometry
+    observes it, sqrt(2) times the absorption width, in Hz."""
+    return OBSERVED_WIDTH_FACTOR * doppler_fwhm(wavelength, gas.temperature, gas.molar_mass)
 
 
 # continued-fraction levels of _erfcx; 55 already reach rounding at x = 2
@@ -195,12 +173,12 @@ def _erfcx(x: float) -> float:
     return 1.0 / (math.sqrt(math.pi) * tail)
 
 
-def spectral_overlap(profile: SpectralProfile, cavity_linewidth: float) -> float:
+def spectral_overlap(observed_fwhm: float, cavity_linewidth: float) -> float:
     """Fraction of the Doppler-broadened spectrum accepted by the cavity.
 
-    Integral of the area-normalized observed Doppler Gaussian (sigma)
-    against the peak-normalized cavity Lorentzian of FWHM
-    ``cavity_linewidth`` (half width hwhm), in closed form:
+    Integral of the area-normalized observed Doppler Gaussian of FWHM
+    ``observed_fwhm`` (sigma) against the peak-normalized cavity Lorentzian
+    of FWHM ``cavity_linewidth`` (half width hwhm), in closed form:
 
         sqrt(pi/2) * (hwhm/sigma) * erfcx(hwhm / (sigma * sqrt(2)))
 
@@ -209,7 +187,9 @@ def spectral_overlap(profile: SpectralProfile, cavity_linewidth: float) -> float
     """
     if cavity_linewidth <= 0.0:
         raise ValueError(f"cavity linewidth must be positive, got {cavity_linewidth}")
-    sigma = profile.doppler_fwhm_observed / _FWHM_PER_SIGMA
+    if observed_fwhm <= 0.0:
+        raise ValueError(f"observed Doppler FWHM must be positive, got {observed_fwhm}")
+    sigma = observed_fwhm / _FWHM_PER_SIGMA
     hwhm = cavity_linewidth / 2.0
     return math.sqrt(math.pi / 2.0) * hwhm / sigma * _erfcx(hwhm / (sigma * math.sqrt(2.0)))
 
@@ -496,14 +476,8 @@ def scan_spectrum(cavity: CavityParams, species_weights: list[tuple[GasSpecies, 
             f"scan.range {scan_range:.6g} Hz at scan.resolution {resolution:.6g} Hz "
             f"asks for more than {MAX_SCAN_POINTS} points"
         )
-    narrowest = min(
-        _voigt_fwhm(
-            OBSERVED_WIDTH_FACTOR * doppler_fwhm(wavelength, gas.temperature,
-                                                 gas.molar_mass),
-            cavity.linewidth,
-        )
-        for gas, _ in species_weights
-    )
+    widths = [observed_doppler_fwhm(gas, wavelength) for gas, _ in species_weights]
+    narrowest = min(_voigt_fwhm(width, cavity.linewidth) for width in widths)
     if resolution >= narrowest / 5.0:
         raise ValueError(
             f"scan.resolution must be below feature/5, got {resolution:.6g} Hz: "
@@ -511,12 +485,10 @@ def scan_spectrum(cavity: CavityParams, species_weights: list[tuple[GasSpecies, 
         )
 
     lines = []
-    for gas, weight in species_weights:
+    for (gas, weight), width in zip(species_weights, widths):
         if weight < 0.0:
             raise ValueError(f"species weight must be nonnegative, got {weight}")
-        profile = SpectralProfile.for_gas(gas, wavelength)
-        lines.append((weight * gas.polarizability ** 2,
-                      profile.doppler_fwhm_observed / _FWHM_PER_SIGMA))
+        lines.append((weight * gas.polarizability ** 2, width / _FWHM_PER_SIGMA))
     fsr = cavity.free_spectral_range
     table = _comb_table(_comb_coefficients(lines, fsr, cavity.linewidth / 2.0))
     detunings = np.arange(0.0, scan_range + resolution / 2.0, resolution)
@@ -540,20 +512,17 @@ def polarization_signal(angle, extinction: float = 0.0):
 
 
 def species_ratio(species: list[GasSpecies], cavity: CavityParams,
-                  wavelength: float, temperature: float | None = None) -> list[float]:
+                  wavelength: float) -> list[float]:
     """Relative scattered signals, first species as the unit reference.
 
     ratio_i = (alpha_i / alpha_ref)^2 * overlap_i / overlap_ref, combining
     the polarizability-squared cross-section scaling with each species'
-    Doppler/cavity spectral overlap.
+    Doppler/cavity spectral overlap at its own temperature.
     """
     if not species:
         raise ValueError("species list must be nonempty")
     reference = species[0]
-    if reference.polarizability <= 0.0:
-        raise ValueError("reference species must have positive polarizability")
-
-    overlaps = [spectral_overlap(SpectralProfile.for_gas(gas, wavelength, temperature),
-                                 cavity.linewidth) for gas in species]
+    overlaps = [spectral_overlap(observed_doppler_fwhm(gas, wavelength), cavity.linewidth)
+                for gas in species]
     return [(gas.polarizability / reference.polarizability) ** 2 * value / overlaps[0]
             for gas, value in zip(species, overlaps)]

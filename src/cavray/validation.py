@@ -272,7 +272,7 @@ def _overlap_quadrature(observed_fwhm: float, linewidth: float) -> float:
     of 8 Gaussian sigma plus 40 Lorentzian HWHM, where the slowly decaying
     Lorentzian wings stop mattering.
     """
-    sigma = observed_fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+    sigma = observed_fwhm / spectra._FWHM_PER_SIGMA
     hwhm = linewidth / 2.0
 
     def integrand(nu):
@@ -298,32 +298,49 @@ def _on_axis_overlap_quadrature(wavelength: float, waist: float, z: float) -> fl
                                 what="on-axis overlap", rel_tol=1e-12)
 
 
+def _exact_overlap_quadrature(wavelength: float, waist: float, z: float,
+                              rel_tol: float = 1e-9) -> float:
+    """The overlap integral on the plane at z with the full cos(latitude)/r
+    dipole field, by Gauss-Legendre quadrature over the (r, phi) tensor
+    product; ``ConvergenceError`` past ``rel_tol`` relative."""
+    mode = overlap.GaussianMode(waist, wavelength)
+    field = overlap._radial_field(mode, z)
+
+    def integrand(r, phi):
+        dist_sq = r ** 2 + z ** 2
+        # dipole axis lies in the plane transverse to the cavity at phi=0
+        cos_latitude = np.sqrt(1.0 - (r * np.cos(phi)) ** 2 / dist_sq)
+        return overlap.DIPOLE_PREFACTOR * cos_latitude / np.sqrt(dist_sq) * field(r) * r
+
+    quarter_turns = np.linspace(0.0, 2.0 * math.pi, 5)
+    return quadrature.integrate(integrand, overlap._radial_edges(mode, z), quarter_turns,
+                                what="dipole/cavity overlap", rel_tol=rel_tol)
+
+
 def check_spectral_overlap_closed_form(rng: np.random.Generator) -> CheckResult:
     worst = 0.0
-    xenon = gases.builtin_species("Xe")
-    profile = spectra.SpectralProfile.for_gas(xenon, 532e-9)
+    observed = spectra.observed_doppler_fwhm(gases.builtin_species("Xe"), 532e-9)
     for _ in range(40):
         linewidth = 10 ** rng.uniform(5.5, 10.0)
-        closed = spectra.spectral_overlap(profile, linewidth)
-        quadrature = _overlap_quadrature(profile.doppler_fwhm_observed, linewidth)
+        closed = spectra.spectral_overlap(observed, linewidth)
+        quadrature = _overlap_quadrature(observed, linewidth)
         worst = _worst(worst, abs(quadrature - closed) / closed)
     return _result("spectral overlap vs Faddeeva closed form", worst, 1e-6)
 
 
 def check_spectral_overlap_limits(rng: np.random.Generator) -> CheckResult:
-    xenon = gases.builtin_species("Xe")
-    profile = spectra.SpectralProfile.for_gas(xenon, 532e-9)
+    observed = spectra.observed_doppler_fwhm(gases.builtin_species("Xe"), 532e-9)
     widths = np.logspace(5.0, 12.0, 30)
-    values = [spectra.spectral_overlap(profile, w) for w in widths]
+    values = [spectra.spectral_overlap(observed, w) for w in widths]
     monotone = all(a < b for a, b in zip(values, values[1:]))
     bounded = all(0.0 < v <= 1.0 + 1e-12 for v in values)
     broad = abs(values[-1] - 1.0) < 1e-3
     # the leading correction to the narrow-cavity asymptote is
     # -linewidth/(sigma*sqrt(2*pi)); 2% agreement needs width < observed/50
-    sigma = profile.doppler_fwhm_observed / (2.0 * math.sqrt(2.0 * math.log(2.0)))
-    narrow_width = profile.doppler_fwhm_observed / 50.0
+    sigma = observed / spectra._FWHM_PER_SIGMA
+    narrow_width = observed / 50.0
     asymptote = (math.pi / 2.0) * narrow_width / (sigma * math.sqrt(2.0 * math.pi))
-    narrow = abs(spectra.spectral_overlap(profile, narrow_width) - asymptote) / asymptote
+    narrow = abs(spectra.spectral_overlap(observed, narrow_width) - asymptote) / asymptote
     passed = monotone and bounded and broad and narrow < 0.02
     return CheckResult(
         "spectral overlap limits and monotonicity", passed,
@@ -349,10 +366,8 @@ def check_polarization_sum_rule(rng: np.random.Generator) -> CheckResult:
 # few hundred detunings. Both return the unnormalized scan signal.
 
 def _comb_lines(species_weights, wavelength: float) -> list[tuple[float, float]]:
-    fwhm_per_sigma = 2.0 * math.sqrt(2.0 * math.log(2.0))
     return [(weight * gas.polarizability ** 2,
-             spectra.SpectralProfile.for_gas(gas, wavelength).doppler_fwhm_observed
-             / fwhm_per_sigma)
+             spectra.observed_doppler_fwhm(gas, wavelength) / spectra._FWHM_PER_SIGMA)
             for gas, weight in species_weights]
 
 
@@ -447,8 +462,12 @@ def check_backout_roundtrip(rng: np.random.Generator) -> CheckResult:
         f = rng.uniform(10.0, 1e5)
         ovl = rng.uniform(0.01, 1.0)
         share = rng.uniform(0.1, 1.0)
-        measured = free_space * (4.0 * share * f / math.pi) * ovl
-        recovered = experiment.free_space_backout(measured, f, ovl, share)
+        # mirrors that send about ``share`` of the power out on the right
+        left, right = optics.MirrorSpec(share), optics.MirrorSpec(1.0 - share)
+        # free_space is a^2 Pp, the one-way power without a cavity
+        measured = field.transmitted_power(1.0, free_space, left.transmission,
+                                           right.transmission, f) * ovl
+        recovered = experiment.free_space_backout(measured, ovl, (f, left, right))
         worst = _worst(worst, abs(recovered - free_space) / free_space)
     return _result("free-space back-out round trip", worst, 1e-12)
 

@@ -477,7 +477,8 @@ def test_report_subcommands_load_no_scipy():
     """``import cavray`` loads the package alone; ``cavray.cli`` and the
     five reports, run in turn in one process, load no numpy, scipy,
     ``dataclasses`` or ``inspect`` module, and ``cavity``, run first, loads
-    neither ``experiment`` nor ``field``. ``scan`` and then ``validate``,
+    neither ``experiment`` nor ``field``; ``enhance`` takes its back-out from
+    ``field``, the interference model. ``scan`` and then ``validate``,
     run after them, load numpy and still no scipy. No stage loads
     ``difflib``, which only an unknown config key needs. ``import
     cavray.cli`` loads no ``json``, and neither does a CSV scan run first
@@ -490,6 +491,7 @@ def test_report_subcommands_load_no_scipy():
         assert not [m for m in stages[stage]
                     if not m.startswith("cavray") and m != "json"], stage
     assert not {"cavray.experiment", "cavray.field"} & set(stages["cavity"])
+    assert "cavray.field" in stages["enhance"]
     for stage in ["scan", "validate"]:
         assert "numpy" in stages[stage], stage
         assert not any(m.startswith("scipy") for m in stages[stage]), stage

@@ -69,10 +69,6 @@ class TestSpeciesTable:
 
 
 class TestGasSpecies:
-    def test_molecular_mass(self):
-        xe = builtin_species("Xe")
-        assert xe.molecular_mass == pytest.approx(2.180124e-25, rel=1e-5)
-
     @pytest.mark.parametrize("kwargs", [
         dict(molar_mass=0.0, polarizability=1.0, temperature=295.0),
         dict(molar_mass=0.1, polarizability=-1.0, temperature=295.0),

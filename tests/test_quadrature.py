@@ -56,7 +56,7 @@ def test_exact_overlap_matches_dblquad(z_factor):
     oracle = integrate.dblquad(integrand, 0.0, 2.0 * math.pi,
                                0.0, overlap.TRUNCATION_WIDTHS * mode.width(z),
                                epsabs=0.0, epsrel=1e-13)[0]
-    value = overlap.overlap_eta_numeric(WAVELENGTH, WAIST, z, "exact")
+    value = validation._exact_overlap_quadrature(WAVELENGTH, WAIST, z)
     assert abs(value - oracle) <= 1e-12 * oracle
 
 

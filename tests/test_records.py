@@ -1,12 +1,10 @@
 """Value records: construction paths, checks, equality and immutability."""
 
-import math
-
 import numpy as np
 import pytest
 
 from cavray import (AnchorMeasurement, CavityGeometry, GasSpecies, MirrorSpec, PumpBeam,
-                    SpectralProfile, SpectrumTrace)
+                    SpectrumTrace)
 from cavray.records import record
 
 MIRROR = MirrorSpec(0.997)
@@ -22,9 +20,6 @@ VALIDATING = [
                   "temperature": 295.0}, {"temperature": 0.0}),
     (AnchorMeasurement, {"measured_power": 50e-15, "finesse": 1000.0,
                          "spectral_overlap": 0.042}, {"spectral_overlap": 1.5}),
-    (SpectralProfile, {"doppler_fwhm_absorption": 6e8,
-                       "doppler_fwhm_observed": math.sqrt(2.0) * 6e8,
-                       "center_frequency": 5.6e14}, {"doppler_fwhm_observed": 6e8}),
     (SpectrumTrace, {"detunings": np.arange(3.0), "signals": np.ones(3),
                      "species": "Xe", "cavity": None}, {"signals": np.array([1.0, -1.0, 1.0])}),
 ]

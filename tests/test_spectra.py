@@ -17,11 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from cavray import (CavityGeometry, GasSpecies, MirrorSpec, SpectralProfile,
-                    SpectrumTrace, builtin_species,
-                    derive_cavity_params, doppler_fwhm, doppler_fwhm_monte_carlo,
-                    load_species_table, polarization_signal, scan_spectrum,
-                    species_ratio, spectral_overlap, validation)
+from cavray import (CavityGeometry, GasSpecies, MirrorSpec, SpectrumTrace,
+                    builtin_species, derive_cavity_params, doppler_fwhm,
+                    doppler_fwhm_monte_carlo, load_species_table, observed_doppler_fwhm,
+                    polarization_signal, scan_spectrum, species_ratio, spectral_overlap,
+                    validation)
 from cavray.constants import AVOGADRO, BOLTZMANN
 from cavray.spectra import (_FWHM_PER_SIGMA, MAX_SCAN_POINTS, OBSERVED_WIDTH_FACTOR,
                             _erfcx, _interpolate_periodic, _json_array)
@@ -71,6 +71,11 @@ class TestDopplerWidth:
         with pytest.raises(ValueError):
             doppler_fwhm(WAVELENGTH, -1.0, 131.29e-3)
 
+    def test_observed_width_is_sqrt2_absorption_width_at_the_gas_temperature(self):
+        cold = builtin_species("Xe")._replace(temperature=150.0)
+        assert observed_doppler_fwhm(cold, WAVELENGTH) == (
+            OBSERVED_WIDTH_FACTOR * doppler_fwhm(WAVELENGTH, 150.0, cold.molar_mass))
+
 
 class TestDopplerMonteCarlo:
     def test_reproduces_sqrt2_geometry_factor(self):
@@ -113,31 +118,18 @@ class TestDopplerMonteCarlo:
             doppler_fwhm_monte_carlo(WAVELENGTH, 295.0, 131.29e-3, n_samples, 0)
 
 
-class TestSpectralProfile:
-    def test_for_gas(self):
-        profile = SpectralProfile.for_gas(builtin_species("Xe"), WAVELENGTH)
-        assert profile.doppler_fwhm_observed == pytest.approx(
-            OBSERVED_WIDTH_FACTOR * profile.doppler_fwhm_absorption
-        )
-        assert profile.center_frequency == pytest.approx(2.99792458e8 / WAVELENGTH)
-
-    def test_rejects_inconsistent_widths(self):
-        with pytest.raises(ValueError):
-            SpectralProfile(6e8, 6e8, 5.6e14)
-
-
 class TestSpectralOverlap:
     @pytest.fixture
-    def xe_profile(self):
-        return SpectralProfile.for_gas(builtin_species("Xe"), WAVELENGTH)
+    def xe_observed(self):
+        return observed_doppler_fwhm(builtin_species("Xe"), WAVELENGTH)
 
     @pytest.mark.parametrize("finesse, expected", [
         (1000.0, 0.041795755478),
         (400.0, 0.100401263365),
         (100.0, 0.333301343203),
     ])
-    def test_against_faddeeva_closed_form(self, xe_profile, finesse, expected):
-        value = spectral_overlap(xe_profile, paper_linewidth(finesse))
+    def test_against_faddeeva_closed_form(self, xe_observed, finesse, expected):
+        value = spectral_overlap(xe_observed, paper_linewidth(finesse))
         assert value == pytest.approx(expected, rel=1e-8)
 
     @pytest.mark.parametrize("finesse, reported", [
@@ -145,57 +137,60 @@ class TestSpectralOverlap:
         (400.0, 0.101),
         (100.0, 0.334),
     ])
-    def test_reproduces_reported_percentages(self, xe_profile, finesse, reported):
-        value = spectral_overlap(xe_profile, paper_linewidth(finesse))
+    def test_reproduces_reported_percentages(self, xe_observed, finesse, reported):
+        value = spectral_overlap(xe_observed, paper_linewidth(finesse))
         assert value == pytest.approx(reported, rel=0.15)
 
-    def test_broad_cavity_accepts_everything(self, xe_profile):
-        assert spectral_overlap(xe_profile, 1e13) == pytest.approx(1.0, abs=1e-4)
+    def test_broad_cavity_accepts_everything(self, xe_observed):
+        assert spectral_overlap(xe_observed, 1e13) == pytest.approx(1.0, abs=1e-4)
 
-    def test_monotone_increasing_in_linewidth(self, xe_profile):
+    def test_monotone_increasing_in_linewidth(self, xe_observed):
         widths = np.logspace(6, 11, 25)
-        values = [spectral_overlap(xe_profile, w) for w in widths]
+        values = [spectral_overlap(xe_observed, w) for w in widths]
         assert all(0.0 < a < b <= 1.0 + 1e-12 for a, b in zip(values, values[1:]))
 
-    def test_narrow_cavity_asymptote(self, xe_profile):
-        sigma = xe_profile.doppler_fwhm_observed / (2 * math.sqrt(2 * math.log(2)))
+    def test_narrow_cavity_asymptote(self, xe_observed):
+        sigma = xe_observed / (2 * math.sqrt(2 * math.log(2)))
 
         def asymptote(width):
             return (math.pi / 2.0) * width / (sigma * math.sqrt(2.0 * math.pi))
 
         # 2% agreement holds at observed/50 (leading correction is
         # width/(sigma*sqrt(2*pi)), i.e. 4.5% at the looser observed/20)
-        narrow = xe_profile.doppler_fwhm_observed / 50.0
-        value = spectral_overlap(xe_profile, narrow)
+        narrow = xe_observed / 50.0
+        value = spectral_overlap(xe_observed, narrow)
         assert abs(value - asymptote(narrow)) / asymptote(narrow) < 0.02
-        loose = xe_profile.doppler_fwhm_observed / 20.0
-        deviation = abs(spectral_overlap(xe_profile, loose)
+        loose = xe_observed / 20.0
+        deviation = abs(spectral_overlap(xe_observed, loose)
                         - asymptote(loose)) / asymptote(loose)
         assert deviation == pytest.approx(0.045292, abs=0.001)
 
-    def test_narrow_approximation_overshoots_moderate_finesse(self, xe_profile):
+    def test_narrow_approximation_overshoots_moderate_finesse(self, xe_observed):
         # the F=100 cavity needs the full integral: the asymptote gives 0.43
-        sigma = xe_profile.doppler_fwhm_observed / (2 * math.sqrt(2 * math.log(2)))
+        sigma = xe_observed / (2 * math.sqrt(2 * math.log(2)))
         naive = (math.pi / 2.0) * paper_linewidth(100.0) / (sigma * math.sqrt(2 * math.pi))
         assert naive == pytest.approx(0.429451029365, rel=1e-8)
-        exact = spectral_overlap(xe_profile, paper_linewidth(100.0))
+        exact = spectral_overlap(xe_observed, paper_linewidth(100.0))
         assert naive > 1.25 * exact
 
     @pytest.mark.parametrize("name, temperature", [("N2", 1000.0), ("CF3H", 295.0)])
     def test_narrow_line_matches_its_series(self, name, temperature):
         # a 1 kHz line, 1e-6 of the Doppler width: adaptive quadrature
         # came out 7.9% low for N2 and did not converge for CF3H
-        profile = SpectralProfile.for_gas(builtin_species(name), WAVELENGTH, temperature)
-        sigma = profile.doppler_fwhm_observed / (2 * math.sqrt(2 * math.log(2)))
+        gas = builtin_species(name)._replace(temperature=temperature)
+        observed = observed_doppler_fwhm(gas, WAVELENGTH)
+        sigma = observed / (2 * math.sqrt(2 * math.log(2)))
         hwhm = 500.0
         a = hwhm / (sigma * math.sqrt(2.0))
         series = (math.sqrt(math.pi / 2.0) * hwhm / sigma
                   * (1.0 - 2.0 * a / math.sqrt(math.pi) + a * a))
-        assert spectral_overlap(profile, 2.0 * hwhm) == pytest.approx(series, rel=1e-10)
+        assert spectral_overlap(observed, 2.0 * hwhm) == pytest.approx(series, rel=1e-10)
 
-    def test_rejects_nonpositive_linewidth(self, xe_profile):
+    def test_rejects_nonpositive_linewidth(self, xe_observed):
         with pytest.raises(ValueError):
-            spectral_overlap(xe_profile, 0.0)
+            spectral_overlap(xe_observed, 0.0)
+        with pytest.raises(ValueError, match="Doppler"):
+            spectral_overlap(0.0, 1e6)
 
     def test_erfcx_matches_scipy(self):
         special = pytest.importorskip("scipy.special")
@@ -264,9 +259,8 @@ class TestScanSpectrum:
     def test_peak_height_matches_spectral_overlap(self, reference_params):
         xe = builtin_species("Xe")
         trace = scan_spectrum(reference_params, [(xe, 1.0)], 4e9, 1e6, WAVELENGTH)
-        profile = SpectralProfile.for_gas(xe, WAVELENGTH)
         expected = xe.polarizability ** 2 * spectral_overlap(
-            profile, reference_params.linewidth
+            observed_doppler_fwhm(xe, WAVELENGTH), reference_params.linewidth
         )
         assert trace.signals[0] == pytest.approx(expected, rel=1e-4)
 
