@@ -3,12 +3,12 @@
 The 90-degree scattering geometry observes a Doppler width sqrt(2) times
 the absorption-spectroscopy width, because the projection of the thermal
 velocity onto the difference of pump and collection wavevectors carries
-that factor: ``observed_doppler_fwhm(gas, wavelength)`` is that width at
+that factor. ``observed_doppler_fwhm(gas, wavelength)`` is that width at
 the gas's own temperature, and the scan, the spectral overlap and the
-species ratio all take it from there. A cavity scan convolves each species' observed Doppler
-Gaussian with the cavity Lorentzian; the spectral overlap is the value of
-that convolution on resonance and quantifies how much of the scattered
-spectrum the cavity accepts.
+species ratio all take it from there. A cavity scan convolves each
+species' observed Doppler Gaussian with the cavity Lorentzian; the
+spectral overlap is the value of that convolution on resonance and
+quantifies how much of the scattered spectrum the cavity accepts.
 
 The cavity response is a comb of Lorentzians of half width hwhm spaced
 by the free spectral range F: the high-finesse limit of the Airy
@@ -37,9 +37,9 @@ broadening or narrowing.
 The spectral overlap, ``spectral_overlap(observed_fwhm, cavity_linewidth)``,
 is that convolution on resonance, pi * hwhm times a Voigt profile at zero
 detuning, in closed form through the scaled complementary error function
-erfcx, which ``_erfcx`` evaluates with the
-standard library. The module needs numpy alone; ``import cavray`` loads
-it only when one of its names is used.
+erfcx, which ``_erfcx`` evaluates with the standard library. The module
+needs numpy alone; ``import cavray`` loads it only when one of its names
+is used.
 """
 
 from __future__ import annotations
