@@ -29,7 +29,7 @@ _EXPORTS = {
     "gases": "GasSpecies builtin_species load_species_table",
     "optics": "CavityGeometry CavityParams MirrorSpec PumpBeam abcd_roundtrip_mode_spacing "
               "abcd_roundtrip_waist derive_cavity_params finesse free_spectral_range "
-              "mode_volume number_density rayleigh_length symmetric_waist "
+              "mode_volume number_density q_factor rayleigh_length symmetric_waist "
               "transverse_mode_spacing",
     "overlap": "GaussianMode dipole_mode_power dipole_normalization gaussian_normalization "
                "overlap_eta_analytic overlap_eta_numeric purcell_factor purcell_ratio",

@@ -171,7 +171,7 @@ def cmd_enhance(args) -> int:
 
 
 def cmd_purcell(args) -> int:
-    from .optics import cavity_geometry, derive_cavity_params, mode_volume
+    from .optics import cavity_geometry, derive_cavity_params, mode_volume, q_factor
     from .overlap import purcell_factor, purcell_ratio
 
     values = parse_config(args.config)
@@ -182,7 +182,7 @@ def cmd_purcell(args) -> int:
     waist = values.get("purcell.waist", params.waist)
     d = geometry.mirror_separation
     from_ratio = purcell_ratio(finesse, wavelength, waist)
-    from_qv = purcell_factor(2.0 * d * finesse / wavelength, wavelength,
+    from_qv = purcell_factor(q_factor(d, finesse, wavelength), wavelength,
                              mode_volume(waist, d))
     fields = [
         ("finesse", finesse),

@@ -148,6 +148,11 @@ def rayleigh_length(waist: float, wavelength: float) -> float:
     return math.pi * waist ** 2 / wavelength
 
 
+def q_factor(mirror_separation: float, finesse: float, wavelength: float) -> float:
+    """Quality factor of a Fabry-Perot cavity, Q = 2*d*F/lambda."""
+    return 2.0 * mirror_separation * finesse / wavelength
+
+
 def mode_volume(waist: float, mirror_separation: float) -> float:
     """Fundamental-mode volume of a Fabry-Perot cavity, pi*w0^2*d/4."""
     return math.pi * waist ** 2 * mirror_separation / 4.0
@@ -169,7 +174,7 @@ def derive_cavity_params(geometry: CavityGeometry, wavelength: float) -> CavityP
         finesse=f,
         free_spectral_range=fsr,
         linewidth=fsr / f,
-        q_factor=2.0 * d * f / wavelength,
+        q_factor=q_factor(d, f, wavelength),
         waist=w0,
         rayleigh_length=rayleigh_length(w0, wavelength),
         transverse_mode_spacing=transverse_mode_spacing(d, geometry.radius_of_curvature),

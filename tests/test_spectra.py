@@ -23,8 +23,9 @@ from cavray import (CavityGeometry, GasSpecies, MirrorSpec, SpectrumTrace,
                     polarization_signal, scan_spectrum, species_ratio, spectral_overlap,
                     validation)
 from cavray.constants import AVOGADRO, BOLTZMANN
-from cavray.spectra import (_FWHM_PER_SIGMA, MAX_SCAN_POINTS, OBSERVED_WIDTH_FACTOR,
-                            _erfcx, _interpolate_periodic, _json_array)
+from cavray.spectra import (_BLOCK, _FWHM_PER_SIGMA, MAX_SCAN_POINTS,
+                            OBSERVED_WIDTH_FACTOR, _erfcx, _interpolate_periodic, _json_array,
+                            _token_tables, _TokenFrame)
 
 WAVELENGTH = 532e-9
 
@@ -500,13 +501,95 @@ class TestTraceSerialization:
 
     @pytest.mark.parametrize("n", [8192, 2 * 8192, 8192 + 1])
     def test_json_blocks_without_suspect_tokens(self, n):
-        # no value near an integer or in a band of _json_array, so every
-        # block is formatted through the bytes spec, the full ones cached
+        # values of both signs over 200 decades in one full block, two, and
+        # one plus a value: one frame serves every block, the last one short
         rng = np.random.default_rng(n)
         values = (rng.uniform(0.1, 0.9, n) * 10.0 ** rng.integers(-200, 1, n)
                   * rng.choice([-1.0, 1.0], n))
         assert "".join(_json_array(values)) == (
             "[\n    " + ",\n    ".join(repr(float(f"{x:.12g}")) for x in values) + "\n  ]")
+
+
+def kernel_values():
+    """1.01e6 fixed-seed values for the token kernel, in a fixed shuffle, of
+    both signs: every binade from 5e-324 to 1.8e308, integers up to 1e16,
+    ties at the 12th digit, and neighbours of the powers of ten and of the
+    layout edges."""
+    rng = np.random.default_rng(20261018)
+    binades = np.ldexp(rng.uniform(1.0, 2.0, (2098, 160)),
+                       np.arange(-1074, 1024)[:, None]).ravel()
+    integers = np.concatenate([rng.integers(0, 10 ** 16, 200_000),
+                               rng.integers(0, 10 ** 6, 50_000) * 25_000_000]).astype(float)
+    # 12 digits and a 5: exact ties as integers and their halves, near ties
+    # (the nearest double to the decimal) at every scale of the kernel
+    twelve = rng.integers(10 ** 11, 10 ** 12, 100_000)
+    ties = np.concatenate([
+        twelve * 10.0 + 5.0, twelve + 0.5,
+        (twelve[:50_000] + 0.5) * 10.0 ** rng.integers(-30, 31, 50_000),
+        [float(f"{m}5e{k}") for m, k in zip(twelve[:20_000].tolist(),
+                                           rng.integers(-320, 296, 20_000).tolist())]])
+    # powers of ten, the layout edges 1e-4, 1e12 and 1e16, and the 12-digit
+    # rounding boundary below each power; each with 3 neighbours either side
+    edges = np.array([float(f"{m}e{k}") for k in range(-323, 309)
+                      for m in ("1", "9.999999999995")][:-1])
+    neighbours = [edges]
+    for direction in (-np.inf, np.inf):
+        step = edges
+        for _ in range(3):
+            step = np.nextafter(step, direction)
+            neighbours.append(step)
+    scans = rng.uniform(0.0, 1.0, 150_000) * 10.0 ** rng.integers(-12, 12, 150_000)
+    values = np.concatenate([binades, integers, ties, *neighbours, scans])
+    return rng.permutation(values * rng.choice([-1.0, 1.0], len(values)))
+
+
+def kernel_text(values, json):
+    """The kernel's tokens of ``values``, one to a line, and the number it
+    sent to Python in each block."""
+    frame = _TokenFrame(_BLOCK, [b"\n"], json)
+    pieces, odd = [], []
+    for start in range(0, len(values), _BLOCK):
+        block = values[start:start + _BLOCK]
+        odd.append(frame.fill(0, block))
+        pieces.append(frame.text(len(block)))
+    return "".join(pieces), odd
+
+
+class TestTokenKernel:
+    def test_scale_is_exact_where_the_ties_rely_on_it(self):
+        scale = _token_tables(json=False)[0]
+        powers = np.array([float(f"1e{11 - e}") for e in range(-289, 309)])
+        assert np.all(np.abs(scale[1:] - powers) <= np.spacing(powers))
+        # e = -11..11
+        assert np.array_equal(scale[279:302], powers[278:301])
+
+    def test_equals_python_formatting_on_a_million_values(self):
+        # half the shuffled values in each layout: Python's own repr takes
+        # ~1.5 us a value on a 2-core Xeon VM, all of them in both layouts ~5 s
+        values = kernel_values()
+        assert len(values) > 1_000_000
+        for json_tokens, half in (False, values[0::2]), (True, values[1::2]):
+            tokens = ((b"%.12g\n" * len(half)) % tuple(half.tolist())).decode("ascii").split()
+            if json_tokens:
+                tokens = list(map(repr, map(float, tokens)))
+            text, _ = kernel_text(half, json_tokens)
+            if text != "\n".join(tokens) + "\n":
+                wrong = [(x, got, want) for x, got, want in zip(
+                    half.tolist(), text.split(), tokens) if got != want]
+                pytest.fail(f"{len(wrong)} tokens differ, first {wrong[:3]}")
+
+    @pytest.mark.parametrize("points", [1501, 100_000])
+    def test_scan_grids_send_at_most_one_token_a_block_to_python(self, reference_params,
+                                                                   points):
+        # the demo's scan on its 25 MHz integral grid, and a benchmark-shaped
+        # grid of 1e5 points over 1.5 FSRs; the one token is the 0 detuning
+        span = 37.5e9 if points == 1501 else 1.5 * reference_params.free_spectral_range
+        trace = scan_spectrum(reference_params,
+                              [(builtin_species(name), 1.0) for name in ("Xe", "CF3H", "N2")],
+                              span, span / (points - 1), WAVELENGTH, normalize=True)
+        assert len(trace.detunings) == points
+        for values in trace.detunings, trace.signals:
+            assert max(kernel_text(values, json=True)[1]) <= 1
 
 
 class TestPolarization:

@@ -108,6 +108,14 @@ def test_run_all_stays_within_its_memory_budget():
     assert peak <= 8 * 2 ** 20
 
 
+def test_power_budget_check_sees_a_wrong_transmitted_power(monkeypatch):
+    # the back-out round trip divides by transmitted_power, so it would
+    # cancel the error; the budget's own value must not
+    closed_form = field.transmitted_power
+    monkeypatch.setattr(field, "transmitted_power", lambda *args: 2.0 * closed_form(*args))
+    assert not validation.check_power_budget_identities(np.random.default_rng(0)).passed
+
+
 def test_nan_residual_fails_its_check(monkeypatch):
     # builtin max(0.0, nan) is 0.0: a NaN oracle used to pass silently
     monkeypatch.setattr(optics, "abcd_roundtrip_waist", lambda d, rc, wl: math.nan)
