@@ -85,30 +85,41 @@ def intracavity_field(cfg: ScatterConfig, r1: float, r2: float,
 
 def roundtrip_field_sum(cfg: ScatterConfig, r1: float, r2: float,
                         mirror_separation: float, n_roundtrips: int) -> complex:
-    """Field after explicitly iterating the round-trip recursion n times.
+    """Field after n round trips: the n + 1 terms source * feedback**j of
+    the round-trip recursion field = source + feedback * field.
 
     Serves as the summation cross-check for the closed form; the truncation
     error is bounded by |r1*r2|**n / (1 - |r1*r2|) in source-term units.
-    The recursion itself, ``_iterate_roundtrips``, takes numpy arrays of
-    sources and feedbacks as well as complex scalars, so an oracle can sum
-    many scatterers at once with this same code.
+    r1*r2 >= 1 raises, as the closed form does. The sum itself,
+    ``_iterate_roundtrips``, takes numpy arrays of sources and feedbacks as
+    well as complex scalars, so an oracle can sum many scatterers at once
+    with this same code.
     """
     if n_roundtrips < 0:
         raise ValueError(f"n_roundtrips must be >= 0, got {n_roundtrips}")
+    _check_feedback(r1, r2)
     source, feedback = _source_and_feedback(cfg, r1, r2, mirror_separation)
     return _iterate_roundtrips(source, feedback, n_roundtrips)
 
 
 def _iterate_roundtrips(source, feedback, n_roundtrips: int):
-    """field = source + feedback * field, n times from field = source.
+    """sum of source * feedback**j for j = 0..n, by binary doubling.
 
-    Elementwise on arrays, so each element takes the scalar recursion's
-    steps; numpy may fuse the complex product's multiply-adds, which moves
-    a sum by a few ulp against the one on Python complex numbers.
+    With S_m the sum of the first m terms, S_2m = S_m + feedback**m * S_m
+    and S_(m+1) = S_m + feedback**m * source; walking the bits of n + 1
+    from the top takes about 2*log2(n + 1) steps in place of the n steps of
+    the recursion, and never divides by 1 - feedback, so it stays a route
+    to the closed form independent of it. Elementwise on arrays: each
+    element takes the scalar's steps, up to the few ulp numpy's fused
+    complex multiply-adds may move a sum by.
     """
-    field = source
-    for _ in range(n_roundtrips):
-        field = source + feedback * field
+    field, power = source, feedback  # S_1 and feedback**1
+    for bit in bin(n_roundtrips + 1)[3:]:
+        field = field + power * field
+        power = power * power
+        if bit == "1":
+            field = field + power * source
+            power = power * feedback
     return field
 
 

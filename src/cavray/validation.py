@@ -60,7 +60,7 @@ def check_field_closed_form_vs_roundtrip(rng: np.random.Generator,
         d = rng.uniform(1e-3, 1e-2)
         exact[i] = field.intracavity_field(cfg, r1, r2, d)
         sources[i], feedbacks[i] = field._source_and_feedback(cfg, r1, r2, d)
-    # every draw's 10,000 round trips at once: the recursion is elementwise
+    # every draw's 10,000 round trips at once: the doubled sum is elementwise
     summed = field._iterate_roundtrips(sources, feedbacks, 10_000)
     return _result("field closed form vs round-trip summation",
                    _worst(*(np.abs(summed - exact) / np.abs(exact))), 1e-6)

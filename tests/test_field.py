@@ -1,8 +1,8 @@
 """Interference-field model: closed forms vs explicit round-trip summation.
 
 Frozen numbers come from direct evaluation of the closed forms; every
-closed form is also pitted against an independent route (iterated
-recursion, uniform-grid position average).
+closed form is also pitted against an independent route (explicit
+round-trip sum, uniform-grid position average).
 """
 
 import math
@@ -100,6 +100,23 @@ class TestRoundtripSum:
         exact = intracavity_field(cfg, r1, r2, d)
         summed = roundtrip_field_sum(cfg, r1, r2, d, 4000)
         assert abs(summed - exact) <= abs(exact) * 1e-9 + 1e-12
+
+    @pytest.mark.parametrize("r1, r2", [(1.0, 1.0), (1.0, 1.5), (0.9, 1.2)])
+    def test_diverging_feedback_rejected(self, r1, r2):
+        # as the closed form does; the doubled powers of a gain above 1
+        # would overflow to inf or NaN at large n
+        with pytest.raises(ValueError, match="field diverges"):
+            roundtrip_field_sum(resonant_config(), r1, r2, 6e-3, 10)
+
+
+class TestDoubledSum:
+    @pytest.mark.parametrize("n", [*range(65), 1023, 1024, 10_000])
+    def test_takes_exactly_n_plus_one_terms(self, n):
+        # with unit source and feedback every partial sum is an exact integer
+        assert field._iterate_roundtrips(1.0, 1.0, n) == n + 1
+        ones = np.ones(3, dtype=complex)
+        assert np.array_equal(field._iterate_roundtrips(ones, ones, n),
+                              np.full(3, n + 1.0))
 
 
 class TestPositionAveragedIntensity:

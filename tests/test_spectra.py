@@ -50,6 +50,41 @@ def paper_linewidth(finesse):
     return 24.9e9 / finesse
 
 
+# one row per input that used to give NaN, 0.0, ZeroDivisionError or a
+# "math domain error"; the message names the argument and its value
+NONPHYSICAL_INPUTS = [
+    ((0.0, 295.0, 131.29e-3), r"^wavelength must be positive and finite, got 0\.0$"),
+    ((WAVELENGTH, 0.0, 131.29e-3), r"^temperature must be positive and finite, got 0\.0$"),
+    ((WAVELENGTH, 295.0, 0.0), r"^molar mass must be positive and finite, got 0\.0$"),
+    ((WAVELENGTH, -1.0, 131.29e-3), r"^temperature must be positive and finite, got -1\.0$"),
+    ((math.nan, 295.0, 131.29e-3), r"^wavelength must be positive and finite, got nan$"),
+    ((WAVELENGTH, 295.0, math.inf), r"^molar mass must be positive and finite, got inf$"),
+]
+
+
+def _allocating_monte_carlo(wavelength, temperature, molar_mass, n_samples, seed):
+    """``doppler_fwhm_monte_carlo`` as it was before its buffers: a fresh
+    ``normal(0, sigma_v)`` draw and fresh shift arrays per 65,536-row block.
+    The buffered width must equal it exactly."""
+    sigma_v = math.sqrt(BOLTZMANN * temperature / (molar_mass / AVOGADRO))
+    rng = np.random.default_rng(seed)
+    count, mean, squares = 0, 0.0, 0.0
+    for start in range(0, n_samples, 65_536):
+        rows = min(65_536, n_samples - start)
+        velocities = rng.normal(0.0, sigma_v, size=(rows, 2))
+        shifts = velocities[:, 0] - velocities[:, 1]
+        shifts /= wavelength
+        block_mean = float(shifts.mean())
+        shifts -= block_mean
+        block_squares = float((shifts * shifts).sum())
+        delta = block_mean - mean
+        total = count + rows
+        mean += delta * rows / total
+        squares += block_squares + delta * delta * count * rows / total
+        count = total
+    return _FWHM_PER_SIGMA * math.sqrt(squares / count)
+
+
 class TestDopplerWidth:
     def test_xenon_room_temperature(self):
         width = doppler_fwhm(WAVELENGTH, 295.0, 131.29e-3)
@@ -71,6 +106,12 @@ class TestDopplerWidth:
     def test_rejects_nonpositive_inputs(self):
         with pytest.raises(ValueError):
             doppler_fwhm(WAVELENGTH, -1.0, 131.29e-3)
+
+    @pytest.mark.parametrize("width", [doppler_fwhm, doppler_fwhm_monte_carlo])
+    @pytest.mark.parametrize("inputs, message", NONPHYSICAL_INPUTS)
+    def test_nonphysical_input_is_named(self, width, inputs, message):
+        with pytest.raises(ValueError, match=message):
+            width(*inputs)
 
     def test_observed_width_is_sqrt2_absorption_width_at_the_gas_temperature(self):
         cold = builtin_species("Xe")._replace(temperature=150.0)
@@ -102,6 +143,14 @@ class TestDopplerMonteCarlo:
         streamed = doppler_fwhm_monte_carlo(WAVELENGTH, 295.0, 131.29e-3,
                                             n_samples, 3)
         assert abs(streamed - whole) <= 1e-14 * whole
+
+    @pytest.mark.parametrize("n_samples", [2, 65_536, 65_537, 3 * 65_536 + 7, 1_000_000])
+    def test_buffered_width_equals_the_allocating_loop(self, n_samples):
+        for seed in (0, 42, 12345):
+            buffered = doppler_fwhm_monte_carlo(WAVELENGTH, 295.0, 131.29e-3,
+                                                n_samples, seed)
+            assert buffered == _allocating_monte_carlo(WAVELENGTH, 295.0, 131.29e-3,
+                                                       n_samples, seed), seed
 
     @pytest.mark.parametrize("n_samples", [1_000_000, 4_000_000])
     def test_memory_does_not_grow_with_the_sample_count(self, n_samples):

@@ -3,6 +3,7 @@ bookkeeping handles NaN residuals and degenerate draws."""
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -77,6 +78,34 @@ def test_array_recursion_matches_the_scalar_sum_per_draw(seed):
     worst = np.max(np.abs(summed - exact) / np.abs(exact))
     result = validation.check_field_closed_form_vs_roundtrip(np.random.default_rng(seed))
     assert result.detail.startswith(f"residual {worst:.3e} ")
+
+
+def _loop_roundtrips(source, feedback, n_roundtrips):
+    """``field._iterate_roundtrips`` as it was before the doubling: the
+    recursion field = source + feedback * field, n times from source."""
+    summed = source
+    for _ in range(n_roundtrips):
+        summed = source + feedback * summed
+    return summed
+
+
+@pytest.mark.parametrize("seed", [0, 20260])
+def test_doubled_sum_matches_the_round_trip_loop(seed):
+    pairs = [field._source_and_feedback(cfg, r1, r2, d)
+             for cfg, r1, r2, d in roundtrip_draws(np.random.default_rng(seed))]
+    sources, feedbacks = (np.array(column) for column in zip(*pairs))
+    doubled = field._iterate_roundtrips(sources, feedbacks, 10_000)
+    looped = _loop_roundtrips(sources, feedbacks, 10_000)
+    assert np.max(np.abs(doubled - looped) / np.abs(looped)) <= 1e-15
+
+
+@pytest.mark.parametrize("seed", [0, 20260])
+def test_run_all_raises_no_floating_point_error(seed):
+    # underflow in the Gaussian tails and the doubled powers is benign
+    with np.errstate(all="raise", under="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results = validation.run_all(seed)
+    assert all(result.passed for result in results)
 
 
 @pytest.mark.parametrize("seed", [0, 20260])
