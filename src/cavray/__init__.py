@@ -33,8 +33,8 @@ _EXPORTS = {
               "transverse_mode_spacing",
     "overlap": "GaussianMode dipole_mode_power dipole_normalization gaussian_normalization "
                "overlap_eta_analytic overlap_eta_numeric purcell_factor purcell_ratio",
-    "spectra": "SpectrumTrace doppler_fwhm doppler_fwhm_monte_carlo observed_doppler_fwhm "
-               "polarization_signal scan_spectrum species_ratio spectral_overlap",
+    "spectra": "SpectrumTrace doppler_fwhm observed_doppler_fwhm polarization_signal "
+               "scan_spectrum species_ratio spectral_overlap",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

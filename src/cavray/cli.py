@@ -252,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="output format")
         else:
             p.add_argument("--seed", type=_seed, default=0,
-                           help="seed for Monte-Carlo oracles")
+                           help="seed of the checks' random draws")
         p.add_argument("--out", default=None, help="output directory")
         p.set_defaults(handler=handler)
     return parser

@@ -31,11 +31,6 @@ class MirrorSpec:
         """Intensity transmission T = 1 - R."""
         return 1.0 - self.reflectivity
 
-    @property
-    def amplitude_reflectivity(self) -> float:
-        """Field amplitude reflection coefficient r = sqrt(R)."""
-        return math.sqrt(self.reflectivity)
-
 
 @record
 class CavityGeometry:

@@ -92,84 +92,23 @@ _STENCIL_SCALE = np.array([
 # rows per block of the interpolation and of the trace writers
 _BLOCK = 8192
 _JSON_SEPARATOR = b",\n    "
-# velocity pairs per block of doppler_fwhm_monte_carlo: 1 MiB of draws
-_SAMPLE_BLOCK = 65_536
-
-
-def _check_thermal_inputs(wavelength: float, temperature: float,
-                          molar_mass: float) -> None:
-    """Raise ``ValueError`` naming the first argument that is not a
-    positive finite number (NaN included)."""
-    for name, value in (("wavelength", wavelength), ("temperature", temperature),
-                        ("molar mass", molar_mass)):
-        if not 0.0 < value < math.inf:
-            raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 def doppler_fwhm(wavelength: float, temperature: float, molar_mass: float) -> float:
     """Absorption-spectroscopy Doppler FWHM of a thermal gas, in Hz.
 
     (nu0/c) * sqrt(8 kB T ln2 / m) with nu0 = c/lambda and m the mass of a
-    single particle (molar_mass in kg/mol).
+    single particle (molar_mass in kg/mol). Raises ``ValueError`` naming
+    the first argument that is not a positive finite number (NaN included).
     """
-    _check_thermal_inputs(wavelength, temperature, molar_mass)
+    for name, value in (("wavelength", wavelength), ("temperature", temperature),
+                        ("molar mass", molar_mass)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     particle_mass = molar_mass / AVOGADRO
     return (1.0 / wavelength) * math.sqrt(
         8.0 * BOLTZMANN * temperature * math.log(2.0) / particle_mass
     )
-
-
-def doppler_fwhm_monte_carlo(wavelength: float, temperature: float,
-                             molar_mass: float, n_samples: int = 1_000_000,
-                             seed: int = 0) -> float:
-    """Observed Doppler FWHM from sampled Maxwell-Boltzmann velocities.
-
-    Draws thermal velocity components along the pump and collection axes,
-    forms the frequency shift (v_out - v_in)/lambda of each scatterer and
-    converts the sample spread to a FWHM. Validates the sqrt(2) geometry
-    factor instead of assuming it. Deterministic for a fixed seed.
-
-    The pairs are drawn ``_SAMPLE_BLOCK`` (65,536) rows at a time from one
-    generator, the same stream a single (n_samples, 2) draw gives: each
-    block is drawn with ``standard_normal`` into one (65,536, 2) buffer
-    that every block reuses and scaled by sigma_v in place, which is the
-    product ``normal(0, sigma_v)`` forms, so the draws are bit-identical to
-    it. The shifts and their squares go into two more reused buffers. Each
-    block's count, mean and sum of squared deviations is merged into the
-    running ones by Chan's pairwise update. The peak allocation is about
-    2 MiB whatever ``n_samples`` is, and the width is within 3e-16
-    relative of ``np.std`` over the whole array (2.8e-16 at worst over 180
-    seeds and four sizes; equal on seeds 0, 42 and 12345 at 1e6 samples).
-    Raises ``ValueError`` for fewer than 2 samples or an input that is not
-    positive and finite.
-    """
-    n_samples = int(n_samples)
-    if n_samples < 2:
-        raise ValueError(f"n_samples must be at least 2, got {n_samples}")
-    _check_thermal_inputs(wavelength, temperature, molar_mass)
-    particle_mass = molar_mass / AVOGADRO
-    sigma_v = math.sqrt(BOLTZMANN * temperature / particle_mass)
-    rng = np.random.default_rng(seed)
-    size = min(_SAMPLE_BLOCK, n_samples)
-    velocities, shifts, squared = np.empty((size, 2)), np.empty(size), np.empty(size)
-    count, mean, squares = 0, 0.0, 0.0
-    for start in range(0, n_samples, _SAMPLE_BLOCK):
-        rows = min(_SAMPLE_BLOCK, n_samples - start)
-        drawn = rng.standard_normal(out=velocities[:rows])
-        drawn *= sigma_v
-        shift = np.subtract(drawn[:, 0], drawn[:, 1], out=shifts[:rows])
-        shift /= wavelength
-        block_mean = float(shift.mean())
-        shift -= block_mean
-        # numpy's pairwise sum: np.dot would go to BLAS, whose last ulp
-        # depends on its thread count
-        block_squares = float(np.multiply(shift, shift, out=squared[:rows]).sum())
-        delta = block_mean - mean
-        total = count + rows
-        mean += delta * rows / total
-        squares += block_squares + delta * delta * count * rows / total
-        count = total
-    return _FWHM_PER_SIGMA * math.sqrt(squares / count)
 
 
 def observed_doppler_fwhm(gas: GasSpecies, wavelength: float) -> float:
@@ -249,21 +188,6 @@ class SpectrumTrace:
             frame.fill(1, self.signals[start:start + _BLOCK])
             stream.write(frame.text(len(detunings)))
 
-    @classmethod
-    def from_csv(cls, stream: io.TextIOBase, species: str = "",
-                 cavity: CavityParams | None = None) -> "SpectrumTrace":
-        header = stream.readline().strip()
-        if header != "detuning_Hz,signal_normalized":
-            raise ValueError(f"unexpected CSV header: {header!r}")
-        det, sig = [], []
-        for line in stream:
-            if not line.strip():
-                continue
-            x, y = line.split(",")
-            det.append(float(x))
-            sig.append(float(y))
-        return cls(np.array(det), np.array(sig), species, cavity)
-
     def to_json(self, stream: io.TextIOBase | None = None) -> str | None:
         """The trace as ``json.dumps(payload, indent=2)`` would write it,
         returned, or written to ``stream`` one block of values at a time."""
@@ -293,17 +217,6 @@ class SpectrumTrace:
             }
             yield ',\n  "cavity": ' + json.dumps(cavity, indent=2).replace("\n", "\n  ")
         yield "\n}"
-
-    @classmethod
-    def from_json(cls, text: str) -> "SpectrumTrace":
-        import json
-
-        payload = json.loads(text)
-        if payload.get("schema") != TRACE_SCHEMA:
-            raise ValueError(f"unexpected trace schema: {payload.get('schema')!r}")
-        return cls(np.array(payload["detuning_Hz"]),
-                   np.array(payload["signal_normalized"]),
-                   payload.get("species", ""))
 
 
 # 4-byte words of a value's token in its slot of a writer frame; the words

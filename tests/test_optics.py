@@ -26,7 +26,6 @@ class TestMirrorSpec:
     def test_lossless_split(self):
         mirror = MirrorSpec(0.997)
         assert mirror.transmission == pytest.approx(0.003)
-        assert mirror.amplitude_reflectivity == pytest.approx(math.sqrt(0.997))
 
     @pytest.mark.parametrize("bad", [-0.1, 1.0, 1.5])
     def test_rejects_unphysical_reflectivity(self, bad):

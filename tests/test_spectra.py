@@ -1,15 +1,15 @@
 """Doppler widths, spectral overlap, scans, polarization, species ratios.
 
 Overlap expectations are frozen from an independent Faddeeva-function
-evaluation of the Gaussian-Lorentzian integral; the Doppler width is
-validated by Monte-Carlo sampling of thermal velocities projected on the
-90-degree scattering wavevector difference.
+evaluation of the Gaussian-Lorentzian integral. The observed Doppler
+width's sqrt(2) geometry factor is checked in ``validation`` against a
+Gauss-Hermite average of thermal velocities projected on the 90-degree
+scattering wavevector difference.
 """
 
 import io
 import json
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,15 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from cavray import (CavityGeometry, GasSpecies, MirrorSpec, SpectrumTrace,
+from cavray import (CavityGeometry, MirrorSpec, SpectrumTrace,
                     builtin_species, derive_cavity_params, doppler_fwhm,
-                    doppler_fwhm_monte_carlo, load_species_table, observed_doppler_fwhm,
+                    load_species_table, observed_doppler_fwhm,
                     polarization_signal, scan_spectrum, species_ratio, spectral_overlap,
                     validation)
-from cavray.constants import AVOGADRO, BOLTZMANN
-from cavray.spectra import (_BLOCK, _FWHM_PER_SIGMA, MAX_SCAN_POINTS,
-                            OBSERVED_WIDTH_FACTOR, _erfcx, _interpolate_periodic, _json_array,
-                            _token_tables, _TokenFrame)
+from cavray.spectra import (_BLOCK, MAX_SCAN_POINTS, OBSERVED_WIDTH_FACTOR, _erfcx,
+                            _interpolate_periodic, _json_array, _token_tables, _TokenFrame)
 
 WAVELENGTH = 532e-9
 
@@ -62,29 +60,6 @@ NONPHYSICAL_INPUTS = [
 ]
 
 
-def _allocating_monte_carlo(wavelength, temperature, molar_mass, n_samples, seed):
-    """``doppler_fwhm_monte_carlo`` as it was before its buffers: a fresh
-    ``normal(0, sigma_v)`` draw and fresh shift arrays per 65,536-row block.
-    The buffered width must equal it exactly."""
-    sigma_v = math.sqrt(BOLTZMANN * temperature / (molar_mass / AVOGADRO))
-    rng = np.random.default_rng(seed)
-    count, mean, squares = 0, 0.0, 0.0
-    for start in range(0, n_samples, 65_536):
-        rows = min(65_536, n_samples - start)
-        velocities = rng.normal(0.0, sigma_v, size=(rows, 2))
-        shifts = velocities[:, 0] - velocities[:, 1]
-        shifts /= wavelength
-        block_mean = float(shifts.mean())
-        shifts -= block_mean
-        block_squares = float((shifts * shifts).sum())
-        delta = block_mean - mean
-        total = count + rows
-        mean += delta * rows / total
-        squares += block_squares + delta * delta * count * rows / total
-        count = total
-    return _FWHM_PER_SIGMA * math.sqrt(squares / count)
-
-
 class TestDopplerWidth:
     def test_xenon_room_temperature(self):
         width = doppler_fwhm(WAVELENGTH, 295.0, 131.29e-3)
@@ -107,65 +82,15 @@ class TestDopplerWidth:
         with pytest.raises(ValueError):
             doppler_fwhm(WAVELENGTH, -1.0, 131.29e-3)
 
-    @pytest.mark.parametrize("width", [doppler_fwhm, doppler_fwhm_monte_carlo])
     @pytest.mark.parametrize("inputs, message", NONPHYSICAL_INPUTS)
-    def test_nonphysical_input_is_named(self, width, inputs, message):
+    def test_nonphysical_input_is_named(self, inputs, message):
         with pytest.raises(ValueError, match=message):
-            width(*inputs)
+            doppler_fwhm(*inputs)
 
     def test_observed_width_is_sqrt2_absorption_width_at_the_gas_temperature(self):
         cold = builtin_species("Xe")._replace(temperature=150.0)
         assert observed_doppler_fwhm(cold, WAVELENGTH) == (
             OBSERVED_WIDTH_FACTOR * doppler_fwhm(WAVELENGTH, 150.0, cold.molar_mass))
-
-
-class TestDopplerMonteCarlo:
-    def test_reproduces_sqrt2_geometry_factor(self):
-        sampled = doppler_fwhm_monte_carlo(WAVELENGTH, 295.0, 131.29e-3,
-                                           n_samples=1_000_000, seed=42)
-        expected = OBSERVED_WIDTH_FACTOR * doppler_fwhm(WAVELENGTH, 295.0,
-                                                        131.29e-3)
-        assert abs(sampled - expected) / expected < 0.01
-
-    def test_deterministic_under_fixed_seed(self):
-        first = doppler_fwhm_monte_carlo(WAVELENGTH, 295.0, 131.29e-3, 10_000, 7)
-        second = doppler_fwhm_monte_carlo(WAVELENGTH, 295.0, 131.29e-3, 10_000, 7)
-        assert first == second
-
-    @pytest.mark.parametrize("n_samples", [65_535, 3 * 65_536 + 7, 1_000_000])
-    def test_streamed_width_equals_the_whole_array_std(self, n_samples):
-        # the blocks draw the stream one (n_samples, 2) draw gives, so only
-        # the merge of the block variances may differ, in the last ulps
-        sigma_v = math.sqrt(BOLTZMANN * 295.0 / (131.29e-3 / AVOGADRO))
-        velocities = np.random.default_rng(3).normal(0.0, sigma_v, (n_samples, 2))
-        whole = _FWHM_PER_SIGMA * float(
-            np.std((velocities[:, 0] - velocities[:, 1]) / WAVELENGTH))
-        streamed = doppler_fwhm_monte_carlo(WAVELENGTH, 295.0, 131.29e-3,
-                                            n_samples, 3)
-        assert abs(streamed - whole) <= 1e-14 * whole
-
-    @pytest.mark.parametrize("n_samples", [2, 65_536, 65_537, 3 * 65_536 + 7, 1_000_000])
-    def test_buffered_width_equals_the_allocating_loop(self, n_samples):
-        for seed in (0, 42, 12345):
-            buffered = doppler_fwhm_monte_carlo(WAVELENGTH, 295.0, 131.29e-3,
-                                                n_samples, seed)
-            assert buffered == _allocating_monte_carlo(WAVELENGTH, 295.0, 131.29e-3,
-                                                       n_samples, seed), seed
-
-    @pytest.mark.parametrize("n_samples", [1_000_000, 4_000_000])
-    def test_memory_does_not_grow_with_the_sample_count(self, n_samples):
-        tracemalloc.start()
-        try:
-            doppler_fwhm_monte_carlo(WAVELENGTH, 295.0, 131.29e-3, n_samples, 0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4 * 2 ** 20
-
-    @pytest.mark.parametrize("n_samples", [1, 0, -5])
-    def test_fewer_than_two_samples_rejected(self, n_samples):
-        with pytest.raises(ValueError, match="n_samples"):
-            doppler_fwhm_monte_carlo(WAVELENGTH, 295.0, 131.29e-3, n_samples, 0)
 
 
 class TestSpectralOverlap:
@@ -457,29 +382,13 @@ class TestTraceSerialization:
         return scan_spectrum(reference_params, [(builtin_species("Xe"), 1.0)],
                              2e9, 1e7, WAVELENGTH, normalize=True)
 
-    def test_csv_roundtrip(self, trace):
-        buffer = io.StringIO()
-        trace.to_csv(buffer)
-        buffer.seek(0)
-        recovered = SpectrumTrace.from_csv(buffer)
-        np.testing.assert_allclose(recovered.detunings, trace.detunings, rtol=1e-11)
-        np.testing.assert_allclose(recovered.signals, trace.signals, rtol=1e-11)
-
     def test_csv_header(self, trace):
         buffer = io.StringIO()
         trace.to_csv(buffer)
         assert buffer.getvalue().splitlines()[0] == "detuning_Hz,signal_normalized"
 
-    def test_json_roundtrip(self, trace):
-        recovered = SpectrumTrace.from_json(trace.to_json())
-        np.testing.assert_allclose(recovered.detunings, trace.detunings, rtol=1e-11)
-        np.testing.assert_allclose(recovered.signals, trace.signals, rtol=1e-11)
-        assert recovered.species == trace.species
-
     def test_json_schema_versioned(self, trace):
         assert '"schema": "cavray.spectrum-trace/1"' in trace.to_json()
-        with pytest.raises(ValueError):
-            SpectrumTrace.from_json('{"schema": "other/9"}')
 
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):

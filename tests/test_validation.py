@@ -1,6 +1,10 @@
-"""The oracle suite: every check passes, its draws are fixed, and its
-bookkeeping handles NaN residuals and degenerate draws."""
+"""The oracle suite: every check passes, its draws are fixed, its
+bookkeeping handles NaN residuals and degenerate draws, and it is the only
+module that draws random numbers."""
 
+import ast
+import importlib
+import inspect
 import math
 import tracemalloc
 import warnings
@@ -8,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cavray import field, optics, overlap, validation
+from cavray import field, optics, overlap, spectra, validation
 
 
 @pytest.mark.parametrize("seed", [0, 20260])
@@ -50,10 +54,21 @@ def purcell_draws(rng, n_draws=1000):
              rng.uniform(5e-6, 5e-4), rng.uniform(1e-3, 1.0)) for _ in range(n_draws)]
 
 
+def doppler_draws(rng, n_draws=10):
+    """The draws of the Doppler check, one scalar draw at a time, in order:
+    log10 temperature, molar mass, wavelength, then two normal 3-vectors."""
+    for _ in range(n_draws):
+        for low, high in [(-6.0, 3.0), (1e-3, 0.3), (200e-9, 2000e-9)]:
+            rng.uniform(low, high)
+        for _ in range(6):
+            rng.standard_normal()
+
+
 @pytest.mark.parametrize("check, replay", [
     (validation.check_field_closed_form_vs_roundtrip, roundtrip_draws),
     (validation.check_field_average_quadrature, field_average_draws),
     (validation.check_purcell_equivalence, purcell_draws),
+    (validation.check_doppler_monte_carlo, doppler_draws),
 ])
 @pytest.mark.parametrize("seed", [0, 20260])
 def test_check_consumes_the_scalar_draw_sequence(check, replay, seed):
@@ -125,9 +140,8 @@ def test_purcell_check_reports_the_residual_of_the_scalar_draws(seed):
 
 
 def test_run_all_stays_within_its_memory_budget():
-    # the oracles hold one draw's samples and the Monte-Carlo width one
-    # block of its velocity pairs at a time; a draws x samples array or
-    # the 1e6 pairs at once would raise the peak well beyond this
+    # the oracles hold one draw's quadrature nodes or round-trip terms at a
+    # time; a draws x nodes array would raise the peak well beyond this
     tracemalloc.start()
     try:
         validation.run_all(0)
@@ -143,6 +157,55 @@ def test_power_budget_check_sees_a_wrong_transmitted_power(monkeypatch):
     closed_form = field.transmitted_power
     monkeypatch.setattr(field, "transmitted_power", lambda *args: 2.0 * closed_form(*args))
     assert not validation.check_power_budget_identities(np.random.default_rng(0)).passed
+
+
+@pytest.mark.parametrize("geometry, residual", [
+    # one wavevector alone: the absorption width, 1/sqrt(2) of the observed
+    (lambda k_in, k_out: (np.zeros(3), k_out), "2.929e-01"),
+    # antiparallel wavevectors: twice the absorption width
+    (lambda k_in, k_out: (k_in, -k_in), "4.142e-01"),
+], ids=["one-wavevector", "antiparallel"])
+def test_doppler_check_sees_a_wrong_scattering_geometry(monkeypatch, geometry, residual):
+    oracle = validation._doppler_quadrature
+    monkeypatch.setattr(validation, "_doppler_quadrature",
+                        lambda *args: oracle(*args[:3], *geometry(*args[3:])))
+    result = validation.check_doppler_monte_carlo(np.random.default_rng(0))
+    assert not result.passed
+    assert result.detail.startswith(f"residual {residual} ")
+
+
+def test_doppler_check_sees_the_absorption_width_as_observed(monkeypatch):
+    monkeypatch.setattr(spectra, "observed_doppler_fwhm",
+                        lambda gas, wl: spectra.doppler_fwhm(wl, gas.temperature,
+                                                             gas.molar_mass))
+    result = validation.check_doppler_monte_carlo(np.random.default_rng(0))
+    assert not result.passed
+    # the quadrature width is sqrt(2) times the one it is held to
+    assert result.detail.startswith("residual 4.142e-01 ")
+
+
+def test_doppler_check_sees_a_non_gaussian_shift(monkeypatch):
+    # two nodes a component integrate to degree 3 only: the width is still
+    # exact, but the fourth moment, and so the kurtosis, is not
+    monkeypatch.setattr(validation, "_HERMITE_NODES", 2)
+    result = validation.check_doppler_monte_carlo(np.random.default_rng(0))
+    assert not result.passed
+
+
+@pytest.mark.parametrize("module", ["optics", "field", "overlap", "spectra", "experiment",
+                                    "config", "gases", "cli"])
+def test_production_module_draws_no_random_numbers(module):
+    # randomness belongs to the oracle suite: a production output must
+    # not depend on a generator's state
+    tree = ast.parse(inspect.getsource(importlib.import_module(f"cavray.{module}")))
+    names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names |= set((node.module or "").split("."))
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {part for alias in node.names for part in alias.name.split(".")}
+    assert not names & {"random", "default_rng", "Generator", "RandomState", "secrets"}
 
 
 def test_nan_residual_fails_its_check(monkeypatch):
