@@ -300,6 +300,9 @@ def _overlap_quadrature(observed_fwhm: float, linewidth: float) -> float:
 # fourth moment has degree 4 in each component
 _HERMITE_NODES = 3
 
+# random geometries and gases drawn by check_doppler_monte_carlo
+_DOPPLER_DRAWS = 10
+
 
 def _doppler_quadrature(wavelength: float, temperature: float, molar_mass: float,
                         k_in: np.ndarray, k_out: np.ndarray) -> tuple[float, float]:
@@ -471,10 +474,10 @@ def check_scan_linearity(rng: np.random.Generator) -> CheckResult:
 
 
 # the name is pinned by cavbench's CHECK_NAMES; it changes with ROADMAP item 1b
-def check_doppler_monte_carlo(rng: np.random.Generator, n_draws: int = 10) -> CheckResult:
+def check_doppler_monte_carlo(rng: np.random.Generator) -> CheckResult:
     xenon = gases.builtin_species("Xe")
     worst = 0.0
-    for _ in range(n_draws):
+    for _ in range(_DOPPLER_DRAWS):
         gas = xenon._replace(temperature=10 ** rng.uniform(-6.0, 3.0),
                              molar_mass=rng.uniform(1e-3, 0.3))
         wavelength = rng.uniform(200e-9, 2000e-9)
