@@ -14,25 +14,23 @@ import importlib
 __version__ = "0.1.0"
 
 # Every public name resolves on first use (PEP 562) from the submodule
-# named here, so ``import cavray`` loads no computing module, a report only
-# the modules it uses, and only the ``spectra`` names load numpy.
+# named here, so ``import cavray`` loads no computing module and a report
+# only the modules it uses. Only ``spectra`` of these imports numpy; the
+# oracles that check the closed forms live in ``cavray.validation``.
 _EXPORTS = {
     "constants": "ATOMIC_UNIT_POLARIZABILITY_A3 AVOGADRO BOLTZMANN PLANCK SPEED_OF_LIGHT",
     "errors": "ConfigError ConvergenceError",
     "experiment": "AnchorMeasurement EnhancementReport ForecastReport ScenarioConfig "
-                  "build_enhancement_report contributing_particles finesse_dependence "
-                  "free_space_backout interaction_volume photon_rate ultracold_forecast "
-                  "ultracold_target_species",
+                  "build_enhancement_report contributing_particles free_space_backout "
+                  "interaction_volume photon_rate ultracold_forecast ultracold_target_species",
     "field": "PowerBudget ScatterConfig cavity_power_budget intracavity_field "
-             "position_averaged_intensity position_averaged_intensity_numeric "
-             "roundtrip_field_sum transmitted_power",
+             "position_averaged_intensity transmitted_power",
     "gases": "GasSpecies builtin_species load_species_table",
-    "optics": "CavityGeometry CavityParams MirrorSpec PumpBeam abcd_roundtrip_mode_spacing "
-              "abcd_roundtrip_waist derive_cavity_params finesse free_spectral_range "
-              "mode_volume number_density q_factor rayleigh_length symmetric_waist "
-              "transverse_mode_spacing",
-    "overlap": "GaussianMode dipole_mode_power dipole_normalization gaussian_normalization "
-               "overlap_eta_analytic overlap_eta_numeric purcell_factor purcell_ratio",
+    "optics": "CavityGeometry CavityParams MirrorSpec PumpBeam derive_cavity_params finesse "
+              "free_spectral_range mode_volume number_density q_factor rayleigh_length "
+              "symmetric_waist transverse_mode_spacing",
+    "overlap": "GaussianMode dipole_mode_power overlap_eta_analytic overlap_eta_numeric "
+               "purcell_factor purcell_ratio",
     "spectra": "SpectrumTrace doppler_fwhm observed_doppler_fwhm polarization_signal "
                "scan_spectrum species_ratio spectral_overlap",
 }

@@ -142,30 +142,6 @@ def free_space_backout(measured_cavity_power: float, spectral_overlap: float,
     return measured_cavity_power / (enhancement * spectral_overlap)
 
 
-def finesse_dependence(pairings: Sequence[MirrorPairing]) -> list[tuple[float, float]]:
-    """Relative detectable signal for each (finesse, left, right) pairing.
-
-    The signal scales as F * T2/(T1+T2); entries are normalized to the
-    highest-finesse pairing. For identical mirror pairs this reduces to
-    plain linearity in the finesse.
-    """
-    return _shares_and_relative_signals(pairings)[1]
-
-
-def _shares_and_relative_signals(pairings: Sequence[MirrorPairing]):
-    """Each pairing's outcoupling share T2/(T1+T2), and ``finesse_dependence``."""
-    if not pairings:
-        raise ValueError("at least one mirror pairing is required")
-    shares, signals = [], []
-    for f, left, right in pairings:
-        if f <= 0.0:
-            raise ValueError(f"finesse must be positive, got {f}")
-        shares.append(outcoupling_share(left.transmission, right.transmission))
-        signals.append(f * shares[-1])
-    reference = signals[max(range(len(pairings)), key=lambda i: pairings[i][0])]
-    return shares, [(f, s / reference) for (f, _, _), s in zip(pairings, signals)]
-
-
 @record
 class FinesseEntry:
     """One row of an enhancement report."""
@@ -249,12 +225,20 @@ def build_enhancement_report(pairings: Sequence[MirrorPairing],
         _check_measurement(f"enhance.pairing{i}", power, overlap)
     if comparison_power is not None and comparison_power <= 0.0:
         raise ValueError(f"enhance.comparison_power must be positive, got {comparison_power}")
+    if not pairings:
+        raise ValueError("at least one mirror pairing is required")
     at_rest = [p / o for p, o in zip(measured_powers, spectral_overlaps)]
     ref_index = max(range(len(pairings)), key=lambda i: pairings[i][0])
-    shares, predicted = _shares_and_relative_signals(pairings)
+    # the detectable signal scales as F * T2/(T1+T2)
+    shares, signals = [], []
+    for f, left, right in pairings:
+        if f <= 0.0:
+            raise ValueError(f"finesse must be positive, got {f}")
+        shares.append(outcoupling_share(left.transmission, right.transmission))
+        signals.append(f * shares[-1])
     max_finesse = pairings[ref_index][0]
     entries = []
-    for i, ((f, _, _), share, rel_pred) in enumerate(zip(pairings, shares, predicted)):
+    for i, ((f, _, _), share, signal) in enumerate(zip(pairings, shares, signals)):
         entries.append(FinesseEntry(
             finesse=f,
             outcoupling_share=share,
@@ -262,7 +246,7 @@ def build_enhancement_report(pairings: Sequence[MirrorPairing],
             spectral_overlap=spectral_overlaps[i],
             at_rest_power=at_rest[i],
             relative_measured=at_rest[i] / at_rest[ref_index],
-            predicted_relative=rel_pred[1],
+            predicted_relative=signal / signals[ref_index],
             predicted_relative_symmetric=f / max_finesse,
         ))
     if comparison_power is None:

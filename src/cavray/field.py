@@ -7,14 +7,15 @@ round trips. Intensities and powers are expressed in units of the pump
 (``amplitude**2 * pump``); the fixed mode-area reference that converts
 between the two cancels in every reported ratio and is set to 1.
 
-The closed forms need ``math`` alone, so the reports that import this
-module load no other; the summation and quadrature oracles import
-``cmath`` (and numpy) inside themselves.
+Every function here is a closed form in ``math`` and ``cmath``, so the
+reports that import this module load nothing outside the standard
+library; the round-trip summation and position-average quadrature that
+check them live in ``validation``.
 """
 
 from __future__ import annotations
 
-import functools
+import cmath
 import math
 from typing import Literal
 
@@ -59,8 +60,6 @@ def _source_and_feedback(cfg: ScatterConfig, r1: float, r2: float,
     """Directly scattered plus once-reflected source term, and the
     round-trip feedback factor; shared by the closed form and the
     summation so the two routes differ only in how the series is summed."""
-    import cmath
-
     k, d, dz = cfg.wavenumber, mirror_separation, cfg.displacement
     source = cfg.amplitude * cfg.pump_field * (
         1.0 + r1 * cmath.exp(1j * k * d) * cmath.exp(2j * k * dz)
@@ -83,46 +82,6 @@ def intracavity_field(cfg: ScatterConfig, r1: float, r2: float,
     return source / (1.0 - feedback)
 
 
-def roundtrip_field_sum(cfg: ScatterConfig, r1: float, r2: float,
-                        mirror_separation: float, n_roundtrips: int) -> complex:
-    """Field after n round trips: the n + 1 terms source * feedback**j of
-    the round-trip recursion field = source + feedback * field.
-
-    Serves as the summation cross-check for the closed form; the truncation
-    error is bounded by |r1*r2|**n / (1 - |r1*r2|) in source-term units.
-    r1*r2 >= 1 raises, as the closed form does. The sum itself,
-    ``_iterate_roundtrips``, takes numpy arrays of sources and feedbacks as
-    well as complex scalars, so an oracle can sum many scatterers at once
-    with this same code.
-    """
-    if n_roundtrips < 0:
-        raise ValueError(f"n_roundtrips must be >= 0, got {n_roundtrips}")
-    _check_feedback(r1, r2)
-    source, feedback = _source_and_feedback(cfg, r1, r2, mirror_separation)
-    return _iterate_roundtrips(source, feedback, n_roundtrips)
-
-
-def _iterate_roundtrips(source, feedback, n_roundtrips: int):
-    """sum of source * feedback**j for j = 0..n, by binary doubling.
-
-    With S_m the sum of the first m terms, S_2m = S_m + feedback**m * S_m
-    and S_(m+1) = S_m + feedback**m * source; walking the bits of n + 1
-    from the top takes about 2*log2(n + 1) steps in place of the n steps of
-    the recursion, and never divides by 1 - feedback, so it stays a route
-    to the closed form independent of it. Elementwise on arrays: each
-    element takes the scalar's steps, up to the few ulp numpy's fused
-    complex multiply-adds may move a sum by.
-    """
-    field, power = source, feedback  # S_1 and feedback**1
-    for bit in bin(n_roundtrips + 1)[3:]:
-        field = field + power * field
-        power = power * power
-        if bit == "1":
-            field = field + power * source
-            power = power * feedback
-    return field
-
-
 def position_averaged_intensity(amplitude: float, pump_intensity: float,
                                 r1: float, r2: float) -> float:
     """Right-traveling intensity averaged over scatterer positions, on resonance.
@@ -136,43 +95,6 @@ def position_averaged_intensity(amplitude: float, pump_intensity: float,
     """
     _check_feedback(r1, r2)
     return amplitude ** 2 * pump_intensity * (1.0 + r1 ** 2) / (1.0 - r1 * r2) ** 2
-
-
-def position_averaged_intensity_numeric(amplitude: float, pump_field: float,
-                                        wavenumber: float, r1: float, r2: float,
-                                        mirror_separation: float,
-                                        n_points: int = 10_000) -> float:
-    """Average |E|^2 over uniformly sampled displacements in one wavelength.
-
-    Quadrature cross-check for the closed-form position average; with the
-    cavity on resonance the midpoint rule over full phase periods is exact
-    to machine precision for any n_points >= 4.
-
-    The midpoints dz_i = ((i + 1/2)/n - 1/2) * lambda span one wavelength,
-    so the displacement phase 2*k*dz_i = 4*pi*(i + 1/2)/n - 2*pi is the
-    same for every k: the samples of exp(2i*k*dz) are one grid on the unit
-    circle per n_points, computed once (``_displacement_phases``).
-    """
-    import cmath
-
-    import numpy as np
-
-    _check_feedback(r1, r2)
-    numerator = 1.0 + r1 * cmath.exp(1j * wavenumber * mirror_separation) * (
-        _displacement_phases(n_points))
-    denominator = 1.0 - r1 * r2 * cmath.exp(2j * wavenumber * mirror_separation)
-    field = (amplitude * pump_field / denominator) * numerator
-    return float(np.mean(field.real ** 2 + field.imag ** 2))
-
-
-@functools.lru_cache(maxsize=4)
-def _displacement_phases(n_points: int):
-    """exp(4*pi*i*(j + 1/2)/n) for j < n, as a read-only array."""
-    import numpy as np
-
-    phases = np.exp(4j * math.pi * ((np.arange(n_points) + 0.5) / n_points))
-    phases.flags.writeable = False
-    return phases
 
 
 def outcoupling_share(t1: float, t2: float) -> float:

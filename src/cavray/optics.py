@@ -184,102 +184,3 @@ def number_density(pressure: float, temperature: float) -> float:
     if pressure < 0.0:
         raise ValueError(f"pressure must be nonnegative, got {pressure}")
     return pressure / (BOLTZMANN * temperature)
-
-
-# --- independent ABCD round-trip cross-checks -------------------------------
-#
-# The closed-form waist and mode-spacing expressions above are verified
-# against the resonator eigenmode obtained from ray-transfer matrices. The
-# matrices are multiplied in exact integer arithmetic: near the confocal
-# point d = Rc the round trip tends to -I and the entries that fix the
-# eigenmode cancel, so a floating-point product loses ~1e-16 / |1 - d/Rc|
-# of relative accuracy there.
-#
-# Every float is an integer over a power of two, so one common power of two
-# s turns d and Rc into integers D = s*d and R = s*Rc (s carries an extra
-# factor 2 when the round trip starts at d/2). A mirror's matrix times R,
-# ((R, 0), (-2, R)), is integral too, so the round trip in units of 1/s is
-# R^2 times an integer matrix. Neither factor changes the results: the
-# eigen-equation c*q^2 + (dd - a)*q - b = 0 and the half-trace ratio
-# (a + dd) / (2 R^2) are homogeneous in a common matrix factor, and q in
-# units of 1/s is s times q in metres. Each result is a ratio of exact
-# integers, rounded once by int / int, as an exact rational would be.
-
-# relative distance from d = Rc inside which the round-trip waist is undefined
-CONFOCAL_MARGIN = 1e-9
-
-
-def _integer_lengths(scale: int, *lengths: float) -> tuple[int, ...]:
-    """(s, *lengths times s) with s = scale * the lengths' largest denominator.
-
-    A float's denominator is a power of two, so s is a multiple of each
-    and every scaled length is an exact integer.
-    """
-    ratios = [length.as_integer_ratio() for length in lengths]
-    unit = scale * max(den for _, den in ratios)
-    return unit, *(num * (unit // den) for num, den in ratios)
-
-
-def _propagation(distance: int):
-    return ((1, distance), (0, 1))
-
-
-def _curved_mirror(radius_of_curvature: int):
-    """The mirror matrix ((1, 0), (-2/Rc, 1)) times Rc."""
-    return ((radius_of_curvature, 0), (-2, radius_of_curvature))
-
-
-def _roundtrip(*matrices):
-    """Product of 2x2 ((a, b), (c, d)) matrices, leftmost first."""
-    (a, b), (c, d) = matrices[0]
-    for (e, f), (g, h) in matrices[1:]:
-        (a, b), (c, d) = (a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h)
-    return (a, b), (c, d)
-
-
-def abcd_roundtrip_waist(mirror_separation: float, radius_of_curvature: float,
-                         wavelength: float) -> float:
-    """Waist from the self-consistent q-parameter of the round-trip matrix.
-
-    The round trip starts at the cavity centre, where the symmetric
-    eigenmode has its waist (q purely imaginary). At the confocal point
-    d = Rc the round trip is -I and every q is an eigenmode, so within
-    ``CONFOCAL_MARGIN`` of it this raises ``ValueError``.
-    """
-    unit, d, rc = _integer_lengths(2, mirror_separation, radius_of_curvature)
-    margin, margin_den = CONFOCAL_MARGIN.as_integer_ratio()
-    # |1 - d/Rc| < CONFOCAL_MARGIN, cleared of its denominators
-    if abs(rc - d) * margin_den < margin * rc:
-        raise ValueError(f"degenerate round trip at the confocal point: "
-                         f"d={mirror_separation}, Rc={radius_of_curvature}")
-    (a, b), (c, dd) = _roundtrip(_propagation(d // 2), _curved_mirror(rc), _propagation(d),
-                                 _curved_mirror(rc), _propagation(d // 2))
-    # q solves c*q^2 + (dd - a)*q - b = 0; a stable cavity has complex
-    # roots, and Im(q)^2 = -disc / (4 c^2) for the one with Im(q) > 0
-    disc = (dd - a) ** 2 + 4 * b * c
-    if disc >= 0:
-        raise ValueError(f"no stable eigenmode for d={mirror_separation}, "
-                         f"Rc={radius_of_curvature}")
-    q_imag = math.sqrt(-disc / (4 * c * c * unit * unit))
-    return math.sqrt(wavelength * q_imag / math.pi)
-
-
-def abcd_roundtrip_mode_spacing(mirror_separation: float,
-                                radius_of_curvature: float) -> float:
-    """Transverse mode spacing from the round-trip Gouy phase.
-
-    The half-trace h of the round-trip matrix equals cos(theta_rt), so
-    theta_rt = atan2(sqrt(1 - h^2), h), and the spacing is
-    FSR * theta_rt / (2 pi).
-    """
-    _, d, rc = _integer_lengths(1, mirror_separation, radius_of_curvature)
-    (a, _), (_, dd) = _roundtrip(_curved_mirror(rc), _propagation(d),
-                                 _curved_mirror(rc), _propagation(d))
-    # h = trace / (2 Rc^2) after the two mirrors' factors of Rc
-    trace, scale = a + dd, 2 * rc * rc
-    if abs(trace) > scale:
-        raise ValueError(f"no stable eigenmode for d={mirror_separation}, "
-                         f"Rc={radius_of_curvature}")
-    theta_rt = math.atan2(math.sqrt((scale * scale - trace * trace) / (scale * scale)),
-                          trace / scale)
-    return free_spectral_range(mirror_separation) * theta_rt / (2.0 * math.pi)

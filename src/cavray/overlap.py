@@ -10,13 +10,9 @@ power budget reproduces the standard Purcell factor.
 
 ``overlap_eta_numeric(wavelength, waist, z)``, which ``cavray overlap``
 runs, is the closed form of the overlap integral on the plane at z with
-the dipole field taken at its axial value; its quadrature, and that of
-the full cos(latitude)/r weighting, are oracles in ``validation``. The
-normalization integrals, ``dipole_normalization`` and
-``gaussian_normalization``, run the composite Gauss-Legendre rule of
-``cavray.quadrature`` and import it, with numpy, inside themselves. The
-rest of the module is scalar ``math``, so ``import cavray`` and the
-closed-form reports load the standard library alone.
+the dipole field taken at its axial value. Every function here is a
+closed form in ``math``; the quadratures of the overlap and of both
+mode normalizations are oracles in ``validation``.
 """
 
 from __future__ import annotations
@@ -28,10 +24,6 @@ from .records import record
 
 # intensity normalization over the sphere: integral of cos^3 is 4/3
 DIPOLE_PREFACTOR = math.sqrt(3.0 / (8.0 * math.pi))
-
-# transverse truncation radius for Gaussian-mode quadrature; the tail
-# beyond 8 beam widths is below 1e-27 of the integrand peak
-TRUNCATION_WIDTHS = 8.0
 
 
 @record
@@ -57,50 +49,6 @@ class GaussianMode:
         """Normalized field at transverse radius ``radial`` in the plane z."""
         w = self.width(z)
         return math.exp(-(radial ** 2) / w ** 2) / self.normalization(z)
-
-
-def dipole_normalization(prefactor: float = DIPOLE_PREFACTOR,
-                         latitude_range: tuple[float, float] = (-math.pi / 2, math.pi / 2),
-                         rel_tol: float = 1e-9) -> float:
-    """Numerically integrate the dipole-mode intensity over the sphere.
-
-    Returns the integral value (1 for the default prefactor and full
-    latitude range; scales quadratically with the prefactor). cos^3 is
-    entire: one Gauss-Legendre panel holds it to rounding.
-    """
-    import numpy as np
-
-    from .quadrature import integrate
-
-    return integrate(lambda t: 2.0 * math.pi * prefactor ** 2 * np.cos(t) ** 3,
-                     latitude_range, what="dipole mode normalization", rel_tol=rel_tol)
-
-
-def _radial_field(mode: GaussianMode, z: float):
-    """``mode.field(r, z)`` as a function of an array of radii r."""
-    import numpy as np
-
-    width, norm = mode.width(z), mode.normalization(z)
-    return lambda r: np.exp(-(r / width) ** 2) / norm
-
-
-def _radial_edges(mode: GaussianMode, z: float):
-    """Panel edges 0, w, 2w, 4w, 8w over the truncated plane, w = w(z)."""
-    from .quadrature import graded_edges
-
-    width = mode.width(z)
-    return graded_edges(width, TRUNCATION_WIDTHS * width)
-
-
-def gaussian_normalization(waist: float, wavelength: float, z: float = 0.0,
-                           rel_tol: float = 1e-9) -> float:
-    """Numerically integrate the Gaussian-mode intensity over a plane at z."""
-    from .quadrature import integrate
-
-    mode = GaussianMode(waist, wavelength)
-    field = _radial_field(mode, z)
-    return integrate(lambda r: 2.0 * math.pi * field(r) ** 2 * r, _radial_edges(mode, z),
-                     what="gaussian mode normalization", rel_tol=rel_tol)
 
 
 def overlap_eta_analytic(wavelength: float, waist: float) -> float:

@@ -2,16 +2,21 @@
 
 Every check pits an implementation against an independent route to the
 same number (explicit summation, quadrature, closed forms, ray-matrix
-eigenmodes, a Gauss-Hermite average over thermal velocities) or asserts
-an exact identity. Checks are deterministic for a fixed seed, which seeds
-the random draws of their inputs; this is the one module of the package
-that draws random numbers. Every integral but the velocity average runs
-the composite Gauss-Legendre rule of ``cavray.quadrature``, so the suite
-needs numpy alone.
+eigenmodes, the thermal velocity spread projected on the scattering
+geometry) or asserts an exact identity. The oracles are private to this
+module, so the production modules hold only the closed forms they check.
+Checks are deterministic for a fixed seed, which seeds the random draws
+of their inputs; this is the one module of the package that draws random
+numbers. Every integral runs the composite Gauss-Legendre rule of
+``cavray.quadrature``, so the suite needs numpy alone. The checks read
+the packaged species table, whose values their expected numbers belong
+to, whatever table ``CAVRAY_SPECIES_DB`` names.
 """
 
 from __future__ import annotations
 
+import cmath
+import functools
 import math
 from typing import Callable
 
@@ -46,12 +51,82 @@ def _worst(*residuals: float) -> float:
     return math.nan if any(r != r for r in residuals) else max(residuals)
 
 
-def check_field_closed_form_vs_roundtrip(rng: np.random.Generator,
-                                         n_draws: int = 200) -> CheckResult:
-    sources = np.empty(n_draws, dtype=complex)
-    feedbacks = np.empty(n_draws, dtype=complex)
-    exact = np.empty(n_draws, dtype=complex)
-    for i in range(n_draws):
+# random draws per check; the replays in the tests read the same constants
+_ROUNDTRIP_DRAWS = 200
+_FIELD_AVERAGE_DRAWS = 200
+_ABCD_DRAWS = 100
+_PURCELL_DRAWS = 1000
+_DOPPLER_DRAWS = 10
+
+
+@functools.lru_cache(maxsize=1)
+def _packaged_species() -> dict[str, gases.GasSpecies]:
+    """The species table shipped with the package, read once."""
+    return gases.load_species_table(gases._builtin_table_path())
+
+
+# --- oracles for the interference field ---------------------------------------
+
+def _iterate_roundtrips(source, feedback, n_roundtrips: int):
+    """sum of source * feedback**j for j = 0..n, by binary doubling.
+
+    These are the n + 1 terms of the round-trip recursion
+    field = source + feedback * field after n round trips; the truncation
+    error against the closed form is bounded by |r1*r2|**n / (1 - |r1*r2|)
+    in source-term units. With S_m the sum of the first m terms,
+    S_2m = S_m + feedback**m * S_m and S_(m+1) = S_m + feedback**m * source;
+    walking the bits of n + 1 from the top takes about 2*log2(n + 1) steps
+    in place of the n steps of the recursion, and never divides by
+    1 - feedback, so it stays a route to the closed form independent of
+    it. Elementwise on arrays: each element takes the scalar's steps, up to
+    the few ulp numpy's fused complex multiply-adds may move a sum by.
+    """
+    partial, power = source, feedback  # S_1 and feedback**1
+    for bit in bin(n_roundtrips + 1)[3:]:
+        partial = partial + power * partial
+        power = power * power
+        if bit == "1":
+            partial = partial + power * source
+            power = power * feedback
+    return partial
+
+
+def _position_averaged_intensity_numeric(amplitude: float, pump_field: float,
+                                         wavenumber: float, r1: float, r2: float,
+                                         mirror_separation: float,
+                                         n_points: int) -> float:
+    """Average |E|^2 over uniformly sampled displacements in one wavelength.
+
+    Quadrature cross-check for the closed-form position average; with the
+    cavity on resonance the midpoint rule over full phase periods is exact
+    to machine precision for any n_points >= 4.
+
+    The midpoints dz_i = ((i + 1/2)/n - 1/2) * lambda span one wavelength,
+    so the displacement phase 2*k*dz_i = 4*pi*(i + 1/2)/n - 2*pi is the
+    same for every k: the samples of exp(2i*k*dz) are one grid on the unit
+    circle per n_points, computed once (``_displacement_phases``).
+    """
+    field._check_feedback(r1, r2)
+    numerator = 1.0 + r1 * cmath.exp(1j * wavenumber * mirror_separation) * (
+        _displacement_phases(n_points))
+    denominator = 1.0 - r1 * r2 * cmath.exp(2j * wavenumber * mirror_separation)
+    samples = (amplitude * pump_field / denominator) * numerator
+    return float(np.mean(samples.real ** 2 + samples.imag ** 2))
+
+
+@functools.lru_cache(maxsize=4)
+def _displacement_phases(n_points: int) -> np.ndarray:
+    """exp(4*pi*i*(j + 1/2)/n) for j < n, as a read-only array."""
+    phases = np.exp(4j * math.pi * ((np.arange(n_points) + 0.5) / n_points))
+    phases.flags.writeable = False
+    return phases
+
+
+def check_field_closed_form_vs_roundtrip(rng: np.random.Generator) -> CheckResult:
+    sources = np.empty(_ROUNDTRIP_DRAWS, dtype=complex)
+    feedbacks = np.empty(_ROUNDTRIP_DRAWS, dtype=complex)
+    exact = np.empty(_ROUNDTRIP_DRAWS, dtype=complex)
+    for i in range(_ROUNDTRIP_DRAWS):
         r1 = rng.uniform(0.0, 0.999)
         r2 = rng.uniform(0.0, min(0.997 / max(r1, 1e-12), 0.999))
         cfg = field.ScatterConfig(
@@ -64,15 +139,14 @@ def check_field_closed_form_vs_roundtrip(rng: np.random.Generator,
         exact[i] = field.intracavity_field(cfg, r1, r2, d)
         sources[i], feedbacks[i] = field._source_and_feedback(cfg, r1, r2, d)
     # every draw's 10,000 round trips at once: the doubled sum is elementwise
-    summed = field._iterate_roundtrips(sources, feedbacks, 10_000)
+    summed = _iterate_roundtrips(sources, feedbacks, 10_000)
     return _result("field closed form vs round-trip summation",
                    _worst(*(np.abs(summed - exact) / np.abs(exact))), 1e-6)
 
 
-def check_field_average_quadrature(rng: np.random.Generator,
-                                   n_draws: int = 200) -> CheckResult:
+def check_field_average_quadrature(rng: np.random.Generator) -> CheckResult:
     worst = 0.0
-    for _ in range(n_draws):
+    for _ in range(_FIELD_AVERAGE_DRAWS):
         r1 = rng.uniform(0.0, 0.999)
         r2 = rng.uniform(0.0, 0.999)
         amplitude = rng.uniform(1e-6, 1e-3)
@@ -81,7 +155,7 @@ def check_field_average_quadrature(rng: np.random.Generator,
         # resonant separation: k*d a multiple of pi
         d = math.pi * rng.integers(1000, 40000) / wavenumber
         closed = field.position_averaged_intensity(amplitude, pump_field ** 2, r1, r2)
-        numeric = field.position_averaged_intensity_numeric(
+        numeric = _position_averaged_intensity_numeric(
             amplitude, pump_field, wavenumber, r1, r2, d, n_points=10_000
         )
         worst = _worst(worst, abs(numeric - closed) / closed)
@@ -174,34 +248,176 @@ def check_cavity_params_identities(rng: np.random.Generator) -> CheckResult:
     return _result("derived cavity parameter identities", worst, 1e-12)
 
 
-def check_abcd_waist(rng: np.random.Generator, n_draws: int = 100) -> CheckResult:
+# --- ABCD round-trip oracles for the resonator eigenmode ---------------------
+#
+# The closed-form waist and mode-spacing expressions of ``optics`` are
+# verified against the resonator eigenmode obtained from ray-transfer
+# matrices. The matrices are multiplied in exact integer arithmetic: near
+# the confocal point d = Rc the round trip tends to -I and the entries that
+# fix the eigenmode cancel, so a floating-point product loses
+# ~1e-16 / |1 - d/Rc| of relative accuracy there.
+#
+# Every float is an integer over a power of two, so one common power of two
+# s turns d and Rc into integers D = s*d and R = s*Rc (s carries an extra
+# factor 2 when the round trip starts at d/2). A mirror's matrix times R,
+# ((R, 0), (-2, R)), is integral too, so the round trip in units of 1/s is
+# R^2 times an integer matrix. Neither factor changes the results: the
+# eigen-equation c*q^2 + (dd - a)*q - b = 0 and the half-trace ratio
+# (a + dd) / (2 R^2) are homogeneous in a common matrix factor, and q in
+# units of 1/s is s times q in metres. Each result is a ratio of exact
+# integers, rounded once by int / int, as an exact rational would be.
+
+# relative distance from d = Rc inside which the round-trip waist is undefined
+_CONFOCAL_MARGIN = 1e-9
+
+
+def _integer_lengths(scale: int, *lengths: float) -> tuple[int, ...]:
+    """(s, *lengths times s) with s = scale * the lengths' largest denominator.
+
+    A float's denominator is a power of two, so s is a multiple of each
+    and every scaled length is an exact integer.
+    """
+    ratios = [length.as_integer_ratio() for length in lengths]
+    unit = scale * max(den for _, den in ratios)
+    return unit, *(num * (unit // den) for num, den in ratios)
+
+
+def _propagation(distance: int):
+    return ((1, distance), (0, 1))
+
+
+def _curved_mirror(radius_of_curvature: int):
+    """The mirror matrix ((1, 0), (-2/Rc, 1)) times Rc."""
+    return ((radius_of_curvature, 0), (-2, radius_of_curvature))
+
+
+def _roundtrip(*matrices):
+    """Product of 2x2 ((a, b), (c, d)) matrices, leftmost first."""
+    (a, b), (c, d) = matrices[0]
+    for (e, f), (g, h) in matrices[1:]:
+        (a, b), (c, d) = (a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h)
+    return (a, b), (c, d)
+
+
+def _abcd_roundtrip_waist(mirror_separation: float, radius_of_curvature: float,
+                          wavelength: float) -> float:
+    """Waist from the self-consistent q-parameter of the round-trip matrix.
+
+    The round trip starts at the cavity centre, where the symmetric
+    eigenmode has its waist (q purely imaginary). At the confocal point
+    d = Rc the round trip is -I and every q is an eigenmode, so within
+    ``_CONFOCAL_MARGIN`` of it this raises ``ValueError``.
+    """
+    unit, d, rc = _integer_lengths(2, mirror_separation, radius_of_curvature)
+    margin, margin_den = _CONFOCAL_MARGIN.as_integer_ratio()
+    # |1 - d/Rc| < _CONFOCAL_MARGIN, cleared of its denominators
+    if abs(rc - d) * margin_den < margin * rc:
+        raise ValueError(f"degenerate round trip at the confocal point: "
+                         f"d={mirror_separation}, Rc={radius_of_curvature}")
+    (a, b), (c, dd) = _roundtrip(_propagation(d // 2), _curved_mirror(rc), _propagation(d),
+                                 _curved_mirror(rc), _propagation(d // 2))
+    # q solves c*q^2 + (dd - a)*q - b = 0; a stable cavity has complex
+    # roots, and Im(q)^2 = -disc / (4 c^2) for the one with Im(q) > 0
+    disc = (dd - a) ** 2 + 4 * b * c
+    if disc >= 0:
+        raise ValueError(f"no stable eigenmode for d={mirror_separation}, "
+                         f"Rc={radius_of_curvature}")
+    q_imag = math.sqrt(-disc / (4 * c * c * unit * unit))
+    return math.sqrt(wavelength * q_imag / math.pi)
+
+
+def _abcd_roundtrip_mode_spacing(mirror_separation: float,
+                                 radius_of_curvature: float) -> float:
+    """Transverse mode spacing from the round-trip Gouy phase.
+
+    The half-trace h of the round-trip matrix equals cos(theta_rt), so
+    theta_rt = atan2(sqrt(1 - h^2), h), and the spacing is
+    FSR * theta_rt / (2 pi).
+    """
+    _, d, rc = _integer_lengths(1, mirror_separation, radius_of_curvature)
+    (a, _), (_, dd) = _roundtrip(_curved_mirror(rc), _propagation(d),
+                                 _curved_mirror(rc), _propagation(d))
+    # h = trace / (2 Rc^2) after the two mirrors' factors of Rc
+    trace, scale = a + dd, 2 * rc * rc
+    if abs(trace) > scale:
+        raise ValueError(f"no stable eigenmode for d={mirror_separation}, "
+                         f"Rc={radius_of_curvature}")
+    theta_rt = math.atan2(math.sqrt((scale * scale - trace * trace) / (scale * scale)),
+                          trace / scale)
+    return optics.free_spectral_range(mirror_separation) * theta_rt / (2.0 * math.pi)
+
+
+def check_abcd_waist(rng: np.random.Generator) -> CheckResult:
     worst = 0.0
-    for _ in range(n_draws):
+    for _ in range(_ABCD_DRAWS):
         rc = rng.uniform(5e-3, 0.5)
         d = rng.uniform(0.05, 1.95) * rc
         # the round trip fixes no waist at the confocal point
-        while abs(1.0 - d / rc) < optics.CONFOCAL_MARGIN:
+        while abs(1.0 - d / rc) < _CONFOCAL_MARGIN:
             d = rng.uniform(0.05, 1.95) * rc
         wavelength = rng.uniform(300e-9, 1600e-9)
         closed = optics.symmetric_waist(d, rc, wavelength)
-        oracle = optics.abcd_roundtrip_waist(d, rc, wavelength)
+        oracle = _abcd_roundtrip_waist(d, rc, wavelength)
         worst = _worst(worst, abs(closed - oracle) / closed)
     return _result("waist vs ABCD round-trip eigenmode", worst, 1e-9)
 
 
-def check_abcd_mode_spacing(rng: np.random.Generator, n_draws: int = 100) -> CheckResult:
+def check_abcd_mode_spacing(rng: np.random.Generator) -> CheckResult:
     worst = 0.0
-    for _ in range(n_draws):
+    for _ in range(_ABCD_DRAWS):
         rc = rng.uniform(5e-3, 0.5)
         d = rng.uniform(0.05, 1.95) * rc
         closed = optics.transverse_mode_spacing(d, rc)
-        oracle = optics.abcd_roundtrip_mode_spacing(d, rc)
+        oracle = _abcd_roundtrip_mode_spacing(d, rc)
         worst = _worst(worst, abs(closed - oracle) / closed)
     return _result("transverse mode spacing vs ABCD Gouy phase", worst, 1e-9)
 
 
+# --- quadrature oracles for the mode functions and their overlap -------------
+
+# transverse truncation radius for Gaussian-mode quadrature; the tail
+# beyond 8 beam widths is below 1e-27 of the integrand peak
+_TRUNCATION_WIDTHS = 8.0
+
+
+def _dipole_normalization(prefactor: float = overlap.DIPOLE_PREFACTOR,
+                          latitude_range: tuple[float, float] = (-math.pi / 2, math.pi / 2),
+                          rel_tol: float = 1e-9) -> float:
+    """Numerically integrate the dipole-mode intensity over the sphere.
+
+    Returns the integral value (1 for the default prefactor and full
+    latitude range; scales quadratically with the prefactor). cos^3 is
+    entire: one Gauss-Legendre panel holds it to rounding.
+    """
+    return quadrature.integrate(lambda t: 2.0 * math.pi * prefactor ** 2 * np.cos(t) ** 3,
+                                latitude_range, what="dipole mode normalization",
+                                rel_tol=rel_tol)
+
+
+def _radial_field(mode: overlap.GaussianMode, z: float):
+    """``mode.field(r, z)`` as a function of an array of radii r."""
+    width, norm = mode.width(z), mode.normalization(z)
+    return lambda r: np.exp(-(r / width) ** 2) / norm
+
+
+def _radial_edges(mode: overlap.GaussianMode, z: float) -> np.ndarray:
+    """Panel edges 0, w, 2w, 4w, 8w over the truncated plane, w = w(z)."""
+    width = mode.width(z)
+    return quadrature.graded_edges(width, _TRUNCATION_WIDTHS * width)
+
+
+def _gaussian_normalization(waist: float, wavelength: float, z: float,
+                            rel_tol: float = 1e-9) -> float:
+    """Numerically integrate the Gaussian-mode intensity over a plane at z."""
+    mode = overlap.GaussianMode(waist, wavelength)
+    radial = _radial_field(mode, z)
+    return quadrature.integrate(lambda r: 2.0 * math.pi * radial(r) ** 2 * r,
+                                _radial_edges(mode, z),
+                                what="gaussian mode normalization", rel_tol=rel_tol)
+
+
 def check_dipole_normalization(rng: np.random.Generator) -> CheckResult:
-    residual = abs(overlap.dipole_normalization() - 1.0)
+    residual = abs(_dipole_normalization() - 1.0)
     return _result("dipole mode intensity normalization", residual, 1e-6)
 
 
@@ -209,7 +425,7 @@ def check_gaussian_normalization(rng: np.random.Generator) -> CheckResult:
     worst = 0.0
     mode = overlap.GaussianMode(waist=45e-6, wavelength=532e-9)
     for z in (0.0, mode.rayleigh_length, 10.0 * mode.rayleigh_length):
-        worst = _worst(worst, abs(overlap.gaussian_normalization(45e-6, 532e-9, z) - 1.0))
+        worst = _worst(worst, abs(_gaussian_normalization(45e-6, 532e-9, z) - 1.0))
     return _result("gaussian mode intensity normalization", worst, 1e-6)
 
 
@@ -246,13 +462,12 @@ def check_overlap_monotone(rng: np.random.Generator) -> CheckResult:
                        if passed else "monotone approach violated")
 
 
-def check_purcell_equivalence(rng: np.random.Generator,
-                              n_draws: int = 1000) -> CheckResult:
+def check_purcell_equivalence(rng: np.random.Generator) -> CheckResult:
     worst = 0.0
     # one row of (finesse, wavelength, waist, d) per draw: the same numbers,
     # in the same order, as four scalar draws per row
     draws = rng.uniform((1.0, 200e-9, 5e-6, 1e-3), (1e6, 2000e-9, 5e-4, 1.0),
-                        size=(n_draws, 4))
+                        size=(_PURCELL_DRAWS, 4))
     for f, wavelength, waist, d in draws.tolist():
         a = overlap.purcell_factor(optics.q_factor(d, f, wavelength), wavelength,
                                    optics.mode_volume(waist, d))
@@ -295,48 +510,26 @@ def _overlap_quadrature(observed_fwhm: float, linewidth: float) -> float:
                                 what="spectral overlap", rel_tol=1e-10)
 
 
-# Gauss-Hermite nodes per velocity component of _doppler_quadrature: n
-# nodes integrate polynomials of degree 2n - 1 exactly, and the shift's
-# fourth moment has degree 4 in each component
-_HERMITE_NODES = 3
-
-# random geometries and gases drawn by check_doppler_monte_carlo
-_DOPPLER_DRAWS = 10
-
-
-def _doppler_quadrature(wavelength: float, temperature: float, molar_mass: float,
-                        k_in: np.ndarray, k_out: np.ndarray) -> tuple[float, float]:
-    """FWHM and excess kurtosis of the Doppler shift v . (k_out - k_in) / lambda
-    of a thermal gas, for unit wavevectors ``k_in`` (pump) and ``k_out``
-    (collection).
+def _doppler_width(wavelength: float, temperature: float, molar_mass: float,
+                   k_in: np.ndarray, k_out: np.ndarray) -> float:
+    """FWHM of the Doppler shift v . (k_out - k_in) / lambda of a thermal gas,
+    for unit wavevectors ``k_in`` (pump) and ``k_out`` (collection).
 
     The velocity v is 3-D Maxwell-Boltzmann: each component normal with
-    sigma_v = sqrt(kB T / m). The moments of the shift are averaged over
-    it by the tensor product of ``hermegauss``'s rule in each component,
-    exact for the second and fourth moments, so the FWHM is
-    2 sqrt(2 ln 2) times the exact standard deviation and the kurtosis is
-    that of the exact shift distribution: 0 for a Gaussian.
+    sigma_v = sqrt(kB T / m). A projection of it is normal too, so the
+    shift has standard deviation sigma_v |k_out - k_in| / lambda.
     """
-    nodes, weights = np.polynomial.hermite_e.hermegauss(_HERMITE_NODES)
-    weights = weights / weights.sum()
     sigma_v = math.sqrt(BOLTZMANN * temperature * AVOGADRO / molar_mass)
-    axis = sigma_v * (k_out - k_in) / wavelength
-    shift = sum(a * x for a, x in zip(axis, np.ix_(nodes, nodes, nodes)))
-    weight = math.prod(np.ix_(weights, weights, weights))
-    # the velocity has zero mean, so the moments are taken about zero
-    squared = shift * shift
-    variance = float((weight * squared).sum())
-    fourth = float((weight * squared * squared).sum())
-    return spectra._FWHM_PER_SIGMA * math.sqrt(variance), fourth / variance ** 2 - 3.0
+    return spectra._FWHM_PER_SIGMA * sigma_v * np.linalg.norm(k_out - k_in) / wavelength
 
 
 def _on_axis_overlap_quadrature(wavelength: float, waist: float, z: float) -> float:
     """The on-axis overlap integral on the plane at z by Gauss-Legendre quadrature."""
     mode = overlap.GaussianMode(waist, wavelength)
     axial = overlap.DIPOLE_PREFACTOR / z
-    field = overlap._radial_field(mode, z)
-    return quadrature.integrate(lambda r: 2.0 * math.pi * axial * field(r) * r,
-                                overlap._radial_edges(mode, z),
+    radial = _radial_field(mode, z)
+    return quadrature.integrate(lambda r: 2.0 * math.pi * axial * radial(r) * r,
+                                _radial_edges(mode, z),
                                 what="on-axis overlap", rel_tol=1e-12)
 
 
@@ -345,22 +538,22 @@ def _exact_overlap_quadrature(wavelength: float, waist: float, z: float) -> floa
     dipole field, by Gauss-Legendre quadrature over the (r, phi) tensor
     product; ``ConvergenceError`` past 1e-9 relative."""
     mode = overlap.GaussianMode(waist, wavelength)
-    field = overlap._radial_field(mode, z)
+    radial = _radial_field(mode, z)
 
     def integrand(r, phi):
         dist_sq = r ** 2 + z ** 2
         # dipole axis lies in the plane transverse to the cavity at phi=0
         cos_latitude = np.sqrt(1.0 - (r * np.cos(phi)) ** 2 / dist_sq)
-        return overlap.DIPOLE_PREFACTOR * cos_latitude / np.sqrt(dist_sq) * field(r) * r
+        return overlap.DIPOLE_PREFACTOR * cos_latitude / np.sqrt(dist_sq) * radial(r) * r
 
     quarter_turns = np.linspace(0.0, 2.0 * math.pi, 5)
-    return quadrature.integrate(integrand, overlap._radial_edges(mode, z), quarter_turns,
+    return quadrature.integrate(integrand, _radial_edges(mode, z), quarter_turns,
                                 what="dipole/cavity overlap", rel_tol=1e-9)
 
 
 def check_spectral_overlap_closed_form(rng: np.random.Generator) -> CheckResult:
     worst = 0.0
-    observed = spectra.observed_doppler_fwhm(gases.builtin_species("Xe"), 532e-9)
+    observed = spectra.observed_doppler_fwhm(_packaged_species()["Xe"], 532e-9)
     for _ in range(40):
         linewidth = 10 ** rng.uniform(5.5, 10.0)
         closed = spectra.spectral_overlap(observed, linewidth)
@@ -370,7 +563,7 @@ def check_spectral_overlap_closed_form(rng: np.random.Generator) -> CheckResult:
 
 
 def check_spectral_overlap_limits(rng: np.random.Generator) -> CheckResult:
-    observed = spectra.observed_doppler_fwhm(gases.builtin_species("Xe"), 532e-9)
+    observed = spectra.observed_doppler_fwhm(_packaged_species()["Xe"], 532e-9)
     widths = np.logspace(5.0, 12.0, 30)
     values = [spectra.spectral_overlap(observed, w) for w in widths]
     monotone = all(a < b for a, b in zip(values, values[1:]))
@@ -464,7 +657,7 @@ def check_scan_linearity(rng: np.random.Generator) -> CheckResult:
     geometry = optics.CavityGeometry(6e-3, 45e-3, optics.MirrorSpec(0.997),
                                      optics.MirrorSpec(0.997))
     params = optics.derive_cavity_params(geometry, 532e-9)
-    xenon = gases.builtin_species("Xe")
+    xenon = _packaged_species()["Xe"]
     scale = rng.uniform(2.0, 10.0)
     base = spectra.scan_spectrum(params, [(xenon, 1.0)], 5e9, 2e6, 532e-9)
     scaled = spectra.scan_spectrum(params, [(xenon, scale)], 5e9, 2e6, 532e-9)
@@ -475,7 +668,7 @@ def check_scan_linearity(rng: np.random.Generator) -> CheckResult:
 
 # the name is pinned by cavbench's CHECK_NAMES; it changes with ROADMAP item 1b
 def check_doppler_monte_carlo(rng: np.random.Generator) -> CheckResult:
-    xenon = gases.builtin_species("Xe")
+    xenon = _packaged_species()["Xe"]
     worst = 0.0
     for _ in range(_DOPPLER_DRAWS):
         gas = xenon._replace(temperature=10 ** rng.uniform(-6.0, 3.0),
@@ -487,11 +680,10 @@ def check_doppler_monte_carlo(rng: np.random.Generator) -> CheckResult:
         k_in /= np.linalg.norm(k_in)
         k_out -= (k_out @ k_in) * k_in
         k_out /= np.linalg.norm(k_out)
-        width, kurtosis = _doppler_quadrature(wavelength, gas.temperature,
-                                              gas.molar_mass, k_in, k_out)
+        width = _doppler_width(wavelength, gas.temperature, gas.molar_mass, k_in, k_out)
         expected = spectra.observed_doppler_fwhm(gas, wavelength)
-        worst = _worst(worst, abs(width - expected) / expected, abs(kurtosis))
-    return _result("Doppler width and shape vs Gauss-Hermite velocity average",
+        worst = _worst(worst, abs(width - expected) / expected)
+    return _result("Doppler width vs thermal velocity spread along k_out - k_in",
                    worst, 1e-12)
 
 
@@ -499,7 +691,7 @@ def check_species_ratio(rng: np.random.Generator) -> CheckResult:
     geometry = optics.CavityGeometry(6e-3, 45e-3, optics.MirrorSpec(0.997),
                                      optics.MirrorSpec(0.997))
     params = optics.derive_cavity_params(geometry, 532e-9)
-    table = gases.load_species_table()
+    table = _packaged_species()
     ratios = spectra.species_ratio([table["Xe"], table["CF3H"], table["N2"]],
                                    params, 532e-9)
     expected = (1.0, 0.36, 0.09)
@@ -525,7 +717,7 @@ def check_backout_roundtrip(rng: np.random.Generator) -> CheckResult:
 
 
 def check_forecast_consistency(rng: np.random.Generator) -> CheckResult:
-    table = gases.load_species_table()
+    table = _packaged_species()
     anchor = experiment.ScenarioConfig(
         cavity=optics.CavityGeometry(6e-3, 45e-3, optics.MirrorSpec(0.997),
                                      optics.MirrorSpec(0.997)),

@@ -162,6 +162,17 @@ def test_validate_passes_every_check(capsys):
     assert f"{n}/{n} checks passed" in out
 
 
+def test_validate_reads_the_packaged_species_table(capsys, monkeypatch, tmp_path):
+    # the checks' expected values are those of the packaged table; a user
+    # table, here one without Xe, redirects scan and forecast only
+    table = tmp_path / "species.txt"
+    table.write_text("Ar 39.948 1.6411\n")
+    monkeypatch.setenv("CAVRAY_SPECIES_DB", str(table))
+    code, out, err = run_cli(capsys, "validate")
+    assert code == 0, out + err
+    assert out.endswith("25/25 checks passed\n")
+
+
 def _scan_csv(capsys, path):
     code, out, err = run_cli(capsys, "scan", "--config", str(path), "--format", "csv")
     assert code == 0, err

@@ -12,7 +12,7 @@ import pytest
 
 from cavray import (AnchorMeasurement, MirrorSpec, PumpBeam, ScenarioConfig,
                     build_enhancement_report, contributing_particles,
-                    finesse_dependence, free_space_backout, interaction_volume,
+                    free_space_backout, interaction_volume,
                     number_density, photon_rate, purcell_ratio,
                     ultracold_forecast, ultracold_target_species)
 from cavray.gases import builtin_species
@@ -114,10 +114,16 @@ class TestFreeSpaceBackout:
             free_space_backout(50e-15, 0.0, PAPER_PAIRINGS[0])
 
 
+def predicted_relative(pairings):
+    """The report's predicted relative signal of each pairing."""
+    n = len(pairings)
+    report = build_enhancement_report(pairings, [1e-15] * n, [0.5] * n)
+    return [entry.predicted_relative for entry in report.entries]
+
+
 class TestFinesseDependence:
     def test_paper_pairings(self):
-        relative = finesse_dependence(PAPER_PAIRINGS)
-        values = [r for _, r in relative]
+        values = predicted_relative(PAPER_PAIRINGS)
         assert values[0] == pytest.approx(1.0)
         assert values[1] == pytest.approx(0.628571428571, rel=1e-9)
         assert values[2] == pytest.approx(0.186363636364, rel=1e-9)
@@ -125,8 +131,8 @@ class TestFinesseDependence:
     def test_symmetric_mirrors_are_purely_linear(self):
         mirror = MirrorSpec(0.99)
         finesses = [1250.0, 730.0, 333.0, 40.0]
-        relative = finesse_dependence([(f, mirror, mirror) for f in finesses])
-        for f, r in relative:
+        relative = predicted_relative([(f, mirror, mirror) for f in finesses])
+        for f, r in zip(finesses, relative):
             assert r == pytest.approx(f / max(finesses), rel=1e-12)
 
     def test_measured_at_rest_ratios_close_to_prediction(self):
@@ -134,7 +140,7 @@ class TestFinesseDependence:
         measured_relative = [v / at_rest[0] for v in at_rest]
         assert measured_relative[1] == pytest.approx(0.679741047, rel=1e-8)
         assert measured_relative[2] == pytest.approx(0.217641639, rel=1e-8)
-        predicted = [r for _, r in finesse_dependence(PAPER_PAIRINGS)]
+        predicted = predicted_relative(PAPER_PAIRINGS)
         for pred, meas in zip(predicted[1:], measured_relative[1:]):
             assert abs(pred - meas) / meas < 0.25
 

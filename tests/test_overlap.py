@@ -1,9 +1,9 @@
 """Mode functions, the overlap integral and the Purcell equivalence.
 
-The quadrature operations are checked against closed forms derived
-independently (partial cosine integrals, the analytic far-field overlap)
-and the central equivalence of the two Purcell expressions is exercised
-over random parameters.
+The quadrature oracles of ``cavray.validation`` are checked against closed
+forms derived independently (partial cosine integrals, the analytic
+far-field overlap); the equivalence of the two Purcell expressions over
+random parameters is ``validate``'s ``check_purcell_equivalence``.
 """
 
 import math
@@ -13,9 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavray import (cavity_power_budget, dipole_mode_power, dipole_normalization,
-                    gaussian_normalization, overlap_eta_analytic, overlap_eta_numeric,
-                    purcell_factor, purcell_ratio)
+from cavray import (cavity_power_budget, dipole_mode_power, overlap_eta_analytic,
+                    overlap_eta_numeric, purcell_factor, purcell_ratio, validation)
 from cavray.overlap import DIPOLE_PREFACTOR, GaussianMode
 
 WAVELENGTH = 532e-9
@@ -24,10 +23,10 @@ WAIST = 45e-6
 
 class TestDipoleNormalization:
     def test_unit_normalization(self):
-        assert dipole_normalization() == pytest.approx(1.0, abs=1e-6)
+        assert validation._dipole_normalization() == pytest.approx(1.0, abs=1e-6)
 
     def test_quadratic_in_prefactor(self):
-        assert dipole_normalization(2.0 * DIPOLE_PREFACTOR) == pytest.approx(
+        assert validation._dipole_normalization(2.0 * DIPOLE_PREFACTOR) == pytest.approx(
             4.0, abs=1e-6
         )
 
@@ -37,11 +36,11 @@ class TestDipoleNormalization:
             return 0.75 * 2.0 * (math.sin(theta) - math.sin(theta) ** 3 / 3.0)
 
         for theta in (math.pi / 4.0, math.pi / 6.0, 1.0):
-            numeric = dipole_normalization(latitude_range=(-theta, theta))
+            numeric = validation._dipole_normalization(latitude_range=(-theta, theta))
             assert numeric == pytest.approx(closed(theta), rel=1e-9)
 
     def test_quarter_range_value(self):
-        value = dipole_normalization(latitude_range=(-math.pi / 4, math.pi / 4))
+        value = validation._dipole_normalization(latitude_range=(-math.pi / 4, math.pi / 4))
         assert value == pytest.approx(0.8838834764831844, rel=1e-9)
 
 
@@ -49,7 +48,7 @@ class TestGaussianNormalization:
     @pytest.mark.parametrize("z_factor", [0.0, 0.5, 1.0, 10.0, 100.0])
     def test_normalized_at_every_plane(self, z_factor):
         z = z_factor * GaussianMode(WAIST, WAVELENGTH).rayleigh_length
-        assert gaussian_normalization(WAIST, WAVELENGTH, z) == pytest.approx(
+        assert validation._gaussian_normalization(WAIST, WAVELENGTH, z) == pytest.approx(
             1.0, abs=1e-6
         )
 
@@ -98,7 +97,6 @@ class TestOverlapNumeric:
     def test_exact_weighting_close_to_on_axis(self):
         z0 = GaussianMode(WAIST, WAVELENGTH).rayleigh_length
         z = 100.0 * z0
-        validation = pytest.importorskip("cavray.validation")
         on_axis = overlap_eta_numeric(WAVELENGTH, WAIST, z)
         exact = validation._exact_overlap_quadrature(WAVELENGTH, WAIST, z)
         width_ratio = GaussianMode(WAIST, WAVELENGTH).width(z) / z
@@ -107,7 +105,6 @@ class TestOverlapNumeric:
     def test_gauss_legendre_matches_adaptive_quadrature(self):
         """The on-axis closed form against the Gauss-Legendre quadrature of
         its integrand, at 1e-12."""
-        validation = pytest.importorskip("cavray.validation")
         rng = np.random.default_rng(20090427)
         for _ in range(200):
             wavelength = rng.uniform(500e-9, 560e-9)
@@ -207,26 +204,6 @@ class TestPurcell:
             purcell_ratio(reference_params.finesse, WAVELENGTH,
                           reference_params.waist), rel=1e-12
         )
-
-    @given(st.floats(1.0, 1e6), st.floats(200e-9, 2000e-9),
-           st.floats(5e-6, 5e-4), st.floats(1e-3, 1.0))
-    @settings(max_examples=300, deadline=None)
-    def test_equivalence_of_both_expressions(self, finesse, wavelength, waist, d):
-        q = 2.0 * d * finesse / wavelength
-        v = math.pi * waist ** 2 * d / 4.0
-        assert purcell_factor(q, wavelength, v) == pytest.approx(
-            purcell_ratio(finesse, wavelength, waist), rel=1e-12
-        )
-
-    def test_mirror_separation_cancels(self):
-        rng = np.random.default_rng(3)
-        reference = purcell_ratio(1000.0, WAVELENGTH, WAIST)
-        for d in rng.uniform(1e-4, 10.0, size=20):
-            q = 2.0 * d * 1000.0 / WAVELENGTH
-            v = math.pi * WAIST ** 2 * d / 4.0
-            assert purcell_factor(q, WAVELENGTH, v) == pytest.approx(
-                reference, rel=1e-12
-            )
 
     def test_equals_power_budget_ratio(self):
         budget = cavity_power_budget(1e-4, 3.0, 777.0, "antinode")

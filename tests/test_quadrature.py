@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from cavray import ConvergenceError, overlap, quadrature, validation
+from cavray import ConvergenceError, quadrature, validation
 from cavray.overlap import DIPOLE_PREFACTOR, GaussianMode
 
 integrate = pytest.importorskip("scipy.integrate")
@@ -29,7 +29,7 @@ def quad(f, lo, hi, **kwargs):
 def test_dipole_normalization_matches_quad(latitude_range):
     oracle = quad(lambda t: 2.0 * math.pi * DIPOLE_PREFACTOR ** 2 * math.cos(t) ** 3,
                   *latitude_range)
-    value = overlap.dipole_normalization(latitude_range=latitude_range)
+    value = validation._dipole_normalization(latitude_range=latitude_range)
     assert abs(value - oracle) <= 1e-12 * oracle
 
 
@@ -38,8 +38,8 @@ def test_gaussian_normalization_matches_quad(z_factor):
     z = z_factor * Z0
     mode = GaussianMode(WAIST, WAVELENGTH)
     oracle = quad(lambda r: 2.0 * math.pi * mode.field(r, z) ** 2 * r,
-                  0.0, overlap.TRUNCATION_WIDTHS * mode.width(z))
-    value = overlap.gaussian_normalization(WAIST, WAVELENGTH, z)
+                  0.0, validation._TRUNCATION_WIDTHS * mode.width(z))
+    value = validation._gaussian_normalization(WAIST, WAVELENGTH, z)
     assert abs(value - oracle) <= 1e-12 * oracle
 
 
@@ -54,7 +54,7 @@ def test_exact_overlap_matches_dblquad(z_factor):
         return DIPOLE_PREFACTOR * cos_latitude / math.sqrt(dist_sq) * mode.field(r, z) * r
 
     oracle = integrate.dblquad(integrand, 0.0, 2.0 * math.pi,
-                               0.0, overlap.TRUNCATION_WIDTHS * mode.width(z),
+                               0.0, validation._TRUNCATION_WIDTHS * mode.width(z),
                                epsabs=0.0, epsrel=1e-13)[0]
     value = validation._exact_overlap_quadrature(WAVELENGTH, WAIST, z)
     assert abs(value - oracle) <= 1e-12 * oracle
@@ -66,7 +66,7 @@ def test_on_axis_overlap_quadrature_matches_quad(z_factor):
     mode = GaussianMode(WAIST, WAVELENGTH)
     axial = DIPOLE_PREFACTOR / z
     oracle = quad(lambda r: 2.0 * math.pi * axial * mode.field(r, z) * r,
-                  0.0, overlap.TRUNCATION_WIDTHS * mode.width(z))
+                  0.0, validation._TRUNCATION_WIDTHS * mode.width(z))
     value = validation._on_axis_overlap_quadrature(WAVELENGTH, WAIST, z)
     assert abs(value - oracle) <= 1e-12 * oracle
 
@@ -107,7 +107,7 @@ def test_too_coarse_rule_raises_convergence_error():
 
 def test_public_integrals_keep_their_convergence_error():
     with pytest.raises(ConvergenceError, match="dipole mode normalization"):
-        overlap.dipole_normalization(latitude_range=(-30.0, 30.0), rel_tol=1e-9)
+        validation._dipole_normalization(latitude_range=(-30.0, 30.0), rel_tol=1e-9)
 
 
 def test_tensor_product_integrates_each_variable():

@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cavray import field, optics, overlap, spectra, validation
+from cavray import field, overlap, spectra, validation
 
 
 @pytest.mark.parametrize("seed", [0, 20260])
@@ -22,10 +22,10 @@ def test_check_passes(check, seed):
     assert result.passed, result.detail
 
 
-def roundtrip_draws(rng, n_draws=200):
+def roundtrip_draws(rng):
     """The draws of the round-trip check, one scalar draw at a time, in order."""
     draws = []
-    for _ in range(n_draws):
+    for _ in range(validation._ROUNDTRIP_DRAWS):
         r1 = rng.uniform(0.0, 0.999)
         r2 = rng.uniform(0.0, min(0.997 / max(r1, 1e-12), 0.999))
         cfg = field.ScatterConfig(
@@ -38,19 +38,20 @@ def roundtrip_draws(rng, n_draws=200):
     return draws
 
 
-def field_average_draws(rng, n_draws=200):
+def field_average_draws(rng):
     """The draws of the field-average check, one scalar draw at a time, in order."""
-    for _ in range(n_draws):
+    for _ in range(validation._FIELD_AVERAGE_DRAWS):
         for low, high in [(0.0, 0.999), (0.0, 0.999), (1e-6, 1e-3), (0.1, 10.0),
                           (1e6, 2e7)]:
             rng.uniform(low, high)
         rng.integers(1000, 40000)
 
 
-def purcell_draws(rng, n_draws=1000):
+def purcell_draws(rng):
     """The draws of the Purcell check, one scalar draw at a time, in order."""
     return [(rng.uniform(1.0, 1e6), rng.uniform(200e-9, 2000e-9),
-             rng.uniform(5e-6, 5e-4), rng.uniform(1e-3, 1.0)) for _ in range(n_draws)]
+             rng.uniform(5e-6, 5e-4), rng.uniform(1e-3, 1.0))
+            for _ in range(validation._PURCELL_DRAWS)]
 
 
 def doppler_draws(rng):
@@ -83,9 +84,9 @@ def test_array_recursion_matches_the_scalar_sum_per_draw(seed):
     draws = roundtrip_draws(np.random.default_rng(seed))
     pairs = [field._source_and_feedback(cfg, r1, r2, d) for cfg, r1, r2, d in draws]
     sources, feedbacks = (np.array(column) for column in zip(*pairs))
-    summed = field._iterate_roundtrips(sources, feedbacks, 10_000)
-    scalar = np.array([field.roundtrip_field_sum(cfg, r1, r2, d, 10_000)
-                       for cfg, r1, r2, d in draws])
+    summed = validation._iterate_roundtrips(sources, feedbacks, 10_000)
+    scalar = np.array([validation._iterate_roundtrips(source, feedback, 10_000)
+                       for source, feedback in pairs])
     assert np.max(np.abs(summed - scalar) / np.abs(scalar)) <= 1e-15
     # and the check reports the residual of exactly these draws
     exact = np.array([field.intracavity_field(*draw) for draw in draws])
@@ -95,7 +96,7 @@ def test_array_recursion_matches_the_scalar_sum_per_draw(seed):
 
 
 def _loop_roundtrips(source, feedback, n_roundtrips):
-    """``field._iterate_roundtrips`` as it was before the doubling: the
+    """``validation._iterate_roundtrips`` as it was before the doubling: the
     recursion field = source + feedback * field, n times from source."""
     summed = source
     for _ in range(n_roundtrips):
@@ -108,7 +109,7 @@ def test_doubled_sum_matches_the_round_trip_loop(seed):
     pairs = [field._source_and_feedback(cfg, r1, r2, d)
              for cfg, r1, r2, d in roundtrip_draws(np.random.default_rng(seed))]
     sources, feedbacks = (np.array(column) for column in zip(*pairs))
-    doubled = field._iterate_roundtrips(sources, feedbacks, 10_000)
+    doubled = validation._iterate_roundtrips(sources, feedbacks, 10_000)
     looped = _loop_roundtrips(sources, feedbacks, 10_000)
     assert np.max(np.abs(doubled - looped) / np.abs(looped)) <= 1e-15
 
@@ -126,7 +127,8 @@ def test_run_all_raises_no_floating_point_error(seed):
 def test_purcell_check_reports_the_residual_of_the_scalar_draws(seed):
     # the (n, 4) array holds the scalar draws exactly, row by row
     rng = np.random.default_rng(seed)
-    rows = rng.uniform((1.0, 200e-9, 5e-6, 1e-3), (1e6, 2000e-9, 5e-4, 1.0), size=(1000, 4))
+    rows = rng.uniform((1.0, 200e-9, 5e-6, 1e-3), (1e6, 2000e-9, 5e-4, 1.0),
+                       size=(validation._PURCELL_DRAWS, 4))
     assert [tuple(row) for row in rows.tolist()] == purcell_draws(np.random.default_rng(seed))
     worst = 0.0
     for f, wavelength, waist, d in purcell_draws(np.random.default_rng(seed)):
@@ -165,8 +167,8 @@ def test_power_budget_check_sees_a_wrong_transmitted_power(monkeypatch):
     (lambda k_in, k_out: (k_in, -k_in), "4.142e-01"),
 ], ids=["one-wavevector", "antiparallel"])
 def test_doppler_check_sees_a_wrong_scattering_geometry(monkeypatch, geometry, residual):
-    oracle = validation._doppler_quadrature
-    monkeypatch.setattr(validation, "_doppler_quadrature",
+    oracle = validation._doppler_width
+    monkeypatch.setattr(validation, "_doppler_width",
                         lambda *args: oracle(*args[:3], *geometry(*args[3:])))
     result = validation.check_doppler_monte_carlo(np.random.default_rng(0))
     assert not result.passed
@@ -179,19 +181,23 @@ def test_doppler_check_sees_the_absorption_width_as_observed(monkeypatch):
                                                              gas.molar_mass))
     result = validation.check_doppler_monte_carlo(np.random.default_rng(0))
     assert not result.passed
-    # the quadrature width is sqrt(2) times the one it is held to
+    # the oracle's width is sqrt(2) times the one it is held to
     assert result.detail.startswith("residual 4.142e-01 ")
 
 
-def test_doppler_check_sees_a_non_gaussian_shift(monkeypatch):
-    # two nodes a component integrate to degree 3 only: the width is still
-    # exact, but the fourth moment, and so the kurtosis, is not
-    monkeypatch.setattr(validation, "_HERMITE_NODES", 2)
-    result = validation.check_doppler_monte_carlo(np.random.default_rng(0))
-    assert not result.passed
-
-
 PACKAGE_DIR = pathlib.Path(validation.__file__).parent
+
+
+def _imported_names(tree):
+    """Every dotted part of every module and name imported anywhere in a
+    module, function bodies included."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names |= set((node.module or "").split("."))
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {part for alias in node.names for part in alias.name.split(".")}
+    return names
 
 
 # every module of the package but the oracle suite, read from disk so that
@@ -204,18 +210,26 @@ def test_production_module_draws_no_random_numbers(module):
     tree = ast.parse((PACKAGE_DIR / f"{module}.py").read_text())
     names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            names |= set((node.module or "").split("."))
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            names |= {part for alias in node.names for part in alias.name.split(".")}
+    names |= _imported_names(tree)
     assert not names & {"random", "default_rng", "Generator", "RandomState", "secrets"}
+
+
+@pytest.mark.parametrize("module", sorted(path.stem for path in PACKAGE_DIR.glob("*.py")))
+def test_numpy_and_quadrature_stay_out_of_the_closed_forms(module):
+    # the production modules are closed forms: numpy serves the scan
+    # (``spectra``) and the oracles, and only the oracles integrate
+    imported = _imported_names(ast.parse((PACKAGE_DIR / f"{module}.py").read_text()))
+    if module not in {"spectra", "quadrature", "validation"}:
+        assert "numpy" not in imported
+    if module != "validation":
+        assert "quadrature" not in imported
 
 
 def test_nan_residual_fails_its_check(monkeypatch):
     # builtin max(0.0, nan) is 0.0: a NaN oracle used to pass silently
-    monkeypatch.setattr(optics, "abcd_roundtrip_waist", lambda d, rc, wl: math.nan)
-    result = validation.check_abcd_waist(np.random.default_rng(0), n_draws=5)
+    monkeypatch.setattr(validation, "_abcd_roundtrip_waist", lambda d, rc, wl: math.nan)
+    monkeypatch.setattr(validation, "_ABCD_DRAWS", 5)
+    result = validation.check_abcd_waist(np.random.default_rng(0))
     assert not result.passed
     assert "nan" in result.detail
 
@@ -246,9 +260,10 @@ class ScriptedRng:
         return self.draws.pop(0)
 
 
-def test_abcd_waist_check_redraws_confocal_draws():
+def test_abcd_waist_check_redraws_confocal_draws(monkeypatch):
     # rc, then d/rc exactly at the confocal point, the redraw, the wavelength
+    monkeypatch.setattr(validation, "_ABCD_DRAWS", 1)
     rng = ScriptedRng([0.1, 1.0, 0.5, 532e-9])
-    result = validation.check_abcd_waist(rng, n_draws=1)
+    result = validation.check_abcd_waist(rng)
     assert result.passed, result.detail
     assert rng.draws == []
