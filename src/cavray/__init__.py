@@ -25,7 +25,7 @@ _EXPORTS = {
                   "interaction_volume photon_rate ultracold_forecast ultracold_target_species",
     "field": "PowerBudget ScatterConfig cavity_power_budget intracavity_field "
              "position_averaged_intensity transmitted_power",
-    "gases": "GasSpecies builtin_species load_species_table",
+    "gases": "GasSpecies load_species_table",
     "optics": "CavityGeometry CavityParams MirrorSpec PumpBeam derive_cavity_params finesse "
               "free_spectral_range mode_volume number_density q_factor rayleigh_length "
               "symmetric_waist transverse_mode_spacing",

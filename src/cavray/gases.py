@@ -85,17 +85,3 @@ def load_species_table(path: str | os.PathLike | None = None,
         raise ValueError(f"{path}: species table contains no records")
     return table
 
-
-_CACHED_DEFAULT: dict[str, GasSpecies] | None = None
-
-
-def builtin_species(name: str) -> GasSpecies:
-    """Look up one species from the default table (cached after first load)."""
-    global _CACHED_DEFAULT
-    if _CACHED_DEFAULT is None or os.environ.get(SPECIES_DB_ENV):
-        _CACHED_DEFAULT = load_species_table()
-    try:
-        return _CACHED_DEFAULT[name]
-    except KeyError:
-        known = ", ".join(sorted(_CACHED_DEFAULT))
-        raise KeyError(f"unknown species {name!r}; table has: {known}") from None

@@ -7,15 +7,18 @@ geometry) or asserts an exact identity. The oracles are private to this
 module, so the production modules hold only the closed forms they check.
 Checks are deterministic for a fixed seed, which seeds the random draws
 of their inputs; this is the one module of the package that draws random
-numbers. Every integral runs the composite Gauss-Legendre rule of
-``cavray.quadrature``, so the suite needs numpy alone. The checks read
-the packaged species table, whose values their expected numbers belong
-to, whatever table ``CAVRAY_SPECIES_DB`` names.
+numbers. A check draws its inputs in one generator call (the Doppler
+check in two a draw), row by row the numbers that one scalar draw per
+input would give; it calls the closed forms once per draw and reduces
+its residuals once. The position average runs on a few midpoint nodes,
+on which it is exact. Every integral runs the composite Gauss-Legendre
+rule of ``cavray.quadrature``, so the suite needs numpy alone. The checks
+read the packaged species table, whose values their expected numbers
+belong to, whatever table ``CAVRAY_SPECIES_DB`` names.
 """
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from typing import Callable
@@ -42,18 +45,33 @@ def _result(name: str, residual: float, tolerance: float) -> CheckResult:
     )
 
 
-def _worst(*residuals: float) -> float:
-    """The largest residual, or NaN if any residual is NaN.
+def _worst(*residuals) -> float:
+    """The largest residual, or NaN if any residual is NaN; each argument is
+    a residual or an array of them.
 
     Builtin ``max`` drops a NaN that does not come first (``max(0.0, nan)``
-    is 0.0), which would pass a check whose oracle returned NaN.
+    is 0.0), which would pass a check whose oracle returned NaN; ``np.max``
+    keeps it.
     """
-    return math.nan if any(r != r for r in residuals) else max(residuals)
+    return float(np.max(residuals))
+
+
+def _uniform_rows(rng: np.random.Generator, n_rows: int, *ranges) -> np.ndarray:
+    """n_rows x len(ranges) uniform draws, column i on ranges[i] = (low, high).
+
+    One generator call, and row by row the same numbers, in the same order,
+    as one scalar ``rng.uniform(low, high)`` per range and row: each is
+    low + (high - low) * the next double of the stream.
+    """
+    lows, highs = zip(*ranges)
+    return rng.uniform(lows, highs, size=(n_rows, len(ranges)))
 
 
 # random draws per check; the replays in the tests read the same constants
 _ROUNDTRIP_DRAWS = 200
 _FIELD_AVERAGE_DRAWS = 200
+# midpoint nodes of the position average; any n >= 3 is exact
+_FIELD_AVERAGE_NODES = 64
 _ABCD_DRAWS = 100
 _PURCELL_DRAWS = 1000
 _DOPPLER_DRAWS = 10
@@ -91,27 +109,32 @@ def _iterate_roundtrips(source, feedback, n_roundtrips: int):
     return partial
 
 
-def _position_averaged_intensity_numeric(amplitude: float, pump_field: float,
-                                         wavenumber: float, r1: float, r2: float,
-                                         mirror_separation: float,
-                                         n_points: int) -> float:
+def _position_averaged_intensity_numeric(amplitude, pump_field, wavenumber, r1, r2,
+                                         mirror_separation, n_points: int):
     """Average |E|^2 over uniformly sampled displacements in one wavelength.
 
-    Quadrature cross-check for the closed-form position average; with the
-    cavity on resonance the midpoint rule over full phase periods is exact
-    to machine precision for any n_points >= 4.
+    Quadrature cross-check for the closed-form position average. On
+    resonance |E|^2 is |c|^2 * |1 + a*p|^2 = |c|^2 * (1 + |a|^2 + 2 Re(a*p))
+    in the displacement phase p, and the midpoint samples
+    p_j = exp(4*pi*i*(j + 1/2)/n) sum to exp(2*pi*i/n) times a geometric
+    sum of exp(4*pi*i/n), which is 0 unless n divides 2. So the midpoint
+    rule is exact, up to rounding, for any n_points >= 3.
 
     The midpoints dz_i = ((i + 1/2)/n - 1/2) * lambda span one wavelength,
     so the displacement phase 2*k*dz_i = 4*pi*(i + 1/2)/n - 2*pi is the
     same for every k: the samples of exp(2i*k*dz) are one grid on the unit
     circle per n_points, computed once (``_displacement_phases``).
+    Elementwise on arrays of draws, with the nodes along a new last axis.
     """
-    field._check_feedback(r1, r2)
-    numerator = 1.0 + r1 * cmath.exp(1j * wavenumber * mirror_separation) * (
+    amplitude, pump_field, wavenumber, r1, r2, mirror_separation = (
+        np.asarray(value, dtype=float)[..., None]
+        for value in (amplitude, pump_field, wavenumber, r1, r2, mirror_separation))
+    field._check_feedback(np.max(r1 * r2), 1.0)
+    numerator = 1.0 + r1 * np.exp(1j * wavenumber * mirror_separation) * (
         _displacement_phases(n_points))
-    denominator = 1.0 - r1 * r2 * cmath.exp(2j * wavenumber * mirror_separation)
+    denominator = 1.0 - r1 * r2 * np.exp(2j * wavenumber * mirror_separation)
     samples = (amplitude * pump_field / denominator) * numerator
-    return float(np.mean(samples.real ** 2 + samples.imag ** 2))
+    return np.mean(samples.real ** 2 + samples.imag ** 2, axis=-1)
 
 
 @functools.lru_cache(maxsize=4)
@@ -123,43 +146,34 @@ def _displacement_phases(n_points: int) -> np.ndarray:
 
 
 def check_field_closed_form_vs_roundtrip(rng: np.random.Generator) -> CheckResult:
-    sources = np.empty(_ROUNDTRIP_DRAWS, dtype=complex)
-    feedbacks = np.empty(_ROUNDTRIP_DRAWS, dtype=complex)
-    exact = np.empty(_ROUNDTRIP_DRAWS, dtype=complex)
-    for i in range(_ROUNDTRIP_DRAWS):
-        r1 = rng.uniform(0.0, 0.999)
-        r2 = rng.uniform(0.0, min(0.997 / max(r1, 1e-12), 0.999))
-        cfg = field.ScatterConfig(
-            amplitude=rng.uniform(1e-6, 1e-3),
-            pump_field=rng.uniform(0.1, 10.0),
-            wavenumber=rng.uniform(1e6, 2e7),
-            displacement=rng.uniform(-1e-7, 1e-7),
-        )
-        d = rng.uniform(1e-3, 1e-2)
-        exact[i] = field.intracavity_field(cfg, r1, r2, d)
-        sources[i], feedbacks[i] = field._source_and_feedback(cfg, r1, r2, d)
+    draws = _uniform_rows(rng, _ROUNDTRIP_DRAWS, (0.0, 0.999), (0.0, 1.0), (1e-6, 1e-3),
+                          (0.1, 10.0), (1e6, 2e7), (-1e-7, 1e-7), (1e-3, 1e-2))
+    # r2 on (0, min(0.997 / r1, 0.999)), so r1*r2 < 1: uniform(0, h) is h * u
+    draws[:, 1] *= np.minimum(0.997 / np.maximum(draws[:, 0], 1e-12), 0.999)
+    exact, terms = [], []
+    for r1, r2, amplitude, pump_field, wavenumber, displacement, d in draws.tolist():
+        cfg = field.ScatterConfig(amplitude, pump_field, wavenumber, displacement)
+        exact.append(field.intracavity_field(cfg, r1, r2, d))
+        terms.append(field._source_and_feedback(cfg, r1, r2, d))
     # every draw's 10,000 round trips at once: the doubled sum is elementwise
-    summed = _iterate_roundtrips(sources, feedbacks, 10_000)
+    summed = _iterate_roundtrips(*np.array(terms).T, 10_000)
+    exact = np.array(exact)
     return _result("field closed form vs round-trip summation",
-                   _worst(*(np.abs(summed - exact) / np.abs(exact))), 1e-6)
+                   _worst(np.abs(summed - exact) / np.abs(exact)), 1e-6)
 
 
 def check_field_average_quadrature(rng: np.random.Generator) -> CheckResult:
-    worst = 0.0
-    for _ in range(_FIELD_AVERAGE_DRAWS):
-        r1 = rng.uniform(0.0, 0.999)
-        r2 = rng.uniform(0.0, 0.999)
-        amplitude = rng.uniform(1e-6, 1e-3)
-        pump_field = rng.uniform(0.1, 10.0)
-        wavenumber = rng.uniform(1e6, 2e7)
-        # resonant separation: k*d a multiple of pi
-        d = math.pi * rng.integers(1000, 40000) / wavenumber
-        closed = field.position_averaged_intensity(amplitude, pump_field ** 2, r1, r2)
-        numeric = _position_averaged_intensity_numeric(
-            amplitude, pump_field, wavenumber, r1, r2, d, n_points=10_000
-        )
-        worst = _worst(worst, abs(numeric - closed) / closed)
-    return _result("position-averaged intensity vs quadrature", worst, 1e-6)
+    draws = _uniform_rows(rng, _FIELD_AVERAGE_DRAWS, (0.0, 0.999), (0.0, 0.999),
+                          (1e-6, 1e-3), (0.1, 10.0), (1e6, 2e7))
+    closed = np.array([field.position_averaged_intensity(amplitude, pump_field ** 2, r1, r2)
+                       for r1, r2, amplitude, pump_field, _ in draws.tolist()])
+    r1, r2, amplitude, pump_field, wavenumber = draws.T
+    # resonant separation: k*d a multiple of pi
+    d = math.pi * rng.integers(1000, 40000, size=_FIELD_AVERAGE_DRAWS) / wavenumber
+    numeric = _position_averaged_intensity_numeric(amplitude, pump_field, wavenumber,
+                                                   r1, r2, d, _FIELD_AVERAGE_NODES)
+    return _result("position-averaged intensity vs quadrature",
+                   _worst(np.abs(numeric - closed) / closed), 1e-6)
 
 
 def check_field_mirror_asymmetry(rng: np.random.Generator) -> CheckResult:
@@ -172,35 +186,31 @@ def check_field_mirror_asymmetry(rng: np.random.Generator) -> CheckResult:
 
 
 def check_power_budget_identities(rng: np.random.Generator) -> CheckResult:
-    worst = 0.0
-    for coupling in ("averaged", "antinode"):
-        for _ in range(50):
-            f = rng.uniform(1.0, 1e5)
-            pump = rng.uniform(0.1, 5.0)
+    residuals = []
+    draws = _uniform_rows(rng, 100, (1.0, 1e5), (0.1, 5.0)).tolist()
+    for coupling, rows in (("averaged", draws[:50]), ("antinode", draws[50:])):
+        for f, pump in rows:
             budget = field.cavity_power_budget(1e-4, pump, f, coupling)
-            worst = _worst(
-                worst,
+            residuals += [
                 abs(budget.cavity_power - 2.0 * budget.transmitted_power),
                 abs(budget.free_space_mode_power - 2.0 * budget.free_space_one_way_power),
-            )
+            ]
             if coupling == "averaged":
                 # the back-out divides by transmitted_power; a symmetric pair
                 # of mirrors must give the budget's own value
-                worst = _worst(worst, abs(field.transmitted_power(1e-4, pump, 0.003, 0.003, f)
-                                          - budget.transmitted_power))
-    return _result("power budget pairwise identities", worst, 0.0)
+                residuals.append(abs(field.transmitted_power(1e-4, pump, 0.003, 0.003, f)
+                                     - budget.transmitted_power))
+    return _result("power budget pairwise identities", _worst(*residuals), 0.0)
 
 
 def check_power_linearity(rng: np.random.Generator) -> CheckResult:
-    worst = 0.0
-    for _ in range(50):
-        pump = rng.uniform(0.1, 5.0)
-        scale = rng.uniform(2.0, 100.0)
-        f = rng.uniform(10.0, 1e4)
+    residuals = []
+    for pump, scale, f in _uniform_rows(rng, 50, (0.1, 5.0), (2.0, 100.0),
+                                        (10.0, 1e4)).tolist():
         base = field.transmitted_power(1e-4, pump, 0.003, 0.01, f)
         scaled = field.transmitted_power(1e-4, scale * pump, 0.003, 0.01, f)
-        worst = _worst(worst, abs(scaled / base - scale) / scale)
-    return _result("scattered power linear in pump power", worst, 1e-12)
+        residuals.append(abs(scaled / base - scale) / scale)
+    return _result("scattered power linear in pump power", _worst(*residuals), 1e-12)
 
 
 def check_finesse_monotone(rng: np.random.Generator) -> CheckResult:
@@ -214,29 +224,28 @@ def check_finesse_monotone(rng: np.random.Generator) -> CheckResult:
 
 
 def check_finesse_taylor(rng: np.random.Generator) -> CheckResult:
-    worst = 0.0
+    residuals = []
     for t in np.linspace(1e-4, 0.0099, 40):
         mirror = optics.MirrorSpec(1.0 - t)
         exact = optics.finesse(mirror, mirror)
         approx = 2.0 * math.pi / (2.0 * t)
-        worst = _worst(worst, abs(exact - approx) / exact)
-    return _result("finesse Taylor expansion below T=0.01", worst, 0.02)
+        residuals.append(abs(exact - approx) / exact)
+    return _result("finesse Taylor expansion below T=0.01", _worst(*residuals), 0.02)
 
 
 def check_cavity_params_identities(rng: np.random.Generator) -> CheckResult:
-    worst = 0.0
-    for _ in range(100):
-        rc = rng.uniform(5e-3, 0.5)
+    residuals = []
+    draws = _uniform_rows(rng, 100, (5e-3, 0.5), (0.05, 1.95), (0.5, 0.99999),
+                          (0.5, 0.99999), (300e-9, 1600e-9))
+    for rc, separation, left, right, wavelength in draws.tolist():
         geometry = optics.CavityGeometry(
-            mirror_separation=rng.uniform(0.05, 1.95) * rc,
+            mirror_separation=separation * rc,
             radius_of_curvature=rc,
-            left_mirror=optics.MirrorSpec(rng.uniform(0.5, 0.99999)),
-            right_mirror=optics.MirrorSpec(rng.uniform(0.5, 0.99999)),
+            left_mirror=optics.MirrorSpec(left),
+            right_mirror=optics.MirrorSpec(right),
         )
-        wavelength = rng.uniform(300e-9, 1600e-9)
         params = optics.derive_cavity_params(geometry, wavelength)
-        worst = _worst(
-            worst,
+        residuals += [
             abs(params.linewidth * params.finesse / params.free_spectral_range - 1.0),
             abs(params.q_factor * wavelength
                 / (2.0 * geometry.mirror_separation * params.finesse) - 1.0),
@@ -244,8 +253,8 @@ def check_cavity_params_identities(rng: np.random.Generator) -> CheckResult:
                 / (math.pi * params.waist ** 2 / wavelength) - 1.0),
             abs(params.mode_volume
                 / (math.pi * params.waist ** 2 * geometry.mirror_separation / 4.0) - 1.0),
-        )
-    return _result("derived cavity parameter identities", worst, 1e-12)
+        ]
+    return _result("derived cavity parameter identities", _worst(*residuals), 1e-12)
 
 
 # --- ABCD round-trip oracles for the resonator eigenmode ---------------------
@@ -348,29 +357,28 @@ def _abcd_roundtrip_mode_spacing(mirror_separation: float,
 
 
 def check_abcd_waist(rng: np.random.Generator) -> CheckResult:
-    worst = 0.0
-    for _ in range(_ABCD_DRAWS):
-        rc = rng.uniform(5e-3, 0.5)
-        d = rng.uniform(0.05, 1.95) * rc
+    residuals = []
+    draws = _uniform_rows(rng, _ABCD_DRAWS, (5e-3, 0.5), (0.05, 1.95), (300e-9, 1600e-9))
+    for rc, separation, wavelength in draws.tolist():
+        d = separation * rc
         # the round trip fixes no waist at the confocal point
         while abs(1.0 - d / rc) < _CONFOCAL_MARGIN:
             d = rng.uniform(0.05, 1.95) * rc
-        wavelength = rng.uniform(300e-9, 1600e-9)
         closed = optics.symmetric_waist(d, rc, wavelength)
         oracle = _abcd_roundtrip_waist(d, rc, wavelength)
-        worst = _worst(worst, abs(closed - oracle) / closed)
-    return _result("waist vs ABCD round-trip eigenmode", worst, 1e-9)
+        residuals.append(abs(closed - oracle) / closed)
+    return _result("waist vs ABCD round-trip eigenmode", _worst(*residuals), 1e-9)
 
 
 def check_abcd_mode_spacing(rng: np.random.Generator) -> CheckResult:
-    worst = 0.0
-    for _ in range(_ABCD_DRAWS):
-        rc = rng.uniform(5e-3, 0.5)
-        d = rng.uniform(0.05, 1.95) * rc
+    residuals = []
+    for rc, separation in _uniform_rows(rng, _ABCD_DRAWS, (5e-3, 0.5),
+                                        (0.05, 1.95)).tolist():
+        d = separation * rc
         closed = optics.transverse_mode_spacing(d, rc)
         oracle = _abcd_roundtrip_mode_spacing(d, rc)
-        worst = _worst(worst, abs(closed - oracle) / closed)
-    return _result("transverse mode spacing vs ABCD Gouy phase", worst, 1e-9)
+        residuals.append(abs(closed - oracle) / closed)
+    return _result("transverse mode spacing vs ABCD Gouy phase", _worst(*residuals), 1e-9)
 
 
 # --- quadrature oracles for the mode functions and their overlap -------------
@@ -422,10 +430,9 @@ def check_dipole_normalization(rng: np.random.Generator) -> CheckResult:
 
 
 def check_gaussian_normalization(rng: np.random.Generator) -> CheckResult:
-    worst = 0.0
     mode = overlap.GaussianMode(waist=45e-6, wavelength=532e-9)
-    for z in (0.0, mode.rayleigh_length, 10.0 * mode.rayleigh_length):
-        worst = _worst(worst, abs(_gaussian_normalization(45e-6, 532e-9, z) - 1.0))
+    worst = _worst(*(abs(_gaussian_normalization(45e-6, 532e-9, z) - 1.0)
+                     for z in (0.0, mode.rayleigh_length, 10.0 * mode.rayleigh_length)))
     return _result("gaussian mode intensity normalization", worst, 1e-6)
 
 
@@ -463,26 +470,23 @@ def check_overlap_monotone(rng: np.random.Generator) -> CheckResult:
 
 
 def check_purcell_equivalence(rng: np.random.Generator) -> CheckResult:
-    worst = 0.0
-    # one row of (finesse, wavelength, waist, d) per draw: the same numbers,
-    # in the same order, as four scalar draws per row
-    draws = rng.uniform((1.0, 200e-9, 5e-6, 1e-3), (1e6, 2000e-9, 5e-4, 1.0),
-                        size=(_PURCELL_DRAWS, 4))
+    residuals = []
+    draws = _uniform_rows(rng, _PURCELL_DRAWS, (1.0, 1e6), (200e-9, 2000e-9),
+                          (5e-6, 5e-4), (1e-3, 1.0))
     for f, wavelength, waist, d in draws.tolist():
         a = overlap.purcell_factor(optics.q_factor(d, f, wavelength), wavelength,
                                    optics.mode_volume(waist, d))
         b = overlap.purcell_ratio(f, wavelength, waist)
-        worst = _worst(worst, abs(a - b) / b)
-    return _result("Purcell factor equals interference power ratio", worst, 1e-12)
+        residuals.append(abs(a - b) / b)
+    return _result("Purcell factor equals interference power ratio", _worst(*residuals),
+                   1e-12)
 
 
 def check_purcell_separation_cancels(rng: np.random.Generator) -> CheckResult:
     wavelength, waist, f = 532e-9, 45e-6, 1000.0
-    values = []
-    for _ in range(50):
-        d = rng.uniform(1e-4, 10.0)
-        values.append(overlap.purcell_factor(optics.q_factor(d, f, wavelength), wavelength,
-                                             optics.mode_volume(waist, d)))
+    values = [overlap.purcell_factor(optics.q_factor(d, f, wavelength), wavelength,
+                                     optics.mode_volume(waist, d))
+              for d in rng.uniform(1e-4, 10.0, size=50).tolist()]
     residual = (_worst(*values) - min(values)) / values[0]
     return _result("mirror separation cancels in the Purcell factor", residual, 1e-12)
 
@@ -552,14 +556,14 @@ def _exact_overlap_quadrature(wavelength: float, waist: float, z: float) -> floa
 
 
 def check_spectral_overlap_closed_form(rng: np.random.Generator) -> CheckResult:
-    worst = 0.0
+    residuals = []
     observed = spectra.observed_doppler_fwhm(_packaged_species()["Xe"], 532e-9)
-    for _ in range(40):
-        linewidth = 10 ** rng.uniform(5.5, 10.0)
+    for exponent in rng.uniform(5.5, 10.0, size=40).tolist():
+        linewidth = 10 ** exponent
         closed = spectra.spectral_overlap(observed, linewidth)
         quadrature = _overlap_quadrature(observed, linewidth)
-        worst = _worst(worst, abs(quadrature - closed) / closed)
-    return _result("spectral overlap vs Faddeeva closed form", worst, 1e-6)
+        residuals.append(abs(quadrature - closed) / closed)
+    return _result("spectral overlap vs Faddeeva closed form", _worst(*residuals), 1e-6)
 
 
 def check_spectral_overlap_limits(rng: np.random.Generator) -> CheckResult:
@@ -584,14 +588,12 @@ def check_spectral_overlap_limits(rng: np.random.Generator) -> CheckResult:
 
 
 def check_polarization_sum_rule(rng: np.random.Generator) -> CheckResult:
-    worst = 0.0
-    for _ in range(100):
-        eps = rng.uniform(0.0, 0.5)
-        theta = rng.uniform(0.0, 2.0 * math.pi)
+    residuals = []
+    for eps, theta in _uniform_rows(rng, 100, (0.0, 0.5), (0.0, 2.0 * math.pi)).tolist():
         total = (spectra.polarization_signal(theta, eps)
                  + spectra.polarization_signal(theta + math.pi / 2.0, eps))
-        worst = _worst(worst, abs(total - (1.0 + eps)))
-    return _result("polarization quarter-turn sum rule", worst, 1e-12)
+        residuals.append(abs(total - (1.0 + eps)))
+    return _result("polarization quarter-turn sum rule", _worst(*residuals), 1e-12)
 
 
 # --- oracles for the cavity scan ---------------------------------------------
@@ -669,11 +671,13 @@ def check_scan_linearity(rng: np.random.Generator) -> CheckResult:
 # the name is pinned by cavbench's CHECK_NAMES; it changes with ROADMAP item 1b
 def check_doppler_monte_carlo(rng: np.random.Generator) -> CheckResult:
     xenon = _packaged_species()["Xe"]
-    worst = 0.0
+    residuals = []
     for _ in range(_DOPPLER_DRAWS):
-        gas = xenon._replace(temperature=10 ** rng.uniform(-6.0, 3.0),
-                             molar_mass=rng.uniform(1e-3, 0.3))
-        wavelength = rng.uniform(200e-9, 2000e-9)
+        # two calls a draw: the normal draws take a varying number of words
+        # from the stream, so batching them would move every later draw
+        log_temperature, molar_mass, wavelength = rng.uniform(
+            (-6.0, 1e-3, 200e-9), (3.0, 0.3, 2000e-9)).tolist()
+        gas = xenon._replace(temperature=10 ** log_temperature, molar_mass=molar_mass)
         # a uniformly rotated perpendicular pair: Gram-Schmidt on two
         # normal 3-vectors
         k_in, k_out = rng.standard_normal((2, 3))
@@ -682,9 +686,9 @@ def check_doppler_monte_carlo(rng: np.random.Generator) -> CheckResult:
         k_out /= np.linalg.norm(k_out)
         width = _doppler_width(wavelength, gas.temperature, gas.molar_mass, k_in, k_out)
         expected = spectra.observed_doppler_fwhm(gas, wavelength)
-        worst = _worst(worst, abs(width - expected) / expected)
+        residuals.append(abs(width - expected) / expected)
     return _result("Doppler width vs thermal velocity spread along k_out - k_in",
-                   worst, 1e-12)
+                   _worst(*residuals), 1e-12)
 
 
 def check_species_ratio(rng: np.random.Generator) -> CheckResult:
@@ -700,20 +704,17 @@ def check_species_ratio(rng: np.random.Generator) -> CheckResult:
 
 
 def check_backout_roundtrip(rng: np.random.Generator) -> CheckResult:
-    worst = 0.0
-    for _ in range(100):
-        free_space = rng.uniform(1e-16, 1e-12)
-        f = rng.uniform(10.0, 1e5)
-        ovl = rng.uniform(0.01, 1.0)
-        share = rng.uniform(0.1, 1.0)
+    residuals = []
+    draws = _uniform_rows(rng, 100, (1e-16, 1e-12), (10.0, 1e5), (0.01, 1.0), (0.1, 1.0))
+    for free_space, f, ovl, share in draws.tolist():
         # mirrors that send about ``share`` of the power out on the right
         left, right = optics.MirrorSpec(share), optics.MirrorSpec(1.0 - share)
         # free_space is a^2 Pp, the one-way power without a cavity
         measured = field.transmitted_power(1.0, free_space, left.transmission,
                                            right.transmission, f) * ovl
         recovered = experiment.free_space_backout(measured, ovl, (f, left, right))
-        worst = _worst(worst, abs(recovered - free_space) / free_space)
-    return _result("free-space back-out round trip", worst, 1e-12)
+        residuals.append(abs(recovered - free_space) / free_space)
+    return _result("free-space back-out round trip", _worst(*residuals), 1e-12)
 
 
 def check_forecast_consistency(rng: np.random.Generator) -> CheckResult:
@@ -739,18 +740,15 @@ def check_forecast_consistency(rng: np.random.Generator) -> CheckResult:
 
 
 def check_unit_convention_cancels(rng: np.random.Generator) -> CheckResult:
-    worst = 0.0
-    for _ in range(50):
-        unit = rng.uniform(1e-3, 1e3)
-        f = rng.uniform(10.0, 1e5)
-        wavelength = rng.uniform(300e-9, 1600e-9)
-        waist = rng.uniform(1e-5, 1e-4)
+    residuals = []
+    draws = _uniform_rows(rng, 50, (1e-3, 1e3), (10.0, 1e5), (300e-9, 1600e-9), (1e-5, 1e-4))
+    for unit, f, wavelength, waist in draws.tolist():
         budget = field.cavity_power_budget(1e-4, unit, f, "antinode")
         dip = overlap.dipole_mode_power(1e-4, unit, wavelength, waist)
         ratio = budget.cavity_power / dip
         expected = overlap.purcell_ratio(f, wavelength, waist)
-        worst = _worst(worst, abs(ratio - expected) / expected)
-    return _result("arbitrary power unit cancels in ratios", worst, 1e-12)
+        residuals.append(abs(ratio - expected) / expected)
+    return _result("arbitrary power unit cancels in ratios", _worst(*residuals), 1e-12)
 
 
 ALL_CHECKS: tuple[Callable[[np.random.Generator], CheckResult], ...] = (

@@ -1,6 +1,6 @@
 import pytest
 
-from cavray import CavityGeometry, MirrorSpec, derive_cavity_params
+from cavray import CavityGeometry, MirrorSpec, derive_cavity_params, gases, load_species_table
 
 WAVELENGTH = 532e-9
 
@@ -19,3 +19,9 @@ def reference_geometry():
 @pytest.fixture
 def reference_params(reference_geometry):
     return derive_cavity_params(reference_geometry, WAVELENGTH)
+
+
+@pytest.fixture(scope="session")
+def species():
+    """The species table shipped with the package, whatever CAVRAY_SPECIES_DB names."""
+    return load_species_table(gases._builtin_table_path())

@@ -8,7 +8,7 @@ import pytest
 
 import cavray
 from cavray import (ATOMIC_UNIT_POLARIZABILITY_A3, ConfigError, GasSpecies,
-                    ScenarioConfig, builtin_species, load_species_table)
+                    ScenarioConfig, load_species_table)
 from cavray.config import KEYS, parse_config
 from cavray.gases import SPECIES_DB_ENV
 
@@ -26,10 +26,10 @@ class TestSpeciesTable:
         for species in table.values():
             assert species.temperature == 295.0
 
-    def test_xenon_matches_atomic_unit_conversion(self):
+    def test_xenon_matches_atomic_unit_conversion(self, species):
         # 27.3 a.u. at 0.148 A^3 per a.u.
         assert 27.3 * ATOMIC_UNIT_POLARIZABILITY_A3 == pytest.approx(
-            builtin_species("Xe").polarizability, rel=1e-3
+            species["Xe"].polarizability, rel=1e-3
         )
 
     def test_custom_file(self, tmp_path):
@@ -62,10 +62,6 @@ class TestSpeciesTable:
         db.write_text("# nothing here\n")
         with pytest.raises(ValueError, match="no records"):
             load_species_table(db)
-
-    def test_unknown_species_lists_known(self):
-        with pytest.raises(KeyError, match="Xe"):
-            builtin_species("Kr")
 
 
 class TestGasSpecies:

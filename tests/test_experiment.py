@@ -15,7 +15,6 @@ from cavray import (AnchorMeasurement, MirrorSpec, PumpBeam, ScenarioConfig,
                     free_space_backout, interaction_volume,
                     number_density, photon_rate, purcell_ratio,
                     ultracold_forecast, ultracold_target_species)
-from cavray.gases import builtin_species
 
 WAVELENGTH = 532e-9
 
@@ -28,11 +27,11 @@ MEASURED_POWERS = [52e-15, 85e-15, 90e-15]
 OVERLAPS = [0.042, 0.101, 0.334]
 
 
-def make_anchor_scenario(reference_geometry):
+def make_anchor_scenario(reference_geometry, species):
     # waist pinned to the quoted 45 um mode size the published chain used
     return ScenarioConfig(
         cavity=reference_geometry,
-        gas=builtin_species("Xe"),
+        gas=species["Xe"],
         pressure=1e4,
         pump=PumpBeam(wavelength=WAVELENGTH, waist=50e-6),
         anchor=AnchorMeasurement(measured_power=50e-15, finesse=1000.0,
@@ -190,8 +189,8 @@ class TestEnhancementReport:
 
 
 class TestUltracoldForecast:
-    def test_paper_projection(self, reference_geometry):
-        anchor = make_anchor_scenario(reference_geometry)
+    def test_paper_projection(self, reference_geometry, species):
+        anchor = make_anchor_scenario(reference_geometry, species)
         target = ultracold_target_species(anchor.gas, 10.0)
         report = ultracold_forecast(anchor, target, 1e5, 1e5)
         assert report.per_molecule_in_cavity_rate == pytest.approx(
@@ -206,8 +205,8 @@ class TestUltracoldForecast:
         assert 1e4 <= report.ensemble_rate <= 1e6
         assert 0.1 <= report.per_molecule_total_rate <= 10.0
 
-    def test_internal_consistency(self, reference_geometry):
-        anchor = make_anchor_scenario(reference_geometry)
+    def test_internal_consistency(self, reference_geometry, species):
+        anchor = make_anchor_scenario(reference_geometry, species)
         target = ultracold_target_species(anchor.gas, 10.0)
         report = ultracold_forecast(anchor, target, 31337.0, 2e4)
         assert report.ensemble_rate == report.per_molecule_in_cavity_rate * 31337.0
@@ -216,8 +215,8 @@ class TestUltracoldForecast:
                                                                waist)
 
     def test_linear_in_molecule_number_and_polarizability_squared(self,
-                                                                  reference_geometry):
-        anchor = make_anchor_scenario(reference_geometry)
+                                                                  reference_geometry, species):
+        anchor = make_anchor_scenario(reference_geometry, species)
         ten_x = ultracold_forecast(anchor, ultracold_target_species(anchor.gas, 10.0),
                                    1e5, 1e5)
         twenty_x = ultracold_forecast(anchor,
@@ -235,30 +234,30 @@ class TestUltracoldForecast:
         with pytest.raises(ValueError, match="pump.waist"):
             PumpBeam(wavelength=WAVELENGTH, waist=waist)
 
-    def test_missing_anchor_rejected(self, reference_geometry):
+    def test_missing_anchor_rejected(self, reference_geometry, species):
         scenario = ScenarioConfig(
-            cavity=reference_geometry, gas=builtin_species("Xe"), pressure=1e4,
+            cavity=reference_geometry, gas=species["Xe"], pressure=1e4,
             pump=PumpBeam(wavelength=WAVELENGTH, waist=50e-6),
         )
         with pytest.raises(ValueError):
-            ultracold_forecast(scenario, builtin_species("Xe"), 1e5, 1e5)
+            ultracold_forecast(scenario, species["Xe"], 1e5, 1e5)
 
     @pytest.mark.parametrize("pressure", [0.0, -1.0])
-    def test_nonpositive_pressure_rejected(self, reference_geometry, pressure):
-        anchor = make_anchor_scenario(reference_geometry)._replace(pressure=pressure)
+    def test_nonpositive_pressure_rejected(self, reference_geometry, pressure, species):
+        anchor = make_anchor_scenario(reference_geometry, species)._replace(pressure=pressure)
         with pytest.raises(ValueError, match="gas.pressure"):
             ultracold_forecast(anchor, ultracold_target_species(anchor.gas), 1e5, 1e5)
 
-    def test_json_is_versioned(self, reference_geometry):
-        anchor = make_anchor_scenario(reference_geometry)
+    def test_json_is_versioned(self, reference_geometry, species):
+        anchor = make_anchor_scenario(reference_geometry, species)
         report = ultracold_forecast(anchor, ultracold_target_species(anchor.gas),
                                     1e5, 1e5)
         payload = json.loads(report.to_json())
         assert payload["schema"] == "cavray.forecast-report/1"
         assert payload["ensemble_rate_Hz"] == pytest.approx(2.1936e5, rel=1e-3)
 
-    def test_table_renders(self, reference_geometry):
-        anchor = make_anchor_scenario(reference_geometry)
+    def test_table_renders(self, reference_geometry, species):
+        anchor = make_anchor_scenario(reference_geometry, species)
         report = ultracold_forecast(anchor, ultracold_target_species(anchor.gas),
                                     1e5, 1e5)
         assert "ensemble rate" in report.table()

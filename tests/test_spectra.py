@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from cavray import (CavityGeometry, MirrorSpec, SpectrumTrace,
-                    builtin_species, derive_cavity_params, doppler_fwhm,
+                    derive_cavity_params, doppler_fwhm,
                     load_species_table, observed_doppler_fwhm,
                     polarization_signal, scan_spectrum, species_ratio, spectral_overlap,
                     validation)
@@ -87,16 +87,16 @@ class TestDopplerWidth:
         with pytest.raises(ValueError, match=message):
             doppler_fwhm(*inputs)
 
-    def test_observed_width_is_sqrt2_absorption_width_at_the_gas_temperature(self):
-        cold = builtin_species("Xe")._replace(temperature=150.0)
+    def test_observed_width_is_sqrt2_absorption_width_at_the_gas_temperature(self, species):
+        cold = species["Xe"]._replace(temperature=150.0)
         assert observed_doppler_fwhm(cold, WAVELENGTH) == (
             OBSERVED_WIDTH_FACTOR * doppler_fwhm(WAVELENGTH, 150.0, cold.molar_mass))
 
 
 class TestSpectralOverlap:
     @pytest.fixture
-    def xe_observed(self):
-        return observed_doppler_fwhm(builtin_species("Xe"), WAVELENGTH)
+    def xe_observed(self, species):
+        return observed_doppler_fwhm(species["Xe"], WAVELENGTH)
 
     @pytest.mark.parametrize("finesse, expected", [
         (1000.0, 0.041795755478),
@@ -149,10 +149,10 @@ class TestSpectralOverlap:
         assert naive > 1.25 * exact
 
     @pytest.mark.parametrize("name, temperature", [("N2", 1000.0), ("CF3H", 295.0)])
-    def test_narrow_line_matches_its_series(self, name, temperature):
+    def test_narrow_line_matches_its_series(self, name, temperature, species):
         # a 1 kHz line, 1e-6 of the Doppler width: adaptive quadrature
         # came out 7.9% low for N2 and did not converge for CF3H
-        gas = builtin_species(name)._replace(temperature=temperature)
+        gas = species[name]._replace(temperature=temperature)
         observed = observed_doppler_fwhm(gas, WAVELENGTH)
         sigma = observed / (2 * math.sqrt(2 * math.log(2)))
         hwhm = 500.0
@@ -177,8 +177,8 @@ class TestSpectralOverlap:
 
 
 class TestScanSpectrum:
-    def test_two_peaks_separated_by_fsr(self, reference_params):
-        trace = scan_spectrum(reference_params, [(builtin_species("Xe"), 1.0)],
+    def test_two_peaks_separated_by_fsr(self, reference_params, species):
+        trace = scan_spectrum(reference_params, [(species["Xe"], 1.0)],
                               scan_range=1.5 * reference_params.free_spectral_range,
                               resolution=5e6, wavelength=WAVELENGTH)
         fsr = reference_params.free_spectral_range
@@ -191,8 +191,8 @@ class TestScanSpectrum:
         # the paper rounds the separation to 24.9 GHz
         assert second - first == pytest.approx(24.9e9, rel=0.01)
 
-    def test_peak_width_is_voigt_of_doppler_and_cavity(self, reference_params):
-        trace = scan_spectrum(reference_params, [(builtin_species("Xe"), 1.0)],
+    def test_peak_width_is_voigt_of_doppler_and_cavity(self, reference_params, species):
+        trace = scan_spectrum(reference_params, [(species["Xe"], 1.0)],
                               scan_range=6e9, resolution=1e6,
                               wavelength=WAVELENGTH, normalize=True)
         half = trace.detunings[trace.signals >= 0.5]
@@ -201,16 +201,15 @@ class TestScanSpectrum:
         # dominated by the observed Doppler width of 856 MHz
         assert measured_fwhm == pytest.approx(8.556e8, rel=0.03)
 
-    def test_zero_weight_gives_flat_zero(self, reference_params):
-        trace = scan_spectrum(reference_params, [(builtin_species("Xe"), 0.0)],
+    def test_zero_weight_gives_flat_zero(self, reference_params, species):
+        trace = scan_spectrum(reference_params, [(species["Xe"], 0.0)],
                               scan_range=5e9, resolution=5e6,
                               wavelength=WAVELENGTH)
         assert np.all(trace.signals == 0.0)
 
-    def test_equal_density_ordering(self, reference_params):
-        species = [builtin_species(n) for n in ("Xe", "CF3H", "N2")]
+    def test_equal_density_ordering(self, reference_params, species):
         heights, widths = {}, {}
-        for gas in species:
+        for gas in (species[n] for n in ("Xe", "CF3H", "N2")):
             trace = scan_spectrum(reference_params, [(gas, 1.0)], 8e9, 5e6,
                                   WAVELENGTH)
             heights[gas.name] = trace.signals.max()
@@ -219,9 +218,9 @@ class TestScanSpectrum:
         assert heights["Xe"] > heights["CF3H"] > heights["N2"]
         assert widths["N2"] > widths["CF3H"] > widths["Xe"]
 
-    def test_linear_in_weight_and_additive(self, reference_params):
-        xe = builtin_species("Xe")
-        n2 = builtin_species("N2")
+    def test_linear_in_weight_and_additive(self, reference_params, species):
+        xe = species["Xe"]
+        n2 = species["N2"]
         single = scan_spectrum(reference_params, [(xe, 1.0)], 4e9, 5e6, WAVELENGTH)
         double = scan_spectrum(reference_params, [(xe, 2.0)], 4e9, 5e6, WAVELENGTH)
         np.testing.assert_allclose(double.signals, 2.0 * single.signals, rtol=1e-12)
@@ -231,45 +230,45 @@ class TestScanSpectrum:
         np.testing.assert_allclose(mixed.signals, single.signals + n2_only.signals,
                                    rtol=1e-12)
 
-    def test_peak_height_matches_spectral_overlap(self, reference_params):
-        xe = builtin_species("Xe")
+    def test_peak_height_matches_spectral_overlap(self, reference_params, species):
+        xe = species["Xe"]
         trace = scan_spectrum(reference_params, [(xe, 1.0)], 4e9, 1e6, WAVELENGTH)
         expected = xe.polarizability ** 2 * spectral_overlap(
             observed_doppler_fwhm(xe, WAVELENGTH), reference_params.linewidth
         )
         assert trace.signals[0] == pytest.approx(expected, rel=1e-4)
 
-    def test_normalized_peak_is_one(self, reference_params):
-        trace = scan_spectrum(reference_params, [(builtin_species("Xe"), 1.0)],
+    def test_normalized_peak_is_one(self, reference_params, species):
+        trace = scan_spectrum(reference_params, [(species["Xe"], 1.0)],
                               4e9, 5e6, WAVELENGTH, normalize=True)
         assert trace.signals.max() == pytest.approx(1.0)
 
-    def test_normalized_shape_independent_of_density(self, reference_params):
+    def test_normalized_shape_independent_of_density(self, reference_params, species):
         # pressure-normalized traces collapse onto one Doppler shape
-        gas = builtin_species("CF3H")
+        gas = species["CF3H"]
         low = scan_spectrum(reference_params, [(gas, 1.0)], 4e9, 5e6, WAVELENGTH,
                             normalize=True)
         high = scan_spectrum(reference_params, [(gas, 8.0)], 4e9, 5e6, WAVELENGTH,
                              normalize=True)
         np.testing.assert_allclose(high.signals, low.signals, rtol=1e-12)
 
-    def test_rejects_coarse_resolution(self, reference_params):
+    def test_rejects_coarse_resolution(self, reference_params, species):
         with pytest.raises(ValueError):
-            scan_spectrum(reference_params, [(builtin_species("Xe"), 1.0)],
+            scan_spectrum(reference_params, [(species["Xe"], 1.0)],
                           5e9, 5e8, WAVELENGTH)
 
     def test_rejects_empty_species(self, reference_params):
         with pytest.raises(ValueError):
             scan_spectrum(reference_params, [], 5e9, 5e6, WAVELENGTH)
 
-    def test_rejects_grid_beyond_point_cap(self, reference_params):
+    def test_rejects_grid_beyond_point_cap(self, reference_params, species):
         # 1e9 GHz at 25 MHz would be 4e10 points, 298 GiB of arrays
         with pytest.raises(ValueError, match="scan.range.*scan.resolution"):
-            scan_spectrum(reference_params, [(builtin_species("Xe"), 1.0)],
+            scan_spectrum(reference_params, [(species["Xe"], 1.0)],
                           1e18, 25e6, WAVELENGTH)
         points = MAX_SCAN_POINTS * 25e6
         with pytest.raises(ValueError, match="points"):
-            scan_spectrum(reference_params, [(builtin_species("Xe"), 1.0)],
+            scan_spectrum(reference_params, [(species["Xe"], 1.0)],
                           points, 25e6, WAVELENGTH)
 
     def test_rejects_lines_beyond_table_cap(self):
@@ -378,8 +377,8 @@ class TestInterpolationKernel:
 
 class TestTraceSerialization:
     @pytest.fixture
-    def trace(self, reference_params):
-        return scan_spectrum(reference_params, [(builtin_species("Xe"), 1.0)],
+    def trace(self, reference_params, species):
+        return scan_spectrum(reference_params, [(species["Xe"], 1.0)],
                              2e9, 1e7, WAVELENGTH, normalize=True)
 
     def test_csv_header(self, trace):
@@ -538,12 +537,12 @@ class TestTokenKernel:
 
     @pytest.mark.parametrize("points", [1501, 100_000])
     def test_scan_grids_send_at_most_one_token_a_block_to_python(self, reference_params,
-                                                                   points):
+                                                                   points, species):
         # the demo's scan on its 25 MHz integral grid, and a benchmark-shaped
         # grid of 1e5 points over 1.5 FSRs; the one token is the 0 detuning
         span = 37.5e9 if points == 1501 else 1.5 * reference_params.free_spectral_range
         trace = scan_spectrum(reference_params,
-                              [(builtin_species(name), 1.0) for name in ("Xe", "CF3H", "N2")],
+                              [(species[name], 1.0) for name in ("Xe", "CF3H", "N2")],
                               span, span / (points - 1), WAVELENGTH, normalize=True)
         assert len(trace.detunings) == points
         for values in trace.detunings, trace.signals:
@@ -574,9 +573,9 @@ class TestPolarization:
 
 
 class TestSpeciesRatio:
-    def test_default_table_reproduces_expected_triple(self, reference_params):
-        species = [builtin_species(n) for n in ("Xe", "CF3H", "N2")]
-        ratios = species_ratio(species, reference_params, WAVELENGTH)
+    def test_default_table_reproduces_expected_triple(self, reference_params, species):
+        ratios = species_ratio([species[n] for n in ("Xe", "CF3H", "N2")],
+                               reference_params, WAVELENGTH)
         assert ratios[0] == 1.0
         assert ratios[1] == pytest.approx(0.353225056948, rel=1e-8)
         assert ratios[2] == pytest.approx(0.086884161430, rel=1e-8)
@@ -584,12 +583,12 @@ class TestSpeciesRatio:
         assert ratios[1] == pytest.approx(0.36, abs=0.03)
         assert ratios[2] == pytest.approx(0.09, abs=0.03)
 
-    def test_single_species(self, reference_params):
-        assert species_ratio([builtin_species("Xe")], reference_params,
+    def test_single_species(self, reference_params, species):
+        assert species_ratio([species["Xe"]], reference_params,
                              WAVELENGTH) == [1.0]
 
-    def test_identical_species_pair(self, reference_params):
-        xe = builtin_species("Xe")
+    def test_identical_species_pair(self, reference_params, species):
+        xe = species["Xe"]
         ratios = species_ratio([xe, xe], reference_params, WAVELENGTH)
         assert ratios == pytest.approx([1.0, 1.0])
 

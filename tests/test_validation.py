@@ -39,11 +39,13 @@ def roundtrip_draws(rng):
 
 
 def field_average_draws(rng):
-    """The draws of the field-average check, one scalar draw at a time, in order."""
+    """The draws of the field-average check, one scalar draw at a time, in
+    order: five uniforms for each draw, then one integer for each."""
     for _ in range(validation._FIELD_AVERAGE_DRAWS):
         for low, high in [(0.0, 0.999), (0.0, 0.999), (1e-6, 1e-3), (0.1, 10.0),
                           (1e6, 2e7)]:
             rng.uniform(low, high)
+    for _ in range(validation._FIELD_AVERAGE_DRAWS):
         rng.integers(1000, 40000)
 
 
@@ -64,19 +66,88 @@ def doppler_draws(rng):
             rng.standard_normal()
 
 
-@pytest.mark.parametrize("check, replay", [
+def scalar_rows(n_rows, *ranges):
+    """A replay of ``n_rows`` rows of scalar uniform draws, one per range."""
+    def replay(rng):
+        return [[rng.uniform(low, high) for low, high in ranges] for _ in range(n_rows)]
+    return replay
+
+
+# every check that draws, with its draws one scalar draw at a time
+DRAW_REPLAYS = [
     (validation.check_field_closed_form_vs_roundtrip, roundtrip_draws),
     (validation.check_field_average_quadrature, field_average_draws),
+    (validation.check_power_budget_identities, scalar_rows(100, (1.0, 1e5), (0.1, 5.0))),
+    (validation.check_power_linearity,
+     scalar_rows(50, (0.1, 5.0), (2.0, 100.0), (10.0, 1e4))),
+    (validation.check_cavity_params_identities,
+     scalar_rows(100, (5e-3, 0.5), (0.05, 1.95), (0.5, 0.99999), (0.5, 0.99999),
+                 (300e-9, 1600e-9))),
+    (validation.check_abcd_waist,
+     scalar_rows(validation._ABCD_DRAWS, (5e-3, 0.5), (0.05, 1.95), (300e-9, 1600e-9))),
+    (validation.check_abcd_mode_spacing,
+     scalar_rows(validation._ABCD_DRAWS, (5e-3, 0.5), (0.05, 1.95))),
     (validation.check_purcell_equivalence, purcell_draws),
+    (validation.check_purcell_separation_cancels, scalar_rows(50, (1e-4, 10.0))),
+    (validation.check_spectral_overlap_closed_form, scalar_rows(40, (5.5, 10.0))),
+    (validation.check_polarization_sum_rule,
+     scalar_rows(100, (0.0, 0.5), (0.0, 2.0 * math.pi))),
+    (validation.check_scan_linearity, scalar_rows(1, (2.0, 10.0))),
     (validation.check_doppler_monte_carlo, doppler_draws),
-])
+    (validation.check_backout_roundtrip,
+     scalar_rows(100, (1e-16, 1e-12), (10.0, 1e5), (0.01, 1.0), (0.1, 1.0))),
+    (validation.check_unit_convention_cancels,
+     scalar_rows(50, (1e-3, 1e3), (10.0, 1e5), (300e-9, 1600e-9), (1e-5, 1e-4))),
+]
+
+
+@pytest.mark.parametrize("check, replay", DRAW_REPLAYS)
 @pytest.mark.parametrize("seed", [0, 20260])
 def test_check_consumes_the_scalar_draw_sequence(check, replay, seed):
-    # the generator stream that every later check of run_all draws from
+    # the generator stream that every later check of run_all draws from; the
+    # spare half-word an integer draw leaves behind is stale once used, so
+    # its value may differ while the flag that it is there may not
     checked, replayed = np.random.default_rng(seed), np.random.default_rng(seed)
     check(checked)
     replay(replayed)
-    assert checked.bit_generator.state == replayed.bit_generator.state
+    checked, replayed = checked.bit_generator.state, replayed.bit_generator.state
+    assert checked["state"] == replayed["state"]
+    assert checked["has_uint32"] == replayed["has_uint32"]
+
+
+def test_every_check_that_draws_has_a_replay():
+    class NoDraws:
+        def __getattr__(self, name):
+            raise AssertionError(f"drew with {name}")
+
+    drawing = {check for check, _ in DRAW_REPLAYS}
+    for check in validation.ALL_CHECKS:
+        if check not in drawing:
+            check(NoDraws())
+
+
+class CountingRng:
+    """A generator proxy that counts the calls made to it."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+        return counted
+
+
+def test_checks_draw_their_inputs_in_a_few_generator_calls():
+    # one call per check, two for the field average (uniforms, integers)
+    # and two per Doppler draw: 35; a scalar draw per input would make
+    # ~4,900 calls at ~2 us each
+    rng = CountingRng(np.random.default_rng(0))
+    assert all(check(rng).passed for check in validation.ALL_CHECKS)
+    assert rng.calls <= 40
 
 
 @pytest.mark.parametrize("seed", [0, 20260])
@@ -141,8 +212,9 @@ def test_purcell_check_reports_the_residual_of_the_scalar_draws(seed):
 
 
 def test_run_all_stays_within_its_memory_budget():
-    # the oracles hold one draw's quadrature nodes or round-trip terms at a
-    # time; a draws x nodes array would raise the peak well beyond this
+    # the oracles hold one draw's quadrature nodes at a time, and the draws'
+    # round-trip terms or few position-average nodes at once; 10,000 nodes
+    # for every draw would raise the peak well beyond this
     tracemalloc.start()
     try:
         validation.run_all(0)
@@ -251,19 +323,56 @@ def test_worst_keeps_nan_in_any_position():
 
 
 class ScriptedRng:
-    """A generator stand-in whose uniform draws follow a script."""
+    """A generator stand-in whose uniform draws follow a script, row by row."""
 
     def __init__(self, draws):
         self.draws = list(draws)
 
-    def uniform(self, low, high):
-        return self.draws.pop(0)
+    def uniform(self, low, high, size=None):
+        if size is None:
+            return self.draws.pop(0)
+        count = math.prod(size)
+        batch, self.draws = self.draws[:count], self.draws[count:]
+        return np.array(batch).reshape(size)
 
 
 def test_abcd_waist_check_redraws_confocal_draws(monkeypatch):
-    # rc, then d/rc exactly at the confocal point, the redraw, the wavelength
+    # the batch (rc, d/rc exactly at the confocal point, the wavelength),
+    # then the redraw of d/rc
     monkeypatch.setattr(validation, "_ABCD_DRAWS", 1)
-    rng = ScriptedRng([0.1, 1.0, 0.5, 532e-9])
+    rng = ScriptedRng([0.1, 1.0, 532e-9, 0.5])
     result = validation.check_abcd_waist(rng)
     assert result.passed, result.detail
     assert rng.draws == []
+
+
+def _field_average_inputs(monkeypatch, seed):
+    """The arguments the field-average check passes its numeric average."""
+    calls = []
+    numeric = validation._position_averaged_intensity_numeric
+    monkeypatch.setattr(validation, "_position_averaged_intensity_numeric",
+                        lambda *args: calls.append(args) or numeric(*args))
+    assert validation.check_field_average_quadrature(np.random.default_rng(seed)).passed
+    (args,) = calls
+    return args
+
+
+@pytest.mark.parametrize("seed", [0, 20260])
+def test_few_node_position_average_equals_the_fine_one(monkeypatch, seed):
+    # the midpoint rule is exact for n >= 3 nodes: 10,000 only add rounding
+    *draws, n_points = _field_average_inputs(monkeypatch, seed)
+    assert n_points < 10_000
+    few = validation._position_averaged_intensity_numeric(*draws, n_points)
+    fine = np.array([validation._position_averaged_intensity_numeric(*row, 10_000)
+                     for row in zip(*draws)])
+    assert np.max(np.abs(few - fine) / fine) <= 1e-15
+
+
+def test_field_average_check_sees_the_mirrors_swapped_in_the_numerator(monkeypatch):
+    # only r1, the mirror behind the left-going wave, is in the numerator
+    monkeypatch.setattr(field, "position_averaged_intensity",
+                        lambda a, ip, r1, r2: a ** 2 * ip * (1.0 + r2 ** 2)
+                        / (1.0 - r1 * r2) ** 2)
+    result = validation.check_field_average_quadrature(np.random.default_rng(0))
+    assert not result.passed
+    assert result.detail.startswith("residual 9.301e-01 ")
