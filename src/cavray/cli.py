@@ -38,18 +38,19 @@ def _write(args, filename: str, *texts: str) -> None:
         stream.writelines(texts)
 
 
-def _emit(args, stem: str, schema: str, fields: list[tuple[str, float]]) -> None:
+def _emit(args, stem: str, schema: str, fields: dict) -> None:
     """Write named values as a table, CSV or a JSON object tagged ``schema``."""
-    rows = [(name, f"{value:.12g}") for name, value in fields]
-    if args.format == "table":
-        width = max(len(name) for name, _ in rows)
-        text = "\n".join(f"{name:<{width}}  {value}" for name, value in rows) + "\n"
-    elif args.format == "csv":
-        text = "name,value\n" + "\n".join(f"{n},{v}" for n, v in rows) + "\n"
-    else:
+    if args.format == "json":
         import json
 
-        text = json.dumps({"schema": schema, **dict(fields)}, indent=2) + "\n"
+        text = json.dumps({"schema": schema, **fields}, indent=2) + "\n"
+    else:
+        rows = [(name, f"{value:.12g}") for name, value in fields.items()]
+        if args.format == "table":
+            width = max(len(name) for name, _ in rows)
+            text = "\n".join(f"{name:<{width}}  {value}" for name, value in rows) + "\n"
+        else:
+            text = "name,value\n" + "\n".join(f"{n},{v}" for n, v in rows) + "\n"
     _write(args, f"{stem}.{SUFFIXES[args.format]}", text)
 
 
@@ -67,35 +68,32 @@ def cmd_cavity(args) -> int:
 
     values = parse_config(args.config)
     params = derive_cavity_params(cavity_geometry(values), values["pump.wavelength"])
-    fields = [
-        ("finesse", params.finesse),
-        ("free_spectral_range_Hz", params.free_spectral_range),
-        ("linewidth_Hz", params.linewidth),
-        ("q_factor", params.q_factor),
-        ("waist_m", params.waist),
-        ("rayleigh_length_m", params.rayleigh_length),
-        ("transverse_mode_spacing_Hz", params.transverse_mode_spacing),
-        ("mode_volume_m3", params.mode_volume),
-    ]
+    fields = {
+        "finesse": params.finesse,
+        "free_spectral_range_Hz": params.free_spectral_range,
+        "linewidth_Hz": params.linewidth,
+        "q_factor": params.q_factor,
+        "waist_m": params.waist,
+        "rayleigh_length_m": params.rayleigh_length,
+        "transverse_mode_spacing_Hz": params.transverse_mode_spacing,
+        "mode_volume_m3": params.mode_volume,
+    }
     _emit(args, "cavity_params", "cavray.cavity-params/1", fields)
     return 0
 
 
 def cmd_scan(args) -> int:
-    from .gases import DEFAULT_TEMPERATURE, load_species_table
+    from .gases import config_species
     from .optics import cavity_geometry, derive_cavity_params
     from .spectra import scan_spectrum
 
     values = parse_config(args.config)
     wavelength = values["pump.wavelength"]
     params = derive_cavity_params(cavity_geometry(values), wavelength)
-    table = load_species_table(temperature=values.get("gas.temperature", DEFAULT_TEMPERATURE))
-    weights = []
-    for i, name in enumerate(values["scan.species"].split(","), start=1):
-        name = name.strip()
-        if name not in table:
-            raise ConfigError(values.path, None, f"scan.species: unknown species {name!r}")
-        weights.append((table[name], values.get(f"scan.weight{i}", 1.0)))
+    species = config_species(values, "scan.species",
+                             [name.strip() for name in values["scan.species"].split(",")])
+    weights = [(gas, values.get(f"scan.weight{i}", 1.0))
+               for i, gas in enumerate(species, start=1)]
     _reject_unread_indices(values, "scan.weight", len(weights),
                            f"scan.species lists {len(weights)} species")
     if not any(weight > 0.0 for _, weight in weights):
@@ -131,13 +129,13 @@ def cmd_overlap(args) -> int:
     z = values.get("overlap.plane_factor", 100.0) * rayleigh_length(waist, wavelength)
     analytic = overlap_eta_analytic(wavelength, waist)
     on_plane = overlap_eta_numeric(wavelength, waist, z)
-    fields = [
-        ("waist_m", waist),
-        ("evaluation_plane_m", z),
-        ("overlap_analytic", analytic),
-        ("overlap_numeric", on_plane),
-        ("relative_difference", abs(on_plane - analytic) / analytic),
-    ]
+    fields = {
+        "waist_m": waist,
+        "evaluation_plane_m": z,
+        "overlap_analytic": analytic,
+        "overlap_numeric": on_plane,
+        "relative_difference": abs(on_plane - analytic) / analytic,
+    }
     _emit(args, "overlap_report", "cavray.overlap-report/1", fields)
     return 0
 
@@ -165,9 +163,34 @@ def cmd_enhance(args) -> int:
         values.get("enhance.free_space_power"),
         values.get("enhance.comparison_power"),
     )
-    text = report.to_json() if args.format == "json" else report.table()
-    _write(args, f"enhancement_report.{SUFFIXES[args.format]}", text + "\n")
+    if args.format == "json":
+        _emit(args, "enhancement_report", "cavray.enhancement-report/1",
+              {**report._asdict(), "entries": [e._asdict() for e in report.entries]})
+    else:
+        _write(args, "enhancement_report.txt", _enhancement_table(report) + "\n")
     return 0
+
+
+def _enhancement_table(report) -> str:
+    """The enhancement report as one column-aligned row per pairing, then
+    the back-out and the measured comparison."""
+    lines = [
+        f"{'finesse':>9} {'share':>7} {'measured':>12} {'overlap':>9} "
+        f"{'at-rest':>12} {'rel meas':>9} {'rel pred':>9}"
+    ]
+    for e in report.entries:
+        lines.append(
+            f"{e.finesse:9.4g} {e.outcoupling_share:7.3f} "
+            f"{e.measured_power_W:12.6g} {e.spectral_overlap:9.4f} "
+            f"{e.at_rest_power_W:12.6g} {e.relative_measured:9.4f} "
+            f"{e.predicted_relative:9.4f}"
+        )
+    lines.append(f"free-space back-out: {report.free_space_backout_W:.6g} W")
+    if report.free_space_measured_W is not None:
+        lines.append(f"free-space measured: {report.free_space_measured_W:.6g} W")
+    if report.enhancement_factor is not None:
+        lines.append(f"enhancement factor:  {report.enhancement_factor:.4g}")
+    return "\n".join(lines)
 
 
 def cmd_purcell(args) -> int:
@@ -184,29 +207,29 @@ def cmd_purcell(args) -> int:
     from_ratio = purcell_ratio(finesse, wavelength, waist)
     from_qv = purcell_factor(q_factor(d, finesse, wavelength), wavelength,
                              mode_volume(waist, d))
-    fields = [
-        ("finesse", finesse),
-        ("waist_m", waist),
-        ("interference_power_ratio", from_ratio),
-        ("purcell_factor_q_over_v", from_qv),
-        ("absolute_difference", abs(from_ratio - from_qv)),
-    ]
+    fields = {
+        "finesse": finesse,
+        "waist_m": waist,
+        "interference_power_ratio": from_ratio,
+        "purcell_factor_q_over_v": from_qv,
+        "absolute_difference": abs(from_ratio - from_qv),
+    }
     _emit(args, "purcell_report", "cavray.purcell-report/1", fields)
     return 0
 
 
 def cmd_forecast(args) -> int:
-    from .experiment import ScenarioConfig, ultracold_forecast, ultracold_target_species
+    from .experiment import (POLARIZABILITY_FACTOR, ScenarioConfig, ultracold_forecast,
+                             ultracold_target_species)
 
     values = parse_config(args.config)
     scenario = ScenarioConfig.from_values(values)
-    target = ultracold_target_species(scenario.gas,
-                                      values.get("forecast.polarizability_factor", 10.0))
+    target = ultracold_target_species(
+        scenario.gas, values.get("forecast.polarizability_factor", POLARIZABILITY_FACTOR))
     report = ultracold_forecast(scenario, target,
                                 n_molecules=values["forecast.n_molecules"],
                                 target_finesse=values["forecast.target_finesse"])
-    text = report.to_json() if args.format == "json" else report.table()
-    _write(args, f"forecast_report.{SUFFIXES[args.format]}", text + "\n")
+    _emit(args, "forecast_report", "cavray.forecast-report/2", report._asdict())
     return 0
 
 

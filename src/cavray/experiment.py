@@ -7,22 +7,20 @@ prediction is a rescaling of an observed signal.
 
 from __future__ import annotations
 
-import json
 import math
 from typing import Sequence
 
 from .config import Config
 from .constants import PLANCK, SPEED_OF_LIGHT
-from .errors import ConfigError
 from .field import outcoupling_share, transmitted_power
-from .gases import GasSpecies, load_species_table
+from .gases import GasSpecies, config_species
 from .optics import (CavityGeometry, MirrorSpec, PumpBeam, cavity_geometry,
                      number_density, symmetric_waist)
 from .overlap import purcell_ratio
 from .records import record
 
-ENHANCEMENT_SCHEMA = "cavray.enhancement-report/1"
-FORECAST_SCHEMA = "cavray.forecast-report/1"
+# the target's polarizability over the reference's when a forecast gives none
+POLARIZABILITY_FACTOR = 10.0
 
 
 def _check_measurement(prefix: str, power: float, overlap: float) -> None:
@@ -72,15 +70,7 @@ class ScenarioConfig:
     @classmethod
     def from_values(cls, values: Config) -> "ScenarioConfig":
         """Scenario from the values of a parsed config."""
-        species_table = load_species_table()
-        name = values["gas.species"]
-        if name not in species_table:
-            raise ConfigError(values.path, None, f"gas.species: unknown species {name!r}; "
-                              "table has: " + ", ".join(sorted(species_table)))
-        gas = species_table[name]
-        if "gas.temperature" in values:
-            gas = GasSpecies(gas.name, gas.molar_mass, gas.polarizability,
-                             values["gas.temperature"])
+        [gas] = config_species(values, "gas.species", [values["gas.species"]])
         anchor = None
         if "anchor.measured_power" in values:
             anchor = AnchorMeasurement(values["anchor.measured_power"],
@@ -148,9 +138,9 @@ class FinesseEntry:
 
     finesse: float
     outcoupling_share: float
-    measured_power: float
+    measured_power_W: float
     spectral_overlap: float
-    at_rest_power: float
+    at_rest_power_W: float
     relative_measured: float
     predicted_relative: float       # with the T2/(T1+T2) asymmetry factor
     predicted_relative_symmetric: float  # plain F/F_max normalization
@@ -161,50 +151,9 @@ class EnhancementReport:
     """Cavity-vs-free-space comparison across mirror pairings."""
 
     entries: tuple[FinesseEntry, ...]
-    free_space_backout: float
-    free_space_measured: float | None
+    free_space_backout_W: float
+    free_space_measured_W: float | None
     enhancement_factor: float | None
-
-    def to_json(self) -> str:
-        payload = {
-            "schema": ENHANCEMENT_SCHEMA,
-            "entries": [
-                {
-                    "finesse": e.finesse,
-                    "outcoupling_share": e.outcoupling_share,
-                    "measured_power_W": e.measured_power,
-                    "spectral_overlap": e.spectral_overlap,
-                    "at_rest_power_W": e.at_rest_power,
-                    "relative_measured": e.relative_measured,
-                    "predicted_relative": e.predicted_relative,
-                    "predicted_relative_symmetric": e.predicted_relative_symmetric,
-                }
-                for e in self.entries
-            ],
-            "free_space_backout_W": self.free_space_backout,
-            "free_space_measured_W": self.free_space_measured,
-            "enhancement_factor": self.enhancement_factor,
-        }
-        return json.dumps(payload, indent=2)
-
-    def table(self) -> str:
-        lines = [
-            f"{'finesse':>9} {'share':>7} {'measured':>12} {'overlap':>9} "
-            f"{'at-rest':>12} {'rel meas':>9} {'rel pred':>9}"
-        ]
-        for e in self.entries:
-            lines.append(
-                f"{e.finesse:9.4g} {e.outcoupling_share:7.3f} "
-                f"{e.measured_power:12.6g} {e.spectral_overlap:9.4f} "
-                f"{e.at_rest_power:12.6g} {e.relative_measured:9.4f} "
-                f"{e.predicted_relative:9.4f}"
-            )
-        lines.append(f"free-space back-out: {self.free_space_backout:.6g} W")
-        if self.free_space_measured is not None:
-            lines.append(f"free-space measured: {self.free_space_measured:.6g} W")
-        if self.enhancement_factor is not None:
-            lines.append(f"enhancement factor:  {self.enhancement_factor:.4g}")
-        return "\n".join(lines)
 
 
 def build_enhancement_report(pairings: Sequence[MirrorPairing],
@@ -242,9 +191,9 @@ def build_enhancement_report(pairings: Sequence[MirrorPairing],
         entries.append(FinesseEntry(
             finesse=f,
             outcoupling_share=share,
-            measured_power=measured_powers[i],
+            measured_power_W=measured_powers[i],
             spectral_overlap=spectral_overlaps[i],
-            at_rest_power=at_rest[i],
+            at_rest_power_W=at_rest[i],
             relative_measured=at_rest[i] / at_rest[ref_index],
             predicted_relative=signal / signals[ref_index],
             predicted_relative_symmetric=f / max_finesse,
@@ -267,38 +216,15 @@ class ForecastReport:
 
     n_molecules: float
     target_finesse: float
-    per_molecule_in_cavity_rate: float  # Hz
-    ensemble_rate: float                # Hz, in-cavity rate of the whole sample
-    per_molecule_total_rate: float      # Hz, cavity plus free-space channels
+    per_molecule_in_cavity_rate_Hz: float
+    ensemble_rate_Hz: float             # in-cavity rate of the whole sample
+    per_molecule_total_rate_Hz: float   # cavity plus free-space channels
     cavity_free_space_ratio: float      # the Purcell factor 2C at the target finesse
-
-    def to_json(self) -> str:
-        payload = {
-            "schema": FORECAST_SCHEMA,
-            "n_molecules": self.n_molecules,
-            "target_finesse": self.target_finesse,
-            "per_molecule_in_cavity_rate_Hz": self.per_molecule_in_cavity_rate,
-            "ensemble_rate_Hz": self.ensemble_rate,
-            "per_molecule_total_rate_Hz": self.per_molecule_total_rate,
-            "purcell_2c": self.cavity_free_space_ratio,
-            "cavity_free_space_ratio": self.cavity_free_space_ratio,
-        }
-        return json.dumps(payload, indent=2)
-
-    def table(self) -> str:
-        return "\n".join([
-            f"molecules:                  {self.n_molecules:.4g}",
-            f"target finesse:             {self.target_finesse:.4g}",
-            f"in-cavity rate / molecule:  {self.per_molecule_in_cavity_rate:.4g} Hz",
-            f"ensemble rate into cavity:  {self.ensemble_rate:.4g} Hz",
-            f"total rate / molecule:      {self.per_molecule_total_rate:.4g} Hz",
-            f"Purcell 2C at target:       {self.cavity_free_space_ratio:.4g}",
-            f"cavity : free space         {self.cavity_free_space_ratio:.4g}",
-        ])
 
 
 def ultracold_target_species(reference: GasSpecies,
-                             polarizability_factor: float = 10.0) -> GasSpecies:
+                             polarizability_factor: float = POLARIZABILITY_FACTOR
+                             ) -> GasSpecies:
     """Target species with a scaled-up polarizability (default 10x reference)."""
     return GasSpecies(name="ultracold-dimer", molar_mass=reference.molar_mass,
                       polarizability=polarizability_factor * reference.polarizability,
@@ -356,8 +282,8 @@ def ultracold_forecast(anchor: ScenarioConfig, target: GasSpecies,
     return ForecastReport(
         n_molecules=n_molecules,
         target_finesse=target_finesse,
-        per_molecule_in_cavity_rate=in_cavity,
-        ensemble_rate=ensemble,
-        per_molecule_total_rate=total,
+        per_molecule_in_cavity_rate_Hz=in_cavity,
+        ensemble_rate_Hz=ensemble,
+        per_molecule_total_rate_Hz=total,
         cavity_free_space_ratio=ratio,
     )

@@ -12,10 +12,13 @@ explicit path.
 
 from __future__ import annotations
 
+import math
 import os
 from importlib import resources
 from pathlib import Path
 
+from .config import Config
+from .errors import ConfigError
 from .records import record
 
 SPECIES_DB_ENV = "CAVRAY_SPECIES_DB"
@@ -33,26 +36,25 @@ class GasSpecies:
     temperature: float = DEFAULT_TEMPERATURE  # K
 
     def __post_init__(self):
-        if self.molar_mass <= 0.0:
-            raise ValueError(f"molar mass must be positive, got {self.molar_mass}")
-        if self.polarizability <= 0.0:
-            raise ValueError(
-                f"polarizability must be positive, got {self.polarizability}"
-            )
-        if self.temperature <= 0.0:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
+        for field in ("molar_mass", "polarizability", "temperature"):
+            value = getattr(self, field)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{self.name}: {field} must be finite and positive, "
+                                 f"got {value}")
 
 
 def _builtin_table_path() -> Path:
     return Path(str(resources.files("cavray").joinpath("data/species.txt")))
 
 
-def load_species_table(path: str | os.PathLike | None = None,
-                       temperature: float = DEFAULT_TEMPERATURE) -> dict[str, GasSpecies]:
-    """Load the species database into a name -> GasSpecies mapping.
+def load_species_table(path: str | os.PathLike | None = None) -> dict[str, GasSpecies]:
+    """Load the species database into a name -> GasSpecies mapping, each
+    species at ``DEFAULT_TEMPERATURE``.
 
     Resolution order: explicit *path*, the CAVRAY_SPECIES_DB environment
-    variable, then the packaged table.
+    variable, then the packaged table. A record with a value that is not
+    finite and positive, or a name an earlier record took, is a ValueError
+    that gives its line.
     """
     if path is None:
         path = os.environ.get(SPECIES_DB_ENV) or _builtin_table_path()
@@ -75,13 +77,26 @@ def load_species_table(path: str | os.PathLike | None = None,
                 polarizability = float(fields[2])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: non-numeric field: {exc}") from None
-            table[name] = GasSpecies(
-                name=name,
-                molar_mass=molar_mass_g * 1e-3,
-                polarizability=polarizability,
-                temperature=temperature,
-            )
+            if name in table:
+                raise ValueError(f"{path}:{lineno}: species {name!r} is listed twice")
+            try:
+                table[name] = GasSpecies(name, molar_mass_g * 1e-3, polarizability)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     if not table:
         raise ValueError(f"{path}: species table contains no records")
     return table
 
+
+
+def config_species(values: Config, key: str, names: list[str]) -> list[GasSpecies]:
+    """The species that config ``key`` lists as ``names``, from the species
+    table, at the config's ``gas.temperature``. A name the table lacks is a
+    ConfigError that names ``key`` and lists the table."""
+    table = load_species_table()
+    temperature = values.get("gas.temperature", DEFAULT_TEMPERATURE)
+    for name in names:
+        if name not in table:
+            raise ConfigError(values.path, None, f"{key}: unknown species {name!r}; "
+                              "table has: " + ", ".join(sorted(table)))
+    return [table[name]._replace(temperature=temperature) for name in names]

@@ -45,11 +45,6 @@ class GaussianMode:
         """N(z) such that the transverse intensity integral equals 1."""
         return self.width(z) * math.sqrt(math.pi / 2.0)
 
-    def field(self, radial: float, z: float) -> float:
-        """Normalized field at transverse radius ``radial`` in the plane z."""
-        w = self.width(z)
-        return math.exp(-(radial ** 2) / w ** 2) / self.normalization(z)
-
 
 def overlap_eta_analytic(wavelength: float, waist: float) -> float:
     """Far-field dipole/Gaussian overlap in one direction, sqrt(3)/(2 pi) * lambda/w0."""

@@ -188,11 +188,10 @@ class SpectrumTrace:
             frame.fill(1, self.signals[start:start + _BLOCK])
             stream.write(frame.text(len(detunings)))
 
-    def to_json(self, stream: io.TextIOBase | None = None) -> str | None:
-        """The trace as ``json.dumps(payload, indent=2)`` would write it,
-        returned, or written to ``stream`` one block of values at a time."""
-        pieces = self._json_pieces()
-        return "".join(pieces) if stream is None else stream.writelines(pieces)
+    def to_json(self, stream: io.TextIOBase) -> None:
+        """Write the trace to ``stream`` as ``json.dumps(payload, indent=2)``
+        would, one block of values at a time."""
+        stream.writelines(self._json_pieces())
 
     def _json_pieces(self):
         """Pieces of ``to_json``'s document.

@@ -403,7 +403,8 @@ def _dipole_normalization(prefactor: float = overlap.DIPOLE_PREFACTOR,
 
 
 def _radial_field(mode: overlap.GaussianMode, z: float):
-    """``mode.field(r, z)`` as a function of an array of radii r."""
+    """The intensity-normalized field of ``mode`` in the plane z, as a
+    function of an array of radii r."""
     width, norm = mode.width(z), mode.normalization(z)
     return lambda r: np.exp(-(r / width) ** 2) / norm
 
@@ -414,14 +415,13 @@ def _radial_edges(mode: overlap.GaussianMode, z: float) -> np.ndarray:
     return quadrature.graded_edges(width, _TRUNCATION_WIDTHS * width)
 
 
-def _gaussian_normalization(waist: float, wavelength: float, z: float,
-                            rel_tol: float = 1e-9) -> float:
+def _gaussian_normalization(waist: float, wavelength: float, z: float) -> float:
     """Numerically integrate the Gaussian-mode intensity over a plane at z."""
     mode = overlap.GaussianMode(waist, wavelength)
     radial = _radial_field(mode, z)
     return quadrature.integrate(lambda r: 2.0 * math.pi * radial(r) ** 2 * r,
                                 _radial_edges(mode, z),
-                                what="gaussian mode normalization", rel_tol=rel_tol)
+                                what="gaussian mode normalization", rel_tol=1e-9)
 
 
 def check_dipole_normalization(rng: np.random.Generator) -> CheckResult:
@@ -607,22 +607,26 @@ def _comb_lines(species_weights, wavelength: float) -> list[tuple[float, float]]
             for gas, weight in species_weights]
 
 
+# comb orders on each side of a detuning that ``scan_voigt_sum`` adds up
+_VOIGT_ORDERS = 4000
+
+
 def scan_voigt_sum(detunings: np.ndarray, cavity: optics.CavityParams,
-                   species_weights, wavelength: float,
-                   orders: int = 4000) -> np.ndarray:
+                   species_weights, wavelength: float) -> np.ndarray:
     """Scan signal as an explicit sum of Voigt profiles over comb orders.
 
-    Sums the 2 * orders + 1 orders nearest each detuning. The Lorentzian
-    wings of the orders left out add about 2 hwhm^2 / (F^2 orders) of a
-    line's Lorentzian peak. The Voigt profile is ``scipy.special``'s, a
-    test-only dependency imported here.
+    Sums the 2 * _VOIGT_ORDERS + 1 orders nearest each detuning. The
+    Lorentzian wings of the orders left out add about 2 hwhm^2 / (F^2
+    _VOIGT_ORDERS) of a line's Lorentzian peak. The Voigt profile is
+    ``scipy.special``'s, a test-only dependency imported here.
     """
     from scipy import special
 
     fsr = cavity.free_spectral_range
     hwhm = cavity.linewidth / 2.0
     nu = np.asarray(detunings, dtype=float)
-    offsets = (nu - np.round(nu / fsr) * fsr)[:, None] - fsr * np.arange(-orders, orders + 1)
+    offsets = ((nu - np.round(nu / fsr) * fsr)[:, None]
+               - fsr * np.arange(-_VOIGT_ORDERS, _VOIGT_ORDERS + 1))
     total = np.zeros(len(nu))
     for strength, sigma in _comb_lines(species_weights, wavelength):
         total += strength * math.pi * hwhm * special.voigt_profile(
@@ -731,8 +735,8 @@ def check_forecast_consistency(rng: np.random.Generator) -> CheckResult:
     report = experiment.ultracold_forecast(anchor, target, 1e5, 1e5)
     waist = optics.symmetric_waist(6e-3, 45e-3, 532e-9)
     residual = _worst(
-        abs(report.ensemble_rate
-            - report.per_molecule_in_cavity_rate * report.n_molecules),
+        abs(report.ensemble_rate_Hz
+            - report.per_molecule_in_cavity_rate_Hz * report.n_molecules),
         abs(report.cavity_free_space_ratio
             - overlap.purcell_ratio(1e5, 532e-9, waist)),
     )

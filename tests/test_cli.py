@@ -12,7 +12,10 @@ The three ``overlap`` files were rewritten when the on-axis overlap
 became the closed form of its integral: ``overlap_numeric`` moved by
 -3.4e-15 relative, and ``relative_difference`` came to 1.2e-12 from the
 exact sqrt(1 + (z0/z)^2) - 1 (the Gauss-Legendre rule it replaced was
-6.8e-11 from it).
+6.8e-11 from it). The four ``forecast`` files were rewritten when the
+forecast took the ``key  value`` writer of the other reports: its JSON
+lost ``purcell_2c``, a copy of ``cavity_free_space_ratio``, and went to
+schema ``cavray.forecast-report/2``.
 """
 
 import contextlib
@@ -31,10 +34,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavray import (ScenarioConfig, derive_cavity_params, load_species_table,
-                    scan_spectrum)
+from cavray import ScenarioConfig, derive_cavity_params, scan_spectrum
 from cavray.cli import main
 from cavray.config import KEYS, parse_config
+from cavray.gases import config_species
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMO = ROOT / "demos" / "reference_cavity.cfg"
@@ -173,6 +176,37 @@ def test_validate_reads_the_packaged_species_table(capsys, monkeypatch, tmp_path
     assert out.endswith("25/25 checks passed\n")
 
 
+@pytest.mark.parametrize("command", ["scan", "forecast"])
+@pytest.mark.parametrize("rows, line, problem", [
+    ("Xe 131.29 inf\n", 3, "polarizability must be finite and positive, got inf"),
+    ("Xe nan 4.04\n", 3, "molar_mass must be finite and positive, got nan"),
+    ("Xe 131.29 4.04\nN2 28.01 1.74\n", 4, "species 'N2' is listed twice"),
+], ids=["inf", "nan", "duplicate"])
+def test_species_table_row_that_cannot_be_used_is_named(capsys, monkeypatch, tmp_path,
+                                                        command, rows, line, problem):
+    # an infinite polarizability used to reach the scan as three numpy
+    # RuntimeWarnings, and a repeated name to replace the earlier row
+    table = tmp_path / "species.txt"
+    table.write_text("CF3H 70.01 2.80\nN2 28.01 1.74\n" + rows)
+    monkeypatch.setenv("CAVRAY_SPECIES_DB", str(table))
+    code, out, err = run_cli(capsys, command, "--config", str(DEMO))
+    assert code == 2
+    assert out == ""
+    assert f"{table}:{line}: " in err and problem in err
+
+
+@pytest.mark.parametrize("command, key, names", [
+    ("scan", "scan.species", "Xe, Kr"),
+    ("forecast", "gas.species", "Kr"),
+])
+def test_unknown_species_names_its_key_and_the_table(capsys, tmp_path, command, key,
+                                                     names):
+    code, out, err = run_on_key_variant(capsys, tmp_path, command, key, names)
+    assert code == 2
+    assert out == ""
+    assert f"{key}: unknown species 'Kr'; table has: CF3H, N2, Xe" in err
+
+
 def _scan_csv(capsys, path):
     code, out, err = run_cli(capsys, "scan", "--config", str(path), "--format", "csv")
     assert code == 0, err
@@ -184,11 +218,11 @@ def _expected_scan(path):
     ``path``, which gives no ``scan.weight<i>``."""
     values = parse_config(path)
     scenario = ScenarioConfig.from_values(values)
-    table = load_species_table(temperature=values["gas.temperature"])
+    names = [name.strip() for name in values["scan.species"].split(",")]
     wavelength = scenario.pump.wavelength
     return scan_spectrum(
         derive_cavity_params(scenario.cavity, wavelength),
-        [(table[name.strip()], 1.0) for name in values["scan.species"].split(",")],
+        [(gas, 1.0) for gas in config_species(values, "scan.species", names)],
         scan_range=values["scan.range"], resolution=values["scan.resolution"],
         wavelength=wavelength, normalize=True,
     )

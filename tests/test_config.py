@@ -242,7 +242,7 @@ def _key_read(node):
 def test_declared_keys_are_the_keys_the_handlers_read():
     source = Path(cavray.__file__).parent
     read = set()
-    for module in ("cli", "experiment", "optics"):
+    for module in ("cli", "experiment", "gases", "optics"):
         tree = ast.parse((source / f"{module}.py").read_text(encoding="utf-8"))
         read |= {_key_read(node) for node in ast.walk(tree)} - {None}
     assert "?" not in read, "every key a handler reads is written out"

@@ -271,13 +271,13 @@ class TestScanSpectrum:
             scan_spectrum(reference_params, [(species["Xe"], 1.0)],
                           points, 25e6, WAVELENGTH)
 
-    def test_rejects_lines_beyond_table_cap(self):
+    def test_rejects_lines_beyond_table_cap(self, species):
         # 1e-7 K gas in a finesse-3e7 cavity: ~5e6 harmonics before the
         # terms fade, a table of 2**27 entries
         cavity = derive_cavity_params(
             CavityGeometry(6e-3, 45e-3, MirrorSpec(1.0 - 1e-7), MirrorSpec(1.0 - 1e-7)),
             WAVELENGTH)
-        gas = load_species_table(temperature=1e-7)["Xe"]
+        gas = species["Xe"]._replace(temperature=1e-7)
         with pytest.raises(ValueError, match="finesse.*gas.temperature"):
             scan_spectrum(cavity, [(gas, 1.0)], 1e6, 1e3, WAVELENGTH)
 
@@ -293,8 +293,9 @@ def _scan_case(name):
     cavity = derive_cavity_params(
         CavityGeometry(6e-3, 45e-3, MirrorSpec(reflectivity), MirrorSpec(reflectivity)),
         WAVELENGTH)
-    table = load_species_table(temperature=temperature)
-    weights = [(table[n], w) for n, w in (("Xe", 1.0), ("CF3H", 0.7), ("N2", 1.3))]
+    table = load_species_table()
+    weights = [(table[n]._replace(temperature=temperature), w)
+               for n, w in (("Xe", 1.0), ("CF3H", 0.7), ("N2", 1.3))]
     return cavity, weights, 37.5e9, resolution
 
 
@@ -387,7 +388,9 @@ class TestTraceSerialization:
         assert buffer.getvalue().splitlines()[0] == "detuning_Hz,signal_normalized"
 
     def test_json_schema_versioned(self, trace):
-        assert '"schema": "cavray.spectrum-trace/1"' in trace.to_json()
+        buffer = io.StringIO()
+        trace.to_json(buffer)
+        assert '"schema": "cavray.spectrum-trace/1"' in buffer.getvalue()
 
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):
@@ -436,7 +439,9 @@ class TestTraceSerialization:
                     "free_spectral_range_Hz": cavity.free_spectral_range,
                     "linewidth_Hz": cavity.linewidth,
                 }
-            assert trace.to_json() == json.dumps(payload, indent=2)
+            buffer = io.StringIO()
+            trace.to_json(buffer)
+            assert buffer.getvalue() == json.dumps(payload, indent=2)
 
     @given(hnp.arrays(np.float64, st.integers(0, 40), elements=FINITE_VALUES))
     @settings(max_examples=300, deadline=None)

@@ -297,6 +297,12 @@ def test_numpy_and_quadrature_stay_out_of_the_closed_forms(module):
         assert "quadrature" not in imported
 
 
+def test_experiment_computes_records_and_writes_no_json():
+    # every report's keys, schema and layout are chosen in ``cli``
+    tree = ast.parse((PACKAGE_DIR / "experiment.py").read_text())
+    assert "json" not in _imported_names(tree)
+
+
 def test_nan_residual_fails_its_check(monkeypatch):
     # builtin max(0.0, nan) is 0.0: a NaN oracle used to pass silently
     monkeypatch.setattr(validation, "_abcd_roundtrip_waist", lambda d, rc, wl: math.nan)
