@@ -1,11 +1,12 @@
 """Composite Gauss-Legendre quadrature: the one integration rule of the oracles.
 
-``integrate`` applies the n-point Gauss-Legendre rule on every panel
-between the given edges, then the 2n-point rule on the same panels, and
-returns the 2n-point value. |I_n - I_2n| estimates the error of I_n; for
-the smooth integrands here the 2n-point value is many orders closer.
-Several edge arrays integrate over their tensor product, the same rule
-in each variable.
+``integrate_rows`` computes one integral per row of panel edges. It
+applies the n-point Gauss-Legendre rule on every panel of every row, then
+the 2n-point rule, calling the integrand once per rule on all rows' nodes,
+and returns each row's 2n-point value. |I_n - I_2n| estimates the error of
+I_n; for the smooth integrands here the 2n-point value is many orders
+closer. Further edge arrays add variables shared by every row, integrated
+over the tensor product. ``integrate`` is the one-row case.
 
 A panel must not contain a feature much narrower than itself: both rules
 can miss it alike, and then the estimate misses it too. Put the edges at
@@ -39,37 +40,58 @@ def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _panel_rule(edges: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the n-point rule on every panel between ``edges``."""
-    nodes, weights = _legendre_rule(n)
-    half = (edges[1:] - edges[:-1])[:, None] / 2.0
-    middle = (edges[1:] + edges[:-1])[:, None] / 2.0
-    return (middle + half * nodes).ravel(), (half * weights).ravel()
+def _panels(rows: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Midpoint and half-width of every panel of every row, row after row."""
+    lower = np.concatenate([row[:-1] for row in rows])
+    upper = np.concatenate([row[1:] for row in rows])
+    return (upper + lower) / 2.0, (upper - lower) / 2.0
+
+
+def integrate_rows(integrand: Callable[..., np.ndarray], rows, *edges, what: str,
+                   rel_tol: float) -> np.ndarray:
+    """One integral per row of ``rows`` over the panels between its edges
+    (two or more); rows may differ in panel count.
+
+    The integrand takes the rows' nodes, shaped (panels, n), one node array
+    per array of ``edges`` on an axis of its own after those two, and each
+    panel's row index, shaped (panels, 1, ...). Returns each row's 2n-node
+    value, n = ``NODES``; raises ``ConvergenceError`` naming ``what`` and
+    the first row whose n-node value is off it by more than ``rel_tol``
+    times its size.
+    """
+    rows = [np.asarray(row, dtype=float) for row in rows]
+    panels = np.array([len(row) - 1 for row in rows])
+    if (panels < 1).any():
+        raise ValueError(f"{what}: every row needs at least two edges")
+    middle, half = _panels(rows)
+    shared = [_panels([np.asarray(e, dtype=float)]) for e in edges]
+    trailing = (1,) * len(edges)
+    row = np.repeat(np.arange(len(rows)), panels).reshape(-1, 1, *trailing)
+    first_panels = np.cumsum(panels) - panels
+    estimates = []
+    for n in (NODES, 2 * NODES):
+        nodes, weights = _legendre_rule(n)
+        grid = np.ix_(*((m[:, None] + h[:, None] * nodes).ravel() for m, h in shared))
+        values = integrand((middle[:, None] + half[:, None] * nodes).reshape(-1, n, *trailing),
+                           *(x[None, None] for x in grid), row)
+        for _, h in reversed(shared):
+            values = values @ (h[:, None] * weights).ravel()
+        estimates.append(np.add.reduceat(values @ weights * half, first_panels))
+    coarse, fine = estimates
+    error = np.abs(fine - coarse)
+    converged = error <= rel_tol * np.abs(fine)
+    if not converged.all():
+        failed = int(np.argmin(converged))
+        raise ConvergenceError(f"{what}, row {failed}", float(error[failed]))
+    return fine
 
 
 def integrate(integrand: Callable[..., np.ndarray], *edges, what: str,
               rel_tol: float) -> float:
-    """Integral of ``integrand`` over the panels between each array of ``edges``.
-
-    The integrand takes one node array per edge array, shaped to broadcast
-    against each other as ``np.ix_`` shapes them, and returns the values on
-    that grid. Returns the 2n-node value, n = ``NODES``; raises
-    ``ConvergenceError`` naming ``what`` when the n-node value differs from
-    it by more than ``rel_tol`` times its size.
-    """
-    edges = [np.asarray(e, dtype=float) for e in edges]
-    estimates = []
-    for n in (NODES, 2 * NODES):
-        rules = [_panel_rule(e, n) for e in edges]
-        values = integrand(*np.ix_(*(x for x, _ in rules)))
-        for _, weights in reversed(rules):
-            values = values @ weights
-        estimates.append(float(values))
-    coarse, fine = estimates
-    error = abs(fine - coarse)
-    if not error <= rel_tol * abs(fine):
-        raise ConvergenceError(what, error)
-    return fine
+    """Integral over the panels between each array of ``edges``: the one-row
+    case of ``integrate_rows``, with an integrand that takes no row index."""
+    return float(integrate_rows(lambda *nodes: integrand(*nodes[:-1]), edges[:1],
+                                *edges[1:], what=what, rel_tol=rel_tol)[0])
 
 
 def graded_edges(scale: float, stop: float, breakpoints=()) -> np.ndarray:
@@ -78,6 +100,6 @@ def graded_edges(scale: float, stop: float, breakpoints=()) -> np.ndarray:
     ``scale`` is the width of the narrowest feature at 0.
     """
     count = max(0, math.ceil(math.log2(stop / scale)))
-    geometric = scale * 2.0 ** np.arange(count)
-    return np.unique(np.concatenate(([0.0, stop], geometric[geometric < stop],
-                                     [b for b in breakpoints if 0.0 < b < stop])))
+    inside = (x for x in (*(scale * 2.0 ** k for k in range(count)), *breakpoints)
+              if 0.0 < x < stop)
+    return np.array(sorted({0.0, stop, *inside}))

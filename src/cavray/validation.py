@@ -12,7 +12,8 @@ check in two a draw), row by row the numbers that one scalar draw per
 input would give; it calls the closed forms once per draw and reduces
 its residuals once. The position average runs on a few midpoint nodes,
 on which it is exact. Every integral runs the composite Gauss-Legendre
-rule of ``cavray.quadrature``, so the suite needs numpy alone. The checks
+rule of ``cavray.quadrature``, so the suite needs numpy alone; a check's
+integrals go in one batch, whose integrand runs once per rule. The checks
 read the packaged species table, whose values their expected numbers
 belong to, whatever table ``CAVRAY_SPECIES_DB`` names.
 """
@@ -216,7 +217,7 @@ def check_power_linearity(rng: np.random.Generator) -> CheckResult:
 def check_finesse_monotone(rng: np.random.Generator) -> CheckResult:
     transmissions = np.linspace(1e-4, 0.9, 200)
     values = [optics.finesse(optics.MirrorSpec(1.0 - t), optics.MirrorSpec(0.99))
-              for t in transmissions]
+              for t in transmissions.tolist()]
     monotone = all(a > b for a, b in zip(values, values[1:]))
     return CheckResult("finesse monotone decreasing in transmission", monotone,
                        "strictly decreasing over T in [1e-4, 0.9]" if monotone
@@ -225,7 +226,7 @@ def check_finesse_monotone(rng: np.random.Generator) -> CheckResult:
 
 def check_finesse_taylor(rng: np.random.Generator) -> CheckResult:
     residuals = []
-    for t in np.linspace(1e-4, 0.0099, 40):
+    for t in np.linspace(1e-4, 0.0099, 40).tolist():
         mirror = optics.MirrorSpec(1.0 - t)
         exact = optics.finesse(mirror, mirror)
         approx = 2.0 * math.pi / (2.0 * t)
@@ -388,25 +389,20 @@ def check_abcd_mode_spacing(rng: np.random.Generator) -> CheckResult:
 _TRUNCATION_WIDTHS = 8.0
 
 
-def _dipole_normalization(prefactor: float = overlap.DIPOLE_PREFACTOR,
-                          latitude_range: tuple[float, float] = (-math.pi / 2, math.pi / 2),
-                          rel_tol: float = 1e-9) -> float:
-    """Numerically integrate the dipole-mode intensity over the sphere.
-
-    Returns the integral value (1 for the default prefactor and full
-    latitude range; scales quadratically with the prefactor). cos^3 is
-    entire: one Gauss-Legendre panel holds it to rounding.
-    """
-    return quadrature.integrate(lambda t: 2.0 * math.pi * prefactor ** 2 * np.cos(t) ** 3,
-                                latitude_range, what="dipole mode normalization",
-                                rel_tol=rel_tol)
+def _dipole_normalization() -> float:
+    """Numerically integrate the dipole-mode intensity over the sphere; 1
+    when ``overlap.DIPOLE_PREFACTOR`` normalizes it. cos^3 is entire: one
+    Gauss-Legendre panel holds it to rounding."""
+    return quadrature.integrate(
+        lambda t: 2.0 * math.pi * overlap.DIPOLE_PREFACTOR ** 2 * np.cos(t) ** 3,
+        (-math.pi / 2, math.pi / 2), what="dipole mode normalization", rel_tol=1e-9)
 
 
-def _radial_field(mode: overlap.GaussianMode, z: float):
-    """The intensity-normalized field of ``mode`` in the plane z, as a
-    function of an array of radii r."""
-    width, norm = mode.width(z), mode.normalization(z)
-    return lambda r: np.exp(-(r / width) ** 2) / norm
+def _radial_field(mode: overlap.GaussianMode, planes):
+    """The intensity-normalized field of ``mode`` in each plane z of
+    ``planes``, as a function of radii r and the index of each r's plane."""
+    width, norm = (np.array([f(z) for z in planes]) for f in (mode.width, mode.normalization))
+    return lambda r, row: np.exp(-(r / width[row]) ** 2) / norm[row]
 
 
 def _radial_edges(mode: overlap.GaussianMode, z: float) -> np.ndarray:
@@ -415,13 +411,14 @@ def _radial_edges(mode: overlap.GaussianMode, z: float) -> np.ndarray:
     return quadrature.graded_edges(width, _TRUNCATION_WIDTHS * width)
 
 
-def _gaussian_normalization(waist: float, wavelength: float, z: float) -> float:
-    """Numerically integrate the Gaussian-mode intensity over a plane at z."""
+def _gaussian_normalization(waist: float, wavelength: float, planes) -> np.ndarray:
+    """Numerically integrate the Gaussian-mode intensity over each plane z
+    of ``planes``, in one batch."""
     mode = overlap.GaussianMode(waist, wavelength)
-    radial = _radial_field(mode, z)
-    return quadrature.integrate(lambda r: 2.0 * math.pi * radial(r) ** 2 * r,
-                                _radial_edges(mode, z),
-                                what="gaussian mode normalization", rel_tol=1e-9)
+    radial = _radial_field(mode, planes)
+    return quadrature.integrate_rows(lambda r, row: 2.0 * math.pi * radial(r, row) ** 2 * r,
+                                     [_radial_edges(mode, z) for z in planes],
+                                     what="gaussian mode normalization", rel_tol=1e-9)
 
 
 def check_dipole_normalization(rng: np.random.Generator) -> CheckResult:
@@ -430,9 +427,8 @@ def check_dipole_normalization(rng: np.random.Generator) -> CheckResult:
 
 
 def check_gaussian_normalization(rng: np.random.Generator) -> CheckResult:
-    mode = overlap.GaussianMode(waist=45e-6, wavelength=532e-9)
-    worst = _worst(*(abs(_gaussian_normalization(45e-6, 532e-9, z) - 1.0)
-                     for z in (0.0, mode.rayleigh_length, 10.0 * mode.rayleigh_length)))
+    z0 = overlap.GaussianMode(waist=45e-6, wavelength=532e-9).rayleigh_length
+    worst = _worst(np.abs(_gaussian_normalization(45e-6, 532e-9, (0.0, z0, 10.0 * z0)) - 1.0))
     return _result("gaussian mode intensity normalization", worst, 1e-6)
 
 
@@ -445,9 +441,8 @@ def check_overlap_far_field(rng: np.random.Generator) -> CheckResult:
     residual_near = abs(near - analytic) / analytic
     residual_far = abs(far - analytic) / analytic
     # the closed form of the on-axis integral against its quadrature
-    quadrature = _worst(*(abs(value - oracle) / oracle for value, oracle in (
-        (near, _on_axis_overlap_quadrature(wavelength, waist, 100.0 * z0)),
-        (far, _on_axis_overlap_quadrature(wavelength, waist, 1e4 * z0)))))
+    oracle = _on_axis_overlap_quadrature(wavelength, waist, (100.0 * z0, 1e4 * z0))
+    quadrature = _worst(np.abs(np.array([near, far]) - oracle) / oracle)
     passed = residual_near <= 1e-3 and residual_far <= 1e-5 and quadrature <= 1e-12
     detail = f"residual {residual_near:.3e} at 100 z0, {residual_far:.3e} at 1e4 z0"
     if not quadrature <= 1e-12:
@@ -491,27 +486,36 @@ def check_purcell_separation_cancels(rng: np.random.Generator) -> CheckResult:
     return _result("mirror separation cancels in the Purcell factor", residual, 1e-12)
 
 
-def _overlap_quadrature(observed_fwhm: float, linewidth: float) -> float:
-    """The Doppler/cavity overlap integral by composite Gauss-Legendre quadrature.
+def _overlap_quadrature(observed_fwhm: float, linewidths) -> np.ndarray:
+    """The Doppler/cavity overlap integral for each of ``linewidths``, by
+    composite Gauss-Legendre quadrature in one batch.
 
     Area-normalized Gaussian times peak-normalized Lorentzian over a window
     of 8 Gaussian sigma plus 40 Lorentzian HWHM, where the slowly decaying
     Lorentzian wings stop mattering.
     """
     sigma = observed_fwhm / spectra._FWHM_PER_SIGMA
-    hwhm = linewidth / 2.0
+    hwhms = [linewidth / 2.0 for linewidth in linewidths]
+    hwhm_sq = np.array(hwhms) ** 2
+    # the Lorentzian's peak normalization times the Gaussian's area one
+    scale = hwhm_sq / (sigma * math.sqrt(2.0 * math.pi))
 
-    def integrand(nu):
-        gauss = np.exp(-nu ** 2 / (2.0 * sigma ** 2)) / (sigma * math.sqrt(2.0 * math.pi))
-        return gauss * hwhm ** 2 / (nu ** 2 + hwhm ** 2)
+    def integrand(nu, row):
+        # in place: each fresh ~0.2 MB array of the 2n rule costs page faults
+        nu_sq = nu ** 2
+        values = np.exp(nu_sq / (-2.0 * sigma ** 2))
+        values *= scale[row]
+        nu_sq += hwhm_sq[row]
+        return np.divide(values, nu_sq, out=values)
 
     # panels break at +-8 sigma and +-8 hwhm and double in width out from the
     # narrower feature: over the checked hwhm/sigma of 1e-3 to 10, even 96
     # nodes on one panel across the window miss 9 % to all of the integral
-    half = quadrature.graded_edges(min(sigma, hwhm), 8.0 * sigma + 40.0 * hwhm,
-                                   (8.0 * sigma, 8.0 * hwhm))
-    return quadrature.integrate(integrand, np.concatenate((-half[:0:-1], half)),
-                                what="spectral overlap", rel_tol=1e-10)
+    halves = [quadrature.graded_edges(min(sigma, h), 8.0 * sigma + 40.0 * h,
+                                      (8.0 * sigma, 8.0 * h)) for h in hwhms]
+    windows = [np.concatenate((-half[:0:-1], half)) for half in halves]
+    return quadrature.integrate_rows(integrand, windows, what="spectral overlap",
+                                     rel_tol=1e-10)
 
 
 def _doppler_width(wavelength: float, temperature: float, molar_mass: float,
@@ -527,14 +531,15 @@ def _doppler_width(wavelength: float, temperature: float, molar_mass: float,
     return spectra._FWHM_PER_SIGMA * sigma_v * np.linalg.norm(k_out - k_in) / wavelength
 
 
-def _on_axis_overlap_quadrature(wavelength: float, waist: float, z: float) -> float:
-    """The on-axis overlap integral on the plane at z by Gauss-Legendre quadrature."""
+def _on_axis_overlap_quadrature(wavelength: float, waist: float, planes) -> np.ndarray:
+    """The on-axis overlap integral on each plane z of ``planes`` by
+    Gauss-Legendre quadrature, in one batch."""
     mode = overlap.GaussianMode(waist, wavelength)
-    axial = overlap.DIPOLE_PREFACTOR / z
-    radial = _radial_field(mode, z)
-    return quadrature.integrate(lambda r: 2.0 * math.pi * axial * radial(r) * r,
-                                _radial_edges(mode, z),
-                                what="on-axis overlap", rel_tol=1e-12)
+    axial = np.array([overlap.DIPOLE_PREFACTOR / z for z in planes])
+    radial = _radial_field(mode, planes)
+    return quadrature.integrate_rows(
+        lambda r, row: 2.0 * math.pi * axial[row] * radial(r, row) * r,
+        [_radial_edges(mode, z) for z in planes], what="on-axis overlap", rel_tol=1e-12)
 
 
 def _exact_overlap_quadrature(wavelength: float, waist: float, z: float) -> float:
@@ -542,13 +547,13 @@ def _exact_overlap_quadrature(wavelength: float, waist: float, z: float) -> floa
     dipole field, by Gauss-Legendre quadrature over the (r, phi) tensor
     product; ``ConvergenceError`` past 1e-9 relative."""
     mode = overlap.GaussianMode(waist, wavelength)
-    radial = _radial_field(mode, z)
+    radial = _radial_field(mode, (z,))
 
     def integrand(r, phi):
         dist_sq = r ** 2 + z ** 2
         # dipole axis lies in the plane transverse to the cavity at phi=0
         cos_latitude = np.sqrt(1.0 - (r * np.cos(phi)) ** 2 / dist_sq)
-        return overlap.DIPOLE_PREFACTOR * cos_latitude / np.sqrt(dist_sq) * radial(r) * r
+        return overlap.DIPOLE_PREFACTOR * cos_latitude / np.sqrt(dist_sq) * radial(r, 0) * r
 
     quarter_turns = np.linspace(0.0, 2.0 * math.pi, 5)
     return quadrature.integrate(integrand, _radial_edges(mode, z), quarter_turns,
@@ -556,19 +561,16 @@ def _exact_overlap_quadrature(wavelength: float, waist: float, z: float) -> floa
 
 
 def check_spectral_overlap_closed_form(rng: np.random.Generator) -> CheckResult:
-    residuals = []
     observed = spectra.observed_doppler_fwhm(_packaged_species()["Xe"], 532e-9)
-    for exponent in rng.uniform(5.5, 10.0, size=40).tolist():
-        linewidth = 10 ** exponent
-        closed = spectra.spectral_overlap(observed, linewidth)
-        quadrature = _overlap_quadrature(observed, linewidth)
-        residuals.append(abs(quadrature - closed) / closed)
-    return _result("spectral overlap vs Faddeeva closed form", _worst(*residuals), 1e-6)
+    linewidths = [10 ** exponent for exponent in rng.uniform(5.5, 10.0, size=40).tolist()]
+    closed = np.array([spectra.spectral_overlap(observed, w) for w in linewidths])
+    residuals = np.abs(_overlap_quadrature(observed, linewidths) - closed) / closed
+    return _result("spectral overlap vs Faddeeva closed form", _worst(residuals), 1e-6)
 
 
 def check_spectral_overlap_limits(rng: np.random.Generator) -> CheckResult:
     observed = spectra.observed_doppler_fwhm(_packaged_species()["Xe"], 532e-9)
-    widths = np.logspace(5.0, 12.0, 30)
+    widths = np.logspace(5.0, 12.0, 30).tolist()
     values = [spectra.spectral_overlap(observed, w) for w in widths]
     monotone = all(a < b for a, b in zip(values, values[1:]))
     bounded = all(0.0 < v <= 1.0 + 1e-12 for v in values)

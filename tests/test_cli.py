@@ -228,6 +228,15 @@ def _expected_scan(path):
     )
 
 
+@pytest.mark.parametrize("path", [DEMO, COLD], ids=["demo", "cold_pair"])
+def test_scan_grid_folds_with_fmod_as_with_mod(path):
+    # scan_spectrum folds its grid into one FSR with np.fmod: on a grid from
+    # 0 up that is np.mod to the bit, so every table cell is the same
+    trace = _expected_scan(path)
+    fsr = trace.cavity.free_spectral_range
+    assert np.array_equal(np.fmod(trace.detunings, fsr), np.mod(trace.detunings, fsr))
+
+
 def test_scan_uses_the_config_temperature(capsys, tmp_path):
     cold_cfg = write_demo_variant(tmp_path, **{"gas.temperature_K": "150.0"})
     warm = np.loadtxt(io.StringIO(_scan_csv(capsys, DEMO)), delimiter=",", skiprows=1)

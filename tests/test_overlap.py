@@ -14,11 +14,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cavray import (cavity_power_budget, dipole_mode_power, overlap_eta_analytic,
-                    overlap_eta_numeric, purcell_factor, purcell_ratio, validation)
+                    overlap_eta_numeric, purcell_factor, purcell_ratio, quadrature,
+                    validation)
 from cavray.overlap import DIPOLE_PREFACTOR, GaussianMode
 
 WAVELENGTH = 532e-9
 WAIST = 45e-6
+
+
+def dipole_intensity_integral(latitude_range=(-math.pi / 2, math.pi / 2),
+                              prefactor=DIPOLE_PREFACTOR):
+    """The dipole-mode intensity over a latitude range, by the quadrature
+    entry with the cos^3 integrand of ``validation._dipole_normalization``."""
+    return quadrature.integrate(lambda t: 2.0 * math.pi * prefactor ** 2 * np.cos(t) ** 3,
+                                latitude_range, what="dipole mode normalization",
+                                rel_tol=1e-9)
 
 
 class TestDipoleNormalization:
@@ -26,7 +36,7 @@ class TestDipoleNormalization:
         assert validation._dipole_normalization() == pytest.approx(1.0, abs=1e-6)
 
     def test_quadratic_in_prefactor(self):
-        assert validation._dipole_normalization(2.0 * DIPOLE_PREFACTOR) == pytest.approx(
+        assert dipole_intensity_integral(prefactor=2.0 * DIPOLE_PREFACTOR) == pytest.approx(
             4.0, abs=1e-6
         )
 
@@ -36,11 +46,11 @@ class TestDipoleNormalization:
             return 0.75 * 2.0 * (math.sin(theta) - math.sin(theta) ** 3 / 3.0)
 
         for theta in (math.pi / 4.0, math.pi / 6.0, 1.0):
-            numeric = validation._dipole_normalization(latitude_range=(-theta, theta))
+            numeric = dipole_intensity_integral((-theta, theta))
             assert numeric == pytest.approx(closed(theta), rel=1e-9)
 
     def test_quarter_range_value(self):
-        value = validation._dipole_normalization(latitude_range=(-math.pi / 4, math.pi / 4))
+        value = dipole_intensity_integral((-math.pi / 4, math.pi / 4))
         assert value == pytest.approx(0.8838834764831844, rel=1e-9)
 
 
@@ -48,7 +58,7 @@ class TestGaussianNormalization:
     @pytest.mark.parametrize("z_factor", [0.0, 0.5, 1.0, 10.0, 100.0])
     def test_normalized_at_every_plane(self, z_factor):
         z = z_factor * GaussianMode(WAIST, WAVELENGTH).rayleigh_length
-        assert validation._gaussian_normalization(WAIST, WAVELENGTH, z) == pytest.approx(
+        assert validation._gaussian_normalization(WAIST, WAVELENGTH, (z,))[0] == pytest.approx(
             1.0, abs=1e-6
         )
 
@@ -110,7 +120,7 @@ class TestOverlapNumeric:
             wavelength = rng.uniform(500e-9, 560e-9)
             waist = rng.uniform(30e-6, 60e-6)
             z = rng.uniform(10.0, 1e4) * GaussianMode(waist, wavelength).rayleigh_length
-            oracle = validation._on_axis_overlap_quadrature(wavelength, waist, z)
+            oracle = validation._on_axis_overlap_quadrature(wavelength, waist, (z,))[0]
             value = overlap_eta_numeric(wavelength, waist, z)
             assert abs(value - oracle) <= 1e-12 * oracle
 

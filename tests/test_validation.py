@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cavray import field, overlap, spectra, validation
+from cavray import field, overlap, quadrature, spectra, validation
 
 
 @pytest.mark.parametrize("seed", [0, 20260])
@@ -150,6 +150,24 @@ def test_checks_draw_their_inputs_in_a_few_generator_calls():
     assert rng.calls <= 40
 
 
+def test_quadrature_checks_make_one_batch_call_each(monkeypatch):
+    # every integral of a check goes into one ``integrate_rows`` call, which
+    # runs its integrand once per rule, not once per integral
+    batch = quadrature.integrate_rows
+    calls = []
+    monkeypatch.setattr(quadrature, "integrate_rows",
+                        lambda *args, **kwargs: calls.append(1) or batch(*args, **kwargs))
+    made = {}
+    rng = np.random.default_rng(0)
+    for check in validation.ALL_CHECKS:
+        calls.clear()
+        assert check(rng).passed
+        made[check.__name__] = len(calls)
+    assert {name: count for name, count in made.items() if count} == {
+        "check_dipole_normalization": 1, "check_gaussian_normalization": 1,
+        "check_overlap_far_field": 1, "check_spectral_overlap_closed_form": 1}
+
+
 @pytest.mark.parametrize("seed", [0, 20260])
 def test_array_recursion_matches_the_scalar_sum_per_draw(seed):
     draws = roundtrip_draws(np.random.default_rng(seed))
@@ -212,7 +230,8 @@ def test_purcell_check_reports_the_residual_of_the_scalar_draws(seed):
 
 
 def test_run_all_stays_within_its_memory_budget():
-    # the oracles hold one draw's quadrature nodes at a time, and the draws'
+    # the oracles hold one check's quadrature nodes of one rule at a time
+    # (~28k for the spectral overlap's 40 windows at 2n), and the draws'
     # round-trip terms or few position-average nodes at once; 10,000 nodes
     # for every draw would raise the peak well beyond this
     tracemalloc.start()
