@@ -275,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="output format")
         else:
             p.add_argument("--seed", type=_seed, default=0,
-                           help="seed of the checks' random draws")
+                           help="seed from which each check's stream is derived")
         p.add_argument("--out", default=None, help="output directory")
         p.set_defaults(handler=handler)
     return parser

@@ -5,12 +5,11 @@ same number (explicit summation, quadrature, closed forms, ray-matrix
 eigenmodes, the thermal velocity spread projected on the scattering
 geometry) or asserts an exact identity. The oracles are private to this
 module, so the production modules hold only the closed forms they check.
-Checks are deterministic for a fixed seed, which seeds the random draws
-of their inputs; this is the one module of the package that draws random
-numbers. A check draws its inputs in one generator call (the Doppler
-check in two a draw), row by row the numbers that one scalar draw per
-input would give; it calls the closed forms once per draw and reduces
-its residuals once. The position average runs on a few midpoint nodes,
+Checks are deterministic for a fixed seed; this is the one module of the
+package that draws random numbers. Each check draws its inputs from its
+own stream, keyed by the seed and its name, in one or two generator
+calls; it calls the closed forms once per draw and reduces its residuals
+once. The position average runs on a few midpoint nodes,
 on which it is exact. Every integral runs the composite Gauss-Legendre
 rule of ``cavray.quadrature``, so the suite needs numpy alone; a check's
 integrals go in one batch, whose integrand runs once per rule. The checks
@@ -22,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import zlib
 from typing import Callable
 
 import numpy as np
@@ -58,17 +58,15 @@ def _worst(*residuals) -> float:
 
 
 def _uniform_rows(rng: np.random.Generator, n_rows: int, *ranges) -> np.ndarray:
-    """n_rows x len(ranges) uniform draws, column i on ranges[i] = (low, high).
-
-    One generator call, and row by row the same numbers, in the same order,
-    as one scalar ``rng.uniform(low, high)`` per range and row: each is
-    low + (high - low) * the next double of the stream.
+    """n_rows x len(ranges) uniform draws, column i on ranges[i] = (low, high),
+    in one generator call; row by row, each is low + (high - low) * the next
+    double of the stream, as a scalar ``rng.uniform(low, high)`` would be.
     """
     lows, highs = zip(*ranges)
     return rng.uniform(lows, highs, size=(n_rows, len(ranges)))
 
 
-# random draws per check; the replays in the tests read the same constants
+# random draws per check; the tests read the same constants
 _ROUNDTRIP_DRAWS = 200
 _FIELD_AVERAGE_DRAWS = 200
 # midpoint nodes of the position average; any n >= 3 is exact
@@ -678,15 +676,13 @@ def check_scan_linearity(rng: np.random.Generator) -> CheckResult:
 def check_doppler_monte_carlo(rng: np.random.Generator) -> CheckResult:
     xenon = _packaged_species()["Xe"]
     residuals = []
-    for _ in range(_DOPPLER_DRAWS):
-        # two calls a draw: the normal draws take a varying number of words
-        # from the stream, so batching them would move every later draw
-        log_temperature, molar_mass, wavelength = rng.uniform(
-            (-6.0, 1e-3, 200e-9), (3.0, 0.3, 2000e-9)).tolist()
+    draws = _uniform_rows(rng, _DOPPLER_DRAWS, (-6.0, 3.0), (1e-3, 0.3), (200e-9, 2000e-9))
+    # per draw, a uniformly rotated perpendicular pair: Gram-Schmidt on two
+    # normal 3-vectors
+    directions = rng.standard_normal((_DOPPLER_DRAWS, 2, 3))
+    for (log_temperature, molar_mass, wavelength), (k_in, k_out) in zip(draws.tolist(),
+                                                                         directions):
         gas = xenon._replace(temperature=10 ** log_temperature, molar_mass=molar_mass)
-        # a uniformly rotated perpendicular pair: Gram-Schmidt on two
-        # normal 3-vectors
-        k_in, k_out = rng.standard_normal((2, 3))
         k_in /= np.linalg.norm(k_in)
         k_out -= (k_out @ k_in) * k_in
         k_out /= np.linalg.norm(k_out)
@@ -786,10 +782,24 @@ ALL_CHECKS: tuple[Callable[[np.random.Generator], CheckResult], ...] = (
 )
 
 
+def _check_rngs(seed: int) -> Callable[[str], np.random.Generator]:
+    """Each check's generator, by name: PCG64(seed) advanced crc32(name) * 2**64
+    steps, a stream of (seed, name) alone that no other name's overlaps. They
+    share one bit generator, reset per name: each serves until the next."""
+    bit_generator = np.random.PCG64(seed)
+    seeded = bit_generator.state
+
+    def check_rng(name: str) -> np.random.Generator:
+        bit_generator.state = seeded
+        return np.random.Generator(bit_generator.advance(zlib.crc32(name.encode()) << 64))
+    return check_rng
+
+
 def run_all(seed: int = 0) -> list[CheckResult]:
-    """Run every check with one seeded generator; order is fixed."""
-    rng = np.random.default_rng(seed)
-    return [check(rng) for check in ALL_CHECKS]
+    """Run every check of ``ALL_CHECKS``, in order, each on its own stream
+    derived from ``seed`` and its name."""
+    check_rng = _check_rngs(seed)
+    return [check(check_rng(check.__name__)) for check in ALL_CHECKS]
 
 
 def format_report(results: list[CheckResult]) -> str:

@@ -10,8 +10,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from cavray import (CavityGeometry, MirrorSpec, derive_cavity_params, finesse,
                     free_spectral_range, number_density, symmetric_waist,
@@ -94,22 +92,6 @@ class TestSymmetricWaist:
         with pytest.raises(ValueError):
             symmetric_waist(90e-3, 45e-3, WAVELENGTH)
 
-    @given(st.floats(0.05, 1.95), st.floats(5e-3, 0.5), st.floats(300e-9, 1600e-9))
-    # confocal: the round trip is -I and fixes no waist
-    @example(fraction=1.0, rc=0.5, wavelength=1.3437814641541738e-06)
-    # just outside the margin, where a floating-point round trip lost 7e-9
-    @example(fraction=0.999999998, rc=0.1222, wavelength=532e-9)
-    @settings(max_examples=200, deadline=None)
-    def test_agrees_with_abcd_eigenmode(self, fraction, rc, wavelength):
-        d = fraction * rc
-        closed = symmetric_waist(d, rc, wavelength)
-        if abs(1.0 - d / rc) < validation._CONFOCAL_MARGIN:
-            with pytest.raises(ValueError, match="confocal"):
-                validation._abcd_roundtrip_waist(d, rc, wavelength)
-            return
-        oracle = validation._abcd_roundtrip_waist(d, rc, wavelength)
-        assert abs(closed - oracle) / closed < 1e-9
-
 
 class TestTransverseModeSpacing:
     def test_paper_geometry(self):
@@ -128,15 +110,29 @@ class TestTransverseModeSpacing:
         assert (transverse_mode_spacing(1e-7, 45e-3)
                 / free_spectral_range(1e-7)) < 1e-3
 
-    @given(st.floats(0.05, 1.95), st.floats(5e-3, 0.5))
-    # near the confocal point, where acos of a rounded half-trace lost 2e-9
-    @example(fraction=0.999999997, rc=0.5)
-    @settings(max_examples=200, deadline=None)
-    def test_agrees_with_abcd_gouy_phase(self, fraction, rc):
-        d = fraction * rc
-        closed = transverse_mode_spacing(d, rc)
-        oracle = validation._abcd_roundtrip_mode_spacing(d, rc)
-        assert abs(closed - oracle) / closed < 1e-9
+
+# the edge cases near the confocal point; validate's check_abcd_waist and
+# check_abcd_mode_spacing hold the closed forms to the round trip over
+# random geometries
+@pytest.mark.parametrize("closed_form, oracle, args", [
+    # confocal: the round trip is -I and fixes no waist
+    (symmetric_waist, validation._abcd_roundtrip_waist,
+     (1.0 * 0.5, 0.5, 1.3437814641541738e-06)),
+    # just outside the margin, where a floating-point round trip lost 7e-9
+    (symmetric_waist, validation._abcd_roundtrip_waist,
+     (0.999999998 * 0.1222, 0.1222, 532e-9)),
+    # where acos of a rounded half-trace lost 2e-9
+    (transverse_mode_spacing, validation._abcd_roundtrip_mode_spacing,
+     (0.999999997 * 0.5, 0.5)),
+], ids=["waist-confocal", "waist-near-confocal", "mode-spacing-near-confocal"])
+def test_closed_form_agrees_with_abcd_round_trip(closed_form, oracle, args):
+    d, rc = args[:2]
+    if abs(1.0 - d / rc) < validation._CONFOCAL_MARGIN:
+        with pytest.raises(ValueError, match="confocal"):
+            oracle(*args)
+        return
+    closed = closed_form(*args)
+    assert abs(closed - oracle(*args)) / closed < 1e-9
 
 
 class TestDeriveCavityParams:

@@ -1,6 +1,6 @@
-"""The oracle suite: every check passes, its draws are fixed, its
-bookkeeping handles NaN residuals and degenerate draws, and it is the only
-module that draws random numbers."""
+"""The oracle suite: every check passes on the stream ``run_all`` gives it,
+no check moves another's inputs, its bookkeeping handles NaN residuals and
+degenerate draws, and it is the only module that draws random numbers."""
 
 import ast
 import math
@@ -18,8 +18,39 @@ from cavray import field, overlap, quadrature, spectra, validation
 @pytest.mark.parametrize("check", validation.ALL_CHECKS,
                          ids=[check.__name__ for check in validation.ALL_CHECKS])
 def test_check_passes(check, seed):
-    result = check(np.random.default_rng(seed))
+    result = check(validation._check_rngs(seed)(check.__name__))
     assert result.passed, result.detail
+
+
+@pytest.mark.parametrize("seed", [0, 20260])
+def test_check_run_alone_equals_its_run_all_entry(seed):
+    alone = [check(validation._check_rngs(seed)(check.__name__))
+             for check in validation.ALL_CHECKS]
+    assert alone == validation.run_all(seed)
+
+
+@pytest.mark.parametrize("seed", [0, 20260])
+def test_a_check_inserted_first_moves_no_other_result(monkeypatch, seed):
+    def check_that_draws(rng):
+        rng.standard_normal(1001)
+        return validation.CheckResult("draws", True, "")
+
+    before = validation.run_all(seed)
+    monkeypatch.setattr(validation, "ALL_CHECKS",
+                        (check_that_draws, *validation.ALL_CHECKS))
+    assert validation.run_all(seed)[1:] == before
+
+
+def test_run_all_passes_over_a_seed_sweep():
+    failed = [(seed, result.name) for seed in range(30)
+              for result in validation.run_all(seed) if not result.passed]
+    assert failed == []
+
+
+def test_every_check_draws_from_a_distinct_stream():
+    names = [check.__name__ for check in validation.ALL_CHECKS]
+    check_rng = validation._check_rngs(0)
+    assert len({check_rng(name).random() for name in names}) == len(names)
 
 
 def roundtrip_draws(rng):
@@ -38,92 +69,11 @@ def roundtrip_draws(rng):
     return draws
 
 
-def field_average_draws(rng):
-    """The draws of the field-average check, one scalar draw at a time, in
-    order: five uniforms for each draw, then one integer for each."""
-    for _ in range(validation._FIELD_AVERAGE_DRAWS):
-        for low, high in [(0.0, 0.999), (0.0, 0.999), (1e-6, 1e-3), (0.1, 10.0),
-                          (1e6, 2e7)]:
-            rng.uniform(low, high)
-    for _ in range(validation._FIELD_AVERAGE_DRAWS):
-        rng.integers(1000, 40000)
-
-
 def purcell_draws(rng):
     """The draws of the Purcell check, one scalar draw at a time, in order."""
     return [(rng.uniform(1.0, 1e6), rng.uniform(200e-9, 2000e-9),
              rng.uniform(5e-6, 5e-4), rng.uniform(1e-3, 1.0))
             for _ in range(validation._PURCELL_DRAWS)]
-
-
-def doppler_draws(rng):
-    """The draws of the Doppler check, one scalar draw at a time, in order:
-    log10 temperature, molar mass, wavelength, then two normal 3-vectors."""
-    for _ in range(validation._DOPPLER_DRAWS):
-        for low, high in [(-6.0, 3.0), (1e-3, 0.3), (200e-9, 2000e-9)]:
-            rng.uniform(low, high)
-        for _ in range(6):
-            rng.standard_normal()
-
-
-def scalar_rows(n_rows, *ranges):
-    """A replay of ``n_rows`` rows of scalar uniform draws, one per range."""
-    def replay(rng):
-        return [[rng.uniform(low, high) for low, high in ranges] for _ in range(n_rows)]
-    return replay
-
-
-# every check that draws, with its draws one scalar draw at a time
-DRAW_REPLAYS = [
-    (validation.check_field_closed_form_vs_roundtrip, roundtrip_draws),
-    (validation.check_field_average_quadrature, field_average_draws),
-    (validation.check_power_budget_identities, scalar_rows(100, (1.0, 1e5), (0.1, 5.0))),
-    (validation.check_power_linearity,
-     scalar_rows(50, (0.1, 5.0), (2.0, 100.0), (10.0, 1e4))),
-    (validation.check_cavity_params_identities,
-     scalar_rows(100, (5e-3, 0.5), (0.05, 1.95), (0.5, 0.99999), (0.5, 0.99999),
-                 (300e-9, 1600e-9))),
-    (validation.check_abcd_waist,
-     scalar_rows(validation._ABCD_DRAWS, (5e-3, 0.5), (0.05, 1.95), (300e-9, 1600e-9))),
-    (validation.check_abcd_mode_spacing,
-     scalar_rows(validation._ABCD_DRAWS, (5e-3, 0.5), (0.05, 1.95))),
-    (validation.check_purcell_equivalence, purcell_draws),
-    (validation.check_purcell_separation_cancels, scalar_rows(50, (1e-4, 10.0))),
-    (validation.check_spectral_overlap_closed_form, scalar_rows(40, (5.5, 10.0))),
-    (validation.check_polarization_sum_rule,
-     scalar_rows(100, (0.0, 0.5), (0.0, 2.0 * math.pi))),
-    (validation.check_scan_linearity, scalar_rows(1, (2.0, 10.0))),
-    (validation.check_doppler_monte_carlo, doppler_draws),
-    (validation.check_backout_roundtrip,
-     scalar_rows(100, (1e-16, 1e-12), (10.0, 1e5), (0.01, 1.0), (0.1, 1.0))),
-    (validation.check_unit_convention_cancels,
-     scalar_rows(50, (1e-3, 1e3), (10.0, 1e5), (300e-9, 1600e-9), (1e-5, 1e-4))),
-]
-
-
-@pytest.mark.parametrize("check, replay", DRAW_REPLAYS)
-@pytest.mark.parametrize("seed", [0, 20260])
-def test_check_consumes_the_scalar_draw_sequence(check, replay, seed):
-    # the generator stream that every later check of run_all draws from; the
-    # spare half-word an integer draw leaves behind is stale once used, so
-    # its value may differ while the flag that it is there may not
-    checked, replayed = np.random.default_rng(seed), np.random.default_rng(seed)
-    check(checked)
-    replay(replayed)
-    checked, replayed = checked.bit_generator.state, replayed.bit_generator.state
-    assert checked["state"] == replayed["state"]
-    assert checked["has_uint32"] == replayed["has_uint32"]
-
-
-def test_every_check_that_draws_has_a_replay():
-    class NoDraws:
-        def __getattr__(self, name):
-            raise AssertionError(f"drew with {name}")
-
-    drawing = {check for check, _ in DRAW_REPLAYS}
-    for check in validation.ALL_CHECKS:
-        if check not in drawing:
-            check(NoDraws())
 
 
 class CountingRng:
@@ -142,12 +92,15 @@ class CountingRng:
 
 
 def test_checks_draw_their_inputs_in_a_few_generator_calls():
-    # one call per check, two for the field average (uniforms, integers)
-    # and two per Doppler draw: 35; a scalar draw per input would make
-    # ~4,900 calls at ~2 us each
-    rng = CountingRng(np.random.default_rng(0))
-    assert all(check(rng).passed for check in validation.ALL_CHECKS)
-    assert rng.calls <= 40
+    # one call per check that draws, two for the field average (uniforms,
+    # integers) and for the Doppler check (uniforms, normals): 17; a scalar
+    # draw per input would make ~4,900 calls at ~2 us each
+    calls = 0
+    for check in validation.ALL_CHECKS:
+        rng = CountingRng(validation._check_rngs(0)(check.__name__))
+        assert check(rng).passed
+        calls += rng.calls
+    assert calls <= 20
 
 
 def test_quadrature_checks_make_one_batch_call_each(monkeypatch):
@@ -158,10 +111,9 @@ def test_quadrature_checks_make_one_batch_call_each(monkeypatch):
     monkeypatch.setattr(quadrature, "integrate_rows",
                         lambda *args, **kwargs: calls.append(1) or batch(*args, **kwargs))
     made = {}
-    rng = np.random.default_rng(0)
     for check in validation.ALL_CHECKS:
         calls.clear()
-        assert check(rng).passed
+        assert check(validation._check_rngs(0)(check.__name__)).passed
         made[check.__name__] = len(calls)
     assert {name: count for name, count in made.items() if count} == {
         "check_dipole_normalization": 1, "check_gaussian_normalization": 1,
@@ -214,11 +166,6 @@ def test_run_all_raises_no_floating_point_error(seed):
 
 @pytest.mark.parametrize("seed", [0, 20260])
 def test_purcell_check_reports_the_residual_of_the_scalar_draws(seed):
-    # the (n, 4) array holds the scalar draws exactly, row by row
-    rng = np.random.default_rng(seed)
-    rows = rng.uniform((1.0, 200e-9, 5e-6, 1e-3), (1e6, 2000e-9, 5e-4, 1.0),
-                       size=(validation._PURCELL_DRAWS, 4))
-    assert [tuple(row) for row in rows.tolist()] == purcell_draws(np.random.default_rng(seed))
     worst = 0.0
     for f, wavelength, waist, d in purcell_draws(np.random.default_rng(seed)):
         a = overlap.purcell_factor(2.0 * d * f / wavelength, wavelength,
