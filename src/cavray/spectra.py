@@ -164,8 +164,7 @@ def spectral_overlap(observed_fwhm: float, cavity_linewidth: float) -> float:
 class SpectrumTrace:
     """Sampled (detuning, signal) data from a simulated cavity scan."""
 
-    def __init__(self, detunings, signals, species: str = "",
-                 cavity: CavityParams | None = None):
+    def __init__(self, detunings, signals, species: str, cavity: CavityParams):
         self.detunings = np.asarray(detunings, dtype=float)  # Hz
         self.signals = np.asarray(signals, dtype=float)      # dimensionless
         self.species = species
@@ -208,13 +207,12 @@ class SpectrumTrace:
         yield from _json_array(self.detunings)
         yield ',\n  "signal_normalized": '
         yield from _json_array(self.signals)
-        if self.cavity is not None:
-            cavity = {
-                "finesse": self.cavity.finesse,
-                "free_spectral_range_Hz": self.cavity.free_spectral_range,
-                "linewidth_Hz": self.cavity.linewidth,
-            }
-            yield ',\n  "cavity": ' + json.dumps(cavity, indent=2).replace("\n", "\n  ")
+        cavity = {
+            "finesse": self.cavity.finesse,
+            "free_spectral_range_Hz": self.cavity.free_spectral_range,
+            "linewidth_Hz": self.cavity.linewidth,
+        }
+        yield ',\n  "cavity": ' + json.dumps(cavity, indent=2).replace("\n", "\n  ")
         yield "\n}"
 
 

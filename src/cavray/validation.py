@@ -74,12 +74,19 @@ _FIELD_AVERAGE_NODES = 64
 _ABCD_DRAWS = 100
 _PURCELL_DRAWS = 1000
 _DOPPLER_DRAWS = 10
+# the cavity of the scan, species-ratio and forecast checks
+_REFERENCE_CAVITY = optics.CavityGeometry(6e-3, 45e-3, optics.MirrorSpec(0.997),
+                                          optics.MirrorSpec(0.997))
 
 
 @functools.lru_cache(maxsize=1)
 def _packaged_species() -> dict[str, gases.GasSpecies]:
     """The species table shipped with the package, read once."""
     return gases.load_species_table(gases._builtin_table_path())
+
+
+def _xenon_observed_fwhm() -> float:
+    return spectra.observed_doppler_fwhm(_packaged_species()["Xe"], 532e-9)
 
 
 # --- oracles for the interference field ---------------------------------------
@@ -559,7 +566,7 @@ def _exact_overlap_quadrature(wavelength: float, waist: float, z: float) -> floa
 
 
 def check_spectral_overlap_closed_form(rng: np.random.Generator) -> CheckResult:
-    observed = spectra.observed_doppler_fwhm(_packaged_species()["Xe"], 532e-9)
+    observed = _xenon_observed_fwhm()
     linewidths = [10 ** exponent for exponent in rng.uniform(5.5, 10.0, size=40).tolist()]
     closed = np.array([spectra.spectral_overlap(observed, w) for w in linewidths])
     residuals = np.abs(_overlap_quadrature(observed, linewidths) - closed) / closed
@@ -567,7 +574,7 @@ def check_spectral_overlap_closed_form(rng: np.random.Generator) -> CheckResult:
 
 
 def check_spectral_overlap_limits(rng: np.random.Generator) -> CheckResult:
-    observed = spectra.observed_doppler_fwhm(_packaged_species()["Xe"], 532e-9)
+    observed = _xenon_observed_fwhm()
     widths = np.logspace(5.0, 12.0, 30).tolist()
     values = [spectra.spectral_overlap(observed, w) for w in widths]
     monotone = all(a < b for a, b in zip(values, values[1:]))
@@ -660,9 +667,7 @@ def scan_fourier_series(detunings: np.ndarray, cavity: optics.CavityParams,
 
 
 def check_scan_linearity(rng: np.random.Generator) -> CheckResult:
-    geometry = optics.CavityGeometry(6e-3, 45e-3, optics.MirrorSpec(0.997),
-                                     optics.MirrorSpec(0.997))
-    params = optics.derive_cavity_params(geometry, 532e-9)
+    params = optics.derive_cavity_params(_REFERENCE_CAVITY, 532e-9)
     xenon = _packaged_species()["Xe"]
     scale = rng.uniform(2.0, 10.0)
     base = spectra.scan_spectrum(params, [(xenon, 1.0)], 5e9, 2e6, 532e-9)
@@ -694,9 +699,7 @@ def check_doppler_monte_carlo(rng: np.random.Generator) -> CheckResult:
 
 
 def check_species_ratio(rng: np.random.Generator) -> CheckResult:
-    geometry = optics.CavityGeometry(6e-3, 45e-3, optics.MirrorSpec(0.997),
-                                     optics.MirrorSpec(0.997))
-    params = optics.derive_cavity_params(geometry, 532e-9)
+    params = optics.derive_cavity_params(_REFERENCE_CAVITY, 532e-9)
     table = _packaged_species()
     ratios = spectra.species_ratio([table["Xe"], table["CF3H"], table["N2"]],
                                    params, 532e-9)
@@ -722,8 +725,7 @@ def check_backout_roundtrip(rng: np.random.Generator) -> CheckResult:
 def check_forecast_consistency(rng: np.random.Generator) -> CheckResult:
     table = _packaged_species()
     anchor = experiment.ScenarioConfig(
-        cavity=optics.CavityGeometry(6e-3, 45e-3, optics.MirrorSpec(0.997),
-                                     optics.MirrorSpec(0.997)),
+        cavity=_REFERENCE_CAVITY,
         gas=table["Xe"],
         pressure=1e4,
         pump=optics.PumpBeam(wavelength=532e-9, waist=50e-6),
@@ -731,7 +733,7 @@ def check_forecast_consistency(rng: np.random.Generator) -> CheckResult:
     )
     target = experiment.ultracold_target_species(table["Xe"])
     report = experiment.ultracold_forecast(anchor, target, 1e5, 1e5)
-    waist = optics.symmetric_waist(6e-3, 45e-3, 532e-9)
+    waist = optics.derive_cavity_params(_REFERENCE_CAVITY, 532e-9).waist
     residual = _worst(
         abs(report.ensemble_rate_Hz
             - report.per_molecule_in_cavity_rate_Hz * report.n_molecules),

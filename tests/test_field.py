@@ -1,9 +1,10 @@
-"""Interference-field model: closed forms vs explicit round-trip summation.
+"""Interference-field model: frozen values and the round-trip sum itself.
 
-Frozen numbers come from direct evaluation of the closed forms; every
-closed form is also pitted against an independent route (explicit
-round-trip sum, uniform-grid position average), the oracles of
-``cavray.validation``.
+The comparisons ``cavray validate`` makes (field vs round-trip sum,
+position average vs quadrature, mirror asymmetry, power-budget
+identities) live in its checks alone, each failing on a named mutant in
+``test_validation.py``. Here: frozen numbers, the sum's truncation tail
+and term count, the series limit at 1e-9 and pump linearity at 1e-14.
 """
 
 import math
@@ -133,21 +134,6 @@ class TestPositionAveragedIntensity:
         value = position_averaged_intensity(1.0, 1.0, 0.9985, 0.0)
         assert value == pytest.approx(1.99700225, rel=1e-12)
 
-    def test_not_symmetric_under_mirror_swap(self):
-        forward = position_averaged_intensity(1.0, 1.0, 0.9, 0.5)
-        swapped = position_averaged_intensity(1.0, 1.0, 0.5, 0.9)
-        assert forward / swapped == pytest.approx((1 + 0.81) / (1 + 0.25), rel=1e-12)
-
-    def test_matches_quadrature_average(self):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            r1, r2 = rng.uniform(0.0, 0.999, size=2)
-            closed = position_averaged_intensity(1e-3, 4.0, r1, r2)
-            numeric = validation._position_averaged_intensity_numeric(
-                1e-3, 2.0, K, r1, r2, RESONANT_D, n_points=10_000
-            )
-            assert abs(numeric - closed) / closed < 1e-6
-
     def test_phase_grid_is_the_same_for_every_wavenumber(self):
         # exp(2i k dz) at the midpoints of one wavelength, k by k
         rng = np.random.default_rng(11)
@@ -228,11 +214,6 @@ class TestCavityPowerBudget:
         budget = cavity_power_budget(1.0, 1.0, math.pi / 2.0, "antinode")
         assert budget.cavity_power == pytest.approx(4.0)
         assert budget.cavity_power == pytest.approx(2.0 * budget.free_space_mode_power)
-
-    def test_pairwise_identities(self):
-        budget = cavity_power_budget(1e-3, 0.7, 640.0, "averaged")
-        assert budget.cavity_power == 2.0 * budget.transmitted_power
-        assert budget.free_space_mode_power == 2.0 * budget.free_space_one_way_power
 
     def test_rejects_unknown_coupling(self):
         with pytest.raises(ValueError):

@@ -25,17 +25,37 @@ def quad(f, lo, hi, **kwargs):
     return integrate.quad(f, lo, hi, epsabs=0.0, epsrel=1e-13, **kwargs)[0]
 
 
-def dipole_intensity_integral(latitude_range):
+def dipole_intensity_integral(latitude_range, prefactor=DIPOLE_PREFACTOR):
     """The cos^3 integral of ``validation._dipole_normalization`` over a
     latitude range."""
     return quadrature.integrate(
-        lambda t: 2.0 * math.pi * DIPOLE_PREFACTOR ** 2 * np.cos(t) ** 3, latitude_range,
+        lambda t: 2.0 * math.pi * prefactor ** 2 * np.cos(t) ** 3, latitude_range,
         what="dipole mode normalization", rel_tol=1e-9)
 
 
 def test_dipole_normalization_is_the_full_range_integral():
     assert validation._dipole_normalization() == dipole_intensity_integral(
         (-math.pi / 2, math.pi / 2))
+
+
+def test_quadratic_in_prefactor():
+    value = dipole_intensity_integral((-math.pi / 2, math.pi / 2), 2.0 * DIPOLE_PREFACTOR)
+    assert value == pytest.approx(4.0, abs=1e-6)
+
+
+def test_partial_latitude_range_against_closed_form():
+    # antiderivative of cos^3 is sin - sin^3/3
+    def closed(theta):
+        return 0.75 * 2.0 * (math.sin(theta) - math.sin(theta) ** 3 / 3.0)
+
+    for theta in (math.pi / 4.0, math.pi / 6.0, 1.0):
+        numeric = dipole_intensity_integral((-theta, theta))
+        assert numeric == pytest.approx(closed(theta), rel=1e-9)
+
+
+def test_quarter_range_value():
+    value = dipole_intensity_integral((-math.pi / 4, math.pi / 4))
+    assert value == pytest.approx(0.8838834764831844, rel=1e-9)
 
 
 @pytest.mark.parametrize("latitude_range", [(-math.pi / 2, math.pi / 2), (-1.0, 1.0),

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from cavray import (AnchorMeasurement, CavityGeometry, GasSpecies, MirrorSpec, PumpBeam,
-                    SpectrumTrace)
+                    SpectrumTrace, derive_cavity_params)
 from cavray.records import record
 
 MIRROR = MirrorSpec(0.997)
+CAVITY = derive_cavity_params(CavityGeometry(6e-3, 45e-3, MIRROR, MIRROR), 532e-9)
 
 # (record, valid fields in field order, a change its check rejects)
 VALIDATING = [
@@ -21,7 +22,7 @@ VALIDATING = [
     (AnchorMeasurement, {"measured_power": 50e-15, "finesse": 1000.0,
                          "spectral_overlap": 0.042}, {"spectral_overlap": 1.5}),
     (SpectrumTrace, {"detunings": np.arange(3.0), "signals": np.ones(3),
-                     "species": "Xe", "cavity": None}, {"signals": np.array([1.0, -1.0, 1.0])}),
+                     "species": "Xe", "cavity": CAVITY}, {"signals": np.array([1.0, -1.0, 1.0])}),
 ]
 FROZEN = [case[:2] for case in VALIDATING if case[0] is not SpectrumTrace]
 IDS = [case[0].__name__ for case in VALIDATING]

@@ -1,17 +1,25 @@
-"""The oracle suite: every check passes on the stream ``run_all`` gives it,
-no check moves another's inputs, its bookkeeping handles NaN residuals and
-degenerate draws, and it is the only module that draws random numbers."""
+"""The oracle suite: every check passes on the stream ``run_all`` gives it
+and fails on each named physics mutant of ``MUTANTS``, no check moves
+another's inputs, its bookkeeping handles NaN residuals and degenerate
+draws, and it is the only module that draws random numbers.
+
+A check shown to fail here is the one home of its comparison. The other
+test files hold frozen and paper numbers, and the comparisons whose inputs
+or tolerances go beyond a check's.
+"""
 
 import ast
+import inspect
 import math
 import pathlib
+import textwrap
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from cavray import field, overlap, quadrature, spectra, validation
+from cavray import experiment, field, optics, overlap, quadrature, spectra, validation
 
 
 @pytest.mark.parametrize("seed", [0, 20260])
@@ -51,6 +59,118 @@ def test_every_check_draws_from_a_distinct_stream():
     names = [check.__name__ for check in validation.ALL_CHECKS]
     check_rng = validation._check_rngs(0)
     assert len({check_rng(name).random() for name in names}) == len(names)
+
+
+def mutant(where, attribute, old, new):
+    """``where.attribute`` rebuilt from its own source with ``old`` replaced
+    by ``new``: a function's definition, or a module constant's assignment."""
+    value = getattr(where, attribute)
+    if callable(value):
+        source, namespace = textwrap.dedent(inspect.getsource(value)), dict(value.__globals__)
+    else:
+        [source] = [line for line in inspect.getsource(where).splitlines()
+                    if line.startswith(f"{attribute} = ")]
+        namespace = dict(vars(where))
+    assert source.count(old) == 1, (attribute, old)
+    exec(source.replace(old, new), namespace)
+    return namespace[attribute]
+
+
+R2_IN_NUMERATOR = ("r2-in-numerator", field, "position_averaged_intensity",
+                   "(1.0 + r1 ** 2)", "(1.0 + r2 ** 2)")
+ONE_PASS_Q = ("one-pass-q", optics, "q_factor", "2.0 * mirror_separation", "mirror_separation")
+MODE_AREA_FOR_VOLUME = ("mode-area-for-volume", optics, "mode_volume",
+                        " * mirror_separation / 4.0", " / 4.0")
+WAIST_FOR_WIDTH = ("waist-for-width", overlap, "overlap_eta_numeric",
+                   "GaussianMode(waist, wavelength).width(z)", "waist")
+LINEWIDTH_AS_HWHM = ("linewidth-as-hwhm", spectra, "spectral_overlap",
+                     "cavity_linewidth / 2.0", "cavity_linewidth")
+
+# Every check of ALL_CHECKS and the physics mistakes it fails on, each
+# (id, where, attribute, old, new[, text]): ``mutant`` rebuilds the closed
+# form at ``where.attribute``, the name ``validation`` reaches it through,
+# with ``old`` replaced by ``new``. A text is in the failing check's
+# detail: a residual that no draw moves, or the bound that failed.
+MUTANTS = {
+    "check_field_closed_form_vs_roundtrip": [("mirrors-swapped", field, "intracavity_field",
+                                              "feedback(cfg, r1, r2,", "feedback(cfg, r2, r1,")],
+    "check_field_average_quadrature": [R2_IN_NUMERATOR],
+    "check_field_mirror_asymmetry": [R2_IN_NUMERATOR],
+    "check_power_budget_identities": [
+        # the back-out divides by transmitted_power, so it would cancel this
+        ("transmitted-power-doubled", field, "transmitted_power", "return 4.0", "return 8.0"),
+        ("one-mirror-carries-both", field, "cavity_power_budget",
+         "=cavity_power / 2.0", "=cavity_power")],
+    "check_power_linearity": [("pump-power-squared", field, "transmitted_power",
+                               "* pump_power *", "* pump_power ** 2 *")],
+    "check_finesse_monotone": [("transmissions-for-reflectivities", optics, "finesse",
+                                "left.reflectivity * right.reflectivity",
+                                "left.transmission * right.transmission")],
+    "check_finesse_taylor": [("one-minus-r1r2", optics, "finesse",
+                              "(1.0 - math.sqrt(product))", "(1.0 - product)")],
+    "check_cavity_params_identities": [ONE_PASS_Q, MODE_AREA_FOR_VOLUME],
+    "check_abcd_waist": [("lambda-over-pi", optics, "symmetric_waist",
+                          "(2.0 * math.pi)", "math.pi")],
+    "check_abcd_mode_spacing": [("arccos-g", optics, "transverse_mode_spacing",
+                                 "math.sqrt(g * g)", "g")],
+    "check_dipole_normalization": [("prefactor-3-over-4pi", overlap, "DIPOLE_PREFACTOR",
+                                    "8.0", "4.0")],
+    "check_gaussian_normalization": [("field-normalization", overlap.GaussianMode,
+                                      "normalization", "math.pi / 2.0", "math.pi")],
+    "check_overlap_far_field": [
+        # 1e-10 off is far inside the far-field bounds, far outside the 1e-12
+        ("closed-form-1e-10-off", overlap, "overlap_eta_numeric", "return (DIPOLE_PREFACTOR",
+         "return (1.0 + 1e-10) * (DIPOLE_PREFACTOR", "off its quadrature by 1.0"),
+        WAIST_FOR_WIDTH,
+        ("analytic-sqrt3-over-pi", overlap, "overlap_eta_analytic", "(2.0 * math.pi)", "math.pi")],
+    "check_overlap_monotone": [WAIST_FOR_WIDTH],
+    "check_purcell_equivalence": [
+        ("ratio-12-over-pi-squared", overlap, "purcell_ratio", "6.0 / math.pi", "12.0 / math.pi"),
+        ONE_PASS_Q, MODE_AREA_FOR_VOLUME],
+    "check_purcell_separation_cancels": [MODE_AREA_FOR_VOLUME],
+    "check_spectral_overlap_closed_form": [LINEWIDTH_AS_HWHM],
+    "check_spectral_overlap_limits": [LINEWIDTH_AS_HWHM],
+    "check_polarization_sum_rule": [("half-extinction-floor", spectra, "polarization_signal",
+                                     "** 2 + extinction", "** 2 + extinction / 2.0")],
+    "check_scan_linearity": [("weight-as-amplitude", spectra, "scan_spectrum",
+                              "(weight * gas", "(weight ** 2 * gas")],
+    # the oracle's width over the observed one is sqrt(2) or 1/sqrt(2)
+    "check_doppler_monte_carlo": [
+        ("absorption-width-as-observed", spectra, "observed_doppler_fwhm",
+         "OBSERVED_WIDTH_FACTOR * ", "", "residual 4.142e-01 "),
+        ("oracle-one-wavevector", validation, "_doppler_width",
+         "norm(k_out - k_in)", "norm(k_out)", "residual 2.929e-01 "),
+        ("oracle-antiparallel", validation, "_doppler_width",
+         "norm(k_out - k_in)", "norm(2.0 * k_in)", "residual 4.142e-01 ")],
+    "check_species_ratio": [("polarizability-unsquared", spectra, "species_ratio",
+                             "polarizability) ** 2", "polarizability)")],
+    "check_backout_roundtrip": [("overlap-kept", experiment, "free_space_backout",
+                                 "(enhancement * spectral_overlap)", "enhancement")],
+    # ``experiment`` imports purcell_ratio by name
+    "check_forecast_consistency": [("ratio-12-over-pi-squared", experiment, "purcell_ratio",
+                                    "6.0 / math.pi", "12.0 / math.pi")],
+    "check_unit_convention_cancels": [("dipole-power-doubled", overlap, "dipole_mode_power",
+                                       "4.0 * math.pi ** 2", "8.0 * math.pi ** 2")],
+}
+
+
+def test_every_check_has_a_mutant():
+    assert set(MUTANTS) == {check.__name__ for check in validation.ALL_CHECKS}
+    assert all(MUTANTS.values())
+
+
+@pytest.mark.parametrize("check, row", [
+    pytest.param(check, row, id=f"{check.__name__}-{row[0]}")
+    for check in validation.ALL_CHECKS for row in MUTANTS.get(check.__name__, ())])
+def test_check_fails_on_its_mutant(monkeypatch, check, row):
+    _, where, attribute, old, new, *text = row
+    # the closed form rebuilt unchanged passes: only the mistake fails it
+    rebuilt = [mutant(where, attribute, old, replacement) for replacement in (old, new)]
+    for value, passes in zip(rebuilt, (True, False)):
+        monkeypatch.setattr(where, attribute, value)
+        result = check(validation._check_rngs(0)(check.__name__))
+        assert result.passed is passes, result.detail
+    assert all(part in result.detail for part in text)
 
 
 def roundtrip_draws(rng):
@@ -190,39 +310,6 @@ def test_run_all_stays_within_its_memory_budget():
     assert peak <= 8 * 2 ** 20
 
 
-def test_power_budget_check_sees_a_wrong_transmitted_power(monkeypatch):
-    # the back-out round trip divides by transmitted_power, so it would
-    # cancel the error; the budget's own value must not
-    closed_form = field.transmitted_power
-    monkeypatch.setattr(field, "transmitted_power", lambda *args: 2.0 * closed_form(*args))
-    assert not validation.check_power_budget_identities(np.random.default_rng(0)).passed
-
-
-@pytest.mark.parametrize("geometry, residual", [
-    # one wavevector alone: the absorption width, 1/sqrt(2) of the observed
-    (lambda k_in, k_out: (np.zeros(3), k_out), "2.929e-01"),
-    # antiparallel wavevectors: twice the absorption width
-    (lambda k_in, k_out: (k_in, -k_in), "4.142e-01"),
-], ids=["one-wavevector", "antiparallel"])
-def test_doppler_check_sees_a_wrong_scattering_geometry(monkeypatch, geometry, residual):
-    oracle = validation._doppler_width
-    monkeypatch.setattr(validation, "_doppler_width",
-                        lambda *args: oracle(*args[:3], *geometry(*args[3:])))
-    result = validation.check_doppler_monte_carlo(np.random.default_rng(0))
-    assert not result.passed
-    assert result.detail.startswith(f"residual {residual} ")
-
-
-def test_doppler_check_sees_the_absorption_width_as_observed(monkeypatch):
-    monkeypatch.setattr(spectra, "observed_doppler_fwhm",
-                        lambda gas, wl: spectra.doppler_fwhm(wl, gas.temperature,
-                                                             gas.molar_mass))
-    result = validation.check_doppler_monte_carlo(np.random.default_rng(0))
-    assert not result.passed
-    # the oracle's width is sqrt(2) times the one it is held to
-    assert result.detail.startswith("residual 4.142e-01 ")
-
-
 PACKAGE_DIR = pathlib.Path(validation.__file__).parent
 
 
@@ -278,16 +365,6 @@ def test_nan_residual_fails_its_check(monkeypatch):
     assert "nan" in result.detail
 
 
-def test_overlap_check_holds_the_closed_form_to_its_quadrature(monkeypatch):
-    # 1e-10 off is far inside the far-field bounds, far outside the 1e-12
-    closed_form = overlap.overlap_eta_numeric
-    monkeypatch.setattr(overlap, "overlap_eta_numeric",
-                        lambda *args: closed_form(*args) * (1.0 + 1e-10))
-    result = validation.check_overlap_far_field(np.random.default_rng(0))
-    assert not result.passed
-    assert "off its quadrature by 1.0" in result.detail
-
-
 def test_worst_keeps_nan_in_any_position():
     assert validation._worst(0.5, 2.0, 1.0) == 2.0
     for residuals in [(math.nan, 1.0), (1.0, math.nan), (0.0, math.nan, 3.0)]:
@@ -338,13 +415,3 @@ def test_few_node_position_average_equals_the_fine_one(monkeypatch, seed):
     fine = np.array([validation._position_averaged_intensity_numeric(*row, 10_000)
                      for row in zip(*draws)])
     assert np.max(np.abs(few - fine) / fine) <= 1e-15
-
-
-def test_field_average_check_sees_the_mirrors_swapped_in_the_numerator(monkeypatch):
-    # only r1, the mirror behind the left-going wave, is in the numerator
-    monkeypatch.setattr(field, "position_averaged_intensity",
-                        lambda a, ip, r1, r2: a ** 2 * ip * (1.0 + r2 ** 2)
-                        / (1.0 - r1 * r2) ** 2)
-    result = validation.check_field_average_quadrature(np.random.default_rng(0))
-    assert not result.passed
-    assert result.detail.startswith("residual 9.301e-01 ")
