@@ -20,13 +20,13 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "constants": "ATOMIC_UNIT_POLARIZABILITY_A3 AVOGADRO BOLTZMANN PLANCK SPEED_OF_LIGHT",
     "errors": "ConfigError ConvergenceError",
-    "experiment": "AnchorMeasurement EnhancementReport ForecastReport ScenarioConfig "
-                  "build_enhancement_report contributing_particles free_space_backout "
-                  "interaction_volume photon_rate ultracold_forecast ultracold_target_species",
+    "experiment": "EnhancementReport ForecastReport build_enhancement_report "
+                  "contributing_particles free_space_backout interaction_volume "
+                  "photon_rate ultracold_forecast ultracold_target_species",
     "field": "PowerBudget ScatterConfig cavity_power_budget intracavity_field "
              "position_averaged_intensity transmitted_power",
     "gases": "GasSpecies load_species_table",
-    "optics": "CavityGeometry CavityParams MirrorSpec PumpBeam derive_cavity_params finesse "
+    "optics": "CavityGeometry CavityParams MirrorSpec derive_cavity_params finesse "
               "free_spectral_range mode_volume number_density q_factor rayleigh_length "
               "symmetric_waist transverse_mode_spacing",
     "overlap": "GaussianMode dipole_mode_power overlap_eta_analytic overlap_eta_numeric "

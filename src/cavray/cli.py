@@ -1,7 +1,8 @@
 """Command-line interface: scenario configs in, CSV/JSON/table artifacts out.
 
 Subcommands: cavity, scan, overlap, enhance, purcell, forecast, validate.
-Config files use the flat dotted-key format of :mod:`cavray.config`.
+Config files use the flat dotted-key format of :mod:`cavray.config`, and
+this module is the one that reads their keys: the others take SI values.
 Each handler imports what it uses: a process loads its subcommand's modules only.
 """
 
@@ -63,11 +64,46 @@ def _reject_unread_indices(values, prefix: str, count: int, why: str) -> None:
             raise ConfigError(values.path, None, f"{key} is never read: {why}")
 
 
+def _cavity_geometry(values):
+    """The ``cavity.*`` geometry of a parsed config."""
+    from .optics import CavityGeometry, MirrorSpec
+
+    return CavityGeometry(values["cavity.separation"], values["cavity.curvature"],
+                          MirrorSpec(values["cavity.left_reflectivity"]),
+                          MirrorSpec(values["cavity.right_reflectivity"]))
+
+
+def _geometry_waist(values, wavelength: float) -> float:
+    """The fundamental-mode waist of the ``cavity.*`` geometry, which needs
+    no finesse: a mirror of reflectivity 0 still has a mode. A given waist
+    key is positive, so ``values.get(key) or`` falls back here when absent."""
+    from .optics import symmetric_waist
+
+    geometry = _cavity_geometry(values)
+    return symmetric_waist(geometry.mirror_separation, geometry.radius_of_curvature,
+                           wavelength)
+
+
+def _species(values, key: str, names: list[str]):
+    """The species that config ``key`` lists as ``names``, from the species
+    table, at the config's ``gas.temperature``. A name the table lacks is a
+    ConfigError that names ``key`` and lists the table."""
+    from .gases import DEFAULT_TEMPERATURE, load_species_table
+
+    table = load_species_table()
+    temperature = values.get("gas.temperature", DEFAULT_TEMPERATURE)
+    for name in names:
+        if name not in table:
+            raise ConfigError(values.path, None, f"{key}: unknown species {name!r}; "
+                              "table has: " + ", ".join(sorted(table)))
+    return [table[name]._replace(temperature=temperature) for name in names]
+
+
 def cmd_cavity(args) -> int:
-    from .optics import cavity_geometry, derive_cavity_params
+    from .optics import derive_cavity_params
 
     values = parse_config(args.config)
-    params = derive_cavity_params(cavity_geometry(values), values["pump.wavelength"])
+    params = derive_cavity_params(_cavity_geometry(values), values["pump.wavelength"])
     fields = {
         "finesse": params.finesse,
         "free_spectral_range_Hz": params.free_spectral_range,
@@ -83,15 +119,14 @@ def cmd_cavity(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    from .gases import config_species
-    from .optics import cavity_geometry, derive_cavity_params
+    from .optics import derive_cavity_params
     from .spectra import scan_spectrum
 
     values = parse_config(args.config)
     wavelength = values["pump.wavelength"]
-    params = derive_cavity_params(cavity_geometry(values), wavelength)
-    species = config_species(values, "scan.species",
-                             [name.strip() for name in values["scan.species"].split(",")])
+    params = derive_cavity_params(_cavity_geometry(values), wavelength)
+    species = _species(values, "scan.species",
+                       [name.strip() for name in values["scan.species"].split(",")])
     weights = [(gas, values.get(f"scan.weight{i}", 1.0))
                for i, gas in enumerate(species, start=1)]
     _reject_unread_indices(values, "scan.weight", len(weights),
@@ -118,14 +153,12 @@ def cmd_scan(args) -> int:
 
 
 def cmd_overlap(args) -> int:
-    from .optics import cavity_geometry, derive_cavity_params, rayleigh_length
+    from .optics import rayleigh_length
     from .overlap import overlap_eta_analytic, overlap_eta_numeric
 
     values = parse_config(args.config)
     wavelength = values["pump.wavelength"]
-    waist = values.get("overlap.waist")
-    if waist is None:
-        waist = derive_cavity_params(cavity_geometry(values), wavelength).waist
+    waist = values.get("overlap.waist") or _geometry_waist(values, wavelength)
     z = values.get("overlap.plane_factor", 100.0) * rayleigh_length(waist, wavelength)
     analytic = overlap_eta_analytic(wavelength, waist)
     on_plane = overlap_eta_numeric(wavelength, waist, z)
@@ -194,11 +227,11 @@ def _enhancement_table(report) -> str:
 
 
 def cmd_purcell(args) -> int:
-    from .optics import cavity_geometry, derive_cavity_params, mode_volume, q_factor
+    from .optics import derive_cavity_params, mode_volume, q_factor
     from .overlap import purcell_factor, purcell_ratio
 
     values = parse_config(args.config)
-    geometry = cavity_geometry(values)
+    geometry = _cavity_geometry(values)
     wavelength = values["pump.wavelength"]
     params = derive_cavity_params(geometry, wavelength)
     finesse = values.get("purcell.finesse", params.finesse)
@@ -219,16 +252,22 @@ def cmd_purcell(args) -> int:
 
 
 def cmd_forecast(args) -> int:
-    from .experiment import (POLARIZABILITY_FACTOR, ScenarioConfig, ultracold_forecast,
+    from .experiment import (POLARIZABILITY_FACTOR, ultracold_forecast,
                              ultracold_target_species)
 
     values = parse_config(args.config)
-    scenario = ScenarioConfig.from_values(values)
+    [gas] = _species(values, "gas.species", [values["gas.species"]])
+    wavelength = values["pump.wavelength"]
     target = ultracold_target_species(
-        scenario.gas, values.get("forecast.polarizability_factor", POLARIZABILITY_FACTOR))
-    report = ultracold_forecast(scenario, target,
-                                n_molecules=values["forecast.n_molecules"],
-                                target_finesse=values["forecast.target_finesse"])
+        gas, values.get("forecast.polarizability_factor", POLARIZABILITY_FACTOR))
+    report = ultracold_forecast(
+        target, values["forecast.n_molecules"], values["forecast.target_finesse"],
+        gas=gas, pressure=values["gas.pressure"], wavelength=wavelength,
+        pump_waist=values["pump.waist"],
+        cavity_waist=values.get("cavity.waist") or _geometry_waist(values, wavelength),
+        measured_power=values["anchor.measured_power"],
+        anchor_finesse=values["anchor.finesse"],
+        spectral_overlap=values["anchor.spectral_overlap"])
     _emit(args, "forecast_report", "cavray.forecast-report/2", report._asdict())
     return 0
 

@@ -1,8 +1,9 @@
-"""End-to-end scenario composition: enhancement reports and forecasts.
+"""Enhancement reports and forecasts from measured cavity signals.
 
 Absolute powers always flow from a measured anchor; the dimensionless
 scattering amplitude is never modeled microscopically, so every absolute
-prediction is a rescaling of an observed signal.
+prediction is a rescaling of an observed signal. Every function takes
+plain SI values; ``cavray.cli`` reads them from a config.
 """
 
 from __future__ import annotations
@@ -10,12 +11,10 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .config import Config
 from .constants import PLANCK, SPEED_OF_LIGHT
 from .field import outcoupling_share, transmitted_power
-from .gases import GasSpecies, config_species
-from .optics import (CavityGeometry, MirrorSpec, PumpBeam, cavity_geometry,
-                     number_density, symmetric_waist)
+from .gases import GasSpecies
+from .optics import MirrorSpec, number_density
 from .overlap import purcell_ratio
 from .records import record
 
@@ -30,56 +29,6 @@ def _check_measurement(prefix: str, power: float, overlap: float) -> None:
         raise ValueError(f"{prefix}.measured_power must be positive, got {power}")
     if not 0.0 < overlap <= 1.0:
         raise ValueError(f"{prefix}.spectral_overlap must be in (0, 1], got {overlap}")
-
-
-@record
-class AnchorMeasurement:
-    """A measured cavity signal used to scale absolute predictions."""
-
-    measured_power: float    # W, detected through the outcoupling mirror
-    finesse: float
-    spectral_overlap: float
-
-    def __post_init__(self):
-        _check_measurement("anchor", self.measured_power, self.spectral_overlap)
-        if self.finesse <= 0.0:
-            raise ValueError(f"anchor.finesse must be positive, got {self.finesse}")
-
-
-@record
-class ScenarioConfig:
-    """One experimental scenario: cavity, gas, pump and optional anchor.
-
-    cavity_waist overrides the waist derived from the nominal geometry,
-    for anchoring on a measured or independently quoted mode size.
-    """
-
-    cavity: CavityGeometry
-    gas: GasSpecies
-    pressure: float          # Pa
-    pump: PumpBeam
-    anchor: AnchorMeasurement | None = None
-    cavity_waist: float | None = None
-
-    def effective_cavity_waist(self, wavelength: float) -> float:
-        if self.cavity_waist is not None:
-            return self.cavity_waist
-        return symmetric_waist(self.cavity.mirror_separation,
-                               self.cavity.radius_of_curvature, wavelength)
-
-    @classmethod
-    def from_values(cls, values: Config) -> "ScenarioConfig":
-        """Scenario from the values of a parsed config."""
-        [gas] = config_species(values, "gas.species", [values["gas.species"]])
-        anchor = None
-        if "anchor.measured_power" in values:
-            anchor = AnchorMeasurement(values["anchor.measured_power"],
-                                       values["anchor.finesse"],
-                                       values["anchor.spectral_overlap"])
-        return cls(cavity=cavity_geometry(values), gas=gas,
-                   pressure=values["gas.pressure"],
-                   pump=PumpBeam(values["pump.wavelength"], values["pump.waist"]),
-                   anchor=anchor, cavity_waist=values.get("cavity.waist"))
 
 
 def photon_rate(power: float, wavelength: float) -> float:
@@ -231,41 +180,45 @@ def ultracold_target_species(reference: GasSpecies,
                       temperature=reference.temperature)
 
 
-def ultracold_forecast(anchor: ScenarioConfig, target: GasSpecies,
-                       n_molecules: float, target_finesse: float) -> ForecastReport:
+def ultracold_forecast(target: GasSpecies, n_molecules: float, target_finesse: float, *,
+                       gas: GasSpecies, pressure: float, wavelength: float,
+                       pump_waist: float, cavity_waist: float, measured_power: float,
+                       anchor_finesse: float, spectral_overlap: float) -> ForecastReport:
     """Scale a measured thermal-gas anchor to a trapped ultracold sample.
 
-    The anchor's detected photon rate (both mirrors) divided by its
-    contributing-particle count gives a per-particle rate, which is scaled
-    by the polarizability-squared cross section, linearly by the finesse,
-    and freed of the Doppler overlap penalty (trapped molecules scatter
-    entirely within the cavity acceptance). The total per-molecule rate
-    adds the free-space channel through the Purcell power ratio.
+    The anchor, in SI units: ``gas`` at ``pressure``, pumped at
+    ``wavelength`` by a beam of waist ``pump_waist`` across a cavity mode of
+    waist ``cavity_waist``, gave ``measured_power`` through one mirror at
+    ``anchor_finesse`` and ``spectral_overlap``. Its detected photon rate
+    (both mirrors) divided by its contributing-particle count gives a
+    per-particle rate, which is scaled by the polarizability-squared cross
+    section, linearly by the finesse, and freed of the Doppler overlap
+    penalty (trapped molecules scatter entirely within the cavity
+    acceptance). The total per-molecule rate adds the free-space channel
+    through the Purcell power ratio. An error names the input's config key.
     """
-    if anchor.anchor is None:
-        raise ValueError("a forecast scales from anchor.measured_power, "
-                         "which the anchor scenario lacks")
+    _check_measurement("anchor", measured_power, spectral_overlap)
+    for key, value in [("anchor.finesse", anchor_finesse), ("pump.wavelength", wavelength),
+                       ("pump.waist", pump_waist),
+                       ("forecast.target_finesse", target_finesse)]:
+        if value <= 0.0:
+            raise ValueError(f"{key} must be positive, got {value}")
     if n_molecules < 0.0:
         raise ValueError(f"forecast.n_molecules must be nonnegative, got {n_molecules}")
-    if target_finesse <= 0.0:
-        raise ValueError(f"forecast.target_finesse must be positive, got {target_finesse}")
-    if anchor.pressure <= 0.0:
+    if pressure <= 0.0:
         # no particles would carry the anchor signal
         raise ValueError(f"gas.pressure must be positive for a forecast, "
-                         f"got {anchor.pressure} Pa")
-    measurement = anchor.anchor
-    wavelength = anchor.pump.wavelength
-    cavity_waist = anchor.effective_cavity_waist(wavelength)
-    density = number_density(anchor.pressure, anchor.gas.temperature)
-    n_contributing = contributing_particles(density, anchor.pump.waist, cavity_waist,
-                                            measurement.spectral_overlap)
+                         f"got {pressure} Pa")
+    density = number_density(pressure, gas.temperature)
+    n_contributing = contributing_particles(density, pump_waist, cavity_waist,
+                                            spectral_overlap)
     # symmetric cavity: the same power leaves through the second mirror
-    anchor_rate_both = 2.0 * photon_rate(measurement.measured_power, wavelength)
+    anchor_rate_both = 2.0 * photon_rate(measured_power, wavelength)
     per_particle = anchor_rate_both / n_contributing
     in_cavity = (per_particle
-                 * (target.polarizability / anchor.gas.polarizability) ** 2
-                 * (target_finesse / measurement.finesse)
-                 / measurement.spectral_overlap)
+                 * (target.polarizability / gas.polarizability) ** 2
+                 * (target_finesse / anchor_finesse)
+                 / spectral_overlap)
     ratio = purcell_ratio(target_finesse, wavelength, cavity_waist)
     ensemble = in_cavity * n_molecules
     total = in_cavity * (1.0 + 1.0 / ratio)

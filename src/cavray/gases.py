@@ -7,18 +7,17 @@ The species database is a plain text file, one record per line:
 Blank lines and ``#`` comments are ignored. Polarizabilities are CGS
 volume polarizabilities in cubic angstroms. The packaged table can be
 overridden with the ``CAVRAY_SPECIES_DB`` environment variable or an
-explicit path.
+explicit path. The table gives each species at room temperature;
+``cavray.cli`` picks the species a config names and gives them its
+``gas.temperature``.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from importlib import resources
 from pathlib import Path
 
-from .config import Config
-from .errors import ConfigError
 from .records import record
 
 SPECIES_DB_ENV = "CAVRAY_SPECIES_DB"
@@ -44,7 +43,7 @@ class GasSpecies:
 
 
 def _builtin_table_path() -> Path:
-    return Path(str(resources.files("cavray").joinpath("data/species.txt")))
+    return Path(__file__).with_name("data") / "species.txt"
 
 
 def load_species_table(path: str | os.PathLike | None = None) -> dict[str, GasSpecies]:
@@ -86,17 +85,3 @@ def load_species_table(path: str | os.PathLike | None = None) -> dict[str, GasSp
     if not table:
         raise ValueError(f"{path}: species table contains no records")
     return table
-
-
-
-def config_species(values: Config, key: str, names: list[str]) -> list[GasSpecies]:
-    """The species that config ``key`` lists as ``names``, from the species
-    table, at the config's ``gas.temperature``. A name the table lacks is a
-    ConfigError that names ``key`` and lists the table."""
-    table = load_species_table()
-    temperature = values.get("gas.temperature", DEFAULT_TEMPERATURE)
-    for name in names:
-        if name not in table:
-            raise ConfigError(values.path, None, f"{key}: unknown species {name!r}; "
-                              "table has: " + ", ".join(sorted(table)))
-    return [table[name]._replace(temperature=temperature) for name in names]

@@ -1,14 +1,14 @@
-"""Fabry-Perot resonator geometry and derived quantities.
+"""Fabry-Perot resonator geometry and derived quantities, in SI units.
 
 Mirrors are modeled as lossless (R + T = 1); absorption in real coatings
 makes measured finesse fall short of the lossless prediction, which is
-documented rather than compensated.
+documented rather than compensated. ``cavray.cli`` builds the geometry
+from a config's ``cavity.*`` keys.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 
 from .constants import BOLTZMANN, SPEED_OF_LIGHT
 from .records import record
@@ -52,16 +52,6 @@ class CavityGeometry:
             )
 
 
-def cavity_geometry(values: Mapping[str, float | str]) -> CavityGeometry:
-    """The ``cavity.*`` geometry of a parsed config."""
-    return CavityGeometry(
-        mirror_separation=values["cavity.separation"],
-        radius_of_curvature=values["cavity.curvature"],
-        left_mirror=MirrorSpec(values["cavity.left_reflectivity"]),
-        right_mirror=MirrorSpec(values["cavity.right_reflectivity"]),
-    )
-
-
 @record
 class CavityParams:
     """All derived resonator quantities for one cavity at one wavelength."""
@@ -74,24 +64,6 @@ class CavityParams:
     rayleigh_length: float        # m
     transverse_mode_spacing: float  # Hz
     mode_volume: float            # m^3
-
-
-@record
-class PumpBeam:
-    """Side-pumping beam driving the scatterers.
-
-    Absolute powers are scaled from a measured anchor, so the pump's own
-    power and polarization enter no output.
-    """
-
-    wavelength: float             # m
-    waist: float                  # m
-
-    def __post_init__(self):
-        if self.wavelength <= 0.0:
-            raise ValueError(f"pump.wavelength must be positive, got {self.wavelength}")
-        if self.waist <= 0.0:
-            raise ValueError(f"pump.waist must be positive, got {self.waist}")
 
 
 def finesse(left: MirrorSpec, right: MirrorSpec) -> float:

@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from . import experiment, field, gases, optics, overlap, quadrature, spectra
-from .constants import AVOGADRO, BOLTZMANN
+from .constants import AVOGADRO, BOLTZMANN, PLANCK, SPEED_OF_LIGHT
 from .records import record
 
 
@@ -723,24 +723,35 @@ def check_backout_roundtrip(rng: np.random.Generator) -> CheckResult:
 
 
 def check_forecast_consistency(rng: np.random.Generator) -> CheckResult:
-    table = _packaged_species()
-    anchor = experiment.ScenarioConfig(
-        cavity=_REFERENCE_CAVITY,
-        gas=table["Xe"],
-        pressure=1e4,
-        pump=optics.PumpBeam(wavelength=532e-9, waist=50e-6),
-        anchor=experiment.AnchorMeasurement(50e-15, 1000.0, 0.042),
-    )
-    target = experiment.ultracold_target_species(table["Xe"])
-    report = experiment.ultracold_forecast(anchor, target, 1e5, 1e5)
+    xe = _packaged_species()["Xe"]
+    target = experiment.ultracold_target_species(xe)
     waist = optics.derive_cavity_params(_REFERENCE_CAVITY, 532e-9).waist
-    residual = _worst(
+    report = experiment.ultracold_forecast(
+        target, 1e5, 1e5, gas=xe, pressure=1e4, wavelength=532e-9, pump_waist=50e-6,
+        cavity_waist=waist, measured_power=50e-15, anchor_finesse=1000.0,
+        spectral_overlap=0.042)
+    identities = _worst(
         abs(report.ensemble_rate_Hz
             - report.per_molecule_in_cavity_rate_Hz * report.n_molecules),
         abs(report.cavity_free_space_ratio
             - overlap.purcell_ratio(1e5, 532e-9, waist)),
     )
-    return _result("forecast internal consistency", residual, 0.0)
+    # the per-molecule rate by another route: the anchor's free-space power
+    # per contributing particle, sent out through both target mirrors
+    mirror = _REFERENCE_CAVITY.left_mirror
+    free_space = (experiment.free_space_backout(50e-15, 0.042, (1000.0, mirror, mirror))
+                  / experiment.contributing_particles(
+                      optics.number_density(1e4, xe.temperature), 50e-6, waist, 0.042))
+    power = 2.0 * field.transmitted_power(target.polarizability / xe.polarizability,
+                                          free_space, mirror.transmission,
+                                          mirror.transmission, 1e5)
+    rate = power / (PLANCK * SPEED_OF_LIGHT / 532e-9)
+    in_cavity = report.per_molecule_in_cavity_rate_Hz
+    route = abs(rate - in_cavity) / in_cavity
+    passed = identities <= 0.0 and route <= 1e-12
+    detail = (f"residual {identities:.3e} (tolerance 0.0e+00); per-molecule rate "
+              f"residual {route:.3e} against the back-out route (tolerance 1.0e-12)")
+    return CheckResult("forecast internal consistency", passed, detail)
 
 
 def check_unit_convention_cancels(rng: np.random.Generator) -> CheckResult:

@@ -34,10 +34,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavray import ScenarioConfig, derive_cavity_params, scan_spectrum
-from cavray.cli import main
+from cavray import derive_cavity_params, scan_spectrum, symmetric_waist
+from cavray.cli import _cavity_geometry, _species, main
 from cavray.config import KEYS, parse_config
-from cavray.gases import config_species
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMO = ROOT / "demos" / "reference_cavity.cfg"
@@ -217,12 +216,11 @@ def _expected_scan(path):
     """``scan_spectrum`` on what ``cavray scan`` reads from the config at
     ``path``, which gives no ``scan.weight<i>``."""
     values = parse_config(path)
-    scenario = ScenarioConfig.from_values(values)
     names = [name.strip() for name in values["scan.species"].split(",")]
-    wavelength = scenario.pump.wavelength
+    wavelength = values["pump.wavelength"]
     return scan_spectrum(
-        derive_cavity_params(scenario.cavity, wavelength),
-        [(gas, 1.0) for gas in config_species(values, "scan.species", names)],
+        derive_cavity_params(_cavity_geometry(values), wavelength),
+        [(gas, 1.0) for gas in _species(values, "scan.species", names)],
         scan_range=values["scan.range"], resolution=values["scan.resolution"],
         wavelength=wavelength, normalize=True,
     )
@@ -284,6 +282,27 @@ def test_forecast_at_zero_pressure_is_a_clean_error(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "gas.pressure" in err
+
+
+def test_forecast_without_anchor_power_names_the_key(capsys, tmp_path):
+    cfg = tmp_path / "variant.cfg"
+    cfg.write_text(re.sub(r"^anchor\.measured_power_fW = .*\n", "", DEMO.read_text(),
+                          flags=re.MULTILINE))
+    code, out, err = run_cli(capsys, "forecast", "--config", str(cfg), "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert "missing required key 'anchor.measured_power'" in err
+
+
+def test_overlap_without_a_waist_needs_no_finesse(capsys, tmp_path):
+    # the mode of the geometry sets the waist; a left mirror of
+    # reflectivity 0 gives the cavity no finesse, but the same mode
+    cfg = write_demo_variant(tmp_path, **{"cavity.left_reflectivity": "0"})
+    code, out, err = run_cli(capsys, "overlap", "--config", str(cfg), "--format", "json")
+    assert code == 0, err
+    values = parse_config(cfg)
+    assert json.loads(out)["waist_m"] == symmetric_waist(
+        values["cavity.separation"], values["cavity.curvature"], values["pump.wavelength"])
 
 
 def test_forecast_whose_rates_overflow_names_the_keys(capsys, tmp_path):

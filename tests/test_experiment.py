@@ -9,11 +9,9 @@ import math
 
 import pytest
 
-from cavray import (AnchorMeasurement, MirrorSpec, PumpBeam, ScenarioConfig,
-                    build_enhancement_report, contributing_particles,
-                    free_space_backout, interaction_volume,
-                    number_density, photon_rate, purcell_ratio,
-                    ultracold_forecast, ultracold_target_species)
+from cavray import (MirrorSpec, build_enhancement_report, contributing_particles,
+                    free_space_backout, interaction_volume, number_density, photon_rate,
+                    purcell_ratio, ultracold_forecast, ultracold_target_species)
 
 WAVELENGTH = 532e-9
 
@@ -26,17 +24,20 @@ MEASURED_POWERS = [52e-15, 85e-15, 90e-15]
 OVERLAPS = [0.042, 0.101, 0.334]
 
 
-def make_anchor_scenario(reference_geometry, species):
-    # waist pinned to the quoted 45 um mode size the published chain used
-    return ScenarioConfig(
-        cavity=reference_geometry,
-        gas=species["Xe"],
-        pressure=1e4,
-        pump=PumpBeam(wavelength=WAVELENGTH, waist=50e-6),
-        anchor=AnchorMeasurement(measured_power=50e-15, finesse=1000.0,
-                                 spectral_overlap=0.042),
-        cavity_waist=45e-6,
-    )
+@pytest.fixture
+def anchor(species):
+    """The published Xe anchor as ``ultracold_forecast`` keywords, its waist
+    pinned to the quoted 45 um mode size the published chain used."""
+    return dict(gas=species["Xe"], pressure=1e4, wavelength=WAVELENGTH, pump_waist=50e-6,
+                cavity_waist=45e-6, measured_power=50e-15, anchor_finesse=1000.0,
+                spectral_overlap=0.042)
+
+
+def forecast_with(anchor, **changes):
+    """The default-target forecast of 1e5 molecules at finesse 1e5 on
+    ``anchor`` with ``changes``."""
+    target = ultracold_target_species(anchor["gas"])
+    return ultracold_forecast(target, 1e5, 1e5, **{**anchor, **changes})
 
 
 class TestPhotonRate:
@@ -177,10 +178,9 @@ class TestEnhancementReport:
 
 
 class TestUltracoldForecast:
-    def test_paper_projection(self, reference_geometry, species):
-        anchor = make_anchor_scenario(reference_geometry, species)
-        target = ultracold_target_species(anchor.gas, 10.0)
-        report = ultracold_forecast(anchor, target, 1e5, 1e5)
+    def test_paper_projection(self, anchor):
+        target = ultracold_target_species(anchor["gas"], 10.0)
+        report = ultracold_forecast(target, 1e5, 1e5, **anchor)
         assert report.per_molecule_in_cavity_rate_Hz == pytest.approx(
             2.193571387, rel=1e-8
         )
@@ -193,23 +193,18 @@ class TestUltracoldForecast:
         assert 1e4 <= report.ensemble_rate_Hz <= 1e6
         assert 0.1 <= report.per_molecule_total_rate_Hz <= 10.0
 
-    def test_internal_consistency(self, reference_geometry, species):
-        anchor = make_anchor_scenario(reference_geometry, species)
-        target = ultracold_target_species(anchor.gas, 10.0)
-        report = ultracold_forecast(anchor, target, 31337.0, 2e4)
+    def test_internal_consistency(self, anchor):
+        target = ultracold_target_species(anchor["gas"], 10.0)
+        report = ultracold_forecast(target, 31337.0, 2e4, **anchor)
         assert report.ensemble_rate_Hz == report.per_molecule_in_cavity_rate_Hz * 31337.0
-        waist = anchor.effective_cavity_waist(WAVELENGTH)
         assert report.cavity_free_space_ratio == purcell_ratio(2e4, WAVELENGTH,
-                                                               waist)
+                                                               anchor["cavity_waist"])
 
-    def test_linear_in_molecule_number_and_polarizability_squared(self,
-                                                                  reference_geometry, species):
-        anchor = make_anchor_scenario(reference_geometry, species)
-        ten_x = ultracold_forecast(anchor, ultracold_target_species(anchor.gas, 10.0),
-                                   1e5, 1e5)
-        twenty_x = ultracold_forecast(anchor,
-                                      ultracold_target_species(anchor.gas, 20.0),
-                                      2e5, 1e5)
+    def test_linear_in_molecule_number_and_polarizability_squared(self, anchor):
+        ten_x = ultracold_forecast(ultracold_target_species(anchor["gas"], 10.0),
+                                   1e5, 1e5, **anchor)
+        twenty_x = ultracold_forecast(ultracold_target_species(anchor["gas"], 20.0),
+                                      2e5, 1e5, **anchor)
         assert twenty_x.per_molecule_in_cavity_rate_Hz == pytest.approx(
             4.0 * ten_x.per_molecule_in_cavity_rate_Hz, rel=1e-12
         )
@@ -218,30 +213,21 @@ class TestUltracoldForecast:
         )
 
     @pytest.mark.parametrize("waist", [0.0, -50e-6])
-    def test_nonpositive_pump_waist_names_its_key(self, waist):
+    def test_nonpositive_pump_waist_names_its_key(self, anchor, waist):
         with pytest.raises(ValueError, match="pump.waist"):
-            PumpBeam(wavelength=WAVELENGTH, waist=waist)
-
-    def test_missing_anchor_rejected(self, reference_geometry, species):
-        scenario = ScenarioConfig(
-            cavity=reference_geometry, gas=species["Xe"], pressure=1e4,
-            pump=PumpBeam(wavelength=WAVELENGTH, waist=50e-6),
-        )
-        with pytest.raises(ValueError):
-            ultracold_forecast(scenario, species["Xe"], 1e5, 1e5)
+            forecast_with(anchor, pump_waist=waist)
 
     @pytest.mark.parametrize("pressure", [0.0, -1.0])
-    def test_nonpositive_pressure_rejected(self, reference_geometry, pressure, species):
-        anchor = make_anchor_scenario(reference_geometry, species)._replace(pressure=pressure)
+    def test_nonpositive_pressure_rejected(self, anchor, pressure):
         with pytest.raises(ValueError, match="gas.pressure"):
-            ultracold_forecast(anchor, ultracold_target_species(anchor.gas), 1e5, 1e5)
+            forecast_with(anchor, pressure=pressure)
 
 
 class TestAnchorValidation:
-    def test_rejects_nonpositive_power(self):
-        with pytest.raises(ValueError):
-            AnchorMeasurement(0.0, 1000.0, 0.042)
+    def test_rejects_nonpositive_power(self, anchor):
+        with pytest.raises(ValueError, match="anchor.measured_power"):
+            forecast_with(anchor, measured_power=0.0)
 
-    def test_rejects_bad_overlap(self):
-        with pytest.raises(ValueError):
-            AnchorMeasurement(50e-15, 1000.0, 1.5)
+    def test_rejects_bad_overlap(self, anchor):
+        with pytest.raises(ValueError, match="anchor.spectral_overlap"):
+            forecast_with(anchor, spectral_overlap=1.5)

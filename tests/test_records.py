@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from cavray import (AnchorMeasurement, CavityGeometry, GasSpecies, MirrorSpec, PumpBeam,
-                    SpectrumTrace, derive_cavity_params)
+from cavray import CavityGeometry, GasSpecies, MirrorSpec, SpectrumTrace, derive_cavity_params
 from cavray.records import record
 
 MIRROR = MirrorSpec(0.997)
@@ -16,11 +15,8 @@ VALIDATING = [
     (CavityGeometry, {"mirror_separation": 6e-3, "radius_of_curvature": 45e-3,
                       "left_mirror": MIRROR, "right_mirror": MIRROR},
      {"mirror_separation": 0.1}),
-    (PumpBeam, {"wavelength": 532e-9, "waist": 50e-6}, {"waist": 0.0}),
     (GasSpecies, {"name": "Xe", "molar_mass": 0.13129, "polarizability": 4.04,
                   "temperature": 295.0}, {"temperature": 0.0}),
-    (AnchorMeasurement, {"measured_power": 50e-15, "finesse": 1000.0,
-                         "spectral_overlap": 0.042}, {"spectral_overlap": 1.5}),
     (SpectrumTrace, {"detunings": np.arange(3.0), "signals": np.ones(3),
                      "species": "Xe", "cavity": CAVITY}, {"signals": np.array([1.0, -1.0, 1.0])}),
 ]

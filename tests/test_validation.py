@@ -148,7 +148,10 @@ MUTANTS = {
                                  "(enhancement * spectral_overlap)", "enhancement")],
     # ``experiment`` imports purcell_ratio by name
     "check_forecast_consistency": [("ratio-12-over-pi-squared", experiment, "purcell_ratio",
-                                    "6.0 / math.pi", "12.0 / math.pi")],
+                                    "6.0 / math.pi", "12.0 / math.pi"),
+                                   ("overlap-penalty-kept", experiment, "ultracold_forecast",
+                                    "/ spectral_overlap", "",
+                                    "rate residual 2.281e+01 against the back-out route")],
     "check_unit_convention_cancels": [("dipole-power-doubled", overlap, "dipole_mode_power",
                                        "4.0 * math.pi ** 2", "8.0 * math.pi ** 2")],
 }
