@@ -23,7 +23,7 @@ _EXPORTS = {
     "experiment": "EnhancementReport ForecastReport build_enhancement_report "
                   "contributing_particles free_space_backout interaction_volume "
                   "photon_rate ultracold_forecast ultracold_target_species",
-    "field": "PowerBudget ScatterConfig cavity_power_budget intracavity_field "
+    "field": "PowerBudget cavity_power_budget intracavity_field "
              "position_averaged_intensity transmitted_power",
     "gases": "GasSpecies load_species_table",
     "optics": "CavityGeometry CavityParams MirrorSpec derive_cavity_params finesse "

@@ -233,9 +233,8 @@ def cmd_purcell(args) -> int:
     values = parse_config(args.config)
     geometry = _cavity_geometry(values)
     wavelength = values["pump.wavelength"]
-    params = derive_cavity_params(geometry, wavelength)
-    finesse = values.get("purcell.finesse", params.finesse)
-    waist = values.get("purcell.waist", params.waist)
+    finesse = values.get("purcell.finesse") or derive_cavity_params(geometry, wavelength).finesse
+    waist = values.get("purcell.waist") or _geometry_waist(values, wavelength)
     d = geometry.mirror_separation
     from_ratio = purcell_ratio(finesse, wavelength, waist)
     from_qv = purcell_factor(q_factor(d, finesse, wavelength), wavelength,

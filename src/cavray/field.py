@@ -1,9 +1,9 @@
 """Intracavity field built up by interference of scattered waves.
 
-A weak scatterer (proportionality factor ``amplitude``, assumed << 1)
-driven by a side pump emits into both travel directions of the cavity;
-the right-traveling field at the scatterer follows from summing all
-round trips. Intensities and powers are expressed in units of the pump
+A weak scatterer, a classical driven dipole, emits into both travel
+directions of the cavity; the right-traveling field at the scatterer
+follows from summing all round trips. The scatterer enters as keyword
+arguments. Intensities and powers are expressed in units of the pump
 (``amplitude**2 * pump``); the fixed mode-area reference that converts
 between the two cancels in every reported ratio and is set to 1.
 
@@ -20,20 +20,6 @@ import math
 from typing import Literal
 
 from .records import record
-
-
-@record
-class ScatterConfig:
-    """Scatterer and drive parameters for the interference model.
-
-    displacement is the scatterer's offset from the cavity centre; keep it
-    within [-lambda/2, lambda/2] when it feeds a position average.
-    """
-
-    amplitude: float          # dimensionless scattering proportionality factor
-    pump_field: float         # pump field amplitude, arbitrary field units
-    wavenumber: float         # rad/m
-    displacement: float = 0.0  # m
 
 
 @record
@@ -55,30 +41,39 @@ def _check_feedback(r1: float, r2: float) -> None:
         )
 
 
-def _source_and_feedback(cfg: ScatterConfig, r1: float, r2: float,
-                         mirror_separation: float) -> tuple[complex, complex]:
+def _source_and_feedback(r1: float, r2: float, mirror_separation: float, *,
+                         amplitude: float, pump_field: float, wavenumber: float,
+                         displacement: float) -> tuple[complex, complex]:
     """Directly scattered plus once-reflected source term, and the
     round-trip feedback factor; shared by the closed form and the
     summation so the two routes differ only in how the series is summed."""
-    k, d, dz = cfg.wavenumber, mirror_separation, cfg.displacement
-    source = cfg.amplitude * cfg.pump_field * (
+    k, d, dz = wavenumber, mirror_separation, displacement
+    source = amplitude * pump_field * (
         1.0 + r1 * cmath.exp(1j * k * d) * cmath.exp(2j * k * dz)
     )
     feedback = r1 * r2 * cmath.exp(2j * k * d)
     return source, feedback
 
 
-def intracavity_field(cfg: ScatterConfig, r1: float, r2: float,
-                      mirror_separation: float) -> complex:
+def intracavity_field(r1: float, r2: float, mirror_separation: float, *,
+                      amplitude: float, pump_field: float, wavenumber: float,
+                      displacement: float = 0.0) -> complex:
     """Closed-form right-traveling field at the scatterer, in pump-field units.
 
     E = a*Ep * (1 + r1*exp(i*k*d)*exp(2i*k*dz)) / (1 - r1*r2*exp(2i*k*d))
+
+    The scatterer's ``amplitude`` a is dimensionless and << 1, ``pump_field``
+    Ep is in arbitrary field units and ``wavenumber`` k in rad/m; its offset
+    dz from the cavity centre (``displacement``, m) stays within +-lambda/2
+    when it feeds a position average.
 
     This is the exact solution of the one-round-trip recursion; r1*r2 >= 1
     raises.
     """
     _check_feedback(r1, r2)
-    source, feedback = _source_and_feedback(cfg, r1, r2, mirror_separation)
+    source, feedback = _source_and_feedback(r1, r2, mirror_separation, amplitude=amplitude,
+                                            pump_field=pump_field, wavenumber=wavenumber,
+                                            displacement=displacement)
     return source / (1.0 - feedback)
 
 

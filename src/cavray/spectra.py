@@ -463,7 +463,7 @@ def _json_array(values: np.ndarray):
 
 
 def _voigt_fwhm(gaussian_fwhm: float, lorentzian_fwhm: float) -> float:
-    # Olivero-Longbothum approximation, accurate to 0.02%
+    # Olivero-Longbothum approximation, within 2.4e-4 at any width ratio (worst near 0.29)
     return (0.5346 * lorentzian_fwhm
             + math.sqrt(0.2166 * lorentzian_fwhm ** 2 + gaussian_fwhm ** 2))
 

@@ -158,9 +158,10 @@ def check_field_closed_form_vs_roundtrip(rng: np.random.Generator) -> CheckResul
     draws[:, 1] *= np.minimum(0.997 / np.maximum(draws[:, 0], 1e-12), 0.999)
     exact, terms = [], []
     for r1, r2, amplitude, pump_field, wavenumber, displacement, d in draws.tolist():
-        cfg = field.ScatterConfig(amplitude, pump_field, wavenumber, displacement)
-        exact.append(field.intracavity_field(cfg, r1, r2, d))
-        terms.append(field._source_and_feedback(cfg, r1, r2, d))
+        scatterer = dict(amplitude=amplitude, pump_field=pump_field, wavenumber=wavenumber,
+                         displacement=displacement)
+        exact.append(field.intracavity_field(r1, r2, d, **scatterer))
+        terms.append(field._source_and_feedback(r1, r2, d, **scatterer))
     # every draw's 10,000 round trips at once: the doubled sum is elementwise
     summed = _iterate_roundtrips(*np.array(terms).T, 10_000)
     exact = np.array(exact)

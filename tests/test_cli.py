@@ -305,6 +305,22 @@ def test_overlap_without_a_waist_needs_no_finesse(capsys, tmp_path):
         values["cavity.separation"], values["cavity.curvature"], values["pump.wavelength"])
 
 
+def test_purcell_with_a_given_finesse_and_waist_needs_no_mirrors(capsys, tmp_path):
+    # purcell.finesse and purcell.waist are both given, so a left mirror of
+    # reflectivity 0 changes nothing
+    cfg = write_demo_variant(tmp_path, **{"cavity.left_reflectivity": "0"})
+    code, out, err = run_cli(capsys, "purcell", "--config", str(cfg), "--format", "json")
+    assert code == 0, err
+    assert out.encode("utf-8") == (GOLDEN / "purcell.json").read_bytes()
+    # without the given finesse it is derived, and the mirror has none
+    cfg.write_text(re.sub(r"^purcell\.finesse = .*\n", "", cfg.read_text(),
+                          flags=re.MULTILINE))
+    code, out, err = run_cli(capsys, "purcell", "--config", str(cfg), "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert "cavity.left_reflectivity" in err
+
+
 def test_forecast_whose_rates_overflow_names_the_keys(capsys, tmp_path):
     # each input (in SI units) inside the parse window; the rates' product
     # is beyond the largest double

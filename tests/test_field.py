@@ -14,9 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavray import (ScatterConfig, cavity_power_budget, field,
-                    intracavity_field, position_averaged_intensity,
-                    transmitted_power, validation)
+from cavray import (cavity_power_budget, field, intracavity_field,
+                    position_averaged_intensity, transmitted_power, validation)
 from cavray.optics import MirrorSpec, finesse
 
 K = 2.0 * math.pi / 532e-9
@@ -24,13 +23,13 @@ RESONANT_D = round(6e-3 * K / math.pi) * math.pi / K  # nearest k*d = m*pi to 6 
 
 
 def resonant_config(amplitude=1.0, displacement=0.0):
-    return ScatterConfig(amplitude=amplitude, pump_field=1.0, wavenumber=K,
-                         displacement=displacement)
+    """The scatterer's keyword arguments, driven at 532 nm with unit pump field."""
+    return dict(amplitude=amplitude, pump_field=1.0, wavenumber=K, displacement=displacement)
 
 
-def roundtrip_sum(cfg, r1, r2, mirror_separation, n_roundtrips):
+def roundtrip_sum(r1, r2, mirror_separation, n_roundtrips, **scatterer):
     """The field after n round trips, summed term by term."""
-    source, feedback = field._source_and_feedback(cfg, r1, r2, mirror_separation)
+    source, feedback = field._source_and_feedback(r1, r2, mirror_separation, **scatterer)
     return validation._iterate_roundtrips(source, feedback, n_roundtrips)
 
 
@@ -41,54 +40,54 @@ def test_resonant_separation_is_resonant():
 
 class TestIntracavityField:
     def test_free_space_is_single_scattered_wave(self):
-        state = intracavity_field(resonant_config(amplitude=0.01), 0.0, 0.0, 6e-3)
+        state = intracavity_field(0.0, 0.0, 6e-3, **resonant_config(amplitude=0.01))
         assert state == pytest.approx(0.01)
 
     def test_resonant_buildup(self):
         # (1 + r) / (1 - r^2) at a constructive position
-        state = intracavity_field(resonant_config(), 0.9985, 0.9985, RESONANT_D)
+        state = intracavity_field(0.9985, 0.9985, RESONANT_D, **resonant_config())
         assert abs(state) == pytest.approx(666.6666666667, rel=1e-6)
 
     def test_destructive_placement(self):
         # a quarter-wave displacement flips the left-mirror contribution
         state = intracavity_field(
-            resonant_config(displacement=532e-9 / 4.0), 0.9985, 0.9985, RESONANT_D
+            0.9985, 0.9985, RESONANT_D, **resonant_config(displacement=532e-9 / 4.0)
         )
         assert abs(state) == pytest.approx(0.5003752815, rel=1e-6)
 
     def test_diverging_feedback_rejected(self):
         with pytest.raises(ValueError):
-            intracavity_field(resonant_config(), 1.0, 1.0, 6e-3)
+            intracavity_field(1.0, 1.0, 6e-3, **resonant_config())
 
 
 class TestRoundtripSum:
     def test_zero_roundtrips_keeps_source_terms(self):
-        cfg = resonant_config(displacement=1e-7)
-        state = roundtrip_sum(cfg, 0.9, 0.9, 6e-3, 0)
-        expected = cfg.amplitude * cfg.pump_field * (
+        scatterer = resonant_config(displacement=1e-7)
+        state = roundtrip_sum(0.9, 0.9, 6e-3, 0, **scatterer)
+        expected = scatterer["amplitude"] * scatterer["pump_field"] * (
             1.0 + 0.9 * np.exp(1j * K * (6e-3 + 2e-7))
         )
         assert state == pytest.approx(expected)
 
     def test_high_reflectivity_converges_to_closed_form(self):
-        cfg = resonant_config()
-        exact = intracavity_field(cfg, 0.9985, 0.9985, RESONANT_D)
-        summed = roundtrip_sum(cfg, 0.9985, 0.9985, RESONANT_D, 10_000)
+        scatterer = resonant_config()
+        exact = intracavity_field(0.9985, 0.9985, RESONANT_D, **scatterer)
+        summed = roundtrip_sum(0.9985, 0.9985, RESONANT_D, 10_000, **scatterer)
         assert abs(summed - exact) / abs(exact) < 1e-6
 
     def test_moderate_feedback_converges_fast(self):
-        cfg = resonant_config(displacement=3e-8)
+        scatterer = resonant_config(displacement=3e-8)
         r = math.sqrt(0.5)
-        exact = intracavity_field(cfg, r, r, 6e-3)
-        summed = roundtrip_sum(cfg, r, r, 6e-3, 50)
+        exact = intracavity_field(r, r, 6e-3, **scatterer)
+        summed = roundtrip_sum(r, r, 6e-3, 50, **scatterer)
         assert abs(summed - exact) / abs(exact) < 1e-15
 
     def test_truncation_follows_geometric_tail(self):
-        cfg = resonant_config()
+        scatterer = resonant_config()
         r = 0.9
-        exact = intracavity_field(cfg, r, r, RESONANT_D)
+        exact = intracavity_field(r, r, RESONANT_D, **scatterer)
         for n in (10, 20, 40):
-            summed = roundtrip_sum(cfg, r, r, RESONANT_D, n)
+            summed = roundtrip_sum(r, r, RESONANT_D, n, **scatterer)
             assert abs(summed - exact) / abs(exact) == pytest.approx(
                 (r * r) ** (n + 1), rel=1e-6
             )
@@ -102,10 +101,9 @@ class TestRoundtripSum:
     )
     @settings(max_examples=150, deadline=None)
     def test_closed_form_is_series_limit(self, r1, r2, k, dz, d):
-        cfg = ScatterConfig(amplitude=1e-3, pump_field=2.0, wavenumber=k,
-                            displacement=dz)
-        exact = intracavity_field(cfg, r1, r2, d)
-        summed = roundtrip_sum(cfg, r1, r2, d, 4000)
+        scatterer = dict(amplitude=1e-3, pump_field=2.0, wavenumber=k, displacement=dz)
+        exact = intracavity_field(r1, r2, d, **scatterer)
+        summed = roundtrip_sum(r1, r2, d, 4000, **scatterer)
         assert abs(summed - exact) <= abs(exact) * 1e-9 + 1e-12
 
 

@@ -18,12 +18,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from cavray import (CavityGeometry, MirrorSpec, SpectrumTrace,
-                    derive_cavity_params, doppler_fwhm,
+                    derive_cavity_params, doppler_fwhm, free_spectral_range,
                     load_species_table, observed_doppler_fwhm,
                     polarization_signal, scan_spectrum, species_ratio, spectral_overlap,
                     validation)
 from cavray.spectra import (_BLOCK, MAX_SCAN_POINTS, OBSERVED_WIDTH_FACTOR, _erfcx,
-                            _interpolate_periodic, _token_tables, _TokenFrame)
+                            _interpolate_periodic, _token_tables, _TokenFrame, _voigt_fwhm)
 
 WAVELENGTH = 532e-9
 
@@ -282,13 +282,36 @@ class TestScanSpectrum:
             scan_spectrum(cavity, [(gas, 1.0)], 1e6, 1e3, WAVELENGTH)
 
 
+def test_voigt_fwhm_gate_is_within_its_stated_bound():
+    special = pytest.importorskip("scipy.special")
+    # Lorentzian/Gaussian FWHM ratios 1e-6 to 1e6, the worst (2.37e-4) near
+    # 0.29; each exact width by bisection on the half maximum of scipy's
+    # profile, with G + L = 1 so that the half width lies in (0, 1)
+    ratio = np.logspace(-6.0, 6.0, 201)
+    gaussian, lorentzian = 1.0 / (1.0 + ratio), ratio / (1.0 + ratio)
+    sigma, gamma = gaussian / math.sqrt(8.0 * math.log(2.0)), lorentzian / 2.0
+    half_maximum = special.voigt_profile(0.0, sigma, gamma) / 2.0
+    low, high = np.zeros_like(ratio), np.ones_like(ratio)
+    for _ in range(60):
+        middle = (low + high) / 2.0
+        inside = special.voigt_profile(middle, sigma, gamma) >= half_maximum
+        low, high = np.where(inside, middle, low), np.where(inside, high, middle)
+    exact = low + high
+    gate = np.array([_voigt_fwhm(g, l) for g, l in zip(gaussian.tolist(), lorentzian.tolist())])
+    assert np.max(np.abs(gate - exact) / exact) <= 2.5e-4
+
+
 def _scan_case(name):
     """(cavity, species weights, range, resolution) of one oracle comparison."""
-    reflectivity, temperature, resolution = {
-        "demo": (0.997, 295.0, 25e6),
-        "77K": (0.997, 77.0, 25e6),
+    fsr = free_spectral_range(6e-3)
+    reflectivity, temperature, scan_range, resolution = {
+        "demo": (0.997, 295.0, 37.5e9, 25e6),
+        "77K": (0.997, 77.0, 37.5e9, 25e6),
         # finesse 1.05e5, ~17k harmonics: the lines are 5 MHz wide
-        "0.01K": (0.99997, 0.01, 0.85e6),
+        "0.01K": (0.99997, 0.01, 37.5e9, 0.85e6),
+        # the benchmark's scan shapes: 2 FSRs at 1.75e5 points, 30 FSRs at 3e4
+        "dense": (0.997, 295.0, 2.0 * fsr, 2.0 * fsr / (175_000 - 1)),
+        "wide": (0.997, 295.0, 30.0 * fsr, 30.0 * fsr / (30_000 - 1)),
     }[name]
     cavity = derive_cavity_params(
         CavityGeometry(6e-3, 45e-3, MirrorSpec(reflectivity), MirrorSpec(reflectivity)),
@@ -296,7 +319,7 @@ def _scan_case(name):
     table = load_species_table()
     weights = [(table[n]._replace(temperature=temperature), w)
                for n, w in (("Xe", 1.0), ("CF3H", 0.7), ("N2", 1.3))]
-    return cavity, weights, 37.5e9, resolution
+    return cavity, weights, scan_range, resolution
 
 
 class TestScanAgainstOracles:
@@ -304,7 +327,7 @@ class TestScanAgainstOracles:
     brute-force +-4000-order Voigt sum, at 200 detunings of each scan:
     100 anywhere and 100 within three line widths of a comb order."""
 
-    @pytest.fixture(params=["demo", "77K", "0.01K"])
+    @pytest.fixture(params=["demo", "77K", "0.01K", "dense", "wide"])
     def sampled(self, request):
         cavity, weights, scan_range, resolution = _scan_case(request.param)
         trace = scan_spectrum(cavity, weights, scan_range, resolution, WAVELENGTH)

@@ -93,7 +93,7 @@ LINEWIDTH_AS_HWHM = ("linewidth-as-hwhm", spectra, "spectral_overlap",
 # detail: a residual that no draw moves, or the bound that failed.
 MUTANTS = {
     "check_field_closed_form_vs_roundtrip": [("mirrors-swapped", field, "intracavity_field",
-                                              "feedback(cfg, r1, r2,", "feedback(cfg, r2, r1,")],
+                                              "feedback(r1, r2,", "feedback(r2, r1,")],
     "check_field_average_quadrature": [R2_IN_NUMERATOR],
     "check_field_mirror_asymmetry": [R2_IN_NUMERATOR],
     "check_power_budget_identities": [
@@ -182,13 +182,13 @@ def roundtrip_draws(rng):
     for _ in range(validation._ROUNDTRIP_DRAWS):
         r1 = rng.uniform(0.0, 0.999)
         r2 = rng.uniform(0.0, min(0.997 / max(r1, 1e-12), 0.999))
-        cfg = field.ScatterConfig(
+        scatterer = dict(
             amplitude=rng.uniform(1e-6, 1e-3),
             pump_field=rng.uniform(0.1, 10.0),
             wavenumber=rng.uniform(1e6, 2e7),
             displacement=rng.uniform(-1e-7, 1e-7),
         )
-        draws.append((cfg, r1, r2, rng.uniform(1e-3, 1e-2)))
+        draws.append((scatterer, r1, r2, rng.uniform(1e-3, 1e-2)))
     return draws
 
 
@@ -246,14 +246,15 @@ def test_quadrature_checks_make_one_batch_call_each(monkeypatch):
 @pytest.mark.parametrize("seed", [0, 20260])
 def test_array_recursion_matches_the_scalar_sum_per_draw(seed):
     draws = roundtrip_draws(np.random.default_rng(seed))
-    pairs = [field._source_and_feedback(cfg, r1, r2, d) for cfg, r1, r2, d in draws]
+    pairs = [field._source_and_feedback(r1, r2, d, **scatterer) for scatterer, r1, r2, d in draws]
     sources, feedbacks = (np.array(column) for column in zip(*pairs))
     summed = validation._iterate_roundtrips(sources, feedbacks, 10_000)
     scalar = np.array([validation._iterate_roundtrips(source, feedback, 10_000)
                        for source, feedback in pairs])
     assert np.max(np.abs(summed - scalar) / np.abs(scalar)) <= 1e-15
     # and the check reports the residual of exactly these draws
-    exact = np.array([field.intracavity_field(*draw) for draw in draws])
+    exact = np.array([field.intracavity_field(r1, r2, d, **scatterer)
+                      for scatterer, r1, r2, d in draws])
     worst = np.max(np.abs(summed - exact) / np.abs(exact))
     result = validation.check_field_closed_form_vs_roundtrip(np.random.default_rng(seed))
     assert result.detail.startswith(f"residual {worst:.3e} ")
@@ -270,8 +271,8 @@ def _loop_roundtrips(source, feedback, n_roundtrips):
 
 @pytest.mark.parametrize("seed", [0, 20260])
 def test_doubled_sum_matches_the_round_trip_loop(seed):
-    pairs = [field._source_and_feedback(cfg, r1, r2, d)
-             for cfg, r1, r2, d in roundtrip_draws(np.random.default_rng(seed))]
+    pairs = [field._source_and_feedback(r1, r2, d, **scatterer)
+             for scatterer, r1, r2, d in roundtrip_draws(np.random.default_rng(seed))]
     sources, feedbacks = (np.array(column) for column in zip(*pairs))
     doubled = validation._iterate_roundtrips(sources, feedbacks, 10_000)
     looped = _loop_roundtrips(sources, feedbacks, 10_000)
