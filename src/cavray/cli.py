@@ -4,12 +4,18 @@ Subcommands: cavity, scan, overlap, enhance, purcell, forecast, validate.
 Config files use the flat dotted-key format of :mod:`cavray.config`, and
 this module is the one that reads their keys: the others take SI values.
 Each handler imports what it uses: a process loads its subcommand's modules only.
+A ``cavray`` process ends when ``main`` returns, so ``main`` has the collector
+freeze the heap at exit, which spares the interpreter's shutdown walk over it;
+the hook is set in ``main``, not at import, so importers and in-process
+callers keep their collector untouched until their own exit.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import contextlib
+import gc
 import sys
 from pathlib import Path
 
@@ -320,6 +326,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # the shutdown collections skip frozen objects, so a process that ends
+    # here exits without walking its heap; one hook however often main runs
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     args = build_parser().parse_args(argv)
     try:
         if args.out:

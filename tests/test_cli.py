@@ -18,7 +18,9 @@ lost ``purcell_2c``, a copy of ``cavity_free_space_ratio``, and went to
 schema ``cavray.forecast-report/2``.
 """
 
+import atexit
 import contextlib
+import gc
 import io
 import json
 import os
@@ -588,16 +590,62 @@ def test_report_subcommands_load_no_scipy():
     assert "json" not in _probe_stages("scan")["scan"]
 
 
+def _python_m_cavray(*argv):
+    """``python -m cavray`` with ``argv``, run as a child process."""
+    return subprocess.run([sys.executable, "-m", "cavray", *argv], capture_output=True,
+                          env=_src_env(), timeout=120)
+
+
 def test_python_m_cavray_is_the_cli():
-    argv = [sys.executable, "-m", "cavray", "cavity", "--config", str(DEMO)]
-    result = subprocess.run([*argv, "--format", "json"], capture_output=True,
-                            env=_src_env(), timeout=120)
+    result = _python_m_cavray("cavity", "--config", str(DEMO), "--format", "json")
     assert result.returncode == 0, result.stderr
     assert result.stdout == (GOLDEN / "cavity.json").read_bytes()
     # and exits with main's code: 2 for a config error
-    argv[-1] = str(ROOT / "no_such.cfg")
-    assert subprocess.run(argv, capture_output=True, env=_src_env(),
-                          timeout=120).returncode == 2
+    assert _python_m_cavray("cavity", "--config", str(ROOT / "no_such.cfg")).returncode == 2
+
+
+def test_python_m_cavray_scan_writes_every_byte_at_exit(tmp_path):
+    """Processes that load numpy end with the heap frozen and still write
+    every byte, to stdout and to an --out file alike."""
+    result = _python_m_cavray("scan", "--config", str(DEMO), "--format", "csv")
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert result.stdout == (GOLDEN / "scan.csv").read_bytes()
+    result = _python_m_cavray("scan", "--config", str(DEMO), "--format", "json",
+                              "--out", str(tmp_path))
+    assert (result.returncode, result.stderr) == (0, b"")
+    [path] = tmp_path.iterdir()
+    assert path.read_bytes() == (GOLDEN / "scan.json").read_bytes()
+    result = _python_m_cavray("validate")
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert (_without_residual_figures(result.stdout.decode("utf-8"))
+            == _without_residual_figures((GOLDEN / "validate.txt").read_text()))
+
+
+def test_in_process_main_leaves_the_collector_as_it_was(capsys, monkeypatch, tmp_path):
+    """``main`` changes nothing of its caller's collector and, however often
+    it runs, leaves one exit hook that freezes the heap."""
+    hooks = []
+    register, unregister = atexit.register, atexit.unregister
+
+    def counted_register(func, *args, **kwargs):
+        hooks.append(func)
+        return register(func, *args, **kwargs)
+
+    def counted_unregister(func):
+        hooks[:] = [hook for hook in hooks if hook != func]
+        unregister(func)
+
+    monkeypatch.setattr(atexit, "register", counted_register)
+    monkeypatch.setattr(atexit, "unregister", counted_unregister)
+    before = gc.isenabled(), gc.get_freeze_count(), gc.get_threshold()
+    bad = write_demo_variant(tmp_path, **{"cavity.separation_mm": "-1"})
+    for argv, want in [(["cavity", "--config", str(DEMO), "--format", "json"], 0),
+                       (["scan", "--config", str(DEMO), "--format", "csv"], 0),
+                       (["cavity", "--config", str(bad)], 2)]:
+        code, _, err = run_cli(capsys, *argv)
+        assert code == want, err
+        assert (gc.isenabled(), gc.get_freeze_count(), gc.get_threshold()) == before
+    assert hooks == [gc.freeze]
 
 
 def test_package_namespace_resolves_every_exported_name():
