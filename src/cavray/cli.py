@@ -4,6 +4,9 @@ Subcommands: cavity, scan, overlap, enhance, purcell, forecast, validate.
 Config files use the flat dotted-key format of :mod:`cavray.config`, and
 this module is the one that reads their keys: the others take SI values.
 Each handler imports what it uses: a process loads its subcommand's modules only.
+JSON artifacts are written by :mod:`cavray.jsontext`, which only a JSON output
+imports. The json package loads only for a string that needs an escape, and
+none of the report schemas or species-table names does.
 A ``cavray`` process ends when ``main`` returns, so ``main`` has the collector
 freeze the heap at exit, which spares the interpreter's shutdown walk over it;
 the hook is set in ``main``, not at import, so importers and in-process
@@ -46,11 +49,13 @@ def _write(args, filename: str, *texts: str) -> None:
 
 
 def _emit(args, stem: str, schema: str, fields: dict) -> None:
-    """Write named values as a table, CSV or a JSON object tagged ``schema``."""
+    """Write named values as a table, CSV or a JSON object tagged ``schema``.
+    The JSON text comes from :mod:`cavray.jsontext`, imported in that branch only,
+    and is what ``json.dumps(..., indent=2)`` would write."""
     if args.format == "json":
-        import json
+        from .jsontext import dumps
 
-        text = json.dumps({"schema": schema, **fields}, indent=2) + "\n"
+        text = dumps({"schema": schema, **fields}) + "\n"
     else:
         rows = [(name, f"{value:.12g}") for name, value in fields.items()]
         if args.format == "table":

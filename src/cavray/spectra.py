@@ -189,7 +189,8 @@ class SpectrumTrace:
 
     def to_json(self, stream: io.TextIOBase) -> None:
         """Write the trace to ``stream`` as ``json.dumps(payload, indent=2)``
-        would, one block of values at a time."""
+        would, one block of values at a time, without importing json unless
+        the species name needs an escape (see :mod:`cavray.jsontext`)."""
         stream.writelines(self._json_pieces())
 
     def _json_pieces(self):
@@ -198,12 +199,14 @@ class SpectrumTrace:
         The two arrays hold each value rounded to 12 significant digits,
         as ``repr(float("%.12g" % x))``. ``_json_array`` writes them
         block-wise through ``_TokenFrame`` rather than by the json module,
-        whose indenting encoder runs in Python once per element.
+        whose indenting encoder runs in Python once per element. The
+        schema, the species and the cavity block are written by
+        ``jsontext.dumps``, the cavity block at the document's indent.
         """
-        import json
+        from .jsontext import dumps
 
-        yield (f'{{\n  "schema": {json.dumps(TRACE_SCHEMA)},\n'
-               f'  "species": {json.dumps(self.species)},\n  "detuning_Hz": ')
+        yield (f'{{\n  "schema": {dumps(TRACE_SCHEMA)},\n'
+               f'  "species": {dumps(self.species)},\n  "detuning_Hz": ')
         yield from _json_array(self.detunings)
         yield ',\n  "signal_normalized": '
         yield from _json_array(self.signals)
@@ -212,7 +215,7 @@ class SpectrumTrace:
             "free_spectral_range_Hz": self.cavity.free_spectral_range,
             "linewidth_Hz": self.cavity.linewidth,
         }
-        yield ',\n  "cavity": ' + json.dumps(cavity, indent=2).replace("\n", "\n  ")
+        yield ',\n  "cavity": ' + dumps(cavity, "  ")
         yield "\n}"
 
 

@@ -535,14 +535,16 @@ IMPORT_PROBE = textwrap.dedent("""
     import cavray.cli
     stages["import cavray.cli"] = watched_modules()
     config = sys.argv[1]
-    for command in sys.argv[2:]:
-        fmt = "csv" if command == "scan" else "json"
+    # a stage is a subcommand, or "scan:json" for a scan in another format
+    for stage in sys.argv[2:]:
+        command, _, fmt = stage.partition(":")
+        fmt = fmt or ("csv" if command == "scan" else "json")
         argv = [command] if command == "validate" else [command, "--config", config,
                                                         "--format", fmt]
         with contextlib.redirect_stdout(io.StringIO()):
             code = cavray.cli.main(argv)
-        assert code == 0, command
-        stages[command] = watched_modules()
+        assert code == 0, stage
+        stages[stage] = watched_modules()
     import json
     print(json.dumps(stages))
 """)
@@ -566,28 +568,30 @@ def _probe_stages(*commands):
 
 def test_report_subcommands_load_no_scipy():
     """``import cavray`` loads the package alone; ``cavray.cli`` and the
-    five reports, run in turn in one process, load no numpy, scipy,
-    ``dataclasses`` or ``inspect`` module, and ``cavity``, run first, loads
-    neither ``experiment`` nor ``field``; ``enhance`` takes its back-out from
-    ``field``, the interference model. ``scan`` and then ``validate``,
-    run after them, load numpy and still no scipy. No stage loads
-    ``difflib``, which only an unknown config key needs. ``import
-    cavray.cli`` loads no ``json``, and neither does a CSV scan run first
-    in a fresh process."""
+    five JSON reports, run in turn in one process, load no numpy, scipy,
+    ``json``, ``dataclasses`` or ``inspect`` module, and ``cavity``, run
+    first, loads neither ``experiment`` nor ``field``; ``enhance`` takes its
+    back-out from ``field``, the interference model. ``scan`` and then
+    ``validate``, run after them, load numpy and still no scipy. No stage
+    loads ``difflib``, which only an unknown config key needs. A CSV scan
+    and then a JSON scan, run in a fresh process, load no ``json``, and the
+    CSV scan not even ``cavray.jsontext``."""
     assert REPORTS[0] == "cavity"
     stages = _probe_stages(*REPORTS, "scan", "validate")
     assert stages["import cavray"] == ["cavray"]
-    assert "json" not in stages["import cavray.cli"]
+    assert "cavray.jsontext" not in stages["import cavray.cli"]
     for stage in ["import cavray.cli", *REPORTS]:
-        assert not [m for m in stages[stage]
-                    if not m.startswith("cavray") and m != "json"], stage
+        assert not [m for m in stages[stage] if not m.startswith("cavray")], stage
     assert not {"cavray.experiment", "cavray.field"} & set(stages["cavity"])
     assert "cavray.field" in stages["enhance"]
     for stage in ["scan", "validate"]:
         assert "numpy" in stages[stage], stage
         assert not any(m.startswith("scipy") for m in stages[stage]), stage
     assert not [stage for stage, modules in stages.items() if "difflib" in modules]
-    assert "json" not in _probe_stages("scan")["scan"]
+    scans = _probe_stages("scan", "scan:json")
+    assert "cavray.jsontext" not in scans["scan"]
+    assert "cavray.jsontext" in scans["scan:json"]
+    assert not [stage for stage, modules in scans.items() if "json" in modules]
 
 
 def _python_m_cavray(*argv):

@@ -37,10 +37,25 @@ EDGE_VALUES = [0.0, -0.0, 1e-300, 1e11, 123456789012.5, 5e-324, 2.5e-310,
                2.2250738585072014e-308, 99999999999.0, 999999999999.0,
                999999999999.5, 9.99999999999e15, 1e16, 9.999999999995e-5,
                0.9999999999995, 2.5e-320]
-# any finite double, integral doubles up to 1e16, and the edge values
-FINITE_VALUES = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
-                          st.integers(-10 ** 16, 10 ** 16).map(float),
-                          st.sampled_from(EDGE_VALUES))
+
+
+def finite_pool():
+    """The edge values and 5,396 fixed-seed doubles of both signs: two of
+    every binade from 5e-324 to 1.8e308, integral doubles up to 1e16, and
+    decimals of 1 to 6 digits at exponents -323..302. An index into a fixed
+    list is much cheaper to draw than a value of Hypothesis's float
+    strategies."""
+    rng = np.random.default_rng(20261019)
+    binades = np.ldexp(rng.uniform(1.0, 2.0, (2098, 2)),
+                       np.arange(-1074, 1024)[:, None]).ravel()
+    integers = rng.integers(0, 10 ** 16, 600).astype(float)
+    decimals = [float(f"{m}e{k}") for m, k in zip(rng.integers(1, 10 ** 6, 600).tolist(),
+                                                rng.integers(-323, 303, 600).tolist())]
+    values = np.concatenate([binades, integers, decimals])
+    return EDGE_VALUES + (values * rng.choice([-1.0, 1.0], len(values))).tolist()
+
+
+FINITE_VALUES = st.sampled_from(finite_pool())
 
 
 def paper_linewidth(finesse):
@@ -446,9 +461,10 @@ class TestTraceSerialization:
         assert_writers_format_per_value(
             SpectrumTrace(detunings, signals, 'Xe+"N2"', reference_params))
 
-    # the fixture is one fixed cavity, so every example may share it
+    # the fixture is one fixed cavity, so every example may share it; no
+    # fill value, so that every element is drawn from the pool on its own
     @given(hnp.arrays(np.float64, st.tuples(st.integers(0, 40), st.just(2)),
-                      elements=FINITE_VALUES))
+                      elements=FINITE_VALUES, fill=st.nothing()))
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_writers_format_any_finite_values_per_value(self, reference_params, rows):
