@@ -77,7 +77,6 @@ def test_doubles_of_every_binade_match_json():
     assert_matches_json([np.float64(x) for x in DOUBLES])
     for x in (-0.0, 5e-324, 1e16, np.float64(-1e-5)):
         assert_matches_json(x)
-    assert jsontext.dumps(-0.0) == "-0.0"
 
 
 @pytest.mark.parametrize("text", STRINGS)
