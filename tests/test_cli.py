@@ -523,13 +523,21 @@ def test_non_finite_config_value_is_a_config_error(capsys, tmp_path):
 
 
 IMPORT_PROBE = textwrap.dedent("""
-    import contextlib, io, sys
+    import contextlib, gc, io, sys
 
     def watched_modules():
         return sorted(m for m in sys.modules if m.startswith(("numpy", "scipy", "cavray"))
                       or m in ("dataclasses", "inspect", "difflib", "json"))
 
-    stages = {}
+    # the collections that start while main runs, counted by generation
+    collections = None
+
+    def count(phase, info):
+        if phase == "start" and collections is not None:
+            collections[info["generation"]] += 1
+
+    gc.callbacks.append(count)
+    stages, stage_collections = {}, {}
     import cavray
     stages["import cavray"] = watched_modules()
     import cavray.cli
@@ -541,12 +549,14 @@ IMPORT_PROBE = textwrap.dedent("""
         fmt = fmt or ("csv" if command == "scan" else "json")
         argv = [command] if command == "validate" else [command, "--config", config,
                                                         "--format", fmt]
+        collections = [0] * len(gc.get_count())
         with contextlib.redirect_stdout(io.StringIO()):
             code = cavray.cli.main(argv)
+        stage_collections[stage], collections = collections, None
         assert code == 0, stage
         stages[stage] = watched_modules()
     import json
-    print(json.dumps(stages))
+    print(json.dumps({"modules": stages, "collections": stage_collections}))
 """)
 
 
@@ -558,7 +568,10 @@ def _src_env():
     return env
 
 
-def _probe_stages(*commands):
+def _probe(*commands):
+    """The ``IMPORT_PROBE`` record of ``commands`` run in turn in a fresh process:
+    per stage, the watched modules loaded so far and the collections, by
+    generation, that ran inside ``main``."""
     result = subprocess.run(
         [sys.executable, "-c", IMPORT_PROBE, str(DEMO), *commands],
         capture_output=True, text=True, env=_src_env(), timeout=120, check=True,
@@ -577,7 +590,7 @@ def test_report_subcommands_load_no_scipy():
     and then a JSON scan, run in a fresh process, load no ``json``, and the
     CSV scan not even ``cavray.jsontext``."""
     assert REPORTS[0] == "cavity"
-    stages = _probe_stages(*REPORTS, "scan", "validate")
+    stages = _probe(*REPORTS, "scan", "validate")["modules"]
     assert stages["import cavray"] == ["cavray"]
     assert "cavray.jsontext" not in stages["import cavray.cli"]
     for stage in ["import cavray.cli", *REPORTS]:
@@ -588,10 +601,72 @@ def test_report_subcommands_load_no_scipy():
         assert "numpy" in stages[stage], stage
         assert not any(m.startswith("scipy") for m in stages[stage]), stage
     assert not [stage for stage, modules in stages.items() if "difflib" in modules]
-    scans = _probe_stages("scan", "scan:json")
+    scans = _probe("scan", "scan:json")["modules"]
     assert "cavray.jsontext" not in scans["scan"]
     assert "cavray.jsontext" in scans["scan:json"]
     assert not [stage for stage, modules in scans.items() if "json" in modules]
+
+
+@pytest.mark.parametrize("stage", ["scan", "scan:json", "validate"])
+def test_numpy_loading_subcommands_run_few_collections_in_main(stage):
+    """A fresh ``scan`` (CSV or JSON) or ``validate`` process loads numpy
+    inside ``main`` and moves what the import made into the oldest
+    generation, so its collections walk the work's objects only: at most 8,
+    none above generation 0, where a plain import ran 28 + 2 (scan) and
+    34 + 3 (validate)."""
+    young, *older = _probe(stage)["collections"][stage]
+    assert young <= 8 and not any(older), (young, *older)
+
+
+COLLECTOR_PROBE = textwrap.dedent("""
+    import contextlib, gc, io, json, sys, weakref
+    import cavray.cli
+
+    class Node:
+        pass
+
+    setup, config = sys.argv[1:]
+    if setup == "disabled":
+        gc.disable()
+    elif setup == "frozen":
+        gc.freeze()
+    # cyclic garbage that only a collection reclaims, made before main runs
+    node = Node()
+    node.cycle = node
+    garbage = weakref.ref(node)
+    del node
+
+    def state():
+        return [gc.isenabled(), gc.get_freeze_count(), gc.get_threshold()]
+
+    before, loaded_before = state(), "numpy" in sys.modules
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cavray.cli.main(["scan", "--config", config])
+    after = state()
+    gc.collect()
+    print(json.dumps({"code": code, "before": before, "after": after,
+                      "numpy_loaded_in_main": not loaded_before and "numpy" in sys.modules,
+                      "garbage_reclaimed": garbage() is None}))
+""")
+
+
+@pytest.mark.parametrize("setup", ["enabled", "disabled", "frozen"])
+def test_scan_leaves_a_fresh_callers_collector_as_it_was(setup):
+    """A caller that has not loaded numpy, so that ``scan`` loads it inside
+    ``main``, finds its collector on or off as it was, its frozen objects
+    still frozen (the count unchanged) and its thresholds unchanged; and the
+    cyclic garbage it made before is not frozen, so a full collection
+    reclaims it."""
+    result = subprocess.run(
+        [sys.executable, "-c", COLLECTOR_PROBE, setup, str(DEMO)],
+        capture_output=True, text=True, env=_src_env(), timeout=120, check=True,
+    )
+    record = json.loads(result.stdout)
+    assert record["code"] == 0 and record["numpy_loaded_in_main"]
+    assert record["after"] == record["before"]
+    assert record["before"][0] is (setup != "disabled")
+    assert (record["before"][1] > 0) is (setup == "frozen")
+    assert record["garbage_reclaimed"]
 
 
 def _python_m_cavray(*argv):
@@ -626,8 +701,11 @@ def test_python_m_cavray_scan_writes_every_byte_at_exit(tmp_path):
 
 
 def test_in_process_main_leaves_the_collector_as_it_was(capsys, monkeypatch, tmp_path):
-    """``main`` changes nothing of its caller's collector and, however often
-    it runs, leaves one exit hook that freezes the heap."""
+    """``main`` leaves its caller's collector on or off as it was, its frozen
+    objects frozen and its thresholds unchanged, and, however often it runs,
+    one exit hook that freezes the heap. It does move the caller's tracked
+    objects into the oldest generation when a handler's import loads new
+    modules; pytest has loaded numpy already, so here none does."""
     hooks = []
     register, unregister = atexit.register, atexit.unregister
 

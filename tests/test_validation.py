@@ -176,6 +176,17 @@ def test_check_fails_on_its_mutant(monkeypatch, check, row):
     assert all(part in result.detail for part in text)
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 6: both routes of the forecast "
+                   "check divide by contributing_particles, so a doubled volume cancels; "
+                   "a forward power from the pump would catch it")
+def test_forecast_check_fails_on_a_doubled_interaction_volume(monkeypatch):
+    monkeypatch.setattr(experiment, "interaction_volume",
+                        mutant(experiment, "interaction_volume", " / 2.0", ""))
+    check = validation.check_forecast_consistency
+    result = check(validation._check_rngs(0)(check.__name__))
+    assert not result.passed, result.detail
+
+
 def roundtrip_draws(rng):
     """The draws of the round-trip check, one scalar draw at a time, in order."""
     draws = []
