@@ -4,6 +4,9 @@ Subcommands: cavity, scan, overlap, enhance, purcell, forecast, validate.
 Config files use the flat dotted-key format of :mod:`cavray.config`, and
 this module is the one that reads their keys: the others take SI values.
 Each handler imports what it uses: a process loads its subcommand's modules only.
+``main`` builds only the named subcommand's parser; help and the error on a
+missing or unknown subcommand come from the full one, and every usage error
+reads as the full parser's.
 JSON artifacts are written by :mod:`cavray.jsontext`, which only a JSON output
 imports. The json package loads only for a string that needs an escape, and
 none of the report schemas or species-table names does.
@@ -327,12 +330,11 @@ def _seed(text: str) -> int:
     return int(text)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cavray",
-        description="Cavity-enhanced Rayleigh scattering model",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``cavray`` parser. Given one of the subcommand names as ``command``,
+    it registers that subcommand's parser only, and its usage line still lists
+    every name; given anything else it registers them all, for help and for
+    the error on a missing or unknown subcommand."""
     # the formats each subcommand writes, its default first; validate
     # reads no config and writes one text report
     named_values = ("table", "json", "csv")
@@ -346,7 +348,17 @@ def build_parser() -> argparse.ArgumentParser:
         "forecast": (cmd_forecast, "ultracold-molecule detection forecast", reports),
         "validate": (cmd_validate, "run the oracle validation suite", None),
     }
+    parser = argparse.ArgumentParser(
+        prog="cavray",
+        description="Cavity-enhanced Rayleigh scattering model",
+    )
+    # a metavar would rename the subcommand in the full parser's errors,
+    # so only the one-subcommand parser spells out the names it lacks
+    sub = parser.add_subparsers(dest="command", required=True, metavar=(
+        "{" + ",".join(commands) + "}" if command in commands else None))
     for name, (handler, help_text, formats) in commands.items():
+        if command in commands and name != command:
+            continue
         p = sub.add_parser(name, help=help_text)
         if formats:
             p.add_argument("--config", required=True, help="scenario config file")
@@ -365,7 +377,9 @@ def main(argv: list[str] | None = None) -> int:
     # here exits without walking its heap; one hook however often main runs
     atexit.unregister(gc.freeze)
     atexit.register(gc.freeze)
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         if args.out:
             Path(args.out).mkdir(parents=True, exist_ok=True)

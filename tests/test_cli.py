@@ -18,6 +18,7 @@ lost ``purcell_2c``, a copy of ``cavity_free_space_ratio``, and went to
 schema ``cavray.forecast-report/2``.
 """
 
+import argparse
 import atexit
 import contextlib
 import gc
@@ -37,7 +38,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cavray import derive_cavity_params, scan_spectrum, symmetric_waist
-from cavray.cli import _cavity_geometry, _species, main
+from cavray.cli import _cavity_geometry, _species, build_parser, main
 from cavray.config import KEYS, parse_config
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -134,6 +135,8 @@ def test_validate_report_matches_golden(capsys, tmp_path):
     ["enhance", "--format", "csv"],
     ["forecast", "--format", "csv"],
     ["cavity", "--seed", "1"],
+    ["purcell", "--seed", "1"],
+    ["overlap", "--format", "xml"],
     ["validate", "--format", "json"],
     ["validate", "--config", str(DEMO)],
 ], ids=lambda argv: " ".join(argv[:2]))
@@ -154,6 +157,85 @@ def test_seed_that_is_no_generator_seed_is_a_usage_error_naming_it(capsys, seed)
     out, err = capsys.readouterr()
     assert out == ""
     assert "--seed" in err and repr(seed) in err
+
+
+def _argv_id(value):
+    """A test id for a command line, with the demo config's path shortened."""
+    if not isinstance(value, list):
+        return str(value)
+    return " ".join("DEMO" if word == str(DEMO) else word for word in value) or "[]"
+
+
+def _parsed(parser, argv):
+    """``vars`` of the namespace ``parser`` makes of ``argv``, or the exit code
+    and the stdout and stderr text of its help or usage error."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+def _parser_cases():
+    """Command lines for each subcommand: every format it takes, --out, --seed,
+    -h, and the usage errors of a missing --config, a format it does not take,
+    a bad --seed and another subcommand's option."""
+    config = ["--config", str(DEMO)]
+    formats = {}
+    for command, fmt, _ in _outputs(""):
+        formats.setdefault(command, []).append(fmt)
+    cases = [["validate"], ["validate", "--seed", "7"], ["validate", "--out", "d"],
+             ["validate", "--seed", "-1"], ["validate", "--seed", "1.5"],
+             ["validate", "--seed"], ["validate", *config], ["validate", "--format", "json"],
+             ["validate", "-h"], ["validate", "validate"]]
+    for command, taken in formats.items():
+        cases += [[command, *config, "--format", fmt] for fmt in taken]
+        untaken = [fmt for fmt in ("table", "csv", "json", "xml") if fmt not in taken]
+        cases += [[command, *config, "--format", fmt] for fmt in untaken]
+        cases += [[command, *config], [command, *config, "--out", "d", "--format", taken[-1]],
+                  [command], [command, "--format", taken[0]], [command, *config, "--seed", "1"],
+                  [command, *config, "--format"], [command, "-h"], [command, "--help", *config]]
+    return cases
+
+
+@pytest.mark.parametrize("argv", _parser_cases(), ids=_argv_id)
+def test_one_subcommand_parser_parses_as_the_full_parser(argv):
+    """``build_parser(command)`` gives the namespace the full parser gives, or
+    exits with the same code and prints the same help or usage error."""
+    assert _parsed(build_parser(argv[0]), argv) == _parsed(build_parser(), argv)
+
+
+@pytest.mark.parametrize("argv", [[], ["-h"], ["--help"], ["nosuch"], ["nosuch", "-h"],
+                                  ["--out", "d", "cavity"]], ids=_argv_id)
+def test_main_without_a_subcommand_prints_what_the_full_parser_prints(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out, err) == _parsed(build_parser(), argv)
+
+
+@pytest.mark.parametrize("argv, parsers", [
+    *(([command, "-h"], 2) for command in [*REPORTS, "scan", "validate"]),
+    (["overlap", "--config", str(DEMO), "--format", "json"], 2),
+    (["scan", "--config", str(DEMO), "--format", "table"], 2),
+    ([], 8), (["-h"], 8), (["nosuch"], 8),
+], ids=_argv_id)
+def test_main_builds_the_named_subcommands_parser_only(capsys, monkeypatch, argv, parsers):
+    """A named subcommand costs ``main`` the top parser and its own; help and
+    the error on a missing or unknown subcommand build all eight."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    with contextlib.suppress(SystemExit):
+        main(argv)
+    capsys.readouterr()
+    assert len(built) == parsers
 
 
 def test_validate_passes_every_check(capsys):
@@ -681,6 +763,11 @@ def test_python_m_cavray_is_the_cli():
     assert result.stdout == (GOLDEN / "cavity.json").read_bytes()
     # and exits with main's code: 2 for a config error
     assert _python_m_cavray("cavity", "--config", str(ROOT / "no_such.cfg")).returncode == 2
+    # main reads sys.argv, so its help lists every subcommand
+    result = _python_m_cavray("-h")
+    assert (result.returncode, result.stderr) == (0, b"")
+    listed = re.findall(rb"^ {4}(\w+) ", result.stdout, re.MULTILINE)
+    assert sorted(listed) == sorted(name.encode() for name in [*REPORTS, "scan", "validate"])
 
 
 def test_python_m_cavray_scan_writes_every_byte_at_exit(tmp_path):
