@@ -8,8 +8,9 @@ Each handler imports what it uses: a process loads its subcommand's modules only
 missing or unknown subcommand come from the full one, and every usage error
 reads as the full parser's.
 JSON artifacts are written by :mod:`cavray.jsontext`, which only a JSON output
-imports. The json package loads only for a string that needs an escape, and
-none of the report schemas or species-table names does.
+imports; a scan's JSON goes through :mod:`cavray.trace` and then ``jsontext``.
+The json package loads only for a string that needs an escape, and none of
+the report schemas or species-table names does.
 
 The collector policy has three parts. A ``cavray`` process ends when ``main``
 returns, so ``main`` has the collector freeze the heap at exit, which spares
@@ -61,22 +62,15 @@ def _aged_imports():
             gc.enable()
 
 
-@contextlib.contextmanager
-def _output(args, filename: str):
-    """The stream of ``filename`` in the --out directory, or stdout."""
+def _write(args, filename: str, pieces) -> None:
+    """Stream the texts of ``pieces`` to ``filename`` in the --out directory, or stdout."""
     if args.out:
         path = Path(args.out) / filename
         with path.open("w", encoding="utf-8") as stream:
-            yield stream
+            stream.writelines(pieces)
         print(f"wrote {path}")
     else:
-        yield sys.stdout
-
-
-def _write(args, filename: str, *texts: str) -> None:
-    """Write ``texts`` one after another to ``filename`` as ``_output`` opens it."""
-    with _output(args, filename) as stream:
-        stream.writelines(texts)
+        sys.stdout.writelines(pieces)
 
 
 def _emit(args, stem: str, schema: str, fields: dict) -> None:
@@ -94,7 +88,7 @@ def _emit(args, stem: str, schema: str, fields: dict) -> None:
             text = "\n".join(f"{name:<{width}}  {value}" for name, value in rows) + "\n"
         else:
             text = "name,value\n" + "\n".join(f"{n},{v}" for n, v in rows) + "\n"
-    _write(args, f"{stem}.{SUFFIXES[args.format]}", text)
+    _write(args, f"{stem}.{SUFFIXES[args.format]}", [text])
 
 
 def _reject_unread_indices(values, prefix: str, count: int, why: str) -> None:
@@ -164,6 +158,7 @@ def cmd_scan(args) -> int:
     from .optics import derive_cavity_params
     with _aged_imports():
         from .spectra import scan_spectrum
+        from .trace import pieces
 
     values = parse_config(args.config)
     wavelength = values["pump.wavelength"]
@@ -185,13 +180,8 @@ def cmd_scan(args) -> int:
         wavelength=wavelength,
         normalize=bool(values.get("scan.normalize", 1.0)),
     )
-    # block by block, so that no whole document is held in memory
-    with _output(args, f"scan_{trace.species.replace('+', '_')}.{args.format}") as stream:
-        if args.format == "json":
-            trace.to_json(stream)
-            stream.write("\n")
-        else:
-            trace.to_csv(stream)
+    _write(args, f"scan_{trace.species.replace('+', '_')}.{args.format}",
+           pieces(trace, args.format))
     return 0
 
 
@@ -243,7 +233,7 @@ def cmd_enhance(args) -> int:
         _emit(args, "enhancement_report", "cavray.enhancement-report/1",
               {**report._asdict(), "entries": [e._asdict() for e in report.entries]})
     else:
-        _write(args, "enhancement_report.txt", _enhancement_table(report) + "\n")
+        _write(args, "enhancement_report.txt", [_enhancement_table(report) + "\n"])
     return 0
 
 
@@ -319,7 +309,7 @@ def cmd_validate(args) -> int:
         from . import validation
 
     results = validation.run_all(seed=args.seed)
-    _write(args, "validation_report.txt", validation.format_report(results))
+    _write(args, "validation_report.txt", [validation.format_report(results)])
     return 0 if all(r.passed for r in results) else 1
 
 

@@ -40,6 +40,7 @@ from hypothesis import strategies as st
 from cavray import derive_cavity_params, scan_spectrum, symmetric_waist
 from cavray.cli import _cavity_geometry, _species, build_parser, main
 from cavray.config import KEYS, parse_config
+from cavray.trace import pieces
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMO = ROOT / "demos" / "reference_cavity.cfg"
@@ -328,9 +329,7 @@ def test_scan_uses_the_config_temperature(capsys, tmp_path):
     # samples sit above half the peak
     assert np.count_nonzero(cold[:, 1] > 0.5) < np.count_nonzero(warm[:, 1] > 0.5)
 
-    buffer = io.StringIO()
-    _expected_scan(cold_cfg).to_csv(buffer)
-    assert cold_text == buffer.getvalue()
+    assert cold_text == "".join(pieces(_expected_scan(cold_cfg), "csv"))
 
 
 def test_scan_on_a_non_integral_grid_matches_per_point_formatting(capsys, tmp_path):
@@ -666,13 +665,14 @@ def test_report_subcommands_load_no_scipy():
     five JSON reports, run in turn in one process, load no numpy, scipy,
     ``json``, ``dataclasses`` or ``inspect`` module, and ``cavity``, run
     first, loads neither ``experiment`` nor ``field``; ``enhance`` takes its
-    back-out from ``field``, the interference model. ``scan`` and then
-    ``validate``, run after them, load numpy and still no scipy. No stage
-    loads ``difflib``, which only an unknown config key needs. A CSV scan
-    and then a JSON scan, run in a fresh process, load no ``json``, and the
-    CSV scan not even ``cavray.jsontext``."""
+    back-out from ``field``, the interference model. ``validate`` and then
+    ``scan``, run after them, load numpy and still no scipy, and only the
+    scan loads its writer, ``cavray.trace``. No stage loads ``difflib``,
+    which only an unknown config key needs. A CSV scan and then a JSON
+    scan, run in a fresh process, load ``cavray.trace`` and no ``json``, and
+    the CSV scan not even ``cavray.jsontext``."""
     assert REPORTS[0] == "cavity"
-    stages = _probe(*REPORTS, "scan", "validate")["modules"]
+    stages = _probe(*REPORTS, "validate", "scan")["modules"]
     assert stages["import cavray"] == ["cavray"]
     assert "cavray.jsontext" not in stages["import cavray.cli"]
     for stage in ["import cavray.cli", *REPORTS]:
@@ -682,8 +682,10 @@ def test_report_subcommands_load_no_scipy():
     for stage in ["scan", "validate"]:
         assert "numpy" in stages[stage], stage
         assert not any(m.startswith("scipy") for m in stages[stage]), stage
+    assert [stage for stage, modules in stages.items() if "cavray.trace" in modules] == ["scan"]
     assert not [stage for stage, modules in stages.items() if "difflib" in modules]
     scans = _probe("scan", "scan:json")["modules"]
+    assert "cavray.trace" in scans["scan"]
     assert "cavray.jsontext" not in scans["scan"]
     assert "cavray.jsontext" in scans["scan:json"]
     assert not [stage for stage, modules in scans.items() if "json" in modules]

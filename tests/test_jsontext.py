@@ -105,7 +105,7 @@ def test_other_types_are_a_type_error(value):
         jsontext.dumps(value)
 
 
-@pytest.mark.parametrize("module", ["cli", "spectra"])
+@pytest.mark.parametrize("module", ["cli", "trace"])
 def test_artifact_writers_import_json_nowhere(module):
     # a JSON report or scan writes through jsontext; only a string that
     # needs an escape loads the json package, from jsontext

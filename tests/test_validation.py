@@ -357,9 +357,10 @@ def test_production_module_draws_no_random_numbers(module):
 @pytest.mark.parametrize("module", sorted(path.stem for path in PACKAGE_DIR.glob("*.py")))
 def test_numpy_and_quadrature_stay_out_of_the_closed_forms(module):
     # the production modules are closed forms: numpy serves the scan
-    # (``spectra``) and the oracles, and only the oracles integrate
+    # (``spectra``), its writer (``trace``) and the oracles, and only the
+    # oracles integrate
     imported = _imported_names(ast.parse((PACKAGE_DIR / f"{module}.py").read_text()))
-    if module not in {"spectra", "quadrature", "validation"}:
+    if module not in {"spectra", "trace", "quadrature", "validation"}:
         assert "numpy" not in imported
     if module != "validation":
         assert "quadrature" not in imported
@@ -369,6 +370,12 @@ def test_experiment_computes_records_and_writes_no_json():
     # every report's keys, schema and layout are chosen in ``cli``
     tree = ast.parse((PACKAGE_DIR / "experiment.py").read_text())
     assert "json" not in _imported_names(tree)
+
+
+def test_spectra_imports_neither_io_nor_jsontext():
+    # ``trace`` writes the scan's text; ``spectra`` computes it
+    tree = ast.parse((PACKAGE_DIR / "spectra.py").read_text())
+    assert not {"io", "jsontext"} & _imported_names(tree)
 
 
 def test_nan_residual_fails_its_check(monkeypatch):
