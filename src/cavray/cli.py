@@ -3,6 +3,12 @@
 Subcommands: cavity, scan, overlap, enhance, purcell, forecast, validate.
 Config files use the flat dotted-key format of :mod:`cavray.config`, and
 this module is the one that reads their keys: the others take SI values.
+``main`` runs a subcommand in three stages: it parses ``--config`` once
+(``validate`` reads none and gets ``None``), calls the handler, and writes
+what the handler returns once, through ``_write``. A handler only computes:
+``cmd_*(args, values) -> (code, filename, pieces)``, the exit code, the file
+name under --out and the texts of the output, which may be a generator, so
+that a scan's document still streams block by block.
 Each handler imports what it uses: a process loads its subcommand's modules only.
 ``main`` builds only the named subcommand's parser; help and the error on a
 missing or unknown subcommand come from the full one, and every usage error
@@ -73,10 +79,11 @@ def _write(args, filename: str, pieces) -> None:
         sys.stdout.writelines(pieces)
 
 
-def _emit(args, stem: str, schema: str, fields: dict) -> None:
-    """Write named values as a table, CSV or a JSON object tagged ``schema``.
-    The JSON text comes from :mod:`cavray.jsontext`, imported in that branch only,
-    and is what ``json.dumps(..., indent=2)`` would write."""
+def _emit(args, stem: str, schema: str, fields: dict) -> tuple[str, list[str]]:
+    """The file name and text of named values as a table, CSV or a JSON object
+    tagged ``schema``; it formats them and writes nothing. The JSON text comes
+    from :mod:`cavray.jsontext`, imported in that branch only, and is what
+    ``json.dumps(..., indent=2)`` would write."""
     if args.format == "json":
         from .jsontext import dumps
 
@@ -88,7 +95,7 @@ def _emit(args, stem: str, schema: str, fields: dict) -> None:
             text = "\n".join(f"{name:<{width}}  {value}" for name, value in rows) + "\n"
         else:
             text = "name,value\n" + "\n".join(f"{n},{v}" for n, v in rows) + "\n"
-    _write(args, f"{stem}.{SUFFIXES[args.format]}", [text])
+    return f"{stem}.{SUFFIXES[args.format]}", [text]
 
 
 def _reject_unread_indices(values, prefix: str, count: int, why: str) -> None:
@@ -135,10 +142,9 @@ def _species(values, key: str, names: list[str]):
     return [table[name]._replace(temperature=temperature) for name in names]
 
 
-def cmd_cavity(args) -> int:
+def cmd_cavity(args, values):
     from .optics import derive_cavity_params
 
-    values = parse_config(args.config)
     params = derive_cavity_params(_cavity_geometry(values), values["pump.wavelength"])
     fields = {
         "finesse": params.finesse,
@@ -150,17 +156,15 @@ def cmd_cavity(args) -> int:
         "transverse_mode_spacing_Hz": params.transverse_mode_spacing,
         "mode_volume_m3": params.mode_volume,
     }
-    _emit(args, "cavity_params", "cavray.cavity-params/1", fields)
-    return 0
+    return 0, *_emit(args, "cavity_params", "cavray.cavity-params/1", fields)
 
 
-def cmd_scan(args) -> int:
+def cmd_scan(args, values):
     from .optics import derive_cavity_params
     with _aged_imports():
         from .spectra import scan_spectrum
         from .trace import pieces
 
-    values = parse_config(args.config)
     wavelength = values["pump.wavelength"]
     params = derive_cavity_params(_cavity_geometry(values), wavelength)
     species = _species(values, "scan.species",
@@ -180,16 +184,14 @@ def cmd_scan(args) -> int:
         wavelength=wavelength,
         normalize=bool(values.get("scan.normalize", 1.0)),
     )
-    _write(args, f"scan_{trace.species.replace('+', '_')}.{args.format}",
-           pieces(trace, args.format))
-    return 0
+    return (0, f"scan_{trace.species.replace('+', '_')}.{args.format}",
+            pieces(trace, args.format))
 
 
-def cmd_overlap(args) -> int:
+def cmd_overlap(args, values):
     from .optics import rayleigh_length
     from .overlap import overlap_eta_analytic, overlap_eta_numeric
 
-    values = parse_config(args.config)
     wavelength = values["pump.wavelength"]
     waist = values.get("overlap.waist") or _geometry_waist(values, wavelength)
     z = values.get("overlap.plane_factor", 100.0) * rayleigh_length(waist, wavelength)
@@ -202,15 +204,13 @@ def cmd_overlap(args) -> int:
         "overlap_numeric": on_plane,
         "relative_difference": abs(on_plane - analytic) / analytic,
     }
-    _emit(args, "overlap_report", "cavray.overlap-report/1", fields)
-    return 0
+    return 0, *_emit(args, "overlap_report", "cavray.overlap-report/1", fields)
 
 
-def cmd_enhance(args) -> int:
+def cmd_enhance(args, values):
     from .experiment import build_enhancement_report
     from .optics import MirrorSpec
 
-    values = parse_config(args.config)
     left = MirrorSpec(values["enhance.left_reflectivity"])
     pairings, measured, overlaps = [], [], []
     i = 1
@@ -230,11 +230,9 @@ def cmd_enhance(args) -> int:
         values.get("enhance.comparison_power"),
     )
     if args.format == "json":
-        _emit(args, "enhancement_report", "cavray.enhancement-report/1",
-              {**report._asdict(), "entries": [e._asdict() for e in report.entries]})
-    else:
-        _write(args, "enhancement_report.txt", [_enhancement_table(report) + "\n"])
-    return 0
+        return 0, *_emit(args, "enhancement_report", "cavray.enhancement-report/1", {
+            **report._asdict(), "entries": [e._asdict() for e in report.entries]})
+    return 0, "enhancement_report.txt", [_enhancement_table(report) + "\n"]
 
 
 def _enhancement_table(report) -> str:
@@ -259,11 +257,10 @@ def _enhancement_table(report) -> str:
     return "\n".join(lines)
 
 
-def cmd_purcell(args) -> int:
+def cmd_purcell(args, values):
     from .optics import derive_cavity_params, mode_volume, q_factor
     from .overlap import purcell_factor, purcell_ratio
 
-    values = parse_config(args.config)
     geometry = _cavity_geometry(values)
     wavelength = values["pump.wavelength"]
     finesse = values.get("purcell.finesse") or derive_cavity_params(geometry, wavelength).finesse
@@ -279,15 +276,13 @@ def cmd_purcell(args) -> int:
         "purcell_factor_q_over_v": from_qv,
         "absolute_difference": abs(from_ratio - from_qv),
     }
-    _emit(args, "purcell_report", "cavray.purcell-report/1", fields)
-    return 0
+    return 0, *_emit(args, "purcell_report", "cavray.purcell-report/1", fields)
 
 
-def cmd_forecast(args) -> int:
+def cmd_forecast(args, values):
     from .experiment import (POLARIZABILITY_FACTOR, ultracold_forecast,
                              ultracold_target_species)
 
-    values = parse_config(args.config)
     [gas] = _species(values, "gas.species", [values["gas.species"]])
     wavelength = values["pump.wavelength"]
     target = ultracold_target_species(
@@ -300,17 +295,16 @@ def cmd_forecast(args) -> int:
         measured_power=values["anchor.measured_power"],
         anchor_finesse=values["anchor.finesse"],
         spectral_overlap=values["anchor.spectral_overlap"])
-    _emit(args, "forecast_report", "cavray.forecast-report/2", report._asdict())
-    return 0
+    return 0, *_emit(args, "forecast_report", "cavray.forecast-report/2", report._asdict())
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args, values):
     with _aged_imports():
         from . import validation
 
     results = validation.run_all(seed=args.seed)
-    _write(args, "validation_report.txt", [validation.format_report(results)])
-    return 0 if all(r.passed for r in results) else 1
+    return (0 if all(r.passed for r in results) else 1, "validation_report.txt",
+            [validation.format_report(results)])
 
 
 def _seed(text: str) -> int:
@@ -373,7 +367,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.out:
             Path(args.out).mkdir(parents=True, exist_ok=True)
-        return args.handler(args)
+        values = parse_config(args.config) if "config" in args else None
+        code, filename, pieces = args.handler(args, values)
+        _write(args, filename, pieces)
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -260,6 +260,28 @@ def test_validate_reads_the_packaged_species_table(capsys, monkeypatch, tmp_path
     assert out.endswith("25/25 checks passed\n")
 
 
+def test_validate_that_fails_a_check_exits_1_and_writes_its_report(capsys, monkeypatch,
+                                                                    tmp_path):
+    """A failed check makes ``validate`` exit 1, and only after the whole
+    report is written, to stdout or to its --out file alike."""
+    from cavray import validation
+
+    def check_that_fails(rng):
+        return validation.CheckResult(name="a check that fails", passed=False,
+                                      detail="forced")
+
+    monkeypatch.setattr(validation, "ALL_CHECKS",
+                        (check_that_fails, *validation.ALL_CHECKS[1:]))
+    code, out, err = run_cli(capsys, "validate")
+    assert (code, err) == (1, "")
+    assert out.startswith("FAIL  a check that fails: forced\n")
+    assert out.endswith("\n24/25 checks passed\n")
+    code, written, err = run_cli(capsys, "validate", "--out", str(tmp_path))
+    path = tmp_path / "validation_report.txt"
+    assert (code, written, err) == (1, f"wrote {path}\n", "")
+    assert path.read_text() == out
+
+
 @pytest.mark.parametrize("command", ["scan", "forecast"])
 @pytest.mark.parametrize("rows, line, problem", [
     ("Xe 131.29 inf\n", 3, "polarizability must be finite and positive, got inf"),
@@ -691,6 +713,27 @@ def test_report_subcommands_load_no_scipy():
     assert not [stage for stage, modules in scans.items() if "json" in modules]
 
 
+CONFIG_ERROR_PROBE = textwrap.dedent("""
+    import sys
+    from cavray.cli import main
+
+    code = main(["scan", "--config", sys.argv[1]])
+    print(code, "numpy" in sys.modules)
+""")
+
+
+def test_scan_config_error_is_reported_before_numpy_loads(tmp_path):
+    """``main`` parses a scan's config before the scan imports numpy, so a
+    fresh process reports a config error without that import."""
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("cavity.separation_mm = -1\n")
+    result = subprocess.run([sys.executable, "-c", CONFIG_ERROR_PROBE, str(cfg)],
+                            capture_output=True, text=True, env=_src_env(), timeout=120)
+    assert result.stdout == "2 False\n"
+    assert result.stderr.startswith(
+        f"config error: {cfg}:1: cavity.separation must be positive")
+
+
 @pytest.mark.parametrize("stage", ["scan", "scan:json", "validate"])
 def test_numpy_loading_subcommands_run_few_collections_in_main(stage):
     """A fresh ``scan`` (CSV or JSON) or ``validate`` process loads numpy
@@ -817,6 +860,35 @@ def test_in_process_main_leaves_the_collector_as_it_was(capsys, monkeypatch, tmp
         assert code == want, err
         assert (gc.isenabled(), gc.get_freeze_count(), gc.get_threshold()) == before
     assert hooks == [gc.freeze]
+
+
+def test_main_is_the_one_stage_that_reads_the_config_and_writes_output():
+    """In ``cli.py``, ``main`` holds the one call of ``parse_config`` and the
+    one of ``_write``, and no ``cmd_*`` handler calls ``print`` or names
+    ``sys.stdout``: the handlers only compute and return what ``main`` writes."""
+    import ast
+
+    import cavray.cli
+
+    tree = ast.parse(Path(cavray.cli.__file__).read_text(encoding="utf-8"))
+    callers = {"parse_config": [], "_write": []}
+    handlers = []
+    for statement in tree.body:
+        owner = getattr(statement, "name", None)
+        nodes = list(ast.walk(statement))
+        called = [node.func.id for node in nodes
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+        for name in called:
+            if name in callers:
+                callers[name].append(owner)
+        if isinstance(statement, ast.FunctionDef) and owner.startswith("cmd_"):
+            handlers.append(owner)
+            assert not {"parse_config", "_write", "print"} & set(called), owner
+            assert not [node for node in nodes if isinstance(node, ast.Attribute)
+                        and node.attr == "stdout" and isinstance(node.value, ast.Name)
+                        and node.value.id == "sys"], owner
+    assert len(handlers) == 7
+    assert callers == {"parse_config": ["main"], "_write": ["main"]}
 
 
 def test_package_namespace_resolves_every_exported_name():
