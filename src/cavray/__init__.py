@@ -26,10 +26,10 @@ _EXPORTS = {
     "field": "PowerBudget cavity_power_budget intracavity_field "
              "position_averaged_intensity transmitted_power",
     "gases": "GasSpecies load_species_table",
-    "optics": "CavityGeometry CavityParams MirrorSpec derive_cavity_params finesse "
-              "free_spectral_range mode_volume number_density q_factor rayleigh_length "
-              "symmetric_waist transverse_mode_spacing",
-    "overlap": "GaussianMode dipole_mode_power overlap_eta_analytic overlap_eta_numeric "
+    "optics": "CavityGeometry CavityParams MirrorSpec beam_width derive_cavity_params "
+              "finesse free_spectral_range mode_volume number_density q_factor "
+              "rayleigh_length symmetric_waist transverse_mode_spacing",
+    "overlap": "dipole_mode_power overlap_eta_analytic overlap_eta_numeric "
                "purcell_factor purcell_ratio",
     "spectra": "SpectrumTrace doppler_fwhm observed_doppler_fwhm polarization_signal "
                "scan_spectrum species_ratio spectral_overlap",

@@ -117,13 +117,13 @@ def _cavity_geometry(values):
 
 
 def _geometry_waist(values, wavelength: float) -> float:
-    """The fundamental-mode waist of the ``cavity.*`` geometry, which needs
-    no finesse: a mirror of reflectivity 0 still has a mode. A given waist
-    key is positive, so ``values.get(key) or`` falls back here when absent."""
+    """The fundamental-mode waist of the ``cavity.*`` geometry, from its
+    separation and curvature alone: the mirrors' reflectivities do not set
+    the mode. A given waist key is positive, so ``values.get(key) or`` falls
+    back here when absent."""
     from .optics import symmetric_waist
 
-    geometry = _cavity_geometry(values)
-    return symmetric_waist(geometry.mirror_separation, geometry.radius_of_curvature,
+    return symmetric_waist(values["cavity.separation"], values["cavity.curvature"],
                            wavelength)
 
 
@@ -258,14 +258,17 @@ def _enhancement_table(report) -> str:
 
 
 def cmd_purcell(args, values):
-    from .optics import derive_cavity_params, mode_volume, q_factor
+    from .optics import MirrorSpec, _buildup_finesse, mode_volume, q_factor
     from .overlap import purcell_factor, purcell_ratio
 
-    geometry = _cavity_geometry(values)
     wavelength = values["pump.wavelength"]
-    finesse = values.get("purcell.finesse") or derive_cavity_params(geometry, wavelength).finesse
+    # the mirrors are read only for a finesse, the curvature only for a waist,
+    # that the config does not give
+    finesse = values.get("purcell.finesse") or _buildup_finesse(
+        MirrorSpec(values["cavity.left_reflectivity"]),
+        MirrorSpec(values["cavity.right_reflectivity"]))
     waist = values.get("purcell.waist") or _geometry_waist(values, wavelength)
-    d = geometry.mirror_separation
+    d = values["cavity.separation"]
     from_ratio = purcell_ratio(finesse, wavelength, waist)
     from_qv = purcell_factor(q_factor(d, finesse, wavelength), wavelength,
                              mode_volume(waist, d))

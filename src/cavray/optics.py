@@ -3,7 +3,9 @@
 Mirrors are modeled as lossless (R + T = 1); absorption in real coatings
 makes measured finesse fall short of the lossless prediction, which is
 documented rather than compensated. ``cavray.cli`` builds the geometry
-from a config's ``cavity.*`` keys.
+from a config's ``cavity.*`` keys. The Gaussian mode of waist w0 is
+``rayleigh_length`` z0 and ``beam_width`` w(z); its intensity normalization
+is part of the mode function of ``cavray.validation``, its one reader.
 """
 
 from __future__ import annotations
@@ -42,14 +44,7 @@ class CavityGeometry:
     right_mirror: MirrorSpec
 
     def __post_init__(self):
-        d, rc = self.mirror_separation, self.radius_of_curvature
-        if d <= 0.0:
-            raise ValueError(f"mirror separation must be positive, got {d}")
-        if rc <= 0.0 or d >= 2.0 * rc:
-            raise ValueError(
-                f"unstable geometry: cavity.separation must be below "
-                f"2 * cavity.curvature, got d={d}, Rc={rc}"
-            )
+        _check_stable(self.mirror_separation, self.radius_of_curvature)
 
 
 @record
@@ -64,6 +59,24 @@ class CavityParams:
     rayleigh_length: float        # m
     transverse_mode_spacing: float  # Hz
     mode_volume: float            # m^3
+
+
+def _check_stable(d: float, rc: float) -> None:
+    """A ValueError naming the ``cavity.*`` keys unless 0 < d < 2 Rc, where
+    a symmetric two-mirror cavity has a Gaussian eigenmode."""
+    if not 0.0 < d < 2.0 * rc:
+        raise ValueError(f"unstable geometry: cavity.separation must be in "
+                         f"(0, 2 * cavity.curvature), got d={d}, Rc={rc}")
+
+
+def _buildup_finesse(left: MirrorSpec, right: MirrorSpec) -> float:
+    """The finesse of a mirror pair, or a ValueError naming the
+    ``cavity.*`` mirror keys if a mirror of reflectivity 0 gives none."""
+    f = finesse(left, right)
+    if f <= 0.0:
+        raise ValueError("finesse is zero: cavity.left_reflectivity or "
+                         "cavity.right_reflectivity is 0, so nothing builds up")
+    return f
 
 
 def finesse(left: MirrorSpec, right: MirrorSpec) -> float:
@@ -94,8 +107,7 @@ def symmetric_waist(mirror_separation: float, radius_of_curvature: float,
     d, rc = mirror_separation, radius_of_curvature
     if wavelength <= 0.0:
         raise ValueError(f"wavelength must be positive, got {wavelength}")
-    if d <= 0.0 or d >= 2.0 * rc:
-        raise ValueError(f"unstable geometry: need 0 < d < 2*Rc, got d={d}, Rc={rc}")
+    _check_stable(d, rc)
     w0_sq = (wavelength / (2.0 * math.pi)) * math.sqrt(d * (2.0 * rc - d))
     return math.sqrt(w0_sq)
 
@@ -104,8 +116,7 @@ def transverse_mode_spacing(mirror_separation: float,
                             radius_of_curvature: float) -> float:
     """Frequency spacing of adjacent transverse modes, FSR*arccos(sqrt(g1 g2))/pi."""
     d, rc = mirror_separation, radius_of_curvature
-    if d <= 0.0 or d >= 2.0 * rc:
-        raise ValueError(f"unstable geometry: need 0 < d < 2*Rc, got d={d}, Rc={rc}")
+    _check_stable(d, rc)
     g = 1.0 - d / rc
     return free_spectral_range(d) * math.acos(math.sqrt(g * g)) / math.pi
 
@@ -113,6 +124,11 @@ def transverse_mode_spacing(mirror_separation: float,
 def rayleigh_length(waist: float, wavelength: float) -> float:
     """z0 = pi*w0^2/lambda in m."""
     return math.pi * waist ** 2 / wavelength
+
+
+def beam_width(waist: float, wavelength: float, z: float) -> float:
+    """Gaussian beam width w(z) = w0 * sqrt(1 + (z/z0)^2) in m, z from the waist."""
+    return waist * math.sqrt(1.0 + (z / rayleigh_length(waist, wavelength)) ** 2)
 
 
 def q_factor(mirror_separation: float, finesse: float, wavelength: float) -> float:
@@ -130,10 +146,7 @@ def derive_cavity_params(geometry: CavityGeometry, wavelength: float) -> CavityP
 
     Satisfies linewidth*finesse = FSR and Q*lambda = 2*d*finesse exactly.
     """
-    f = finesse(geometry.left_mirror, geometry.right_mirror)
-    if f <= 0.0:
-        raise ValueError("finesse is zero: cavity.left_reflectivity or "
-                         "cavity.right_reflectivity is 0, so nothing builds up")
+    f = _buildup_finesse(geometry.left_mirror, geometry.right_mirror)
     d = geometry.mirror_separation
     fsr = free_spectral_range(d)
     w0 = symmetric_waist(d, geometry.radius_of_curvature, wavelength)

@@ -10,40 +10,21 @@ power budget reproduces the standard Purcell factor.
 
 ``overlap_eta_numeric(wavelength, waist, z)``, which ``cavray overlap``
 runs, is the closed form of the overlap integral on the plane at z with
-the dipole field taken at its axial value. Every function here is a
-closed form in ``math``; the quadratures of the overlap and of both
-mode normalizations are oracles in ``validation``.
+the dipole field taken at its axial value; the mode's width there is
+``optics.beam_width``. Every function here is a closed form in ``math``.
+The Gaussian mode function, with its normalization, and the quadratures
+of the overlap and of both mode normalizations are oracles in
+``validation``.
 """
 
 from __future__ import annotations
 
 import math
 
-from .optics import rayleigh_length
-from .records import record
+from .optics import beam_width
 
 # intensity normalization over the sphere: integral of cos^3 is 4/3
 DIPOLE_PREFACTOR = math.sqrt(3.0 / (8.0 * math.pi))
-
-
-@record
-class GaussianMode:
-    """Fundamental transverse cavity mode (one travel direction)."""
-
-    waist: float       # m
-    wavelength: float  # m
-
-    @property
-    def rayleigh_length(self) -> float:
-        return rayleigh_length(self.waist, self.wavelength)
-
-    def width(self, z: float) -> float:
-        """Beam width w(z) = w0 * sqrt(1 + (z/z0)^2)."""
-        return self.waist * math.sqrt(1.0 + (z / self.rayleigh_length) ** 2)
-
-    def normalization(self, z: float) -> float:
-        """N(z) such that the transverse intensity integral equals 1."""
-        return self.width(z) * math.sqrt(math.pi / 2.0)
 
 
 def overlap_eta_analytic(wavelength: float, waist: float) -> float:
@@ -68,7 +49,7 @@ def overlap_eta_numeric(wavelength: float, waist: float, z: float) -> float:
     if z <= 0.0:
         raise ValueError(f"evaluation plane must be at z > 0, got {z}")
     return (DIPOLE_PREFACTOR * math.sqrt(2.0 * math.pi)
-            * GaussianMode(waist, wavelength).width(z) / z)
+            * beam_width(waist, wavelength, z) / z)
 
 
 def dipole_mode_power(amplitude: float, pump_power: float,

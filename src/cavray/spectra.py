@@ -148,13 +148,16 @@ def spectral_overlap(observed_fwhm: float, cavity_linewidth: float) -> float:
 
 class SpectrumTrace:
     """Sampled (detuning, signal) data from a simulated cavity scan, as two
-    1-D arrays of one length; :mod:`cavray.trace` writes it."""
+    1-D arrays of one length; :mod:`cavray.trace` writes it. ``normalized``
+    says whether the signals were scaled to a peak of 1."""
 
-    def __init__(self, detunings, signals, species: str, cavity: CavityParams):
+    def __init__(self, detunings, signals, species: str, cavity: CavityParams,
+                 normalized: bool = False):
         self.detunings = np.asarray(detunings, dtype=float)  # Hz
         self.signals = np.asarray(signals, dtype=float)      # dimensionless
         self.species = species
         self.cavity = cavity
+        self.normalized = normalized
         if self.detunings.ndim != 1 or self.detunings.shape != self.signals.shape:
             raise ValueError("detunings and signals must be 1-D of equal length, got "
                              f"shapes {self.detunings.shape} and {self.signals.shape}")
@@ -306,7 +309,7 @@ def scan_spectrum(cavity: CavityParams, species_weights: list[tuple[GasSpecies, 
         if peak > 0.0:
             signals /= peak
     label = "+".join(gas.name for gas, _ in species_weights)
-    return SpectrumTrace(detunings, signals, label, cavity)
+    return SpectrumTrace(detunings, signals, label, cavity, normalize)
 
 
 def polarization_signal(angle, extinction: float = 0.0):

@@ -34,9 +34,11 @@ def pieces(trace, fmt: str):
     """The "csv" or "json" document of ``trace`` in pieces, so that none is
     held whole: the JSON as ``json.dumps(..., indent=2)`` writes it, and a
     newline. ``_TokenFrame`` writes the values, not the json module, whose
-    indenting encoder runs in Python once per element."""
+    indenting encoder runs in Python once per element. The signal column is
+    ``signal_normalized`` for a trace scaled to a peak of 1, else ``signal``."""
+    signal = "signal_normalized" if trace.normalized else "signal"
     if fmt == "csv":
-        yield "detuning_Hz,signal_normalized\n"
+        yield f"detuning_Hz,{signal}\n"
         frame = _TokenFrame(min(len(trace.detunings), _BLOCK), [b",", b"\n"], json=False)
         for start in range(0, len(trace.detunings), _BLOCK):
             detunings = trace.detunings[start:start + _BLOCK]
@@ -51,7 +53,7 @@ def pieces(trace, fmt: str):
     yield (f'{{\n  "schema": {dumps(SCHEMA)},\n'
            f'  "species": {dumps(trace.species)},\n  "detuning_Hz": ')
     yield from _json_array(trace.detunings)
-    yield ',\n  "signal_normalized": '
+    yield f',\n  "{signal}": '
     yield from _json_array(trace.signals)
     cavity = {
         "finesse": trace.cavity.finesse,

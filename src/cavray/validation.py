@@ -12,7 +12,8 @@ calls; it calls the closed forms once per draw and reduces its residuals
 once. The position average runs on a few midpoint nodes,
 on which it is exact. Every integral runs the composite Gauss-Legendre
 rule of ``cavray.quadrature``, so the suite needs numpy alone; a check's
-integrals go in one batch, whose integrand runs once per rule. The checks
+integrals go in one batch, whose integrand runs once per rule; the
+normalized Gaussian mode they read, ``_radial_field``, lives here. The checks
 read the packaged species table, whose values their expected numbers
 belong to, whatever table ``CAVRAY_SPECIES_DB`` names.
 """
@@ -268,51 +269,42 @@ def check_cavity_params_identities(rng: np.random.Generator) -> CheckResult:
 #
 # The closed-form waist and mode-spacing expressions of ``optics`` are
 # verified against the resonator eigenmode obtained from ray-transfer
-# matrices. The matrices are multiplied in exact integer arithmetic: near
-# the confocal point d = Rc the round trip tends to -I and the entries that
-# fix the eigenmode cancel, so a floating-point product loses
-# ~1e-16 / |1 - d/Rc| of relative accuracy there.
+# matrices. Both read one round trip, from the cavity centre, where the
+# symmetric eigenmode has its waist: the mode spacing needs only its
+# half-trace, which the cyclic order of the factors does not change. The
+# matrices are multiplied in exact integer arithmetic: near the confocal
+# point d = Rc the round trip tends to -I and the entries that fix the
+# eigenmode cancel, so a floating-point product loses ~1e-16 / |1 - d/Rc|
+# of relative accuracy there.
 #
 # Every float is an integer over a power of two, so one common power of two
-# s turns d and Rc into integers D = s*d and R = s*Rc (s carries an extra
-# factor 2 when the round trip starts at d/2). A mirror's matrix times R,
-# ((R, 0), (-2, R)), is integral too, so the round trip in units of 1/s is
-# R^2 times an integer matrix. Neither factor changes the results: the
-# eigen-equation c*q^2 + (dd - a)*q - b = 0 and the half-trace ratio
-# (a + dd) / (2 R^2) are homogeneous in a common matrix factor, and q in
-# units of 1/s is s times q in metres. Each result is a ratio of exact
-# integers, rounded once by int / int, as an exact rational would be.
+# s turns d/2 and Rc into integers: D = s*d and R = s*Rc, with D even. A
+# mirror's matrix times R, ((R, 0), (-2, R)), is integral too, so the round
+# trip in units of 1/s is R^2 times an integer matrix. Neither factor
+# changes the results: the eigen-equation c*q^2 + (dd - a)*q - b = 0 and
+# the half-trace ratio (a + dd) / (2 R^2) are homogeneous in a common matrix
+# factor, and q in units of 1/s is s times q in metres. Each result is a
+# ratio of exact integers, rounded once by int / int, as an exact rational
+# would be.
 
 # relative distance from d = Rc inside which the round-trip waist is undefined
 _CONFOCAL_MARGIN = 1e-9
 
 
-def _integer_lengths(scale: int, *lengths: float) -> tuple[int, ...]:
-    """(s, *lengths times s) with s = scale * the lengths' largest denominator.
-
-    A float's denominator is a power of two, so s is a multiple of each
-    and every scaled length is an exact integer.
-    """
-    ratios = [length.as_integer_ratio() for length in lengths]
-    unit = scale * max(den for _, den in ratios)
-    return unit, *(num * (unit // den) for num, den in ratios)
-
-
-def _propagation(distance: int):
-    return ((1, distance), (0, 1))
-
-
-def _curved_mirror(radius_of_curvature: int):
-    """The mirror matrix ((1, 0), (-2/Rc, 1)) times Rc."""
-    return ((radius_of_curvature, 0), (-2, radius_of_curvature))
-
-
-def _roundtrip(*matrices):
-    """Product of 2x2 ((a, b), (c, d)) matrices, leftmost first."""
-    (a, b), (c, d) = matrices[0]
-    for (e, f), (g, h) in matrices[1:]:
-        (a, b), (c, d) = (a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h)
-    return (a, b), (c, d)
+def _centre_roundtrip(mirror_separation: float, radius_of_curvature: float):
+    """(s, D, R, ((a, b), (c, dd))): the scale s, D = s*d and R = s*Rc, and
+    the integer round trip from the cavity centre, half gap, mirror, gap,
+    mirror, half gap, in units of 1/s and times R^2."""
+    ratios = [mirror_separation.as_integer_ratio(), radius_of_curvature.as_integer_ratio()]
+    # twice the largest denominator, a multiple of each, makes D even
+    unit = 2 * max(den for _, den in ratios)
+    d, rc = (num * (unit // den) for num, den in ratios)
+    half, gap, mirror = ((1, d // 2), (0, 1)), ((1, d), (0, 1)), ((rc, 0), (-2, rc))
+    matrix = half
+    for (e, f), (g, h) in (mirror, gap, mirror, half):
+        (a, b), (c, dd) = matrix
+        matrix = (a * e + b * g, a * f + b * h), (c * e + dd * g, c * f + dd * h)
+    return unit, d, rc, matrix
 
 
 def _abcd_roundtrip_waist(mirror_separation: float, radius_of_curvature: float,
@@ -324,14 +316,13 @@ def _abcd_roundtrip_waist(mirror_separation: float, radius_of_curvature: float,
     d = Rc the round trip is -I and every q is an eigenmode, so within
     ``_CONFOCAL_MARGIN`` of it this raises ``ValueError``.
     """
-    unit, d, rc = _integer_lengths(2, mirror_separation, radius_of_curvature)
+    unit, d, rc, ((a, b), (c, dd)) = _centre_roundtrip(mirror_separation,
+                                                       radius_of_curvature)
     margin, margin_den = _CONFOCAL_MARGIN.as_integer_ratio()
     # |1 - d/Rc| < _CONFOCAL_MARGIN, cleared of its denominators
     if abs(rc - d) * margin_den < margin * rc:
         raise ValueError(f"degenerate round trip at the confocal point: "
                          f"d={mirror_separation}, Rc={radius_of_curvature}")
-    (a, b), (c, dd) = _roundtrip(_propagation(d // 2), _curved_mirror(rc), _propagation(d),
-                                 _curved_mirror(rc), _propagation(d // 2))
     # q solves c*q^2 + (dd - a)*q - b = 0; a stable cavity has complex
     # roots, and Im(q)^2 = -disc / (4 c^2) for the one with Im(q) > 0
     disc = (dd - a) ** 2 + 4 * b * c
@@ -350,9 +341,7 @@ def _abcd_roundtrip_mode_spacing(mirror_separation: float,
     theta_rt = atan2(sqrt(1 - h^2), h), and the spacing is
     FSR * theta_rt / (2 pi).
     """
-    _, d, rc = _integer_lengths(1, mirror_separation, radius_of_curvature)
-    (a, _), (_, dd) = _roundtrip(_curved_mirror(rc), _propagation(d),
-                                 _curved_mirror(rc), _propagation(d))
+    _, _, rc, ((a, _), (_, dd)) = _centre_roundtrip(mirror_separation, radius_of_curvature)
     # h = trace / (2 Rc^2) after the two mirrors' factors of Rc
     trace, scale = a + dd, 2 * rc * rc
     if abs(trace) > scale:
@@ -404,26 +393,28 @@ def _dipole_normalization() -> float:
         (-math.pi / 2, math.pi / 2), what="dipole mode normalization", rel_tol=1e-9)
 
 
-def _radial_field(mode: overlap.GaussianMode, planes):
-    """The intensity-normalized field of ``mode`` in each plane z of
-    ``planes``, as a function of radii r and the index of each r's plane."""
-    width, norm = (np.array([f(z) for z in planes]) for f in (mode.width, mode.normalization))
+def _radial_field(waist: float, wavelength: float, planes):
+    """The intensity-normalized field of the Gaussian mode of ``waist`` in
+    each plane z of ``planes``, as a function of radii r and the index of
+    each r's plane: exp(-r^2/w^2) / N, with w = w(z) and N(z) = w(z) sqrt(pi/2)
+    the normalization that makes its intensity integrate to 1 over a plane."""
+    width = np.array([optics.beam_width(waist, wavelength, z) for z in planes])
+    norm = width * math.sqrt(math.pi / 2.0)
     return lambda r, row: np.exp(-(r / width[row]) ** 2) / norm[row]
 
 
-def _radial_edges(mode: overlap.GaussianMode, z: float) -> np.ndarray:
+def _radial_edges(waist: float, wavelength: float, z: float) -> np.ndarray:
     """Panel edges 0, w, 2w, 4w, 8w over the truncated plane, w = w(z)."""
-    width = mode.width(z)
+    width = optics.beam_width(waist, wavelength, z)
     return quadrature.graded_edges(width, _TRUNCATION_WIDTHS * width)
 
 
 def _gaussian_normalization(waist: float, wavelength: float, planes) -> np.ndarray:
     """Numerically integrate the Gaussian-mode intensity over each plane z
     of ``planes``, in one batch."""
-    mode = overlap.GaussianMode(waist, wavelength)
-    radial = _radial_field(mode, planes)
+    radial = _radial_field(waist, wavelength, planes)
     return quadrature.integrate_rows(lambda r, row: 2.0 * math.pi * radial(r, row) ** 2 * r,
-                                     [_radial_edges(mode, z) for z in planes],
+                                     [_radial_edges(waist, wavelength, z) for z in planes],
                                      what="gaussian mode normalization", rel_tol=1e-9)
 
 
@@ -433,14 +424,14 @@ def check_dipole_normalization(rng: np.random.Generator) -> CheckResult:
 
 
 def check_gaussian_normalization(rng: np.random.Generator) -> CheckResult:
-    z0 = overlap.GaussianMode(waist=45e-6, wavelength=532e-9).rayleigh_length
+    z0 = optics.rayleigh_length(45e-6, 532e-9)
     worst = _worst(np.abs(_gaussian_normalization(45e-6, 532e-9, (0.0, z0, 10.0 * z0)) - 1.0))
     return _result("gaussian mode intensity normalization", worst, 1e-6)
 
 
 def check_overlap_far_field(rng: np.random.Generator) -> CheckResult:
     wavelength, waist = 532e-9, 45e-6
-    z0 = overlap.GaussianMode(waist, wavelength).rayleigh_length
+    z0 = optics.rayleigh_length(waist, wavelength)
     analytic = overlap.overlap_eta_analytic(wavelength, waist)
     near = overlap.overlap_eta_numeric(wavelength, waist, 100.0 * z0)
     far = overlap.overlap_eta_numeric(wavelength, waist, 1e4 * z0)
@@ -458,7 +449,7 @@ def check_overlap_far_field(rng: np.random.Generator) -> CheckResult:
 
 def check_overlap_monotone(rng: np.random.Generator) -> CheckResult:
     wavelength, waist = 532e-9, 45e-6
-    z0 = overlap.GaussianMode(waist, wavelength).rayleigh_length
+    z0 = optics.rayleigh_length(waist, wavelength)
     factors = [10.0, 30.0, 100.0, 300.0, 1000.0, 3000.0]
     values = [overlap.overlap_eta_numeric(wavelength, waist, f * z0) for f in factors]
     analytic = overlap.overlap_eta_analytic(wavelength, waist)
@@ -540,20 +531,19 @@ def _doppler_width(wavelength: float, temperature: float, molar_mass: float,
 def _on_axis_overlap_quadrature(wavelength: float, waist: float, planes) -> np.ndarray:
     """The on-axis overlap integral on each plane z of ``planes`` by
     Gauss-Legendre quadrature, in one batch."""
-    mode = overlap.GaussianMode(waist, wavelength)
     axial = np.array([overlap.DIPOLE_PREFACTOR / z for z in planes])
-    radial = _radial_field(mode, planes)
+    radial = _radial_field(waist, wavelength, planes)
     return quadrature.integrate_rows(
         lambda r, row: 2.0 * math.pi * axial[row] * radial(r, row) * r,
-        [_radial_edges(mode, z) for z in planes], what="on-axis overlap", rel_tol=1e-12)
+        [_radial_edges(waist, wavelength, z) for z in planes], what="on-axis overlap",
+        rel_tol=1e-12)
 
 
 def _exact_overlap_quadrature(wavelength: float, waist: float, z: float) -> float:
     """The overlap integral on the plane at z with the full cos(latitude)/r
     dipole field, by Gauss-Legendre quadrature over the (r, phi) tensor
     product; ``ConvergenceError`` past 1e-9 relative."""
-    mode = overlap.GaussianMode(waist, wavelength)
-    radial = _radial_field(mode, (z,))
+    radial = _radial_field(waist, wavelength, (z,))
 
     def integrand(r, phi):
         dist_sq = r ** 2 + z ** 2
@@ -562,8 +552,8 @@ def _exact_overlap_quadrature(wavelength: float, waist: float, z: float) -> floa
         return overlap.DIPOLE_PREFACTOR * cos_latitude / np.sqrt(dist_sq) * radial(r, 0) * r
 
     quarter_turns = np.linspace(0.0, 2.0 * math.pi, 5)
-    return quadrature.integrate(integrand, _radial_edges(mode, z), quarter_turns,
-                                what="dipole/cavity overlap", rel_tol=1e-9)
+    return quadrature.integrate(integrand, _radial_edges(waist, wavelength, z),
+                                quarter_turns, what="dipole/cavity overlap", rel_tol=1e-9)
 
 
 def check_spectral_overlap_closed_form(rng: np.random.Generator) -> CheckResult:
@@ -678,7 +668,9 @@ def check_scan_linearity(rng: np.random.Generator) -> CheckResult:
     return _result("scan signal linear in species weight", residual, 1e-12)
 
 
-# the name is pinned by cavbench's CHECK_NAMES; it changes with ROADMAP item 1b
+# No Monte Carlo: the closed-form projection of the thermal velocity spread on
+# k_out - k_in, over random geometries. cavbench's hand-typed CHECK_NAMES pins
+# the name until ROADMAP item 1a derives it; item 12 then renames the check.
 def check_doppler_monte_carlo(rng: np.random.Generator) -> CheckResult:
     xenon = _packaged_species()["Xe"]
     residuals = []

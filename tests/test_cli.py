@@ -953,3 +953,124 @@ def test_perturbed_demo_gives_finite_output_or_names_a_key(change, extra):
                 assert code == 2, (command, err.getvalue())
                 assert NAMES_A_KEY.search(err.getvalue()) or extra_key in err.getvalue(), (
                     command, err.getvalue())
+
+
+def _json_report(command, lines):
+    """(exit code, stdout) of ``command --format json`` on a config of ``lines``."""
+    with tempfile.TemporaryDirectory() as directory:
+        cfg = Path(directory) / "variant.cfg"
+        cfg.write_text("\n".join(lines) + "\n")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main([command, "--config", str(cfg), "--format", "json"])
+    return code, out.getvalue()
+
+
+def _other_value(text):
+    """A valid value other than the demo's ``text``: 0.9 times a number,
+    another species for a word."""
+    try:
+        return repr(0.9 * float(text))
+    except ValueError:
+        return "Xe" if text == "N2" else "N2"
+
+
+# keys of the demo that a report reads only to derive a value the demo gives
+DERIVED_ONLY = {
+    "overlap": {"cavity.left_reflectivity", "cavity.right_reflectivity"},
+    "purcell": {"cavity.left_reflectivity", "cavity.right_reflectivity",
+                "cavity.curvature_mm"},
+}
+
+
+# keys a report needs although their value cancels from its bytes, up to
+# rounding: the separation enters purcell's Q and V alike, and the forecast's
+# target polarizability is forecast.polarizability_factor times the anchor
+# species' own. They stay needed until the reports stop reading them.
+CANCELLED = {"purcell": ["cavity.separation_mm"], "forecast": ["gas.species"]}
+
+
+@pytest.mark.parametrize("command", REPORTS)
+def test_a_key_whose_change_moves_no_report_can_be_left_out(command):
+    """If other values of a demo key leave a report's bytes as they were,
+    the demo without that key gives the same bytes too: a report needs no
+    key that its output does not read. ``scan`` is left out: it derives
+    the whole cavity, whatever it prints."""
+    lines = [line for line in DEMO_LINES if line]
+    baseline = _json_report(command, lines)
+    assert baseline[0] == 0
+    unread, needed = set(), []
+    for i, line in enumerate(lines):
+        key, _, text = (part.strip() for part in line.partition("="))
+        if _json_report(command, [*lines[:i], f"{key} = {_other_value(text)}",
+                                  *lines[i + 1:]]) != baseline:
+            continue
+        unread.add(key)
+        if _json_report(command, lines[:i] + lines[i + 1:]) != baseline:
+            needed.append(key)
+    assert needed == CANCELLED.get(command, [])
+    assert DERIVED_ONLY.get(command, set()) <= unread
+
+
+def demo_without(tmp_path, *keys, **replacements):
+    """The demo variant of ``replacements`` without the lines of ``keys``,
+    whatever their unit suffix."""
+    cfg = write_demo_variant(tmp_path, **replacements)
+    text = cfg.read_text()
+    for key in keys:
+        text = re.sub(rf"^{re.escape(key)}(_[a-zA-Z]+)? = .*\n", "", text, flags=re.MULTILINE)
+    cfg.write_text(text)
+    return cfg
+
+
+def test_reports_run_without_the_mirror_keys_they_do_not_read(capsys, tmp_path):
+    mirrors = ("cavity.left_reflectivity", "cavity.right_reflectivity")
+    cfg = demo_without(tmp_path, *mirrors)
+    for command in ("overlap", "purcell"):
+        code, out, err = run_cli(capsys, command, "--config", str(cfg), "--format", "json")
+        assert code == 0, err
+        assert out.encode("utf-8") == (GOLDEN / f"{command}.json").read_bytes()
+    # the derived cavity waist needs the geometry, not the mirrors
+    outputs = []
+    for dropped in [("cavity.waist",), ("cavity.waist", *mirrors)]:
+        cfg = demo_without(tmp_path, *dropped)
+        code, out, err = run_cli(capsys, "forecast", "--config", str(cfg), "--format", "json")
+        assert code == 0, err
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].encode("utf-8") != (GOLDEN / "forecast.json").read_bytes()
+
+
+def test_purcell_that_derives_its_finesse_names_a_missing_mirror(capsys, tmp_path):
+    # a mirror of reflectivity 0 is in the test of a given finesse and waist
+    cfg = demo_without(tmp_path, "purcell.finesse", "cavity.right_reflectivity")
+    code, out, err = run_cli(capsys, "purcell", "--config", str(cfg), "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert "missing required key 'cavity.right_reflectivity'" in err
+
+
+@pytest.mark.parametrize("command, waist_key", [
+    ("overlap", "overlap.waist"), ("purcell", "purcell.waist"), ("forecast", "cavity.waist")])
+def test_derived_waist_of_an_unstable_geometry_names_its_keys(capsys, tmp_path, command,
+                                                             waist_key):
+    # 6 mm apart, mirrors of 2 mm curvature have no Gaussian eigenmode
+    cfg = demo_without(tmp_path, waist_key, **{"cavity.curvature_mm": "2.0"})
+    code, out, err = run_cli(capsys, command, "--config", str(cfg), "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert "cavity.separation must be in (0, 2 * cavity.curvature)" in err
+
+
+@pytest.mark.parametrize("normalize, column", [("1", "signal_normalized"), ("0", "signal")])
+def test_scan_signal_is_named_normalized_only_when_it_is(capsys, tmp_path, normalize,
+                                                         column):
+    cfg = write_demo_variant(tmp_path, **{"scan.normalize": normalize})
+    code, out, err = run_cli(capsys, "scan", "--config", str(cfg), "--format", "csv")
+    assert code == 0, err
+    assert out.startswith(f"detuning_Hz,{column}\n")
+    code, out, err = run_cli(capsys, "scan", "--config", str(cfg), "--format", "json")
+    assert code == 0, err
+    payload = json.loads(out)
+    assert list(payload) == ["schema", "species", "detuning_Hz", column, "cavity"]
+    assert (max(payload[column]) == 1.0) is (normalize == "1")

@@ -16,9 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavray import (cavity_power_budget, dipole_mode_power, overlap_eta_analytic,
-                    overlap_eta_numeric, purcell_factor, purcell_ratio, validation)
-from cavray.overlap import GaussianMode
+from cavray import (beam_width, cavity_power_budget, dipole_mode_power,
+                    overlap_eta_analytic, overlap_eta_numeric, purcell_factor, purcell_ratio,
+                    rayleigh_length, validation)
 
 WAVELENGTH = 532e-9
 WAIST = 45e-6
@@ -27,7 +27,7 @@ WAIST = 45e-6
 class TestGaussianNormalization:
     @pytest.mark.parametrize("z_factor", [0.0, 0.5, 1.0, 10.0, 100.0])
     def test_normalized_at_every_plane(self, z_factor):
-        z = z_factor * GaussianMode(WAIST, WAVELENGTH).rayleigh_length
+        z = z_factor * rayleigh_length(WAIST, WAVELENGTH)
         assert validation._gaussian_normalization(WAIST, WAVELENGTH, (z,))[0] == pytest.approx(
             1.0, abs=1e-6
         )
@@ -53,18 +53,17 @@ class TestOverlapAnalytic:
 
 class TestOverlapNumeric:
     def test_waist_scaling_at_fixed_relative_plane(self):
-        z0 = GaussianMode(WAIST, WAVELENGTH).rayleigh_length
-        z0_wide = GaussianMode(2.0 * WAIST, WAVELENGTH).rayleigh_length
+        z0 = rayleigh_length(WAIST, WAVELENGTH)
+        z0_wide = rayleigh_length(2.0 * WAIST, WAVELENGTH)
         narrow = overlap_eta_numeric(WAVELENGTH, WAIST, 500.0 * z0)
         wide = overlap_eta_numeric(WAVELENGTH, 2.0 * WAIST, 500.0 * z0_wide)
         assert wide / narrow == pytest.approx(0.5, abs=1e-3)
 
     def test_exact_weighting_close_to_on_axis(self):
-        z0 = GaussianMode(WAIST, WAVELENGTH).rayleigh_length
-        z = 100.0 * z0
+        z = 100.0 * rayleigh_length(WAIST, WAVELENGTH)
         on_axis = overlap_eta_numeric(WAVELENGTH, WAIST, z)
         exact = validation._exact_overlap_quadrature(WAVELENGTH, WAIST, z)
-        width_ratio = GaussianMode(WAIST, WAVELENGTH).width(z) / z
+        width_ratio = beam_width(WAIST, WAVELENGTH, z) / z
         assert abs(exact - on_axis) / on_axis < width_ratio ** 2
 
     def test_gauss_legendre_matches_adaptive_quadrature(self):
@@ -74,7 +73,7 @@ class TestOverlapNumeric:
         for _ in range(200):
             wavelength = rng.uniform(500e-9, 560e-9)
             waist = rng.uniform(30e-6, 60e-6)
-            z = rng.uniform(10.0, 1e4) * GaussianMode(waist, wavelength).rayleigh_length
+            z = rng.uniform(10.0, 1e4) * rayleigh_length(waist, wavelength)
             oracle = validation._on_axis_overlap_quadrature(wavelength, waist, (z,))[0]
             value = overlap_eta_numeric(wavelength, waist, z)
             assert abs(value - oracle) <= 1e-12 * oracle

@@ -96,7 +96,7 @@ def assert_writers_format_per_value(trace):
     then a newline."""
     buffer = io.StringIO()
     buffer.writelines(pieces(trace, "csv"))
-    assert buffer.getvalue() == "detuning_Hz,signal_normalized\n" + "".join(
+    assert buffer.getvalue() == "detuning_Hz,signal\n" + "".join(
         f"{x:.12g},{y:.12g}\n" for x, y in zip(trace.detunings, trace.signals))
     buffer = io.StringIO()
     buffer.writelines(pieces(trace, "json"))
@@ -104,7 +104,7 @@ def assert_writers_format_per_value(trace):
         "schema": "cavray.spectrum-trace/1",
         "species": trace.species,
         "detuning_Hz": [float(f"{x:.12g}") for x in trace.detunings],
-        "signal_normalized": [float(f"{y:.12g}") for y in trace.signals],
+        "signal": [float(f"{y:.12g}") for y in trace.signals],
         "cavity": {
             "finesse": trace.cavity.finesse,
             "free_spectral_range_Hz": trace.cavity.free_spectral_range,
