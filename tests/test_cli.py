@@ -992,7 +992,7 @@ CANCELLED = {"purcell": ["cavity.separation_mm"], "forecast": ["gas.species"]}
 
 @pytest.mark.parametrize("command", REPORTS)
 def test_a_key_whose_change_moves_no_report_can_be_left_out(command):
-    """If other values of a demo key leave a report's bytes as they were,
+    """If another value of a demo key leaves a report's bytes as they were,
     the demo without that key gives the same bytes too: a report needs no
     key that its output does not read. ``scan`` is left out: it derives
     the whole cavity, whatever it prints."""
