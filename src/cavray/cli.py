@@ -3,6 +3,8 @@
 Subcommands: cavity, scan, overlap, enhance, purcell, forecast, validate.
 Config files use the flat dotted-key format of :mod:`cavray.config`, and
 this module is the one that reads their keys: the others take SI values.
+A handler reads only the keys its output depends on: ``scan`` reads the
+cavity's comb alone, ``cavity.separation`` and the mirror reflectivities.
 ``main`` runs a subcommand in three stages: it parses ``--config`` once
 (``validate`` reads none and gets ``None``), calls the handler, and writes
 what the handler returns once, through ``_write``. A handler only computes:
@@ -107,13 +109,12 @@ def _reject_unread_indices(values, prefix: str, count: int, why: str) -> None:
             raise ConfigError(values.path, None, f"{key} is never read: {why}")
 
 
-def _cavity_geometry(values):
-    """The ``cavity.*`` geometry of a parsed config."""
-    from .optics import CavityGeometry, MirrorSpec
+def _mirror_finesse(values) -> float:
+    """The ``cavity.*`` mirror pair's finesse; a zero one is a ValueError naming both."""
+    from .optics import MirrorSpec, _buildup_finesse
 
-    return CavityGeometry(values["cavity.separation"], values["cavity.curvature"],
-                          MirrorSpec(values["cavity.left_reflectivity"]),
-                          MirrorSpec(values["cavity.right_reflectivity"]))
+    return _buildup_finesse(MirrorSpec(values["cavity.left_reflectivity"]),
+                            MirrorSpec(values["cavity.right_reflectivity"]))
 
 
 def _geometry_waist(values, wavelength: float) -> float:
@@ -143,9 +144,12 @@ def _species(values, key: str, names: list[str]):
 
 
 def cmd_cavity(args, values):
-    from .optics import derive_cavity_params
+    from .optics import CavityGeometry, MirrorSpec, derive_cavity_params
 
-    params = derive_cavity_params(_cavity_geometry(values), values["pump.wavelength"])
+    geometry = CavityGeometry(values["cavity.separation"], values["cavity.curvature"],
+                              MirrorSpec(values["cavity.left_reflectivity"]),
+                              MirrorSpec(values["cavity.right_reflectivity"]))
+    params = derive_cavity_params(geometry, values["pump.wavelength"])
     fields = {
         "finesse": params.finesse,
         "free_spectral_range_Hz": params.free_spectral_range,
@@ -160,13 +164,13 @@ def cmd_cavity(args, values):
 
 
 def cmd_scan(args, values):
-    from .optics import derive_cavity_params
+    from .optics import free_spectral_range
     with _aged_imports():
         from .spectra import scan_spectrum
         from .trace import pieces
 
-    wavelength = values["pump.wavelength"]
-    params = derive_cavity_params(_cavity_geometry(values), wavelength)
+    fsr = free_spectral_range(values["cavity.separation"])
+    finesse = _mirror_finesse(values)
     species = _species(values, "scan.species",
                        [name.strip() for name in values["scan.species"].split(",")])
     weights = [(gas, values.get(f"scan.weight{i}", 1.0))
@@ -178,10 +182,10 @@ def cmd_scan(args, values):
         raise ConfigError(values.path, None, f"no scan.weight<i> is positive ({keys} "
                           "are 0): the scan would have no signal")
     trace = scan_spectrum(
-        params, weights,
+        fsr, finesse, weights,
         scan_range=values["scan.range"],
         resolution=values["scan.resolution"],
-        wavelength=wavelength,
+        wavelength=values["pump.wavelength"],
         normalize=bool(values.get("scan.normalize", 1.0)),
     )
     return (0, f"scan_{trace.species.replace('+', '_')}.{args.format}",
@@ -258,15 +262,13 @@ def _enhancement_table(report) -> str:
 
 
 def cmd_purcell(args, values):
-    from .optics import MirrorSpec, _buildup_finesse, mode_volume, q_factor
+    from .optics import mode_volume, q_factor
     from .overlap import purcell_factor, purcell_ratio
 
     wavelength = values["pump.wavelength"]
     # the mirrors are read only for a finesse, the curvature only for a waist,
     # that the config does not give
-    finesse = values.get("purcell.finesse") or _buildup_finesse(
-        MirrorSpec(values["cavity.left_reflectivity"]),
-        MirrorSpec(values["cavity.right_reflectivity"]))
+    finesse = values.get("purcell.finesse") or _mirror_finesse(values)
     waist = values.get("purcell.waist") or _geometry_waist(values, wavelength)
     d = values["cavity.separation"]
     from_ratio = purcell_ratio(finesse, wavelength, waist)

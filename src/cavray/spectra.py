@@ -12,7 +12,8 @@ quantifies how much of the scattered spectrum the cavity accepts.
 
 The cavity response is a comb of Lorentzians of half width hwhm spaced
 by the free spectral range F: the high-finesse limit of the Airy
-function, kept as the model. By Poisson summation (Ismail et al., Opt.
+function, kept as the model. The scan reads this comb alone, F and the
+finesse F / (2 hwhm). By Poisson summation (Ismail et al., Opt.
 Express 24, 16366, 2016) the scan signal over all comb orders is the
 Fourier series
 
@@ -38,8 +39,8 @@ The spectral overlap, ``spectral_overlap(observed_fwhm, cavity_linewidth)``,
 is that convolution on resonance, pi * hwhm times a Voigt profile at zero
 detuning, in closed form through the scaled complementary error function
 erfcx, which ``_erfcx`` evaluates with the standard library. The module
-needs numpy alone; ``import cavray`` loads it only when one of its names
-is used.
+needs numpy alone; ``GasSpecies`` is a quoted annotation, never imported.
+``import cavray`` loads the module only when one of its names is used.
 
 ``scan_spectrum`` returns a ``SpectrumTrace``, and :mod:`cavray.trace`
 writes it as CSV or JSON.
@@ -52,8 +53,6 @@ import math
 import numpy as np
 
 from .constants import AVOGADRO, BOLTZMANN
-from .gases import GasSpecies
-from .optics import CavityParams
 
 # 90-degree scattering geometry: |k_out - k_in| = sqrt(2) * k
 OBSERVED_WIDTH_FACTOR = math.sqrt(2.0)
@@ -96,7 +95,7 @@ def doppler_fwhm(wavelength: float, temperature: float, molar_mass: float) -> fl
     )
 
 
-def observed_doppler_fwhm(gas: GasSpecies, wavelength: float) -> float:
+def observed_doppler_fwhm(gas: "GasSpecies", wavelength: float) -> float:
     """Doppler FWHM of ``gas`` at its temperature as the 90-degree geometry
     observes it, sqrt(2) times the absorption width, in Hz."""
     return OBSERVED_WIDTH_FACTOR * doppler_fwhm(wavelength, gas.temperature, gas.molar_mass)
@@ -147,16 +146,17 @@ def spectral_overlap(observed_fwhm: float, cavity_linewidth: float) -> float:
 
 
 class SpectrumTrace:
-    """Sampled (detuning, signal) data from a simulated cavity scan, as two
-    1-D arrays of one length; :mod:`cavray.trace` writes it. ``normalized``
-    says whether the signals were scaled to a peak of 1."""
+    """Sampled (detuning, signal) data of a cavity scan, as two 1-D arrays of
+    one length, and its comb's free spectral range and finesse; written by
+    :mod:`cavray.trace`. ``normalized``: the signals peak at 1."""
 
-    def __init__(self, detunings, signals, species: str, cavity: CavityParams,
-                 normalized: bool = False):
+    def __init__(self, detunings, signals, species: str, free_spectral_range: float,
+                 finesse: float, normalized: bool = False):
         self.detunings = np.asarray(detunings, dtype=float)  # Hz
         self.signals = np.asarray(signals, dtype=float)      # dimensionless
         self.species = species
-        self.cavity = cavity
+        self.free_spectral_range = free_spectral_range       # Hz
+        self.finesse = finesse
         self.normalized = normalized
         if self.detunings.ndim != 1 or self.detunings.shape != self.signals.shape:
             raise ValueError("detunings and signals must be 1-D of equal length, got "
@@ -260,31 +260,33 @@ def _interpolate_periodic(table: np.ndarray, cells: np.ndarray) -> np.ndarray:
     return out
 
 
-def scan_spectrum(cavity: CavityParams, species_weights: list[tuple[GasSpecies, float]],
+def scan_spectrum(free_spectral_range: float, finesse: float,
+                  species_weights: "list[tuple[GasSpecies, float]]",
                   scan_range: float, resolution: float, wavelength: float,
                   normalize: bool = False) -> SpectrumTrace:
     """Simulate a cavity scan over detunings [0, scan_range].
 
-    Each species contributes FSR-periodic peaks shaped by the convolution
-    of its observed Doppler Gaussian with the cavity Lorentzian, weighted
-    by polarizability^2 times its relative density. Heights are left in
-    those native units unless ``normalize`` scales the peak to 1. The sum
-    over all comb orders is evaluated as its Fourier series (see the
-    module docstring). Raises ``ValueError`` for a grid of more than
-    ``MAX_SCAN_POINTS`` points or lines too narrow for a comb table of
-    ``MAX_COMB_TABLE`` entries.
+    Each species contributes peaks spaced by ``free_spectral_range`` (Hz),
+    its observed Doppler Gaussian convolved with the cavity Lorentzian of
+    FWHM free_spectral_range / finesse, weighted by polarizability^2 times
+    its relative density. Heights are left in those native units unless
+    ``normalize`` scales the peak to 1. The sum over all comb orders is
+    evaluated as its Fourier series (see the module docstring). Raises
+    ``ValueError`` for a grid of more than ``MAX_SCAN_POINTS`` points or
+    lines too narrow for a comb table of ``MAX_COMB_TABLE`` entries.
     """
     if not species_weights:
         raise ValueError("at least one species is required")
-    if resolution <= 0.0 or scan_range <= 0.0:
-        raise ValueError("scan range and resolution must be positive")
+    if not all(v > 0.0 for v in (free_spectral_range, finesse, scan_range, resolution)):
+        raise ValueError("FSR, finesse, scan range and resolution must be positive")
     if scan_range / resolution >= MAX_SCAN_POINTS:
         raise ValueError(
             f"scan.range {scan_range:.6g} Hz at scan.resolution {resolution:.6g} Hz "
             f"asks for more than {MAX_SCAN_POINTS} points"
         )
+    fsr, linewidth = free_spectral_range, free_spectral_range / finesse
     widths = [observed_doppler_fwhm(gas, wavelength) for gas, _ in species_weights]
-    narrowest = min(_voigt_fwhm(width, cavity.linewidth) for width in widths)
+    narrowest = min(_voigt_fwhm(width, linewidth) for width in widths)
     if resolution >= narrowest / 5.0:
         raise ValueError(
             f"scan.resolution must be below feature/5, got {resolution:.6g} Hz: "
@@ -296,8 +298,7 @@ def scan_spectrum(cavity: CavityParams, species_weights: list[tuple[GasSpecies, 
         if weight < 0.0:
             raise ValueError(f"species weight must be nonnegative, got {weight}")
         lines.append((weight * gas.polarizability ** 2, width / _FWHM_PER_SIGMA))
-    fsr = cavity.free_spectral_range
-    table = _comb_table(_comb_coefficients(lines, fsr, cavity.linewidth / 2.0))
+    table = _comb_table(_comb_coefficients(lines, fsr, linewidth / 2.0))
     detunings = np.arange(0.0, scan_range + resolution / 2.0, resolution)
     # fmod is mod on this nonnegative grid, at about half the cost
     signals = _interpolate_periodic(table, np.fmod(detunings, fsr) * (len(table) / fsr))
@@ -309,7 +310,7 @@ def scan_spectrum(cavity: CavityParams, species_weights: list[tuple[GasSpecies, 
         if peak > 0.0:
             signals /= peak
     label = "+".join(gas.name for gas, _ in species_weights)
-    return SpectrumTrace(detunings, signals, label, cavity, normalize)
+    return SpectrumTrace(detunings, signals, label, fsr, finesse, normalize)
 
 
 def polarization_signal(angle, extinction: float = 0.0):
@@ -323,18 +324,18 @@ def polarization_signal(angle, extinction: float = 0.0):
     return (1.0 - extinction) * np.sin(angle) ** 2 + extinction
 
 
-def species_ratio(species: list[GasSpecies], cavity: CavityParams,
+def species_ratio(species: "list[GasSpecies]", cavity_linewidth: float,
                   wavelength: float) -> list[float]:
     """Relative scattered signals, first species as the unit reference.
 
     ratio_i = (alpha_i / alpha_ref)^2 * overlap_i / overlap_ref, combining
     the polarizability-squared cross-section scaling with each species'
-    Doppler/cavity spectral overlap at its own temperature.
+    overlap with a cavity of FWHM ``cavity_linewidth`` at its own temperature.
     """
     if not species:
         raise ValueError("species list must be nonempty")
     reference = species[0]
-    overlaps = [spectral_overlap(observed_doppler_fwhm(gas, wavelength), cavity.linewidth)
+    overlaps = [spectral_overlap(observed_doppler_fwhm(gas, wavelength), cavity_linewidth)
                 for gas in species]
     return [(gas.polarizability / reference.polarizability) ** 2 * value / overlaps[0]
             for gas, value in zip(species, overlaps)]

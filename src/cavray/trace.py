@@ -55,11 +55,8 @@ def pieces(trace, fmt: str):
     yield from _json_array(trace.detunings)
     yield f',\n  "{signal}": '
     yield from _json_array(trace.signals)
-    cavity = {
-        "finesse": trace.cavity.finesse,
-        "free_spectral_range_Hz": trace.cavity.free_spectral_range,
-        "linewidth_Hz": trace.cavity.linewidth,
-    }
+    cavity = {"finesse": trace.finesse, "free_spectral_range_Hz": trace.free_spectral_range,
+              "linewidth_Hz": trace.free_spectral_range / trace.finesse}
     yield ',\n  "cavity": ' + dumps(cavity, "  ") + "\n}\n"
 
 

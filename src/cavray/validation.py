@@ -609,7 +609,7 @@ def _comb_lines(species_weights, wavelength: float) -> list[tuple[float, float]]
 _VOIGT_ORDERS = 4000
 
 
-def scan_voigt_sum(detunings: np.ndarray, cavity: optics.CavityParams,
+def scan_voigt_sum(detunings: np.ndarray, fsr: float, finesse: float,
                    species_weights, wavelength: float) -> np.ndarray:
     """Scan signal as an explicit sum of Voigt profiles over comb orders.
 
@@ -620,8 +620,7 @@ def scan_voigt_sum(detunings: np.ndarray, cavity: optics.CavityParams,
     """
     from scipy import special
 
-    fsr = cavity.free_spectral_range
-    hwhm = cavity.linewidth / 2.0
+    hwhm = fsr / finesse / 2.0
     nu = np.asarray(detunings, dtype=float)
     offsets = ((nu - np.round(nu / fsr) * fsr)[:, None]
                - fsr * np.arange(-_VOIGT_ORDERS, _VOIGT_ORDERS + 1))
@@ -632,7 +631,7 @@ def scan_voigt_sum(detunings: np.ndarray, cavity: optics.CavityParams,
     return total
 
 
-def scan_fourier_series(detunings: np.ndarray, cavity: optics.CavityParams,
+def scan_fourier_series(detunings: np.ndarray, fsr: float, finesse: float,
                         species_weights, wavelength: float) -> np.ndarray:
     """Scan signal from the comb's Fourier series, summed term by term.
 
@@ -640,8 +639,7 @@ def scan_fourier_series(detunings: np.ndarray, cavity: optics.CavityParams,
     first k at which either factor of c_k alone is below 1e-20; no table
     and no interpolation.
     """
-    fsr = cavity.free_spectral_range
-    hwhm = cavity.linewidth / 2.0
+    hwhm = fsr / finesse / 2.0
     phase = 2.0 * math.pi * np.mod(np.asarray(detunings, dtype=float), fsr) / fsr
     log_floor = math.log(1e20)
     total = np.zeros(len(phase))
@@ -661,8 +659,9 @@ def check_scan_linearity(rng: np.random.Generator) -> CheckResult:
     params = optics.derive_cavity_params(_REFERENCE_CAVITY, 532e-9)
     xenon = _packaged_species()["Xe"]
     scale = rng.uniform(2.0, 10.0)
-    base = spectra.scan_spectrum(params, [(xenon, 1.0)], 5e9, 2e6, 532e-9)
-    scaled = spectra.scan_spectrum(params, [(xenon, scale)], 5e9, 2e6, 532e-9)
+    comb = params.free_spectral_range, params.finesse
+    base = spectra.scan_spectrum(*comb, [(xenon, 1.0)], 5e9, 2e6, 532e-9)
+    scaled = spectra.scan_spectrum(*comb, [(xenon, scale)], 5e9, 2e6, 532e-9)
     residual = float(np.max(np.abs(scaled.signals - scale * base.signals))
                      / np.max(scaled.signals))
     return _result("scan signal linear in species weight", residual, 1e-12)
@@ -695,7 +694,7 @@ def check_species_ratio(rng: np.random.Generator) -> CheckResult:
     params = optics.derive_cavity_params(_REFERENCE_CAVITY, 532e-9)
     table = _packaged_species()
     ratios = spectra.species_ratio([table["Xe"], table["CF3H"], table["N2"]],
-                                   params, 532e-9)
+                                   params.linewidth, 532e-9)
     expected = (1.0, 0.36, 0.09)
     worst = _worst(*(abs(r - e) for r, e in zip(ratios, expected)))
     return _result("species ratio against the expected triple", worst, 0.03)

@@ -21,6 +21,12 @@ def reference_params(reference_geometry):
     return derive_cavity_params(reference_geometry, WAVELENGTH)
 
 
+@pytest.fixture
+def reference_comb(reference_params):
+    """(free spectral range, finesse) of the reference cavity: all a scan reads of it."""
+    return reference_params.free_spectral_range, reference_params.finesse
+
+
 @pytest.fixture(scope="session")
 def species():
     """The species table shipped with the package, whatever CAVRAY_SPECIES_DB names."""

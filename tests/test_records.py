@@ -17,8 +17,9 @@ VALIDATING = [
      {"mirror_separation": 0.1}),
     (GasSpecies, {"name": "Xe", "molar_mass": 0.13129, "polarizability": 4.04,
                   "temperature": 295.0}, {"temperature": 0.0}),
-    (SpectrumTrace, {"detunings": np.arange(3.0), "signals": np.ones(3),
-                     "species": "Xe", "cavity": CAVITY}, {"signals": np.array([1.0, -1.0, 1.0])}),
+    (SpectrumTrace, {"detunings": np.arange(3.0), "signals": np.ones(3), "species": "Xe",
+                     "free_spectral_range": CAVITY.free_spectral_range,
+                     "finesse": CAVITY.finesse}, {"signals": np.array([1.0, -1.0, 1.0])}),
 ]
 FROZEN = [case[:2] for case in VALIDATING if case[0] is not SpectrumTrace]
 IDS = [case[0].__name__ for case in VALIDATING]

@@ -14,8 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavray import (CavityGeometry, MirrorSpec, SpectrumTrace,
-                    derive_cavity_params, doppler_fwhm, free_spectral_range,
+from cavray import (MirrorSpec, SpectrumTrace, doppler_fwhm, finesse, free_spectral_range,
                     load_species_table, observed_doppler_fwhm,
                     polarization_signal, scan_spectrum, species_ratio, spectral_overlap,
                     validation)
@@ -159,11 +158,10 @@ class TestSpectralOverlap:
 
 
 class TestScanSpectrum:
-    def test_two_peaks_separated_by_fsr(self, reference_params, species):
-        trace = scan_spectrum(reference_params, [(species["Xe"], 1.0)],
-                              scan_range=1.5 * reference_params.free_spectral_range,
-                              resolution=5e6, wavelength=WAVELENGTH)
-        fsr = reference_params.free_spectral_range
+    def test_two_peaks_separated_by_fsr(self, reference_comb, species):
+        fsr = reference_comb[0]
+        trace = scan_spectrum(*reference_comb, [(species["Xe"], 1.0)],
+                              scan_range=1.5 * fsr, resolution=5e6, wavelength=WAVELENGTH)
         first = trace.detunings[np.argmax(
             np.where(trace.detunings < fsr / 2.0, trace.signals, 0.0))]
         second = trace.detunings[np.argmax(
@@ -173,8 +171,8 @@ class TestScanSpectrum:
         # the paper rounds the separation to 24.9 GHz
         assert second - first == pytest.approx(24.9e9, rel=0.01)
 
-    def test_peak_width_is_voigt_of_doppler_and_cavity(self, reference_params, species):
-        trace = scan_spectrum(reference_params, [(species["Xe"], 1.0)],
+    def test_peak_width_is_voigt_of_doppler_and_cavity(self, reference_comb, species):
+        trace = scan_spectrum(*reference_comb, [(species["Xe"], 1.0)],
                               scan_range=6e9, resolution=1e6,
                               wavelength=WAVELENGTH, normalize=True)
         half = trace.detunings[trace.signals >= 0.5]
@@ -183,16 +181,16 @@ class TestScanSpectrum:
         # dominated by the observed Doppler width of 856 MHz
         assert measured_fwhm == pytest.approx(8.556e8, rel=0.03)
 
-    def test_zero_weight_gives_flat_zero(self, reference_params, species):
-        trace = scan_spectrum(reference_params, [(species["Xe"], 0.0)],
+    def test_zero_weight_gives_flat_zero(self, reference_comb, species):
+        trace = scan_spectrum(*reference_comb, [(species["Xe"], 0.0)],
                               scan_range=5e9, resolution=5e6,
                               wavelength=WAVELENGTH)
         assert np.all(trace.signals == 0.0)
 
-    def test_equal_density_ordering(self, reference_params, species):
+    def test_equal_density_ordering(self, reference_comb, species):
         heights, widths = {}, {}
         for gas in (species[n] for n in ("Xe", "CF3H", "N2")):
-            trace = scan_spectrum(reference_params, [(gas, 1.0)], 8e9, 5e6,
+            trace = scan_spectrum(*reference_comb, [(gas, 1.0)], 8e9, 5e6,
                                   WAVELENGTH)
             heights[gas.name] = trace.signals.max()
             half = trace.detunings[trace.signals >= 0.5 * trace.signals.max()]
@@ -200,68 +198,75 @@ class TestScanSpectrum:
         assert heights["Xe"] > heights["CF3H"] > heights["N2"]
         assert widths["N2"] > widths["CF3H"] > widths["Xe"]
 
-    def test_linear_in_weight_and_additive(self, reference_params, species):
+    def test_linear_in_weight_and_additive(self, reference_comb, species):
         xe = species["Xe"]
         n2 = species["N2"]
-        single = scan_spectrum(reference_params, [(xe, 1.0)], 4e9, 5e6, WAVELENGTH)
-        double = scan_spectrum(reference_params, [(xe, 2.0)], 4e9, 5e6, WAVELENGTH)
+        single = scan_spectrum(*reference_comb, [(xe, 1.0)], 4e9, 5e6, WAVELENGTH)
+        double = scan_spectrum(*reference_comb, [(xe, 2.0)], 4e9, 5e6, WAVELENGTH)
         np.testing.assert_allclose(double.signals, 2.0 * single.signals, rtol=1e-12)
-        mixed = scan_spectrum(reference_params, [(xe, 1.0), (n2, 0.5)], 4e9, 5e6,
+        mixed = scan_spectrum(*reference_comb, [(xe, 1.0), (n2, 0.5)], 4e9, 5e6,
                               WAVELENGTH)
-        n2_only = scan_spectrum(reference_params, [(n2, 0.5)], 4e9, 5e6, WAVELENGTH)
+        n2_only = scan_spectrum(*reference_comb, [(n2, 0.5)], 4e9, 5e6, WAVELENGTH)
         np.testing.assert_allclose(mixed.signals, single.signals + n2_only.signals,
                                    rtol=1e-12)
 
-    def test_peak_height_matches_spectral_overlap(self, reference_params, species):
+    def test_peak_height_matches_spectral_overlap(self, reference_comb, species):
         xe = species["Xe"]
-        trace = scan_spectrum(reference_params, [(xe, 1.0)], 4e9, 1e6, WAVELENGTH)
+        trace = scan_spectrum(*reference_comb, [(xe, 1.0)], 4e9, 1e6, WAVELENGTH)
+        fsr, cavity_finesse = reference_comb
         expected = xe.polarizability ** 2 * spectral_overlap(
-            observed_doppler_fwhm(xe, WAVELENGTH), reference_params.linewidth
+            observed_doppler_fwhm(xe, WAVELENGTH), fsr / cavity_finesse
         )
         assert trace.signals[0] == pytest.approx(expected, rel=1e-4)
 
-    def test_normalized_peak_is_one(self, reference_params, species):
-        trace = scan_spectrum(reference_params, [(species["Xe"], 1.0)],
+    def test_normalized_peak_is_one(self, reference_comb, species):
+        trace = scan_spectrum(*reference_comb, [(species["Xe"], 1.0)],
                               4e9, 5e6, WAVELENGTH, normalize=True)
         assert trace.signals.max() == pytest.approx(1.0)
 
-    def test_normalized_shape_independent_of_density(self, reference_params, species):
+    def test_normalized_shape_independent_of_density(self, reference_comb, species):
         # pressure-normalized traces collapse onto one Doppler shape
         gas = species["CF3H"]
-        low = scan_spectrum(reference_params, [(gas, 1.0)], 4e9, 5e6, WAVELENGTH,
+        low = scan_spectrum(*reference_comb, [(gas, 1.0)], 4e9, 5e6, WAVELENGTH,
                             normalize=True)
-        high = scan_spectrum(reference_params, [(gas, 8.0)], 4e9, 5e6, WAVELENGTH,
+        high = scan_spectrum(*reference_comb, [(gas, 8.0)], 4e9, 5e6, WAVELENGTH,
                              normalize=True)
         np.testing.assert_allclose(high.signals, low.signals, rtol=1e-12)
 
-    def test_rejects_coarse_resolution(self, reference_params, species):
+    def test_rejects_coarse_resolution(self, reference_comb, species):
         with pytest.raises(ValueError):
-            scan_spectrum(reference_params, [(species["Xe"], 1.0)],
+            scan_spectrum(*reference_comb, [(species["Xe"], 1.0)],
                           5e9, 5e8, WAVELENGTH)
 
-    def test_rejects_empty_species(self, reference_params):
+    def test_rejects_empty_species(self, reference_comb):
         with pytest.raises(ValueError):
-            scan_spectrum(reference_params, [], 5e9, 5e6, WAVELENGTH)
+            scan_spectrum(*reference_comb, [], 5e9, 5e6, WAVELENGTH)
 
-    def test_rejects_grid_beyond_point_cap(self, reference_params, species):
+    @pytest.mark.parametrize("comb", [(0.0, 100.0), (25e9, 0.0), (-25e9, 100.0),
+                                      (25e9, -100.0), (math.nan, 100.0), (25e9, math.nan)])
+    def test_rejects_a_comb_without_positive_fsr_and_finesse(self, comb, species):
+        # plain floats: no derived cavity vouches for them
+        with pytest.raises(ValueError, match="FSR, finesse"):
+            scan_spectrum(*comb, [(species["Xe"], 1.0)], 5e9, 5e6, WAVELENGTH)
+
+    def test_rejects_grid_beyond_point_cap(self, reference_comb, species):
         # 1e9 GHz at 25 MHz would be 4e10 points, 298 GiB of arrays
         with pytest.raises(ValueError, match="scan.range.*scan.resolution"):
-            scan_spectrum(reference_params, [(species["Xe"], 1.0)],
+            scan_spectrum(*reference_comb, [(species["Xe"], 1.0)],
                           1e18, 25e6, WAVELENGTH)
         points = MAX_SCAN_POINTS * 25e6
         with pytest.raises(ValueError, match="points"):
-            scan_spectrum(reference_params, [(species["Xe"], 1.0)],
+            scan_spectrum(*reference_comb, [(species["Xe"], 1.0)],
                           points, 25e6, WAVELENGTH)
 
     def test_rejects_lines_beyond_table_cap(self, species):
         # 1e-7 K gas in a finesse-3e7 cavity: ~5e6 harmonics before the
         # terms fade, a table of 2**27 entries
-        cavity = derive_cavity_params(
-            CavityGeometry(6e-3, 45e-3, MirrorSpec(1.0 - 1e-7), MirrorSpec(1.0 - 1e-7)),
-            WAVELENGTH)
+        mirror = MirrorSpec(1.0 - 1e-7)
         gas = species["Xe"]._replace(temperature=1e-7)
         with pytest.raises(ValueError, match="finesse.*gas.temperature"):
-            scan_spectrum(cavity, [(gas, 1.0)], 1e6, 1e3, WAVELENGTH)
+            scan_spectrum(free_spectral_range(6e-3), finesse(mirror, mirror), [(gas, 1.0)],
+                          1e6, 1e3, WAVELENGTH)
 
 
 def test_voigt_fwhm_gate_is_within_its_stated_bound():
@@ -284,7 +289,8 @@ def test_voigt_fwhm_gate_is_within_its_stated_bound():
 
 
 def _scan_case(name):
-    """(cavity, species weights, range, resolution) of one oracle comparison."""
+    """(free spectral range, finesse, species weights, range, resolution) of one
+    oracle comparison."""
     fsr = free_spectral_range(6e-3)
     reflectivity, temperature, scan_range, resolution = {
         "demo": (0.997, 295.0, 37.5e9, 25e6),
@@ -295,13 +301,11 @@ def _scan_case(name):
         "dense": (0.997, 295.0, 2.0 * fsr, 2.0 * fsr / (175_000 - 1)),
         "wide": (0.997, 295.0, 30.0 * fsr, 30.0 * fsr / (30_000 - 1)),
     }[name]
-    cavity = derive_cavity_params(
-        CavityGeometry(6e-3, 45e-3, MirrorSpec(reflectivity), MirrorSpec(reflectivity)),
-        WAVELENGTH)
     table = load_species_table()
     weights = [(table[n]._replace(temperature=temperature), w)
                for n, w in (("Xe", 1.0), ("CF3H", 0.7), ("N2", 1.3))]
-    return cavity, weights, scan_range, resolution
+    mirror = MirrorSpec(reflectivity)
+    return fsr, finesse(mirror, mirror), weights, scan_range, resolution
 
 
 class TestScanAgainstOracles:
@@ -311,9 +315,9 @@ class TestScanAgainstOracles:
 
     @pytest.fixture(params=["demo", "77K", "0.01K", "dense", "wide"])
     def sampled(self, request):
-        cavity, weights, scan_range, resolution = _scan_case(request.param)
-        trace = scan_spectrum(cavity, weights, scan_range, resolution, WAVELENGTH)
-        fsr = cavity.free_spectral_range
+        fsr, cavity_finesse, weights, scan_range, resolution = _scan_case(request.param)
+        trace = scan_spectrum(fsr, cavity_finesse, weights, scan_range, resolution,
+                              WAVELENGTH)
         width = 3.0 * max(OBSERVED_WIDTH_FACTOR * doppler_fwhm(WAVELENGTH, gas.temperature,
                                                                 gas.molar_mass)
                           for gas, _ in weights)
@@ -323,17 +327,17 @@ class TestScanAgainstOracles:
             rng.choice(len(trace.detunings), 100, replace=False),
             rng.choice(np.flatnonzero(distance < width), 100, replace=False),
         ])
-        return (cavity, weights, trace.detunings[picks], trace.signals[picks],
-                trace.signals.max())
+        return ((fsr, cavity_finesse), weights, trace.detunings[picks],
+                trace.signals[picks], trace.signals.max())
 
     def test_matches_direct_fourier_series(self, sampled):
-        cavity, weights, detunings, signals, peak = sampled
-        series = validation.scan_fourier_series(detunings, cavity, weights, WAVELENGTH)
+        comb, weights, detunings, signals, peak = sampled
+        series = validation.scan_fourier_series(detunings, *comb, weights, WAVELENGTH)
         assert np.max(np.abs(signals - series)) <= 1e-11 * peak
 
     def test_matches_brute_force_voigt_sum(self, sampled):
-        cavity, weights, detunings, signals, peak = sampled
-        brute = validation.scan_voigt_sum(detunings, cavity, weights, WAVELENGTH)
+        comb, weights, detunings, signals, peak = sampled
+        brute = validation.scan_voigt_sum(detunings, *comb, weights, WAVELENGTH)
         assert np.max(np.abs(signals - brute)) <= 1e-7 * peak
 
 
@@ -382,29 +386,29 @@ class TestInterpolationKernel:
 
 
 class TestTraceSerialization:
-    def test_rejects_mismatched_lengths(self, reference_params):
+    def test_rejects_mismatched_lengths(self, reference_comb):
         with pytest.raises(ValueError):
-            SpectrumTrace(np.arange(3.0), np.arange(4.0), "Xe", reference_params)
+            SpectrumTrace(np.arange(3.0), np.arange(4.0), "Xe", *reference_comb)
 
-    def test_rejects_a_2d_pair(self, reference_params):
+    def test_rejects_a_2d_pair(self, reference_comb):
         # equal shapes, but no writer takes rows of more than one value
         with pytest.raises(ValueError, match=r"1-D .*\(2, 3\) and \(2, 3\)"):
-            SpectrumTrace(np.ones((2, 3)), np.ones((2, 3)), "Xe", reference_params)
+            SpectrumTrace(np.ones((2, 3)), np.ones((2, 3)), "Xe", *reference_comb)
 
-    def test_rejects_a_0d_pair(self, reference_params):
+    def test_rejects_a_0d_pair(self, reference_comb):
         with pytest.raises(ValueError, match=r"1-D .*\(\) and \(\)"):
-            SpectrumTrace(1.0, 1.0, "Xe", reference_params)
+            SpectrumTrace(1.0, 1.0, "Xe", *reference_comb)
 
-    def test_rejects_negative_signals(self, reference_params):
+    def test_rejects_negative_signals(self, reference_comb):
         with pytest.raises(ValueError):
-            SpectrumTrace(np.arange(3.0), np.array([0.0, -1.0, 0.5]), "Xe", reference_params)
+            SpectrumTrace(np.arange(3.0), np.array([0.0, -1.0, 0.5]), "Xe", *reference_comb)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_rejects_non_finite_values(self, reference_params, bad):
+    def test_rejects_non_finite_values(self, reference_comb, bad):
         with pytest.raises(ValueError, match="finite"):
-            SpectrumTrace(np.arange(3.0), np.array([0.0, bad, 0.5]), "Xe", reference_params)
+            SpectrumTrace(np.arange(3.0), np.array([0.0, bad, 0.5]), "Xe", *reference_comb)
         with pytest.raises(ValueError, match="finite"):
-            SpectrumTrace(np.array([0.0, bad, 2.0]), np.ones(3), "Xe", reference_params)
+            SpectrumTrace(np.array([0.0, bad, 2.0]), np.ones(3), "Xe", *reference_comb)
 
 
 class TestPolarization:
@@ -433,7 +437,7 @@ class TestPolarization:
 class TestSpeciesRatio:
     def test_default_table_reproduces_expected_triple(self, reference_params, species):
         ratios = species_ratio([species[n] for n in ("Xe", "CF3H", "N2")],
-                               reference_params, WAVELENGTH)
+                               reference_params.linewidth, WAVELENGTH)
         assert ratios[0] == 1.0
         assert ratios[1] == pytest.approx(0.353225056948, rel=1e-8)
         assert ratios[2] == pytest.approx(0.086884161430, rel=1e-8)
@@ -441,15 +445,15 @@ class TestSpeciesRatio:
         # expected triple to 0.03 is validate's check_species_ratio
 
     def test_single_species(self, reference_params, species):
-        assert species_ratio([species["Xe"]], reference_params,
+        assert species_ratio([species["Xe"]], reference_params.linewidth,
                              WAVELENGTH) == [1.0]
 
     def test_identical_species_pair(self, reference_params, species):
         xe = species["Xe"]
-        ratios = species_ratio([xe, xe], reference_params, WAVELENGTH)
+        ratios = species_ratio([xe, xe], reference_params.linewidth, WAVELENGTH)
         assert ratios == pytest.approx([1.0, 1.0])
 
     def test_rejects_empty_list(self, reference_params):
         with pytest.raises(ValueError):
-            species_ratio([], reference_params, WAVELENGTH)
+            species_ratio([], reference_params.linewidth, WAVELENGTH)
 

@@ -48,8 +48,8 @@ FINITE_VALUES = st.sampled_from(finite_pool())
 
 class TestTraceSerialization:
     @pytest.fixture
-    def trace(self, reference_params, species):
-        return scan_spectrum(reference_params, [(species["Xe"], 1.0)],
+    def trace(self, reference_comb, species):
+        return scan_spectrum(*reference_comb, [(species["Xe"], 1.0)],
                              2e9, 1e7, WAVELENGTH, normalize=True)
 
     def test_csv_header(self, trace):
@@ -63,7 +63,7 @@ class TestTraceSerialization:
         assert '"schema": "cavray.spectrum-trace/1"' in buffer.getvalue()
 
     @pytest.mark.parametrize("n", [0, 3, 8192, 8192 + 5, 2 * 8192, 2 * 8192 + 40])
-    def test_writers_match_per_point_formatting(self, reference_params, n):
+    def test_writers_match_per_point_formatting(self, reference_comb, n):
         edges = np.array(EDGE_VALUES)
         rng = np.random.default_rng(n)
         detunings = rng.uniform(0.0, 1e11, n)
@@ -76,18 +76,18 @@ class TestTraceSerialization:
                                                       -placed, placed)
             signals[at:at + len(placed)] = placed[::-1]
         assert_writers_format_per_value(
-            SpectrumTrace(detunings, signals, 'Xe+"N2"', reference_params))
+            SpectrumTrace(detunings, signals, 'Xe+"N2"', *reference_comb))
 
-    # the fixture is one fixed cavity, so every example may share it; no
+    # the fixture is one fixed comb, so every example may share it; no
     # fill value, so that every element is drawn from the pool on its own
     @given(hnp.arrays(np.float64, st.tuples(st.integers(0, 40), st.just(2)),
                       elements=FINITE_VALUES, fill=st.nothing()))
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_writers_format_any_finite_values_per_value(self, reference_params, rows):
+    def test_writers_format_any_finite_values_per_value(self, reference_comb, rows):
         # a trace's signals are nonnegative
         assert_writers_format_per_value(
-            SpectrumTrace(rows[:, 0], np.abs(rows[:, 1]), "Xe", reference_params))
+            SpectrumTrace(rows[:, 0], np.abs(rows[:, 1]), "Xe", *reference_comb))
 
 
 def assert_writers_format_per_value(trace):
@@ -106,9 +106,9 @@ def assert_writers_format_per_value(trace):
         "detuning_Hz": [float(f"{x:.12g}") for x in trace.detunings],
         "signal": [float(f"{y:.12g}") for y in trace.signals],
         "cavity": {
-            "finesse": trace.cavity.finesse,
-            "free_spectral_range_Hz": trace.cavity.free_spectral_range,
-            "linewidth_Hz": trace.cavity.linewidth,
+            "finesse": trace.finesse,
+            "free_spectral_range_Hz": trace.free_spectral_range,
+            "linewidth_Hz": trace.free_spectral_range / trace.finesse,
         },
     }, indent=2) + "\n"
 
@@ -182,12 +182,12 @@ class TestTokenKernel:
                 pytest.fail(f"{len(wrong)} tokens differ, first {wrong[:3]}")
 
     @pytest.mark.parametrize("points", [1501, 100_000])
-    def test_scan_grids_send_at_most_one_token_a_block_to_python(self, reference_params,
+    def test_scan_grids_send_at_most_one_token_a_block_to_python(self, reference_comb,
                                                                    points, species):
         # the demo's scan on its 25 MHz integral grid, and a benchmark-shaped
         # grid of 1e5 points over 1.5 FSRs; the one token is the 0 detuning
-        span = 37.5e9 if points == 1501 else 1.5 * reference_params.free_spectral_range
-        trace = scan_spectrum(reference_params,
+        span = 37.5e9 if points == 1501 else 1.5 * reference_comb[0]
+        trace = scan_spectrum(*reference_comb,
                               [(species[name], 1.0) for name in ("Xe", "CF3H", "N2")],
                               span, span / (points - 1), WAVELENGTH, normalize=True)
         assert len(trace.detunings) == points
@@ -195,8 +195,8 @@ class TestTokenKernel:
             assert max(kernel_text(values, json=True)[1]) <= 1
 
 
-def test_an_unknown_format_is_a_value_error(reference_params):
-    trace = SpectrumTrace(np.arange(3.0), np.ones(3), "Xe", reference_params)
+def test_an_unknown_format_is_a_value_error(reference_comb):
+    trace = SpectrumTrace(np.arange(3.0), np.ones(3), "Xe", *reference_comb)
     with pytest.raises(ValueError, match="csv or json"):
         next(pieces(trace, "table"))
 

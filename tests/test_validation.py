@@ -373,9 +373,10 @@ def test_experiment_computes_records_and_writes_no_json():
 
 
 def test_spectra_imports_neither_io_nor_jsontext():
-    # ``trace`` writes the scan's text; ``spectra`` computes it
+    # ``trace`` writes the scan's text; ``spectra`` computes it from the
+    # comb's free spectral range and finesse, with neither ``optics`` nor ``gases``
     tree = ast.parse((PACKAGE_DIR / "spectra.py").read_text())
-    assert not {"io", "jsontext"} & _imported_names(tree)
+    assert not {"io", "jsontext", "optics", "gases"} & _imported_names(tree)
 
 
 def test_nan_residual_fails_its_check(monkeypatch):
