@@ -5,7 +5,8 @@ Every physical quantity carries an explicit unit suffix on its key
 the SI value under the bare key (``cavity.separation``). A key given
 without its suffix is read in SI units. Dimensionless values
 (reflectivities, finesse, overlaps) take no suffix. ``#`` starts a
-comment; blank lines are ignored.
+comment; blank lines are ignored. The file is UTF-8, with or without a
+byte-order mark.
 
 ``KEYS`` is the one list of accepted keys: each with its unit family and
 its range. ``parse_config`` checks every line against it, so an unknown
@@ -103,9 +104,13 @@ def parse_config(path: str | os.PathLike) -> Config:
     path = Path(path)
     values = Config(path)
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
+        lines = path.read_bytes().decode("utf-8-sig").splitlines()
     except OSError as exc:
         raise ConfigError(path, None, f"cannot read config: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(path, exc.object.count(b"\n", 0, exc.start) + 1,
+                          f"byte 0x{exc.object[exc.start]:02x} is not UTF-8 "
+                          f"({exc.reason})") from None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

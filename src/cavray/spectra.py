@@ -231,7 +231,6 @@ def _interpolate_periodic(table: np.ndarray, cells: np.ndarray) -> np.ndarray:
     rows of a block, into buffers reused across blocks; ``np.cumprod`` along
     the stencil axis would run a loop of 7 per point.
     """
-    size = len(table)
     out = np.empty_like(cells)
     rows = min(len(cells), _BLOCK)
     distances = np.empty((len(_STENCIL), rows))
@@ -252,8 +251,9 @@ def _interpolate_periodic(table: np.ndarray, cells: np.ndarray) -> np.ndarray:
             right *= distance[j]
         np.copyto(weight[0], right)
         weight *= _STENCIL_SCALE
-        # node j of the cell at floor(x) is table[(floor(x) + m_j) mod size]
-        np.add(floor.astype(np.intp) % size, _STENCIL[:, None], out=index)
+        # node j of the cell at floor(x) is table[(floor(x) + m_j) mod M], M =
+        # len(table): floor(x) + m_j lies in [-3, M + 4], and mode "wrap" takes the mod
+        np.add(floor.astype(np.intp), _STENCIL[:, None], out=index)
         nodes = np.take(table, index, mode="wrap", out=distance)
         weight *= nodes
         weight.sum(axis=0, out=out[start:start + n])

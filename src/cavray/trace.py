@@ -5,16 +5,17 @@ imports :mod:`cavray.jsontext`, which writes its schema, species and cavity.
 
 The trace writers round every value to 12 significant digits, written as
 ``"%.12g" % x`` in the CSV and as ``repr(float("%.12g" % x))`` in the
-JSON, and ``_TokenFrame`` formats them in numpy, 8192 values at a time.
-The mantissa rint(|x| 10**(11 - e)) for e = floor(log10|x|) holds %.12g's
-digits wherever the product's rounding cannot carry it across a half; for
-e = -11..11 the power of ten is exact and a half-integer product is
-settled by its exact rounding error. The digits, the point, the trailing
-zeros, the prefix and the exponent come from lookup tables, and repr's
-digits are the same for every normal double (DBL_DIG = 15). Odd tokens go
-to Python's own ``%`` and ``repr``: zero, |x| < 1e-289, near-halves
-outside e = -11..11, and tokens whose log10 or rounding crosses a power of
-ten. ``_TokenFrame.fill`` states the argument.
+JSON, and ``_TokenFrame`` formats them in numpy, every column of an
+8192-row block in one pass. The mantissa rint(|x| 10**(11 - e)) for
+e = floor(log10|x|) holds %.12g's digits wherever the product's rounding
+cannot carry it across a half; for e = -11..11 the power of ten is exact
+and a half-integer product is settled by its exact rounding error. The
+digits, the point, the trailing zeros, the prefix and the exponent come
+from lookup tables, and repr's digits are the same for every normal
+double (DBL_DIG = 15). Odd tokens go to Python's own ``%`` and ``repr``:
+zero, |x| < 1e-289, near-halves outside e = -11..11, and tokens whose
+log10 or rounding crosses a power of ten. ``_TokenFrame.fill`` states the
+argument.
 """
 
 from __future__ import annotations
@@ -42,19 +43,20 @@ def pieces(trace, fmt: str):
         frame = _TokenFrame(min(len(trace.detunings), _BLOCK), [b",", b"\n"], json=False)
         for start in range(0, len(trace.detunings), _BLOCK):
             detunings = trace.detunings[start:start + _BLOCK]
-            frame.fill(0, detunings)
-            frame.fill(1, trace.signals[start:start + _BLOCK])
+            frame.fill(detunings, trace.signals[start:start + _BLOCK])
             yield frame.text(len(detunings))
         return
     if fmt != "json":
         raise ValueError(f"a trace is written as csv or json, not {fmt!r}")
     from .jsontext import dumps
 
+    # one frame for both arrays, which are of one length
+    frame = _TokenFrame(min(len(trace.detunings), _BLOCK), [_JSON_SEPARATOR], json=True)
     yield (f'{{\n  "schema": {dumps(SCHEMA)},\n'
            f'  "species": {dumps(trace.species)},\n  "detuning_Hz": ')
-    yield from _json_array(trace.detunings)
+    yield from _json_array(frame, trace.detunings)
     yield f',\n  "{signal}": '
-    yield from _json_array(trace.signals)
+    yield from _json_array(frame, trace.signals)
     cavity = {"finesse": trace.finesse, "free_spectral_range_Hz": trace.free_spectral_range,
               "linewidth_Hz": trace.free_spectral_range / trace.finesse}
     yield ',\n  "cavity": ' + dumps(cavity, "  ") + "\n}\n"
@@ -66,10 +68,11 @@ _TOKEN_WORDS = 8
 
 
 class _TokenFrame:
-    """A row-major uint32 frame of token slots, ``len(separators)`` to a
-    row, and the scratch arrays that fill it, reused for every block of one
-    writer call. A slot is ``_TOKEN_WORDS`` words for a value's token, NUL
-    padded, then the words of its column's separator; ``text`` drops the
+    """A row-major uint32 frame of token slots, ``len(separators)`` columns
+    to a row, and the scratch arrays that fill it, reused for every block of
+    one writer call. A slot is ``_TOKEN_WORDS`` words for a value's token,
+    NUL padded, then the words of its column's separator, so the slots of
+    all rows and columns lie at one stride in row order; ``text`` drops the
     padding. Every array of ``fill`` is preallocated: a fresh 64 KiB
     temporary per step costs more in page faults than the step itself."""
 
@@ -83,20 +86,25 @@ class _TokenFrame:
         self.frame[..., _TOKEN_WORDS:] = tails
         self.json = json
         self.tables = _token_tables(json)
-        self.reals = np.empty((3, rows))
-        self.indices = np.empty((7, rows), np.intp)
-        self.flags = np.empty((2, rows), bool)
-        self.words = np.empty((2, rows), np.uint64)
-        self.word = np.empty(rows, np.uint32)
+        self.values = np.empty((rows, len(separators)))
+        size = rows * len(separators)
+        self.reals = np.empty((3, size))
+        self.indices = np.empty((7, size), np.intp)
+        self.flags = np.empty((2, size), bool)
+        self.words = np.empty((2, size), np.uint64)
+        self.word = np.empty(size, np.uint32)
 
     def text(self, rows: int) -> str:
         """The first ``rows`` rows of the frame, without their padding."""
         return self.frame[:rows].tobytes().translate(None, b"\0").decode("ascii")
 
-    def fill(self, column: int, values: np.ndarray) -> int:
-        """Write the token of each of ``values`` into ``column``'s slots of
-        the first len(values) rows: ``"%.12g" % x``, or ``repr(float("%.12g"
-        % x))`` in a JSON frame. Returns how many were odd.
+    def fill(self, *columns: np.ndarray) -> int:
+        """Write the first len(columns[0]) rows: the token of each value of
+        ``columns``, one array of one length per separator column, into its
+        row's slot of that column, ``"%.12g" % x``, or ``repr(float("%.12g"
+        % x))`` in a JSON frame. The columns are stacked into one (rows, k)
+        value buffer, so one pass formats all rows x k slots in row order.
+        Returns how many tokens were odd.
 
         The 12 digits come from numpy: e = floor(log10|x|) and the mantissa
         m = rint(y), y = |x| * 10**(11 - e) in floating point, which rounds
@@ -129,8 +137,12 @@ class _TokenFrame:
         and a suffix word pair, looked up by its layout code: a digit word
         is one 3-digit group of m in a variant that drops trailing zeros
         and places the point, and the suffix is the exponent, ".0" or the
-        zeros of a repr integer >= 1e12. ``values`` must be finite.
+        zeros of a repr integer >= 1e12. The values must be finite.
         """
+        rows = len(columns[0])
+        for j, column in enumerate(columns):
+            self.values[:rows, j] = column
+        values = self.values[:rows].ravel()
         n = len(values)
         scale, last, classes, digits, prefix, offsets, exponent, integral = self.tables
         y, t, m = self.reals[:, :n]
@@ -138,7 +150,7 @@ class _TokenFrame:
         odd, flag = self.flags[:, :n]
         wide, extra = self.words[:, :n]
         word = self.word[:n]
-        slots = self.frame[:n, column, :_TOKEN_WORDS]
+        slots = self.frame[:rows].reshape(n, -1)[:, :_TOKEN_WORDS]
         ends = slots.view(np.uint64)
         # every index is in range: mode "clip" only spares the copy of
         # ``out`` that np.take makes under the default "raise"
@@ -288,18 +300,18 @@ def _token_tables(json: bool) -> tuple:
     return scale, last, classes, digits, prefix, offsets, exponent, integral
 
 
-def _json_array(values: np.ndarray):
+def _json_array(frame: _TokenFrame, values: np.ndarray):
     """Pieces, block by block, of a JSON array nested one level deep,
     indent 2, each value x written as ``repr(float("%.12g" % x))``:
-    rounded to 12 significant digits, then as Python's float repr."""
+    rounded to 12 significant digits, then as Python's float repr. ``frame``
+    is a JSON frame of one column and at least min(len(values), 8192) rows."""
     if not len(values):
         yield "[]"
         return
     yield "[\n    "
-    frame = _TokenFrame(min(len(values), _BLOCK), [_JSON_SEPARATOR], json=True)
     for start in range(0, len(values), _BLOCK):
         block = values[start:start + _BLOCK]
-        frame.fill(0, block)
+        frame.fill(block)
         text = frame.text(len(block))
         # the last value's separator gives way to the closing bracket
         yield (text if start + _BLOCK < len(values)

@@ -40,6 +40,7 @@ from hypothesis import strategies as st
 from cavray import free_spectral_range, scan_spectrum, symmetric_waist
 from cavray.cli import _mirror_finesse, _species, build_parser, main
 from cavray.config import KEYS, parse_config
+from cavray.gases import _builtin_table_path
 from cavray.trace import pieces
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -280,6 +281,24 @@ def test_validate_that_fails_a_check_exits_1_and_writes_its_report(capsys, monke
     path = tmp_path / "validation_report.txt"
     assert (code, written, err) == (1, f"wrote {path}\n", "")
     assert path.read_text() == out
+
+
+def test_a_byte_order_mark_is_read_past(capsys, monkeypatch, tmp_path):
+    # a UTF-8 byte-order mark, which some editors write, used to become part
+    # of the config's first line and of the species table's first record
+    def golden(command, fmt):
+        return 0, (GOLDEN / f"{command}.{fmt}").read_bytes(), b""
+
+    config = tmp_path / "bom.cfg"
+    config.write_bytes(b"\xef\xbb\xbf" + DEMO.read_bytes())
+    for command, fmt in ("cavity", "json"), ("scan", "csv"):
+        code, out, err = run_cli(capsys, command, "--config", str(config), "--format", fmt)
+        assert (code, out.encode("utf-8"), err.encode("utf-8")) == golden(command, fmt)
+    table = tmp_path / "species.txt"
+    table.write_bytes(b"\xef\xbb\xbf" + _builtin_table_path().read_bytes())
+    monkeypatch.setenv("CAVRAY_SPECIES_DB", str(table))
+    code, out, err = run_cli(capsys, "scan", "--config", str(DEMO), "--format", "csv")
+    assert (code, out.encode("utf-8"), err.encode("utf-8")) == golden("scan", "csv")
 
 
 @pytest.mark.parametrize("command", ["scan", "forecast"])

@@ -56,6 +56,12 @@ class TestSpeciesTable:
         with pytest.raises(ValueError, match="non-numeric"):
             load_species_table(db)
 
+    def test_byte_that_is_not_utf8_names_its_line(self, tmp_path):
+        db = tmp_path / "bad.txt"
+        db.write_bytes(b"Xe 131.29 4.04\nN2 28.01 1.74  # r\xe9f\n")
+        with pytest.raises(ValueError, match=r"bad\.txt:2: byte 0xe9 is not UTF-8"):
+            load_species_table(db)
+
     def test_empty_table_rejected(self, tmp_path):
         db = tmp_path / "empty.txt"
         db.write_text("# nothing here\n")
@@ -141,6 +147,13 @@ class TestConfigParser:
         cfg.write_text(f"pump.wavelength_nm = 532\n{line}\n")
         key = line.split("=")[0].strip()
         with pytest.raises(ConfigError, match=rf"a\.cfg:2: key '{key}' has non-finite"):
+            parse_config(cfg)
+
+    def test_byte_that_is_not_utf8_names_its_line(self, tmp_path):
+        # after a byte-order mark, which the line count must not see
+        cfg = tmp_path / "a.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfpump.wavelength_nm = 532\n# caf\xe9\n")
+        with pytest.raises(ConfigError, match=r"a\.cfg:2: byte 0xe9 is not UTF-8"):
             parse_config(cfg)
 
     def test_missing_file(self, tmp_path):

@@ -62,15 +62,18 @@ class TestTraceSerialization:
         buffer.writelines(pieces(trace, "json"))
         assert '"schema": "cavray.spectrum-trace/1"' in buffer.getvalue()
 
-    @pytest.mark.parametrize("n", [0, 3, 8192, 8192 + 5, 2 * 8192, 2 * 8192 + 40])
+    @pytest.mark.parametrize("n", [0, 1, 3, 8191, 8192, 8192 + 5, 2 * 8192, 2 * 8192 + 40])
     def test_writers_match_per_point_formatting(self, reference_comb, n):
         edges = np.array(EDGE_VALUES)
         rng = np.random.default_rng(n)
         detunings = rng.uniform(0.0, 1e11, n)
         signals = rng.uniform(0.0, 1.0, n) * 10.0 ** rng.integers(-300, 12, n)
-        # at the start, and across the edge of the first 8192-value block;
-        # every other detuning negated
-        for at in (0, 8192 - len(edges) // 2):
+        # at the start, across the edge of the first 8192-row block, and in
+        # the last rows of the final block, where each odd token of either
+        # column must land in its own row and column; every other detuning
+        # negated
+        final = max(0, n - len(edges), (n - 1) // 8192 * 8192)
+        for at in (0, 8192 - len(edges) // 2, final):
             placed = edges[:max(0, min(len(edges), n - at))]
             detunings[at:at + len(placed)] = np.where(np.arange(len(placed)) % 2,
                                                       -placed, placed)
@@ -153,7 +156,7 @@ def kernel_text(values, json):
     pieces, odd = [], []
     for start in range(0, len(values), _BLOCK):
         block = values[start:start + _BLOCK]
-        odd.append(frame.fill(0, block))
+        odd.append(frame.fill(block))
         pieces.append(frame.text(len(block)))
     return "".join(pieces), odd
 
