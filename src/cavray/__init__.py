@@ -20,15 +20,15 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "constants": "ATOMIC_UNIT_POLARIZABILITY_A3 AVOGADRO BOLTZMANN PLANCK SPEED_OF_LIGHT",
     "errors": "ConfigError ConvergenceError",
-    "experiment": "EnhancementReport ForecastReport build_enhancement_report "
+    "experiment": "EnhancementReport FinesseEntry ForecastReport build_enhancement_report "
                   "contributing_particles free_space_backout interaction_volume "
                   "photon_rate ultracold_forecast ultracold_target_species",
-    "field": "PowerBudget cavity_power_budget intracavity_field "
+    "field": "PowerBudget cavity_power_budget intracavity_field outcoupling_share "
              "position_averaged_intensity transmitted_power",
     "gases": "GasSpecies load_species_table",
-    "optics": "CavityGeometry CavityParams MirrorSpec beam_width derive_cavity_params "
-              "finesse free_spectral_range mode_volume number_density q_factor "
-              "rayleigh_length symmetric_waist transverse_mode_spacing",
+    "optics": "CavityParams beam_width derive_cavity_params finesse free_spectral_range "
+              "mode_volume number_density q_factor rayleigh_length symmetric_waist "
+              "transverse_mode_spacing",
     "overlap": "dipole_mode_power overlap_eta_analytic overlap_eta_numeric "
                "purcell_factor purcell_ratio",
     "spectra": "SpectrumTrace doppler_fwhm observed_doppler_fwhm polarization_signal "

@@ -5,6 +5,9 @@ Config files use the flat dotted-key format of :mod:`cavray.config`, and
 this module is the one that reads their keys: the others take SI values.
 A handler reads only the keys its output depends on: ``scan`` reads the
 cavity's comb alone, ``cavity.separation`` and the mirror reflectivities.
+Two keys are read but move no output: ``purcell`` reads ``cavity.separation``,
+which cancels from its Q/V route, and ``forecast`` reads ``gas.species``, which
+cancels when the target's polarizability is a multiple of the species'.
 ``main`` runs a subcommand in three stages: it parses ``--config`` once
 (``validate`` reads none and gets ``None``), calls the handler, and writes
 what the handler returns once, through ``_write``. A handler only computes:
@@ -111,10 +114,10 @@ def _reject_unread_indices(values, prefix: str, count: int, why: str) -> None:
 
 def _mirror_finesse(values) -> float:
     """The ``cavity.*`` mirror pair's finesse; a zero one is a ValueError naming both."""
-    from .optics import MirrorSpec, _buildup_finesse
+    from .optics import _buildup_finesse
 
-    return _buildup_finesse(MirrorSpec(values["cavity.left_reflectivity"]),
-                            MirrorSpec(values["cavity.right_reflectivity"]))
+    return _buildup_finesse(values["cavity.left_reflectivity"],
+                            values["cavity.right_reflectivity"])
 
 
 def _geometry_waist(values, wavelength: float) -> float:
@@ -144,12 +147,12 @@ def _species(values, key: str, names: list[str]):
 
 
 def cmd_cavity(args, values):
-    from .optics import CavityGeometry, MirrorSpec, derive_cavity_params
+    from .optics import derive_cavity_params
 
-    geometry = CavityGeometry(values["cavity.separation"], values["cavity.curvature"],
-                              MirrorSpec(values["cavity.left_reflectivity"]),
-                              MirrorSpec(values["cavity.right_reflectivity"]))
-    params = derive_cavity_params(geometry, values["pump.wavelength"])
+    params = derive_cavity_params(values["cavity.separation"], values["cavity.curvature"],
+                                  values["cavity.left_reflectivity"],
+                                  values["cavity.right_reflectivity"],
+                                  values["pump.wavelength"])
     fields = {
         "finesse": params.finesse,
         "free_spectral_range_Hz": params.free_spectral_range,
@@ -213,15 +216,14 @@ def cmd_overlap(args, values):
 
 def cmd_enhance(args, values):
     from .experiment import build_enhancement_report
-    from .optics import MirrorSpec
 
-    left = MirrorSpec(values["enhance.left_reflectivity"])
+    left = values["enhance.left_reflectivity"]
     pairings, measured, overlaps = [], [], []
     i = 1
     # pairing 1 is required; later ones are read while they continue
     while i == 1 or f"enhance.pairing{i}.finesse" in values:
         pairings.append((values[f"enhance.pairing{i}.finesse"], left,
-                         MirrorSpec(values[f"enhance.pairing{i}.right_reflectivity"])))
+                         values[f"enhance.pairing{i}.right_reflectivity"]))
         measured.append(values[f"enhance.pairing{i}.measured_power"])
         overlaps.append(values[f"enhance.pairing{i}.spectral_overlap"])
         i += 1

@@ -14,7 +14,7 @@ from typing import Sequence
 from .constants import PLANCK, SPEED_OF_LIGHT
 from .field import outcoupling_share, transmitted_power
 from .gases import GasSpecies
-from .optics import MirrorSpec, number_density
+from .optics import _check_reflectivity, number_density
 from .overlap import purcell_ratio
 from .records import record
 
@@ -57,27 +57,28 @@ def contributing_particles(density: float, pump_waist: float,
     return density * interaction_volume(cavity_waist, pump_waist) * spectral_overlap
 
 
-MirrorPairing = tuple[float, MirrorSpec, MirrorSpec]
-
-
 def free_space_backout(measured_cavity_power: float, spectral_overlap: float,
-                       pairing: MirrorPairing) -> float:
-    """Free-space power implied by a cavity signal measured on ``pairing``.
+                       pairing: tuple[float, float, float]) -> float:
+    """Free-space power implied by a cavity signal measured on ``pairing``,
+    a (finesse, left_reflectivity, right_reflectivity) triple.
 
     Inverts the detectable-power chain: division by the spectral overlap
     (absent without a cavity) and by the single-mirror enhancement
     ``field.transmitted_power`` per unit of free-space power,
-    4 * T2/(T1+T2) * F / pi, which is 2F/pi for symmetric mirrors.
+    4 * T2/(T1+T2) * F / pi, which is 2F/pi for symmetric mirrors. The
+    mirrors are taken as lossless, T = 1 - R, and the finesse as measured:
+    one above the pair's lossless finesse is not rejected (ROADMAP item 13).
     """
     finesse, left, right = pairing
+    _check_reflectivity(left)
+    _check_reflectivity(right)
     if measured_cavity_power < 0.0:
         raise ValueError("measured power must be nonnegative")
     if finesse <= 0.0:
         raise ValueError(f"finesse must be positive, got {finesse}")
     if not 0.0 < spectral_overlap <= 1.0:
         raise ValueError(f"overlap must be in (0, 1], got {spectral_overlap}")
-    enhancement = transmitted_power(1.0, 1.0, left.transmission, right.transmission,
-                                    finesse)
+    enhancement = transmitted_power(1.0, 1.0, 1.0 - left, 1.0 - right, finesse)
     return measured_cavity_power / (enhancement * spectral_overlap)
 
 
@@ -105,12 +106,17 @@ class EnhancementReport:
     enhancement_factor: float | None
 
 
-def build_enhancement_report(pairings: Sequence[MirrorPairing],
+def build_enhancement_report(pairings: Sequence[tuple[float, float, float]],
                              measured_powers: Sequence[float],
                              spectral_overlaps: Sequence[float],
                              free_space_measured: float | None = None,
                              comparison_power: float | None = None) -> EnhancementReport:
     """Assemble the per-finesse comparison and the free-space back-out.
+
+    Each pairing is a (finesse, left_reflectivity, right_reflectivity)
+    triple. Its ``outcoupling_share`` and ``predicted_relative`` take the
+    mirrors as lossless, T = 1 - R, and its finesse as measured: one above
+    the pair's lossless finesse is not rejected (ROADMAP item 13).
 
     The measured normalization uses the highest-finesse entry as the
     reference. comparison_power, when the free-space comparison was taken
@@ -132,7 +138,9 @@ def build_enhancement_report(pairings: Sequence[MirrorPairing],
     for f, left, right in pairings:
         if f <= 0.0:
             raise ValueError(f"finesse must be positive, got {f}")
-        shares.append(outcoupling_share(left.transmission, right.transmission))
+        _check_reflectivity(left)
+        _check_reflectivity(right)
+        shares.append(outcoupling_share(1.0 - left, 1.0 - right))
         signals.append(f * shares[-1])
     max_finesse = pairings[ref_index][0]
     entries = []

@@ -7,9 +7,9 @@ The species database is a plain text file, one record per line:
 Blank lines and ``#`` comments are ignored, and the file is UTF-8, with
 or without a byte-order mark. Polarizabilities are CGS volume
 polarizabilities in cubic angstroms. The packaged table can be overridden
-with the ``CAVRAY_SPECIES_DB`` environment variable or an explicit path. The table gives each species at room temperature;
-``cavray.cli`` picks the species a config names and gives them its
-``gas.temperature``.
+with the ``CAVRAY_SPECIES_DB`` environment variable or an explicit path.
+The table gives each species at room temperature; ``cavray.cli`` picks
+the species a config names and gives them its ``gas.temperature``.
 """
 
 from __future__ import annotations

@@ -1,9 +1,10 @@
 """Fabry-Perot resonator geometry and derived quantities, in SI units.
 
-Mirrors are modeled as lossless (R + T = 1); absorption in real coatings
-makes measured finesse fall short of the lossless prediction, which is
-documented rather than compensated. ``cavray.cli`` builds the geometry
-from a config's ``cavity.*`` keys. The Gaussian mode of waist w0 is
+A mirror is its intensity reflectivity R, a float in [0, 1). Mirrors are
+modeled as lossless (R + T = 1); absorption in real coatings makes
+measured finesse fall short of the lossless prediction, which is
+documented rather than compensated. ``cavray.cli`` passes a config's
+``cavity.*`` keys here as plain floats. The Gaussian mode of waist w0 is
 ``rayleigh_length`` z0 and ``beam_width`` w(z); its intensity normalization
 is part of the mode function of ``cavray.validation``, its one reader.
 """
@@ -14,37 +15,6 @@ import math
 
 from .constants import BOLTZMANN, SPEED_OF_LIGHT
 from .records import record
-
-
-@record
-class MirrorSpec:
-    """A lossless cavity mirror described by its intensity reflectivity."""
-
-    reflectivity: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.reflectivity < 1.0:
-            raise ValueError(
-                f"intensity reflectivity must be in [0, 1), got {self.reflectivity}"
-            )
-
-    @property
-    def transmission(self) -> float:
-        """Intensity transmission T = 1 - R."""
-        return 1.0 - self.reflectivity
-
-
-@record
-class CavityGeometry:
-    """Symmetric two-mirror cavity: separation, common curvature, mirror pair."""
-
-    mirror_separation: float      # m
-    radius_of_curvature: float    # m, identical for both mirrors
-    left_mirror: MirrorSpec
-    right_mirror: MirrorSpec
-
-    def __post_init__(self):
-        _check_stable(self.mirror_separation, self.radius_of_curvature)
 
 
 @record
@@ -69,25 +39,32 @@ def _check_stable(d: float, rc: float) -> None:
                          f"(0, 2 * cavity.curvature), got d={d}, Rc={rc}")
 
 
-def _buildup_finesse(left: MirrorSpec, right: MirrorSpec) -> float:
+def _check_reflectivity(reflectivity: float) -> None:
+    """A ValueError unless 0 <= R < 1, NaN included: a lossless mirror of
+    R = 1 would trap the light, and R < 0 or R > 1 is no mirror."""
+    if not 0.0 <= reflectivity < 1.0:
+        raise ValueError(f"intensity reflectivity must be in [0, 1), got {reflectivity}")
+
+
+def _buildup_finesse(left_reflectivity: float, right_reflectivity: float) -> float:
     """The finesse of a mirror pair, or a ValueError naming the
     ``cavity.*`` mirror keys if a mirror of reflectivity 0 gives none."""
-    f = finesse(left, right)
+    f = finesse(left_reflectivity, right_reflectivity)
     if f <= 0.0:
         raise ValueError("finesse is zero: cavity.left_reflectivity or "
                          "cavity.right_reflectivity is 0, so nothing builds up")
     return f
 
 
-def finesse(left: MirrorSpec, right: MirrorSpec) -> float:
+def finesse(left_reflectivity: float, right_reflectivity: float) -> float:
     """Cavity finesse pi*(R1*R2)^(1/4) / (1 - sqrt(R1*R2)), exact form.
 
-    Decreases monotonically with either mirror's transmission. Raises for
-    the unphysical lossless trap R1*R2 >= 1.
+    Decreases monotonically with either mirror's transmission 1 - R.
+    Raises unless each intensity reflectivity is in [0, 1).
     """
-    product = left.reflectivity * right.reflectivity
-    if product >= 1.0:
-        raise ValueError(f"R1*R2 must be < 1 for a physical cavity, got {product}")
+    _check_reflectivity(left_reflectivity)
+    _check_reflectivity(right_reflectivity)
+    product = left_reflectivity * right_reflectivity
     return math.pi * product ** 0.25 / (1.0 - math.sqrt(product))
 
 
@@ -141,15 +118,20 @@ def mode_volume(waist: float, mirror_separation: float) -> float:
     return math.pi * waist ** 2 * mirror_separation / 4.0
 
 
-def derive_cavity_params(geometry: CavityGeometry, wavelength: float) -> CavityParams:
-    """Populate every derived resonator quantity for one wavelength.
+def derive_cavity_params(mirror_separation: float, radius_of_curvature: float,
+                         left_reflectivity: float, right_reflectivity: float,
+                         wavelength: float) -> CavityParams:
+    """Populate every derived resonator quantity of a symmetric two-mirror
+    cavity, its mirrors given by their intensity reflectivities, for one
+    wavelength. An unstable geometry is reported ahead of a zero finesse.
 
     Satisfies linewidth*finesse = FSR and Q*lambda = 2*d*finesse exactly.
     """
-    f = _buildup_finesse(geometry.left_mirror, geometry.right_mirror)
-    d = geometry.mirror_separation
+    d, rc = mirror_separation, radius_of_curvature
+    _check_stable(d, rc)
+    f = _buildup_finesse(left_reflectivity, right_reflectivity)
     fsr = free_spectral_range(d)
-    w0 = symmetric_waist(d, geometry.radius_of_curvature, wavelength)
+    w0 = symmetric_waist(d, rc, wavelength)
     return CavityParams(
         finesse=f,
         free_spectral_range=fsr,
@@ -157,7 +139,7 @@ def derive_cavity_params(geometry: CavityGeometry, wavelength: float) -> CavityP
         q_factor=q_factor(d, f, wavelength),
         waist=w0,
         rayleigh_length=rayleigh_length(w0, wavelength),
-        transverse_mode_spacing=transverse_mode_spacing(d, geometry.radius_of_curvature),
+        transverse_mode_spacing=transverse_mode_spacing(d, rc),
         mode_volume=mode_volume(w0, d),
     )
 

@@ -75,9 +75,9 @@ _FIELD_AVERAGE_NODES = 64
 _ABCD_DRAWS = 100
 _PURCELL_DRAWS = 1000
 _DOPPLER_DRAWS = 10
-# the cavity of the scan, species-ratio and forecast checks
-_REFERENCE_CAVITY = optics.CavityGeometry(6e-3, 45e-3, optics.MirrorSpec(0.997),
-                                          optics.MirrorSpec(0.997))
+# the cavity of the scan, species-ratio and forecast checks: separation,
+# curvature and the two mirrors' reflectivities
+_REFERENCE_CAVITY = (6e-3, 45e-3, 0.997, 0.997)
 
 
 @functools.lru_cache(maxsize=1)
@@ -223,8 +223,7 @@ def check_power_linearity(rng: np.random.Generator) -> CheckResult:
 
 def check_finesse_monotone(rng: np.random.Generator) -> CheckResult:
     transmissions = np.linspace(1e-4, 0.9, 200)
-    values = [optics.finesse(optics.MirrorSpec(1.0 - t), optics.MirrorSpec(0.99))
-              for t in transmissions.tolist()]
+    values = [optics.finesse(1.0 - t, 0.99) for t in transmissions.tolist()]
     monotone = all(a > b for a, b in zip(values, values[1:]))
     return CheckResult("finesse monotone decreasing in transmission", monotone,
                        "strictly decreasing over T in [1e-4, 0.9]" if monotone
@@ -234,8 +233,8 @@ def check_finesse_monotone(rng: np.random.Generator) -> CheckResult:
 def check_finesse_taylor(rng: np.random.Generator) -> CheckResult:
     residuals = []
     for t in np.linspace(1e-4, 0.0099, 40).tolist():
-        mirror = optics.MirrorSpec(1.0 - t)
-        exact = optics.finesse(mirror, mirror)
+        reflectivity = 1.0 - t
+        exact = optics.finesse(reflectivity, reflectivity)
         approx = 2.0 * math.pi / (2.0 * t)
         residuals.append(abs(exact - approx) / exact)
     return _result("finesse Taylor expansion below T=0.01", _worst(*residuals), 0.02)
@@ -246,21 +245,15 @@ def check_cavity_params_identities(rng: np.random.Generator) -> CheckResult:
     draws = _uniform_rows(rng, 100, (5e-3, 0.5), (0.05, 1.95), (0.5, 0.99999),
                           (0.5, 0.99999), (300e-9, 1600e-9))
     for rc, separation, left, right, wavelength in draws.tolist():
-        geometry = optics.CavityGeometry(
-            mirror_separation=separation * rc,
-            radius_of_curvature=rc,
-            left_mirror=optics.MirrorSpec(left),
-            right_mirror=optics.MirrorSpec(right),
-        )
-        params = optics.derive_cavity_params(geometry, wavelength)
+        d = separation * rc
+        params = optics.derive_cavity_params(d, rc, left, right, wavelength)
         residuals += [
             abs(params.linewidth * params.finesse / params.free_spectral_range - 1.0),
-            abs(params.q_factor * wavelength
-                / (2.0 * geometry.mirror_separation * params.finesse) - 1.0),
+            abs(params.q_factor * wavelength / (2.0 * d * params.finesse) - 1.0),
             abs(params.rayleigh_length
                 / (math.pi * params.waist ** 2 / wavelength) - 1.0),
             abs(params.mode_volume
-                / (math.pi * params.waist ** 2 * geometry.mirror_separation / 4.0) - 1.0),
+                / (math.pi * params.waist ** 2 * d / 4.0) - 1.0),
         ]
     return _result("derived cavity parameter identities", _worst(*residuals), 1e-12)
 
@@ -656,7 +649,7 @@ def scan_fourier_series(detunings: np.ndarray, fsr: float, finesse: float,
 
 
 def check_scan_linearity(rng: np.random.Generator) -> CheckResult:
-    params = optics.derive_cavity_params(_REFERENCE_CAVITY, 532e-9)
+    params = optics.derive_cavity_params(*_REFERENCE_CAVITY, 532e-9)
     xenon = _packaged_species()["Xe"]
     scale = rng.uniform(2.0, 10.0)
     comb = params.free_spectral_range, params.finesse
@@ -691,7 +684,7 @@ def check_doppler_monte_carlo(rng: np.random.Generator) -> CheckResult:
 
 
 def check_species_ratio(rng: np.random.Generator) -> CheckResult:
-    params = optics.derive_cavity_params(_REFERENCE_CAVITY, 532e-9)
+    params = optics.derive_cavity_params(*_REFERENCE_CAVITY, 532e-9)
     table = _packaged_species()
     ratios = spectra.species_ratio([table["Xe"], table["CF3H"], table["N2"]],
                                    params.linewidth, 532e-9)
@@ -705,10 +698,10 @@ def check_backout_roundtrip(rng: np.random.Generator) -> CheckResult:
     draws = _uniform_rows(rng, 100, (1e-16, 1e-12), (10.0, 1e5), (0.01, 1.0), (0.1, 1.0))
     for free_space, f, ovl, share in draws.tolist():
         # mirrors that send about ``share`` of the power out on the right
-        left, right = optics.MirrorSpec(share), optics.MirrorSpec(1.0 - share)
+        left, right = share, 1.0 - share
         # free_space is a^2 Pp, the one-way power without a cavity
-        measured = field.transmitted_power(1.0, free_space, left.transmission,
-                                           right.transmission, f) * ovl
+        measured = field.transmitted_power(1.0, free_space, 1.0 - left, 1.0 - right,
+                                           f) * ovl
         recovered = experiment.free_space_backout(measured, ovl, (f, left, right))
         residuals.append(abs(recovered - free_space) / free_space)
     return _result("free-space back-out round trip", _worst(*residuals), 1e-12)
@@ -717,7 +710,7 @@ def check_backout_roundtrip(rng: np.random.Generator) -> CheckResult:
 def check_forecast_consistency(rng: np.random.Generator) -> CheckResult:
     xe = _packaged_species()["Xe"]
     target = experiment.ultracold_target_species(xe)
-    waist = optics.derive_cavity_params(_REFERENCE_CAVITY, 532e-9).waist
+    waist = optics.derive_cavity_params(*_REFERENCE_CAVITY, 532e-9).waist
     report = experiment.ultracold_forecast(
         target, 1e5, 1e5, gas=xe, pressure=1e4, wavelength=532e-9, pump_waist=50e-6,
         cavity_waist=waist, measured_power=50e-15, anchor_finesse=1000.0,
@@ -730,13 +723,12 @@ def check_forecast_consistency(rng: np.random.Generator) -> CheckResult:
     )
     # the per-molecule rate by another route: the anchor's free-space power
     # per contributing particle, sent out through both target mirrors
-    mirror = _REFERENCE_CAVITY.left_mirror
+    mirror = _REFERENCE_CAVITY[2]
     free_space = (experiment.free_space_backout(50e-15, 0.042, (1000.0, mirror, mirror))
                   / experiment.contributing_particles(
                       optics.number_density(1e4, xe.temperature), 50e-6, waist, 0.042))
     power = 2.0 * field.transmitted_power(target.polarizability / xe.polarizability,
-                                          free_space, mirror.transmission,
-                                          mirror.transmission, 1e5)
+                                          free_space, 1.0 - mirror, 1.0 - mirror, 1e5)
     rate = power / (PLANCK * SPEED_OF_LIGHT / 532e-9)
     in_cavity = report.per_molecule_in_cavity_rate_Hz
     route = abs(rate - in_cavity) / in_cavity

@@ -1,24 +1,14 @@
 import pytest
 
-from cavray import CavityGeometry, MirrorSpec, derive_cavity_params, gases, load_species_table
+from cavray import derive_cavity_params, gases, load_species_table
 
 WAVELENGTH = 532e-9
 
 
 @pytest.fixture
-def reference_geometry():
+def reference_params():
     """The d=6 mm / Rc=45 mm cavity with the 99.7% mirror pair."""
-    return CavityGeometry(
-        mirror_separation=6e-3,
-        radius_of_curvature=45e-3,
-        left_mirror=MirrorSpec(0.997),
-        right_mirror=MirrorSpec(0.997),
-    )
-
-
-@pytest.fixture
-def reference_params(reference_geometry):
-    return derive_cavity_params(reference_geometry, WAVELENGTH)
+    return derive_cavity_params(6e-3, 45e-3, 0.997, 0.997, WAVELENGTH)
 
 
 @pytest.fixture

@@ -22,6 +22,8 @@ import argparse
 import atexit
 import contextlib
 import gc
+import importlib
+import inspect
 import io
 import json
 import os
@@ -915,6 +917,17 @@ def test_package_namespace_resolves_every_exported_name():
 
     for name in cavray.__all__:
         assert getattr(cavray, name) is not None, name
+    # each module exports exactly its public functions and classes (and
+    # ``constants`` its numbers): none deleted but exported, none left out
+    for module_name, names in cavray._EXPORTS.items():
+        module = importlib.import_module(f"cavray.{module_name}")
+        exported = set(names.split())
+        assert all(hasattr(module, name) for name in exported), module_name
+        public = {name for name, value in vars(module).items()
+                  if not name.startswith("_")
+                  and (inspect.isfunction(value) or inspect.isclass(value))
+                  and value.__module__ == module.__name__}
+        assert {name for name in exported if callable(getattr(module, name))} == public
     assert cavray.scan_spectrum is cavray.spectra.scan_spectrum
     with pytest.raises(AttributeError, match="no_such_name"):
         cavray.no_such_name

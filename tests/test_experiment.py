@@ -9,16 +9,16 @@ import math
 
 import pytest
 
-from cavray import (MirrorSpec, build_enhancement_report, contributing_particles,
+from cavray import (build_enhancement_report, contributing_particles,
                     free_space_backout, interaction_volume, number_density, photon_rate,
                     purcell_ratio, ultracold_forecast, ultracold_target_species)
 
 WAVELENGTH = 532e-9
 
 PAPER_PAIRINGS = [
-    (1000.0, MirrorSpec(0.997), MirrorSpec(0.997)),
-    (400.0, MirrorSpec(0.997), MirrorSpec(0.989)),
-    (100.0, MirrorSpec(0.997), MirrorSpec(0.959)),
+    (1000.0, 0.997, 0.997),
+    (400.0, 0.997, 0.989),
+    (100.0, 0.997, 0.959),
 ]
 MEASURED_POWERS = [52e-15, 85e-15, 90e-15]
 OVERLAPS = [0.042, 0.101, 0.334]
@@ -91,7 +91,7 @@ class TestFreeSpaceBackout:
 
     def test_unit_enhancement_is_identity(self):
         # overlap 1 and finesse pi/2 leave the measurement untouched
-        mirror = MirrorSpec(0.99)
+        mirror = 0.99
         assert free_space_backout(7e-15, 1.0, (math.pi / 2.0, mirror, mirror)) == (
             pytest.approx(7e-15))
 
@@ -112,6 +112,12 @@ class TestFreeSpaceBackout:
         with pytest.raises(ValueError):
             free_space_backout(50e-15, 0.0, PAPER_PAIRINGS[0])
 
+    @pytest.mark.parametrize("bad", [-0.1, 1.0, 1.5, math.nan])
+    def test_rejects_unphysical_reflectivity(self, bad):
+        for pairing in [(1000.0, bad, 0.997), (1000.0, 0.997, bad)]:
+            with pytest.raises(ValueError, match="must be in \\[0, 1\\)"):
+                free_space_backout(50e-15, 0.042, pairing)
+
 
 def predicted_relative(pairings):
     """The report's predicted relative signal of each pairing."""
@@ -128,7 +134,7 @@ class TestFinesseDependence:
         assert values[2] == pytest.approx(0.186363636364, rel=1e-9)
 
     def test_symmetric_mirrors_are_purely_linear(self):
-        mirror = MirrorSpec(0.99)
+        mirror = 0.99
         finesses = [1250.0, 730.0, 333.0, 40.0]
         relative = predicted_relative([(f, mirror, mirror) for f in finesses])
         for f, r in zip(finesses, relative):
@@ -175,6 +181,15 @@ class TestEnhancementReport:
     def test_backout_and_factor(self, report):
         assert report.free_space_backout_W == pytest.approx(1.87e-15, rel=1e-3)
         assert report.enhancement_factor == pytest.approx(38.46, rel=1e-3)
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.0, 1.5, math.nan])
+    def test_rejects_unphysical_reflectivity(self, bad):
+        # the reference pairing is the first, so a bad mirror of the last
+        # one is caught on its own, not by the back-out
+        for pairing in [(100.0, bad, 0.959), (100.0, 0.997, bad)]:
+            with pytest.raises(ValueError, match="must be in \\[0, 1\\)"):
+                build_enhancement_report([*PAPER_PAIRINGS[:2], pairing],
+                                         MEASURED_POWERS, OVERLAPS)
 
 
 class TestUltracoldForecast:

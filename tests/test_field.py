@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from cavray import (cavity_power_budget, field, intracavity_field,
                     position_averaged_intensity, transmitted_power, validation)
-from cavray.optics import MirrorSpec, finesse
+from cavray.optics import finesse
 
 K = 2.0 * math.pi / 532e-9
 RESONANT_D = round(6e-3 * K / math.pi) * math.pi / K  # nearest k*d = m*pi to 6 mm
@@ -151,7 +151,7 @@ def high_finesse_intensity(amplitude, pump_intensity, finesse):
 
 class TestHighFinesseIntensity:
     def test_matches_exact_at_high_reflectivity(self):
-        f = finesse(MirrorSpec(0.997), MirrorSpec(0.997))
+        f = finesse(0.997, 0.997)
         r = math.sqrt(0.997)
         exact = position_averaged_intensity(1.0, 1.0, r, r)
         assert high_finesse_intensity(1.0, 1.0, f) == pytest.approx(exact, rel=0.005)
@@ -162,7 +162,7 @@ class TestHighFinesseIntensity:
     def test_moderate_finesse_within_five_percent(self):
         # symmetric R giving an exact finesse of 100
         r_intensity = 0.9690736781385767
-        f = finesse(MirrorSpec(r_intensity), MirrorSpec(r_intensity))
+        f = finesse(r_intensity, r_intensity)
         assert f == pytest.approx(100.0, rel=1e-9)
         r = math.sqrt(r_intensity)
         exact = position_averaged_intensity(1.0, 1.0, r, r)

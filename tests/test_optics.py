@@ -11,40 +11,34 @@ import math
 import numpy as np
 import pytest
 
-from cavray import (CavityGeometry, MirrorSpec, derive_cavity_params, finesse,
-                    free_spectral_range, number_density, symmetric_waist,
-                    transverse_mode_spacing, validation)
+from cavray import (derive_cavity_params, finesse, free_spectral_range, number_density,
+                    symmetric_waist, transverse_mode_spacing, validation)
 
 WAVELENGTH = 532e-9
-
-
-class TestMirrorSpec:
-    def test_lossless_split(self):
-        mirror = MirrorSpec(0.997)
-        assert mirror.transmission == pytest.approx(0.003)
-
-    @pytest.mark.parametrize("bad", [-0.1, 1.0, 1.5])
-    def test_rejects_unphysical_reflectivity(self, bad):
-        with pytest.raises(ValueError):
-            MirrorSpec(bad)
 
 
 class TestFinesse:
     def test_paper_mirror_pair(self):
         # exact formula; the high-finesse approximation would give 1047.2
-        value = finesse(MirrorSpec(0.997), MirrorSpec(0.997))
+        value = finesse(0.997, 0.997)
         assert value == pytest.approx(1045.6255750020905, rel=1e-12)
 
     def test_no_mirrors(self):
-        assert finesse(MirrorSpec(0.0), MirrorSpec(0.0)) == 0.0
+        assert finesse(0.0, 0.0) == 0.0
 
     def test_asymmetric_pair(self):
-        value = finesse(MirrorSpec(0.997), MirrorSpec(0.959))
+        value = finesse(0.997, 0.959)
         assert value == pytest.approx(140.03195341764595, rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.0, 1.5, math.nan])
+    def test_rejects_unphysical_reflectivity(self, bad):
+        for pair in [(bad, 0.9), (0.9, bad)]:
+            with pytest.raises(ValueError, match="must be in \\[0, 1\\)"):
+                finesse(*pair)
 
     def test_monotone_decreasing_in_transmission(self):
         transmissions = np.linspace(1e-5, 0.999, 300)
-        values = [finesse(MirrorSpec(1.0 - t), MirrorSpec(0.9)) for t in transmissions]
+        values = [finesse(1.0 - t, 0.9) for t in transmissions]
         assert all(a > b for a, b in zip(values, values[1:]))
 
 
@@ -134,12 +128,12 @@ class TestDeriveCavityParams:
         assert reference_params.mode_volume == pytest.approx(8.957527784e-12, rel=1e-9)
         assert reference_params.linewidth == pytest.approx(23.892591603e6, rel=1e-9)
 
-    def test_internal_identities_exact(self, reference_geometry, reference_params):
+    def test_internal_identities_exact(self, reference_params):
         p = reference_params
         assert p.linewidth * p.finesse == pytest.approx(p.free_spectral_range,
                                                         rel=1e-14)
         assert p.q_factor * WAVELENGTH == pytest.approx(
-            2.0 * reference_geometry.mirror_separation * p.finesse, rel=1e-14
+            2.0 * 6e-3 * p.finesse, rel=1e-14
         )
         assert p.rayleigh_length == pytest.approx(
             math.pi * p.waist ** 2 / WAVELENGTH, rel=1e-14
@@ -152,9 +146,13 @@ class TestDeriveCavityParams:
             assert getattr(reference_params, name) > 0.0
 
     def test_degenerate_mirrors_rejected(self):
-        geometry = CavityGeometry(6e-3, 45e-3, MirrorSpec(0.0), MirrorSpec(0.0))
-        with pytest.raises(ValueError):
-            derive_cavity_params(geometry, WAVELENGTH)
+        with pytest.raises(ValueError, match="finesse is zero"):
+            derive_cavity_params(6e-3, 45e-3, 0.0, 0.0, WAVELENGTH)
+
+    @pytest.mark.parametrize("separation", [90e-3, -1e-3], ids=["unstable", "negative-length"])
+    def test_unstable_geometry_is_reported_ahead_of_a_zero_finesse(self, separation):
+        with pytest.raises(ValueError, match="unstable geometry"):
+            derive_cavity_params(separation, 45e-3, 0.0, 0.0, WAVELENGTH)
 
 
 class TestNumberDensity:
@@ -175,13 +173,3 @@ class TestNumberDensity:
     def test_rejects_nonpositive_temperature(self):
         with pytest.raises(ValueError):
             number_density(1e4, 0.0)
-
-
-class TestCavityGeometry:
-    def test_rejects_unstable(self):
-        with pytest.raises(ValueError):
-            CavityGeometry(90e-3, 45e-3, MirrorSpec(0.9), MirrorSpec(0.9))
-
-    def test_rejects_negative_length(self):
-        with pytest.raises(ValueError):
-            CavityGeometry(-1e-3, 45e-3, MirrorSpec(0.9), MirrorSpec(0.9))

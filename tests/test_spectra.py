@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavray import (MirrorSpec, SpectrumTrace, doppler_fwhm, finesse, free_spectral_range,
+from cavray import (SpectrumTrace, doppler_fwhm, finesse, free_spectral_range,
                     load_species_table, observed_doppler_fwhm,
                     polarization_signal, scan_spectrum, species_ratio, spectral_overlap,
                     validation)
@@ -262,7 +262,7 @@ class TestScanSpectrum:
     def test_rejects_lines_beyond_table_cap(self, species):
         # 1e-7 K gas in a finesse-3e7 cavity: ~5e6 harmonics before the
         # terms fade, a table of 2**27 entries
-        mirror = MirrorSpec(1.0 - 1e-7)
+        mirror = 1.0 - 1e-7
         gas = species["Xe"]._replace(temperature=1e-7)
         with pytest.raises(ValueError, match="finesse.*gas.temperature"):
             scan_spectrum(free_spectral_range(6e-3), finesse(mirror, mirror), [(gas, 1.0)],
@@ -304,8 +304,7 @@ def _scan_case(name):
     table = load_species_table()
     weights = [(table[n]._replace(temperature=temperature), w)
                for n, w in (("Xe", 1.0), ("CF3H", 0.7), ("N2", 1.3))]
-    mirror = MirrorSpec(reflectivity)
-    return fsr, finesse(mirror, mirror), weights, scan_range, resolution
+    return fsr, finesse(reflectivity, reflectivity), weights, scan_range, resolution
 
 
 class TestScanAgainstOracles:

@@ -104,8 +104,8 @@ MUTANTS = {
     "check_power_linearity": [("pump-power-squared", field, "transmitted_power",
                                "* pump_power *", "* pump_power ** 2 *")],
     "check_finesse_monotone": [("transmissions-for-reflectivities", optics, "finesse",
-                                "left.reflectivity * right.reflectivity",
-                                "left.transmission * right.transmission")],
+                                "left_reflectivity * right_reflectivity",
+                                "(1.0 - left_reflectivity) * (1.0 - right_reflectivity)")],
     "check_finesse_taylor": [("one-minus-r1r2", optics, "finesse",
                               "(1.0 - math.sqrt(product))", "(1.0 - product)")],
     "check_cavity_params_identities": [ONE_PASS_Q, MODE_AREA_FOR_VOLUME],
@@ -446,3 +446,15 @@ def test_overlap_holds_closed_forms_only():
     tree = ast.parse((PACKAGE_DIR / "overlap.py").read_text())
     assert not [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
     assert "records" not in _imported_names(tree)
+
+
+def test_every_record_is_an_output_or_a_table_row():
+    # an input is passed as its floats, a mirror as its reflectivity: no
+    # record wraps arguments that a function could take as they are
+    records = {node.name for path in PACKAGE_DIR.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ClassDef)
+               and any(isinstance(d, ast.Name) and d.id == "record"
+                       for d in node.decorator_list)}
+    assert records == {"CavityParams", "GasSpecies", "PowerBudget", "FinesseEntry",
+                       "EnhancementReport", "ForecastReport", "CheckResult"}
