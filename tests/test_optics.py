@@ -150,7 +150,7 @@ class TestDeriveCavityParams:
             derive_cavity_params(6e-3, 45e-3, 0.0, 0.0, WAVELENGTH)
 
     @pytest.mark.parametrize("separation", [90e-3, -1e-3], ids=["unstable", "negative-length"])
-    def test_unstable_geometry_is_reported_ahead_of_a_zero_finesse(self, separation):
+    def test_stability_checked_before_finesse(self, separation):
         with pytest.raises(ValueError, match="unstable geometry"):
             derive_cavity_params(separation, 45e-3, 0.0, 0.0, WAVELENGTH)
 
