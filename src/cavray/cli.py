@@ -3,7 +3,9 @@
 Subcommands: cavity, scan, overlap, enhance, purcell, forecast, validate.
 Config files use the flat dotted-key format of :mod:`cavray.config`, and
 this module is the one that reads their keys: the others take SI values.
-A handler reads only the keys its output depends on: ``scan`` reads the
+The species table shares the config's reader and ``config error:`` lines; a
+species is its row, and ``gas.temperature`` is the whole sample's. A
+handler reads only the keys its output depends on: ``scan`` reads the
 cavity's comb alone, ``cavity.separation`` and the mirror reflectivities.
 Two keys are read but move no output: ``purcell`` reads ``cavity.separation``,
 which cancels from its Q/V route, and ``forecast`` reads ``gas.species``, which
@@ -15,24 +17,18 @@ what the handler returns once, through ``_write``. A handler only computes:
 name under --out and the texts of the output, which may be a generator, so
 that a scan's document still streams block by block.
 Each handler imports what it uses: a process loads its subcommand's modules only.
-``main`` builds only the named subcommand's parser; help and the error on a
-missing or unknown subcommand come from the full one, and every usage error
-reads as the full parser's.
 JSON artifacts are written by :mod:`cavray.jsontext`, which only a JSON output
 imports; a scan's JSON goes through :mod:`cavray.trace` and then ``jsontext``.
 The json package loads only for a string that needs an escape, and none of
 the report schemas or species-table names does.
 
-The collector policy has three parts. A ``cavray`` process ends when ``main``
-returns, so ``main`` has the collector freeze the heap at exit, which spares
-the interpreter's shutdown walk over it; the hook is set in ``main``, not at
-import, so importers and in-process callers keep their collector untouched
-until their own exit. The numpy import of ``scan`` and ``validate`` runs in
-``_aged_imports``: the ~1e4 objects it leaves live until exit, so they go to
-the oldest generation, where no young collection walks them again. The work
-itself runs with the collector as the caller left it: pausing it there saved
-nothing measurable, since the first young collection after it would walk
-everything made meanwhile.
+The collector policy has three parts. ``main``, not the import, so that an
+importer's collector stays untouched, sets the hook that freezes the heap at
+exit, which spares the shutdown walk over it. The numpy import of ``scan``
+and ``validate`` runs in ``_aged_imports``, which moves the ~1e4 objects it
+leaves, live until exit, to the oldest generation. The work itself runs
+with the collector as the caller left it: pausing it saved nothing, since
+the first young collection after would walk everything made meanwhile.
 """
 
 from __future__ import annotations
@@ -44,7 +40,7 @@ import gc
 import sys
 from pathlib import Path
 
-from .config import parse_config
+from .config import DEFAULT_TEMPERATURE, parse_config
 from .errors import ConfigError, ConvergenceError
 
 
@@ -132,18 +128,16 @@ def _geometry_waist(values, wavelength: float) -> float:
 
 
 def _species(values, key: str, names: list[str]):
-    """The species that config ``key`` lists as ``names``, from the species
-    table, at the config's ``gas.temperature``. A name the table lacks is a
-    ConfigError that names ``key`` and lists the table."""
-    from .gases import DEFAULT_TEMPERATURE, load_species_table
+    """The rows of the species table that config ``key`` lists as ``names``.
+    A name the table lacks is a ConfigError that names ``key`` and lists the table."""
+    from .gases import load_species_table
 
     table = load_species_table()
-    temperature = values.get("gas.temperature", DEFAULT_TEMPERATURE)
     for name in names:
         if name not in table:
             raise ConfigError(values.path, None, f"{key}: unknown species {name!r}; "
                               "table has: " + ", ".join(sorted(table)))
-    return [table[name]._replace(temperature=temperature) for name in names]
+    return [table[name] for name in names]
 
 
 def cmd_cavity(args, values):
@@ -185,12 +179,10 @@ def cmd_scan(args, values):
         raise ConfigError(values.path, None, f"no scan.weight<i> is positive ({keys} "
                           "are 0): the scan would have no signal")
     trace = scan_spectrum(
-        fsr, finesse, weights,
-        scan_range=values["scan.range"],
-        resolution=values["scan.resolution"],
-        wavelength=values["pump.wavelength"],
-        normalize=bool(values.get("scan.normalize", 1.0)),
-    )
+        fsr, finesse, weights, scan_range=values["scan.range"],
+        resolution=values["scan.resolution"], wavelength=values["pump.wavelength"],
+        temperature=values.get("gas.temperature", DEFAULT_TEMPERATURE),
+        normalize=bool(values.get("scan.normalize", 1.0)))
     return (0, f"scan_{trace.species.replace('+', '_')}.{args.format}",
             pieces(trace, args.format))
 
@@ -296,7 +288,8 @@ def cmd_forecast(args, values):
         gas, values.get("forecast.polarizability_factor", POLARIZABILITY_FACTOR))
     report = ultracold_forecast(
         target, values["forecast.n_molecules"], values["forecast.target_finesse"],
-        gas=gas, pressure=values["gas.pressure"], wavelength=wavelength,
+        gas=gas, temperature=values.get("gas.temperature", DEFAULT_TEMPERATURE),
+        pressure=values["gas.pressure"], wavelength=wavelength,
         pump_waist=values["pump.waist"],
         cavity_waist=values.get("cavity.waist") or _geometry_waist(values, wavelength),
         measured_power=values["anchor.measured_power"],

@@ -4,14 +4,16 @@ Every physical quantity carries an explicit unit suffix on its key
 (``cavity.separation_mm = 6.0``); the parser strips the suffix and stores
 the SI value under the bare key (``cavity.separation``). A key given
 without its suffix is read in SI units. Dimensionless values
-(reflectivities, finesse, overlaps) take no suffix. ``#`` starts a
-comment; blank lines are ignored. The file is UTF-8, with or without a
-byte-order mark.
+(reflectivities, finesse, overlaps) take no suffix. ``read_lines`` reads
+this file and the species table of :mod:`cavray.gases` alike: UTF-8, with
+or without a byte-order mark, lines that end at LF, CR LF or CR alone (so
+a form feed or U+2028 ends none), ``#`` comments and blank lines ignored.
 
 ``KEYS`` is the one list of accepted keys: each with its unit family and
 its range. ``parse_config`` checks every line against it, so an unknown
 key, a unit of the wrong family, a word for a number or a value out of
-range is a ``ConfigError`` that gives the line and names the key.
+range is a ``ConfigError`` that gives the line and names the key. The
+whole sample is at ``gas.temperature``, by default ``DEFAULT_TEMPERATURE``.
 """
 
 from __future__ import annotations
@@ -34,6 +36,9 @@ UNITS = {
 }
 UNIT_SUFFIXES = {suffix: (family, factor) for family, units in UNITS.items()
                  for suffix, factor in units.items()}
+
+DEFAULT_TEMPERATURE = 295.0  # K
+_LINE_END = re.compile("\r\n?|\n")  # str.splitlines() also splits at \v, \f, U+2028...
 
 # range -> (test of a value, what a value must be)
 RANGES = {
@@ -98,23 +103,36 @@ class Config(dict):
                           "(any unit suffix)")
 
 
+def read_lines(path: Path) -> list[tuple[int, str]]:
+    """(number, text before any ``#``, stripped) of each line of ``path`` that holds
+    any. An unreadable file, or a byte that is not UTF-8 (at its line), is a ConfigError."""
+    try:
+        text = path.read_bytes().decode("utf-8-sig")
+    except OSError as exc:
+        raise ConfigError(path, None, f"cannot read file: {exc}") from None
+    except UnicodeDecodeError as exc:
+        # exc.object follows any byte-order mark; the bytes before exc.start decode
+        lineno = len(_LINE_END.split(exc.object[:exc.start].decode("utf-8")))
+        raise ConfigError(path, lineno, f"byte 0x{exc.object[exc.start]:02x} is not "
+                          f"UTF-8 ({exc.reason})") from None
+    lines = (raw.split("#", 1)[0].strip() for raw in _LINE_END.split(text))
+    return [(lineno, line) for lineno, line in enumerate(lines, start=1) if line]
+
+
+def _check_magnitude(path, lineno: int, name: str, value: float, units: str) -> None:
+    """A ConfigError at ``path:lineno`` unless ``value`` is 0 or of magnitude
+    1e-30 to 1e30: no input comes near them, and beyond them arithmetic overflows."""
+    if value and not 1e-30 <= abs(value) <= 1e30:
+        raise ConfigError(path, lineno, f"{name} must be 0 or of magnitude "
+                          f"1e-30 to 1e30 in {units}, got {value}")
+
+
 def parse_config(path: str | os.PathLike) -> Config:
     """Parse a scenario file into {dotted.key: SI value or word}, checking
     each line against ``KEYS``."""
     path = Path(path)
     values = Config(path)
-    try:
-        lines = path.read_bytes().decode("utf-8-sig").splitlines()
-    except OSError as exc:
-        raise ConfigError(path, None, f"cannot read config: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise ConfigError(path, exc.object.count(b"\n", 0, exc.start) + 1,
-                          f"byte 0x{exc.object[exc.start]:02x} is not UTF-8 "
-                          f"({exc.reason})") from None
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in read_lines(path):
         if "=" not in line:
             raise ConfigError(path, lineno, f"expected 'key = value', got {line!r}")
         key, _, text = line.partition("=")
@@ -155,10 +173,6 @@ def parse_config(path: str | os.PathLike) -> Config:
         test, wanted = RANGES[limits]
         if not test(value):
             raise ConfigError(path, lineno, f"{stem} must be {wanted}, got {value}")
-        # no input of the model comes near these magnitudes; a value beyond
-        # them only overflows the arithmetic downstream
-        if value and not 1e-30 <= abs(value) <= 1e30:
-            raise ConfigError(path, lineno, f"{stem} must be 0 or of magnitude "
-                              f"1e-30 to 1e30 in SI units, got {value}")
+        _check_magnitude(path, lineno, stem, value, "SI units")
         values[stem] = value
     return values

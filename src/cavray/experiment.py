@@ -182,21 +182,22 @@ class ForecastReport:
 def ultracold_target_species(reference: GasSpecies,
                              polarizability_factor: float = POLARIZABILITY_FACTOR
                              ) -> GasSpecies:
-    """Target species with a scaled-up polarizability (default 10x reference)."""
+    """The reference's table row with a scaled-up polarizability (default 10x)."""
     return GasSpecies(name="ultracold-dimer", molar_mass=reference.molar_mass,
-                      polarizability=polarizability_factor * reference.polarizability,
-                      temperature=reference.temperature)
+                      polarizability=polarizability_factor * reference.polarizability)
 
 
 def ultracold_forecast(target: GasSpecies, n_molecules: float, target_finesse: float, *,
-                       gas: GasSpecies, pressure: float, wavelength: float,
-                       pump_waist: float, cavity_waist: float, measured_power: float,
-                       anchor_finesse: float, spectral_overlap: float) -> ForecastReport:
+                       gas: GasSpecies, temperature: float, pressure: float,
+                       wavelength: float, pump_waist: float, cavity_waist: float,
+                       measured_power: float, anchor_finesse: float,
+                       spectral_overlap: float) -> ForecastReport:
     """Scale a measured thermal-gas anchor to a trapped ultracold sample.
 
-    The anchor, in SI units: ``gas`` at ``pressure``, pumped at
-    ``wavelength`` by a beam of waist ``pump_waist`` across a cavity mode of
-    waist ``cavity_waist``, gave ``measured_power`` through one mirror at
+    The anchor, in SI units: ``gas`` at ``pressure`` and the sample
+    ``temperature``, which set its number density, pumped at ``wavelength``
+    by a beam of waist ``pump_waist`` across a cavity mode of waist
+    ``cavity_waist``, gave ``measured_power`` through one mirror at
     ``anchor_finesse`` and ``spectral_overlap``. Its detected photon rate
     (both mirrors) divided by its contributing-particle count gives a
     per-particle rate, which is scaled by the polarizability-squared cross
@@ -217,7 +218,7 @@ def ultracold_forecast(target: GasSpecies, n_molecules: float, target_finesse: f
         # no particles would carry the anchor signal
         raise ValueError(f"gas.pressure must be positive for a forecast, "
                          f"got {pressure} Pa")
-    density = number_density(pressure, gas.temperature)
+    density = number_density(pressure, temperature)
     n_contributing = contributing_particles(density, pump_waist, cavity_waist,
                                             spectral_overlap)
     # symmetric cavity: the same power leaves through the second mirror

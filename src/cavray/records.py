@@ -7,20 +7,21 @@ def record(cls):
     """``cls`` rebuilt as an immutable tuple of its annotated fields.
 
     Fields keep their annotation order; a class attribute named like a
-    field is its default. Instances compare and hash by value and take no
-    attribute assignment. ``__post_init__(self)``, when defined, checks
-    every instance that ``cls(...)``, ``_make`` and ``_replace`` build.
+    field (a default) is a TypeError. Instances compare and hash by value
+    and take no attribute assignment. ``__post_init__(self)``, when defined,
+    checks every instance that ``cls(...)``, ``_make`` and ``_replace`` build.
     The class body is copied into a new class, so its methods may not use
     ``super()`` or ``__class__``.
     """
     body = vars(cls)
     names = tuple(cls.__annotations__)
-    defaults = [body[name] for name in names if name in body]
-    if any(name in body for name in names[:len(names) - len(defaults)]):
-        raise TypeError(f"{cls.__name__}: a field without a default follows one with")
-    base = namedtuple(cls.__name__, names, defaults=defaults, module=cls.__module__)
+    for name in names:
+        if name in body:
+            raise TypeError(f"{cls.__name__}: field {name!r} has a default; "
+                            "a record takes every field")
+    base = namedtuple(cls.__name__, names, module=cls.__module__)
     namespace = {key: value for key, value in body.items()
-                 if key not in names and key not in ("__dict__", "__weakref__")}
+                 if key not in ("__dict__", "__weakref__")}
     namespace["__slots__"] = ()
     check = body.get("__post_init__")
     if check is not None:

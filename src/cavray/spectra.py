@@ -3,12 +3,13 @@
 The 90-degree scattering geometry observes a Doppler width sqrt(2) times
 the absorption-spectroscopy width, because the projection of the thermal
 velocity onto the difference of pump and collection wavevectors carries
-that factor. ``observed_doppler_fwhm(gas, wavelength)`` is that width at
-the gas's own temperature, and the scan, the spectral overlap and the
-species ratio all take it from there. A cavity scan convolves each
-species' observed Doppler Gaussian with the cavity Lorentzian; the
-spectral overlap is the value of that convolution on resonance and
-quantifies how much of the scattered spectrum the cavity accepts.
+that factor. ``observed_doppler_fwhm(gas, wavelength, temperature)`` is
+that width, for a species (its table row) at the sample's temperature,
+``gas.temperature``, and the scan, the spectral overlap and the species
+ratio all take it from there. A cavity scan convolves each species'
+observed Doppler Gaussian with the cavity Lorentzian; the spectral overlap
+is the value of that convolution on resonance and quantifies how much of
+the scattered spectrum the cavity accepts.
 
 The cavity response is a comb of Lorentzians of half width hwhm spaced
 by the free spectral range F: the high-finesse limit of the Airy
@@ -95,10 +96,11 @@ def doppler_fwhm(wavelength: float, temperature: float, molar_mass: float) -> fl
     )
 
 
-def observed_doppler_fwhm(gas: "GasSpecies", wavelength: float) -> float:
-    """Doppler FWHM of ``gas`` at its temperature as the 90-degree geometry
-    observes it, sqrt(2) times the absorption width, in Hz."""
-    return OBSERVED_WIDTH_FACTOR * doppler_fwhm(wavelength, gas.temperature, gas.molar_mass)
+def observed_doppler_fwhm(gas: "GasSpecies", wavelength: float,
+                          temperature: float) -> float:
+    """Doppler FWHM of ``gas`` at the sample ``temperature`` (K) as the 90-degree
+    geometry observes it, sqrt(2) times the absorption width, in Hz."""
+    return OBSERVED_WIDTH_FACTOR * doppler_fwhm(wavelength, temperature, gas.molar_mass)
 
 
 # continued-fraction levels of _erfcx; 55 already reach rounding at x = 2
@@ -263,17 +265,18 @@ def _interpolate_periodic(table: np.ndarray, cells: np.ndarray) -> np.ndarray:
 def scan_spectrum(free_spectral_range: float, finesse: float,
                   species_weights: "list[tuple[GasSpecies, float]]",
                   scan_range: float, resolution: float, wavelength: float,
-                  normalize: bool = False) -> SpectrumTrace:
+                  temperature: float, normalize: bool = False) -> SpectrumTrace:
     """Simulate a cavity scan over detunings [0, scan_range].
 
     Each species contributes peaks spaced by ``free_spectral_range`` (Hz),
-    its observed Doppler Gaussian convolved with the cavity Lorentzian of
-    FWHM free_spectral_range / finesse, weighted by polarizability^2 times
-    its relative density. Heights are left in those native units unless
-    ``normalize`` scales the peak to 1. The sum over all comb orders is
-    evaluated as its Fourier series (see the module docstring). Raises
-    ``ValueError`` for a grid of more than ``MAX_SCAN_POINTS`` points or
-    lines too narrow for a comb table of ``MAX_COMB_TABLE`` entries.
+    its observed Doppler Gaussian at the sample ``temperature`` (K) convolved
+    with the cavity Lorentzian of FWHM free_spectral_range / finesse,
+    weighted by polarizability^2 times its relative density. Heights are
+    left in those native units unless ``normalize`` scales the peak to 1.
+    The sum over all comb orders is evaluated as its Fourier series (see
+    the module docstring). Raises ``ValueError`` for a grid of more than
+    ``MAX_SCAN_POINTS`` points or lines too narrow for a comb table of
+    ``MAX_COMB_TABLE`` entries.
     """
     if not species_weights:
         raise ValueError("at least one species is required")
@@ -285,7 +288,8 @@ def scan_spectrum(free_spectral_range: float, finesse: float,
             f"asks for more than {MAX_SCAN_POINTS} points"
         )
     fsr, linewidth = free_spectral_range, free_spectral_range / finesse
-    widths = [observed_doppler_fwhm(gas, wavelength) for gas, _ in species_weights]
+    widths = [observed_doppler_fwhm(gas, wavelength, temperature)
+              for gas, _ in species_weights]
     narrowest = min(_voigt_fwhm(width, linewidth) for width in widths)
     if resolution >= narrowest / 5.0:
         raise ValueError(
@@ -325,17 +329,17 @@ def polarization_signal(angle, extinction: float = 0.0):
 
 
 def species_ratio(species: "list[GasSpecies]", cavity_linewidth: float,
-                  wavelength: float) -> list[float]:
+                  wavelength: float, temperature: float) -> list[float]:
     """Relative scattered signals, first species as the unit reference.
 
     ratio_i = (alpha_i / alpha_ref)^2 * overlap_i / overlap_ref, combining
     the polarizability-squared cross-section scaling with each species'
-    overlap with a cavity of FWHM ``cavity_linewidth`` at its own temperature.
+    overlap with a cavity of FWHM ``cavity_linewidth`` at the sample ``temperature``.
     """
     if not species:
         raise ValueError("species list must be nonempty")
     reference = species[0]
-    overlaps = [spectral_overlap(observed_doppler_fwhm(gas, wavelength), cavity_linewidth)
-                for gas in species]
+    overlaps = [spectral_overlap(observed_doppler_fwhm(gas, wavelength, temperature),
+                                 cavity_linewidth) for gas in species]
     return [(gas.polarizability / reference.polarizability) ** 2 * value / overlaps[0]
             for gas, value in zip(species, overlaps)]

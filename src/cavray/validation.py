@@ -78,16 +78,17 @@ _DOPPLER_DRAWS = 10
 # the cavity of the scan, species-ratio and forecast checks: separation,
 # curvature and the two mirrors' reflectivities
 _REFERENCE_CAVITY = (6e-3, 45e-3, 0.997, 0.997)
+_TEMPERATURE = 295.0  # K, of the checks that read the packaged species
 
 
 @functools.lru_cache(maxsize=1)
 def _packaged_species() -> dict[str, gases.GasSpecies]:
     """The species table shipped with the package, read once."""
-    return gases.load_species_table(gases._builtin_table_path())
+    return gases.load_species_table(gases._BUILTIN_TABLE)
 
 
 def _xenon_observed_fwhm() -> float:
-    return spectra.observed_doppler_fwhm(_packaged_species()["Xe"], 532e-9)
+    return spectra.observed_doppler_fwhm(_packaged_species()["Xe"], 532e-9, _TEMPERATURE)
 
 
 # --- oracles for the interference field ---------------------------------------
@@ -592,10 +593,11 @@ def check_polarization_sum_rule(rng: np.random.Generator) -> CheckResult:
 # Not in ALL_CHECKS: the tests compare spectra.scan_spectrum against them at a
 # few hundred detunings. Both return the unnormalized scan signal.
 
-def _comb_lines(species_weights, wavelength: float) -> list[tuple[float, float]]:
+def _comb_lines(species_weights, wavelength: float,
+                temperature: float) -> list[tuple[float, float]]:
     return [(weight * gas.polarizability ** 2,
-             spectra.observed_doppler_fwhm(gas, wavelength) / spectra._FWHM_PER_SIGMA)
-            for gas, weight in species_weights]
+             spectra.observed_doppler_fwhm(gas, wavelength, temperature)
+             / spectra._FWHM_PER_SIGMA) for gas, weight in species_weights]
 
 
 # comb orders on each side of a detuning that ``scan_voigt_sum`` adds up
@@ -603,7 +605,7 @@ _VOIGT_ORDERS = 4000
 
 
 def scan_voigt_sum(detunings: np.ndarray, fsr: float, finesse: float,
-                   species_weights, wavelength: float) -> np.ndarray:
+                   species_weights, wavelength: float, temperature: float) -> np.ndarray:
     """Scan signal as an explicit sum of Voigt profiles over comb orders.
 
     Sums the 2 * _VOIGT_ORDERS + 1 orders nearest each detuning. The
@@ -618,14 +620,15 @@ def scan_voigt_sum(detunings: np.ndarray, fsr: float, finesse: float,
     offsets = ((nu - np.round(nu / fsr) * fsr)[:, None]
                - fsr * np.arange(-_VOIGT_ORDERS, _VOIGT_ORDERS + 1))
     total = np.zeros(len(nu))
-    for strength, sigma in _comb_lines(species_weights, wavelength):
+    for strength, sigma in _comb_lines(species_weights, wavelength, temperature):
         total += strength * math.pi * hwhm * special.voigt_profile(
             offsets, sigma, hwhm).sum(axis=1)
     return total
 
 
 def scan_fourier_series(detunings: np.ndarray, fsr: float, finesse: float,
-                        species_weights, wavelength: float) -> np.ndarray:
+                        species_weights, wavelength: float,
+                        temperature: float) -> np.ndarray:
     """Scan signal from the comb's Fourier series, summed term by term.
 
     pi hwhm / F * [1 + 2 sum_k c_k cos(2 pi k nu / F)] per line, up to the
@@ -636,7 +639,7 @@ def scan_fourier_series(detunings: np.ndarray, fsr: float, finesse: float,
     phase = 2.0 * math.pi * np.mod(np.asarray(detunings, dtype=float), fsr) / fsr
     log_floor = math.log(1e20)
     total = np.zeros(len(phase))
-    for strength, sigma in _comb_lines(species_weights, wavelength):
+    for strength, sigma in _comb_lines(species_weights, wavelength, temperature):
         last = math.ceil(min(log_floor * fsr / (2.0 * math.pi * hwhm),
                              math.sqrt(log_floor / 2.0) * fsr / (math.pi * sigma)))
         k = np.arange(1, last + 1)
@@ -653,8 +656,8 @@ def check_scan_linearity(rng: np.random.Generator) -> CheckResult:
     xenon = _packaged_species()["Xe"]
     scale = rng.uniform(2.0, 10.0)
     comb = params.free_spectral_range, params.finesse
-    base = spectra.scan_spectrum(*comb, [(xenon, 1.0)], 5e9, 2e6, 532e-9)
-    scaled = spectra.scan_spectrum(*comb, [(xenon, scale)], 5e9, 2e6, 532e-9)
+    base = spectra.scan_spectrum(*comb, [(xenon, 1.0)], 5e9, 2e6, 532e-9, _TEMPERATURE)
+    scaled = spectra.scan_spectrum(*comb, [(xenon, scale)], 5e9, 2e6, 532e-9, _TEMPERATURE)
     residual = float(np.max(np.abs(scaled.signals - scale * base.signals))
                      / np.max(scaled.signals))
     return _result("scan signal linear in species weight", residual, 1e-12)
@@ -672,12 +675,12 @@ def check_doppler_monte_carlo(rng: np.random.Generator) -> CheckResult:
     directions = rng.standard_normal((_DOPPLER_DRAWS, 2, 3))
     for (log_temperature, molar_mass, wavelength), (k_in, k_out) in zip(draws.tolist(),
                                                                          directions):
-        gas = xenon._replace(temperature=10 ** log_temperature, molar_mass=molar_mass)
+        gas, temperature = xenon._replace(molar_mass=molar_mass), 10 ** log_temperature
         k_in /= np.linalg.norm(k_in)
         k_out -= (k_out @ k_in) * k_in
         k_out /= np.linalg.norm(k_out)
-        width = _doppler_width(wavelength, gas.temperature, gas.molar_mass, k_in, k_out)
-        expected = spectra.observed_doppler_fwhm(gas, wavelength)
+        width = _doppler_width(wavelength, temperature, gas.molar_mass, k_in, k_out)
+        expected = spectra.observed_doppler_fwhm(gas, wavelength, temperature)
         residuals.append(abs(width - expected) / expected)
     return _result("Doppler width vs thermal velocity spread along k_out - k_in",
                    _worst(*residuals), 1e-12)
@@ -687,7 +690,7 @@ def check_species_ratio(rng: np.random.Generator) -> CheckResult:
     params = optics.derive_cavity_params(*_REFERENCE_CAVITY, 532e-9)
     table = _packaged_species()
     ratios = spectra.species_ratio([table["Xe"], table["CF3H"], table["N2"]],
-                                   params.linewidth, 532e-9)
+                                   params.linewidth, 532e-9, _TEMPERATURE)
     expected = (1.0, 0.36, 0.09)
     worst = _worst(*(abs(r - e) for r, e in zip(ratios, expected)))
     return _result("species ratio against the expected triple", worst, 0.03)
@@ -712,9 +715,9 @@ def check_forecast_consistency(rng: np.random.Generator) -> CheckResult:
     target = experiment.ultracold_target_species(xe)
     waist = optics.derive_cavity_params(*_REFERENCE_CAVITY, 532e-9).waist
     report = experiment.ultracold_forecast(
-        target, 1e5, 1e5, gas=xe, pressure=1e4, wavelength=532e-9, pump_waist=50e-6,
-        cavity_waist=waist, measured_power=50e-15, anchor_finesse=1000.0,
-        spectral_overlap=0.042)
+        target, 1e5, 1e5, gas=xe, temperature=_TEMPERATURE, pressure=1e4,
+        wavelength=532e-9, pump_waist=50e-6, cavity_waist=waist, measured_power=50e-15,
+        anchor_finesse=1000.0, spectral_overlap=0.042)
     identities = _worst(
         abs(report.ensemble_rate_Hz
             - report.per_molecule_in_cavity_rate_Hz * report.n_molecules),
@@ -726,7 +729,7 @@ def check_forecast_consistency(rng: np.random.Generator) -> CheckResult:
     mirror = _REFERENCE_CAVITY[2]
     free_space = (experiment.free_space_backout(50e-15, 0.042, (1000.0, mirror, mirror))
                   / experiment.contributing_particles(
-                      optics.number_density(1e4, xe.temperature), 50e-6, waist, 0.042))
+                      optics.number_density(1e4, _TEMPERATURE), 50e-6, waist, 0.042))
     power = 2.0 * field.transmitted_power(target.polarizability / xe.polarizability,
                                           free_space, 1.0 - mirror, 1.0 - mirror, 1e5)
     rate = power / (PLANCK * SPEED_OF_LIGHT / 532e-9)

@@ -20,4 +20,4 @@ def reference_comb(reference_params):
 @pytest.fixture(scope="session")
 def species():
     """The species table shipped with the package, whatever CAVRAY_SPECIES_DB names."""
-    return load_species_table(gases._builtin_table_path())
+    return load_species_table(gases._BUILTIN_TABLE)

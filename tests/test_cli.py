@@ -33,6 +33,7 @@ import sys
 import tempfile
 import textwrap
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ from hypothesis import strategies as st
 from cavray import free_spectral_range, scan_spectrum, symmetric_waist
 from cavray.cli import _mirror_finesse, _species, build_parser, main
 from cavray.config import KEYS, parse_config
-from cavray.gases import _builtin_table_path
+from cavray.gases import _BUILTIN_TABLE
 from cavray.trace import pieces
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -297,7 +298,7 @@ def test_a_byte_order_mark_is_read_past(capsys, monkeypatch, tmp_path):
         code, out, err = run_cli(capsys, command, "--config", str(config), "--format", fmt)
         assert (code, out.encode("utf-8"), err.encode("utf-8")) == golden(command, fmt)
     table = tmp_path / "species.txt"
-    table.write_bytes(b"\xef\xbb\xbf" + _builtin_table_path().read_bytes())
+    table.write_bytes(b"\xef\xbb\xbf" + _BUILTIN_TABLE.read_bytes())
     monkeypatch.setenv("CAVRAY_SPECIES_DB", str(table))
     code, out, err = run_cli(capsys, "scan", "--config", str(DEMO), "--format", "csv")
     assert (code, out.encode("utf-8"), err.encode("utf-8")) == golden("scan", "csv")
@@ -320,6 +321,84 @@ def test_species_table_row_that_cannot_be_used_is_named(capsys, monkeypatch, tmp
     assert code == 2
     assert out == ""
     assert f"{table}:{line}: " in err and problem in err
+
+
+@pytest.mark.parametrize("command", ["scan", "forecast"])
+@pytest.mark.parametrize("row, problem", [
+    ("Xe 1e-300 4.04\n", "Xe: molar_mass (column 2) must be 0 or of magnitude 1e-30 to "
+                         "1e30 in kg/mol, got 1.0000000000000001e-303"),
+    ("Xe 131.29 1e200\n", "Xe: polarizability (column 3) must be 0 or of magnitude 1e-30 "
+                          "to 1e30 in cubic angstroms, got 1e+200"),
+], ids=["tiny-mass", "huge-polarizability"])
+def test_species_table_value_beyond_the_config_magnitudes_is_named(capsys, monkeypatch,
+                                                                   tmp_path, command, row,
+                                                                   problem):
+    # a 1e-300 g/mol row ended the scan in a ZeroDivisionError traceback, a
+    # polarizability of 1e200 in an OverflowError one
+    table = tmp_path / "species.txt"
+    table.write_text("CF3H 70.01 2.80\nN2 28.01 1.74\n" + row)
+    monkeypatch.setenv("CAVRAY_SPECIES_DB", str(table))
+    code, out, err = run_cli(capsys, command, "--config", str(DEMO))
+    assert (code, out) == (2, "")
+    assert err == f"config error: {table}:3: {problem}\n"
+
+
+def test_missing_species_table_is_a_config_error(capsys, monkeypatch, tmp_path):
+    table = tmp_path / "missing.txt"
+    monkeypatch.setenv("CAVRAY_SPECIES_DB", str(table))
+    code, out, err = run_cli(capsys, "scan", "--config", str(DEMO))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"config error: {table}: cannot read file: ")
+
+
+SEPARATORS = pytest.mark.parametrize("separator", ["\f", "\v", "\u2028"],
+                                     ids=["form-feed", "vertical-tab", "line-separator"])
+
+
+@SEPARATORS
+def test_a_separator_inside_a_config_comment_ends_no_line(capsys, tmp_path, separator):
+    # str.splitlines() split there too, and the rest of the comment became
+    # a line of its own: "expected 'key = value'"
+    config = tmp_path / "separated.cfg"
+    config.write_bytes(DEMO.read_bytes().replace(b"scenario: thermal",
+                                                 f"scenario:{separator} thermal".encode()))
+    code, out, err = run_cli(capsys, "cavity", "--config", str(config), "--format", "json")
+    assert (code, out.encode("utf-8"), err) == (0, (GOLDEN / "cavity.json").read_bytes(), "")
+
+
+@SEPARATORS
+def test_a_separator_inside_a_species_comment_ends_no_line(capsys, monkeypatch, tmp_path,
+                                                           separator):
+    # split there, the row's comment became a row of 1 field, on the wrong line
+    table = tmp_path / "species.txt"
+    table.write_bytes(_BUILTIN_TABLE.read_bytes().replace(
+        b"4.04", f"4.04  # xenon{separator} reference".encode()))
+    monkeypatch.setenv("CAVRAY_SPECIES_DB", str(table))
+    code, out, err = run_cli(capsys, "scan", "--config", str(DEMO), "--format", "csv")
+    assert (code, out.encode("utf-8"), err) == (0, (GOLDEN / "scan.csv").read_bytes(), "")
+
+
+@pytest.mark.parametrize("end", ["\r", "\r\n"], ids=["cr", "crlf"])
+def test_a_bad_byte_is_counted_on_the_lines_the_reader_splits(capsys, monkeypatch, tmp_path,
+                                                              end):
+    # the count took \n alone, so a file with \r line ends named line 1
+    def with_ends(path, line, tail):
+        lines = path.read_bytes().split(b"\n")
+        lines[line - 1] += tail
+        return end.encode().join(lines)
+
+    config = tmp_path / "ends.cfg"
+    config.write_bytes(with_ends(DEMO, 10, b"  # 532 nm, caf\xe9"))
+    assert DEMO.read_text().splitlines()[9] == "pump.wavelength_nm = 532.0"
+    code, out, err = run_cli(capsys, "cavity", "--config", str(config))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"config error: {config}:10: byte 0xe9 is not UTF-8")
+    table = tmp_path / "species.txt"
+    table.write_bytes(with_ends(_BUILTIN_TABLE, 11, b"  # caf\xe9"))
+    monkeypatch.setenv("CAVRAY_SPECIES_DB", str(table))
+    code, out, err = run_cli(capsys, "scan", "--config", str(DEMO))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"config error: {table}:11: byte 0xe9 is not UTF-8")
 
 
 @pytest.mark.parametrize("command, key, names", [
@@ -349,7 +428,8 @@ def _expected_scan(path):
         free_spectral_range(values["cavity.separation"]), _mirror_finesse(values),
         [(gas, 1.0) for gas in _species(values, "scan.species", names)],
         scan_range=values["scan.range"], resolution=values["scan.resolution"],
-        wavelength=values["pump.wavelength"], normalize=True,
+        wavelength=values["pump.wavelength"], temperature=values["gas.temperature"],
+        normalize=True,
     )
 
 
@@ -984,6 +1064,39 @@ def test_perturbed_demo_gives_finite_output_or_names_a_key(change, extra):
                 assert code == 2, (command, err.getvalue())
                 assert NAMES_A_KEY.search(err.getvalue()) or extra_key in err.getvalue(), (
                     command, err.getvalue())
+
+
+SPECIES_ROWS = [["Xe", "131.29", "4.04"], ["CF3H", "70.01", "2.80"], ["N2", "28.01", "1.74"]]
+SPECIES_VALUES = ["0", "-1", "1e-31", "1e-30", "1e30", "1e31", "1e200", "nan", "inf", "word"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(changes=st.dictionaries(st.tuples(st.integers(0, 2), st.integers(1, 2)),
+                               st.sampled_from(SPECIES_VALUES), min_size=1, max_size=2))
+def test_perturbed_species_table_gives_finite_output_or_names_its_line(changes):
+    """``scan`` and ``forecast`` on the demo, with one or two values of the
+    species table replaced, exit 0 with finite numbers or exit 2 with an
+    error at ``path:line`` of a replaced row, or one that names the config
+    key a row within the magnitudes defeats: a mass of 1e30 g/mol narrows
+    its line below what ``scan.resolution`` resolves."""
+    rows = [list(row) for row in SPECIES_ROWS]
+    for (row, column), value in changes.items():
+        rows[row][column] = value
+    with tempfile.TemporaryDirectory() as directory:
+        table = Path(directory) / "species.txt"
+        table.write_text("".join(" ".join(row) + "\n" for row in rows))
+        lines = {f"{table}:{row + 1}: " for row, _ in changes}
+        for command, fmt in ("scan", "csv"), ("forecast", "json"):
+            out, err = io.StringIO(), io.StringIO()
+            with (mock.patch.dict(os.environ, {"CAVRAY_SPECIES_DB": str(table)}),
+                  contextlib.redirect_stdout(out), contextlib.redirect_stderr(err)):
+                code = main([command, "--config", str(DEMO), "--format", fmt])
+            if code == 0:
+                assert _finite_numbers(command, out.getvalue()), (command, out.getvalue())
+            else:
+                assert code == 2, (command, err.getvalue())
+                assert (any(line in err.getvalue() for line in lines)
+                        or NAMES_A_KEY.search(err.getvalue())), (command, err.getvalue())
 
 
 def _json_report(command, lines):

@@ -28,9 +28,9 @@ OVERLAPS = [0.042, 0.101, 0.334]
 def anchor(species):
     """The published Xe anchor as ``ultracold_forecast`` keywords, its waist
     pinned to the quoted 45 um mode size the published chain used."""
-    return dict(gas=species["Xe"], pressure=1e4, wavelength=WAVELENGTH, pump_waist=50e-6,
-                cavity_waist=45e-6, measured_power=50e-15, anchor_finesse=1000.0,
-                spectral_overlap=0.042)
+    return dict(gas=species["Xe"], temperature=295.0, pressure=1e4, wavelength=WAVELENGTH,
+                pump_waist=50e-6, cavity_waist=45e-6, measured_power=50e-15,
+                anchor_finesse=1000.0, spectral_overlap=0.042)
 
 
 def forecast_with(anchor, **changes):

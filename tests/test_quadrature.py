@@ -228,7 +228,7 @@ def test_graded_edges_match_the_unique_construction(seed):
     # the arguments of every oracle that grades its panels: the spectral
     # overlap's windows at the check's draws and the hwhm/sigma span, the
     # radial planes of the mode checks, and the narrow peak above
-    observed = spectra.observed_doppler_fwhm(validation._packaged_species()["Xe"], 532e-9)
+    observed = validation._xenon_observed_fwhm()
     sigma = observed / spectra._FWHM_PER_SIGMA
     exponents = np.random.default_rng(seed).uniform(5.5, 10.0, size=40).tolist()
     hwhms = [10 ** e / 2.0 for e in exponents] + (sigma * np.logspace(-3.0, 1.0, 41)).tolist()

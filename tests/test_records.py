@@ -10,8 +10,8 @@ CAVITY = derive_cavity_params(6e-3, 45e-3, 0.997, 0.997, 532e-9)
 
 # (record, valid fields in field order, a change its check rejects)
 VALIDATING = [
-    (GasSpecies, {"name": "Xe", "molar_mass": 0.13129, "polarizability": 4.04,
-                  "temperature": 295.0}, {"temperature": 0.0}),
+    (GasSpecies, {"name": "Xe", "molar_mass": 0.13129, "polarizability": 4.04},
+     {"polarizability": 0.0}),
     (SpectrumTrace, {"detunings": np.arange(3.0), "signals": np.ones(3), "species": "Xe",
                      "free_spectral_range": CAVITY.free_spectral_range,
                      "finesse": CAVITY.finesse}, {"signals": np.array([1.0, -1.0, 1.0])}),
@@ -59,16 +59,19 @@ def test_frozen_records_are_values(cls, fields):
     assert one == other
 
 
-def test_defaults_and_field_order_are_kept():
-    assert GasSpecies._fields == ("name", "molar_mass", "polarizability", "temperature")
-    assert GasSpecies("Xe", 0.13129, 4.04).temperature == 295.0
+def test_gas_species_is_its_table_row():
+    # the sample's temperature is an argument of each function that reads it
+    assert GasSpecies._fields == ("name", "molar_mass", "polarizability")
     assert repr(GasSpecies("Xe", 0.13129, 4.04)) == (
-        "GasSpecies(name='Xe', molar_mass=0.13129, polarizability=4.04, temperature=295.0)")
+        "GasSpecies(name='Xe', molar_mass=0.13129, polarizability=4.04)")
+    with pytest.raises(TypeError):
+        GasSpecies("Xe", 0.13129)
 
 
-def test_a_field_without_a_default_may_not_follow_one():
-    with pytest.raises(TypeError, match="without a default"):
+def test_a_field_with_a_default_is_a_type_error():
+    # a default would give a quantity a second source beside its callers'
+    with pytest.raises(TypeError, match="field 'second' has a default"):
         @record
         class Broken:
-            first: float = 1.0
-            second: float
+            first: float
+            second: float = 1.0

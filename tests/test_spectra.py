@@ -22,6 +22,7 @@ from cavray.spectra import (MAX_SCAN_POINTS, OBSERVED_WIDTH_FACTOR, _erfcx,
                             _interpolate_periodic, _voigt_fwhm)
 
 WAVELENGTH = 532e-9
+TEMPERATURE = 295.0  # K, the demo's sample
 
 
 def paper_linewidth(finesse):
@@ -69,15 +70,15 @@ class TestDopplerWidth:
             doppler_fwhm(*inputs)
 
     def test_observed_width_is_sqrt2_absorption_width_at_the_gas_temperature(self, species):
-        cold = species["Xe"]._replace(temperature=150.0)
-        assert observed_doppler_fwhm(cold, WAVELENGTH) == (
-            OBSERVED_WIDTH_FACTOR * doppler_fwhm(WAVELENGTH, 150.0, cold.molar_mass))
+        xenon = species["Xe"]
+        assert observed_doppler_fwhm(xenon, WAVELENGTH, 150.0) == (
+            OBSERVED_WIDTH_FACTOR * doppler_fwhm(WAVELENGTH, 150.0, xenon.molar_mass))
 
 
 class TestSpectralOverlap:
     @pytest.fixture
     def xe_observed(self, species):
-        return observed_doppler_fwhm(species["Xe"], WAVELENGTH)
+        return observed_doppler_fwhm(species["Xe"], WAVELENGTH, TEMPERATURE)
 
     @pytest.mark.parametrize("finesse, expected", [
         (1000.0, 0.041795755478),
@@ -133,8 +134,7 @@ class TestSpectralOverlap:
     def test_narrow_line_matches_its_series(self, name, temperature, species):
         # a 1 kHz line, 1e-6 of the Doppler width: adaptive quadrature
         # came out 7.9% low for N2 and did not converge for CF3H
-        gas = species[name]._replace(temperature=temperature)
-        observed = observed_doppler_fwhm(gas, WAVELENGTH)
+        observed = observed_doppler_fwhm(species[name], WAVELENGTH, temperature)
         sigma = observed / (2 * math.sqrt(2 * math.log(2)))
         hwhm = 500.0
         a = hwhm / (sigma * math.sqrt(2.0))
@@ -161,7 +161,8 @@ class TestScanSpectrum:
     def test_two_peaks_separated_by_fsr(self, reference_comb, species):
         fsr = reference_comb[0]
         trace = scan_spectrum(*reference_comb, [(species["Xe"], 1.0)],
-                              scan_range=1.5 * fsr, resolution=5e6, wavelength=WAVELENGTH)
+                              scan_range=1.5 * fsr, resolution=5e6, wavelength=WAVELENGTH,
+                              temperature=TEMPERATURE)
         first = trace.detunings[np.argmax(
             np.where(trace.detunings < fsr / 2.0, trace.signals, 0.0))]
         second = trace.detunings[np.argmax(
@@ -174,7 +175,8 @@ class TestScanSpectrum:
     def test_peak_width_is_voigt_of_doppler_and_cavity(self, reference_comb, species):
         trace = scan_spectrum(*reference_comb, [(species["Xe"], 1.0)],
                               scan_range=6e9, resolution=1e6,
-                              wavelength=WAVELENGTH, normalize=True)
+                              wavelength=WAVELENGTH, temperature=TEMPERATURE,
+                              normalize=True)
         half = trace.detunings[trace.signals >= 0.5]
         measured_fwhm = 2.0 * half.max()  # peak sits at zero detuning
         assert measured_fwhm == pytest.approx(8.6845e8, rel=0.01)
@@ -184,14 +186,14 @@ class TestScanSpectrum:
     def test_zero_weight_gives_flat_zero(self, reference_comb, species):
         trace = scan_spectrum(*reference_comb, [(species["Xe"], 0.0)],
                               scan_range=5e9, resolution=5e6,
-                              wavelength=WAVELENGTH)
+                              wavelength=WAVELENGTH, temperature=TEMPERATURE)
         assert np.all(trace.signals == 0.0)
 
     def test_equal_density_ordering(self, reference_comb, species):
         heights, widths = {}, {}
         for gas in (species[n] for n in ("Xe", "CF3H", "N2")):
             trace = scan_spectrum(*reference_comb, [(gas, 1.0)], 8e9, 5e6,
-                                  WAVELENGTH)
+                                  WAVELENGTH, TEMPERATURE)
             heights[gas.name] = trace.signals.max()
             half = trace.detunings[trace.signals >= 0.5 * trace.signals.max()]
             widths[gas.name] = 2.0 * half.max()
@@ -201,72 +203,75 @@ class TestScanSpectrum:
     def test_linear_in_weight_and_additive(self, reference_comb, species):
         xe = species["Xe"]
         n2 = species["N2"]
-        single = scan_spectrum(*reference_comb, [(xe, 1.0)], 4e9, 5e6, WAVELENGTH)
-        double = scan_spectrum(*reference_comb, [(xe, 2.0)], 4e9, 5e6, WAVELENGTH)
+        single = scan_spectrum(*reference_comb, [(xe, 1.0)], 4e9, 5e6, WAVELENGTH,
+                               TEMPERATURE)
+        double = scan_spectrum(*reference_comb, [(xe, 2.0)], 4e9, 5e6, WAVELENGTH,
+                               TEMPERATURE)
         np.testing.assert_allclose(double.signals, 2.0 * single.signals, rtol=1e-12)
         mixed = scan_spectrum(*reference_comb, [(xe, 1.0), (n2, 0.5)], 4e9, 5e6,
-                              WAVELENGTH)
-        n2_only = scan_spectrum(*reference_comb, [(n2, 0.5)], 4e9, 5e6, WAVELENGTH)
+                              WAVELENGTH, TEMPERATURE)
+        n2_only = scan_spectrum(*reference_comb, [(n2, 0.5)], 4e9, 5e6, WAVELENGTH,
+                                TEMPERATURE)
         np.testing.assert_allclose(mixed.signals, single.signals + n2_only.signals,
                                    rtol=1e-12)
 
     def test_peak_height_matches_spectral_overlap(self, reference_comb, species):
         xe = species["Xe"]
-        trace = scan_spectrum(*reference_comb, [(xe, 1.0)], 4e9, 1e6, WAVELENGTH)
+        trace = scan_spectrum(*reference_comb, [(xe, 1.0)], 4e9, 1e6, WAVELENGTH,
+                              TEMPERATURE)
         fsr, cavity_finesse = reference_comb
         expected = xe.polarizability ** 2 * spectral_overlap(
-            observed_doppler_fwhm(xe, WAVELENGTH), fsr / cavity_finesse
+            observed_doppler_fwhm(xe, WAVELENGTH, TEMPERATURE), fsr / cavity_finesse
         )
         assert trace.signals[0] == pytest.approx(expected, rel=1e-4)
 
     def test_normalized_peak_is_one(self, reference_comb, species):
         trace = scan_spectrum(*reference_comb, [(species["Xe"], 1.0)],
-                              4e9, 5e6, WAVELENGTH, normalize=True)
+                              4e9, 5e6, WAVELENGTH, TEMPERATURE, normalize=True)
         assert trace.signals.max() == pytest.approx(1.0)
 
     def test_normalized_shape_independent_of_density(self, reference_comb, species):
         # pressure-normalized traces collapse onto one Doppler shape
         gas = species["CF3H"]
         low = scan_spectrum(*reference_comb, [(gas, 1.0)], 4e9, 5e6, WAVELENGTH,
-                            normalize=True)
+                            TEMPERATURE, normalize=True)
         high = scan_spectrum(*reference_comb, [(gas, 8.0)], 4e9, 5e6, WAVELENGTH,
-                             normalize=True)
+                             TEMPERATURE, normalize=True)
         np.testing.assert_allclose(high.signals, low.signals, rtol=1e-12)
 
     def test_rejects_coarse_resolution(self, reference_comb, species):
         with pytest.raises(ValueError):
             scan_spectrum(*reference_comb, [(species["Xe"], 1.0)],
-                          5e9, 5e8, WAVELENGTH)
+                          5e9, 5e8, WAVELENGTH, TEMPERATURE)
 
     def test_rejects_empty_species(self, reference_comb):
         with pytest.raises(ValueError):
-            scan_spectrum(*reference_comb, [], 5e9, 5e6, WAVELENGTH)
+            scan_spectrum(*reference_comb, [], 5e9, 5e6, WAVELENGTH, TEMPERATURE)
 
     @pytest.mark.parametrize("comb", [(0.0, 100.0), (25e9, 0.0), (-25e9, 100.0),
                                       (25e9, -100.0), (math.nan, 100.0), (25e9, math.nan)])
     def test_rejects_a_comb_without_positive_fsr_and_finesse(self, comb, species):
         # plain floats: no derived cavity vouches for them
         with pytest.raises(ValueError, match="FSR, finesse"):
-            scan_spectrum(*comb, [(species["Xe"], 1.0)], 5e9, 5e6, WAVELENGTH)
+            scan_spectrum(*comb, [(species["Xe"], 1.0)], 5e9, 5e6, WAVELENGTH, TEMPERATURE)
 
     def test_rejects_grid_beyond_point_cap(self, reference_comb, species):
         # 1e9 GHz at 25 MHz would be 4e10 points, 298 GiB of arrays
         with pytest.raises(ValueError, match="scan.range.*scan.resolution"):
             scan_spectrum(*reference_comb, [(species["Xe"], 1.0)],
-                          1e18, 25e6, WAVELENGTH)
+                          1e18, 25e6, WAVELENGTH, TEMPERATURE)
         points = MAX_SCAN_POINTS * 25e6
         with pytest.raises(ValueError, match="points"):
             scan_spectrum(*reference_comb, [(species["Xe"], 1.0)],
-                          points, 25e6, WAVELENGTH)
+                          points, 25e6, WAVELENGTH, TEMPERATURE)
 
     def test_rejects_lines_beyond_table_cap(self, species):
         # 1e-7 K gas in a finesse-3e7 cavity: ~5e6 harmonics before the
         # terms fade, a table of 2**27 entries
         mirror = 1.0 - 1e-7
-        gas = species["Xe"]._replace(temperature=1e-7)
         with pytest.raises(ValueError, match="finesse.*gas.temperature"):
-            scan_spectrum(free_spectral_range(6e-3), finesse(mirror, mirror), [(gas, 1.0)],
-                          1e6, 1e3, WAVELENGTH)
+            scan_spectrum(free_spectral_range(6e-3), finesse(mirror, mirror),
+                          [(species["Xe"], 1.0)], 1e6, 1e3, WAVELENGTH, 1e-7)
 
 
 def test_voigt_fwhm_gate_is_within_its_stated_bound():
@@ -289,8 +294,8 @@ def test_voigt_fwhm_gate_is_within_its_stated_bound():
 
 
 def _scan_case(name):
-    """(free spectral range, finesse, species weights, range, resolution) of one
-    oracle comparison."""
+    """(free spectral range, finesse, species weights, range, resolution,
+    temperature) of one oracle comparison."""
     fsr = free_spectral_range(6e-3)
     reflectivity, temperature, scan_range, resolution = {
         "demo": (0.997, 295.0, 37.5e9, 25e6),
@@ -302,9 +307,9 @@ def _scan_case(name):
         "wide": (0.997, 295.0, 30.0 * fsr, 30.0 * fsr / (30_000 - 1)),
     }[name]
     table = load_species_table()
-    weights = [(table[n]._replace(temperature=temperature), w)
-               for n, w in (("Xe", 1.0), ("CF3H", 0.7), ("N2", 1.3))]
-    return fsr, finesse(reflectivity, reflectivity), weights, scan_range, resolution
+    weights = [(table[n], w) for n, w in (("Xe", 1.0), ("CF3H", 0.7), ("N2", 1.3))]
+    return (fsr, finesse(reflectivity, reflectivity), weights, scan_range, resolution,
+            temperature)
 
 
 class TestScanAgainstOracles:
@@ -314,10 +319,11 @@ class TestScanAgainstOracles:
 
     @pytest.fixture(params=["demo", "77K", "0.01K", "dense", "wide"])
     def sampled(self, request):
-        fsr, cavity_finesse, weights, scan_range, resolution = _scan_case(request.param)
+        (fsr, cavity_finesse, weights, scan_range, resolution,
+         temperature) = _scan_case(request.param)
         trace = scan_spectrum(fsr, cavity_finesse, weights, scan_range, resolution,
-                              WAVELENGTH)
-        width = 3.0 * max(OBSERVED_WIDTH_FACTOR * doppler_fwhm(WAVELENGTH, gas.temperature,
+                              WAVELENGTH, temperature)
+        width = 3.0 * max(OBSERVED_WIDTH_FACTOR * doppler_fwhm(WAVELENGTH, temperature,
                                                                 gas.molar_mass)
                           for gas, _ in weights)
         distance = np.abs(trace.detunings - np.round(trace.detunings / fsr) * fsr)
@@ -326,17 +332,19 @@ class TestScanAgainstOracles:
             rng.choice(len(trace.detunings), 100, replace=False),
             rng.choice(np.flatnonzero(distance < width), 100, replace=False),
         ])
-        return ((fsr, cavity_finesse), weights, trace.detunings[picks],
+        return ((fsr, cavity_finesse), weights, temperature, trace.detunings[picks],
                 trace.signals[picks], trace.signals.max())
 
     def test_matches_direct_fourier_series(self, sampled):
-        comb, weights, detunings, signals, peak = sampled
-        series = validation.scan_fourier_series(detunings, *comb, weights, WAVELENGTH)
+        comb, weights, temperature, detunings, signals, peak = sampled
+        series = validation.scan_fourier_series(detunings, *comb, weights, WAVELENGTH,
+                                                temperature)
         assert np.max(np.abs(signals - series)) <= 1e-11 * peak
 
     def test_matches_brute_force_voigt_sum(self, sampled):
-        comb, weights, detunings, signals, peak = sampled
-        brute = validation.scan_voigt_sum(detunings, *comb, weights, WAVELENGTH)
+        comb, weights, temperature, detunings, signals, peak = sampled
+        brute = validation.scan_voigt_sum(detunings, *comb, weights, WAVELENGTH,
+                                          temperature)
         assert np.max(np.abs(signals - brute)) <= 1e-7 * peak
 
 
@@ -436,7 +444,7 @@ class TestPolarization:
 class TestSpeciesRatio:
     def test_default_table_reproduces_expected_triple(self, reference_params, species):
         ratios = species_ratio([species[n] for n in ("Xe", "CF3H", "N2")],
-                               reference_params.linewidth, WAVELENGTH)
+                               reference_params.linewidth, WAVELENGTH, TEMPERATURE)
         assert ratios[0] == 1.0
         assert ratios[1] == pytest.approx(0.353225056948, rel=1e-8)
         assert ratios[2] == pytest.approx(0.086884161430, rel=1e-8)
@@ -445,14 +453,15 @@ class TestSpeciesRatio:
 
     def test_single_species(self, reference_params, species):
         assert species_ratio([species["Xe"]], reference_params.linewidth,
-                             WAVELENGTH) == [1.0]
+                             WAVELENGTH, TEMPERATURE) == [1.0]
 
     def test_identical_species_pair(self, reference_params, species):
         xe = species["Xe"]
-        ratios = species_ratio([xe, xe], reference_params.linewidth, WAVELENGTH)
+        ratios = species_ratio([xe, xe], reference_params.linewidth, WAVELENGTH,
+                               TEMPERATURE)
         assert ratios == pytest.approx([1.0, 1.0])
 
     def test_rejects_empty_list(self, reference_params):
         with pytest.raises(ValueError):
-            species_ratio([], reference_params.linewidth, WAVELENGTH)
+            species_ratio([], reference_params.linewidth, WAVELENGTH, TEMPERATURE)
 

@@ -50,7 +50,7 @@ class TestTraceSerialization:
     @pytest.fixture
     def trace(self, reference_comb, species):
         return scan_spectrum(*reference_comb, [(species["Xe"], 1.0)],
-                             2e9, 1e7, WAVELENGTH, normalize=True)
+                             2e9, 1e7, WAVELENGTH, 295.0, normalize=True)
 
     def test_csv_header(self, trace):
         buffer = io.StringIO()
@@ -192,7 +192,8 @@ class TestTokenKernel:
         span = 37.5e9 if points == 1501 else 1.5 * reference_comb[0]
         trace = scan_spectrum(*reference_comb,
                               [(species[name], 1.0) for name in ("Xe", "CF3H", "N2")],
-                              span, span / (points - 1), WAVELENGTH, normalize=True)
+                              span, span / (points - 1), WAVELENGTH, 295.0,
+                              normalize=True)
         assert len(trace.detunings) == points
         for values in trace.detunings, trace.signals:
             assert max(kernel_text(values, json=True)[1]) <= 1
