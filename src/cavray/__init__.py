@@ -15,22 +15,21 @@ __version__ = "0.1.0"
 
 # Every public name resolves on first use (PEP 562) from the submodule
 # named here, so ``import cavray`` loads no computing module and a report
-# only the modules it uses. Only ``spectra`` of these imports numpy; the
-# oracles that check the closed forms live in ``cavray.validation``.
+# only the modules it uses. Only ``spectra`` of these imports numpy. The
+# oracles that check the closed forms, the 2F/pi derivation and the
+# dipole-mode power among them, are private to ``cavray.validation``.
 _EXPORTS = {
     "constants": "ATOMIC_UNIT_POLARIZABILITY_A3 AVOGADRO BOLTZMANN PLANCK SPEED_OF_LIGHT",
     "errors": "ConfigError ConvergenceError",
     "experiment": "EnhancementReport FinesseEntry ForecastReport build_enhancement_report "
                   "contributing_particles free_space_backout interaction_volume "
                   "photon_rate ultracold_forecast ultracold_target_species",
-    "field": "PowerBudget cavity_power_budget intracavity_field outcoupling_share "
-             "position_averaged_intensity transmitted_power",
+    "field": "outcoupling_share transmitted_power",
     "gases": "GasSpecies load_species_table",
     "optics": "CavityParams beam_width derive_cavity_params finesse free_spectral_range "
               "mode_volume number_density q_factor rayleigh_length symmetric_waist "
               "transverse_mode_spacing",
-    "overlap": "dipole_mode_power overlap_eta_analytic overlap_eta_numeric "
-               "purcell_factor purcell_ratio",
+    "overlap": "overlap_eta_analytic overlap_eta_numeric purcell_factor purcell_ratio",
     "spectra": "SpectrumTrace doppler_fwhm observed_doppler_fwhm polarization_signal "
                "scan_spectrum species_ratio spectral_overlap",
 }

@@ -119,12 +119,14 @@ def read_lines(path: Path) -> list[tuple[int, str]]:
     return [(lineno, line) for lineno, line in enumerate(lines, start=1) if line]
 
 
-def _check_magnitude(path, lineno: int, name: str, value: float, units: str) -> None:
-    """A ConfigError at ``path:lineno`` unless ``value`` is 0 or of magnitude
-    1e-30 to 1e30: no input comes near them, and beyond them arithmetic overflows."""
+def _check_magnitude(path, lineno: int, name: str, value: float, units: str,
+                     written: str) -> None:
+    """A ConfigError at ``path:lineno``, quoting the value as ``written``, unless
+    ``value`` in ``units`` is 0 or of magnitude 1e-30 to 1e30: no input comes
+    near them, and beyond them arithmetic overflows."""
     if value and not 1e-30 <= abs(value) <= 1e30:
         raise ConfigError(path, lineno, f"{name} must be 0 or of magnitude "
-                          f"1e-30 to 1e30 in {units}, got {value}")
+                          f"1e-30 to 1e30 in {units}, got {written}")
 
 
 def parse_config(path: str | os.PathLike) -> Config:
@@ -171,8 +173,9 @@ def parse_config(path: str | os.PathLike) -> Config:
         if not math.isfinite(value):
             raise ConfigError(path, lineno, f"key {key!r} has non-finite value {text!r}")
         test, wanted = RANGES[limits]
+        written = f"{text} {unit}" if unit else text
         if not test(value):
-            raise ConfigError(path, lineno, f"{stem} must be {wanted}, got {value}")
-        _check_magnitude(path, lineno, stem, value, "SI units")
+            raise ConfigError(path, lineno, f"{stem} must be {wanted}, got {written}")
+        _check_magnitude(path, lineno, stem, value, "SI units", written)
         values[stem] = value
     return values

@@ -43,7 +43,8 @@ def load_species_table(path: str | os.PathLike | None = None) -> dict[str, GasSp
     """The species table at *path*, else at CAVRAY_SPECIES_DB, else the
     packaged one, as a name -> GasSpecies mapping. A row that is not a name
     and two finite positive numbers of magnitude 1e-30 to 1e30 (the molar
-    mass in kg/mol), a repeated name and an empty table are ConfigErrors."""
+    mass in kg/mol), a repeated name and an empty table are ConfigErrors; a
+    number's error quotes it as the row writes it, with its column's unit."""
     if path is None:
         path = os.environ.get(SPECIES_DB_ENV) or _BUILTIN_TABLE
     path = Path(path)
@@ -60,15 +61,18 @@ def load_species_table(path: str | os.PathLike | None = None) -> dict[str, GasSp
             raise ConfigError(path, lineno, f"non-numeric field: {exc}") from None
         if name in table:
             raise ConfigError(path, lineno, f"species {name!r} is listed twice")
-        try:
-            species = GasSpecies(name, molar_mass_g * 1e-3, polarizability)
-        except ValueError as exc:
-            raise ConfigError(path, lineno, str(exc)) from None
-        _check_magnitude(path, lineno, f"{name}: molar_mass (column 2)",
-                         species.molar_mass, "kg/mol")
-        _check_magnitude(path, lineno, f"{name}: polarizability (column 3)",
-                         polarizability, "cubic angstroms")
-        table[name] = species
+        molar_mass = molar_mass_g * 1e-3
+        # each number in the unit of its window, and as the row writes it
+        for field, column, value, units, written in (
+                ("molar_mass", 2, molar_mass, "kg/mol", f"{fields[1]} g/mol"),
+                ("polarizability", 3, polarizability, "cubic angstroms",
+                 f"{fields[2]} cubic angstroms")):
+            if not 0.0 < value < math.inf:  # GasSpecies's own check, quoting the row
+                raise ConfigError(path, lineno, f"{name}: {field} must be finite and "
+                                  f"positive, got {written}")
+            _check_magnitude(path, lineno, f"{name}: {field} (column {column})", value,
+                             units, written)
+        table[name] = GasSpecies(name, molar_mass, polarizability)
     if not table:
         raise ConfigError(path, None, "species table contains no records")
     return table

@@ -91,7 +91,12 @@ def symmetric_waist(mirror_separation: float, radius_of_curvature: float,
 
 def transverse_mode_spacing(mirror_separation: float,
                             radius_of_curvature: float) -> float:
-    """Frequency spacing of adjacent transverse modes, FSR*arccos(sqrt(g1 g2))/pi."""
+    """Frequency spacing of adjacent transverse modes, FSR*arccos(sqrt(g1 g2))/pi.
+
+    With g = 1 - d/Rc < 0 (d > Rc) this is FSR*arccos(|g|)/pi, the spacing
+    FSR*arccos(g)/pi mod FSR with its sign flipped; the ABCD Gouy-phase
+    oracle in ``validation`` gives the same.
+    """
     d, rc = mirror_separation, radius_of_curvature
     _check_stable(d, rc)
     g = 1.0 - d / rc

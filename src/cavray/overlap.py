@@ -5,16 +5,16 @@ cavity axis is projected onto the fundamental Gaussian mode. Both mode
 functions are scalar and intensity-normalized: the dipole over the full
 sphere in latitude coordinates, the Gaussian over any transverse plane.
 The resulting overlap fixes the fraction of dipole radiation captured by
-the cavity-defined mode, and combining it with the interference-model
-power budget reproduces the standard Purcell factor.
+the cavity-defined mode, and ``purcell_ratio``, the interference model's
+cavity-to-dipole power ratio, equals the standard Purcell factor.
 
 ``overlap_eta_numeric(wavelength, waist, z)``, which ``cavray overlap``
 runs, is the closed form of the overlap integral on the plane at z with
 the dipole field taken at its axial value; the mode's width there is
 ``optics.beam_width``. Every function here is a closed form in ``math``.
-The Gaussian mode function, with its normalization, and the quadratures
-of the overlap and of both mode normalizations are oracles in
-``validation``.
+The Gaussian mode function, with its normalization, the quadratures of
+the overlap and of both mode normalizations, and the free-space dipole
+mode power that the ratio derives from, are oracles in ``validation``.
 """
 
 from __future__ import annotations
@@ -50,16 +50,6 @@ def overlap_eta_numeric(wavelength: float, waist: float, z: float) -> float:
         raise ValueError(f"evaluation plane must be at z > 0, got {z}")
     return (DIPOLE_PREFACTOR * math.sqrt(2.0 * math.pi)
             * beam_width(waist, wavelength, z) / z)
-
-
-def dipole_mode_power(amplitude: float, pump_power: float,
-                      wavelength: float, waist: float) -> float:
-    """Total power scattered into the full dipole mode in free space.
-
-    P_dip = 4 pi^2 w0^2 / (3 lambda^2) * a^2 * Pp
-    """
-    return (4.0 * math.pi ** 2 * waist ** 2 / (3.0 * wavelength ** 2)
-            * amplitude ** 2 * pump_power)
 
 
 def purcell_ratio(finesse: float, wavelength: float, waist: float) -> float:

@@ -4,22 +4,26 @@ Every check pits an implementation against an independent route to the
 same number (explicit summation, quadrature, closed forms, ray-matrix
 eigenmodes, the thermal velocity spread projected on the scattering
 geometry) or asserts an exact identity. The oracles are private to this
-module, so the production modules hold only the closed forms they check.
-Checks are deterministic for a fixed seed; this is the one module of the
-package that draws random numbers. Each check draws its inputs from its
-own stream, keyed by the seed and its name, in one or two generator
-calls; it calls the closed forms once per draw and reduces its residuals
-once. The position average runs on a few midpoint nodes,
-on which it is exact. Every integral runs the composite Gauss-Legendre
-rule of ``cavray.quadrature``, so the suite needs numpy alone; a check's
-integrals go in one batch, whose integrand runs once per rule; the
-normalized Gaussian mode they read, ``_radial_field``, lives here. The checks
-read the packaged species table, whose values their expected numbers
-belong to, whatever table ``CAVRAY_SPECIES_DB`` names.
+module, so the production modules hold only the closed forms that a
+report runs. The derivation of the 2F/pi enhancement is one of them: the
+intracavity field, its position average and the resonant power budget,
+with the free-space dipole-mode power, check ``field.transmitted_power``
+and ``overlap.purcell_ratio``. Checks are deterministic for a fixed seed;
+this is the one module of the package that draws random numbers. Each
+check draws its inputs from its own stream, keyed by the seed and its
+name, in one to three generator calls; it calls the closed forms once per
+draw and reduces its residuals once. The position average runs on a few
+midpoint nodes, on which it is exact. Every integral runs the composite
+Gauss-Legendre rule of ``cavray.quadrature``, so the suite needs numpy
+alone; a check's integrals go in one batch, whose integrand runs once per
+rule; the normalized Gaussian mode they read, ``_radial_field``, lives
+here. The checks read the packaged species table, whose values their
+expected numbers belong to, whatever table ``CAVRAY_SPECIES_DB`` names.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import zlib
@@ -72,6 +76,7 @@ _ROUNDTRIP_DRAWS = 200
 _FIELD_AVERAGE_DRAWS = 200
 # midpoint nodes of the position average; any n >= 3 is exact
 _FIELD_AVERAGE_NODES = 64
+_TIE_DRAWS = 50  # mirror pairs that tie the average to transmitted_power
 _ABCD_DRAWS = 100
 _PURCELL_DRAWS = 1000
 _DOPPLER_DRAWS = 10
@@ -92,6 +97,74 @@ def _xenon_observed_fwhm() -> float:
 
 
 # --- oracles for the interference field ---------------------------------------
+#
+# The derivation of ``field.transmitted_power``, in units of the pump
+# (``amplitude**2 * pump``): the mode-area reference cancels in every ratio.
+
+def _check_feedback(r1: float, r2: float) -> None:
+    if r1 * r2 >= 1.0:
+        raise ValueError(f"round-trip amplitude gain r1*r2 must be < 1, got {r1 * r2}: "
+                         "field diverges")
+
+
+def _source_and_feedback(r1: float, r2: float, mirror_separation: float, *,
+                         amplitude: float, pump_field: float, wavenumber: float,
+                         displacement: float) -> tuple[complex, complex]:
+    """Directly scattered plus once-reflected source term, and the
+    round-trip feedback factor; shared by the closed form and the
+    summation so the two routes differ only in how the series is summed."""
+    k, d, dz = wavenumber, mirror_separation, displacement
+    source = amplitude * pump_field * (1.0 + r1 * cmath.exp(1j * k * d) * cmath.exp(2j * k * dz))
+    feedback = r1 * r2 * cmath.exp(2j * k * d)
+    return source, feedback
+
+
+def _intracavity_field(r1: float, r2: float, mirror_separation: float, *,
+                       amplitude: float, pump_field: float, wavenumber: float,
+                       displacement: float = 0.0) -> complex:
+    """Right-traveling field at the scatterer, a classical driven dipole,
+    E = a*Ep * (1 + r1*exp(i*k*d)*exp(2i*k*dz)) / (1 - r1*r2*exp(2i*k*d)): the
+    exact solution of the one-round-trip recursion, in units of the pump
+    field Ep, for a dimensionless ``amplitude`` a << 1, k in rad/m and the
+    offset dz from the cavity centre (``displacement``, m; within +-lambda/2
+    in a position average). r1*r2 >= 1 raises."""
+    _check_feedback(r1, r2)
+    source, feedback = _source_and_feedback(r1, r2, mirror_separation, amplitude=amplitude,
+                                            pump_field=pump_field, wavenumber=wavenumber,
+                                            displacement=displacement)
+    return source / (1.0 - feedback)
+
+
+def _position_averaged_intensity(amplitude: float, pump_intensity: float,
+                                 r1: float, r2: float) -> float:
+    """Right-traveling intensity on resonance, averaged over scatterer
+    positions, I = a^2 * Ip * (1 + r1^2) / (1 - r1*r2)^2: the average over one
+    wavelength keeps only the incoherent 1 + r1^2 term, and only r1, the
+    mirror behind the scattered left-going wave, is in the numerator."""
+    _check_feedback(r1, r2)
+    return amplitude ** 2 * pump_intensity * (1.0 + r1 ** 2) / (1.0 - r1 * r2) ** 2
+
+
+def _cavity_power_budget(amplitude: float, pump_power: float, finesse: float,
+                         coupling: str = "averaged") -> dict[str, float]:
+    """The resonant scattered-power budget of a symmetric high-finesse cavity,
+    for a scatterer averaged over positions or at an antinode, which doubles
+    the scattered power."""
+    if finesse <= 0.0:
+        raise ValueError(f"finesse must be positive, got {finesse}")
+    if coupling not in ("averaged", "antinode"):
+        raise ValueError(f"coupling must be 'averaged' or 'antinode', got {coupling!r}")
+    base = amplitude ** 2 * pump_power
+    position_factor = 2.0 if coupling == "antinode" else 1.0
+    cavity_power = position_factor * 4.0 * base * finesse / math.pi
+    return dict(
+        right_traveling_intensity=position_factor * 2.0 * base * (finesse / math.pi) ** 2,
+        transmitted_power=cavity_power / 2.0,  # through one mirror
+        cavity_power=cavity_power,             # through both
+        free_space_one_way_power=base,         # the same mode, one direction, no mirrors
+        free_space_mode_power=2.0 * base,      # both directions
+    )
+
 
 def _iterate_roundtrips(source, feedback, n_roundtrips: int):
     """sum of source * feedback**j for j = 0..n, by binary doubling.
@@ -137,7 +210,7 @@ def _position_averaged_intensity_numeric(amplitude, pump_field, wavenumber, r1, 
     amplitude, pump_field, wavenumber, r1, r2, mirror_separation = (
         np.asarray(value, dtype=float)[..., None]
         for value in (amplitude, pump_field, wavenumber, r1, r2, mirror_separation))
-    field._check_feedback(np.max(r1 * r2), 1.0)
+    _check_feedback(np.max(r1 * r2), 1.0)
     numerator = 1.0 + r1 * np.exp(1j * wavenumber * mirror_separation) * (
         _displacement_phases(n_points))
     denominator = 1.0 - r1 * r2 * np.exp(2j * wavenumber * mirror_separation)
@@ -162,8 +235,8 @@ def check_field_closed_form_vs_roundtrip(rng: np.random.Generator) -> CheckResul
     for r1, r2, amplitude, pump_field, wavenumber, displacement, d in draws.tolist():
         scatterer = dict(amplitude=amplitude, pump_field=pump_field, wavenumber=wavenumber,
                          displacement=displacement)
-        exact.append(field.intracavity_field(r1, r2, d, **scatterer))
-        terms.append(field._source_and_feedback(r1, r2, d, **scatterer))
+        exact.append(_intracavity_field(r1, r2, d, **scatterer))
+        terms.append(_source_and_feedback(r1, r2, d, **scatterer))
     # every draw's 10,000 round trips at once: the doubled sum is elementwise
     summed = _iterate_roundtrips(*np.array(terms).T, 10_000)
     exact = np.array(exact)
@@ -174,21 +247,39 @@ def check_field_closed_form_vs_roundtrip(rng: np.random.Generator) -> CheckResul
 def check_field_average_quadrature(rng: np.random.Generator) -> CheckResult:
     draws = _uniform_rows(rng, _FIELD_AVERAGE_DRAWS, (0.0, 0.999), (0.0, 0.999),
                           (1e-6, 1e-3), (0.1, 10.0), (1e6, 2e7))
-    closed = np.array([field.position_averaged_intensity(amplitude, pump_field ** 2, r1, r2)
+    closed = np.array([_position_averaged_intensity(amplitude, pump_field ** 2, r1, r2)
                        for r1, r2, amplitude, pump_field, _ in draws.tolist()])
     r1, r2, amplitude, pump_field, wavenumber = draws.T
     # resonant separation: k*d a multiple of pi
     d = math.pi * rng.integers(1000, 40000, size=_FIELD_AVERAGE_DRAWS) / wavenumber
     numeric = _position_averaged_intensity_numeric(amplitude, pump_field, wavenumber,
                                                    r1, r2, d, _FIELD_AVERAGE_NODES)
-    return _result("position-averaged intensity vs quadrature",
-                   _worst(np.abs(numeric - closed) / closed), 1e-6)
+    quadrature_residual = _worst(np.abs(numeric - closed) / closed)
+    # T2 times the average is transmitted_power up to a relative
+    # s*u*(1 - 2u)/2 + s^2*(32u^4 - 48u^3 + 16u^2 + 1)/32 + O(s^3), s = T1 + T2,
+    # u = T1/s: at most s/2 at first order; s^2/16 bounds the rest up to s = 0.06,
+    # whose s^2 and s^3 coefficients lie in [-0.008, 0.044] and [0.007, 0.032]
+    # T1 and T2 log-uniform on [1e-5, 3e-2]
+    transmissions = 10.0 ** _uniform_rows(rng, _TIE_DRAWS, *[(-5.0, math.log10(3e-2))] * 2)
+    ties = []
+    for t1, t2 in transmissions.tolist():
+        averaged = t2 * _position_averaged_intensity(1e-3, 1.0, math.sqrt(1.0 - t1),
+                                                     math.sqrt(1.0 - t2))
+        predicted = field.transmitted_power(1e-3, 1.0, t1, t2,
+                                            optics.finesse(1.0 - t1, 1.0 - t2))
+        ties.append(abs(averaged / predicted - 1.0) / ((t1 + t2) / 2.0 + (t1 + t2) ** 2 / 16.0))
+    tie = _worst(*ties)
+    return CheckResult(
+        "position-averaged intensity vs quadrature", quadrature_residual <= 1e-6 and tie <= 1.0,
+        f"residual {quadrature_residual:.3e} (tolerance 1.0e-06); T2 times it vs "
+        f"transmitted_power: residual {tie:.3e} of (T1 + T2)/2 + (T1 + T2)^2/16 "
+        "(tolerance 1.0e+00)")
 
 
 def check_field_mirror_asymmetry(rng: np.random.Generator) -> CheckResult:
     r1, r2 = 0.9, 0.5
-    forward = field.position_averaged_intensity(1e-3, 1.0, r1, r2)
-    swapped = field.position_averaged_intensity(1e-3, 1.0, r2, r1)
+    forward = _position_averaged_intensity(1e-3, 1.0, r1, r2)
+    swapped = _position_averaged_intensity(1e-3, 1.0, r2, r1)
     expected = (1.0 + r1 ** 2) / (1.0 + r2 ** 2)
     residual = abs(forward / swapped - expected)
     return _result("averaged intensity left-mirror asymmetry", residual, 1e-12)
@@ -199,16 +290,16 @@ def check_power_budget_identities(rng: np.random.Generator) -> CheckResult:
     draws = _uniform_rows(rng, 100, (1.0, 1e5), (0.1, 5.0)).tolist()
     for coupling, rows in (("averaged", draws[:50]), ("antinode", draws[50:])):
         for f, pump in rows:
-            budget = field.cavity_power_budget(1e-4, pump, f, coupling)
+            budget = _cavity_power_budget(1e-4, pump, f, coupling)
             residuals += [
-                abs(budget.cavity_power - 2.0 * budget.transmitted_power),
-                abs(budget.free_space_mode_power - 2.0 * budget.free_space_one_way_power),
+                abs(budget["cavity_power"] - 2.0 * budget["transmitted_power"]),
+                abs(budget["free_space_mode_power"] - 2.0 * budget["free_space_one_way_power"]),
             ]
             if coupling == "averaged":
                 # the back-out divides by transmitted_power; a symmetric pair
                 # of mirrors must give the budget's own value
                 residuals.append(abs(field.transmitted_power(1e-4, pump, 0.003, 0.003, f)
-                                     - budget.transmitted_power))
+                                     - budget["transmitted_power"]))
     return _result("power budget pairwise identities", _worst(*residuals), 0.0)
 
 
@@ -410,6 +501,13 @@ def _gaussian_normalization(waist: float, wavelength: float, planes) -> np.ndarr
     return quadrature.integrate_rows(lambda r, row: 2.0 * math.pi * radial(r, row) ** 2 * r,
                                      [_radial_edges(waist, wavelength, z) for z in planes],
                                      what="gaussian mode normalization", rel_tol=1e-9)
+
+
+def _dipole_mode_power(amplitude: float, pump_power: float,
+                       wavelength: float, waist: float) -> float:
+    """Power scattered into the dipole mode in free space, 4 pi^2 w0^2 a^2 Pp / (3 lambda^2)."""
+    return (4.0 * math.pi ** 2 * waist ** 2 / (3.0 * wavelength ** 2)
+            * amplitude ** 2 * pump_power)
 
 
 def check_dipole_normalization(rng: np.random.Generator) -> CheckResult:
@@ -745,9 +843,9 @@ def check_unit_convention_cancels(rng: np.random.Generator) -> CheckResult:
     residuals = []
     draws = _uniform_rows(rng, 50, (1e-3, 1e3), (10.0, 1e5), (300e-9, 1600e-9), (1e-5, 1e-4))
     for unit, f, wavelength, waist in draws.tolist():
-        budget = field.cavity_power_budget(1e-4, unit, f, "antinode")
-        dip = overlap.dipole_mode_power(1e-4, unit, wavelength, waist)
-        ratio = budget.cavity_power / dip
+        budget = _cavity_power_budget(1e-4, unit, f, "antinode")
+        dip = _dipole_mode_power(1e-4, unit, wavelength, waist)
+        ratio = budget["cavity_power"] / dip
         expected = overlap.purcell_ratio(f, wavelength, waist)
         residuals.append(abs(ratio - expected) / expected)
     return _result("arbitrary power unit cancels in ratios", _worst(*residuals), 1e-12)

@@ -216,13 +216,18 @@ class TestConfigParser:
     @pytest.mark.parametrize("line, message", [
         ("cavity.left_reflectivity = 1.5", r"cavity\.left_reflectivity must be in \[0, 1\)"),
         ("anchor.spectral_overlap = 0", r"anchor\.spectral_overlap must be in \(0, 1\]"),
-        ("gas.pressure_mbar = -1", r"gas\.pressure must be nonnegative, got -100\.0"),
-        ("purcell.waist_um = 0", r"purcell\.waist must be positive, got 0\.0"),
-        ("enhance.pairing12.finesse = -3", r"enhance\.pairing12\.finesse must be positive"),
+        # the value as written, with its key's unit suffix
+        ("gas.pressure_mbar = -1", r"gas\.pressure must be nonnegative, got -1 mbar$"),
+        ("purcell.waist_um = 0", r"purcell\.waist must be positive, got 0 um$"),
+        ("enhance.pairing12.finesse = -3", r"enhance\.pairing12\.finesse must be positive, "
+         r"got -3$"),
         # overflowed purcell_ratio and interaction_volume downstream
         ("cavity.waist_um = 1e300", r"cavity\.waist must be 0 or of magnitude "
-         r"1e-30 to 1e30 in SI units, got 1e\+294"),
-        ("purcell.waist = 1e-31", r"purcell\.waist must be 0 or of magnitude"),
+         r"1e-30 to 1e30 in SI units, got 1e300 um$"),
+        ("cavity.separation_mm = 1e-35", r"cavity\.separation must be 0 or of magnitude "
+         r"1e-30 to 1e30 in SI units, got 1e-35 mm$"),
+        ("purcell.waist = 1e-31", r"purcell\.waist must be 0 or of magnitude "
+         r"1e-30 to 1e30 in SI units, got 1e-31$"),
     ])
     def test_out_of_range_value_is_line_anchored(self, tmp_path, line, message):
         cfg = tmp_path / "a.cfg"

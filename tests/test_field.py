@@ -1,10 +1,15 @@
-"""Interference-field model: frozen values and the round-trip sum itself.
+"""Interference-field model: ``field.transmitted_power`` and its derivation.
 
-The comparisons ``cavray validate`` makes (field vs round-trip sum,
-position average vs quadrature, mirror asymmetry, power-budget
-identities) live in its checks alone, each failing on a named mutant in
-``test_validation.py``. Here: frozen numbers, the sum's truncation tail
-and term count, the series limit at 1e-9 and pump linearity at 1e-14.
+The production module keeps ``transmitted_power`` and its outcoupling
+share alone; the derivation behind them (the intracavity field, its
+round-trip sum, its position average and the resonant power budget) is
+an oracle of ``validation``, tested here through its private names. The
+comparisons ``cavray validate`` makes (field vs round-trip sum, position
+average vs quadrature and vs ``transmitted_power``, mirror asymmetry,
+power-budget identities) live in its checks alone, each failing on a
+named mutant in ``test_validation.py``. Here: frozen numbers, the sum's
+truncation tail and term count, the series limit at 1e-9 and pump
+linearity at 1e-14.
 """
 
 import math
@@ -14,8 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavray import (cavity_power_budget, field, intracavity_field,
-                    position_averaged_intensity, transmitted_power, validation)
+from cavray import transmitted_power, validation
 from cavray.optics import finesse
 
 K = 2.0 * math.pi / 532e-9
@@ -29,7 +33,7 @@ def resonant_config(amplitude=1.0, displacement=0.0):
 
 def roundtrip_sum(r1, r2, mirror_separation, n_roundtrips, **scatterer):
     """The field after n round trips, summed term by term."""
-    source, feedback = field._source_and_feedback(r1, r2, mirror_separation, **scatterer)
+    source, feedback = validation._source_and_feedback(r1, r2, mirror_separation, **scatterer)
     return validation._iterate_roundtrips(source, feedback, n_roundtrips)
 
 
@@ -40,24 +44,24 @@ def test_resonant_separation_is_resonant():
 
 class TestIntracavityField:
     def test_free_space_is_single_scattered_wave(self):
-        state = intracavity_field(0.0, 0.0, 6e-3, **resonant_config(amplitude=0.01))
+        state = validation._intracavity_field(0.0, 0.0, 6e-3, **resonant_config(amplitude=0.01))
         assert state == pytest.approx(0.01)
 
     def test_resonant_buildup(self):
         # (1 + r) / (1 - r^2) at a constructive position
-        state = intracavity_field(0.9985, 0.9985, RESONANT_D, **resonant_config())
+        state = validation._intracavity_field(0.9985, 0.9985, RESONANT_D, **resonant_config())
         assert abs(state) == pytest.approx(666.6666666667, rel=1e-6)
 
     def test_destructive_placement(self):
         # a quarter-wave displacement flips the left-mirror contribution
-        state = intracavity_field(
+        state = validation._intracavity_field(
             0.9985, 0.9985, RESONANT_D, **resonant_config(displacement=532e-9 / 4.0)
         )
         assert abs(state) == pytest.approx(0.5003752815, rel=1e-6)
 
     def test_diverging_feedback_rejected(self):
         with pytest.raises(ValueError):
-            intracavity_field(1.0, 1.0, 6e-3, **resonant_config())
+            validation._intracavity_field(1.0, 1.0, 6e-3, **resonant_config())
 
 
 class TestRoundtripSum:
@@ -71,21 +75,21 @@ class TestRoundtripSum:
 
     def test_high_reflectivity_converges_to_closed_form(self):
         scatterer = resonant_config()
-        exact = intracavity_field(0.9985, 0.9985, RESONANT_D, **scatterer)
+        exact = validation._intracavity_field(0.9985, 0.9985, RESONANT_D, **scatterer)
         summed = roundtrip_sum(0.9985, 0.9985, RESONANT_D, 10_000, **scatterer)
         assert abs(summed - exact) / abs(exact) < 1e-6
 
     def test_moderate_feedback_converges_fast(self):
         scatterer = resonant_config(displacement=3e-8)
         r = math.sqrt(0.5)
-        exact = intracavity_field(r, r, 6e-3, **scatterer)
+        exact = validation._intracavity_field(r, r, 6e-3, **scatterer)
         summed = roundtrip_sum(r, r, 6e-3, 50, **scatterer)
         assert abs(summed - exact) / abs(exact) < 1e-15
 
     def test_truncation_follows_geometric_tail(self):
         scatterer = resonant_config()
         r = 0.9
-        exact = intracavity_field(r, r, RESONANT_D, **scatterer)
+        exact = validation._intracavity_field(r, r, RESONANT_D, **scatterer)
         for n in (10, 20, 40):
             summed = roundtrip_sum(r, r, RESONANT_D, n, **scatterer)
             assert abs(summed - exact) / abs(exact) == pytest.approx(
@@ -102,7 +106,7 @@ class TestRoundtripSum:
     @settings(max_examples=150, deadline=None)
     def test_closed_form_is_series_limit(self, r1, r2, k, dz, d):
         scatterer = dict(amplitude=1e-3, pump_field=2.0, wavenumber=k, displacement=dz)
-        exact = intracavity_field(r1, r2, d, **scatterer)
+        exact = validation._intracavity_field(r1, r2, d, **scatterer)
         summed = roundtrip_sum(r1, r2, d, 4000, **scatterer)
         assert abs(summed - exact) <= abs(exact) * 1e-9 + 1e-12
 
@@ -119,17 +123,17 @@ class TestDoubledSum:
 
 class TestPositionAveragedIntensity:
     def test_free_space(self):
-        assert position_averaged_intensity(0.01, 2.0, 0.0, 0.0) == pytest.approx(
+        assert validation._position_averaged_intensity(0.01, 2.0, 0.0, 0.0) == pytest.approx(
             0.01 ** 2 * 2.0
         )
 
     def test_high_reflectivity_value(self):
-        value = position_averaged_intensity(1.0, 1.0, 0.9985, 0.9985)
+        value = validation._position_averaged_intensity(1.0, 1.0, 0.9985, 0.9985)
         assert value == pytest.approx(222222.34741, rel=1e-9)
 
     def test_left_mirror_only(self):
         # no feedback without the right mirror, only left-mirror interference
-        value = position_averaged_intensity(1.0, 1.0, 0.9985, 0.0)
+        value = validation._position_averaged_intensity(1.0, 1.0, 0.9985, 0.0)
         assert value == pytest.approx(1.99700225, rel=1e-12)
 
     def test_phase_grid_is_the_same_for_every_wavenumber(self):
@@ -146,14 +150,15 @@ class TestPositionAveragedIntensity:
 
 def high_finesse_intensity(amplitude, pump_intensity, finesse):
     """The averaged intensity of the resonant power budget, 2*a^2*Ip*(F/pi)^2."""
-    return cavity_power_budget(amplitude, pump_intensity, finesse).right_traveling_intensity
+    budget = validation._cavity_power_budget(amplitude, pump_intensity, finesse)
+    return budget["right_traveling_intensity"]
 
 
 class TestHighFinesseIntensity:
     def test_matches_exact_at_high_reflectivity(self):
         f = finesse(0.997, 0.997)
         r = math.sqrt(0.997)
-        exact = position_averaged_intensity(1.0, 1.0, r, r)
+        exact = validation._position_averaged_intensity(1.0, 1.0, r, r)
         assert high_finesse_intensity(1.0, 1.0, f) == pytest.approx(exact, rel=0.005)
 
     def test_unit_reflection_count(self):
@@ -165,7 +170,7 @@ class TestHighFinesseIntensity:
         f = finesse(r_intensity, r_intensity)
         assert f == pytest.approx(100.0, rel=1e-9)
         r = math.sqrt(r_intensity)
-        exact = position_averaged_intensity(1.0, 1.0, r, r)
+        exact = validation._position_averaged_intensity(1.0, 1.0, r, r)
         assert high_finesse_intensity(1.0, 1.0, f) == pytest.approx(exact, rel=0.05)
 
 
@@ -197,22 +202,22 @@ class TestTransmittedPower:
 class TestCavityPowerBudget:
     def test_antinode_enhancement_factor(self):
         for f in (10.0, 1000.0, 3.3e4):
-            budget = cavity_power_budget(1e-3, 2.0, f, "antinode")
-            assert budget.cavity_power / budget.free_space_mode_power == pytest.approx(
+            budget = validation._cavity_power_budget(1e-3, 2.0, f, "antinode")
+            assert budget["cavity_power"] / budget["free_space_mode_power"] == pytest.approx(
                 4.0 * f / math.pi, rel=1e-12
             )
 
     def test_averaged_detectable_enhancement(self):
         for f in (10.0, 1000.0, 3.3e4):
-            budget = cavity_power_budget(1e-3, 2.0, f, "averaged")
-            assert budget.transmitted_power / budget.free_space_one_way_power == \
+            budget = validation._cavity_power_budget(1e-3, 2.0, f, "averaged")
+            assert budget["transmitted_power"] / budget["free_space_one_way_power"] == \
                 pytest.approx(2.0 * f / math.pi, rel=1e-12)
 
     def test_factor_bookkeeping_at_half_pi(self):
-        budget = cavity_power_budget(1.0, 1.0, math.pi / 2.0, "antinode")
-        assert budget.cavity_power == pytest.approx(4.0)
-        assert budget.cavity_power == pytest.approx(2.0 * budget.free_space_mode_power)
+        budget = validation._cavity_power_budget(1.0, 1.0, math.pi / 2.0, "antinode")
+        assert budget["cavity_power"] == pytest.approx(4.0)
+        assert budget["cavity_power"] == pytest.approx(2.0 * budget["free_space_mode_power"])
 
     def test_rejects_unknown_coupling(self):
         with pytest.raises(ValueError):
-            cavity_power_budget(1e-3, 1.0, 100.0, "nodal")
+            validation._cavity_power_budget(1e-3, 1.0, 100.0, "nodal")

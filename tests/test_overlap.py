@@ -6,7 +6,9 @@ Purcell equivalence, power-unit cancellation) live in its checks alone,
 each failing on a named mutant in ``test_validation.py``; the cos^3
 integrand's partial ranges are in ``test_quadrature.py``. The oracles are
 held here where no check reaches: other planes, random geometries and the
-exact cos(latitude)/r weighting.
+exact cos(latitude)/r weighting. The free-space dipole-mode power and the
+power budget that the cavity-mode fraction reads are oracles of
+``validation``, not of ``overlap``, which keeps what a report runs.
 """
 
 import math
@@ -16,9 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavray import (beam_width, cavity_power_budget, dipole_mode_power,
-                    overlap_eta_analytic, overlap_eta_numeric, purcell_factor, purcell_ratio,
-                    rayleigh_length, validation)
+from cavray import (beam_width, overlap_eta_analytic, overlap_eta_numeric, purcell_factor,
+                    purcell_ratio, rayleigh_length, validation)
 
 WAVELENGTH = 532e-9
 WAIST = 45e-6
@@ -86,8 +87,8 @@ class TestOverlapNumeric:
 def cavity_mode_fraction(wavelength, waist):
     """Share of the free-space dipole power that the two-direction cavity
     mode carries, from the power budget and the dipole-mode power."""
-    return (cavity_power_budget(1.0, 1.0, 1.0).free_space_mode_power
-            / dipole_mode_power(1.0, 1.0, wavelength, waist))
+    return (validation._cavity_power_budget(1.0, 1.0, 1.0)["free_space_mode_power"]
+            / validation._dipole_mode_power(1.0, 1.0, wavelength, waist))
 
 
 class TestCavityModeFraction:
@@ -109,20 +110,20 @@ class TestCavityModeFraction:
 
 class TestDipoleModePower:
     def test_paper_geometry_coefficient(self):
-        assert dipole_mode_power(1.0, 1.0, WAVELENGTH, WAIST) == pytest.approx(
+        assert validation._dipole_mode_power(1.0, 1.0, WAVELENGTH, WAIST) == pytest.approx(
             94154.31865474752, rel=1e-9
         )
 
     def test_mode_power_ratio_recovers_fraction(self):
-        budget = cavity_power_budget(1e-3, 2.0, 1000.0, "averaged")
-        dip = dipole_mode_power(1e-3, 2.0, WAVELENGTH, WAIST)
-        assert budget.free_space_mode_power / dip == pytest.approx(
+        budget = validation._cavity_power_budget(1e-3, 2.0, 1000.0, "averaged")
+        dip = validation._dipole_mode_power(1e-3, 2.0, WAVELENGTH, WAIST)
+        assert budget["free_space_mode_power"] / dip == pytest.approx(
             cavity_mode_fraction(WAVELENGTH, WAIST), rel=1e-12
         )
 
     def test_unit_power_inversion_point(self):
         waist = WAVELENGTH * math.sqrt(3.0) / (2.0 * math.pi)
-        assert dipole_mode_power(1.0, 1.0, WAVELENGTH, waist) == pytest.approx(1.0)
+        assert validation._dipole_mode_power(1.0, 1.0, WAVELENGTH, waist) == pytest.approx(1.0)
 
 
 class TestPurcell:

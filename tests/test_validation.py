@@ -76,7 +76,7 @@ def mutant(where, attribute, old, new):
     return namespace[attribute]
 
 
-R2_IN_NUMERATOR = ("r2-in-numerator", field, "position_averaged_intensity",
+R2_IN_NUMERATOR = ("r2-in-numerator", validation, "_position_averaged_intensity",
                    "(1.0 + r1 ** 2)", "(1.0 + r2 ** 2)")
 ONE_PASS_Q = ("one-pass-q", optics, "q_factor", "2.0 * mirror_separation", "mirror_separation")
 MODE_AREA_FOR_VOLUME = ("mode-area-for-volume", optics, "mode_volume",
@@ -92,14 +92,19 @@ LINEWIDTH_AS_HWHM = ("linewidth-as-hwhm", spectra, "spectral_overlap",
 # with ``old`` replaced by ``new``. A text is in the failing check's
 # detail: a residual that no draw moves, or the bound that failed.
 MUTANTS = {
-    "check_field_closed_form_vs_roundtrip": [("mirrors-swapped", field, "intracavity_field",
-                                              "feedback(r1, r2,", "feedback(r2, r1,")],
-    "check_field_average_quadrature": [R2_IN_NUMERATOR],
+    "check_field_closed_form_vs_roundtrip": [("mirrors-swapped", validation,
+                                              "_intracavity_field", "feedback(r1, r2,",
+                                              "feedback(r2, r1,")],
+    "check_field_average_quadrature": [
+        R2_IN_NUMERATOR,
+        # the quadrature never reads the share: the tie to transmitted_power fails
+        ("share-of-left-mirror", field, "outcoupling_share", "return t2 /", "return t1 /",
+         "transmitted_power: residual 1.985e+05 ")],
     "check_field_mirror_asymmetry": [R2_IN_NUMERATOR],
     "check_power_budget_identities": [
         # the back-out divides by transmitted_power, so it would cancel this
         ("transmitted-power-doubled", field, "transmitted_power", "return 4.0", "return 8.0"),
-        ("one-mirror-carries-both", field, "cavity_power_budget",
+        ("one-mirror-carries-both", validation, "_cavity_power_budget",
          "=cavity_power / 2.0", "=cavity_power")],
     "check_power_linearity": [("pump-power-squared", field, "transmitted_power",
                                "* pump_power *", "* pump_power ** 2 *")],
@@ -152,8 +157,9 @@ MUTANTS = {
                                    ("overlap-penalty-kept", experiment, "ultracold_forecast",
                                     "/ spectral_overlap", "",
                                     "rate residual 2.281e+01 against the back-out route")],
-    "check_unit_convention_cancels": [("dipole-power-doubled", overlap, "dipole_mode_power",
-                                       "4.0 * math.pi ** 2", "8.0 * math.pi ** 2")],
+    "check_unit_convention_cancels": [("dipole-power-doubled", validation,
+                                       "_dipole_mode_power", "4.0 * math.pi ** 2",
+                                       "8.0 * math.pi ** 2")],
 }
 
 
@@ -226,9 +232,10 @@ class CountingRng:
 
 
 def test_checks_draw_their_inputs_in_a_few_generator_calls():
-    # one call per check that draws, two for the field average (uniforms,
-    # integers) and for the Doppler check (uniforms, normals): 17; a scalar
-    # draw per input would make ~4,900 calls at ~2 us each
+    # one call per check that draws, three for the field average (uniforms,
+    # integers, the tie's transmissions) and two for the Doppler check
+    # (uniforms, normals): 18; a scalar draw per input would make ~4,900
+    # calls at ~2 us each
     calls = 0
     for check in validation.ALL_CHECKS:
         rng = CountingRng(validation._check_rngs(0)(check.__name__))
@@ -257,14 +264,15 @@ def test_quadrature_checks_make_one_batch_call_each(monkeypatch):
 @pytest.mark.parametrize("seed", [0, 20260])
 def test_array_recursion_matches_the_scalar_sum_per_draw(seed):
     draws = roundtrip_draws(np.random.default_rng(seed))
-    pairs = [field._source_and_feedback(r1, r2, d, **scatterer) for scatterer, r1, r2, d in draws]
+    pairs = [validation._source_and_feedback(r1, r2, d, **scatterer)
+             for scatterer, r1, r2, d in draws]
     sources, feedbacks = (np.array(column) for column in zip(*pairs))
     summed = validation._iterate_roundtrips(sources, feedbacks, 10_000)
     scalar = np.array([validation._iterate_roundtrips(source, feedback, 10_000)
                        for source, feedback in pairs])
     assert np.max(np.abs(summed - scalar) / np.abs(scalar)) <= 1e-15
     # and the check reports the residual of exactly these draws
-    exact = np.array([field.intracavity_field(r1, r2, d, **scatterer)
+    exact = np.array([validation._intracavity_field(r1, r2, d, **scatterer)
                       for scatterer, r1, r2, d in draws])
     worst = np.max(np.abs(summed - exact) / np.abs(exact))
     result = validation.check_field_closed_form_vs_roundtrip(np.random.default_rng(seed))
@@ -282,7 +290,7 @@ def _loop_roundtrips(source, feedback, n_roundtrips):
 
 @pytest.mark.parametrize("seed", [0, 20260])
 def test_doubled_sum_matches_the_round_trip_loop(seed):
-    pairs = [field._source_and_feedback(r1, r2, d, **scatterer)
+    pairs = [validation._source_and_feedback(r1, r2, d, **scatterer)
              for scatterer, r1, r2, d in roundtrip_draws(np.random.default_rng(seed))]
     sources, feedbacks = (np.array(column) for column in zip(*pairs))
     doubled = validation._iterate_roundtrips(sources, feedbacks, 10_000)
@@ -456,5 +464,5 @@ def test_every_record_is_an_output_or_a_table_row():
                if isinstance(node, ast.ClassDef)
                and any(isinstance(d, ast.Name) and d.id == "record"
                        for d in node.decorator_list)}
-    assert records == {"CavityParams", "GasSpecies", "PowerBudget", "FinesseEntry",
-                       "EnhancementReport", "ForecastReport", "CheckResult"}
+    assert records == {"CavityParams", "GasSpecies", "FinesseEntry", "EnhancementReport",
+                       "ForecastReport", "CheckResult"}
