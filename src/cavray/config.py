@@ -119,12 +119,13 @@ def read_lines(path: Path) -> list[tuple[int, str]]:
     return [(lineno, line) for lineno, line in enumerate(lines, start=1) if line]
 
 
-def _check_magnitude(path, lineno: int, name: str, value: float, units: str,
-                     written: str) -> None:
+def _check_magnitude(path, lineno: int, name: str, number: float, value: float,
+                     units: str, written: str) -> None:
     """A ConfigError at ``path:lineno``, quoting the value as ``written``, unless
-    ``value`` in ``units`` is 0 or of magnitude 1e-30 to 1e30: no input comes
-    near them, and beyond them arithmetic overflows."""
-    if value and not 1e-30 <= abs(value) <= 1e30:
+    the ``number`` written is 0 or its ``value`` in ``units`` is of magnitude
+    1e-30 to 1e30: no input comes near them, and beyond them arithmetic
+    overflows. A nonzero number whose conversion underflows to 0 is beyond them."""
+    if number and not 1e-30 <= abs(value) <= 1e30:
         raise ConfigError(path, lineno, f"{name} must be 0 or of magnitude "
                           f"1e-30 to 1e30 in {units}, got {written}")
 
@@ -174,8 +175,10 @@ def parse_config(path: str | os.PathLike) -> Config:
             raise ConfigError(path, lineno, f"key {key!r} has non-finite value {text!r}")
         test, wanted = RANGES[limits]
         written = f"{text} {unit}" if unit else text
-        if not test(value):
+        # every unit factor is positive, so the number has its value's sign,
+        # and keeps it where the value underflows to 0
+        if not test(number):
             raise ConfigError(path, lineno, f"{stem} must be {wanted}, got {written}")
-        _check_magnitude(path, lineno, stem, value, "SI units", written)
+        _check_magnitude(path, lineno, stem, number, value, "SI units", written)
         values[stem] = value
     return values

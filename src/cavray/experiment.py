@@ -9,14 +9,14 @@ plain SI values; ``cavray.cli`` reads them from a config.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
 from .constants import PLANCK, SPEED_OF_LIGHT
 from .field import outcoupling_share, transmitted_power
 from .gases import GasSpecies
 from .optics import _check_reflectivity, number_density
 from .overlap import purcell_ratio
-from .records import record
 
 # the target's polarizability over the reference's when a forecast gives none
 POLARIZABILITY_FACTOR = 10.0
@@ -82,28 +82,23 @@ def free_space_backout(measured_cavity_power: float, spectral_overlap: float,
     return measured_cavity_power / (enhancement * spectral_overlap)
 
 
-@record
-class FinesseEntry:
-    """One row of an enhancement report."""
+class FinesseEntry(namedtuple("FinesseEntry", "finesse outcoupling_share measured_power_W "
+                              "spectral_overlap at_rest_power_W relative_measured "
+                              "predicted_relative predicted_relative_symmetric")):
+    """One row of an enhancement report. ``predicted_relative`` carries the
+    T2/(T1+T2) asymmetry factor; ``predicted_relative_symmetric`` is the
+    plain F/F_max normalization."""
 
-    finesse: float
-    outcoupling_share: float
-    measured_power_W: float
-    spectral_overlap: float
-    at_rest_power_W: float
-    relative_measured: float
-    predicted_relative: float       # with the T2/(T1+T2) asymmetry factor
-    predicted_relative_symmetric: float  # plain F/F_max normalization
+    __slots__ = ()
 
 
-@record
-class EnhancementReport:
-    """Cavity-vs-free-space comparison across mirror pairings."""
+class EnhancementReport(namedtuple("EnhancementReport", "entries free_space_backout_W "
+                                   "free_space_measured_W enhancement_factor")):
+    """Cavity-vs-free-space comparison across mirror pairings: its ``entries``
+    are a tuple of ``FinesseEntry``; ``free_space_measured_W`` and
+    ``enhancement_factor`` are None without a free-space measurement."""
 
-    entries: tuple[FinesseEntry, ...]
-    free_space_backout_W: float
-    free_space_measured_W: float | None
-    enhancement_factor: float | None
+    __slots__ = ()
 
 
 def build_enhancement_report(pairings: Sequence[tuple[float, float, float]],
@@ -167,16 +162,16 @@ def build_enhancement_report(pairings: Sequence[tuple[float, float, float]],
     return EnhancementReport(tuple(entries), backout, free_space_measured, factor)
 
 
-@record
-class ForecastReport:
-    """Projected detection rates for a trapped ultracold sample."""
+class ForecastReport(namedtuple("ForecastReport", "n_molecules target_finesse "
+                                "per_molecule_in_cavity_rate_Hz ensemble_rate_Hz "
+                                "per_molecule_total_rate_Hz cavity_free_space_ratio")):
+    """Projected detection rates for a trapped ultracold sample.
+    ``ensemble_rate_Hz`` is the in-cavity rate of the whole sample,
+    ``per_molecule_total_rate_Hz`` counts the cavity and free-space channels,
+    and ``cavity_free_space_ratio`` is the Purcell factor 2C at the target
+    finesse."""
 
-    n_molecules: float
-    target_finesse: float
-    per_molecule_in_cavity_rate_Hz: float
-    ensemble_rate_Hz: float             # in-cavity rate of the whole sample
-    per_molecule_total_rate_Hz: float   # cavity plus free-space channels
-    cavity_free_space_ratio: float      # the Purcell factor 2C at the target finesse
+    __slots__ = ()
 
 
 def ultracold_target_species(reference: GasSpecies,

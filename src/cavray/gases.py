@@ -13,30 +13,35 @@ from __future__ import annotations
 
 import math
 import os
+from collections import namedtuple
 from pathlib import Path
 
 from .config import _check_magnitude, read_lines
 from .errors import ConfigError
-from .records import record
 
 SPECIES_DB_ENV = "CAVRAY_SPECIES_DB"
 _BUILTIN_TABLE = Path(__file__).with_name("data") / "species.txt"
 
 
-@record
-class GasSpecies:
-    """A scattering gas, one row of the species table."""
+class GasSpecies(namedtuple("GasSpecies", "name molar_mass polarizability")):
+    """A scattering gas, one row of the species table: its ``name``, its
+    ``molar_mass`` in kg/mol and its ``polarizability`` in cubic angstroms
+    (CGS volume polarizability). Every construction path, ``_make`` and
+    ``_replace`` included, checks that both numbers are finite and positive."""
 
-    name: str
-    molar_mass: float        # kg/mol
-    polarizability: float    # cubic angstroms (CGS volume polarizability)
+    __slots__ = ()
 
-    def __post_init__(self):
-        for field in ("molar_mass", "polarizability"):
-            value = getattr(self, field)
+    def __new__(cls, name, molar_mass, polarizability):
+        for field, value in ("molar_mass", molar_mass), ("polarizability", polarizability):
             if not 0.0 < value < math.inf:
-                raise ValueError(f"{self.name}: {field} must be finite and positive, "
+                raise ValueError(f"{name}: {field} must be finite and positive, "
                                  f"got {value}")
+        return super().__new__(cls, name, molar_mass, polarizability)
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make, which _replace calls, builds through tuple.__new__
+        return cls(*iterable)
 
 
 def load_species_table(path: str | os.PathLike | None = None) -> dict[str, GasSpecies]:
@@ -62,16 +67,16 @@ def load_species_table(path: str | os.PathLike | None = None) -> dict[str, GasSp
         if name in table:
             raise ConfigError(path, lineno, f"species {name!r} is listed twice")
         molar_mass = molar_mass_g * 1e-3
-        # each number in the unit of its window, and as the row writes it
-        for field, column, value, units, written in (
-                ("molar_mass", 2, molar_mass, "kg/mol", f"{fields[1]} g/mol"),
-                ("polarizability", 3, polarizability, "cubic angstroms",
+        # each number as the row writes it, and in the unit of its window
+        for field, column, number, value, units, written in (
+                ("molar_mass", 2, molar_mass_g, molar_mass, "kg/mol", f"{fields[1]} g/mol"),
+                ("polarizability", 3, polarizability, polarizability, "cubic angstroms",
                  f"{fields[2]} cubic angstroms")):
-            if not 0.0 < value < math.inf:  # GasSpecies's own check, quoting the row
+            if not 0.0 < number < math.inf:  # GasSpecies's own check, quoting the row
                 raise ConfigError(path, lineno, f"{name}: {field} must be finite and "
                                   f"positive, got {written}")
-            _check_magnitude(path, lineno, f"{name}: {field} (column {column})", value,
-                             units, written)
+            _check_magnitude(path, lineno, f"{name}: {field} (column {column})", number,
+                             value, units, written)
         table[name] = GasSpecies(name, molar_mass, polarizability)
     if not table:
         raise ConfigError(path, None, "species table contains no records")

@@ -12,23 +12,20 @@ is part of the mode function of ``cavray.validation``, its one reader.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 
 from .constants import BOLTZMANN, SPEED_OF_LIGHT
-from .records import record
 
 
-@record
-class CavityParams:
-    """All derived resonator quantities for one cavity at one wavelength."""
+class CavityParams(namedtuple("CavityParams", "finesse free_spectral_range linewidth "
+                              "q_factor waist rayleigh_length transverse_mode_spacing "
+                              "mode_volume")):
+    """All derived resonator quantities for one cavity at one wavelength: the
+    ``finesse``, ``free_spectral_range`` in Hz, ``linewidth`` (FWHM) in Hz,
+    ``q_factor``, ``waist`` and ``rayleigh_length`` in m,
+    ``transverse_mode_spacing`` in Hz and ``mode_volume`` in m^3."""
 
-    finesse: float
-    free_spectral_range: float    # Hz
-    linewidth: float              # Hz, FWHM
-    q_factor: float
-    waist: float                  # m
-    rayleigh_length: float        # m
-    transverse_mode_spacing: float  # Hz
-    mode_volume: float            # m^3
+    __slots__ = ()
 
 
 def _check_stable(d: float, rc: float) -> None:

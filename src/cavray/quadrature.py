@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable
+from collections.abc import Callable
 
 import numpy as np
 

@@ -27,20 +27,19 @@ import cmath
 import functools
 import math
 import zlib
-from typing import Callable
+from collections import namedtuple
+from collections.abc import Callable
 
 import numpy as np
 
 from . import experiment, field, gases, optics, overlap, quadrature, spectra
 from .constants import AVOGADRO, BOLTZMANN, PLANCK, SPEED_OF_LIGHT
-from .records import record
 
 
-@record
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
+class CheckResult(namedtuple("CheckResult", "name passed detail")):
+    """One check's ``name``, whether it ``passed``, and its residual ``detail``."""
+
+    __slots__ = ()
 
 
 def _result(name: str, residual: float, tolerance: float) -> CheckResult:

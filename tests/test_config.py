@@ -228,6 +228,9 @@ class TestConfigParser:
          r"1e-30 to 1e30 in SI units, got 1e-35 mm$"),
         ("purcell.waist = 1e-31", r"purcell\.waist must be 0 or of magnitude "
          r"1e-30 to 1e30 in SI units, got 1e-31$"),
+        # nonzero as written, 0 once converted to m
+        ("cavity.separation_nm = 1e-320", r"cavity\.separation must be 0 or of magnitude "
+         r"1e-30 to 1e30 in SI units, got 1e-320 nm$"),
     ])
     def test_out_of_range_value_is_line_anchored(self, tmp_path, line, message):
         cfg = tmp_path / "a.cfg"

@@ -1,10 +1,12 @@
-"""Value records: construction paths, checks, equality and immutability."""
+"""Value records, the package's ``namedtuple`` subclasses: construction paths,
+checks, equality and immutability."""
 
 import numpy as np
 import pytest
 
-from cavray import GasSpecies, SpectrumTrace, derive_cavity_params
-from cavray.records import record
+from cavray import (CavityParams, EnhancementReport, FinesseEntry, ForecastReport,
+                    GasSpecies, SpectrumTrace, derive_cavity_params)
+from cavray.validation import CheckResult
 
 CAVITY = derive_cavity_params(6e-3, 45e-3, 0.997, 0.997, 532e-9)
 
@@ -18,6 +20,8 @@ VALIDATING = [
 ]
 FROZEN = [case[:2] for case in VALIDATING if case[0] is not SpectrumTrace]
 IDS = [case[0].__name__ for case in VALIDATING]
+RECORDS = [CavityParams, GasSpecies, FinesseEntry, EnhancementReport, ForecastReport,
+           CheckResult]
 
 
 def changed(instance, changes):
@@ -59,6 +63,14 @@ def test_frozen_records_are_values(cls, fields):
     assert one == other
 
 
+@pytest.mark.parametrize("cls", RECORDS, ids=[cls.__name__ for cls in RECORDS])
+def test_every_record_takes_no_new_attribute(cls):
+    # a subclass without ``__slots__ = ()`` would give each instance a __dict__
+    one = cls._make(range(1, len(cls._fields) + 1))
+    with pytest.raises(AttributeError):
+        one.unknown = 1.0
+
+
 def test_gas_species_is_its_table_row():
     # the sample's temperature is an argument of each function that reads it
     assert GasSpecies._fields == ("name", "molar_mass", "polarizability")
@@ -66,12 +78,3 @@ def test_gas_species_is_its_table_row():
         "GasSpecies(name='Xe', molar_mass=0.13129, polarizability=4.04)")
     with pytest.raises(TypeError):
         GasSpecies("Xe", 0.13129)
-
-
-def test_a_field_with_a_default_is_a_type_error():
-    # a default would give a quantity a second source beside its callers'
-    with pytest.raises(TypeError, match="field 'second' has a default"):
-        @record
-        class Broken:
-            first: float
-            second: float = 1.0

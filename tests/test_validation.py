@@ -182,7 +182,7 @@ def test_check_fails_on_its_mutant(monkeypatch, check, row):
     assert all(part in result.detail for part in text)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 6: both routes of the forecast "
+@pytest.mark.xfail(reason="ROADMAP item 6: both routes of the forecast "
                    "check divide by contributing_particles, so a doubled volume cancels; "
                    "a forward power from the pump would catch it")
 def test_forecast_check_fails_on_a_doubled_interaction_volume(monkeypatch):
@@ -387,6 +387,16 @@ def test_spectra_imports_neither_io_nor_jsontext():
     assert not {"io", "jsontext", "optics", "gases"} & _imported_names(tree)
 
 
+def test_no_module_imports_typing_dataclasses_or_records():
+    # every value type is a namedtuple subclass and every annotation a
+    # ``collections.abc`` or builtin name; read from disk, because ``site``
+    # may already have loaded ``typing`` into any interpreter
+    importers = {path.stem: names for path in PACKAGE_DIR.glob("*.py")
+                 if (names := {"typing", "dataclasses", "records"}
+                     & _imported_names(ast.parse(path.read_text())))}
+    assert importers == {}
+
+
 def test_nan_residual_fails_its_check(monkeypatch):
     # builtin max(0.0, nan) is 0.0: a NaN oracle used to pass silently
     monkeypatch.setattr(validation, "_abcd_roundtrip_waist", lambda d, rc, wl: math.nan)
@@ -453,16 +463,16 @@ def test_overlap_holds_closed_forms_only():
     # field an oracle of ``validation``: no record or class is left here
     tree = ast.parse((PACKAGE_DIR / "overlap.py").read_text())
     assert not [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
-    assert "records" not in _imported_names(tree)
 
 
 def test_every_record_is_an_output_or_a_table_row():
     # an input is passed as its floats, a mirror as its reflectivity: no
-    # record wraps arguments that a function could take as they are
+    # record wraps arguments that a function could take as they are. A
+    # record is a class built on a ``namedtuple(...)`` base.
     records = {node.name for path in PACKAGE_DIR.glob("*.py")
                for node in ast.walk(ast.parse(path.read_text()))
                if isinstance(node, ast.ClassDef)
-               and any(isinstance(d, ast.Name) and d.id == "record"
-                       for d in node.decorator_list)}
+               and any(isinstance(base, ast.Call) and isinstance(base.func, ast.Name)
+                       and base.func.id == "namedtuple" for base in node.bases)}
     assert records == {"CavityParams", "GasSpecies", "FinesseEntry", "EnhancementReport",
                        "ForecastReport", "CheckResult"}
