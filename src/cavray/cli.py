@@ -129,7 +129,8 @@ def _geometry_waist(values, wavelength: float) -> float:
 
 def _species(values, key: str, names: list[str]):
     """The rows of the species table that config ``key`` lists as ``names``.
-    A name the table lacks is a ConfigError that names ``key`` and lists the table."""
+    A name the table lacks is a ConfigError that names ``key`` and lists the
+    table; a name listed twice is one that names ``key`` and the name."""
     from .gases import load_species_table
 
     table = load_species_table()
@@ -137,6 +138,8 @@ def _species(values, key: str, names: list[str]):
         if name not in table:
             raise ConfigError(values.path, None, f"{key}: unknown species {name!r}; "
                               "table has: " + ", ".join(sorted(table)))
+        if names.count(name) > 1:
+            raise ConfigError(values.path, None, f"{key}: species {name!r} is listed twice")
     return [table[name] for name in names]
 
 

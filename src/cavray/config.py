@@ -46,6 +46,7 @@ RANGES = {
     ">= 0": (lambda v: v >= 0.0, "nonnegative"),
     "[0, 1)": (lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
     "(0, 1]": (lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+    "0 or 1": (lambda v: v in (0.0, 1.0), "0 or 1"),
     "any": (lambda v: True, ""),
 }
 
@@ -72,7 +73,7 @@ KEYS = {
     "scan.weight<i>": (None, ">= 0"),
     "scan.range": ("frequency", "> 0"),
     "scan.resolution": ("frequency", "> 0"),
-    "scan.normalize": (None, "any"),
+    "scan.normalize": (None, "0 or 1"),
     "overlap.waist": ("length", "> 0"),
     "overlap.plane_factor": (None, "> 0"),
     "purcell.finesse": (None, "> 0"),

@@ -8,12 +8,15 @@ module, so the production modules hold only the closed forms that a
 report runs. The derivation of the 2F/pi enhancement is one of them: the
 intracavity field, its position average and the resonant power budget,
 with the free-space dipole-mode power, check ``field.transmitted_power``
-and ``overlap.purcell_ratio``. Checks are deterministic for a fixed seed;
-this is the one module of the package that draws random numbers. Each
-check draws its inputs from its own stream, keyed by the seed and its
-name, in one to three generator calls; it calls the closed forms once per
-draw and reduces its residuals once. The position average runs on a few
-midpoint nodes, on which it is exact. Every integral runs the composite
+and ``overlap.purcell_ratio``. The field is written once, in
+``_source_and_feedback``: its round-trip sum, its closed form and the
+quadrature of its position average all read it. Checks are deterministic
+for a fixed seed; this is the one module of the package that draws random
+numbers. Each check draws its inputs from its own stream, keyed by the
+seed and its name, in one to three generator calls; it calls the closed
+forms once per draw, or once on the array of its draws, and reduces its
+residuals once. The position average integrates ``_intracavity_field`` on
+a few midpoint nodes, on which it is exact. Every integral runs the composite
 Gauss-Legendre rule of ``cavray.quadrature``, so the suite needs numpy
 alone; a check's integrals go in one batch, whose integrand runs once per
 rule; the normalized Gaussian mode they read, ``_radial_field``, lives
@@ -23,7 +26,6 @@ expected numbers belong to, whatever table ``CAVRAY_SPECIES_DB`` names.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 import zlib
@@ -100,33 +102,34 @@ def _xenon_observed_fwhm() -> float:
 # The derivation of ``field.transmitted_power``, in units of the pump
 # (``amplitude**2 * pump``): the mode-area reference cancels in every ratio.
 
-def _check_feedback(r1: float, r2: float) -> None:
-    if r1 * r2 >= 1.0:
-        raise ValueError(f"round-trip amplitude gain r1*r2 must be < 1, got {r1 * r2}: "
+def _check_feedback(r1, r2) -> None:
+    gain = np.max(r1 * r2)
+    if gain >= 1.0:
+        raise ValueError(f"round-trip amplitude gain r1*r2 must be < 1, got {gain}: "
                          "field diverges")
 
 
-def _source_and_feedback(r1: float, r2: float, mirror_separation: float, *,
-                         amplitude: float, pump_field: float, wavenumber: float,
-                         displacement: float) -> tuple[complex, complex]:
+def _source_and_feedback(r1, r2, mirror_separation, *, amplitude, pump_field, wavenumber,
+                         displacement):
     """Directly scattered plus once-reflected source term, and the
     round-trip feedback factor; shared by the closed form and the
-    summation so the two routes differ only in how the series is summed."""
+    summation so the two routes differ only in how the series is summed.
+    Elementwise on scalars or broadcasting arrays."""
     k, d, dz = wavenumber, mirror_separation, displacement
-    source = amplitude * pump_field * (1.0 + r1 * cmath.exp(1j * k * d) * cmath.exp(2j * k * dz))
-    feedback = r1 * r2 * cmath.exp(2j * k * d)
+    source = amplitude * pump_field * (1.0 + r1 * np.exp(1j * k * d) * np.exp(2j * k * dz))
+    feedback = r1 * r2 * np.exp(2j * k * d)
     return source, feedback
 
 
-def _intracavity_field(r1: float, r2: float, mirror_separation: float, *,
-                       amplitude: float, pump_field: float, wavenumber: float,
-                       displacement: float = 0.0) -> complex:
+def _intracavity_field(r1, r2, mirror_separation, *, amplitude, pump_field, wavenumber,
+                       displacement=0.0):
     """Right-traveling field at the scatterer, a classical driven dipole,
     E = a*Ep * (1 + r1*exp(i*k*d)*exp(2i*k*dz)) / (1 - r1*r2*exp(2i*k*d)): the
     exact solution of the one-round-trip recursion, in units of the pump
     field Ep, for a dimensionless ``amplitude`` a << 1, k in rad/m and the
     offset dz from the cavity centre (``displacement``, m; within +-lambda/2
-    in a position average). r1*r2 >= 1 raises."""
+    in a position average). Elementwise on scalars or broadcasting arrays;
+    r1*r2 >= 1 anywhere raises."""
     _check_feedback(r1, r2)
     source, feedback = _source_and_feedback(r1, r2, mirror_separation, amplitude=amplitude,
                                             pump_field=pump_field, wavenumber=wavenumber,
@@ -134,12 +137,12 @@ def _intracavity_field(r1: float, r2: float, mirror_separation: float, *,
     return source / (1.0 - feedback)
 
 
-def _position_averaged_intensity(amplitude: float, pump_intensity: float,
-                                 r1: float, r2: float) -> float:
+def _position_averaged_intensity(amplitude, pump_intensity, r1, r2):
     """Right-traveling intensity on resonance, averaged over scatterer
     positions, I = a^2 * Ip * (1 + r1^2) / (1 - r1*r2)^2: the average over one
     wavelength keeps only the incoherent 1 + r1^2 term, and only r1, the
-    mirror behind the scattered left-going wave, is in the numerator."""
+    mirror behind the scattered left-going wave, is in the numerator.
+    Elementwise on scalars or broadcasting arrays."""
     _check_feedback(r1, r2)
     return amplitude ** 2 * pump_intensity * (1.0 + r1 ** 2) / (1.0 - r1 * r2) ** 2
 
@@ -191,38 +194,25 @@ def _iterate_roundtrips(source, feedback, n_roundtrips: int):
 
 def _position_averaged_intensity_numeric(amplitude, pump_field, wavenumber, r1, r2,
                                          mirror_separation, n_points: int):
-    """Average |E|^2 over uniformly sampled displacements in one wavelength.
+    """Average |E|^2 of ``_intracavity_field`` over ``n_points`` midpoint
+    displacements dz_j = ((j + 1/2)/n - 1/2) * lambda in one wavelength.
 
     Quadrature cross-check for the closed-form position average. On
     resonance |E|^2 is |c|^2 * |1 + a*p|^2 = |c|^2 * (1 + |a|^2 + 2 Re(a*p))
-    in the displacement phase p, and the midpoint samples
+    in the displacement phase p = exp(2i*k*dz), and the midpoint samples
     p_j = exp(4*pi*i*(j + 1/2)/n) sum to exp(2*pi*i/n) times a geometric
     sum of exp(4*pi*i/n), which is 0 unless n divides 2. So the midpoint
     rule is exact, up to rounding, for any n_points >= 3.
-
-    The midpoints dz_i = ((i + 1/2)/n - 1/2) * lambda span one wavelength,
-    so the displacement phase 2*k*dz_i = 4*pi*(i + 1/2)/n - 2*pi is the
-    same for every k: the samples of exp(2i*k*dz) are one grid on the unit
-    circle per n_points, computed once (``_displacement_phases``).
     Elementwise on arrays of draws, with the nodes along a new last axis.
     """
     amplitude, pump_field, wavenumber, r1, r2, mirror_separation = (
         np.asarray(value, dtype=float)[..., None]
         for value in (amplitude, pump_field, wavenumber, r1, r2, mirror_separation))
-    _check_feedback(np.max(r1 * r2), 1.0)
-    numerator = 1.0 + r1 * np.exp(1j * wavenumber * mirror_separation) * (
-        _displacement_phases(n_points))
-    denominator = 1.0 - r1 * r2 * np.exp(2j * wavenumber * mirror_separation)
-    samples = (amplitude * pump_field / denominator) * numerator
+    displacement = ((np.arange(n_points) + 0.5) / n_points - 0.5) * (2.0 * math.pi / wavenumber)
+    samples = _intracavity_field(r1, r2, mirror_separation, amplitude=amplitude,
+                                 pump_field=pump_field, wavenumber=wavenumber,
+                                 displacement=displacement)
     return np.mean(samples.real ** 2 + samples.imag ** 2, axis=-1)
-
-
-@functools.lru_cache(maxsize=4)
-def _displacement_phases(n_points: int) -> np.ndarray:
-    """exp(4*pi*i*(j + 1/2)/n) for j < n, as a read-only array."""
-    phases = np.exp(4j * math.pi * ((np.arange(n_points) + 0.5) / n_points))
-    phases.flags.writeable = False
-    return phases
 
 
 def check_field_closed_form_vs_roundtrip(rng: np.random.Generator) -> CheckResult:
@@ -230,15 +220,12 @@ def check_field_closed_form_vs_roundtrip(rng: np.random.Generator) -> CheckResul
                           (0.1, 10.0), (1e6, 2e7), (-1e-7, 1e-7), (1e-3, 1e-2))
     # r2 on (0, min(0.997 / r1, 0.999)), so r1*r2 < 1: uniform(0, h) is h * u
     draws[:, 1] *= np.minimum(0.997 / np.maximum(draws[:, 0], 1e-12), 0.999)
-    exact, terms = [], []
-    for r1, r2, amplitude, pump_field, wavenumber, displacement, d in draws.tolist():
-        scatterer = dict(amplitude=amplitude, pump_field=pump_field, wavenumber=wavenumber,
-                         displacement=displacement)
-        exact.append(_intracavity_field(r1, r2, d, **scatterer))
-        terms.append(_source_and_feedback(r1, r2, d, **scatterer))
+    r1, r2, amplitude, pump_field, wavenumber, displacement, d = draws.T
+    scatterer = dict(amplitude=amplitude, pump_field=pump_field, wavenumber=wavenumber,
+                     displacement=displacement)
+    exact = _intracavity_field(r1, r2, d, **scatterer)
     # every draw's 10,000 round trips at once: the doubled sum is elementwise
-    summed = _iterate_roundtrips(*np.array(terms).T, 10_000)
-    exact = np.array(exact)
+    summed = _iterate_roundtrips(*_source_and_feedback(r1, r2, d, **scatterer), 10_000)
     return _result("field closed form vs round-trip summation",
                    _worst(np.abs(summed - exact) / np.abs(exact)), 1e-6)
 
@@ -246,9 +233,8 @@ def check_field_closed_form_vs_roundtrip(rng: np.random.Generator) -> CheckResul
 def check_field_average_quadrature(rng: np.random.Generator) -> CheckResult:
     draws = _uniform_rows(rng, _FIELD_AVERAGE_DRAWS, (0.0, 0.999), (0.0, 0.999),
                           (1e-6, 1e-3), (0.1, 10.0), (1e6, 2e7))
-    closed = np.array([_position_averaged_intensity(amplitude, pump_field ** 2, r1, r2)
-                       for r1, r2, amplitude, pump_field, _ in draws.tolist()])
     r1, r2, amplitude, pump_field, wavenumber = draws.T
+    closed = _position_averaged_intensity(amplitude, pump_field ** 2, r1, r2)
     # resonant separation: k*d a multiple of pi
     d = math.pi * rng.integers(1000, 40000, size=_FIELD_AVERAGE_DRAWS) / wavenumber
     numeric = _position_averaged_intensity_numeric(amplitude, pump_field, wavenumber,

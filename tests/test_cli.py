@@ -418,6 +418,12 @@ def test_unknown_species_names_its_key_and_the_table(capsys, tmp_path, command, 
     assert f"{key}: unknown species 'Kr'; table has: CF3H, N2, Xe" in err
 
 
+def test_species_listed_twice_names_its_key_and_the_name(capsys, tmp_path):
+    code, out, err = run_on_key_variant(capsys, tmp_path, "scan", "scan.species", "Xe,Xe,N2")
+    assert (code, out) == (2, "")
+    assert "scan.species: species 'Xe' is listed twice" in err
+
+
 def _scan_csv(capsys, path):
     code, out, err = run_cli(capsys, "scan", "--config", str(path), "--format", "csv")
     assert code == 0, err
@@ -647,6 +653,8 @@ def test_non_numeric_value_names_its_key(capsys, tmp_path, command, key, word):
     ("enhance", "enhance.pairing2.spectral_overlap", "0"),
     ("enhance", "enhance.pairing3.spectral_overlap", "1.5"),
     ("enhance", "enhance.comparison_power", "0"),
+    ("scan", "scan.normalize", "0.5"),
+    ("scan", "scan.normalize", "-1"),
     # two keys in one condition: d < 2 Rc, and a grid finer than the lines
     ("cavity", "cavity.separation", "0.1"),
     ("scan", "scan.resolution", "1e9"),

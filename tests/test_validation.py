@@ -97,6 +97,12 @@ MUTANTS = {
                                               "feedback(r2, r1,")],
     "check_field_average_quadrature": [
         R2_IN_NUMERATOR,
+        # the quadrature integrates ``_intracavity_field``: its source and
+        # feedback must agree with the closed-form average
+        ("once-reflected-off-r2", validation, "_source_and_feedback", "(1.0 + r1 *",
+         "(1.0 + r2 *"),
+        ("round-trip-gain-r1-squared", validation, "_source_and_feedback",
+         "feedback = r1 * r2", "feedback = r1 * r1"),
         # the quadrature never reads the share: the tie to transmitted_power fails
         ("share-of-left-mirror", field, "outcoupling_share", "return t2 /", "return t1 /",
          "transmitted_power: residual 1.985e+05 ")],
