@@ -73,6 +73,8 @@ def _write(args, filename: str, pieces) -> None:
     """Stream the texts of ``pieces`` to ``filename`` in the --out directory, or stdout."""
     if args.out:
         path = Path(args.out) / filename
+        # made here, so that a run that fails before it writes leaves none
+        path.parent.mkdir(parents=True, exist_ok=True)
         with path.open("w", encoding="utf-8") as stream:
             stream.writelines(pieces)
         print(f"wrote {path}")
@@ -368,8 +370,6 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
-        if args.out:
-            Path(args.out).mkdir(parents=True, exist_ok=True)
         values = parse_config(args.config) if "config" in args else None
         code, filename, pieces = args.handler(args, values)
         _write(args, filename, pieces)

@@ -6,8 +6,8 @@ and averaging over the scatterer's position gives, in the high-finesse
 limit, 2F/pi times the one-way free-space power through each mirror of a
 symmetric cavity. ``transmitted_power`` is that result, the one the
 reports run. The derivation itself (the intracavity field, its round-trip
-sum, its position average and the resonant power budget) is the oracle
-that checks it and lives in ``validation``.
+sum, its position average and the antinode factor) is the oracle that
+checks it and lives in ``validation``.
 """
 
 from __future__ import annotations

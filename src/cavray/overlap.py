@@ -39,8 +39,9 @@ def overlap_eta_numeric(wavelength: float, waist: float, z: float) -> float:
 
     The plane must be in the far field (z >> z0) for the result to approach
     the analytic limit. The dipole field is taken at its axial value, which
-    is accurate to a relative (w(z)/z)^2 against the full cos(latitude)/r
-    dependence across the plane.
+    gives 1 + 3/4 (w(z)/z)^2 times the integral with the full cos(latitude)/r
+    dependence across the plane: averaged over the azimuth, cos(latitude)/r
+    is (1 - 3 rho^2/(4 z^2))/z to that order, and the mode's <rho^2> is w(z)^2.
 
     2 pi (P/z) exp(-r^2/w^2) r / N(z) over r < 8 w(z), P the dipole
     prefactor, integrates to P sqrt(2 pi) w(z)/z times 1 - e^-64, which is 1

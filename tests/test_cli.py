@@ -695,6 +695,21 @@ def test_out_dir_that_cannot_be_made_is_a_clean_error(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("command, change", [("cavity", None),
+                                             ("scan", {"cavity.separation_mm": "-1"})])
+def test_failing_run_makes_no_out_dir(capsys, tmp_path, command, change):
+    # the directory is made where the file is written, after the config is
+    # read: here a missing one, or one with a value out of range
+    config = (tmp_path / "missing.cfg" if change is None
+              else write_demo_variant(tmp_path, **change))
+    out_dir = tmp_path / "reports"
+    code, out, err = run_cli(capsys, command, "--config", str(config), "--out", str(out_dir))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error:")
+    assert not out_dir.exists()
+
+
 def test_oversized_scan_is_a_clean_error(capsys, tmp_path):
     # 1e9 GHz at 25 MHz: 4e10 points, which used to end in a MemoryError
     cfg = write_demo_variant(tmp_path, **{"scan.range_GHz": "1e9"})

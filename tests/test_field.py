@@ -2,15 +2,16 @@
 
 The production module keeps ``transmitted_power`` and its outcoupling
 share alone; the derivation behind them (the intracavity field, its
-round-trip sum, its position average and the resonant power budget) is
-an oracle of ``validation``, tested here through its private names. The
+round-trip sum, its position average and the antinode factor) is an
+oracle of ``validation``, tested here through its private names. The
 comparisons ``cavray validate`` makes (field vs round-trip sum, the
 quadrature of ``_intracavity_field`` over one wavelength vs the
 closed-form average and that vs ``transmitted_power``, mirror asymmetry,
-power-budget identities) live in its checks alone, each failing on a
-named mutant in ``test_validation.py``. Here: frozen numbers, at equal
-and unequal mirrors, the sum's truncation tail and term count, the series
-limit at 1e-9 and pump linearity at 1e-14.
+the field's antinode over its average vs ``_ANTINODE_FACTOR``) live in
+its checks alone, each failing on a named mutant in
+``test_validation.py``. Here: frozen numbers, at equal and unequal
+mirrors, the sum's truncation tail and term count, the series limit at
+1e-9 and pump linearity at 1e-14.
 """
 
 import math
@@ -21,7 +22,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cavray import transmitted_power, validation
-from cavray.optics import finesse
 
 K = 2.0 * math.pi / 532e-9
 RESONANT_D = round(6e-3 * K / math.pi) * math.pi / K  # nearest k*d = m*pi to 6 mm
@@ -143,31 +143,13 @@ class TestPositionAveragedIntensity:
         value = validation._position_averaged_intensity(1.0, 1.0, 0.9985, 0.0)
         assert value == pytest.approx(1.99700225, rel=1e-12)
 
-
-def high_finesse_intensity(amplitude, pump_intensity, finesse):
-    """The averaged intensity of the resonant power budget, 2*a^2*Ip*(F/pi)^2."""
-    budget = validation._cavity_power_budget(amplitude, pump_intensity, finesse)
-    return budget["right_traveling_intensity"]
-
-
-class TestHighFinesseIntensity:
-    def test_matches_exact_at_high_reflectivity(self):
-        f = finesse(0.997, 0.997)
+    def test_antinode_over_the_average_at_high_reflectivity(self):
+        # (1 + r)^2/(1 + r^2) = 2 - (1 - r)^2/(1 + r^2): the antinode factor
+        # of validation._ANTINODE_FACTOR, less T^2/8 at T = 0.003
         r = math.sqrt(0.997)
-        exact = validation._position_averaged_intensity(1.0, 1.0, r, r)
-        assert high_finesse_intensity(1.0, 1.0, f) == pytest.approx(exact, rel=0.005)
-
-    def test_unit_reflection_count(self):
-        assert high_finesse_intensity(1.0, 1.0, math.pi) == pytest.approx(2.0)
-
-    def test_moderate_finesse_within_five_percent(self):
-        # symmetric R giving an exact finesse of 100
-        r_intensity = 0.9690736781385767
-        f = finesse(r_intensity, r_intensity)
-        assert f == pytest.approx(100.0, rel=1e-9)
-        r = math.sqrt(r_intensity)
-        exact = validation._position_averaged_intensity(1.0, 1.0, r, r)
-        assert high_finesse_intensity(1.0, 1.0, f) == pytest.approx(exact, rel=0.05)
+        antinode = abs(validation._intracavity_field(r, r, RESONANT_D, **resonant_config())) ** 2
+        average = validation._position_averaged_intensity(1.0, 1.0, r, r)
+        assert antinode / average == pytest.approx(1.99999887162, rel=1e-11)
 
 
 class TestTransmittedPower:
@@ -193,27 +175,3 @@ class TestTransmittedPower:
         assert transmitted_power(1e-3, 7.0, 0.003, 0.01, 500.0) == pytest.approx(
             7.0 * base, rel=1e-14
         )
-
-
-class TestCavityPowerBudget:
-    def test_antinode_enhancement_factor(self):
-        for f in (10.0, 1000.0, 3.3e4):
-            budget = validation._cavity_power_budget(1e-3, 2.0, f, "antinode")
-            assert budget["cavity_power"] / budget["free_space_mode_power"] == pytest.approx(
-                4.0 * f / math.pi, rel=1e-12
-            )
-
-    def test_averaged_detectable_enhancement(self):
-        for f in (10.0, 1000.0, 3.3e4):
-            budget = validation._cavity_power_budget(1e-3, 2.0, f, "averaged")
-            assert budget["transmitted_power"] / budget["free_space_one_way_power"] == \
-                pytest.approx(2.0 * f / math.pi, rel=1e-12)
-
-    def test_factor_bookkeeping_at_half_pi(self):
-        budget = validation._cavity_power_budget(1.0, 1.0, math.pi / 2.0, "antinode")
-        assert budget["cavity_power"] == pytest.approx(4.0)
-        assert budget["cavity_power"] == pytest.approx(2.0 * budget["free_space_mode_power"])
-
-    def test_rejects_unknown_coupling(self):
-        with pytest.raises(ValueError):
-            validation._cavity_power_budget(1e-3, 1.0, 100.0, "nodal")

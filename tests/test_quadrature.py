@@ -91,7 +91,7 @@ def test_exact_overlap_matches_dblquad(z_factor):
     oracle = integrate.dblquad(integrand, 0.0, 2.0 * math.pi, 0.0,
                                validation._TRUNCATION_WIDTHS * beam_width(WAIST, WAVELENGTH, z),
                                epsabs=0.0, epsrel=1e-13)[0]
-    value = validation._exact_overlap_quadrature(WAVELENGTH, WAIST, z)
+    value = validation._dipole_overlap_quadrature(WAVELENGTH, WAIST, exact_planes=(z,))[0]
     assert abs(value - oracle) <= 1e-12 * oracle
 
 
@@ -102,7 +102,7 @@ def test_on_axis_overlap_quadrature_matches_quad(z_factor):
     field = validation._radial_field(WAIST, WAVELENGTH, (z,))
     oracle = quad(lambda r: 2.0 * math.pi * axial * field(r, 0) * r,
                   0.0, validation._TRUNCATION_WIDTHS * beam_width(WAIST, WAVELENGTH, z))
-    value = validation._on_axis_overlap_quadrature(WAVELENGTH, WAIST, (z,))[0]
+    value = validation._dipole_overlap_quadrature(WAVELENGTH, WAIST, (z,))[0]
     assert abs(value - oracle) <= 1e-12 * oracle
 
 
