@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 # oracles that check the closed forms, the 2F/pi derivation and the
 # dipole-mode power among them, are private to ``cavray.validation``.
 _EXPORTS = {
-    "constants": "ATOMIC_UNIT_POLARIZABILITY_A3 AVOGADRO BOLTZMANN PLANCK SPEED_OF_LIGHT",
+    "constants": "AVOGADRO BOLTZMANN PLANCK SPEED_OF_LIGHT",
     "errors": "ConfigError ConvergenceError",
     "experiment": "EnhancementReport FinesseEntry ForecastReport build_enhancement_report "
                   "contributing_particles free_space_backout interaction_volume "

@@ -214,21 +214,20 @@ def cmd_overlap(args, values):
 def cmd_enhance(args, values):
     from .experiment import build_enhancement_report
 
-    left = values["enhance.left_reflectivity"]
-    pairings, measured, overlaps = [], [], []
+    pairings = []
     i = 1
     # pairing 1 is required; later ones are read while they continue
     while i == 1 or f"enhance.pairing{i}.finesse" in values:
-        pairings.append((values[f"enhance.pairing{i}.finesse"], left,
-                         values[f"enhance.pairing{i}.right_reflectivity"]))
-        measured.append(values[f"enhance.pairing{i}.measured_power"])
-        overlaps.append(values[f"enhance.pairing{i}.spectral_overlap"])
+        pairings.append((values[f"enhance.pairing{i}.finesse"],
+                         values[f"enhance.pairing{i}.right_reflectivity"],
+                         values[f"enhance.pairing{i}.measured_power"],
+                         values[f"enhance.pairing{i}.spectral_overlap"]))
         i += 1
     _reject_unread_indices(values, "enhance.pairing", i - 1,
                            "pairings are read from 1 up to the first missing "
                            f"enhance.pairing<i>.finesse, enhance.pairing{i}.finesse")
     report = build_enhancement_report(
-        pairings, measured, overlaps,
+        values["enhance.left_reflectivity"], pairings,
         values.get("enhance.free_space_power"),
         values.get("enhance.comparison_power"),
     )

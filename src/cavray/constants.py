@@ -4,6 +4,3 @@ SPEED_OF_LIGHT = 2.99792458e8     # m/s
 BOLTZMANN = 1.38064900e-23        # J/K
 PLANCK = 6.62607015e-34           # J s
 AVOGADRO = 6.02214076e23          # 1/mol
-
-# CGS volume polarizability: 1 atomic unit in cubic angstroms
-ATOMIC_UNIT_POLARIZABILITY_A3 = 0.148

@@ -101,65 +101,57 @@ class EnhancementReport(namedtuple("EnhancementReport", "entries free_space_back
     __slots__ = ()
 
 
-def build_enhancement_report(pairings: Sequence[tuple[float, float, float]],
-                             measured_powers: Sequence[float],
-                             spectral_overlaps: Sequence[float],
+def build_enhancement_report(left_reflectivity: float,
+                             pairings: Sequence[tuple[float, float, float, float]],
                              free_space_measured: float | None = None,
                              comparison_power: float | None = None) -> EnhancementReport:
     """Assemble the per-finesse comparison and the free-space back-out.
 
-    Each pairing is a (finesse, left_reflectivity, right_reflectivity)
-    triple. Its ``outcoupling_share`` and ``predicted_relative`` take the
-    mirrors as lossless, T = 1 - R, and its finesse as measured: one above
-    the pair's lossless finesse is not rejected (ROADMAP item 13).
+    Every pairing shares the left mirror of ``left_reflectivity``; each is a
+    (finesse, right_reflectivity, measured_power, spectral_overlap) row. Its
+    ``outcoupling_share`` and ``predicted_relative`` take the mirrors as
+    lossless, T = 1 - R, and its finesse as measured: one above the pair's
+    lossless finesse is not rejected (ROADMAP item 13).
 
     The measured normalization uses the highest-finesse entry as the
     reference. comparison_power, when the free-space comparison was taken
     with its own cavity measurement, feeds the back-out and enhancement
     factor instead of that entry's power.
     """
-    if not (len(pairings) == len(measured_powers) == len(spectral_overlaps)):
-        raise ValueError("pairings, powers and overlaps must have equal length")
-    for i, (power, overlap) in enumerate(zip(measured_powers, spectral_overlaps), start=1):
-        _check_measurement(f"enhance.pairing{i}", power, overlap)
     if comparison_power is not None and comparison_power <= 0.0:
         raise ValueError(f"enhance.comparison_power must be positive, got {comparison_power}")
     if not pairings:
         raise ValueError("at least one mirror pairing is required")
-    at_rest = [p / o for p, o in zip(measured_powers, spectral_overlaps)]
-    ref_index = max(range(len(pairings)), key=lambda i: pairings[i][0])
-    # the detectable signal scales as F * T2/(T1+T2)
-    shares, signals = [], []
-    for f, left, right in pairings:
+    _check_reflectivity(left_reflectivity)
+    # per row: at-rest power, outcoupling share and the detectable signal,
+    # which scales as F * T2/(T1+T2)
+    derived = []
+    for i, (f, right, power, overlap) in enumerate(pairings, start=1):
+        _check_measurement(f"enhance.pairing{i}", power, overlap)
         if f <= 0.0:
             raise ValueError(f"finesse must be positive, got {f}")
-        _check_reflectivity(left)
         _check_reflectivity(right)
-        shares.append(outcoupling_share(1.0 - left, 1.0 - right))
-        signals.append(f * shares[-1])
-    max_finesse = pairings[ref_index][0]
-    entries = []
-    for i, ((f, _, _), share, signal) in enumerate(zip(pairings, shares, signals)):
-        entries.append(FinesseEntry(
-            finesse=f,
-            outcoupling_share=share,
-            measured_power_W=measured_powers[i],
-            spectral_overlap=spectral_overlaps[i],
-            at_rest_power_W=at_rest[i],
-            relative_measured=at_rest[i] / at_rest[ref_index],
-            predicted_relative=signal / signals[ref_index],
-            predicted_relative_symmetric=f / max_finesse,
-        ))
+        share = outcoupling_share(1.0 - left_reflectivity, 1.0 - right)
+        derived.append((power / overlap, share, f * share))
+    ref_index = max(range(len(pairings)), key=lambda i: pairings[i][0])
+    max_finesse, ref_right, ref_power, ref_overlap = pairings[ref_index]
+    ref_at_rest, _, ref_signal = derived[ref_index]
+    entries = tuple(FinesseEntry(
+        finesse=f, outcoupling_share=share, measured_power_W=power,
+        spectral_overlap=overlap, at_rest_power_W=at_rest,
+        relative_measured=at_rest / ref_at_rest, predicted_relative=signal / ref_signal,
+        predicted_relative_symmetric=f / max_finesse)
+        for (f, _, power, overlap), (at_rest, share, signal) in zip(pairings, derived))
     if comparison_power is None:
-        comparison_power = measured_powers[ref_index]
-    backout = free_space_backout(comparison_power, spectral_overlaps[ref_index],
-                                 pairings[ref_index])
+        comparison_power = ref_power
+    backout = free_space_backout(comparison_power, ref_overlap,
+                                 (max_finesse, left_reflectivity, ref_right))
     factor = None
     if free_space_measured is not None:
         if free_space_measured <= 0.0:
             raise ValueError("free-space measurement must be positive")
         factor = comparison_power / free_space_measured
-    return EnhancementReport(tuple(entries), backout, free_space_measured, factor)
+    return EnhancementReport(entries, backout, free_space_measured, factor)
 
 
 class ForecastReport(namedtuple("ForecastReport", "n_molecules target_finesse "

@@ -29,8 +29,9 @@ per shortest harmonic wavelength and interpolates the grid from it with
 an 8-point periodic Lagrange stencil. It has no truncation window in
 frequency. It agrees with the directly evaluated series to 1e-11 of the
 peak, and with a +-4000-order sum of Voigt profiles to 1e-7 of the peak,
-which is the size of that sum's missing tail (both tested against the
-oracles in ``validation``).
+which is the size of that sum's missing tail (the series is
+``validation.scan_fourier_series``, which ``cavray validate`` checks the
+scan against; the Voigt sum is a test-only oracle that reads scipy).
 
 Valid up to roughly 100 mbar: pressure sidebands from scattering on
 density waves appear above that and are not modeled, nor are collisional

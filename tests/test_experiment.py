@@ -22,6 +22,10 @@ PAPER_PAIRINGS = [
 ]
 MEASURED_POWERS = [52e-15, 85e-15, 90e-15]
 OVERLAPS = [0.042, 0.101, 0.334]
+# the pairings as enhancement-report rows on their common left mirror
+PAPER_LEFT = PAPER_PAIRINGS[0][1]
+PAPER_ROWS = [(f, right, power, overlap) for (f, _, right), power, overlap
+              in zip(PAPER_PAIRINGS, MEASURED_POWERS, OVERLAPS)]
 
 
 @pytest.fixture
@@ -119,16 +123,15 @@ class TestFreeSpaceBackout:
                 free_space_backout(50e-15, 0.042, pairing)
 
 
-def predicted_relative(pairings):
-    """The report's predicted relative signal of each pairing."""
-    n = len(pairings)
-    report = build_enhancement_report(pairings, [1e-15] * n, [0.5] * n)
-    return [entry.predicted_relative for entry in report.entries]
+def predicted_relative(left, rows):
+    """The report's predicted relative signal of each row on the left mirror ``left``."""
+    return [entry.predicted_relative
+            for entry in build_enhancement_report(left, rows).entries]
 
 
 class TestFinesseDependence:
     def test_paper_pairings(self):
-        values = predicted_relative(PAPER_PAIRINGS)
+        values = predicted_relative(PAPER_LEFT, PAPER_ROWS)
         assert values[0] == pytest.approx(1.0)
         assert values[1] == pytest.approx(0.628571428571, rel=1e-9)
         assert values[2] == pytest.approx(0.186363636364, rel=1e-9)
@@ -136,7 +139,7 @@ class TestFinesseDependence:
     def test_symmetric_mirrors_are_purely_linear(self):
         mirror = 0.99
         finesses = [1250.0, 730.0, 333.0, 40.0]
-        relative = predicted_relative([(f, mirror, mirror) for f in finesses])
+        relative = predicted_relative(mirror, [(f, mirror, 1e-15, 0.5) for f in finesses])
         for f, r in zip(finesses, relative):
             assert r == pytest.approx(f / max(finesses), rel=1e-12)
 
@@ -145,7 +148,7 @@ class TestFinesseDependence:
         measured_relative = [v / at_rest[0] for v in at_rest]
         assert measured_relative[1] == pytest.approx(0.679741047, rel=1e-8)
         assert measured_relative[2] == pytest.approx(0.217641639, rel=1e-8)
-        predicted = predicted_relative(PAPER_PAIRINGS)
+        predicted = predicted_relative(PAPER_LEFT, PAPER_ROWS)
         for pred, meas in zip(predicted[1:], measured_relative[1:]):
             assert abs(pred - meas) / meas < 0.25
 
@@ -154,7 +157,7 @@ class TestEnhancementReport:
     @pytest.fixture
     def report(self):
         # the free-space comparison was taken against its own 50 fW run
-        return build_enhancement_report(PAPER_PAIRINGS, MEASURED_POWERS, OVERLAPS,
+        return build_enhancement_report(PAPER_LEFT, PAPER_ROWS,
                                         free_space_measured=1.3e-15,
                                         comparison_power=50e-15)
 
@@ -184,12 +187,12 @@ class TestEnhancementReport:
 
     @pytest.mark.parametrize("bad", [-0.1, 1.0, 1.5, math.nan])
     def test_rejects_unphysical_reflectivity(self, bad):
-        # the reference pairing is the first, so a bad mirror of the last
-        # one is caught on its own, not by the back-out
-        for pairing in [(100.0, bad, 0.959), (100.0, 0.997, bad)]:
+        # the left mirror is checked once; the reference pairing is the
+        # first, so a bad right mirror of the last one is caught on its own,
+        # not by the back-out
+        for left, right in [(bad, 0.959), (PAPER_LEFT, bad)]:
             with pytest.raises(ValueError, match="must be in \\[0, 1\\)"):
-                build_enhancement_report([*PAPER_PAIRINGS[:2], pairing],
-                                         MEASURED_POWERS, OVERLAPS)
+                build_enhancement_report(left, [*PAPER_ROWS[:2], (100.0, right, 90e-15, 0.334)])
 
 
 class TestUltracoldForecast:

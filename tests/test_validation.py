@@ -149,7 +149,12 @@ MUTANTS = {
     "check_polarization_sum_rule": [("half-extinction-floor", spectra, "polarization_signal",
                                      "** 2 + extinction", "** 2 + extinction / 2.0")],
     "check_scan_linearity": [("weight-as-amplitude", spectra, "scan_spectrum",
-                              "(weight * gas", "(weight ** 2 * gas")],
+                              "(weight * gas", "(weight ** 2 * gas"),
+                             # 2.3e-6 of peak off the series
+                             ("table-oversampling-2", spectra, "_TABLE_OVERSAMPLING",
+                              "16", "2"),
+                             ("harmonics-not-doubled", spectra, "_comb_coefficients",
+                              "coefficients[1:] *= 2.0", "coefficients[1:] *= 1.0")],
     # the oracle's width over the observed one is sqrt(2) or 1/sqrt(2)
     "check_doppler_monte_carlo": [
         ("absorption-width-as-observed", spectra, "observed_doppler_fwhm",
@@ -177,8 +182,8 @@ MUTANTS = {
 }
 
 
-# oracles that only tier-1 tests run (ROADMAP item 4); this list may only shrink
-TIER1_ONLY = {"scan_voigt_sum", "scan_fourier_series", "_comb_lines"}
+# oracles that only tier-1 tests run (ROADMAP item 4); this set may only shrink
+TIER1_ONLY = set()
 
 
 def test_validate_runs_every_oracle_but_the_tier1_only_ones():
@@ -216,6 +221,36 @@ def test_check_fails_on_its_mutant(monkeypatch, check, row):
         result = check(validation._check_rngs(0)(check.__name__))
         assert result.passed is passes, result.detail
     assert all(part in result.detail for part in text)
+
+
+# checks that no mutant of MUTANTS fails alone (ROADMAP item 12); this set
+# may only shrink
+NO_UNIQUE_MUTANT = {
+    "check_backout_roundtrip", "check_cavity_params_identities",
+    "check_dipole_normalization", "check_field_closed_form_vs_roundtrip",
+    "check_field_mirror_asymmetry", "check_finesse_monotone", "check_finesse_taylor",
+    "check_gaussian_normalization", "check_overlap_monotone",
+    "check_power_budget_identities", "check_power_linearity", "check_purcell_equivalence",
+    "check_purcell_separation_cancels", "check_spectral_overlap_closed_form",
+    "check_spectral_overlap_limits",
+}
+
+
+def test_kill_matrix_leaves_only_the_listed_checks_without_a_mutant_of_their_own(
+        monkeypatch):
+    """Every distinct ``MUTANTS`` row against every check at seed 0: a
+    check's own mutant fails it and no other check, and only the checks of
+    ``NO_UNIQUE_MUTANT`` have none."""
+    rows = {row[1:5] for rows in MUTANTS.values() for row in rows}
+    killed = []
+    for where, attribute, old, new in rows:
+        with monkeypatch.context() as patch:
+            patch.setattr(where, attribute, mutant(where, attribute, old, new))
+            killed.append({check.__name__ for check in validation.ALL_CHECKS
+                           if not check(validation._check_rngs(0)(check.__name__)).passed})
+    assert all(killed)
+    owned = {name for failed in killed if len(failed) == 1 for name in failed}
+    assert {check.__name__ for check in validation.ALL_CHECKS} - owned == NO_UNIQUE_MUTANT
 
 
 def test_antinode_check_holds_either_reflection_sign(monkeypatch):
@@ -418,6 +453,13 @@ def test_numpy_and_quadrature_stay_out_of_the_closed_forms(module):
         assert "numpy" not in imported
     if module != "validation":
         assert "quadrature" not in imported
+
+
+def test_no_module_imports_scipy():
+    # scipy is a test-only dependency: an oracle that reads it lives in its test
+    importers = [path.stem for path in PACKAGE_DIR.glob("*.py")
+                 if "scipy" in _imported_names(ast.parse(path.read_text()))]
+    assert importers == []
 
 
 def test_experiment_computes_records_and_writes_no_json():
